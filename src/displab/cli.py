@@ -21,7 +21,6 @@ import hashlib
 import io
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from configparser import ConfigParser, Error as ConfigParserError
 
 import numpy as np
@@ -42,17 +41,16 @@ from .discretize import (
     assemble_periodic,
     free_fiber_eigenvalues,
 )
-from .eigensolve import count_below, smallest_eigenpairs
+from .eigensolve import count_below
 from .floquet import (
     band_bottom,
     band_table,
     build_projectors,
     feynman_hellmann_residual,
-    gradient_limit_check,
     v_vector,
 )
 from .potentials import constant_field, periodic_family, single_site_family
-from .randomfields import DisplacementDistribution, radial_density_note, sample_field
+from .randomfields import DisplacementDistribution
 from .reduced import (
     band_symbol_ratio,
     build_reduced,
@@ -63,8 +61,15 @@ from .reduced import (
 from .spectral_stats import (
     ContinuumFamily,
     IDSCurve,
+    IDSSandwichReport,
     ReducedFamily,
+    count_row,
     lifshitz_fit,
+    sandwich_families,
+    stream_samples,
+    wegner_report,
+    wegner_sample,
+    wegner_windows,
 )
 from . import supports
 
@@ -81,6 +86,7 @@ KINDS = (
 )
 MC_KINDS = ("ids", "lifshitz", "wegner")
 SIZE_GUARD = 200_000
+CACHE_EVERY = 50  # Monte-Carlo rows between rewrites of cache.csv
 
 
 class ConfigError(ValueError):
@@ -385,11 +391,30 @@ def _load_cache(path, header):
     return [row for row in rows if len(row) == len(header)]
 
 
-def _parallel_map(fn, items, threads):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
+def _sample_cache(rd, header, key, tasks, compute, threads):
+    """Every task's cache row: replayed from ``cache.csv``, else computed.
+
+    ``key(row)`` recovers the task from a cached row and ``compute(task)``
+    returns the row for a task.  Missing tasks stream through the sample
+    driver in order; the cache is rewritten every CACHE_EVERY rows and once
+    more on the way out, also when Ctrl-C or an error stops the stream, so
+    finished samples are kept for ``--resume``.
+    """
+    rows = {key(row): row for row in _load_cache(rd.cache, header)}
+    stream = stream_samples(compute, [t for t in tasks if t not in rows], threads)
+    try:
+        for task, row in stream:
+            rows[task] = [fmt(x) for x in row]
+            if len(rows) % CACHE_EVERY == 0:
+                _write_cache(rd, header, rows)
+    finally:
+        stream.close()
+        _write_cache(rd, header, rows)
+    return rows
+
+
+def _write_cache(rd, header, rows):
+    write_csv(rd.cache, header, [rows[task] for task in sorted(rows)])
 
 
 # -- experiment runners ------------------------------------------------------
@@ -534,89 +559,54 @@ def run_ids(cfg, rd, threads):
         top = 0.9 / c0**2
         offsets = list(np.geomspace(top / 50.0, top, n_off))
     offsets = np.asarray(offsets, dtype=float)
-    if np.any(offsets <= 0) or np.any(offsets >= 1.0 / c0**2):
-        raise ConfigError("ids.offsets must lie in (0, 1/c0^2)")
-    e_ref = band_bottom(p, q, lam, zeta, m).energy
-    v = v_vector(p, q, lam, zeta, m)
-    fams = {
-        "plus": (ReducedFamily(1, v, lam, zeta, dist, n, c0, alpha), offsets / c0),
-        "middle": (ContinuumFamily(p, q, lam, dist, n, m), e_ref + offsets),
-        "minus": (ReducedFamily(-1, v, lam, zeta, dist, n, c0, alpha), c0 * offsets),
-    }
-
-    header = ["family", "sample"] + [f"c_{g}" for g in range(len(offsets))]
-    cached = {
-        (row[0], int(row[1])): [int(x) for x in row[2:]]
-        for row in _load_cache(rd.cache, header)
-    }
-    todo = [
-        (name, s)
-        for name in _IDS_FAMILIES
-        for s in range(n_samples)
-        if (name, s) not in cached
-    ]
+    try:
+        e_ref, families = sandwich_families(p, q, lam, dist, zeta, n, m, c0, alpha, offsets)
+    except ValueError as exc:
+        raise ConfigError(f"ids.offsets: {exc}") from exc
 
     def compute(task):
-        name, s = task
-        fam, energies = fams[name]
-        mat = fam.assemble(seed, s)
-        return task, [count_below(mat, float(e)) for e in energies]
+        k, s = task
+        fam, energies = families[k]
+        return [_IDS_FAMILIES[k], s] + count_row(fam, seed, s, energies)
 
-    for task, counts in _parallel_map(compute, todo, threads):
-        cached[task] = counts
-        if len(cached) % 50 == 0:
-            _write_ids_cache(rd, header, cached)
-    _write_ids_cache(rd, header, cached)
-
-    curves = {}
-    for name in _IDS_FAMILIES:
-        fam, energies = fams[name]
-        counts = np.array([cached[(name, s)] for s in range(n_samples)], dtype=int)
-        curves[name] = IDSCurve(
-            energies=energies, counts=counts, n_cells=fam.n_cells, label=name
-        )
-    mean = {k: c.values() for k, c in curves.items()}
-    se = {k: c.stderr() for k, c in curves.items()}
-    sig_lo = 3.0 * np.sqrt(se["plus"] ** 2 + se["middle"] ** 2)
-    sig_hi = 3.0 * np.sqrt(se["middle"] ** 2 + se["minus"] ** 2)
-    ok_lo = mean["plus"] <= mean["middle"] + sig_lo
-    ok_hi = mean["middle"] <= mean["minus"] + sig_hi
-    violations = int(
-        np.sum(curves["plus"].counts > curves["middle"].counts)
-        + np.sum(curves["middle"].counts > curves["minus"].counts)
+    rows = _sample_cache(
+        rd,
+        ["family", "sample"] + [f"c_{g}" for g in range(len(offsets))],
+        lambda row: (_IDS_FAMILIES.index(row[0]), int(row[1])),
+        [(k, s) for k in range(len(families)) for s in range(n_samples)],
+        compute,
+        threads,
     )
+    curves = [
+        IDSCurve(
+            energies=energies,
+            counts=np.array(
+                [[int(x) for x in rows[(k, s)][2:]] for s in range(n_samples)], dtype=int
+            ),
+            n_cells=fam.n_cells,
+            label=fam.label,
+        )
+        for k, (fam, energies) in enumerate(families)
+    ]
+    rep = IDSSandwichReport.from_curves(offsets, e_ref, c0, *curves)
+    columns = [offsets]
+    for curve in curves:
+        columns += [curve.values(), curve.stderr()]
     write_csv(
         rd.file("curves.csv"),
         [
             "offset", "mean_plus", "se_plus", "mean_middle", "se_middle",
             "mean_minus", "se_minus", "ok_lower", "ok_upper",
         ],
-        [
-            [
-                offsets[g], mean["plus"][g], se["plus"][g], mean["middle"][g],
-                se["middle"][g], mean["minus"][g], se["minus"][g],
-                bool(ok_lo[g]), bool(ok_hi[g]),
-            ]
-            for g in range(len(offsets))
-        ],
+        zip(*columns, rep.lower_ok(), rep.upper_ok()),
     )
-    all_ok = bool(np.all(ok_lo) and np.all(ok_hi))
     lines = [
         f"counting chain at c0={fmt(c0)} alpha={fmt(alpha)} over {n_samples} samples",
         f"reference bottom: {fmt(e_ref)}",
-        f"chain within 3 sigma at every offset: {fmt(all_ok)}",
-        f"strict per-sample violations: {violations}",
+        f"chain within 3 sigma at every offset: {fmt(rep.all_ok)}",
+        f"strict per-sample violations: {rep.sample_violations}",
     ]
-    return rd.finish(lines, ok=all_ok)
-
-
-def _write_ids_cache(rd, header, cached):
-    order = {name: i for i, name in enumerate(_IDS_FAMILIES)}
-    rows = [
-        [name, s] + cached[(name, s)]
-        for name, s in sorted(cached, key=lambda t: (order[t[0]], t[1]))
-    ]
-    write_csv(rd.cache, header, rows)
+    return rd.finish(lines, ok=rep.all_ok)
 
 
 def _ground_bisect(mat, hi, iters=48):
@@ -660,26 +650,23 @@ def run_lifshitz(cfg, rd, threads):
     energies = np.geomspace(e_min, e_max, n_energies)
     fam = ReducedFamily(sign, v, lam, zeta, dist, n, c0, alpha)
 
-    header = ["sample", "ground"] + [f"c_{g}" for g in range(n_energies)]
-    cached = {
-        int(row[0]): (float(row[1]), [int(x) for x in row[2:]])
-        for row in _load_cache(rd.cache, header)
-    }
-    todo = [s for s in range(n_samples) if s not in cached]
-
     def compute(s):
         mat = fam.assemble(seed, s)
         ground = _ground_bisect(mat, ground_hi)
-        return s, (ground, [count_below(mat, float(e)) for e in energies])
+        return [s, ground] + [count_below(mat, float(e)) for e in energies]
 
-    for s, payload in _parallel_map(compute, todo, threads):
-        cached[s] = payload
-        if len(cached) % 25 == 0:
-            _write_sample_cache(rd, header, cached)
-    _write_sample_cache(rd, header, cached)
-
-    counts = np.array([cached[s][1] for s in range(n_samples)], dtype=int)
-    grounds = np.array([cached[s][0] for s in range(n_samples)], dtype=float)
+    rows = _sample_cache(
+        rd,
+        ["sample", "ground"] + [f"c_{g}" for g in range(n_energies)],
+        lambda row: int(row[0]),
+        range(n_samples),
+        compute,
+        threads,
+    )
+    counts = np.array(
+        [[int(x) for x in rows[s][2:]] for s in range(n_samples)], dtype=int
+    )
+    grounds = np.array([float(rows[s][1]) for s in range(n_samples)], dtype=float)
     # Finite-volume bottom: lowest sampled ground level minus 3 standard errors.
     # The deterministic bottom of the signed model (constant field at zeta) is 0.
     ground_se = float(grounds.std(ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
@@ -713,11 +700,6 @@ def run_lifshitz(cfg, rd, threads):
     return rd.finish(lines, ok=not fit.no_tail)
 
 
-def _write_sample_cache(rd, header, cached):
-    rows = [[s, fmt(cached[s][0])] + cached[s][1] for s in sorted(cached)]
-    write_csv(rd.cache, header, rows)
-
-
 def run_wegner(cfg, rd, threads):
     p, q, lam, n_model, m = build_model(cfg)
     support = build_support(cfg, q.d)
@@ -741,104 +723,59 @@ def run_wegner(cfg, rd, threads):
         eps_frac = _get_float(cfg, "wegner", "eps_frac", 0.25)
         eps_hi = _get_float(cfg, "wegner", "eps_hi", eps_frac * (e_top - e_lam))
         eps_list = list(np.geomspace(eps_hi / 10**1.5, eps_hi, n_eps))
-    eps_list = sorted(float(e) for e in eps_list)
-
-    header = ["n", "sample", "ground"] + [f"hit_{k}" for k in range(len(eps_list))]
-    cached = {}
-    for row in _load_cache(rd.cache, header):
-        cached[(int(row[0]), int(row[1]))] = (
-            row[2],
-            [row[3 + k] == "true" for k in range(len(eps_list))],
-        )
-    todo = [
-        (n, s) for n in n_list for s in range(samples) if (n, s) not in cached
-    ]
+    try:
+        eps_list = wegner_windows(eps_list)
+    except ValueError as exc:
+        raise ConfigError(f"wegner.eps_list: {exc}") from exc
+    families = {n: ContinuumFamily(p=p, q=q, lam=lam, dist=dist, n=n, m=m) for n in n_list}
 
     def compute(task):
         n, s = task
-        fam = ContinuumFamily(p=p, q=q, lam=lam, dist=dist, n=n, m=m)
-        mat = fam.assemble(seed, s)
-        hits = []
-        for eps in eps_list:
-            hi = count_below(mat, e_center + eps)
-            lo = count_below(mat, e_center - eps)
-            hits.append(hi > lo)
-        ground = (
-            fmt(smallest_eigenpairs(mat, k=1).ground_energy)
-            if s < ground_samples
-            else ""
+        hits, e0 = wegner_sample(
+            families[n], seed, s, e_center, eps_list, s < ground_samples
         )
-        return task, (ground, hits)
+        return [n, s, "" if e0 is None else e0] + hits
 
-    for task, payload in _parallel_map(compute, todo, threads):
-        cached[task] = payload
-        if len(cached) % 50 == 0:
-            _write_wegner_cache(rd, header, cached)
-    _write_wegner_cache(rd, header, cached)
-
-    # independent dense audits of the first few hit decisions per size
-    audits_total = audits_agree = 0
-    for n in n_list:
-        fam = ContinuumFamily(p=p, q=q, lam=lam, dist=dist, n=n, m=m)
-        for s in range(min(audit_per_n, samples)):
-            dense = np.sort(np.linalg.eigvalsh(fam.assemble(seed, s).toarray()))
-            for k, eps in enumerate(eps_list):
-                ref_hit = int(np.searchsorted(dense, e_center + eps)) > int(
-                    np.searchsorted(dense, e_center - eps)
-                )
-                audits_total += 1
-                audits_agree += int(ref_hit == cached[(n, s)][1][k])
-
-    from .spectral_stats import WegnerRecord, _fit_loglog
-
-    records = []
-    for n in n_list:
-        for k, eps in enumerate(eps_list):
-            hits = sum(cached[(n, s)][1][k] for s in range(samples))
-            records.append(WegnerRecord(n=n, eps=eps, hits=int(hits), samples=samples))
+    rows = _sample_cache(
+        rd,
+        ["n", "sample", "ground"] + [f"hit_{k}" for k in range(len(eps_list))],
+        lambda row: (int(row[0]), int(row[1])),
+        [(n, s) for n in families for s in range(samples)],
+        compute,
+        threads,
+    )
+    rep = wegner_report(
+        families, e_center, eps_list, samples, seed, audit_per_n,
+        {
+            task: ([h == "true" for h in row[3:]], float(row[2]) if row[2] else None)
+            for task, row in rows.items()
+        },
+    )
     write_csv(
         rd.file("records.csv"),
         ["n", "eps", "hits", "samples", "p_hat", "stderr"],
-        [[r.n, r.eps, r.hits, r.samples, r.p_hat, r.stderr] for r in records],
+        [[r.n, r.eps, r.hits, r.samples, r.p_hat, r.stderr] for r in rep.records],
     )
-    coef, ses, excluded = _fit_loglog(records, q.d)
-    grounds = {}
-    for n in n_list:
-        vals = [
-            float(cached[(n, s)][0])
-            for s in range(samples)
-            if cached[(n, s)][0] != ""
-        ]
-        if vals:
-            g = np.asarray(vals)
-            se_g = float(g.std(ddof=1) / np.sqrt(len(g))) if len(g) > 1 else 0.0
-            grounds[n] = (float(g.min()), se_g)
     write_csv(
         rd.file("fit.csv"),
         [
             "nu_hat", "nu_stderr", "dim_hat", "dim_stderr", "e_center",
             "excluded_cells", "audits_total", "audits_agree",
         ],
-        [[coef[1], ses[1], coef[2], ses[2], e_center, excluded, audits_total, audits_agree]],
+        [[
+            rep.nu_hat, rep.nu_stderr, rep.dim_hat, rep.dim_stderr, e_center,
+            rep.n_excluded, rep.audits_total, rep.audits_agree,
+        ]],
     )
     lines = [
-        f"window exponent nu_hat: {fmt(coef[1])} +- {fmt(ses[1])}",
-        f"volume exponent dim_hat: {fmt(coef[2])} +- {fmt(ses[2])}",
+        f"window exponent nu_hat: {fmt(rep.nu_hat)} +- {fmt(rep.nu_stderr)}",
+        f"volume exponent dim_hat: {fmt(rep.dim_hat)} +- {fmt(rep.dim_stderr)}",
         f"window center: {fmt(e_center)} in [{fmt(e_lam)}, {fmt(e_top)}]",
-        f"audits: {audits_agree}/{audits_total} agree",
+        f"audits: {rep.audits_agree}/{rep.audits_total} agree",
     ]
-    for n, (gmin, gse) in sorted(grounds.items()):
+    for n, gmin, _, gse in rep.ground_stats:
         lines.append(f"ground min at n={n}: {fmt(gmin)} (est. bottom {fmt(gmin - 3 * gse)})")
-    ok = audits_total > 0 and audits_agree == audits_total
-    return rd.finish(lines, ok=ok)
-
-
-def _write_wegner_cache(rd, header, cached):
-    rows = [
-        [n, s, cached[(n, s)][0]] + list(cached[(n, s)][1])
-        for n, s in sorted(cached)
-    ]
-    write_csv(rd.cache, header, rows)
+    return rd.finish(lines, ok=rep.audit_clean)
 
 
 def run_reduce(cfg, rd, threads):
@@ -1096,12 +1033,16 @@ def main(argv=None):
                 return 0
         else:
             rd = _prepare_rundir(cfg, out, resuming=False)
-        code = _RUNNERS[kind](cfg, rd, max(1, threads or 1))
+        try:
+            code = _RUNNERS[kind](cfg, rd, max(1, threads or 1))
+        except KeyboardInterrupt:
+            print(f"interrupted; resume with --resume {out}", file=sys.stderr)
+            return 130
         status = "ok" if code == 0 else "FAILED CHECKS"
         print(f"{out}: {status} (see summary.txt)")
         return code
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"config error: {exc}", file=sys.stderr)
         return 2
 
 

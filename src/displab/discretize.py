@@ -102,12 +102,6 @@ class LatticeOperator:
             return True
         return bool(np.max(np.abs(delta.data)) <= tol)
 
-    def dump_coordinates(self, fh):
-        """Write 'index x1 .. xd' rows for every grid point."""
-        pts = self.grid.points() if self.kind == "periodic" else self.grid.cell_points()
-        for i, row in enumerate(pts):
-            fh.write(" ".join([str(i)] + [repr(float(c)) for c in row]) + "\n")
-
 
 def _axis_second_difference(npts, h, phase=1.0):
     """1-d periodic -Laplacian with a Bloch phase on the wrap link.

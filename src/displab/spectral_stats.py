@@ -3,7 +3,9 @@ tail fits, and eigenvalue-proximity (level-repulsion) scans.
 
 All sampling is indexed by (master_seed, sample_index) through the
 counter-based field sampler, so curves are reproducible sample-by-sample and
-independent of scheduling; threading only maps samples onto workers.
+independent of scheduling.  ``stream_samples`` is the one Monte-Carlo driver:
+the library scans here and the CLI runners all feed their per-sample work
+through it, and its threads only map samples onto workers.
 """
 
 from __future__ import annotations
@@ -18,6 +20,30 @@ from .eigensolve import count_below, smallest_eigenpairs
 from .floquet import band_bottom, v_vector
 from .randomfields import sample_field
 from .reduced import build_reduced
+
+
+# -- sample driver ----------------------------------------------------------
+
+
+def stream_samples(fn, tasks, threads=1):
+    """Yield ``(task, fn(task))`` for every task, in submission order.
+
+    ``threads == 1`` runs in-process; otherwise one thread pool maps the
+    tasks onto workers.  Results stream out as they are reached, so a caller
+    can checkpoint finished work; closing the stream early (or an exception,
+    such as Ctrl-C, while waiting on it) cancels the queued tasks.
+    """
+    if threads <= 1:
+        for task in tasks:
+            yield task, fn(task)
+        return
+    pool = ThreadPoolExecutor(max_workers=threads)
+    try:
+        futures = [(task, pool.submit(fn, task)) for task in tasks]
+        for task, future in futures:
+            yield task, future.result()
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 # -- operator families ----------------------------------------------------
@@ -108,7 +134,8 @@ class IDSCurve:
         return bool(np.all(np.diff(vals) >= -1e-12))
 
 
-def _count_row(family, master_seed, sample_index, energies):
+def count_row(family, master_seed, sample_index, energies):
+    """Eigenvalue counts of one sampled operator below each energy."""
     mat = family.assemble(master_seed, sample_index)
     return [count_below(mat, float(e)) for e in energies]
 
@@ -119,19 +146,12 @@ def ids_curve(family, energies, n_samples, master_seed, threads=1):
         raise ValueError("energies must be strictly increasing")
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(
-                pool.map(
-                    lambda s: _count_row(family, master_seed, s, energies),
-                    range(n_samples),
-                )
-            )
-    else:
-        rows = [_count_row(family, master_seed, s, energies) for s in range(n_samples)]
+    stream = stream_samples(
+        lambda s: count_row(family, master_seed, s, energies), range(n_samples), threads
+    )
     return IDSCurve(
         energies=energies,
-        counts=np.asarray(rows, dtype=int),
+        counts=np.asarray([row for _, row in stream], dtype=int),
         n_cells=family.n_cells,
         label=family.label,
     )
@@ -149,6 +169,14 @@ class IDSSandwichReport:
     minus: IDSCurve
     sample_violations: int
 
+    @classmethod
+    def from_curves(cls, energies, e_ref, c0, plus, middle, minus):
+        """Report on three curves counted on shared fields, sample by sample."""
+        violations = int(
+            np.sum(plus.counts > middle.counts) + np.sum(middle.counts > minus.counts)
+        )
+        return cls(energies, e_ref, c0, plus, middle, minus, violations)
+
     def _sig(self, a, b):
         return 3.0 * np.sqrt(a.stderr() ** 2 + b.stderr() ** 2)
 
@@ -163,44 +191,46 @@ class IDSSandwichReport:
         return bool(np.all(self.lower_ok()) and np.all(self.upper_ok()))
 
 
-def ids_sandwich_check(
-    p, q, lam, dist, zeta, n, m, c0, alpha, energies, n_samples, master_seed, threads=1
-):
-    """Run all three counting curves on shared displacement fields.
+def sandwich_families(p, q, lam, dist, zeta, n, m, c0, alpha, energies):
+    """Reference bottom and the (family, thresholds) pairs plus, middle, minus.
 
-    ``energies`` are offsets above the band bottom and must stay below
-    1/c0^2, where the complementary blocks are spectrally inert.  The report
-    carries the three curves, the 3-sigma mean comparisons, and the number of
-    strict per-sample violations of the integer chain (expected zero).
+    ``energies`` are offsets above the band bottom.  They must increase
+    strictly and stay inside (0, 1/c0^2), where the complementary blocks are
+    spectrally inert; the thresholds are E/c0, E_ref + E and c0 E.
     """
     energies = np.asarray(energies, dtype=float)
+    if np.any(np.diff(energies) <= 0):
+        raise ValueError("offsets must be strictly increasing")
     if np.any(energies <= 0) or np.any(energies >= 1.0 / c0**2):
         raise ValueError("offsets must lie strictly inside (0, 1/c0^2)")
     zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
     e_ref = band_bottom(p, q, lam, zeta, m).energy
     v = v_vector(p, q, lam, zeta, m)
-    fam_mid = ContinuumFamily(p=p, q=q, lam=lam, dist=dist, n=n, m=m)
-    fam_plus = ReducedFamily(
-        sign=+1, v=v, lam=lam, zeta=zeta, dist=dist, n=n, c0=c0, alpha=alpha
+    reduced = dict(v=v, lam=lam, zeta=zeta, dist=dist, n=n, c0=c0, alpha=alpha)
+    return e_ref, (
+        (ReducedFamily(sign=+1, **reduced), energies / c0),
+        (ContinuumFamily(p=p, q=q, lam=lam, dist=dist, n=n, m=m), e_ref + energies),
+        (ReducedFamily(sign=-1, **reduced), c0 * energies),
     )
-    fam_minus = ReducedFamily(
-        sign=-1, v=v, lam=lam, zeta=zeta, dist=dist, n=n, c0=c0, alpha=alpha
-    )
-    curve_plus = ids_curve(fam_plus, energies / c0, n_samples, master_seed, threads)
-    curve_mid = ids_curve(fam_mid, e_ref + energies, n_samples, master_seed, threads)
-    curve_minus = ids_curve(fam_minus, c0 * energies, n_samples, master_seed, threads)
-    violations = int(
-        np.sum(curve_plus.counts > curve_mid.counts)
-        + np.sum(curve_mid.counts > curve_minus.counts)
-    )
-    return IDSSandwichReport(
-        energies=energies,
-        e_ref=e_ref,
-        c0=c0,
-        plus=curve_plus,
-        middle=curve_mid,
-        minus=curve_minus,
-        sample_violations=violations,
+
+
+def ids_sandwich_check(
+    p, q, lam, dist, zeta, n, m, c0, alpha, energies, n_samples, master_seed, threads=1
+):
+    """Run all three counting curves on shared displacement fields.
+
+    See ``sandwich_families`` for the admissible offsets ``energies``.  The
+    report carries the three curves, the 3-sigma mean comparisons, and the
+    number of strict per-sample violations of the integer chain (expected
+    zero).
+    """
+    e_ref, families = sandwich_families(p, q, lam, dist, zeta, n, m, c0, alpha, energies)
+    curves = [
+        ids_curve(fam, thresholds, n_samples, master_seed, threads)
+        for fam, thresholds in families
+    ]
+    return IDSSandwichReport.from_curves(
+        np.asarray(energies, dtype=float), e_ref, c0, *curves
     )
 
 
@@ -344,6 +374,78 @@ def _fit_loglog(records, d):
     return coef, ses, excluded
 
 
+def wegner_windows(eps_list):
+    """Window half-widths in ascending order; all must be positive."""
+    eps_list = sorted(float(e) for e in eps_list)
+    if not eps_list or eps_list[0] <= 0:
+        raise ValueError("eps must be positive")
+    return eps_list
+
+
+def wegner_sample(family, master_seed, sample_index, e_center, eps_list, ground):
+    """One sample's hit decisions, one per window, and its ground energy.
+
+    A hit means some eigenvalue lies within eps of ``e_center``.  The ground
+    energy is computed only when ``ground`` is true, else it is None.
+    """
+    mat = family.assemble(master_seed, sample_index)
+    hits = [
+        count_below(mat, e_center + eps) > count_below(mat, e_center - eps)
+        for eps in eps_list
+    ]
+    e0 = smallest_eigenpairs(mat, k=1).ground_energy if ground else None
+    return hits, e0
+
+
+def wegner_report(
+    families, e_center, eps_list, samples_per_cell, master_seed, audit_per_n, results
+):
+    """Records, joint fit, dense audits and ground statistics of a finished scan.
+
+    ``families`` maps each torus size n to its ContinuumFamily and ``results``
+    maps every (n, sample) to what ``wegner_sample`` returned; records and
+    ground statistics come out in ascending n.
+
+    The first ``audit_per_n`` samples of each size are assembled again from
+    (master_seed, sample) and their hit decisions re-derived from dense
+    spectra, so replayed results are audited as well as fresh ones.
+    """
+    records, ground_stats = [], []
+    audits_total = audits_agree = 0
+    for n in sorted(families):
+        fam = families[n]
+        rows = [results[(n, s)] for s in range(samples_per_cell)]
+        for k, eps in enumerate(eps_list):
+            hits = sum(int(hit[k]) for hit, _ in rows)
+            records.append(WegnerRecord(n=n, eps=eps, hits=hits, samples=samples_per_cell))
+        for s in range(min(audit_per_n, samples_per_cell)):
+            dense = np.sort(np.linalg.eigvalsh(fam.assemble(master_seed, s).toarray()))
+            for k, eps in enumerate(eps_list):
+                ref_hi = int(np.searchsorted(dense, e_center + eps, side="left"))
+                ref_lo = int(np.searchsorted(dense, e_center - eps, side="left"))
+                audits_total += 1
+                audits_agree += int((ref_hi > ref_lo) == rows[s][0][k])
+        grounds = [e0 for _, e0 in rows if e0 is not None]
+        if grounds:
+            g = np.asarray(grounds)
+            se = float(g.std(ddof=1) / np.sqrt(len(g))) if len(g) > 1 else 0.0
+            ground_stats.append((n, float(g.min()), float(g.mean()), se))
+    d = next(iter(families.values())).q.d
+    coef, ses, excluded = _fit_loglog(records, d)
+    return WegnerReport(
+        e_center=float(e_center),
+        records=tuple(records),
+        nu_hat=float(coef[1]),
+        nu_stderr=float(ses[1]),
+        dim_hat=float(coef[2]),
+        dim_stderr=float(ses[2]),
+        n_excluded=excluded,
+        audits_total=audits_total,
+        audits_agree=audits_agree,
+        ground_stats=tuple(ground_stats),
+    )
+
+
 def wegner_scan(
     p,
     q,
@@ -366,70 +468,26 @@ def wegner_scan(
     ``eps_list`` the hit probability is estimated over ``samples_per_cell``
     fields (shared across eps within a size: one operator, all windows).
     A joint log-log fit extracts the window exponent nu_hat and the volume
-    exponent dim_hat.  ``audit_quota`` hit decisions are recomputed from
-    dense spectra as an independent cross-check.
+    exponent dim_hat.  About ``audit_quota`` sampled instances, split evenly
+    over the sizes, have their hit decisions recomputed from dense spectra as
+    an independent cross-check.
     """
-    eps_list = sorted(float(e) for e in eps_list)
-    if eps_list[0] <= 0:
-        raise ValueError("eps must be positive")
-    zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
-    hit_table = {}
-    audits_total = audits_agree = 0
-    ground_stats = []
-    for n in n_list:
-        fam = ContinuumFamily(p=p, q=q, lam=lam, dist=dist, n=n, m=m)
-        hits = np.zeros(len(eps_list), dtype=int)
-        grounds = []
+    eps_list = wegner_windows(eps_list)
+    families = {n: ContinuumFamily(p=p, q=q, lam=lam, dist=dist, n=n, m=m) for n in n_list}
 
-        def one_sample(s, fam=fam, n=n):
-            mat = fam.assemble(master_seed, s)
-            row = []
-            for eps in eps_list:
-                hi = count_below(mat, e_center + eps)
-                lo = count_below(mat, e_center - eps)
-                row.append(hi > lo)
-            e0 = (
-                smallest_eigenpairs(mat, k=1).ground_energy
-                if s < ground_samples
-                else None
-            )
-            return row, e0, mat if s < max(1, audit_quota // len(n_list)) else None
+    def one_sample(task):
+        n, s = task
+        return wegner_sample(
+            families[n], master_seed, s, e_center, eps_list, s < ground_samples
+        )
 
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(one_sample, range(samples_per_cell)))
-        else:
-            results = [one_sample(s) for s in range(samples_per_cell)]
-        for row, e0, audit_mat in results:
-            hits += np.asarray(row, dtype=int)
-            if e0 is not None:
-                grounds.append(e0)
-            if audit_mat is not None:
-                dense = np.sort(np.linalg.eigvalsh(audit_mat.toarray()))
-                for k, eps in enumerate(eps_list):
-                    ref_hi = int(np.searchsorted(dense, e_center + eps, side="left"))
-                    ref_lo = int(np.searchsorted(dense, e_center - eps, side="left"))
-                    audits_total += 1
-                    audits_agree += int((ref_hi > ref_lo) == row[k])
-        if grounds:
-            g = np.asarray(grounds)
-            se = float(g.std(ddof=1) / np.sqrt(len(g))) if len(g) > 1 else 0.0
-            ground_stats.append((n, float(g.min()), float(g.mean()), se))
-        for k, eps in enumerate(eps_list):
-            hit_table[(n, eps)] = WegnerRecord(
-                n=n, eps=eps, hits=int(hits[k]), samples=samples_per_cell
-            )
-    records = tuple(hit_table[key] for key in sorted(hit_table))
-    coef, ses, excluded = _fit_loglog(records, q.d)
-    return WegnerReport(
-        e_center=float(e_center),
-        records=records,
-        nu_hat=float(coef[1]),
-        nu_stderr=float(ses[1]),
-        dim_hat=float(coef[2]),
-        dim_stderr=float(ses[2]),
-        n_excluded=excluded,
-        audits_total=audits_total,
-        audits_agree=audits_agree,
-        ground_stats=tuple(ground_stats),
+    tasks = [(n, s) for n in families for s in range(samples_per_cell)]
+    return wegner_report(
+        families,
+        e_center,
+        eps_list,
+        samples_per_cell,
+        master_seed,
+        max(1, audit_quota // len(families)),
+        dict(stream_samples(one_sample, tasks, threads)),
     )

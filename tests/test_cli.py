@@ -21,6 +21,10 @@ from displab.cli import (
     read_csv_rows,
     write_csv,
 )
+from displab.potentials import periodic_family, single_site_family
+from displab.randomfields import DisplacementDistribution
+from displab.spectral_stats import ReducedFamily, ids_sandwich_check, wegner_scan
+from displab.supports import ball
 
 BAND_TMPL = """\
 [run]
@@ -150,9 +154,11 @@ def test_band_run_end_to_end(tmp_path):
     assert "--- config ---" in manifest
 
 
-def test_missing_config_is_usage_error(tmp_path):
+def test_missing_config_is_usage_error(tmp_path, capsys):
     assert main(["band"]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
     assert main(["band", "--config", str(tmp_path / "absent.ini")]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
 
 
 def test_kind_subcommand_mismatch(tmp_path):
@@ -295,3 +301,131 @@ def test_shipped_presets_run_clean(tmp_path, preset):
     assert main([kind, "--config", cfg, "--out", out]) == 0
     summary = open(os.path.join(out, "summary.txt"), encoding="utf-8").read()
     assert summary.rstrip().endswith("status: complete")
+
+
+WEGNER_TMPL = """\
+[run]
+kind = wegner
+seed = 2026
+
+[model]
+d = 1
+n = 1
+m = 32
+lam = 0.1
+
+[periodic]
+family = cosine
+coefficients = -200.0
+
+[site]
+family = asym-bump
+
+[support]
+kind = ball
+radius = 1.0
+
+[distribution]
+kind = uniform-ball
+
+[wegner]
+zeta = -1.0
+n_list = 1 2
+samples_per_cell = 40
+n_eps = 4
+eps_frac = 0.05
+ground_samples = 5
+audit_per_n = 4
+"""
+
+DIST = DisplacementDistribution(kind="uniform-ball", support=ball(np.zeros(1), 1.0))
+Q_ASYM = single_site_family("asym-bump", 1, amplitude=0.5, radius=0.45)
+
+
+@pytest.mark.parametrize(
+    "kind, text",
+    [
+        ("ids", IDS_TMPL + "offsets = 0.01 0.005\n"),
+        ("wegner", WEGNER_TMPL + "eps_list = 0.0 0.001\n"),
+    ],
+    ids=["ids-unsorted-offsets", "wegner-zero-eps"],
+)
+def test_library_input_errors_are_config_errors(tmp_path, capsys, kind, text):
+    cfg_path = _write(tmp_path, f"{kind}.ini", text)
+    assert main([kind, "--config", cfg_path, "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {kind}.")
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_ctrl_c_keeps_finished_samples_for_resume(tmp_path, monkeypatch, capsys, threads):
+    """Ctrl-C mid-run exits 130 with the finished samples cached; resuming
+    then gives the bytes of a one-shot run."""
+    cfg_path = _write(tmp_path, "ids.ini", IDS_TMPL)
+    full, cut = str(tmp_path / "full"), str(tmp_path / "cut")
+    assert main(["ids", "--config", cfg_path, "--out", full]) == 0
+
+    real_assemble = ReducedFamily.assemble
+    calls = []
+
+    def assemble_then_interrupt(self, master_seed, sample_index):
+        calls.append(sample_index)
+        if len(calls) == 8:  # 6 plus samples, 6 middle ones, then minus sample 1
+            raise KeyboardInterrupt
+        return real_assemble(self, master_seed, sample_index)
+
+    monkeypatch.setattr(ReducedFamily, "assemble", assemble_then_interrupt)
+    try:
+        code = main(["ids", "--config", cfg_path, "--out", cut, "--threads", str(threads)])
+    except KeyboardInterrupt:
+        pytest.fail("Ctrl-C escaped main()")
+    monkeypatch.undo()
+    assert code == 130
+    assert f"interrupted; resume with --resume {cut}" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(cut, "summary.txt"))
+    _, rows = read_csv_rows(os.path.join(cut, "cache.csv"))
+    assert 0 < len(rows) < 18
+    if threads == 1:
+        assert len(rows) == 13
+
+    assert main(["ids", "--resume", cut]) == 0
+    for name in ("cache.csv", "curves.csv", "summary.txt"):
+        assert open(os.path.join(full, name), "rb").read() == open(
+            os.path.join(cut, name), "rb"
+        ).read(), name
+
+
+def test_cli_ids_counts_equal_library_sandwich(tmp_path):
+    cfg_path = _write(tmp_path, "ids.ini", IDS_TMPL)
+    out = str(tmp_path / "run")
+    assert main(["ids", "--config", cfg_path, "--out", out]) == 0
+    _, curve_rows = read_csv_rows(os.path.join(out, "curves.csv"))
+    offsets = [float(row[0]) for row in curve_rows]
+    rep = ids_sandwich_check(
+        periodic_family("cosine", 1, coefficients=[-1.0]), Q_ASYM, 0.1, DIST,
+        [-1.0], 1, 8, 8.0, 0.0015, offsets, n_samples=6, master_seed=3,
+    )
+    _, cache = read_csv_rows(os.path.join(out, "cache.csv"))
+    cached = {(row[0], int(row[1])): [int(x) for x in row[2:]] for row in cache}
+    assert len(cached) == 18
+    for name, curve in (("plus", rep.plus), ("middle", rep.middle), ("minus", rep.minus)):
+        for s in range(6):
+            assert cached[(name, s)] == curve.counts[s].tolist(), (name, s)
+
+
+def test_cli_wegner_hits_equal_library_scan(tmp_path):
+    cfg_path = _write(tmp_path, "wegner.ini", WEGNER_TMPL)
+    out = str(tmp_path / "run")
+    assert main(["wegner", "--config", cfg_path, "--out", out]) == 0
+    header, fit_rows = read_csv_rows(os.path.join(out, "fit.csv"))
+    e_center = float(dict(zip(header, fit_rows[0]))["e_center"])
+    header, rec_rows = read_csv_rows(os.path.join(out, "records.csv"))
+    recs = [dict(zip(header, row)) for row in rec_rows]
+    eps_list = sorted({float(r["eps"]) for r in recs})
+    rep = wegner_scan(
+        periodic_family("cosine", 1, coefficients=[-200.0]), Q_ASYM, 0.1, DIST,
+        [-1.0], e_center, eps_list, [1, 2], 32,
+        samples_per_cell=40, master_seed=2026, ground_samples=5,
+    )
+    assert [(int(r["n"]), float(r["eps"]), int(r["hits"])) for r in recs] == [
+        (r.n, r.eps, r.hits) for r in rep.records
+    ]

@@ -1,7 +1,5 @@
 """Grid bookkeeping and operator assembly."""
 
-import io
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -162,12 +160,3 @@ def test_is_hermitian_detects_asymmetry():
     op = LatticeOperator(matrix=mat, grid=g, kind="periodic")
     assert not op.is_hermitian()
 
-
-def test_dump_coordinates():
-    g = GridSpec(d=1, n=0, m=4)
-    op = assemble_fiber(P0, Q0, 0.0, np.array([0.0]), np.array([0.0]), 4)
-    buf = io.StringIO()
-    op.dump_coordinates(buf)
-    lines = buf.getvalue().strip().split("\n")
-    assert len(lines) == 4
-    assert lines[0].split() == ["0", "-0.5"]

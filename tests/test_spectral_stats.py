@@ -5,6 +5,8 @@ operators, synthetic tail curves, exactly constructed hit tables -- so
 failures localize to the estimator, not the physics upstream of it.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from displab.spectral_stats import (
     ids_curve,
     ids_sandwich_check,
     lifshitz_fit,
+    stream_samples,
     synthetic_tail_curve,
     wegner_scan,
 )
@@ -59,6 +62,24 @@ def test_ids_curve_threads_match_serial():
     a = ids_curve(fam, energies, n_samples=8, master_seed=1, threads=1)
     b = ids_curve(fam, energies, n_samples=8, master_seed=1, threads=3)
     assert np.array_equal(a.counts, b.counts)
+
+
+def test_stream_samples_order_and_early_close():
+    started = []
+
+    def square(x):
+        started.append(x)
+        time.sleep(0.002 * (x % 3))
+        return x * x
+
+    expected = [(x, x * x) for x in range(12)]
+    assert list(stream_samples(square, range(12))) == expected
+    assert list(stream_samples(square, range(12), threads=3)) == expected
+    started.clear()
+    stream = stream_samples(square, range(400), threads=2)
+    assert next(stream) == (0, 0)
+    stream.close()  # queued tasks are cancelled, not run
+    assert len(started) < 400
 
 
 def test_ids_curve_input_validation():
