@@ -211,6 +211,14 @@ def _get_int(cfg, section, key, default=None, required=False):
         raise ConfigError(f"{section}.{key} must be an integer, got {raw!r}") from exc
 
 
+def _get_count(cfg, section, key, default):
+    """A sample count: an integer of at least 1."""
+    count = _get_int(cfg, section, key, default)
+    if count < 1:
+        raise ConfigError(f"{section}.{key} must be >= 1, got {count}")
+    return count
+
+
 def _get_floats(cfg, section, key, default=None, required=False):
     raw = _get(cfg, section, key, None, required)
     if raw is None:
@@ -552,7 +560,7 @@ def run_ids(cfg, rd, threads):
     c0 = _get_float(cfg, "ids", "c0", required=True)
     alpha = _get_float(cfg, "ids", "alpha", required=True)
     zeta = np.asarray(_get_floats(cfg, "ids", "zeta", required=True))
-    n_samples = _get_int(cfg, "ids", "n_samples", 100)
+    n_samples = _get_count(cfg, "ids", "n_samples", 100)
     offsets = _get_floats(cfg, "ids", "offsets", None)
     if offsets is None:
         n_off = _get_int(cfg, "ids", "n_offsets", 12)
@@ -629,7 +637,7 @@ def run_lifshitz(cfg, rd, threads):
     dist = build_distribution(cfg, support)
     seed = _get_int(cfg, "run", "seed", 0)
     n = _get_int(cfg, "lifshitz", "n", 1000)
-    n_samples = _get_int(cfg, "lifshitz", "n_samples", 200)
+    n_samples = _get_count(cfg, "lifshitz", "n_samples", 200)
     sign = _get_int(cfg, "lifshitz", "sign", 1)
     if sign not in (-1, 1):
         raise ConfigError("lifshitz.sign must be -1 or 1")
@@ -707,7 +715,7 @@ def run_wegner(cfg, rd, threads):
     seed = _get_int(cfg, "run", "seed", 0)
     zeta = np.asarray(_get_floats(cfg, "wegner", "zeta", required=True))
     n_list = _get_ints(cfg, "wegner", "n_list", [1, 2, 3])
-    samples = _get_int(cfg, "wegner", "samples_per_cell", 400)
+    samples = _get_count(cfg, "wegner", "samples_per_cell", 400)
     ground_samples = _get_int(cfg, "wegner", "ground_samples", 50)
     audit_per_n = _get_int(cfg, "wegner", "audit_per_n", 17)
     e_lam = band_bottom(p, q, lam, zeta, m).energy

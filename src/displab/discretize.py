@@ -10,6 +10,7 @@ every cell.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -132,14 +133,23 @@ def _kron_laplacian(axis_mats):
     return total.tocsr()
 
 
+@lru_cache(maxsize=8)
+def _torus_laplacian(grid):
+    """-Delta_h on the periodic grid, built once per grid and shared read-only."""
+    axis = _axis_second_difference(grid.side_points, grid.h, phase=1.0)
+    lap = _kron_laplacian([axis] * grid.d)
+    for arr in (lap.data, lap.indices, lap.indptr):
+        arr.flags.writeable = False
+    return lap
+
+
 def assemble_periodic(p, q, lam, field, grid):
     """Full torus operator -Delta_h + p + sum_gamma q(. - gamma - lam omega_gamma)."""
     if grid.d != q.d:
         raise ValueError("grid dimension does not match potentials")
     if field.n != grid.n or field.d != grid.d:
         raise ValueError("field lattice does not match grid")
-    axis = _axis_second_difference(grid.side_points, grid.h, phase=1.0)
-    lap = _kron_laplacian([axis] * grid.d)
+    lap = _torus_laplacian(grid)
     diag = eval_total_potential(p, q, lam, field, grid.points())
     mat = (lap + sp.diags(diag, format="csr")).tocsr()
     return LatticeOperator(matrix=mat, grid=grid, kind="periodic")

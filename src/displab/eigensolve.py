@@ -141,8 +141,11 @@ def count_below(op, energy, dense_cutoff=COUNT_DENSE_CUTOFF):
 
     Exact integer count by Sylvester inertia.  If ``energy`` ties an
     eigenvalue (zero pivot), the threshold is nudged upward by tiny shifts
-    (1e-12, 1e-10, 1e-8) before giving up.
+    (1e-12, 1e-10, 1e-8) before giving up.  A non-finite ``energy`` raises
+    ``ValueError`` before any factorization.
     """
+    if not np.isfinite(energy):
+        raise ValueError(f"count_below threshold must be finite, got {energy!r}")
     mat = _as_matrix(op)
     if np.iscomplexobj(mat.data if sp.issparse(mat) else mat):
         raise ValueError("count_below expects a real symmetric operator")

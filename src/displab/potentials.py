@@ -200,6 +200,15 @@ def eval_total_potential(p, q, lam, field, x):
     The torus has side L = 2n+1; each site's bump is evaluated at the nearest
     periodic image.  Requires lam * max|omega| + r_q < 1 so that no bump
     wraps ambiguously across its own images.
+
+    Locality: under that bound the bump of site gamma vanishes unless the
+    torus distance |x - gamma|_inf < 1, so a point whose torus cell is
+    round(x) mod L (within 1/2 of x) only sees the sites of the 3^d cells
+    around that cell.  Points are grouped by cell once, and each bump is
+    evaluated on the distinct cells among its 3^d neighbours only, so the
+    cost is O(3^d * points) rather than O(sites * points).  Every point gets
+    the same additions in the same site order as the sum over all sites,
+    minus the exact +0.0 terms of far sites, so the result is bitwise equal.
     """
     if p.d != q.d or field.d != q.d:
         raise ValueError("dimension mismatch between p, q and field")
@@ -210,14 +219,26 @@ def eval_total_potential(p, q, lam, field, x):
             f"lam*max|omega| + r_q = {lam * field.max_norm() + q.radius:.3f} >= 1"
         )
     x = as_points(x, q.d)
+    shape = x.shape[:-1]
+    x = x.reshape(-1, q.d)
     period = 2 * field.n + 1
     out = p.value(x)
     if q.is_zero:
-        return out
-    centers = site_lattice(field.n, field.d) + lam * field.values
-    for c in centers:
-        out += q.value(wrap_nearest(x - c, period))
-    return out
+        return out.reshape(shape)
+    cells = (period,) * q.d
+    # A non-finite point gets 0.0 from every bump, so any cell will do for it.
+    cell = np.mod(np.round(np.nan_to_num(x)), period).astype(np.intp)
+    cell_id = np.ravel_multi_index(tuple(cell.T), cells)
+    counts = np.bincount(cell_id, minlength=period**q.d)
+    members = np.split(np.argsort(cell_id, kind="stable"), np.cumsum(counts)[:-1])
+    sites = site_lattice(field.n, field.d)
+    steps = site_lattice(1, q.d)
+    for gamma, c in zip(sites, sites + lam * field.values):
+        # at L = 1 all 3^d neighbours are one cell: visit it once
+        near = np.unique(np.ravel_multi_index(tuple((gamma + steps).T), cells, mode="wrap"))
+        idx = np.concatenate([members[k] for k in near])
+        out[idx] += q.value(wrap_nearest(x[idx] - c, period))
+    return out.reshape(shape)
 
 
 def periodic_family(name, d, coefficients=None):

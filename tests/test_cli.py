@@ -356,6 +356,24 @@ def test_library_input_errors_are_config_errors(tmp_path, capsys, kind, text):
     assert capsys.readouterr().err.startswith(f"config error: {kind}.")
 
 
+@pytest.mark.parametrize(
+    "kind, key", [("ids", "n_samples"), ("lifshitz", "n_samples"), ("wegner", "samples_per_cell")]
+)
+def test_zero_sample_count_is_config_error(tmp_path, capsys, kind, key):
+    from importlib.resources import files
+
+    if kind == "lifshitz":
+        text = (files("displab") / "presets" / "lifshitz-reduced-1d.ini").read_text()
+    else:
+        text = {"ids": IDS_TMPL, "wegner": WEGNER_TMPL}[kind]
+    text = "\n".join(
+        f"{key} = 0" if line.startswith(f"{key} =") else line for line in text.splitlines()
+    )
+    cfg_path = _write(tmp_path, f"{kind}.ini", text + "\n")
+    assert main([kind, "--config", cfg_path, "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {kind}.{key} must be >= 1")
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_ctrl_c_keeps_finished_samples_for_resume(tmp_path, monkeypatch, capsys, threads):
     """Ctrl-C mid-run exits 130 with the finished samples cached; resuming

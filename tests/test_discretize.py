@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from displab.discretize import (
     GridSpec,
     LatticeOperator,
+    _torus_laplacian,
     assemble_fiber,
     assemble_periodic,
     cell_axis_coords,
@@ -14,9 +15,11 @@ from displab.discretize import (
     free_fiber_eigenvalues,
 )
 from displab.potentials import (
+    DisplacementField,
     constant_field,
     periodic_family,
     single_site_family,
+    site_lattice,
     wrap_nearest,
 )
 
@@ -160,3 +163,59 @@ def test_is_hermitian_detects_asymmetry():
     op = LatticeOperator(matrix=mat, grid=g, kind="periodic")
     assert not op.is_hermitian()
 
+
+def _lil_kron_laplacian(grid):
+    """Reference: the LIL and kron build assemble_periodic once ran per call."""
+    npts, h = grid.side_points, grid.h
+    off = np.full(npts - 1, -1.0 / h**2)
+    axis = sp.diags([off, np.full(npts, 2.0 / h**2), off], [-1, 0, 1], format="lil")
+    axis[npts - 1, 0] = axis[0, npts - 1] = -1.0 / h**2
+    axis = axis.tocsr()
+    eye = sp.identity(npts, format="csr")
+    total = None
+    for j in range(grid.d):
+        term = axis
+        for _ in range(j):
+            term = sp.kron(eye, term, format="csr")
+        for _ in range(j + 1, grid.d):
+            term = sp.kron(term, eye, format="csr")
+        total = term if total is None else total + term
+    return total.tocsr()
+
+
+@pytest.mark.parametrize(
+    "grid", [GridSpec(1, 0, 4), GridSpec(1, 2, 6), GridSpec(2, 0, 4), GridSpec(2, 1, 6)]
+)
+def test_torus_laplacian_is_roll_second_difference(grid):
+    shape = (grid.side_points,) * grid.d
+    cols = []
+    for k in range(grid.n_points):
+        u = np.zeros(grid.n_points)
+        u[k] = 1.0
+        u = u.reshape(shape)
+        lap_u = sum(2 * u - np.roll(u, 1, axis=j) - np.roll(u, -1, axis=j) for j in range(grid.d))
+        cols.append((lap_u / grid.h**2).ravel())
+    lap = _torus_laplacian(grid)
+    assert np.array_equal(lap.toarray(), np.column_stack(cols))
+    assert _torus_laplacian(GridSpec(grid.d, grid.n, grid.m)) is lap, "one build per grid"
+    assert not lap.data.flags.writeable, "the shared matrix is read-only"
+
+
+@pytest.mark.parametrize("d, n", [(1, 0), (1, 2), (2, 0), (2, 1)])
+def test_assemble_periodic_csr_equals_per_call_build(d, n):
+    grid = GridSpec(d=d, n=n, m=8)
+    p = periodic_family("cosine", d, coefficients=[-1.0] * d)
+    q = single_site_family("asym-bump", d)
+    rng = np.random.default_rng(d + 10 * n)
+    lap = _lil_kron_laplacian(grid)
+    for _ in range(2):  # the second sample reuses the cached Laplacian
+        field = DisplacementField(n=n, d=d, values=rng.uniform(-0.7, 0.7, ((2 * n + 1) ** d, d)))
+        pts = grid.points()
+        diag = p.value(pts)  # reference diagonal: every site's bump at every point
+        for c in site_lattice(n, d) + 0.5 * field.values:
+            diag += q.value(wrap_nearest(pts - c, 2 * n + 1))
+        want = (lap + sp.diags(diag, format="csr")).tocsr()
+        got = assemble_periodic(p, q, 0.5, field, grid).matrix
+        assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64))
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.indptr, want.indptr)

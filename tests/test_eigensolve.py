@@ -120,3 +120,20 @@ def test_count_agrees_between_dense_and_sparse_paths():
     mat = sp.diags([np.full(n - 1, -1.0), diag, np.full(n - 1, -1.0)], [-1, 0, 1]).tocsr()
     for e in (0.5, 2.0):
         assert count_below(mat, e, dense_cutoff=10) == count_below(mat, e, dense_cutoff=5000)
+
+
+@pytest.mark.parametrize("energy", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("path", ["dense", "sparse"])
+def test_count_below_rejects_non_finite_threshold(monkeypatch, energy, path):
+    import displab.eigensolve as es
+
+    def no_factorization(*args):
+        raise AssertionError("factorized a non-finite threshold")
+
+    monkeypatch.setattr(es, "_dense_inertia", no_factorization)
+    monkeypatch.setattr(es, "_sparse_inertia", no_factorization)
+    n = 50
+    mat = sp.diags([np.full(n - 1, -1.0), np.full(n, 2.0), np.full(n - 1, -1.0)], [-1, 0, 1])
+    op = mat.toarray() if path == "dense" else mat.tocsr()
+    with pytest.raises(ValueError, match="finite"):
+        count_below(op, energy, dense_cutoff=10)

@@ -8,10 +8,12 @@ rest is shape, support, and wrapping bookkeeping.
 import numpy as np
 import pytest
 
+from displab.discretize import GridSpec
 from displab.potentials import (
     DisplacementField,
     DisplacementTooLargeError,
     UnknownFamilyError,
+    as_points,
     constant_field,
     eval_total_potential,
     periodic_family,
@@ -167,3 +169,49 @@ def test_total_potential_periodicity_and_displacement_guard():
     assert np.allclose(vals, shifted)
     with pytest.raises(DisplacementTooLargeError):
         eval_total_potential(p, q, 0.56, field, xs)  # 0.56 * 1 + 0.45 >= 1
+
+
+def _all_sites_reference(p, q, lam, field, x):
+    """The O(sites x points) sum: every site's bump at every point."""
+    x = as_points(x, q.d)
+    out = p.value(x)
+    for c in site_lattice(field.n, field.d) + lam * field.values:
+        out += q.value(wrap_nearest(x - c, 2 * field.n + 1))
+    return out
+
+
+@pytest.mark.parametrize("family", ["sym-bump", "asym-bump"])
+@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("d", [1, 2])
+def test_total_potential_equals_all_sites_sum_bitwise(d, n, family):
+    """Locality (each bump evaluated only on its 3^d neighbouring cells) must
+    not change a bit, with lam * max|omega| + r_q just below 1 so that the
+    sym-bump reaches as far as the guard allows; n = 0 makes all neighbours
+    one cell."""
+    rng = np.random.default_rng(100 * d + n)
+    p = periodic_family("cosine", d, coefficients=[-1.0] * d)
+    q = single_site_family(family, d, amplitude=0.5, radius=0.49)
+    sites = (2 * n + 1) ** d
+    omega = rng.normal(size=(sites, d))
+    omega *= rng.uniform(0.5, 1.0, size=(sites, 1)) / np.linalg.norm(omega, axis=1, keepdims=True)
+    omega[0] /= np.linalg.norm(omega[0])  # max |omega| = 1
+    field = DisplacementField(n=n, d=d, values=omega)
+    lam = (1.0 - q.radius) * (1.0 - 1e-12)
+    assert 1.0 - 1e-9 < lam * field.max_norm() + q.radius < 1.0
+    L = 2 * n + 1
+    grid = GridSpec(d=d, n=n, m=8).points()
+    off_grid = rng.uniform(-1.5 * L, 1.5 * L, size=(500, d))
+    cell_edges = rng.integers(-L, L, size=(40, d)) + 0.5
+    for x in (grid, off_grid, cell_edges):
+        got = eval_total_potential(p, q, lam, field, x)
+        want = _all_sites_reference(p, q, lam, field, x)
+        assert got.shape == want.shape == (len(x),)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.any(got != p.value(x)), "bumps must contribute"
+    non_finite = np.array([[np.nan] * d, [np.inf] * d, [-np.inf] * d])
+    with np.errstate(invalid="ignore"):
+        got = eval_total_potential(p, q, lam, field, non_finite)
+        want = _all_sites_reference(p, q, lam, field, non_finite)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    batched = eval_total_potential(p, q, lam, field, off_grid.reshape(20, 25, d))
+    assert np.array_equal(batched.ravel(), eval_total_potential(p, q, lam, field, off_grid))
