@@ -31,7 +31,7 @@ from .discretize import (
     assemble_periodic,
     free_fiber_eigenvalues,
 )
-from .eigensolve import EigenResult, count_below, smallest_eigenpairs
+from .eigensolve import EigenResult, count_below, ground_bisect, smallest_eigenpairs
 from .floquet import (
     BandBottom,
     DegenerateBandError,

@@ -41,7 +41,7 @@ from .discretize import (
     assemble_periodic,
     free_fiber_eigenvalues,
 )
-from .eigensolve import count_below
+from .eigensolve import count_below, ground_bisect
 from .floquet import (
     band_bottom,
     band_table,
@@ -212,7 +212,7 @@ def _get_int(cfg, section, key, default=None, required=False):
 
 
 def _get_count(cfg, section, key, default):
-    """A sample count: an integer of at least 1."""
+    """A count of samples or offsets: an integer of at least 1."""
     count = _get_int(cfg, section, key, default)
     if count < 1:
         raise ConfigError(f"{section}.{key} must be >= 1, got {count}")
@@ -563,7 +563,7 @@ def run_ids(cfg, rd, threads):
     n_samples = _get_count(cfg, "ids", "n_samples", 100)
     offsets = _get_floats(cfg, "ids", "offsets", None)
     if offsets is None:
-        n_off = _get_int(cfg, "ids", "n_offsets", 12)
+        n_off = _get_count(cfg, "ids", "n_offsets", 12)
         top = 0.9 / c0**2
         offsets = list(np.geomspace(top / 50.0, top, n_off))
     offsets = np.asarray(offsets, dtype=float)
@@ -617,20 +617,6 @@ def run_ids(cfg, rd, threads):
     return rd.finish(lines, ok=rep.all_ok)
 
 
-def _ground_bisect(mat, hi, iters=48):
-    """Smallest eigenvalue of a PSD operator by bisection on inertia counts."""
-    if count_below(mat, hi) == 0:
-        return hi
-    lo = 0.0
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if count_below(mat, mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
 def run_lifshitz(cfg, rd, threads):
     p, q, lam, n_model, m = build_model(cfg)
     support = build_support(cfg, q.d)
@@ -655,13 +641,14 @@ def run_lifshitz(cfg, rd, threads):
     ground_hi = _get_float(cfg, "lifshitz", "ground_hi", 4.0)
     if not 0 < e_min < e_max:
         raise ConfigError("need 0 < lifshitz.e_min < lifshitz.e_max")
+    if n_energies < 3:
+        raise ConfigError(f"lifshitz.n_energies must be >= 3 for the tail fit, got {n_energies}")
     energies = np.geomspace(e_min, e_max, n_energies)
     fam = ReducedFamily(sign, v, lam, zeta, dist, n, c0, alpha)
 
     def compute(s):
         mat = fam.assemble(seed, s)
-        ground = _ground_bisect(mat, ground_hi)
-        return [s, ground] + [count_below(mat, float(e)) for e in energies]
+        return [s, ground_bisect(mat, ground_hi)] + count_below(mat, energies).tolist()
 
     rows = _sample_cache(
         rd,

@@ -90,12 +90,23 @@ def site_rng(master_seed, sample_index, site_index):
 
 
 def sample_field(dist, n, master_seed, sample_index):
-    """Draw a full displacement field on the lattice {-n..n}^d, canonical order."""
+    """Draw a full displacement field on the lattice {-n..n}^d, canonical order.
+
+    Site k draws from ``site_rng(master_seed, sample_index, k)``.  One Philox
+    generator serves the whole sample: before each site it is put back to
+    the key's starting state and advanced to that site's stream, which gives
+    the same draws without constructing a generator per site.
+    """
     d = dist.d
     n_sites = (2 * n + 1) ** d
     values = np.empty((n_sites, d))
+    bg = np.random.Philox(key=[master_seed & 0xFFFFFFFFFFFFFFFF, sample_index])
+    start = bg.state
+    rng = np.random.Generator(bg)
     for site in range(n_sites):
-        values[site] = dist.draw(site_rng(master_seed, sample_index, site))
+        bg.state = start
+        bg.advance(site << 16)
+        values[site] = dist.draw(rng)
     return DisplacementField(n=n, d=d, values=values)
 
 

@@ -14,6 +14,7 @@ sides once the constant c0 is large enough.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,16 +28,22 @@ def symbol_kinetic(d, side):
     """Half the graph Laplacian of the discrete torus (Z / side)^d.
 
     Equals the character transform of the multiplier sum_j (1 - cos theta_j)
-    over the momenta 2 pi k / side -- the identity the tests pin down.
+    over the momenta 2 pi k / side -- the identity the tests pin down.  Built
+    once per (d, side) and shared read-only.
     """
     if side < 3:
         raise ValueError("torus side must be >= 3 for unambiguous neighbors")
-    ring = sp.lil_matrix((side, side))
-    for i in range(side):
-        ring[i, i] = 2.0
-        ring[i, (i + 1) % side] = -1.0
-        ring[i, (i - 1) % side] = -1.0
-    ring = ring.tocsr()
+    return _symbol_kinetic(d, side)
+
+
+@lru_cache(maxsize=8)
+def _symbol_kinetic(d, side):
+    ring = sp.diags(
+        [-1.0, -1.0, 2.0, -1.0, -1.0],
+        [-(side - 1), -1, 0, 1, side - 1],
+        shape=(side, side),
+        format="csr",
+    )
     total = None
     for axis in range(d):
         term = ring
@@ -45,7 +52,10 @@ def symbol_kinetic(d, side):
         for _ in range(d - 1 - axis):
             term = sp.kron(term, sp.identity(side, format="csr"), format="csr")
         total = term if total is None else total + term
-    return 0.5 * total.tocsr()
+    kin = 0.5 * total.tocsr()
+    for arr in (kin.data, kin.indices, kin.indptr):
+        arr.flags.writeable = False
+    return kin
 
 
 @dataclass(frozen=True)

@@ -137,7 +137,7 @@ class IDSCurve:
 def count_row(family, master_seed, sample_index, energies):
     """Eigenvalue counts of one sampled operator below each energy."""
     mat = family.assemble(master_seed, sample_index)
-    return [count_below(mat, float(e)) for e in energies]
+    return count_below(mat, energies).tolist()
 
 
 def ids_curve(family, energies, n_samples, master_seed, threads=1):
@@ -199,6 +199,8 @@ def sandwich_families(p, q, lam, dist, zeta, n, m, c0, alpha, energies):
     spectrally inert; the thresholds are E/c0, E_ref + E and c0 E.
     """
     energies = np.asarray(energies, dtype=float)
+    if energies.size == 0:
+        raise ValueError("need at least one offset")
     if np.any(np.diff(energies) <= 0):
         raise ValueError("offsets must be strictly increasing")
     if np.any(energies <= 0) or np.any(energies >= 1.0 / c0**2):
@@ -389,10 +391,10 @@ def wegner_sample(family, master_seed, sample_index, e_center, eps_list, ground)
     energy is computed only when ``ground`` is true, else it is None.
     """
     mat = family.assemble(master_seed, sample_index)
-    hits = [
-        count_below(mat, e_center + eps) > count_below(mat, e_center - eps)
-        for eps in eps_list
-    ]
+    eps = np.asarray(eps_list, dtype=float)
+    thresholds = np.concatenate([e_center + eps, e_center - eps])
+    upper, lower = count_below(mat, thresholds).reshape(2, -1)
+    hits = (upper > lower).tolist()
     e0 = smallest_eigenpairs(mat, k=1).ground_energy if ground else None
     return hits, e0
 

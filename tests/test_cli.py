@@ -342,28 +342,39 @@ DIST = DisplacementDistribution(kind="uniform-ball", support=ball(np.zeros(1), 1
 Q_ASYM = single_site_family("asym-bump", 1, amplitude=0.5, radius=0.45)
 
 
+def _preset_text(name):
+    from importlib.resources import files
+
+    return (files("displab") / "presets" / f"{name}.ini").read_text()
+
+
 @pytest.mark.parametrize(
     "kind, text",
     [
         ("ids", IDS_TMPL + "offsets = 0.01 0.005\n"),
         ("wegner", WEGNER_TMPL + "eps_list = 0.0 0.001\n"),
+        ("lifshitz", _preset_text("lifshitz-reduced-1d").replace("n_energies = 22", "n_energies = 2")),
+        ("ids", IDS_TMPL.replace("n_offsets = 4", "n_offsets = 0")),
+        ("ids", IDS_TMPL + "offsets =\n"),
     ],
-    ids=["ids-unsorted-offsets", "wegner-zero-eps"],
+    ids=[
+        "ids-unsorted-offsets", "wegner-zero-eps", "lifshitz-two-energies",
+        "ids-zero-offsets", "ids-empty-offsets",
+    ],
 )
 def test_library_input_errors_are_config_errors(tmp_path, capsys, kind, text):
     cfg_path = _write(tmp_path, f"{kind}.ini", text)
     assert main([kind, "--config", cfg_path, "--out", str(tmp_path / "run")]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {kind}.")
+    assert not (tmp_path / "run" / "cache.csv").exists(), "no sample before the check"
 
 
 @pytest.mark.parametrize(
     "kind, key", [("ids", "n_samples"), ("lifshitz", "n_samples"), ("wegner", "samples_per_cell")]
 )
 def test_zero_sample_count_is_config_error(tmp_path, capsys, kind, key):
-    from importlib.resources import files
-
     if kind == "lifshitz":
-        text = (files("displab") / "presets" / "lifshitz-reduced-1d.ini").read_text()
+        text = _preset_text("lifshitz-reduced-1d")
     else:
         text = {"ids": IDS_TMPL, "wegner": WEGNER_TMPL}[kind]
     text = "\n".join(

@@ -9,7 +9,8 @@ import pytest
 import scipy.sparse as sp
 
 from displab.discretize import assemble_fiber
-from displab.eigensolve import count_below, smallest_eigenpairs
+import displab.eigensolve as es
+from displab.eigensolve import count_below, ground_bisect, smallest_eigenpairs
 from displab.potentials import periodic_family, single_site_family
 
 rng = np.random.default_rng(12345)
@@ -114,7 +115,10 @@ def test_count_below_rejects_complex():
         count_below(a, 0.5)
 
 
-def test_count_agrees_between_dense_and_sparse_paths():
+def test_count_agrees_between_dense_and_sparse_paths(monkeypatch):
+    import displab.eigensolve as es
+
+    monkeypatch.setattr(es, "_periodic_chain", lambda mat: None)  # a chain skips both
     n = 700
     diag = np.random.default_rng(9).uniform(0, 4, n)
     mat = sp.diags([np.full(n - 1, -1.0), diag, np.full(n - 1, -1.0)], [-1, 0, 1]).tocsr()
@@ -137,3 +141,190 @@ def test_count_below_rejects_non_finite_threshold(monkeypatch, energy, path):
     op = mat.toarray() if path == "dense" else mat.tocsr()
     with pytest.raises(ValueError, match="finite"):
         count_below(op, energy, dense_cutoff=10)
+
+
+# -- periodic chains: one sweep for all thresholds, and the ground bisection --
+
+
+def _cyclic(diag, off):
+    """Sparse periodic chain with A[i, i + 1 mod N] = off[i]; zeros stay unstored."""
+    n = len(diag)
+    rows = np.concatenate([np.arange(n), np.arange(n), (np.arange(n) + 1) % n])
+    cols = np.concatenate([np.arange(n), (np.arange(n) + 1) % n, np.arange(n)])
+    vals = np.concatenate([diag, off, off])
+    mat = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    mat.eliminate_zeros()
+    return mat
+
+
+def _random_chain(n, variant, seed):
+    local = np.random.default_rng(seed)
+    diag, off = local.uniform(-1.0, 3.0, n), local.uniform(-1.0, 1.0, n)
+    if variant == "zero-corner":
+        off[-1] = 0.0
+    elif variant == "zero-offdiagonals":
+        off[local.choice(n, size=max(1, n // 3), replace=False)] = 0.0
+    return _cyclic(diag, off)
+
+
+def _per_threshold(mat, energies):
+    """count_below one threshold at a time with the chain sweep switched off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(es, "_periodic_chain", lambda mat: None)
+        return np.array([count_below(mat, float(e)) for e in energies])
+
+
+@pytest.mark.parametrize("variant", ["generic", "zero-corner", "zero-offdiagonals"])
+@pytest.mark.parametrize("n", [3, 4, 5, 17, 2001])
+def test_chain_counts_equal_per_threshold_path(n, variant):
+    mat = _random_chain(n, variant, seed=1000 * n + len(variant))
+    assert es._periodic_chain(mat) is not None
+    eigs = np.linalg.eigvalsh(mat.toarray())
+    mids = 0.5 * (eigs[1:] + eigs[:-1])
+    energies = np.concatenate(
+        [[eigs[0] - 1.0, eigs[-1] + 1.0], mids[:: max(1, n // 25)], [0.0, 1.5]]
+    )
+    got = count_below(mat, energies)
+    assert got.dtype.kind == "i" and got.shape == energies.shape
+    assert np.array_equal(got, _per_threshold(mat, energies))
+    assert np.array_equal(got, np.searchsorted(eigs, energies, side="left"))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 17, 2001])
+def test_chain_counts_on_ring_eigenvalues_equal_per_threshold_path(n):
+    """Thresholds exactly on the closed-form levels 1.5 - 1.4 cos(2 pi k / N)
+    of a ring (double levels for 0 < k < N / 2): the tie case, where the
+    sweep must leave the threshold to the nudging per-threshold path."""
+    mat = _cyclic(np.full(n, 1.5), np.full(n, 0.7))
+    levels = np.unique(1.5 - 1.4 * np.cos(2.0 * np.pi * np.arange(n) / n))
+    energies = np.concatenate([levels[:: max(1, len(levels) // 20)], [levels[-1]]])
+    assert np.array_equal(count_below(mat, energies), _per_threshold(mat, energies))
+
+
+@pytest.mark.parametrize("n", [3, 5, 17])
+def test_chain_counts_at_computed_levels_equal_per_threshold_path(n):
+    """Thresholds at eigvalsh levels of chains with couplings from 1e-6 to 3:
+    each lies within rounding of a level, where the per-threshold count
+    nudges upward or not depending on its own pivots."""
+    for seed in range(5):
+        local = np.random.default_rng(100 * n + seed)
+        off = 10.0 ** local.uniform(-6.0, 0.5, n) * local.choice([-1.0, 1.0], n)
+        mat = _cyclic(local.uniform(-1.0, 1.0, n), off)
+        levels = np.linalg.eigvalsh(mat.toarray())
+        assert np.array_equal(count_below(mat, levels), _per_threshold(mat, levels))
+
+
+def test_chain_sweep_flags_a_cancelling_last_pivot():
+    """d_0 = 1e-11 at E makes the fill terms of the last pivot ~ 1e11 while
+    the pivot itself is ~ 1e-6 (a level 1e-6 above E): its computed sign is
+    noise, so the sweep must hand the threshold on."""
+    local = np.random.default_rng(2)
+    e, level = 0.3, 0.3 + 1e-6
+    a1 = local.uniform(-1, 1)
+    b0, b1, c = local.uniform(0.3, 1, 3) * local.choice([-1, 1], 3)
+    a0 = e + 1e-11
+
+    def det(a2):
+        return np.linalg.det(np.array([[a0, b0, c], [b0, a1, b1], [c, b1, a2]]) - level * np.eye(3))
+
+    a2 = -det(0.0) / (det(1.0) - det(0.0))
+    mat = _cyclic(np.array([a0, a1, a2]), np.array([b0, b1, c]))
+    eigs = np.linalg.eigvalsh(mat.toarray())
+    assert 0 < np.min(np.abs(eigs - e)) < 2e-6
+    assert es._chain_sweep(*es._periodic_chain(mat), np.array([e]), 2.0).tolist() == [-1]
+    assert count_below(mat, e) == int(np.searchsorted(eigs, e))
+
+
+@pytest.mark.parametrize("path", ["dense", "sparse"])
+def test_non_chain_counts_equal_with_and_without_array(path):
+    """A d = 2 torus operator is no chain: the array form counts threshold by
+    threshold exactly as scalar calls do."""
+    side = 9
+    ring = _cyclic(np.full(side, 2.0), np.full(side, -1.0))
+    eye = sp.identity(side, format="csr")
+    diag = np.random.default_rng(4).uniform(0.0, 1.0, side * side)
+    mat = (sp.kron(ring, eye) + sp.kron(eye, ring) + sp.diags(diag)).tocsr()
+    assert es._periodic_chain(mat) is None
+    cutoff = 10 if path == "sparse" else 600
+    eigs = np.linalg.eigvalsh(mat.toarray())
+    energies = np.concatenate([[eigs[0] - 0.5], 0.5 * (eigs[1:] + eigs[:-1])[::7], [9.0]])
+    got = count_below(mat, energies, dense_cutoff=cutoff)
+    want = [count_below(mat, float(e), dense_cutoff=cutoff) for e in energies]
+    assert np.array_equal(got, want)
+    assert np.array_equal(got, np.searchsorted(eigs, energies, side="left"))
+
+
+def test_count_below_scalar_and_array_forms():
+    mat = _cyclic(np.full(6, 2.0), np.full(6, -1.0))
+    assert type(count_below(mat, 1.0)) is int
+    assert type(count_below(mat.toarray(), 1.0)) is int
+    assert count_below(mat, np.array([])).shape == (0,)
+    assert count_below(mat, [1.0]).tolist() == [count_below(mat, 1.0)]
+    with pytest.raises(ValueError, match="1-d"):
+        count_below(mat, np.ones((2, 2)))
+
+
+def _ground_bisect(mat, hi, iters=48):
+    """The ground bisection as it was: one count_below per step."""
+    if count_below(mat, hi) == 0:
+        return hi
+    lo = 0.0
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if count_below(mat, mid) > 0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def _reference_ground(mat, hi):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(es, "_periodic_chain", lambda mat: None)
+        return _ground_bisect(mat, hi)
+
+
+@pytest.mark.parametrize("variant", ["generic", "zero-corner", "zero-offdiagonals"])
+@pytest.mark.parametrize("n", [3, 4, 5, 17, 60, 700])
+def test_ground_bisect_equals_count_bisection_bitwise(n, variant):
+    mat = _random_chain(n, variant, seed=7 * n + len(variant))
+    lowest = np.linalg.eigvalsh(mat.toarray())[0]
+    mat = (mat + (1.7 - lowest) * sp.identity(n, format="csr")).tocsr()
+    assert ground_bisect(mat, 10.0) == _reference_ground(mat, 10.0)
+    assert ground_bisect(mat, 1.0) == _reference_ground(mat, 1.0) == 1.0
+
+
+def test_ground_bisect_equals_count_bisection_on_lifshitz_preset():
+    from importlib.resources import files
+
+    from displab.cli import build_distribution, build_support, load_config_file
+    from displab.spectral_stats import ReducedFamily
+
+    cfg = load_config_file(str(files("displab") / "presets" / "lifshitz-reduced-1d.ini"))
+    sec = cfg["lifshitz"]
+    dist = build_distribution(cfg, build_support(cfg, 1))
+    fam = ReducedFamily(
+        int(sec["sign"]), np.array([float(sec["v"])]), float(cfg["model"]["lam"]),
+        np.array([float(sec["zeta"])]), dist, int(sec["n"]), float(sec["c0"]),
+        float(sec["alpha"]),
+    )
+    hi = float(sec["ground_hi"])
+    for s in range(3):
+        mat = fam.assemble(int(cfg["run"]["seed"]), s)
+        assert ground_bisect(mat, hi) == _reference_ground(mat, hi)
+
+
+def test_ground_bisect_leaves_a_tied_midpoint_to_the_count(monkeypatch):
+    """Ring Laplacian + 2 I has lambda_min = 2.0, the first midpoint of
+    [0, 4]: the Cholesky decision cannot settle that step, so the
+    per-threshold count (with its upward nudge) does."""
+    n = 2001
+    mat = _cyclic(np.full(n, 4.0), np.full(n, -1.0))
+    calls = []
+    count = es._inertia_count
+    monkeypatch.setattr(es, "_inertia_count", lambda *a: calls.append(a[1]) or count(*a))
+    got = ground_bisect(mat, 4.0)
+    assert 2.0 in calls
+    monkeypatch.setattr(es, "_inertia_count", count)
+    assert got == _reference_ground(mat, 4.0)
+    assert abs(got - 2.0) < 1e-12

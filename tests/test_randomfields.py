@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from displab.randomfields import (
+    DISTRIBUTION_KINDS,
     DisplacementDistribution,
     UnsupportedVariantError,
     polar_decompose,
@@ -44,6 +45,27 @@ def test_site_rng_streams_are_independent():
     z = site_rng(1, 2, 4).uniform(size=4)
     assert np.array_equal(x, y)
     assert not np.array_equal(x, z)
+
+
+def _distribution(kind, d):
+    center = np.full(d, 0.25)
+    if kind == "uniform-sphere":
+        return DisplacementDistribution(kind=kind, support=sphere(center, 0.8))
+    if kind == "product-box":
+        return DisplacementDistribution(kind=kind, support=box(-np.ones(d), np.arange(1.0, d + 1)))
+    exponent = 2.5 if kind == "polar" else None
+    return DisplacementDistribution(kind=kind, support=ball(center, 0.9), radial_exponent=exponent)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("kind", DISTRIBUTION_KINDS)
+def test_sample_field_equals_per_site_streams(kind, d):
+    """One generator per sample, reset per site, draws exactly what a fresh
+    ``site_rng`` stream per site draws."""
+    dist = _distribution(kind, d)
+    field = sample_field(dist, 3, master_seed=2**63 + 17, sample_index=5)
+    want = [dist.draw(site_rng(2**63 + 17, 5, k)) for k in range(field.n_sites)]
+    assert np.array_equal(field.values, np.array(want))
 
 
 def test_uniform_ball_stays_inside_and_fills_volume():

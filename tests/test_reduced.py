@@ -46,6 +46,39 @@ def test_symbol_kinetic_is_dft_of_dispersion(d, side):
     assert np.max(np.abs(diag - np.diag(expected))) < 1e-12
 
 
+def _lil_symbol_kinetic(d, side):
+    """The per-call LIL and kron build of the site kinetic matrix."""
+    import scipy.sparse as sp
+
+    ring = sp.lil_matrix((side, side))
+    for i in range(side):
+        ring[i, i] = 2.0
+        ring[i, (i + 1) % side] = -1.0
+        ring[i, (i - 1) % side] = -1.0
+    ring = ring.tocsr()
+    total = None
+    for axis in range(d):
+        term = ring
+        for _ in range(axis):
+            term = sp.kron(sp.identity(side, format="csr"), term, format="csr")
+        for _ in range(d - 1 - axis):
+            term = sp.kron(term, sp.identity(side, format="csr"), format="csr")
+        total = term if total is None else total + term
+    return 0.5 * total.tocsr()
+
+
+@pytest.mark.parametrize("d, side", [(1, 3), (1, 4), (1, 2001), (2, 3), (2, 8), (3, 5)])
+def test_symbol_kinetic_is_built_once_and_equals_lil_build(d, side):
+    kin = symbol_kinetic(d, side)
+    assert symbol_kinetic(d, side) is kin
+    want = _lil_symbol_kinetic(d, side)
+    for name in ("data", "indices", "indptr"):
+        got = getattr(kin, name)
+        assert not got.flags.writeable
+        assert got.dtype == getattr(want, name).dtype
+        assert np.array_equal(got, getattr(want, name))
+
+
 def test_symbol_kinetic_rejects_tiny_side():
     with pytest.raises(ValueError):
         symbol_kinetic(1, 2)
