@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from displab import randomfields
 from displab.randomfields import (
     DISTRIBUTION_KINDS,
     DisplacementDistribution,
@@ -66,6 +67,140 @@ def test_sample_field_equals_per_site_streams(kind, d):
     field = sample_field(dist, 3, master_seed=2**63 + 17, sample_index=5)
     want = [dist.draw(site_rng(2**63 + 17, 5, k)) for k in range(field.n_sites)]
     assert np.array_equal(field.values, np.array(want))
+
+
+def _site_draws(dist, n, seed, sample):
+    return np.array([dist.draw(site_rng(seed, sample, k)) for k in range((2 * n + 1) ** dist.d)])
+
+
+# (n, master_seed, sample_index): lattices just below, at and above the
+# vector path's cutoff (no d = 2 lattice has exactly 33 sites), with a sample
+# index above 2**32 and a seed above 2**63; then, for the kinds the vector
+# path serves, bulk fields past 10**5 sites.
+_CUTOFF_CASES = {
+    1: [(15, 2**63 + 17, 5), (16, 2**63 + 17, 2**32 + 3), (17, 3, 0)],
+    2: [(2, 2**63 + 17, 5), (3, 2**63 + 17, 2**32 + 3)],
+}
+_BULK_CASES = [(1000, 2**63 + 17, 2**32 + s) for s in range(50)]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("kind", DISTRIBUTION_KINDS)
+def test_sample_field_equals_site_rng_draws_at_scale(kind, d):
+    """The vector path and its loop fallback together draw exactly the
+    per-site streams; kinds the vector path does not serve take the loop."""
+    dist = _distribution(kind, d)
+    served = randomfields._vectorizable(dist)
+    n_sites = 0
+    for n, seed, sample in _CUTOFF_CASES[d] + (_BULK_CASES if served else []):
+        before = dict(randomfields.SITE_COUNTS)
+        field = sample_field(dist, n, master_seed=seed, sample_index=sample)
+        assert np.array_equal(field.values, _site_draws(dist, n, seed, sample))
+        vector = randomfields.SITE_COUNTS["vector"] - before["vector"]
+        loop = randomfields.SITE_COUNTS["loop"] - before["loop"]
+        assert vector + loop == field.n_sites
+        if served and field.n_sites >= randomfields._VECTOR_MIN_SITES:
+            assert vector > 0.9 * field.n_sites
+        else:
+            assert vector == 0
+        n_sites += field.n_sites
+    assert served == (kind in ("uniform-ball", "polar") and d == 1)
+    assert n_sites >= (10**5 if served else 25)
+
+
+def _probe_layers_and_rabs(first, count):
+    key = np.random.Philox(key=list(randomfields._FIRST_TRY_PROBE)).state["state"]["key"]
+    words = randomfields._philox_block(key, np.arange(first, first + count))
+    return randomfields._layer_rabs(words[0])
+
+
+def test_first_try_bounds_are_certified():
+    """Replay the probe the bound table came from (2**20 sites): each layer's
+    bound is the largest rabs of a probe site in that layer that returns at
+    the first try, the witness table names that site, and a sample of probe
+    sites at or below their bound all return at the first try."""
+    seed, sample = randomfields._FIRST_TRY_PROBE
+
+    def first_try(sites):
+        return randomfields._first_try(seed, sample, [int(k) for k in sites])
+
+    parts = [_probe_layers_and_rabs(s, 2**16) for s in range(0, 2**20, 2**16)]
+    layer = np.concatenate([p[0] for p in parts])
+    rabs = np.concatenate([p[1] for p in parts])
+    bound, witness = randomfields._FIRST_TRY_BOUND, randomfields._FIRST_TRY_WITNESS
+    assert bound.shape == witness.shape == (256,)
+    below = rabs <= bound[layer]
+    for lay in range(256):
+        if bound[lay] < 0:
+            assert witness[lay] == -1
+            assert not first_try(np.flatnonzero(layer == lay)[:64]).any()
+            continue
+        sel = np.flatnonzero((layer == lay) & below)
+        assert witness[lay] == sel[np.argmax(rabs[sel])]
+        assert rabs[witness[lay]] == bound[lay]
+        assert first_try([witness[lay]]).all(), lay
+        above = np.flatnonzero((layer == lay) & ~below)
+        if len(above):
+            assert not first_try([above[np.argmin(rabs[above])]]).any(), lay
+    assert first_try(np.flatnonzero(below[:4096])).all()
+
+
+@pytest.fixture
+def fresh_self_check():
+    randomfields._vector_path_ok.cache_clear()
+    yield
+    randomfields._vector_path_ok.cache_clear()
+
+
+def test_vector_self_check_passes_on_installed_numpy(fresh_self_check):
+    """A failing self-check silently sends every site to the slow loop."""
+    assert randomfields._vector_path_ok()
+
+
+def _rejected_witness_tables():
+    """Bound and witness tables that name, for layer 0, a probe site the
+    ziggurat rejects at the first try, as if NumPy had lowered ``ki[0]``."""
+    seed, sample = randomfields._FIRST_TRY_PROBE
+    layer, rabs = _probe_layers_and_rabs(0, 2**16)
+    bound, witness = randomfields._FIRST_TRY_BOUND.copy(), randomfields._FIRST_TRY_WITNESS.copy()
+    above = np.flatnonzero((layer == 0) & (rabs > bound[0]))
+    site = int(above[np.argmin(rabs[above])])
+    assert not randomfields._first_try(seed, sample, [site]).any()
+    bound[0], witness[0] = rabs[site], site
+    return bound, witness
+
+
+@pytest.mark.parametrize("broken", ["bound", "word"])
+def test_self_check_mismatch_sends_every_site_to_the_loop(broken, monkeypatch, fresh_self_check):
+    if broken == "bound":
+        bound, witness = _rejected_witness_tables()
+        monkeypatch.setattr(randomfields, "_FIRST_TRY_BOUND", bound)
+        monkeypatch.setattr(randomfields, "_FIRST_TRY_WITNESS", witness)
+    else:
+        m0, m1 = randomfields._PHILOX_M
+        monkeypatch.setattr(randomfields, "_PHILOX_M", (m0 ^ 1, m1))
+    assert not randomfields._vector_path_ok()
+    before = dict(randomfields.SITE_COUNTS)
+    field = sample_field(BALL1, 1000, master_seed=2**63 + 17, sample_index=2**32 + 9)
+    assert np.array_equal(field.values, _site_draws(BALL1, 1000, 2**63 + 17, 2**32 + 9))
+    assert randomfields.SITE_COUNTS["vector"] == before["vector"]
+    assert randomfields.SITE_COUNTS["loop"] == before["loop"] + field.n_sites
+
+
+def test_lifshitz_preset_fields_are_mostly_vectorized():
+    from importlib.resources import files
+
+    from displab.cli import build_distribution, build_model, build_support, load_config_text
+
+    cfg = load_config_text((files("displab") / "presets" / "lifshitz-reduced-1d.ini").read_text())
+    dist = build_distribution(cfg, build_support(cfg, build_model(cfg)[1].d))
+    before = dict(randomfields.SITE_COUNTS)
+    for s in range(5):
+        sample_field(dist, int(cfg["lifshitz"]["n"]), int(cfg["run"]["seed"]), s)
+    vector = randomfields.SITE_COUNTS["vector"] - before["vector"]
+    loop = randomfields.SITE_COUNTS["loop"] - before["loop"]
+    assert vector + loop == 5 * 2001
+    assert vector >= 0.95 * (vector + loop)
 
 
 def test_uniform_ball_stays_inside_and_fills_volume():
