@@ -31,7 +31,14 @@ from .discretize import (
     assemble_periodic,
     free_fiber_eigenvalues,
 )
-from .eigensolve import EigenResult, count_below, ground_bisect, smallest_eigenpairs
+from .eigensolve import (
+    EigenResult,
+    SymmetricOperator,
+    count_below,
+    count_below_stack,
+    ground_bisect,
+    smallest_eigenpairs,
+)
 from .floquet import (
     BandBottom,
     DegenerateBandError,

@@ -41,7 +41,7 @@ from .discretize import (
     assemble_periodic,
     free_fiber_eigenvalues,
 )
-from .eigensolve import count_below, ground_bisect
+from .eigensolve import SymmetricOperator, count_below_stack, ground_bisect
 from .floquet import (
     band_bottom,
     band_table,
@@ -87,6 +87,13 @@ KINDS = (
 MC_KINDS = ("ids", "lifshitz", "wegner")
 SIZE_GUARD = 200_000
 CACHE_EVERY = 50  # Monte-Carlo rows between rewrites of cache.csv
+# Lifshitz samples per stacked count.  A row of the chain sweep costs about
+# 0.85 us (two NumPy calls) plus 1 ns per column, and a lifshitz-reduced-1d
+# sample has 44 columns: at 16 samples a chunk's share of the fixed part is
+# down to its column part, while each sample held adds about 0.1 MB (its CSR
+# matrix and chain).
+LIFSHITZ_CHUNK = 16
+SEED_LIMIT = 2**63  # [run] seed keys Philox streams: 0 <= seed < 2^63
 
 
 class ConfigError(ValueError):
@@ -399,21 +406,26 @@ def _load_cache(path, header):
     return [row for row in rows if len(row) == len(header)]
 
 
-def _sample_cache(rd, header, key, tasks, compute, threads):
+def _sample_cache(rd, header, key, tasks, compute, threads, chunk=1):
     """Every task's cache row: replayed from ``cache.csv``, else computed.
 
-    ``key(row)`` recovers the task from a cached row and ``compute(task)``
-    returns the row for a task.  Missing tasks stream through the sample
-    driver in order; the cache is rewritten every CACHE_EVERY rows and once
-    more on the way out, also when Ctrl-C or an error stops the stream, so
-    finished samples are kept for ``--resume``.
+    ``key(row)`` recovers the task from a cached row and ``compute(batch)``
+    returns the rows of a tuple of up to ``chunk`` missing tasks, in order.
+    The batches stream through the sample driver in order; the cache is
+    rewritten whenever the row count passes a multiple of CACHE_EVERY and
+    once more on the way out, also when Ctrl-C or an error stops the stream,
+    so finished batches are kept for ``--resume``.
     """
     rows = {key(row): row for row in _load_cache(rd.cache, header)}
-    stream = stream_samples(compute, [t for t in tasks if t not in rows], threads)
+    todo = [t for t in tasks if t not in rows]
+    batches = [tuple(todo[i : i + chunk]) for i in range(0, len(todo), chunk)]
+    stream = stream_samples(compute, batches, threads)
     try:
-        for task, row in stream:
-            rows[task] = [fmt(x) for x in row]
-            if len(rows) % CACHE_EVERY == 0:
+        for batch, batch_rows in stream:
+            flushed = len(rows) // CACHE_EVERY
+            for task, row in zip(batch, batch_rows):
+                rows[task] = [fmt(x) for x in row]
+            if len(rows) // CACHE_EVERY > flushed:
                 _write_cache(rd, header, rows)
     finally:
         stream.close()
@@ -572,10 +584,10 @@ def run_ids(cfg, rd, threads):
     except ValueError as exc:
         raise ConfigError(f"ids.offsets: {exc}") from exc
 
-    def compute(task):
-        k, s = task
+    def compute(batch):
+        [(k, s)] = batch
         fam, energies = families[k]
-        return [_IDS_FAMILIES[k], s] + count_row(fam, seed, s, energies)
+        return [[_IDS_FAMILIES[k], s] + count_row(fam, seed, s, energies)]
 
     rows = _sample_cache(
         rd,
@@ -646,9 +658,11 @@ def run_lifshitz(cfg, rd, threads):
     energies = np.geomspace(e_min, e_max, n_energies)
     fam = ReducedFamily(sign, v, lam, zeta, dist, n, c0, alpha)
 
-    def compute(s):
-        mat = fam.assemble(seed, s)
-        return [s, ground_bisect(mat, ground_hi)] + count_below(mat, energies).tolist()
+    def compute(batch):
+        ops = [SymmetricOperator(fam.assemble(seed, s)) for s in batch]
+        grounds = [ground_bisect(op, ground_hi) for op in ops]
+        counts = count_below_stack(ops, energies)
+        return [[s, g] + c.tolist() for s, g, c in zip(batch, grounds, counts)]
 
     rows = _sample_cache(
         rd,
@@ -657,6 +671,7 @@ def run_lifshitz(cfg, rd, threads):
         range(n_samples),
         compute,
         threads,
+        chunk=LIFSHITZ_CHUNK,
     )
     counts = np.array(
         [[int(x) for x in rows[s][2:]] for s in range(n_samples)], dtype=int
@@ -724,12 +739,12 @@ def run_wegner(cfg, rd, threads):
         raise ConfigError(f"wegner.eps_list: {exc}") from exc
     families = {n: ContinuumFamily(p=p, q=q, lam=lam, dist=dist, n=n, m=m) for n in n_list}
 
-    def compute(task):
-        n, s = task
+    def compute(batch):
+        [(n, s)] = batch
         hits, e0 = wegner_sample(
             families[n], seed, s, e_center, eps_list, s < ground_samples
         )
-        return [n, s, "" if e0 is None else e0] + hits
+        return [[n, s, "" if e0 is None else e0] + hits]
 
     rows = _sample_cache(
         rd,
@@ -1018,6 +1033,9 @@ def main(argv=None):
             raise ConfigError(
                 f"config kind {kind!r} does not match subcommand {args.command!r}"
             )
+        seed = _get_int(cfg, "run", "seed", 0)
+        if not 0 <= seed < SEED_LIMIT:
+            raise ConfigError(f"run.seed must satisfy 0 <= seed < 2^63, got {seed}")
         threads = args.threads if args.threads is not None else _get_int(cfg, "run", "threads", 1)
         if args.resume:
             rd = RunDir(out)

@@ -15,6 +15,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
+from .eigensolve import _diagonal_slots
 from .potentials import as_points, eval_total_potential, site_lattice, wrap_nearest
 
 
@@ -143,15 +144,37 @@ def _torus_laplacian(grid):
     return lap
 
 
+@lru_cache(maxsize=8)
+def _torus_diagonal(grid):
+    return _diagonal_slots(_torus_laplacian(grid))
+
+
+def _plus_diagonal(mat, where, diag, scale=1.0):
+    """``(scale * mat + sp.diags(diag)).tocsr()`` for a canonical CSR ``mat``.
+
+    ``where`` is ``_diagonal_slots(mat)``.  The diagonal is written into a
+    copy of mat's arrays, which are then the sparse sum's own arrays, unless
+    some entry comes out exactly 0.0: the sum drops it, so then the sum is
+    formed.
+    """
+    data = scale * mat.data
+    if where is not None:
+        data[where] += diag
+        if np.all(data != 0.0):
+            return sp.csr_matrix(
+                (data, mat.indices.copy(), mat.indptr.copy()), shape=mat.shape
+            )
+    return (scale * mat + sp.diags(diag, format="csr")).tocsr()
+
+
 def assemble_periodic(p, q, lam, field, grid):
     """Full torus operator -Delta_h + p + sum_gamma q(. - gamma - lam omega_gamma)."""
     if grid.d != q.d:
         raise ValueError("grid dimension does not match potentials")
     if field.n != grid.n or field.d != grid.d:
         raise ValueError("field lattice does not match grid")
-    lap = _torus_laplacian(grid)
     diag = eval_total_potential(p, q, lam, field, grid.points())
-    mat = (lap + sp.diags(diag, format="csr")).tocsr()
+    mat = _plus_diagonal(_torus_laplacian(grid), _torus_diagonal(grid), diag)
     return LatticeOperator(matrix=mat, grid=grid, kind="periodic")
 
 

@@ -2,6 +2,8 @@
 
 Small problems go through dense LAPACK; large sparse ones through ARPACK
 (smallest pairs) or a symmetric-mode sparse LDL^T factorization (counting).
+Periodic chains (every d = 1 torus operator) are counted by a cyclic LDL^T
+sweep over all thresholds, and over a whole stack of chains at once.
 Every returned eigenpair carries an explicitly computed residual so callers
 never have to trust solver-internal convergence flags.
 """
@@ -9,6 +11,7 @@ never have to trust solver-internal convergence flags.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -20,6 +23,7 @@ DENSE_CUTOFF = 2000
 COUNT_DENSE_CUTOFF = 600
 _ZERO_PIVOT = 1e-13  # a pivot within this times scale of zero is a tie
 _TIE_NUDGES = (1e-12, 1e-10, 1e-8)  # upward threshold shifts after a tie, times scale
+_EPS = np.finfo(float).eps
 
 
 class CountBreakdownError(RuntimeError):
@@ -139,13 +143,50 @@ def _sparse_inertia(shifted, scale):
     return int(np.sum(diag < 0.0))
 
 
+class SymmetricOperator:
+    """A real symmetric operator with what counting reads taken out once.
+
+    ``matrix`` is the CSR (or dense) matrix, ``norm`` its largest absolute
+    row sum and ``chain`` its periodic-chain form ``(a, b)`` or None.
+    ``count_below``, ``count_below_stack`` and ``ground_bisect`` take one
+    wherever they take an operator, so an operator that is both bisected and
+    counted is prepared once.  The matrix must not change afterwards.
+    """
+
+    def __init__(self, op):
+        mat = _as_matrix(op)
+        if np.iscomplexobj(mat.data if sp.issparse(mat) else mat):
+            raise ValueError("count_below expects a real symmetric operator")
+        self.matrix = mat
+        self.norm = _norm_estimate(mat)
+        self.chain = _periodic_chain(mat)
+
+    @property
+    def shape(self):
+        return self.matrix.shape
+
+
+def _prepared(op):
+    return op if isinstance(op, SymmetricOperator) else SymmetricOperator(op)
+
+
+def _thresholds(energy):
+    energies = np.asarray(energy, dtype=float)
+    if energies.ndim > 1:
+        raise ValueError("count_below takes a scalar or a 1-d array of thresholds")
+    if not np.all(np.isfinite(energies)):
+        raise ValueError(f"count_below threshold must be finite, got {energy!r}")
+    return energies
+
+
 def count_below(op, energy, dense_cutoff=COUNT_DENSE_CUTOFF):
     """Number of eigenvalues of a real symmetric operator strictly below ``energy``.
 
     ``energy`` is a scalar, which gives an ``int``, or a 1-d array of
     thresholds, which gives an int array of counts in the same order.  Counts
     are exact integers by Sylvester inertia; a non-finite threshold raises
-    ``ValueError`` before any factorization.
+    ``ValueError`` before any factorization.  This is the one-operator case
+    of ``count_below_stack``.
 
     A sparse real symmetric periodic chain (N >= 3, entries only at i and
     i +- 1 mod N: every d = 1 torus operator) counts all thresholds in one
@@ -162,47 +203,108 @@ def count_below(op, energy, dense_cutoff=COUNT_DENSE_CUTOFF):
     so the array form gives the same integers as one scalar call per
     threshold.  Here scale = max(1, ||A||_inf, |E|).
     """
-    energies = np.asarray(energy, dtype=float)
-    if energies.ndim > 1:
-        raise ValueError("count_below takes a scalar or a 1-d array of thresholds")
-    if not np.all(np.isfinite(energies)):
-        raise ValueError(f"count_below threshold must be finite, got {energy!r}")
-    mat = _as_matrix(op)
-    if np.iscomplexobj(mat.data if sp.issparse(mat) else mat):
-        raise ValueError("count_below expects a real symmetric operator")
-    norm = _norm_estimate(mat)
-    flat = np.atleast_1d(energies)
-    counts = np.full(flat.shape, -1)
-    chain = _periodic_chain(mat)
-    if chain is not None:
-        counts = _chain_counts(*chain, flat, norm)
-    todo = np.flatnonzero(counts < 0)
-    if todo.size:
-        count_one = _threshold_counter(mat, norm, dense_cutoff)
-        for k in todo:
-            counts[k] = count_one(float(flat[k]))
+    energies = _thresholds(energy)
+    counts = _count_stack([_prepared(op)], np.atleast_1d(energies), dense_cutoff)[0]
     return int(counts[0]) if energies.ndim == 0 else counts
 
 
-def _threshold_counter(mat, norm, dense_cutoff):
+def count_below_stack(ops, energies, dense_cutoff=COUNT_DENSE_CUTOFF):
+    """Counts below each threshold for several operators: a (K, T) int array.
+
+    Row k equals ``count_below(ops[k], energies, dense_cutoff)``.  Periodic
+    chains of equal N share one cyclic LDL^T sweep whose columns are every
+    (operator, bracket threshold) pair; each column sees the operations of
+    a sweep of its own, so the stack changes no count.
+    """
+    flat = np.atleast_1d(_thresholds(energies))
+    return _count_stack([_prepared(op) for op in ops], flat, dense_cutoff)
+
+
+def _count_stack(ops, energies, dense_cutoff):
+    counts = np.full((len(ops), energies.size), -1)
+    by_size = {}
+    for k, op in enumerate(ops):
+        if op.chain is not None and energies.size:
+            by_size.setdefault(op.shape[0], []).append(k)
+    for rows in by_size.values():
+        counts[rows] = _chain_counts([ops[k] for k in rows], energies)
+    for op, row in zip(ops, counts):
+        todo = np.flatnonzero(row < 0)
+        if todo.size:
+            count_one = _threshold_counter(op, dense_cutoff)
+            for k in todo:
+                row[k] = count_one(float(energies[k]))
+    return counts
+
+
+def _threshold_counter(op, dense_cutoff):
     """The per-threshold count as a function of E: one factorization per call."""
-    dense = mat.shape[0] <= dense_cutoff or not sp.issparse(mat)
-    base = mat.toarray() if dense and sp.issparse(mat) else mat
-    return lambda e: _inertia_count(base, e, max(1.0, norm, abs(e)), dense)
+    dense = op.shape[0] <= dense_cutoff or not sp.issparse(op.matrix)
+    if dense:
+        shift = _dense_shift(op.matrix)
+    else:
+        shift = _sparse_shift(op.matrix, symmetric=op.chain is not None)
+    return lambda e: _inertia_count(shift, e, max(1.0, op.norm, abs(e)), dense)
 
 
-def _inertia_count(mat, energy, scale, dense):
-    """One threshold by one factorization of ``mat - E``, nudging E up on a tie."""
-    n = mat.shape[0]
+def _inertia_count(shift, energy, scale, dense):
+    """One threshold by one factorization of ``shift(E) = A - E``, nudging E up on a tie."""
     for nudge in (0.0,) + _TIE_NUDGES:
         e = energy + nudge * scale
         if dense:
-            count = _dense_inertia(mat - e * np.eye(n), scale)
+            count = _dense_inertia(shift(e), scale)
         else:
-            count = _sparse_inertia(mat - e * sp.identity(n, format="csr"), scale)
+            count = _sparse_inertia(shift(e), scale)
         if count is not None:
             return count
     raise CountBreakdownError(f"inertia count failed at E={energy!r} after retries")
+
+
+def _dense_shift(mat):
+    base = mat.toarray() if sp.issparse(mat) else mat
+    n = base.shape[0]
+    return lambda e: base - e * np.eye(n)
+
+
+def _sparse_shift(mat, symmetric):
+    """E -> ``(A - E I).tocsc()``, for an exactly symmetric A mostly one cached copy.
+
+    The CSC arrays of an exactly symmetric canonical matrix are its CSR
+    arrays, and A - E I keeps A's pattern when A stores no zero but its whole
+    diagonal and no a_ii - E is exactly 0.0 (sparse subtraction drops a zero
+    result).  Then a copy of A's data, over A's index arrays, gets a_ii - E
+    written into its diagonal and is returned: the same arrays, rewritten by
+    the next call.  Otherwise A - E I is built, and so it is for an A not
+    known to be symmetric (``symmetric`` false): checking would transpose A,
+    and for large non-chain operators the factorization dwarfs the rebuild.
+    """
+    where = None
+    if symmetric and np.all(mat.data != 0.0):
+        where = _diagonal_slots(mat)
+    if where is not None:
+        csc = sp.csc_matrix((mat.data.copy(), mat.indices, mat.indptr), shape=mat.shape)
+        diag = mat.data[where]
+
+    def shifted(energy):
+        if where is not None:
+            values = diag - energy
+            if np.all(values != 0.0):
+                csc.data[where] = values
+                return csc
+        return (mat - energy * sp.identity(mat.shape[0], format="csr")).tocsc()
+
+    return shifted
+
+
+def _diagonal_slots(mat):
+    """Where a canonical CSR matrix stores (i, i) in its data, row by row;
+    None unless every row stores its diagonal."""
+    if not mat.has_canonical_format:
+        return None
+    n = mat.shape[0]
+    lines = np.repeat(np.arange(n), np.diff(mat.indptr))
+    where = np.flatnonzero(mat.indices == lines)
+    return where if where.size == n else None
 
 
 def _periodic_chain(mat):
@@ -230,8 +332,8 @@ def _periodic_chain(mat):
     return diag, up
 
 
-def _chain_counts(diag, off, energies, norm):
-    """Counts below every E by ``_chain_sweep``; -1 where the per-threshold path decides.
+def _chain_counts(ops, energies):
+    """Counts below every E for chains of one size; -1 where the per-threshold path decides.
 
     The per-threshold count gives the count at E, or after a zero pivot the
     count at E nudged up by at most 1e-8 * scale.  The sweep therefore
@@ -239,81 +341,119 @@ def _chain_counts(diag, off, energies, norm):
     E + 2e-8 * scale: no eigenvalue lies between, and every answer the
     per-threshold count could give is that count.
     """
-    scale = np.maximum(max(1.0, norm), np.abs(energies))
-    bracket = np.concatenate(
-        [energies - _ZERO_PIVOT * scale, energies + 2.0 * _TIE_NUDGES[-1] * scale]
+    brackets = []
+    for op in ops:
+        scale = np.maximum(max(1.0, op.norm), np.abs(energies))
+        brackets.append(
+            np.concatenate(
+                [energies - _ZERO_PIVOT * scale, energies + 2.0 * _TIE_NUDGES[-1] * scale]
+            )
+        )
+    neg = _chain_sweep(
+        np.column_stack([op.chain[0] for op in ops]),
+        np.column_stack([op.chain[1] for op in ops]),
+        np.array(brackets),
+        np.array([op.norm for op in ops]),
     )
-    lower, upper = _chain_sweep(diag, off, bracket, norm).reshape(2, -1)
+    lower, upper = neg.reshape(len(ops), 2, -1).transpose(1, 0, 2)
     return np.where((lower >= 0) & (lower == upper), lower, -1)
 
 
-def _chain_sweep(diag, off, energies, norm):
-    """Negative pivots of the cyclic LDL^T of A - E for every E; -1 where flagged.
+_SWEEP_CELLS = 1 << 15  # float64 entries per working array of one sweep block
 
-    Rows 0..N-2 form a tridiagonal block with pivots
+
+def _chain_sweep(diag, off, energies, norms):
+    """Negative pivots of the cyclic LDL^T of A_p - E for every column; -1 where flagged.
+
+    ``diag`` and ``off`` are (N, P): column p holds the ``(a, b)`` of chain
+    p.  ``energies`` is (P, C), chain p's thresholds, and ``norms`` (P,);
+    the result is (P, C).  Rows 0..N-2 form a tridiagonal block with pivots
     d_i = (a_i - E) - b_{i-1}^2 / d_{i-1}.  The corner c = b_{N-1} fills the
-    last column: u_0 = c, u_i = c * prod_{j<i} (-b_j / d_j), and u_{N-2} also
-    holds b_{N-2}.  The last pivot is (a_{N-1} - E) - sum_i u_i^2 / d_i.
+    last column: u_0 = c, u_i = c * prod_{j<i} (-b_j / d_j), and u_{N-2}
+    also holds b_{N-2}.  The last pivot is (a_{N-1} - E) - sum_i u_i^2 / d_i,
+    with the rounding bound derived in ``_last_pivot``.
+
+    The rows go in blocks of about _SWEEP_CELLS / (P C), carrying the last
+    pivot, the running product and the two running sums from block to block,
+    so the working arrays stay small however many chains are stacked.  Each
+    column gets the operations of a one-chain sweep in the same order, so
+    its bits do not depend on the stack: the product accumulates row after
+    row, and so do the sums, since NumPy reduces a block of two or more
+    columns row by row (the count paths pass bracket pairs).
     """
-    n = diag.shape[0]
-    zero = _ZERO_PIVOT * np.maximum(max(1.0, norm), np.abs(energies))
-    b2 = off**2
-    piv = diag[: n - 1, None] - energies[None, :]
+    n, n_ops = diag.shape
+    width = energies.size
+    rows = max(2, min(n - 1, _SWEEP_CELLS // width))
+    zero = _ZERO_PIVOT * np.maximum(np.maximum(1.0, norms)[:, None], np.abs(energies))
+    zero = zero.reshape(width)
+
+    def per_column(values):
+        return np.repeat(values, energies.shape[1])
+
+    # c**2 as a NumPy scalar power, as _last_pivot takes it: the array
+    # square can differ in the last bit.
+    corner2 = per_column(np.array([c**2 for c in off[n - 1]]))
+    corner, tail = per_column(off[n - 1]), per_column(off[n - 2])
+    b2, neg_off = off**2, -off
+    piv, coupling, prod, term, size = (np.empty((rows + 1, width)) for _ in range(5))
+    piv_rows, coupling_rows, quotient = list(piv), list(coupling), np.empty(width)
+    ok, neg = np.ones(width, dtype=bool), np.zeros(width, dtype=int)
     with np.errstate(all="ignore"):
-        for i in range(1, n - 1):
-            piv[i] -= b2[i - 1] / piv[i - 1]
-    last, cancel = _last_pivot(diag[n - 1] - energies, off, piv)
-    ok = (
-        np.all(np.isfinite(piv), axis=0)
-        & ~np.any((piv <= zero) & (piv >= -zero), axis=0)
-        & (np.abs(last) > np.maximum(zero, cancel))
-    )
-    neg = np.sum(piv < 0.0, axis=0) + (last < 0.0)
-    return np.where(ok, neg, -1)
-
-
-def _last_pivot(shifted_last, off, piv):
-    """Last pivot of the cyclic LDL^T from the first N - 1, and its rounding bound.
-
-    ``piv`` holds the pivots d_0..d_{N-2} (one column per threshold) and
-    ``shifted_last`` is a_{N-1} - E.  An overflow gives an infinite or NaN
-    bound, which no last pivot clears.  Works in place on one array of the
-    size of ``piv``.
-    """
-    n = piv.shape[0] + 1
-    corner, tail = off[n - 1], off[n - 2]
-    with np.errstate(all="ignore"):
-        # fill[i - 1] = u_i = c * prod_{j<i} (-b_j / d_j) for i = 1..N-2
-        fill = np.divide(-off[: n - 2, None], piv[: n - 2])
-        np.cumprod(fill, axis=0, out=fill)
-        fill *= corner
-        u_tail = fill[-1] + tail
-        size_tail = np.abs(fill[-1]) + abs(tail)
-        terms = fill[:-1]
-        np.square(terms, out=terms)
-        np.divide(terms, piv[1 : n - 2], out=terms)
-        signed = corner**2 / piv[0] + terms.sum(axis=0) + u_tail**2 / piv[n - 2]
-        np.abs(terms, out=terms)
+        for lo in range(0, n - 1, rows):
+            hi = min(lo + rows, n - 1)
+            m, skip = hi - lo, int(lo == 0)
+            if lo:
+                piv[0] = piv[rows]
+            block = piv[1 : m + 1]
+            np.subtract(diag[lo:hi, :, None], energies, out=block.reshape(m, n_ops, -1))
+            np.copyto(
+                coupling[skip:m].reshape(m - skip, n_ops, -1), b2[lo + skip - 1 : hi - 1, :, None]
+            )
+            for j in range(skip, m):
+                np.divide(coupling_rows[j], piv_rows[j], out=quotient)
+                np.subtract(piv_rows[j + 1], quotient, out=piv_rows[j + 1])
+            if lo == 0:
+                first = block[0].copy()
+            ok &= np.all(np.isfinite(block), axis=0)
+            ok &= ~np.any((block <= zero) & (block >= -zero), axis=0)
+            neg += np.sum(block < 0.0, axis=0)
+            # fill rows r < N - 2: prod[k] = prod_{j < lo + k} (-b_j / d_j)
+            mf = min(hi, n - 2) - lo
+            if mf > 0:
+                np.divide(
+                    neg_off[lo : lo + mf, :, None],
+                    block[:mf].reshape(mf, n_ops, -1),
+                    out=prod[1 : mf + 1].reshape(mf, n_ops, -1),
+                )
+                running = prod[skip : mf + 1]
+                np.multiply.accumulate(running, axis=0, out=running)
+                # terms u_r^2 / d_r for 1 <= r < N - 2, u_r = c * prod[r - lo]
+                mt = mf - skip
+                if mt > 0:
+                    terms = term[1 : mt + 1]
+                    np.multiply(prod[skip:mf], corner, out=terms)
+                    np.square(terms, out=terms)
+                    np.divide(terms, block[skip:mf], out=terms)
+                    np.abs(terms, out=size[1 : mt + 1])
+                    term[0] = term[skip : mt + 1].sum(axis=0)
+                    size[0] = size[skip : mt + 1].sum(axis=0)
+                prod[0] = prod[mf]
+        last_piv = piv[m]
+        fill_last = prod[0] * corner
+        u_tail = fill_last + tail
+        size_tail = np.abs(fill_last) + np.abs(tail)
+        signed, absolute = (term[0], size[0]) if n > 3 else (np.zeros(width),) * 2
+        shifted_last = (diag[n - 1, :, None] - energies).reshape(width)
+        signed = corner2 / first + signed + u_tail**2 / last_piv
         total = (
-            np.abs(shifted_last)
-            + corner**2 / np.abs(piv[0])
-            + terms.sum(axis=0)
-            + size_tail**2 / np.abs(piv[n - 2])
+            np.abs(shifted_last) + corner2 / np.abs(first) + absolute
+            + size_tail**2 / np.abs(last_piv)
         )
         last = shifted_last - signed
-        # Cancellation bound.  u_i is c times i quotients -b_j / d_j, so it
-        # carries at most 2i + 1 roundings (u_{N-2} one more, relative to
-        # |b_{N-2}| + |c prod|); squaring doubles that and the quotient by
-        # d_i adds one, so the term u_i^2 / d_i is off by at most
-        # (4i + 4) eps of its size.  Summing N - 1 terms adds (N - 1) eps of
-        # their summed size and the final subtraction one more.  With
-        # total = |a_{N-1} - E| + sum size_i^2 / |d_i| (size_i = |u_i| but
-        # for the last) the computed last pivot is within 5 N eps * total of
-        # the exact one for these d_i, to first order; its sign is trusted
-        # only when it clears twice that.  (At N = 2001 the bound is
-        # 4.4e-12 * total, so the pivot rule's 1e-13 alone is too tight.)
-        cancel = 10.0 * n * np.finfo(float).eps * total
-    return last, cancel
+        cancel = 10.0 * n * _EPS * total
+    ok &= np.abs(last) > np.maximum(zero, cancel)
+    neg += last < 0.0
+    return np.where(ok, neg, -1).reshape(energies.shape)
 
 
 def ground_bisect(op, hi):
@@ -326,14 +466,13 @@ def ground_bisect(op, hi):
     (``_chain_has_level_below``), and through the per-threshold count for
     the steps those leave open and on any other operator.
     """
-    mat = _as_matrix(op)
-    norm = _norm_estimate(mat)
-    count_one = _threshold_counter(mat, norm, COUNT_DENSE_CUTOFF)
-    chain = _periodic_chain(mat)
+    op = _prepared(op)
+    count_one = _threshold_counter(op, COUNT_DENSE_CUTOFF)
+    heads = None if op.chain is None else _ChainHeads.of(*op.chain)
 
     def below(e):
-        if chain is not None:
-            found = _chain_has_level_below(*chain, e, max(1.0, norm, abs(e)))
+        if heads is not None:
+            found = _chain_has_level_below(heads, e, max(1.0, op.norm, abs(e)))
             if found is not None:
                 return found
         return count_one(e) > 0
@@ -350,7 +489,7 @@ def ground_bisect(op, hi):
     return 0.5 * (lo + hi)
 
 
-def _chain_has_level_below(diag, off, energy, scale):
+def _chain_has_level_below(heads, energy, scale):
     """Whether some eigenvalue of the chain lies below ``energy``, or None.
 
     The answer is the per-threshold count's, so it is given only where that
@@ -364,28 +503,88 @@ def _chain_has_level_below(diag, off, energy, scale):
     Otherwise None.
     """
     zero = _ZERO_PIVOT * scale
-    if _chain_positive_definite(diag, off, energy + 1.125 * zero):
+    if _chain_positive_definite(heads, energy + 1.125 * zero):
         return False
-    if _chain_positive_definite(diag, off, energy - 0.125 * zero) is False:
+    if _chain_positive_definite(heads, energy - 0.125 * zero) is False:
         return True
     return None
 
 
-def _chain_positive_definite(diag, off, energy):
+class _ChainHeads(NamedTuple):
+    """What every positive-definiteness test of one chain reads, taken out once."""
+
+    lead: np.ndarray  # a_0..a_{N-2}
+    couplings: np.ndarray  # b_0..b_{N-3}
+    quotient_tops: np.ndarray  # -b_0..-b_{N-3}
+    last: np.float64  # a_{N-1}
+    tail: np.float64  # b_{N-2}
+    corner: np.float64  # b_{N-1}
+
+    @classmethod
+    def of(cls, diag, off):
+        n = diag.shape[0]
+        lead, couplings = diag[: n - 1].copy(), off[: n - 2].copy()
+        return cls(lead, couplings, -couplings, diag[n - 1], off[n - 2], off[n - 1])
+
+
+def _chain_positive_definite(heads, energy):
     """Whether the chain's A - E is positive definite; None when too close to call.
 
     A - E is positive definite when its leading tridiagonal block is
     (LAPACK ``dpttrf`` stops at the first pivot <= 0) and the last pivot of
     the cyclic LDL^T, formed from that block's pivots, is positive.
     """
-    n = diag.shape[0]
-    piv, _, info = dpttrf(diag[: n - 1] - energy, off[: n - 2])
+    piv, _, info = dpttrf(heads.lead - energy, heads.couplings, overwrite_d=1)
     if info > 0:
         return False
-    last, cancel = _last_pivot(np.array([diag[n - 1] - energy]), off, piv[:, None])
-    if not abs(last[0]) > cancel[0]:
+    last, cancel = _last_pivot(heads, heads.last - energy, piv)
+    if not abs(last) > cancel:
         return None
-    return bool(last[0] > 0.0)
+    return bool(last > 0.0)
+
+
+def _last_pivot(heads, shifted_last, piv):
+    """Last pivot of one cyclic LDL^T from the first N - 1, and its rounding bound.
+
+    ``piv`` holds the pivots d_0..d_{N-2} and ``shifted_last`` is
+    a_{N-1} - E.  An overflow gives an infinite or NaN bound, which no last
+    pivot clears.  ``_chain_sweep`` forms the same quantities column by
+    column; here the sums are NumPy's pairwise sums of one vector.
+    """
+    n = piv.shape[0] + 1
+    corner, tail = heads.corner, heads.tail
+    with np.errstate(all="ignore"):
+        # fill[i - 1] = u_i = c * prod_{j<i} (-b_j / d_j) for i = 1..N-2
+        fill = np.divide(heads.quotient_tops, piv[: n - 2])
+        np.cumprod(fill, out=fill)
+        fill *= corner
+        u_tail = fill[-1] + tail
+        size_tail = np.abs(fill[-1]) + abs(tail)
+        terms = fill[:-1]
+        np.square(terms, out=terms)
+        np.divide(terms, piv[1 : n - 2], out=terms)
+        signed = corner**2 / piv[0] + terms.sum() + np.square(u_tail) / piv[n - 2]
+        np.abs(terms, out=terms)
+        total = (
+            abs(shifted_last)
+            + corner**2 / abs(piv[0])
+            + terms.sum()
+            + np.square(size_tail) / abs(piv[n - 2])
+        )
+        last = shifted_last - signed
+        # Cancellation bound.  u_i is c times i quotients -b_j / d_j, so it
+        # carries at most 2i + 1 roundings (u_{N-2} one more, relative to
+        # |b_{N-2}| + |c prod|); squaring doubles that and the quotient by
+        # d_i adds one, so the term u_i^2 / d_i is off by at most
+        # (4i + 4) eps of its size.  Summing N - 1 terms adds (N - 1) eps of
+        # their summed size and the final subtraction one more.  With
+        # total = |a_{N-1} - E| + sum size_i^2 / |d_i| (size_i = |u_i| but
+        # for the last) the computed last pivot is within 5 N eps * total of
+        # the exact one for these d_i, to first order; its sign is trusted
+        # only when it clears twice that.  (At N = 2001 the bound is
+        # 4.4e-12 * total, so the pivot rule's 1e-13 alone is too tight.)
+        cancel = 10.0 * n * _EPS * total
+    return last, cancel
 
 
 def _norm_estimate(mat):

@@ -19,7 +19,8 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .discretize import GridSpec, assemble_periodic, site_lattice
+from .discretize import GridSpec, _plus_diagonal, assemble_periodic, site_lattice
+from .eigensolve import _diagonal_slots
 from .floquet import build_projectors, dispersion_symbol, fiber_ground
 from .potentials import DisplacementField, constant_field
 
@@ -58,6 +59,11 @@ def _symbol_kinetic(d, side):
     return kin
 
 
+@lru_cache(maxsize=8)
+def _kinetic_diagonal(d, side):
+    return _diagonal_slots(_symbol_kinetic(d, side))
+
+
 @dataclass(frozen=True)
 class ReducedModel:
     """One signed comparison operator h^sign on the site lattice."""
@@ -93,10 +99,10 @@ def build_reduced(sign, v, lam, zeta, field, c0, alpha):
     zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
     side = 2 * field.n + 1
     kin_scale = c0 if sign > 0 else 1.0 / c0
-    kin = kin_scale * symbol_kinetic(field.d, side)
+    kin = symbol_kinetic(field.d, side)
     dz = field.values - zeta
     diag = lam * (dz @ v + sign * c0 * alpha * np.sum(dz**2, axis=1))
-    mat = (kin + sp.diags(diag, format="csr")).tocsr()
+    mat = _plus_diagonal(kin, _kinetic_diagonal(field.d, side), diag, kin_scale)
     return ReducedModel(
         sign=sign, lam=lam, zeta=zeta, v=v, c0=c0, alpha=alpha, field=field, matrix=mat
     )

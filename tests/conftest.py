@@ -1,6 +1,19 @@
-"""Terminal reporting for the acceptance gate: one verdict line per criterion."""
+"""Terminal reporting for the acceptance gate: one verdict line per criterion,
+and the one Hypothesis profile of the property tests."""
 
 import re
+
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # Derandomized: every run draws the same examples, so tier-1 stays
+    # deterministic; no example database is written.
+    settings.register_profile(
+        "tier1", derandomize=True, max_examples=60, deadline=None, database=None
+    )
+    settings.load_profile("tier1")
 
 _results = {}
 

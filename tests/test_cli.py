@@ -458,3 +458,87 @@ def test_cli_wegner_hits_equal_library_scan(tmp_path):
     assert [(int(r["n"]), float(r["eps"]), int(r["hits"])) for r in recs] == [
         (r.n, r.eps, r.hits) for r in rep.records
     ]
+
+
+@pytest.mark.parametrize("seed", [-1, 2**63, 2**64 - 1])
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_seed_outside_philox_range_is_config_error(tmp_path, capsys, seed, where):
+    """Seeds key Philox streams as 64-bit words: -1 and 2^64 - 1 would reuse
+    seed 0's fields and every seed >= 2^63 one stream, so both are refused
+    before any sample runs."""
+    text = _preset_text("lifshitz-reduced-1d")
+    argv = []
+    if where == "flag":
+        argv = ["--seed", str(seed)]
+    else:
+        text = text.replace("seed = 0", f"seed = {seed}")
+    cfg_path = _write(tmp_path, "lifshitz.ini", text)
+    out = tmp_path / "run"
+    assert main(["lifshitz", "--config", cfg_path, "--out", str(out)] + argv) == 2
+    assert capsys.readouterr().err.startswith("config error: run.seed must satisfy")
+    assert not (out / "cache.csv").exists()
+
+
+def test_largest_seed_runs(tmp_path):
+    cfg_path = _write(tmp_path, "band.ini", BAND_TMPL.format(extra=""))
+    out = str(tmp_path / "run")
+    assert main(["band", "--config", cfg_path, "--out", out, "--seed", str(2**63 - 1)]) == 0
+
+
+def _small_lifshitz(n_samples):
+    text = _preset_text("lifshitz-reduced-1d")
+    text = text.replace("n = 1000", "n = 60").replace("n_samples = 200", f"n_samples = {n_samples}")
+    return text
+
+
+def test_lifshitz_ctrl_c_mid_chunk_keeps_whole_chunks_for_resume(tmp_path, monkeypatch, capsys):
+    """Lifshitz samples are computed LIFSHITZ_CHUNK at a time: Ctrl-C inside
+    the second chunk keeps the first whole, and resuming gives the bytes of
+    a one-shot run."""
+    import displab.cli as cli
+
+    chunk = cli.LIFSHITZ_CHUNK
+    cfg_path = _write(tmp_path, "lifshitz.ini", _small_lifshitz(2 * chunk + 3))
+    full, cut = str(tmp_path / "full"), str(tmp_path / "cut")
+    assert main(["lifshitz", "--config", cfg_path, "--out", full]) == 0
+
+    real_assemble = ReducedFamily.assemble
+
+    def assemble_then_interrupt(self, master_seed, sample_index):
+        if sample_index == chunk + 2:
+            raise KeyboardInterrupt
+        return real_assemble(self, master_seed, sample_index)
+
+    monkeypatch.setattr(ReducedFamily, "assemble", assemble_then_interrupt)
+    assert main(["lifshitz", "--config", cfg_path, "--out", cut]) == 130
+    monkeypatch.undo()
+    assert f"interrupted; resume with --resume {cut}" in capsys.readouterr().err
+    _, rows = read_csv_rows(os.path.join(cut, "cache.csv"))
+    assert [int(row[0]) for row in rows] == list(range(chunk))
+
+    assert main(["lifshitz", "--resume", cut]) == 0
+    for name in ("cache.csv", "curve.csv", "fit.csv", "summary.txt"):
+        assert open(os.path.join(full, name), "rb").read() == open(
+            os.path.join(cut, name), "rb"
+        ).read(), name
+
+
+def test_cache_is_flushed_whenever_a_chunk_crosses_a_multiple(tmp_path, monkeypatch):
+    """After a partial resume, chunks land on row counts that are not
+    multiples of CACHE_EVERY; a flush is due each time one is passed."""
+    import displab.cli as cli
+
+    monkeypatch.setattr(cli, "CACHE_EVERY", 10)
+    rd = cli.RunDir(str(tmp_path))
+    header = ["task", "value"]
+    write_csv(rd.cache, header, [[t, 2 * t] for t in range(7)])
+    on_disk = []
+
+    def compute(batch):
+        on_disk.append(len(read_csv_rows(rd.cache)[1]))
+        return [[t, 2 * t] for t in batch]
+
+    rows = cli._sample_cache(rd, header, lambda row: int(row[0]), range(20), compute, 1, chunk=4)
+    # batches 7-10, 11-14, 15-18, 19: the first passes 10 rows, the last 20
+    assert on_disk == [7, 11, 11, 11]
+    assert len(rows) == 20 and len(read_csv_rows(rd.cache)[1]) == 20

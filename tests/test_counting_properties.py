@@ -1,0 +1,171 @@
+"""Differential property tests for eigenvalue counting on periodic chains.
+
+Hypothesis draws stacks of random symmetric periodic chains (generic, zero
+corner, zero or tiny couplings; N from 3 to 60, mixed within a stack) and
+thresholds far from, between and exactly on the ``eigvalsh`` levels.  The
+stacked count must equal the one-operator count, the per-threshold
+factorization and, where the gap to every level is clear, ``eigvalsh`` plus
+``searchsorted``; the ground bisection must equal the reference bisection
+bit for bit.  The profile in ``conftest.py`` makes every run draw the same
+examples.
+"""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+import displab.eigensolve as es
+from displab.eigensolve import SymmetricOperator, count_below, count_below_stack, ground_bisect
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+given = hypothesis.given
+
+VARIANTS = ("generic", "zero-corner", "zero-couplings", "tiny-couplings")
+
+
+def _cyclic(diag, off):
+    """Sparse periodic chain with A[i, i + 1 mod N] = off[i]; zeros stay unstored."""
+    n = len(diag)
+    rows = np.concatenate([np.arange(n), np.arange(n), (np.arange(n) + 1) % n])
+    cols = np.concatenate([np.arange(n), (np.arange(n) + 1) % n, np.arange(n)])
+    mat = sp.csr_matrix((np.concatenate([diag, off, off]), (rows, cols)), shape=(n, n))
+    mat.eliminate_zeros()
+    return mat
+
+
+def _chain(n, variant, seed):
+    rng = np.random.default_rng(seed)
+    diag, off = rng.uniform(-1.0, 3.0, n), rng.uniform(-1.0, 1.0, n)
+    if variant == "zero-corner":
+        off[-1] = 0.0
+    elif variant == "zero-couplings":
+        off[rng.choice(n, size=max(1, n // 3), replace=False)] = 0.0
+    elif variant == "tiny-couplings":
+        off *= 10.0 ** rng.uniform(-9.0, 0.0, n)
+    return _cyclic(diag, off)
+
+
+chains = st.builds(
+    _chain, st.integers(3, 60), st.sampled_from(VARIANTS), st.integers(0, 2**32 - 1)
+)
+
+
+def _thresholds(mats, seed):
+    """Thresholds far from, between and exactly on the levels of every matrix."""
+    rng = np.random.default_rng(seed)
+    picks = []
+    for mat in mats:
+        levels = np.linalg.eigvalsh(mat.toarray())
+        mids = 0.5 * (levels[1:] + levels[:-1])
+        picks += [levels[0] - 1.0, levels[-1] + 1.0]
+        picks += list(rng.choice(levels, size=min(3, levels.size), replace=False))
+        picks += list(rng.choice(mids, size=min(3, mids.size), replace=False))
+    return np.array(picks)
+
+
+def _per_threshold(mat, energies):
+    """count_below one threshold at a time with the chain sweep switched off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(es, "_periodic_chain", lambda mat: None)
+        return np.array([count_below(mat, float(e)) for e in energies])
+
+
+def _reference_chain_sweep(diag, off, energies, norm):
+    """The one-chain sweep as it was before stacking: one (N - 1) x C array,
+    one Python step per row, sums over the whole column at once."""
+    n = diag.shape[0]
+    zero = es._ZERO_PIVOT * np.maximum(max(1.0, norm), np.abs(energies))
+    b2 = off**2
+    piv = diag[: n - 1, None] - energies[None, :]
+    with np.errstate(all="ignore"):
+        for i in range(1, n - 1):
+            piv[i] -= b2[i - 1] / piv[i - 1]
+        corner, tail = off[n - 1], off[n - 2]
+        fill = np.divide(-off[: n - 2, None], piv[: n - 2])
+        np.cumprod(fill, axis=0, out=fill)
+        fill *= corner
+        u_tail = fill[-1] + tail
+        size_tail = np.abs(fill[-1]) + abs(tail)
+        terms = fill[:-1]
+        np.square(terms, out=terms)
+        np.divide(terms, piv[1 : n - 2], out=terms)
+        signed = corner**2 / piv[0] + terms.sum(axis=0) + u_tail**2 / piv[n - 2]
+        np.abs(terms, out=terms)
+        shifted_last = diag[n - 1] - energies
+        total = (
+            np.abs(shifted_last)
+            + corner**2 / np.abs(piv[0])
+            + terms.sum(axis=0)
+            + size_tail**2 / np.abs(piv[n - 2])
+        )
+        last = shifted_last - signed
+        cancel = 10.0 * n * np.finfo(float).eps * total
+    ok = (
+        np.all(np.isfinite(piv), axis=0)
+        & ~np.any((piv <= zero) & (piv >= -zero), axis=0)
+        & (np.abs(last) > np.maximum(zero, cancel))
+    )
+    neg = np.sum(piv < 0.0, axis=0) + (last < 0.0)
+    return np.where(ok, neg, -1)
+
+
+@given(st.lists(chains, min_size=1, max_size=5), st.integers(0, 2**32 - 1))
+def test_stacked_counts_equal_every_other_path(mats, seed):
+    energies = _thresholds(mats, seed)
+    got = count_below_stack(mats, energies)
+    assert got.shape == (len(mats), energies.size) and got.dtype.kind == "i"
+    for mat, row in zip(mats, got):
+        assert np.array_equal(row, count_below(mat, energies))
+        assert np.array_equal(row, _per_threshold(mat, energies))
+        levels = np.linalg.eigvalsh(mat.toarray())
+        gap = np.min(np.abs(energies[:, None] - levels[None, :]), axis=1)
+        clear = gap > 1e-8 * max(1.0, es._norm_estimate(mat), np.max(np.abs(energies)))
+        want = np.searchsorted(levels, energies, side="left")
+        assert np.array_equal(row[clear], want[clear])
+
+
+@given(st.lists(chains, min_size=1, max_size=5), st.integers(0, 2**32 - 1), st.integers(4, 400))
+def test_blocked_stacked_sweep_equals_the_one_chain_sweep(mats, seed, cells):
+    """Same-size chains in one sweep, forced into blocks of a few rows, give
+    every column the counts and flags of the unblocked one-chain sweep."""
+    n = mats[0].shape[0]
+    mats = [m for m in mats if m.shape[0] == n] + [_chain(n, "generic", seed)]
+    ops = [SymmetricOperator(m) for m in mats]
+    rng = np.random.default_rng(seed)
+    energies = np.sort(rng.uniform(-2.0, 4.0, (len(ops), 6)), axis=1)
+    energies[:, 0] = np.linalg.eigvalsh(mats[0].toarray())[0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(es, "_SWEEP_CELLS", cells)
+        got = es._chain_sweep(
+            np.column_stack([op.chain[0] for op in ops]),
+            np.column_stack([op.chain[1] for op in ops]),
+            energies,
+            np.array([op.norm for op in ops]),
+        )
+    for op, e, row in zip(ops, energies, got):
+        assert np.array_equal(row, _reference_chain_sweep(*op.chain, e, op.norm))
+
+
+def _reference_ground(mat, hi):
+    """The ground bisection as it was: one per-threshold count per step."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(es, "_periodic_chain", lambda mat: None)
+        if count_below(mat, hi) == 0:
+            return hi
+        lo = 0.0
+        for _ in range(48):
+            mid = 0.5 * (lo + hi)
+            if count_below(mat, mid) > 0:
+                hi = mid
+            else:
+                lo = mid
+        return 0.5 * (lo + hi)
+
+
+@given(chains, st.floats(0.0, 2.0), st.floats(0.5, 10.0))
+def test_ground_bisect_equals_reference_bisection_bitwise(mat, bottom, hi):
+    n = mat.shape[0]
+    lowest = np.linalg.eigvalsh(mat.toarray())[0]
+    mat = (mat + (bottom - lowest) * sp.identity(n, format="csr")).tocsr()
+    assert ground_bisect(mat, hi) == _reference_ground(mat, hi)

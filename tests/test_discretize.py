@@ -7,6 +7,8 @@ import scipy.sparse as sp
 from displab.discretize import (
     GridSpec,
     LatticeOperator,
+    _plus_diagonal,
+    _torus_diagonal,
     _torus_laplacian,
     assemble_fiber,
     assemble_periodic,
@@ -219,3 +221,28 @@ def test_assemble_periodic_csr_equals_per_call_build(d, n):
         assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64))
         assert np.array_equal(got.indices, want.indices)
         assert np.array_equal(got.indptr, want.indptr)
+
+
+@pytest.mark.parametrize(
+    "grid", [GridSpec(1, 0, 4), GridSpec(1, 2, 6), GridSpec(2, 0, 4), GridSpec(2, 1, 6)]
+)
+def test_potential_written_into_laplacian_copy_equals_sparse_sum(grid):
+    """assemble_periodic writes the potential into a copy of the cached
+    Laplacian's arrays.  They must be the arrays (lap + diags(v)).tocsr() has,
+    also when some lap_ii + v_i is exactly 0.0 and the sum drops it."""
+    lap = _torus_laplacian(grid)
+    where = _torus_diagonal(grid)
+    v = np.random.default_rng(grid.n_points).uniform(-3.0, 3.0, grid.n_points)
+    zeroed = v.copy()
+    zeroed[3] = -lap[3, 3]
+    for pot in (v, zeroed):
+        got = _plus_diagonal(lap, where, pot)
+        want = (lap + sp.diags(pot, format="csr")).tocsr()
+        assert got.nnz == want.nnz == lap.nnz - (pot is zeroed)
+        for a, b in (
+            (got.data.view(np.int64), want.data.view(np.int64)),
+            (got.indices, want.indices),
+            (got.indptr, want.indptr),
+        ):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert not lap.data.flags.writeable and not np.shares_memory(got.data, lap.data)

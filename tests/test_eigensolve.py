@@ -231,7 +231,9 @@ def test_chain_sweep_flags_a_cancelling_last_pivot():
     mat = _cyclic(np.array([a0, a1, a2]), np.array([b0, b1, c]))
     eigs = np.linalg.eigvalsh(mat.toarray())
     assert 0 < np.min(np.abs(eigs - e)) < 2e-6
-    assert es._chain_sweep(*es._periodic_chain(mat), np.array([e]), 2.0).tolist() == [-1]
+    diag, off = es._periodic_chain(mat)
+    sweep = es._chain_sweep(diag[:, None], off[:, None], np.array([[e]]), np.array([2.0]))
+    assert sweep.tolist() == [[-1]]
     assert count_below(mat, e) == int(np.searchsorted(eigs, e))
 
 
@@ -328,3 +330,71 @@ def test_ground_bisect_leaves_a_tied_midpoint_to_the_count(monkeypatch):
     monkeypatch.setattr(es, "_inertia_count", count)
     assert got == _reference_ground(mat, 4.0)
     assert abs(got - 2.0) < 1e-12
+
+
+def _csc_arrays(mat):
+    return mat.data.view(np.int64), mat.indices, mat.indptr
+
+
+@pytest.mark.parametrize("n", [3, 17, 2001])
+def test_sparse_shift_gives_the_arrays_of_the_rebuilt_shift(n):
+    """Window steps on a chain write a_ii - E into one cached copy of the
+    matrix; SuperLU must see the arrays (A - E I).tocsc() has, also where
+    a_ii - E is exactly 0.0 and the sparse subtraction drops the entry.  An
+    operator not known to be symmetric is rebuilt every time."""
+    mat = _random_chain(n, "generic", seed=n)
+    diag = mat.diagonal()
+    cached, rebuilt = es._sparse_shift(mat, symmetric=True), es._sparse_shift(mat, symmetric=False)
+    first = cached(0.25)
+    for e in (0.25, -1.5, float(diag[1]), 0.3, float(diag[-1])):
+        want = (mat - e * sp.identity(n, format="csr")).tocsc()
+        for got in (cached(e), rebuilt(e)):
+            assert got.format == "csc"
+            for a, b in zip(_csc_arrays(got), _csc_arrays(want)):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+        if e in diag:
+            assert cached(e).nnz == mat.nnz - 1, "the exact zero is dropped, as the rebuild does"
+        else:
+            assert cached(e) is first, "one cached copy, rewritten per threshold"
+        assert rebuilt(e) is not rebuilt(e)
+    assert not np.shares_memory(first.data, mat.data), "the operator itself is not written"
+
+
+def test_count_below_stack_mixes_sizes_and_non_chains():
+    side = 5
+    ring = _cyclic(np.full(side, 2.0), np.full(side, -1.0))
+    eye = sp.identity(side, format="csr")
+    torus = (sp.kron(ring, eye) + sp.kron(eye, ring) + sp.diags(np.linspace(0, 1, 25))).tocsr()
+    ops = [
+        _random_chain(17, "generic", 1),
+        torus,
+        _random_chain(4, "zero-corner", 2),
+        _random_chain(17, "zero-offdiagonals", 3),
+        _random_sym(9),
+        es.SymmetricOperator(_random_chain(4, "generic", 4)),
+    ]
+    energies = np.array([-1.0, 0.3, 1.1, 2.5, 9.0])
+    got = es.count_below_stack(ops, energies)
+    assert got.shape == (len(ops), energies.size)
+    for op, row in zip(ops, got):
+        assert np.array_equal(row, count_below(op, energies))
+    assert es.count_below_stack(ops, np.array([])).shape == (len(ops), 0)
+    assert es.count_below_stack([], energies).shape == (0, energies.size)
+    with pytest.raises(ValueError, match="finite"):
+        es.count_below_stack(ops, [np.nan])
+
+
+def test_symmetric_operator_is_prepared_once_and_gives_the_same_answers(monkeypatch):
+    mat = _random_chain(60, "generic", 5)
+    mat = (mat + (1.0 - np.linalg.eigvalsh(mat.toarray())[0]) * sp.identity(60)).tocsr()
+    op = es.SymmetricOperator(mat)
+    assert op.shape == mat.shape and op.chain is not None
+    energies = np.array([0.5, 1.5, 2.5])
+    want = count_below(mat, energies), ground_bisect(mat, 4.0)
+    monkeypatch.setattr(es, "_periodic_chain", lambda m: pytest.fail("chain extracted again"))
+    monkeypatch.setattr(es, "_norm_estimate", lambda m: pytest.fail("norm taken again"))
+    assert np.array_equal(count_below(op, energies), want[0])
+    assert np.array_equal(es.count_below_stack([op, op], energies), [want[0], want[0]])
+    assert ground_bisect(op, 4.0) == want[1]
+    with pytest.raises(ValueError, match="real symmetric"):
+        es.SymmetricOperator(np.eye(3, dtype=complex))

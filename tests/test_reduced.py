@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from displab.discretize import GridSpec
 from displab.floquet import dispersion_symbol
@@ -195,3 +196,40 @@ def test_calibrate_sandwich_finds_c0_eight():
     assert cal.ok
     assert cal.passing_c0 == 8.0
     assert [r.passed for r in cal.reports] == [False, False, True]
+
+
+def _same_csr(got, want):
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        if name == "data":  # compare bits, so -0.0 and 0.0 differ
+            a, b = a.view(np.int64), b.view(np.int64)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("d, n", [(1, 1), (1, 1000), (2, 1), (2, 3)])
+def test_build_reduced_csr_equals_the_sparse_sum(d, n):
+    """build_reduced writes its diagonal into a copy of the cached kinetic
+    arrays; they must be the arrays of kin_scale * K + diags(diag)."""
+    dist = DisplacementDistribution(kind="uniform-ball", support=ball(np.zeros(d), 1.0))
+    zeta, v = np.full(d, -1.0), np.linspace(0.5, 2.0, d)
+    for sign, c0 in ((-1, 4.0), (1, 1.0), (1, 3.0)):
+        field = sample_field(dist, n, 7, sign + 2)
+        got = build_reduced(sign, v, 0.1, zeta, field, c0, 0.05).matrix
+        dz = field.values - zeta
+        diag = 0.1 * (dz @ v + sign * c0 * 0.05 * np.sum(dz**2, axis=1))
+        kin_scale = c0 if sign > 0 else 1.0 / c0
+        want = (kin_scale * symbol_kinetic(d, 2 * n + 1) + sp.diags(diag, format="csr")).tocsr()
+        _same_csr(got, want)
+        for name in ("data", "indices"):
+            cached = getattr(symbol_kinetic(d, 2 * n + 1), name)
+            assert not np.shares_memory(getattr(got, name), cached), "a copy, not the cache"
+
+
+def test_build_reduced_exact_zero_diagonal_takes_the_sparse_sum():
+    """kin_scale * k_00 + diag_0 = 1 - 1 = 0.0 exactly: the sparse sum drops
+    the entry, so build_reduced gives that pattern too."""
+    field = DisplacementField(n=1, d=1, values=np.array([[0.0], [0.5], [-0.5]]))
+    got = build_reduced(-1, [0.0], 1.0, [-1.0], field, c0=1.0, alpha=1.0).matrix
+    want = (symbol_kinetic(1, 3) + sp.diags([-1.0, -2.25, -0.25], format="csr")).tocsr()
+    assert got.nnz == 8
+    _same_csr(got, want)
