@@ -19,9 +19,11 @@ import argparse
 import csv
 import hashlib
 import io
+import math
 import os
 import sys
 from configparser import ConfigParser, Error as ConfigParserError
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,18 +75,6 @@ from .spectral_stats import (
 )
 from . import supports
 
-KINDS = (
-    "band",
-    "minimize",
-    "theorem1",
-    "ids",
-    "lifshitz",
-    "wegner",
-    "reduce",
-    "sandwich",
-    "verify-all",
-)
-MC_KINDS = ("ids", "lifshitz", "wegner")
 SIZE_GUARD = 200_000
 CACHE_EVERY = 50  # Monte-Carlo rows between rewrites of cache.csv
 # Lifshitz samples per stacked count.  A row of the chain sweep costs about
@@ -140,7 +130,7 @@ def read_csv_rows(path):
 
 # -- config handling ---------------------------------------------------------
 
-_CANON_SKIP = {("run", "out"), ("run", "threads")}
+_CANON_SKIP = {("run", "out")}
 
 
 def load_config_text(text):
@@ -185,86 +175,159 @@ def config_sha(cfg):
     return hashlib.sha256(canonical_config(cfg).encode("utf-8")).hexdigest()
 
 
-def _section(cfg, name):
-    return cfg.get(name, {})
+class Key(NamedTuple):
+    """One config key.  ``many`` reads a list of one or more values, split at
+    spaces or commas; each number must be finite, >= ``lo``, > ``above`` and
+    in ``choices``, where set.  A default of "auto" also admits that word,
+    for which the runner works the value out."""
+
+    type: type
+    default: object = None
+    required: bool = False
+    many: bool = False
+    lo: float | None = None
+    above: float | None = None
+    choices: tuple | range | None = None
 
 
-def _get(cfg, section, key, default=None, required=False):
-    sec = _section(cfg, section)
-    if key in sec:
-        return sec[key].strip()
-    if required:
-        raise ConfigError(f"missing {section}.{key}")
-    return default
+# Every key of every section, as "section.key".  A config holds the common
+# sections and its own kind's section ([verify] for verify-all), no other.
+SCHEMA = {
+    "run.kind": Key(str, required=True),
+    "run.seed": Key(int, 0, choices=range(SEED_LIMIT)),
+    "run.out": Key(str),
+    "model.d": Key(int, required=True, choices=(1, 2)),
+    "model.lam": Key(float, required=True, lo=0),
+    "model.m": Key(int, required=True, lo=4),
+    "model.n": Key(int, 1, lo=0),
+    "periodic.family": Key(str, "zero"),
+    "periodic.coefficients": Key(float, many=True),
+    "site.family": Key(str, "zero"),
+    "site.amplitude": Key(float, 0.5),
+    "site.radius": Key(float, 0.45),
+    "support.kind": Key(str, "ball"),
+    "support.center": Key(float, many=True),
+    "support.radius": Key(float, 1.0),
+    "support.semi_axes": Key(float, many=True),
+    "support.lo": Key(float, many=True),
+    "support.hi": Key(float, many=True),
+    "support.vertices": Key(str),
+    "distribution.kind": Key(str, "uniform-ball"),
+    "distribution.radial_exponent": Key(float),
+    "band.zeta": Key(float, many=True),
+    "band.nbands": Key(int, 3, lo=1),
+    "band.theta_n": Key(int, 2, lo=0),
+    "minimize.restarts": Key(int, 8, lo=1),
+    "minimize.eps_robust": Key(float, lo=0),
+    "minimize.gap_lams": Key(float, (0.2, 0.1, 0.05), many=True),
+    "theorem1.restarts": Key(int, 16, lo=1),
+    "theorem1.site_tol": Key(float, 1e-3),
+    "theorem1.energy_tol": Key(float, 1e-8),
+    "theorem1.grid_points": Key(int, 0, lo=0),
+    "ids.c0": Key(float, required=True, lo=1),
+    "ids.alpha": Key(float, required=True, above=0),
+    "ids.zeta": Key(float, required=True, many=True),
+    "ids.n_samples": Key(int, 100, lo=1),
+    "ids.offsets": Key(float, many=True),
+    "ids.n_offsets": Key(int, 12, lo=1),
+    "lifshitz.n": Key(int, 1000, lo=1),
+    "lifshitz.n_samples": Key(int, 200, lo=1),
+    "lifshitz.sign": Key(int, 1, choices=(-1, 1)),
+    "lifshitz.c0": Key(float, required=True, lo=1),
+    "lifshitz.alpha": Key(float, required=True, above=0),
+    "lifshitz.zeta": Key(float, required=True, many=True),
+    "lifshitz.v": Key(float, "auto", many=True),
+    "lifshitz.e_min": Key(float, required=True, above=0),
+    "lifshitz.e_max": Key(float, required=True),
+    "lifshitz.n_energies": Key(int, 24, lo=3),  # the tail fit needs 3 points
+    "lifshitz.ground_hi": Key(float, 4.0),
+    "wegner.zeta": Key(float, required=True, many=True),
+    "wegner.n_list": Key(int, (1, 2, 3), many=True, lo=0),
+    "wegner.samples_per_cell": Key(int, 400, lo=1),
+    "wegner.ground_samples": Key(int, 50, lo=0),
+    "wegner.audit_per_n": Key(int, 17, lo=0),
+    "wegner.e_center": Key(float, "auto"),
+    "wegner.eps_list": Key(float, many=True, above=0),
+    "wegner.n_eps": Key(int, 6, lo=1),
+    "wegner.eps_frac": Key(float, 0.25, above=0),
+    "wegner.eps_hi": Key(float, above=0),
+    "reduce.zeta": Key(float, required=True, many=True),
+    "reduce.c0": Key(float, required=True, lo=1),
+    "reduce.alpha": Key(float, required=True, above=0),
+    "reduce.n": Key(int, 1, lo=1),
+    "reduce.grid_points": Key(int, 9, lo=1),
+    "sandwich.zeta": Key(float, "auto", many=True),
+    "sandwich.alpha0": Key(float, "auto"),
+    "sandwich.c0_list": Key(float, (2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0), many=True, lo=1),
+    "sandwich.n_fields": Key(int, 20, lo=1),
+    "sandwich.trials": Key(int, 40, lo=1),
+    "verify.c0": Key(float, 8.0, lo=1),
+}
 
 
-def _get_float(cfg, section, key, default=None, required=False):
-    raw = _get(cfg, section, key, None, required)
+def _own_section(kind):
+    return "verify" if kind == "verify-all" else kind
+
+
+def read_config(cfg):
+    """Every key of a loaded config's run, typed: ``{section: {key: value}}``.
+
+    Absent keys take their defaults.  An unknown section or key, a missing
+    required key and a malformed or out-of-range value are ConfigErrors.
+    """
+    kind = cfg["run"]["kind"]
+    sections = ("run", "model", "periodic", "site", "support", "distribution", _own_section(kind))
+    for section, raw in cfg.items():
+        if section not in sections:
+            raise ConfigError(f"unknown section [{section}] in a {kind} config")
+        for name in raw:
+            if f"{section}.{name}" not in SCHEMA:
+                raise ConfigError(f"unknown key {section}.{name}")
+    typed = {section: {} for section in sections}
+    for where, key in SCHEMA.items():
+        section, name = where.split(".")
+        if section in typed:
+            typed[section][name] = _read_value(where, name, key, cfg.get(section, {}).get(name))
+    return typed
+
+
+def _read_value(where, name, key, raw):
     if raw is None:
-        return default
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{section}.{key} must be a number, got {raw!r}") from exc
-
-
-def _get_int(cfg, section, key, default=None, required=False):
-    raw = _get(cfg, section, key, None, required)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{section}.{key} must be an integer, got {raw!r}") from exc
-
-
-def _get_count(cfg, section, key, default):
-    """A count of samples or offsets: an integer of at least 1."""
-    count = _get_int(cfg, section, key, default)
-    if count < 1:
-        raise ConfigError(f"{section}.{key} must be >= 1, got {count}")
-    return count
-
-
-def _get_floats(cfg, section, key, default=None, required=False):
-    raw = _get(cfg, section, key, None, required)
-    if raw is None:
-        return default
-    try:
-        return [float(tok) for tok in raw.replace(",", " ").split()]
-    except ValueError as exc:
-        raise ConfigError(f"{section}.{key} must be a list of numbers") from exc
-
-
-def _get_ints(cfg, section, key, default=None, required=False):
-    vals = _get_floats(cfg, section, key, None, required)
-    if vals is None:
-        return default
-    out = [int(v) for v in vals]
-    if any(abs(v - w) > 0 for v, w in zip(vals, out)):
-        raise ConfigError(f"{section}.{key} must be integers")
-    return out
+        if key.required:
+            raise ConfigError(f"missing {where}")
+        return key.default
+    raw = raw.strip()
+    if key.type is str or (raw == "auto" and key.default == "auto"):
+        return raw
+    values = []
+    for token in raw.replace(",", " ").split() if key.many else [raw]:
+        try:
+            x = key.type(token)
+        except ValueError:
+            noun = "an integer" if key.type is int else "a number"
+            raise ConfigError(f"{where}: {token!r} is not {noun}") from None
+        if not math.isfinite(x):
+            raise ConfigError(f"{where} must be finite, got {token}")
+        if key.lo is not None and x < key.lo:
+            raise ConfigError(f"{where} must be >= {key.lo}, got {x}")
+        if key.above is not None and x <= key.above:
+            raise ConfigError(f"{where} must be > {key.above}, got {x}")
+        if key.choices is not None and x not in key.choices:
+            raise ConfigError(f"{where} must satisfy {name} in {key.choices}, got {x}")
+        values.append(x)
+    if not values:
+        raise ConfigError(f"{where} needs at least one value")
+    return values if key.many else values[0]
 
 
 def build_model(cfg):
     """Potentials, coupling and grid from [model], [periodic], [site]."""
-    d = _get_int(cfg, "model", "d", required=True)
-    if d not in (1, 2):
-        raise ConfigError("model.d must be 1 or 2")
-    lam = _get_float(cfg, "model", "lam", required=True)
-    if lam < 0:
-        raise ConfigError("model.lam must be >= 0")
-    m = _get_int(cfg, "model", "m", required=True)
-    n = _get_int(cfg, "model", "n", 1)
-    pfam = _get(cfg, "periodic", "family", "zero")
-    coeffs = _get_floats(cfg, "periodic", "coefficients", None)
+    model, periodic, site = cfg["model"], cfg["periodic"], cfg["site"]
+    d, n, m = model["d"], model["n"], model["m"]
     try:
-        p = periodic_family(pfam, d, coefficients=coeffs)
+        p = periodic_family(periodic["family"], d, coefficients=periodic["coefficients"])
         q = single_site_family(
-            _get(cfg, "site", "family", "zero"),
-            d,
-            amplitude=_get_float(cfg, "site", "amplitude", 0.5),
-            radius=_get_float(cfg, "site", "radius", 0.45),
+            site["family"], d, amplitude=site["amplitude"], radius=site["radius"]
         )
     except (KeyError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -272,48 +335,49 @@ def build_model(cfg):
         raise ConfigError(
             f"size guard: ((2n+1) m)^d = {((2 * n + 1) * m) ** d} exceeds {SIZE_GUARD}"
         )
-    return p, q, lam, n, m
+    return p, q, model["lam"], n, m
 
 
 def build_support(cfg, d):
-    kind = _get(cfg, "support", "kind", "ball")
+    sup = cfg["support"]
+    kind, center = sup["kind"], sup["center"] or [0.0] * d
+
+    def need(key):
+        if sup[key] is None:
+            raise ConfigError(f"missing support.{key}")
+        return sup[key]
+
     try:
         if kind == "ball":
-            c = _get_floats(cfg, "support", "center", [0.0] * d)
-            return supports.ball(c, _get_float(cfg, "support", "radius", 1.0))
+            return supports.ball(center, sup["radius"])
         if kind == "sphere":
-            c = _get_floats(cfg, "support", "center", [0.0] * d)
-            return supports.sphere(c, _get_float(cfg, "support", "radius", 1.0))
+            return supports.sphere(center, sup["radius"])
         if kind in ("ellipsoid", "ellipsoid-boundary"):
-            c = _get_floats(cfg, "support", "center", [0.0] * d)
-            axes = _get_floats(cfg, "support", "semi_axes", required=True)
-            return supports.ellipsoid(c, axes, boundary_only=kind.endswith("boundary"))
+            boundary = kind.endswith("boundary")
+            return supports.ellipsoid(center, need("semi_axes"), boundary_only=boundary)
         if kind == "interval":
-            return supports.interval(
-                _get_float(cfg, "support", "lo", -1.0),
-                _get_float(cfg, "support", "hi", 1.0),
-            )
+            lo, hi = sup["lo"] or [-1.0], sup["hi"] or [1.0]
+            if len(lo) != 1 or len(hi) != 1:
+                raise ConfigError("support.lo and support.hi of an interval are numbers")
+            return supports.interval(lo[0], hi[0])
         if kind == "box":
-            return supports.box(
-                _get_floats(cfg, "support", "lo", required=True),
-                _get_floats(cfg, "support", "hi", required=True),
-            )
+            return supports.box(need("lo"), need("hi"))
         if kind == "polygon":
-            raw = _get(cfg, "support", "vertices", required=True)
-            verts = [[float(t) for t in chunk.split()] for chunk in raw.split(";")]
+            verts = [[float(t) for t in chunk.split()] for chunk in need("vertices").split(";")]
             return supports.polygon(verts)
-    except (ValueError, ConfigError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
+    except ConfigError:
+        raise
+    except ValueError as exc:
         raise ConfigError(f"bad support: {exc}") from exc
     raise ConfigError(f"unknown support kind {kind!r}")
 
 
 def build_distribution(cfg, support):
-    kind = _get(cfg, "distribution", "kind", "uniform-ball")
-    expo = _get_float(cfg, "distribution", "radial_exponent", None)
+    dist = cfg["distribution"]
     try:
-        return DisplacementDistribution(kind=kind, support=support, radial_exponent=expo)
+        return DisplacementDistribution(
+            kind=dist["kind"], support=support, radial_exponent=dist["radial_exponent"]
+        )
     except ValueError as exc:
         raise ConfigError(f"bad distribution: {exc}") from exc
 
@@ -374,7 +438,7 @@ class RunDir:
         return 0 if ok else 1
 
 
-def _prepare_rundir(cfg, out, resuming):
+def _prepare_rundir(cfg, out):
     rd = RunDir(out)
     os.makedirs(out, exist_ok=True)
     if os.path.exists(rd.manifest):
@@ -384,8 +448,6 @@ def _prepare_rundir(cfg, out, resuming):
                 f"output dir {out} holds a different run (config hash mismatch); "
                 "refusing to overwrite"
             )
-    elif resuming:
-        raise ConfigError(f"--resume: no manifest in {out}")
     rd.write_manifest(cfg)
     return rd
 
@@ -406,7 +468,7 @@ def _load_cache(path, header):
     return [row for row in rows if len(row) == len(header)]
 
 
-def _sample_cache(rd, header, key, tasks, compute, threads, chunk=1):
+def _sample_cache(rd, header, key, tasks, compute, chunk=1):
     """Every task's cache row: replayed from ``cache.csv``, else computed.
 
     ``key(row)`` recovers the task from a cached row and ``compute(batch)``
@@ -419,7 +481,7 @@ def _sample_cache(rd, header, key, tasks, compute, threads, chunk=1):
     rows = {key(row): row for row in _load_cache(rd.cache, header)}
     todo = [t for t in tasks if t not in rows]
     batches = [tuple(todo[i : i + chunk]) for i in range(0, len(todo), chunk)]
-    stream = stream_samples(compute, batches, threads)
+    stream = stream_samples(compute, batches)
     try:
         for batch, batch_rows in stream:
             flushed = len(rows) // CACHE_EVERY
@@ -440,11 +502,9 @@ def _write_cache(rd, header, rows):
 # -- experiment runners ------------------------------------------------------
 
 
-def run_band(cfg, rd, threads):
+def run_band(cfg, rd, zeta, nbands, theta_n):
     p, q, lam, n, m = build_model(cfg)
-    zeta = np.asarray(_get_floats(cfg, "band", "zeta", [0.0] * q.d))
-    nbands = _get_int(cfg, "band", "nbands", 3)
-    theta_n = _get_int(cfg, "band", "theta_n", 2)
+    zeta = np.asarray(zeta or [0.0] * q.d)
     rows = band_table(p, q, lam, zeta, m, nbands=nbands, n=theta_n)
     header = [f"theta_{j + 1}" for j in range(q.d)] + [
         f"e_{k + 1}" for k in range(nbands)
@@ -468,11 +528,10 @@ def run_band(cfg, rd, threads):
     return rd.finish(lines)
 
 
-def run_minimize(cfg, rd, threads):
+def run_minimize(cfg, rd, restarts, eps_robust, gap_lams):
     p, q, lam, n, m = build_model(cfg)
     support = build_support(cfg, q.d)
-    restarts = _get_int(cfg, "minimize", "restarts", 8)
-    seed = _get_int(cfg, "run", "seed", 0)
+    seed = cfg["run"]["seed"]
     cert = minimize_over_support(p, q, lam, support, m, restarts=restarts, seed=seed)
     write_csv(
         rd.file("minimizer.csv"),
@@ -497,15 +556,15 @@ def run_minimize(cfg, rd, threads):
     checks.append(("min_curvature", curv.value, curv.strictly_convex))
     lines.append(f"boundary curvature: {fmt(curv.value)} ({curv.note})")
     v_q = v_vector(p, q, 0.0, np.zeros(q.d), m)
-    eps_rob = _get_float(cfg, "minimize", "eps_robust", 0.5 * float(np.linalg.norm(v_q)))
-    rob = robust_linear_minimizer(support, v_q, eps_rob, seed=seed + 2)
+    if eps_robust is None:
+        eps_robust = 0.5 * float(np.linalg.norm(v_q))
+    rob = robust_linear_minimizer(support, v_q, eps_robust, seed=seed + 2)
     checks.append(("robust_margin", rob.margin, rob.ok))
     lines.append(
-        f"robust linear minimizer at eps={fmt(eps_rob)}: "
+        f"robust linear minimizer at eps={fmt(eps_robust)}: "
         f"{' '.join(fmt(x) for x in rob.zeta0)} margin {fmt(rob.margin)} ok {fmt(rob.ok)}"
     )
-    lams = _get_floats(cfg, "minimize", "gap_lams", [0.2, 0.1, 0.05])
-    gaps = gap_ratio_table(p, q, lams, support, m, seed=seed + 3)
+    gaps = gap_ratio_table(p, q, gap_lams, support, m, seed=seed + 3)
     write_csv(
         rd.file("gap_ratios.csv"),
         ["lam", "energy", "ratio"],
@@ -517,13 +576,10 @@ def run_minimize(cfg, rd, threads):
     return rd.finish(lines)
 
 
-def run_theorem1(cfg, rd, threads):
+def run_theorem1(cfg, rd, restarts, site_tol, energy_tol, grid_points):
     p, q, lam, n, m = build_model(cfg)
     support = build_support(cfg, q.d)
-    seed = _get_int(cfg, "run", "seed", 0)
-    restarts = _get_int(cfg, "theorem1", "restarts", 16)
-    site_tol = _get_float(cfg, "theorem1", "site_tol", 1e-3)
-    energy_tol = _get_float(cfg, "theorem1", "energy_tol", 1e-8)
+    seed = cfg["run"]["seed"]
     rep = minimize_over_field(
         p, q, lam, support, n, m,
         restarts=restarts, seed=seed, energy_tol=energy_tol, site_tol=site_tol,
@@ -549,11 +605,10 @@ def run_theorem1(cfg, rd, threads):
         f"all restarts at constant field: {fmt(ok)} "
         f"(site tol {fmt(site_tol)}, energy tol {fmt(energy_tol)})",
     ]
-    gp = _get_int(cfg, "theorem1", "grid_points", 0)
-    if gp >= 2:
-        scan = exhaustive_field_scan(p, q, lam, support, n, m, grid_points=gp)
+    if grid_points >= 2:
+        scan = exhaustive_field_scan(p, q, lam, support, n, m, grid_points=grid_points)
         lines += [
-            f"exhaustive scan ({gp}^{(2 * n + 1) ** q.d} configs): "
+            f"exhaustive scan ({grid_points}^{(2 * n + 1) ** q.d} configs): "
             f"argmin constant {fmt(scan.argmin_is_constant)} at {fmt(scan.constant_value)}",
             f"scan argmin energy: {fmt(scan.argmin_energy)} margin {fmt(scan.margin)}",
         ]
@@ -564,20 +619,14 @@ def run_theorem1(cfg, rd, threads):
 _IDS_FAMILIES = ("plus", "middle", "minus")
 
 
-def run_ids(cfg, rd, threads):
+def run_ids(cfg, rd, c0, alpha, zeta, n_samples, offsets, n_offsets):
     p, q, lam, n, m = build_model(cfg)
     support = build_support(cfg, q.d)
     dist = build_distribution(cfg, support)
-    seed = _get_int(cfg, "run", "seed", 0)
-    c0 = _get_float(cfg, "ids", "c0", required=True)
-    alpha = _get_float(cfg, "ids", "alpha", required=True)
-    zeta = np.asarray(_get_floats(cfg, "ids", "zeta", required=True))
-    n_samples = _get_count(cfg, "ids", "n_samples", 100)
-    offsets = _get_floats(cfg, "ids", "offsets", None)
+    seed = cfg["run"]["seed"]
     if offsets is None:
-        n_off = _get_count(cfg, "ids", "n_offsets", 12)
         top = 0.9 / c0**2
-        offsets = list(np.geomspace(top / 50.0, top, n_off))
+        offsets = list(np.geomspace(top / 50.0, top, n_offsets))
     offsets = np.asarray(offsets, dtype=float)
     try:
         e_ref, families = sandwich_families(p, q, lam, dist, zeta, n, m, c0, alpha, offsets)
@@ -595,7 +644,6 @@ def run_ids(cfg, rd, threads):
         lambda row: (_IDS_FAMILIES.index(row[0]), int(row[1])),
         [(k, s) for k in range(len(families)) for s in range(n_samples)],
         compute,
-        threads,
     )
     curves = [
         IDSCurve(
@@ -629,32 +677,17 @@ def run_ids(cfg, rd, threads):
     return rd.finish(lines, ok=rep.all_ok)
 
 
-def run_lifshitz(cfg, rd, threads):
+def run_lifshitz(
+    cfg, rd, n, n_samples, sign, c0, alpha, zeta, v, e_min, e_max, n_energies, ground_hi
+):
     p, q, lam, n_model, m = build_model(cfg)
     support = build_support(cfg, q.d)
     dist = build_distribution(cfg, support)
-    seed = _get_int(cfg, "run", "seed", 0)
-    n = _get_int(cfg, "lifshitz", "n", 1000)
-    n_samples = _get_count(cfg, "lifshitz", "n_samples", 200)
-    sign = _get_int(cfg, "lifshitz", "sign", 1)
-    if sign not in (-1, 1):
-        raise ConfigError("lifshitz.sign must be -1 or 1")
-    c0 = _get_float(cfg, "lifshitz", "c0", required=True)
-    alpha = _get_float(cfg, "lifshitz", "alpha", required=True)
-    zeta = np.asarray(_get_floats(cfg, "lifshitz", "zeta", required=True))
-    v_raw = _get(cfg, "lifshitz", "v", "auto")
-    if v_raw == "auto":
-        v = v_vector(p, q, lam, zeta, m)
-    else:
-        v = np.asarray(_get_floats(cfg, "lifshitz", "v", required=True))
-    e_min = _get_float(cfg, "lifshitz", "e_min", required=True)
-    e_max = _get_float(cfg, "lifshitz", "e_max", required=True)
-    n_energies = _get_int(cfg, "lifshitz", "n_energies", 24)
-    ground_hi = _get_float(cfg, "lifshitz", "ground_hi", 4.0)
-    if not 0 < e_min < e_max:
+    seed = cfg["run"]["seed"]
+    zeta = np.asarray(zeta)
+    v = v_vector(p, q, lam, zeta, m) if v == "auto" else np.asarray(v)
+    if not e_min < e_max:
         raise ConfigError("need 0 < lifshitz.e_min < lifshitz.e_max")
-    if n_energies < 3:
-        raise ConfigError(f"lifshitz.n_energies must be >= 3 for the tail fit, got {n_energies}")
     energies = np.geomspace(e_min, e_max, n_energies)
     fam = ReducedFamily(sign, v, lam, zeta, dist, n, c0, alpha)
 
@@ -670,7 +703,6 @@ def run_lifshitz(cfg, rd, threads):
         lambda row: int(row[0]),
         range(n_samples),
         compute,
-        threads,
         chunk=LIFSHITZ_CHUNK,
     )
     counts = np.array(
@@ -710,28 +742,21 @@ def run_lifshitz(cfg, rd, threads):
     return rd.finish(lines, ok=not fit.no_tail)
 
 
-def run_wegner(cfg, rd, threads):
+def run_wegner(
+    cfg, rd, zeta, n_list, samples_per_cell, ground_samples, audit_per_n,
+    e_center, eps_list, n_eps, eps_frac, eps_hi,
+):
     p, q, lam, n_model, m = build_model(cfg)
     support = build_support(cfg, q.d)
     dist = build_distribution(cfg, support)
-    seed = _get_int(cfg, "run", "seed", 0)
-    zeta = np.asarray(_get_floats(cfg, "wegner", "zeta", required=True))
-    n_list = _get_ints(cfg, "wegner", "n_list", [1, 2, 3])
-    samples = _get_count(cfg, "wegner", "samples_per_cell", 400)
-    ground_samples = _get_int(cfg, "wegner", "ground_samples", 50)
-    audit_per_n = _get_int(cfg, "wegner", "audit_per_n", 17)
-    e_lam = band_bottom(p, q, lam, zeta, m).energy
+    seed = cfg["run"]["seed"]
+    e_lam = band_bottom(p, q, lam, np.asarray(zeta), m).energy
     e_top = band_bottom(p, q, 0.0, np.zeros(q.d), m).energy
-    e_raw = _get(cfg, "wegner", "e_center", "auto")
-    if e_raw == "auto":
+    if e_center == "auto":
         e_center = 0.5 * (e_lam + e_top)
-    else:
-        e_center = _get_float(cfg, "wegner", "e_center")
-    eps_list = _get_floats(cfg, "wegner", "eps_list", None)
     if eps_list is None:
-        n_eps = _get_int(cfg, "wegner", "n_eps", 6)
-        eps_frac = _get_float(cfg, "wegner", "eps_frac", 0.25)
-        eps_hi = _get_float(cfg, "wegner", "eps_hi", eps_frac * (e_top - e_lam))
+        if eps_hi is None:
+            eps_hi = eps_frac * (e_top - e_lam)
         eps_list = list(np.geomspace(eps_hi / 10**1.5, eps_hi, n_eps))
     try:
         eps_list = wegner_windows(eps_list)
@@ -750,12 +775,11 @@ def run_wegner(cfg, rd, threads):
         rd,
         ["n", "sample", "ground"] + [f"hit_{k}" for k in range(len(eps_list))],
         lambda row: (int(row[0]), int(row[1])),
-        [(n, s) for n in families for s in range(samples)],
+        [(n, s) for n in families for s in range(samples_per_cell)],
         compute,
-        threads,
     )
     rep = wegner_report(
-        families, e_center, eps_list, samples, seed, audit_per_n,
+        families, e_center, eps_list, samples_per_cell, seed, audit_per_n,
         {
             task: ([h == "true" for h in row[3:]], float(row[2]) if row[2] else None)
             for task, row in rows.items()
@@ -788,27 +812,22 @@ def run_wegner(cfg, rd, threads):
     return rd.finish(lines, ok=rep.audit_clean)
 
 
-def run_reduce(cfg, rd, threads):
+def run_reduce(cfg, rd, zeta, c0, alpha, n, grid_points):
     p, q, lam, n_model, m = build_model(cfg)
-    seed = _get_int(cfg, "run", "seed", 0)
-    zeta = np.asarray(_get_floats(cfg, "reduce", "zeta", required=True))
-    c0 = _get_float(cfg, "reduce", "c0", required=True)
-    alpha = _get_float(cfg, "reduce", "alpha", required=True)
-    n = _get_int(cfg, "reduce", "n", 1)
-    gp = _get_int(cfg, "reduce", "grid_points", 9)
+    zeta = np.asarray(zeta)
     v = v_vector(p, q, lam, zeta, m)
     support = build_support(cfg, q.d)
     if q.d != 1:
         raise ConfigError("reduce scan is d = 1 only")
     lo = support.project(np.array([-1e9]))[0]
     hi = support.project(np.array([1e9]))[0]
-    values = np.linspace(lo, hi, gp)
+    values = np.linspace(lo, hi, grid_points)
     n_sites = 2 * n + 1
     rows = []
     worst_ok = True
     from .potentials import DisplacementField
 
-    for cfg_idx in np.ndindex(*([gp] * n_sites)):
+    for cfg_idx in np.ndindex(*([grid_points] * n_sites)):
         fld = DisplacementField(n=n, d=1, values=values[np.array(cfg_idx)][:, None])
         model = build_reduced(-1, v, lam, zeta, fld, c0, alpha)
         rep = ground_zero_iff_constant(model)
@@ -831,37 +850,30 @@ def run_reduce(cfg, rd, threads):
         [list(t) + [r] for t, r in zip(table.thetas, table.ratios)],
     )
     lines = [
-        f"zero-ground characterization over {gp}^{n_sites} configs: {fmt(worst_ok)}",
+        f"zero-ground characterization over {grid_points}^{n_sites} configs: {fmt(worst_ok)}",
         f"band/symbol ratios in [{fmt(table.min_ratio)}, {fmt(table.max_ratio)}] "
         f"(spread {fmt(table.spread)})",
     ]
     return rd.finish(lines, ok=worst_ok and table.min_ratio > 0)
 
 
-def run_sandwich(cfg, rd, threads):
+def run_sandwich(cfg, rd, zeta, alpha0, c0_list, n_fields, trials):
     p, q, lam, n, m = build_model(cfg)
     support = build_support(cfg, q.d)
     dist = build_distribution(cfg, support)
-    seed = _get_int(cfg, "run", "seed", 0)
-    zeta_raw = _get(cfg, "sandwich", "zeta", "auto")
-    if zeta_raw == "auto":
+    seed = cfg["run"]["seed"]
+    if zeta == "auto":
         zeta = minimize_over_support(p, q, lam, support, m, seed=seed).zeta
     else:
-        zeta = np.asarray(_get_floats(cfg, "sandwich", "zeta", required=True))
-    alpha0_raw = _get(cfg, "sandwich", "alpha0", "auto")
-    if alpha0_raw == "auto":
+        zeta = np.asarray(zeta)
+    if alpha0 == "auto":
         alpha0 = coercivity_constant(p, q, lam, support, zeta, m, seed=seed + 1).alpha0
-    else:
-        alpha0 = _get_float(cfg, "sandwich", "alpha0")
     if alpha0 <= 0:
         raise ConfigError("sandwich needs a positive growth constant alpha0")
-    c0_values = _get_floats(cfg, "sandwich", "c0_list", [2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0])
-    n_fields = _get_int(cfg, "sandwich", "n_fields", 20)
-    trials = _get_int(cfg, "sandwich", "trials", 40)
     grid = GridSpec(d=q.d, n=n, m=m)
     cal = calibrate_sandwich(
         p, q, lam, zeta, grid, alpha0, dist,
-        c0_values=tuple(c0_values), n_fields=n_fields, master_seed=seed, trials=trials,
+        c0_values=tuple(c0_list), n_fields=n_fields, master_seed=seed, trials=trials,
     )
     write_csv(
         rd.file("calibration.csv"),
@@ -878,11 +890,11 @@ def run_sandwich(cfg, rd, threads):
     return rd.finish(lines, ok=cal.ok)
 
 
-def run_verify_all(cfg, rd, threads):
+def run_verify_all(cfg, rd, c0):
     p, q, lam, n, m = build_model(cfg)
     support = build_support(cfg, q.d)
     dist = build_distribution(cfg, support)
-    seed = _get_int(cfg, "run", "seed", 0)
+    seed = cfg["run"]["seed"]
     checks = []
 
     def check(name, value, ok):
@@ -954,7 +966,6 @@ def run_verify_all(cfg, rd, threads):
 
     # sandwich at one c0 (growth constant re-measured on the sandwich grid)
     if coer.positive:
-        c0 = _get_float(cfg, "verify", "c0", 8.0)
         m_s = min(m, 16)
         coer_s = coercivity_constant(p, q, lam, support, cert.zeta, m_s, seed=seed + 1)
         cal = calibrate_sandwich(
@@ -982,6 +993,7 @@ _RUNNERS = {
     "sandwich": run_sandwich,
     "verify-all": run_verify_all,
 }
+KINDS = tuple(_RUNNERS)
 
 
 def _build_parser():
@@ -995,7 +1007,9 @@ def _build_parser():
         sp.add_argument("--config", help="INI config file")
         sp.add_argument("--out", help="output directory")
         sp.add_argument("--seed", type=int, help="override [run] seed")
-        sp.add_argument("--threads", type=int, default=None, help="worker threads")
+        # Runs are serial.  The flag stays, with 1 as its only value, for callers
+        # that pass it (perfbench/run.py).
+        sp.add_argument("--threads", type=int, choices=[1], help=argparse.SUPPRESS)
         sp.add_argument(
             "--resume",
             metavar="DIR",
@@ -1007,47 +1021,36 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        if args.resume:
-            rd_path = args.resume
-            cfg = RunDir(rd_path).read_manifest_config()
-            if args.config:
-                file_cfg = load_config_file(args.config)
-                if args.seed is not None:
-                    file_cfg["run"]["seed"] = str(args.seed)
-                if config_sha(file_cfg) != config_sha(cfg):
-                    raise ConfigError(
-                        "--config disagrees with the manifest being resumed"
-                    )
-            out = rd_path
-        else:
-            if not args.config:
-                raise ConfigError("--config is required (or --resume DIR)")
-            cfg = load_config_file(args.config)
+        if args.config:
+            raw = load_config_file(args.config)
             if args.seed is not None:
-                cfg["run"]["seed"] = str(args.seed)
-            out = args.out or cfg.get("run", {}).get("out")
-            if not out:
-                raise ConfigError("no output directory (--out or [run] out)")
-        kind = cfg["run"]["kind"]
+                raw["run"]["seed"] = str(args.seed)
+        if args.resume:
+            out = args.resume
+            manifest_cfg = RunDir(out).read_manifest_config()
+            if args.config and config_sha(raw) != config_sha(manifest_cfg):
+                raise ConfigError("--config disagrees with the manifest being resumed")
+            raw = manifest_cfg
+        elif not args.config:
+            raise ConfigError("--config is required (or --resume DIR)")
+        kind = raw["run"]["kind"]
         if kind != args.command:
             raise ConfigError(
                 f"config kind {kind!r} does not match subcommand {args.command!r}"
             )
-        seed = _get_int(cfg, "run", "seed", 0)
-        if not 0 <= seed < SEED_LIMIT:
-            raise ConfigError(f"run.seed must satisfy 0 <= seed < 2^63, got {seed}")
-        threads = args.threads if args.threads is not None else _get_int(cfg, "run", "threads", 1)
+        cfg = read_config(raw)
         if args.resume:
             rd = RunDir(out)
-            if not os.path.exists(rd.manifest):
-                raise ConfigError(f"--resume: no manifest in {out}")
             if rd.is_complete():
                 print(f"{out}: already complete")
                 return 0
         else:
-            rd = _prepare_rundir(cfg, out, resuming=False)
+            out = args.out or cfg["run"]["out"]
+            if not out:
+                raise ConfigError("no output directory (--out or [run] out)")
+            rd = _prepare_rundir(raw, out)
         try:
-            code = _RUNNERS[kind](cfg, rd, max(1, threads or 1))
+            code = _RUNNERS[kind](cfg, rd, **cfg[_own_section(kind)])
         except KeyboardInterrupt:
             print(f"interrupted; resume with --resume {out}", file=sys.stderr)
             return 130

@@ -2,15 +2,14 @@
 tail fits, and eigenvalue-proximity (level-repulsion) scans.
 
 All sampling is indexed by (master_seed, sample_index) through the
-counter-based field sampler, so curves are reproducible sample-by-sample and
-independent of scheduling.  ``stream_samples`` is the one Monte-Carlo driver:
-the library scans here and the CLI runners all feed their per-sample work
-through it, and its threads only map samples onto workers.
+counter-based field sampler, so curves are reproducible sample-by-sample.
+The library scans here and the CLI runners all feed their per-sample work
+through ``stream_samples``, which runs one sample after another in the
+calling thread.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,25 +24,14 @@ from .reduced import build_reduced
 # -- sample driver ----------------------------------------------------------
 
 
-def stream_samples(fn, tasks, threads=1):
-    """Yield ``(task, fn(task))`` for every task, in submission order.
+def stream_samples(fn, tasks):
+    """Yield ``(task, fn(task))`` for every task, in order.
 
-    ``threads == 1`` runs in-process; otherwise one thread pool maps the
-    tasks onto workers.  Results stream out as they are reached, so a caller
-    can checkpoint finished work; closing the stream early (or an exception,
-    such as Ctrl-C, while waiting on it) cancels the queued tasks.
+    Each result is yielded as soon as it is computed, so a caller can
+    checkpoint finished work; closing the stream early runs no further task.
     """
-    if threads <= 1:
-        for task in tasks:
-            yield task, fn(task)
-        return
-    pool = ThreadPoolExecutor(max_workers=threads)
-    try:
-        futures = [(task, pool.submit(fn, task)) for task in tasks]
-        for task, future in futures:
-            yield task, future.result()
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+    for task in tasks:
+        yield task, fn(task)
 
 
 # -- operator families ----------------------------------------------------
@@ -140,14 +128,14 @@ def count_row(family, master_seed, sample_index, energies):
     return count_below(mat, energies).tolist()
 
 
-def ids_curve(family, energies, n_samples, master_seed, threads=1):
+def ids_curve(family, energies, n_samples, master_seed):
     energies = np.asarray(energies, dtype=float)
     if np.any(np.diff(energies) <= 0):
         raise ValueError("energies must be strictly increasing")
     if n_samples < 1:
         raise ValueError("need at least one sample")
     stream = stream_samples(
-        lambda s: count_row(family, master_seed, s, energies), range(n_samples), threads
+        lambda s: count_row(family, master_seed, s, energies), range(n_samples)
     )
     return IDSCurve(
         energies=energies,
@@ -217,7 +205,7 @@ def sandwich_families(p, q, lam, dist, zeta, n, m, c0, alpha, energies):
 
 
 def ids_sandwich_check(
-    p, q, lam, dist, zeta, n, m, c0, alpha, energies, n_samples, master_seed, threads=1
+    p, q, lam, dist, zeta, n, m, c0, alpha, energies, n_samples, master_seed
 ):
     """Run all three counting curves on shared displacement fields.
 
@@ -228,7 +216,7 @@ def ids_sandwich_check(
     """
     e_ref, families = sandwich_families(p, q, lam, dist, zeta, n, m, c0, alpha, energies)
     curves = [
-        ids_curve(fam, thresholds, n_samples, master_seed, threads)
+        ids_curve(fam, thresholds, n_samples, master_seed)
         for fam, thresholds in families
     ]
     return IDSSandwichReport.from_curves(
@@ -461,7 +449,6 @@ def wegner_scan(
     samples_per_cell,
     master_seed,
     audit_quota=50,
-    threads=1,
     ground_samples=50,
 ):
     """Estimate P(some eigenvalue within eps of e_center) across sizes.
@@ -491,5 +478,5 @@ def wegner_scan(
         samples_per_cell,
         master_seed,
         max(1, audit_quota // len(families)),
-        dict(stream_samples(one_sample, tasks, threads)),
+        dict(stream_samples(one_sample, tasks)),
     )

@@ -1,23 +1,34 @@
 """Command-line contract: configs, run directories, resume, determinism.
 
 These drive ``main()`` in-process with tmp_path sandboxes -- same code path
-as the installed console script but without subprocess overhead.
+as the installed console script but without subprocess overhead -- except
+the SIGINT test, which has to signal a real process.
 """
 
 import os
+import signal
+import subprocess
+import sys
+import time
+from importlib.resources import files
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import displab
 from displab.cli import (
+    CACHE_EVERY,
     SIZE_GUARD,
     ConfigError,
     build_model,
     canonical_config,
     config_sha,
     fmt,
+    load_config_file,
     load_config_text,
     main,
+    read_config,
     read_csv_rows,
     write_csv,
 )
@@ -96,9 +107,9 @@ def test_config_parses_and_validates():
         load_config_text("[run]\nkind = frobnicate\n")
 
 
-def test_canonical_config_excludes_run_out_and_threads():
+def test_canonical_config_excludes_run_out():
     base = load_config_text(BAND_TMPL.format(extra=""))
-    b = load_config_text(BAND_TMPL.format(extra="out = /somewhere/else\nthreads = 9\n"))
+    b = load_config_text(BAND_TMPL.format(extra="out = /somewhere/else\n"))
     assert canonical_config(base) == canonical_config(b)
     assert config_sha(base) == config_sha(b)
     c = load_config_text(BAND_TMPL.format(extra="seed = 2\n").replace("seed = 1\n", ""))
@@ -119,11 +130,11 @@ def test_build_model_errors():
     cfg = load_config_text(BAND_TMPL.format(extra=""))
     cfg["model"]["m"] = "not-a-number"
     with pytest.raises(ConfigError):
-        build_model(cfg)
+        build_model(read_config(cfg))
     cfg = load_config_text(BAND_TMPL.format(extra=""))
     del cfg["model"]["d"]
     with pytest.raises(ConfigError):
-        build_model(cfg)
+        build_model(read_config(cfg))
 
 
 def test_size_guard_rejects_huge_grids():
@@ -131,7 +142,7 @@ def test_size_guard_rejects_huge_grids():
     cfg["model"]["n"] = "50000"
     cfg["model"]["m"] = "4"
     with pytest.raises(ConfigError, match="size guard"):
-        build_model(cfg)
+        build_model(read_config(cfg))
     assert SIZE_GUARD == 200_000
 
 
@@ -385,8 +396,7 @@ def test_zero_sample_count_is_config_error(tmp_path, capsys, kind, key):
     assert capsys.readouterr().err.startswith(f"config error: {kind}.{key} must be >= 1")
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_ctrl_c_keeps_finished_samples_for_resume(tmp_path, monkeypatch, capsys, threads):
+def test_ctrl_c_keeps_finished_samples_for_resume(tmp_path, monkeypatch, capsys):
     """Ctrl-C mid-run exits 130 with the finished samples cached; resuming
     then gives the bytes of a one-shot run."""
     cfg_path = _write(tmp_path, "ids.ini", IDS_TMPL)
@@ -404,7 +414,7 @@ def test_ctrl_c_keeps_finished_samples_for_resume(tmp_path, monkeypatch, capsys,
 
     monkeypatch.setattr(ReducedFamily, "assemble", assemble_then_interrupt)
     try:
-        code = main(["ids", "--config", cfg_path, "--out", cut, "--threads", str(threads)])
+        code = main(["ids", "--config", cfg_path, "--out", cut])
     except KeyboardInterrupt:
         pytest.fail("Ctrl-C escaped main()")
     monkeypatch.undo()
@@ -412,9 +422,7 @@ def test_ctrl_c_keeps_finished_samples_for_resume(tmp_path, monkeypatch, capsys,
     assert f"interrupted; resume with --resume {cut}" in capsys.readouterr().err
     assert not os.path.exists(os.path.join(cut, "summary.txt"))
     _, rows = read_csv_rows(os.path.join(cut, "cache.csv"))
-    assert 0 < len(rows) < 18
-    if threads == 1:
-        assert len(rows) == 13
+    assert len(rows) == 13
 
     assert main(["ids", "--resume", cut]) == 0
     for name in ("cache.csv", "curves.csv", "summary.txt"):
@@ -538,7 +546,116 @@ def test_cache_is_flushed_whenever_a_chunk_crosses_a_multiple(tmp_path, monkeypa
         on_disk.append(len(read_csv_rows(rd.cache)[1]))
         return [[t, 2 * t] for t in batch]
 
-    rows = cli._sample_cache(rd, header, lambda row: int(row[0]), range(20), compute, 1, chunk=4)
+    rows = cli._sample_cache(rd, header, lambda row: int(row[0]), range(20), compute, chunk=4)
     # batches 7-10, 11-14, 15-18, 19: the first passes 10 rows, the last 20
     assert on_disk == [7, 11, 11, 11]
     assert len(rows) == 20 and len(read_csv_rows(rd.cache)[1]) == 20
+
+
+def _preset_path(name):
+    return str(files("displab") / "presets" / f"{name}.ini")
+
+
+@pytest.mark.parametrize(
+    "preset, old, new, key",
+    [
+        ("free-1d", None, "nbandz = 7\n", "band.nbandz"),
+        ("free-1d", None, "\n[bogus]\nx = 1\n", "[bogus]"),
+        ("lifshitz-reduced-1d", None, "n_sample = 3\n", "lifshitz.n_sample"),
+        ("lifshitz-reduced-1d", "seed = 0\n", "seed = 0\nthreads = 2\n", "run.threads"),
+        ("wegner-1d", "n_list = 1 2 3", "n_list = 1 inf", "wegner.n_list"),
+        ("wegner-1d", "n_list = 1 2 3", "n_list = 1 nan", "wegner.n_list"),
+        ("free-1d", "nbands = 3", "nbands = 0", "band.nbands"),
+        ("free-1d", "theta_n = 2", "theta_n = -1", "band.theta_n"),
+        ("free-1d", "m = 16", "m = 0", "model.m"),
+        ("lifshitz-reduced-1d", "n = 1000", "n = 0", "lifshitz.n"),
+        ("free-1d", "lam = 0.0", "lam = nan", "model.lam"),
+        ("free-1d", "zeta = 0.0", "zeta =", "band.zeta"),
+        ("lifshitz-reduced-1d", "c0 = 1.0\n", "", "missing lifshitz.c0"),
+    ],
+    ids=[
+        "unknown-key", "unknown-section", "misspelt-key", "run-threads", "n_list-inf",
+        "n_list-nan", "zero-bands", "negative-theta_n", "m-below-4", "lifshitz-n-zero",
+        "lam-nan", "empty-list", "missing-required",
+    ],
+)
+def test_config_is_checked_before_the_run(tmp_path, capsys, preset, old, new, key):
+    """Unknown sections and keys and malformed or out-of-range values are
+    config errors (exit 2) before the run directory is even made."""
+    text = _preset_text(preset)
+    assert old is None or text.count(old) == 1
+    text = text + new if old is None else text.replace(old, new)
+    kind = load_config_text(_preset_text(preset))["run"]["kind"]
+    out = tmp_path / "run"
+    assert main([kind, "--config", _write(tmp_path, "c.ini", text), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err, err
+    assert not out.exists()
+
+
+# config_sha of every shipped preset: each manifest, and so the --resume of
+# every existing run directory, depends on these.
+PRESET_SHAS = {
+    "asym-1d": "8d0e4340f3bd0654543f15d669b2ac20252697b72aadd9a98c84186abcf66da5",
+    "free-1d": "c94ce1077bdd54c32bc58e698fe7e7411bb822ac2640cefdaba223407dd1bc75",
+    "ids-1d": "6836b28de6de441763a30cba75910a3704388edd50197cfb070f925c7b930beb",
+    "lifshitz-reduced-1d": "8573068f82fcb55515a46ca2dc82033c2cf7aa5a2ff03cc15aad8653bc75da67",
+    "minimize-1d": "47b2af761b5323f83b333effd715b4ef0db0a6ee8968440e096e5e04c31ee8a6",
+    "reduce-1d": "873a2c5977ea12f2b1d46ab971830693dd53cb3f9d84899f85500f8aca3dab55",
+    "sandwich-1d": "ad6b3041acd6369bc810c0501493e230f44dc3ef867fc62b637b64c60f4b4377",
+    "theorem1-1d": "90517c6f0b868a61de3fa1cef5417ce3d380dd43cd69419fdb78c6e9ce4ba41b",
+    "wegner-1d": "adce4544793c9a85261690e0ecce158d262c79c8595d5a3e17455d04a7257fe5",
+}
+BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
+
+
+@pytest.mark.parametrize(
+    "name", sorted(p.name[:-4] for p in files("displab").joinpath("presets").iterdir())
+)
+def test_presets_pass_the_schema_and_keep_their_sha(name):
+    raw = load_config_text(_preset_text(name))
+    read_config(raw)
+    assert config_sha(raw) == PRESET_SHAS[name]
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in BENCH_CONFIGS.glob("*.ini")))
+def test_benchmark_configs_pass_the_schema(name):
+    read_config(load_config_file(str(BENCH_CONFIGS / name)))
+
+
+def test_sigint_keeps_finished_samples_for_resume(tmp_path):
+    """SIGINT to a ``displab ids`` process once its first cache flush is on
+    disk: it exits 130 with part of the samples cached, and ``--resume``
+    then gives the bytes of a one-shot run."""
+    preset = _preset_path("ids-1d")
+    full, cut = tmp_path / "full", tmp_path / "cut"
+    assert main(["ids", "--config", preset, "--out", str(full)]) == 0
+    src_dir = os.path.dirname(os.path.dirname(displab.__file__))
+    path = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "displab.cli", "ids", "--config", preset, "--out", str(cut)],
+        env=dict(os.environ, PYTHONPATH=path),
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not (cut / "cache.csv").exists():
+            assert proc.poll() is None, "the run ended before its first cache flush"
+            assert time.monotonic() < deadline, "no cache flush within 60 s"
+            time.sleep(0.005)
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert proc.returncode == 130, err
+    assert b"interrupted; resume with --resume" in err
+    _, cut_rows = read_csv_rows(str(cut / "cache.csv"))
+    _, all_rows = read_csv_rows(str(full / "cache.csv"))
+    assert CACHE_EVERY <= len(cut_rows) < len(all_rows)
+    assert main(["ids", "--resume", str(cut)]) == 0
+    assert sorted(os.listdir(cut)) == sorted(os.listdir(full))
+    for name in os.listdir(full):
+        assert (full / name).read_bytes() == (cut / name).read_bytes(), name

@@ -299,12 +299,13 @@ def test_ground_bisect_equals_count_bisection_bitwise(n, variant):
 def test_ground_bisect_equals_count_bisection_on_lifshitz_preset():
     from importlib.resources import files
 
-    from displab.cli import build_distribution, build_support, load_config_file
+    from displab.cli import build_distribution, build_support, load_config_file, read_config
     from displab.spectral_stats import ReducedFamily
 
     cfg = load_config_file(str(files("displab") / "presets" / "lifshitz-reduced-1d.ini"))
     sec = cfg["lifshitz"]
-    dist = build_distribution(cfg, build_support(cfg, 1))
+    typed = read_config(cfg)
+    dist = build_distribution(typed, build_support(typed, 1))
     fam = ReducedFamily(
         int(sec["sign"]), np.array([float(sec["v"])]), float(cfg["model"]["lam"]),
         np.array([float(sec["zeta"])]), dist, int(sec["n"]), float(sec["c0"]),

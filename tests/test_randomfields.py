@@ -190,9 +190,12 @@ def test_self_check_mismatch_sends_every_site_to_the_loop(broken, monkeypatch, f
 def test_lifshitz_preset_fields_are_mostly_vectorized():
     from importlib.resources import files
 
-    from displab.cli import build_distribution, build_model, build_support, load_config_text
+    from displab.cli import (
+        build_distribution, build_model, build_support, load_config_text, read_config,
+    )
 
-    cfg = load_config_text((files("displab") / "presets" / "lifshitz-reduced-1d.ini").read_text())
+    text = (files("displab") / "presets" / "lifshitz-reduced-1d.ini").read_text()
+    cfg = read_config(load_config_text(text))
     dist = build_distribution(cfg, build_support(cfg, build_model(cfg)[1].d))
     before = dict(randomfields.SITE_COUNTS)
     for s in range(5):

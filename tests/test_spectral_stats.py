@@ -5,8 +5,6 @@ operators, synthetic tail curves, exactly constructed hit tables -- so
 failures localize to the estimator, not the physics upstream of it.
 """
 
-import time
-
 import numpy as np
 import pytest
 
@@ -55,31 +53,20 @@ def test_ids_curve_deterministic_operator_zero_variance():
     assert curve.label == "continuum"
 
 
-def test_ids_curve_threads_match_serial():
-    fam = ReducedFamily(sign=-1, v=np.array([1.0]), lam=0.1, zeta=np.array([-1.0]),
-                        dist=DIST, n=2, c0=2.0, alpha=0.05)
-    energies = np.geomspace(0.01, 0.5, 6)
-    a = ids_curve(fam, energies, n_samples=8, master_seed=1, threads=1)
-    b = ids_curve(fam, energies, n_samples=8, master_seed=1, threads=3)
-    assert np.array_equal(a.counts, b.counts)
-
-
 def test_stream_samples_order_and_early_close():
     started = []
 
     def square(x):
         started.append(x)
-        time.sleep(0.002 * (x % 3))
         return x * x
 
     expected = [(x, x * x) for x in range(12)]
     assert list(stream_samples(square, range(12))) == expected
-    assert list(stream_samples(square, range(12), threads=3)) == expected
     started.clear()
-    stream = stream_samples(square, range(400), threads=2)
+    stream = stream_samples(square, range(400))
     assert next(stream) == (0, 0)
-    stream.close()  # queued tasks are cancelled, not run
-    assert len(started) < 400
+    stream.close()  # no further task runs
+    assert started == [0]
 
 
 def test_ids_curve_input_validation():
