@@ -504,6 +504,10 @@ def _write_cache(rd, header, rows):
 
 def run_band(cfg, rd, zeta, nbands, theta_n):
     p, q, lam, n, m = build_model(cfg)
+    if nbands > m**q.d:
+        raise ConfigError(
+            f"band.nbands = {nbands} exceeds the {m**q.d} levels of a fiber (model.m ** model.d)"
+        )
     zeta = np.asarray(zeta or [0.0] * q.d)
     rows = band_table(p, q, lam, zeta, m, nbands=nbands, n=theta_n)
     header = [f"theta_{j + 1}" for j in range(q.d)] + [
@@ -763,6 +767,12 @@ def run_wegner(
     except ValueError as exc:
         raise ConfigError(f"wegner.eps_list: {exc}") from exc
     families = {n: ContinuumFamily(p=p, q=q, lam=lam, dist=dist, n=n, m=m) for n in n_list}
+    if len(set(eps_list)) < 2 or len(families) < 2:
+        raise ConfigError(
+            f"the joint fit of log p on log eps and log volume needs at least 2 windows "
+            f"and 2 sizes, got {len(set(eps_list))} (wegner.n_eps or wegner.eps_list) and "
+            f"{len(families)} (wegner.n_list)"
+        )
 
     def compute(batch):
         [(n, s)] = batch
@@ -809,7 +819,9 @@ def run_wegner(
     ]
     for n, gmin, _, gse in rep.ground_stats:
         lines.append(f"ground min at n={n}: {fmt(gmin)} (est. bottom {fmt(gmin - 3 * gse)})")
-    return rd.finish(lines, ok=rep.audit_clean)
+    if not rep.fitted:
+        lines.append("no fit: the cells with 0 < hits < samples do not fix the three coefficients")
+    return rd.finish(lines, ok=rep.audit_clean and rep.fitted)
 
 
 def run_reduce(cfg, rd, zeta, c0, alpha, n, grid_points):

@@ -3,13 +3,18 @@
 Small problems go through dense LAPACK; large sparse ones through ARPACK
 (smallest pairs) or a symmetric-mode sparse LDL^T factorization (counting).
 Periodic chains (every d = 1 torus operator) are counted by a cyclic LDL^T
-sweep over all thresholds, and over a whole stack of chains at once.
+sweep over all thresholds, and over a whole stack of chains at once.  Other
+large sparse operators (d = 2) are factored once, at their largest
+threshold, and the thresholds below it are settled from certified Ritz
+values computed with that same factor.
 Every returned eigenpair carries an explicitly computed residual so callers
 never have to trust solver-internal convergence flags.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -21,6 +26,10 @@ from scipy.linalg.lapack import dpttrf
 
 DENSE_CUTOFF = 2000
 COUNT_DENSE_CUTOFF = 600
+COUNT_DENSE_FALLBACK = 8000  # most rows dense LDL^T counts when SuperLU refuses
+RITZ_CAP = 16  # most eigenvalues below the top threshold that settle the ones below
+_RITZ_EXTRA = 8  # Lanczos vectors beyond 2 K for the Ritz values
+_RITZ_MAXITER = 10  # ARPACK restarts before the Ritz values are given up
 _ZERO_PIVOT = 1e-13  # a pivot within this times scale of zero is a tie
 _TIE_NUDGES = (1e-12, 1e-10, 1e-8)  # upward threshold shifts after a tie, times scale
 _EPS = np.finfo(float).eps
@@ -96,7 +105,7 @@ def _hermitian_defect(mat):
 
 
 def _dense_inertia(shifted, scale):
-    """Count of negative eigenvalues via LDL^T block diagonal; None on near-zero pivot."""
+    """``(count, None)``: negative eigenvalues via LDL^T block diagonal; None on near-zero pivot."""
     _, d, _ = sla.ldl(shifted)
     neg = 0
     i, n = 0, d.shape[0]
@@ -115,16 +124,17 @@ def _dense_inertia(shifted, scale):
             if piv < 0.0:
                 neg += 1
             i += 1
-    return neg
+    return neg, None
 
 
 def _sparse_inertia(shifted, scale):
-    """Negative-pivot count from SuperLU in symmetric mode.
+    """Negative-pivot count and factor from SuperLU in symmetric mode.
 
     With diagonal (threshold-0) pivoting and a symmetric fill ordering the
     factorization is a congruence, so the signs of U's diagonal give the
-    inertia.  Returns None when the row/column permutations differ or a pivot
-    is numerically zero (caller retries with a shifted E).
+    inertia.  Returns ``(count, factor)``, or None when SuperLU refuses, the
+    row/column permutations differ or a pivot is numerically zero (caller
+    retries with a shifted E).
     """
     try:
         lu = spla.splu(
@@ -140,7 +150,7 @@ def _sparse_inertia(shifted, scale):
     diag = lu.U.diagonal()
     if np.any(~np.isfinite(diag)) or np.any(np.abs(diag) <= _ZERO_PIVOT * scale):
         return None
-    return int(np.sum(diag < 0.0))
+    return int(np.sum(diag < 0.0)), lu
 
 
 class SymmetricOperator:
@@ -164,6 +174,11 @@ class SymmetricOperator:
     @property
     def shape(self):
         return self.matrix.shape
+
+    @functools.cached_property
+    def exactly_symmetric(self):
+        """Whether the sparse matrix equals its transpose entry for entry."""
+        return self.chain is not None or (self.matrix != self.matrix.T).nnz == 0
 
 
 def _prepared(op):
@@ -194,14 +209,34 @@ def count_below(op, energy, dense_cutoff=COUNT_DENSE_CUTOFF):
     The sweep settles a threshold only when it counts the same 1e-13 * scale
     below it and 2e-8 * scale above it, with no pivot within 1e-13 * scale
     of zero, every value finite and each last pivot clear of the rounding
-    bound of the sum that forms it.  Every other threshold, and every
-    threshold of any other operator, takes the per-threshold factorization:
-    dense LDL^T up to ``dense_cutoff`` rows, sparse symmetric-mode LU above.
-    If a threshold ties an eigenvalue (zero pivot) that factorization nudges
-    it upward by tiny shifts (1e-12, 1e-10, 1e-8 times scale) before giving
-    up with ``CountBreakdownError``.  The sweep's bracket spans those nudges,
-    so the array form gives the same integers as one scalar call per
-    threshold.  Here scale = max(1, ||A||_inf, |E|).
+    bound of the sum that forms it.
+
+    Every other threshold takes the per-threshold factorization: dense
+    LDL^T up to ``dense_cutoff`` rows, sparse symmetric-mode LU (SuperLU)
+    above.  If a threshold ties an eigenvalue (zero pivot) that
+    factorization nudges it upward by tiny shifts (1e-12, 1e-10, 1e-8 times
+    scale).  If SuperLU refuses E and every nudge, dense LDL^T takes over
+    up to COUNT_DENSE_FALLBACK rows; past that, or if dense LDL^T refuses
+    too, ``CountBreakdownError`` names every path tried.
+
+    Where an exactly symmetric sparse operator would send two or more
+    thresholds to SuperLU, it is factored once at the largest, E_top, with
+    the nudges as above; that gives K and the shift E' it factored at.  For
+    K <= RITZ_CAP, ARPACK in shift-invert mode on that same factor gives K
+    Ritz pairs (theta, v), and each gives the interval theta +- (||A v -
+    theta v|| / ||v|| plus a bound on the rounding of that residual), which
+    holds an eigenvalue.  If the K intervals are pairwise disjoint and lie
+    below E', they hold the K eigenvalues below E'.  A lower threshold E is
+    then settled if E + 2e-8 * scale < E' and no interval meets
+    [E - 1e-13 * scale, E + 2e-8 * scale]; its count is the number of
+    intervals below that bracket.  For K = 0 every threshold so far below
+    E' counts 0 without ARPACK.  Every threshold left over, and every one
+    when K exceeds the cap, ARPACK fails or an interval check fails, takes
+    the per-threshold factorization.
+
+    Both the sweep's and the Ritz route's bracket span the nudges, so the
+    array form gives the same integers as one scalar call per threshold.
+    Here scale = max(1, ||A||_inf, |E|).
     """
     energies = _thresholds(energy)
     counts = _count_stack([_prepared(op)], np.atleast_1d(energies), dense_cutoff)[0]
@@ -232,38 +267,169 @@ def _count_stack(ops, energies, dense_cutoff):
         todo = np.flatnonzero(row < 0)
         if todo.size:
             count_one = _threshold_counter(op, dense_cutoff)
-            for k in todo:
-                row[k] = count_one(float(energies[k]))
+            if todo.size > 1 and _takes_superlu(op, dense_cutoff) and op.exactly_symmetric:
+                row[todo] = _ritz_counts(op, count_one, energies[todo])
+                _trim_heap()
+            for k in np.flatnonzero(row < 0):
+                row[k] = count_one(float(energies[k]))[0]
     return counts
 
 
+def _takes_superlu(op, dense_cutoff):
+    return op.shape[0] > dense_cutoff and sp.issparse(op.matrix)
+
+
 def _threshold_counter(op, dense_cutoff):
-    """The per-threshold count as a function of E: one factorization per call."""
-    dense = op.shape[0] <= dense_cutoff or not sp.issparse(op.matrix)
-    if dense:
-        shift = _dense_shift(op.matrix)
-    else:
+    """The per-threshold count as a function of E: one factorization per call.
+
+    The function returns ``(count, E', factor)``: E' is the threshold the
+    count holds at, E or E nudged up after a tie, and ``factor`` is
+    SuperLU's factor of A - E' (None from dense LDL^T).  Dense LDL^T counts
+    up to ``dense_cutoff`` rows and any dense matrix, SuperLU the rest; if
+    SuperLU refuses E and all its nudges, dense LDL^T takes over up to
+    COUNT_DENSE_FALLBACK rows.
+    """
+    paths = []
+    if _takes_superlu(op, dense_cutoff):
         shift = _sparse_shift(op.matrix, symmetric=op.chain is not None)
-    return lambda e: _inertia_count(shift, e, max(1.0, op.norm, abs(e)), dense)
+        paths.append(("SuperLU", shift, _sparse_inertia))
+    if not paths or op.shape[0] <= COUNT_DENSE_FALLBACK:
+        paths.append(("dense LDL^T", _dense_shift(op.matrix), _dense_inertia))
+    return lambda e: _inertia_count(paths, e, max(1.0, op.norm, abs(e)))
 
 
-def _inertia_count(shift, energy, scale, dense):
-    """One threshold by one factorization of ``shift(E) = A - E``, nudging E up on a tie."""
-    for nudge in (0.0,) + _TIE_NUDGES:
-        e = energy + nudge * scale
-        if dense:
-            count = _dense_inertia(shift(e), scale)
-        else:
-            count = _sparse_inertia(shift(e), scale)
-        if count is not None:
-            return count
-    raise CountBreakdownError(f"inertia count failed at E={energy!r} after retries")
+def _inertia_count(paths, energy, scale):
+    """One threshold by one factorization of ``A - E``, nudging E up on a tie.
+
+    Each ``(name, shift, inertia)`` path in turn tries E and then E plus
+    each nudge times scale; the first factorization that succeeds gives
+    ``(count, E', factor)``.
+    """
+    for _, shift, inertia in paths:
+        for nudge in (0.0,) + _TIE_NUDGES:
+            e = energy + nudge * scale
+            got = inertia(shift(e), scale)
+            if got is not None:
+                return got[0], e, got[1]
+    tried = " and ".join(name for name, _, _ in paths)
+    if len(paths) == 1 and paths[0][0] == "SuperLU":
+        tried += f" (no dense LDL^T fallback above N = {COUNT_DENSE_FALLBACK})"
+    raise CountBreakdownError(
+        f"inertia count failed at E={energy!r}: {tried} refused E and its nudges "
+        f"{', '.join(map(str, _TIE_NUDGES))} times scale {scale!r}"
+    )
+
+
+def _ritz_counts(op, count_one, energies):
+    """Counts below ``energies`` from one factorization at the largest; -1 where undecided.
+
+    The largest threshold is counted by the per-threshold path, which
+    gives K, the shift E' it factored at and SuperLU's factor of A - E'.
+    Up to RITZ_CAP, ARPACK in shift-invert mode on that factor finds the K
+    eigenvalues below E' and ``_ritz_intervals`` certifies one interval
+    around each.  A lower threshold E is settled when its bracket
+    [E - 1e-13 * scale, E + 2e-8 * scale], the chain sweep's, lies below
+    E' and meets no interval: all eigenvalues below E' are in the
+    intervals, so the count is the same anywhere in the bracket, and so
+    the per-threshold count at E or at any nudge of it is the number of
+    intervals below the bracket.
+    """
+    counts = np.full(energies.size, -1)
+    top = energies.max()
+    count, shift, lu = count_one(float(top))
+    counts[energies == top] = count
+    if lu is None or count > RITZ_CAP:
+        return counts
+    intervals = _ritz_intervals(op, lu, shift, count)
+    del lu  # the per-threshold factorizations below run without it
+    if intervals is None:
+        return counts
+    lower, upper = (bound[:, None] for bound in intervals)
+    scale = np.maximum(max(1.0, op.norm), np.abs(energies))
+    lo = energies - _ZERO_PIVOT * scale
+    hi = energies + 2.0 * _TIE_NUDGES[-1] * scale
+    settled = (counts < 0) & (hi < shift) & ~np.any((upper >= lo) & (lower <= hi), axis=0)
+    counts[settled] = np.sum(upper < lo, axis=0)[settled]
+    return counts
+
+
+try:
+    _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
+except (AttributeError, OSError, TypeError):  # not glibc
+    _MALLOC_TRIM = None
+
+
+def _trim_heap():
+    """Hand the heap's free pages back to the OS where the C library is glibc.
+
+    A SuperLU factor kept through the Ritz step leaves tens of MB free at
+    the top of the heap when it goes, and glibc, whose trim threshold rises
+    with every large block it has unmapped, keeps them; the next operator's
+    factorization then starts that much higher.  ``malloc_trim(0)`` frees
+    only unused pages.  Elsewhere this does nothing.
+    """
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
+
+
+def _ritz_intervals(op, lu, shift, k):
+    """``(lower, upper)``, ascending: k disjoint intervals below ``shift``, each
+    holding an eigenvalue; None when ARPACK or the certificate fails.
+
+    ``lu`` factors A - shift, which has k negative eigenvalues.  With its
+    solves as the shift-invert operator, the k smallest algebraic
+    eigenvalues 1 / (lambda - shift) belong to the k eigenvalues below the
+    shift.  Any Ritz pair (theta, v) of a symmetric A has an eigenvalue
+    within ||A v - theta v|| / ||v|| of theta, so k pairwise disjoint such
+    intervals below the shift hold k distinct eigenvalues, which the
+    inertia says are all there are below it.
+    """
+    mat = op.matrix
+    n = mat.shape[0]
+    if k == 0:
+        return np.empty(0), np.empty(0)
+    if k >= n - 1:
+        return None
+    solve = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
+    try:
+        vals, vecs = spla.eigsh(
+            mat, k=k, sigma=shift, which="SA", OPinv=solve,
+            v0=np.random.default_rng(0).standard_normal(n),
+            ncv=min(n, 2 * k + _RITZ_EXTRA), maxiter=_RITZ_MAXITER,
+        )
+    except spla.ArpackError:
+        return None
+    width = np.linalg.norm(mat @ vecs - vecs * vals, axis=0) / np.linalg.norm(vecs, axis=0)
+    # Rounding of the computed residual r = A v - theta v.  Row i of A v, a
+    # sum of at most m products, is off by at most m eps (|A| |v|)_i, theta
+    # v_i by eps |theta v_i| and the difference by eps |r_i|.  As
+    # || |A| |v| || <= ||A||_inf ||v|| for a symmetric A, the exact ||r||
+    # exceeds the computed one by at most eps (m ||A||_inf + |theta|) ||v||
+    # + eps ||r||, to first order.  The two norms (N squares summed, a root)
+    # and the quotient add (2 N + 5) eps of ||r|| / ||v||.  The radius adds
+    # twice the sum, which also covers the rounding of theta +- radius, of
+    # ||A||_inf and of the bracket ends.
+    rows = int(np.diff(mat.indptr).max())
+    radius = width + 2.0 * _EPS * ((2 * n + 6) * width + rows * op.norm + np.abs(vals))
+    order = np.argsort(vals)
+    lower, upper = (vals - radius)[order], (vals + radius)[order]
+    if not (
+        np.all(np.isfinite(radius))
+        and np.all(upper[:-1] < lower[1:])
+        and upper[-1] < shift
+    ):
+        return None
+    return lower, upper
 
 
 def _dense_shift(mat):
-    base = mat.toarray() if sp.issparse(mat) else mat
-    n = base.shape[0]
-    return lambda e: base - e * np.eye(n)
+    """E -> the dense array A - E I; a sparse A is made dense at the first call."""
+
+    @functools.cache
+    def base():
+        return mat.toarray() if sp.issparse(mat) else mat
+
+    return lambda e: base() - e * np.eye(mat.shape[0])
 
 
 def _sparse_shift(mat, symmetric):
@@ -475,7 +641,7 @@ def ground_bisect(op, hi):
             found = _chain_has_level_below(heads, e, max(1.0, op.norm, abs(e)))
             if found is not None:
                 return found
-        return count_one(e) > 0
+        return count_one(e)[0] > 0
 
     if not below(hi):
         return hi

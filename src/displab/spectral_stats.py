@@ -339,6 +339,11 @@ class WegnerReport:
     def audit_clean(self):
         return self.audits_total > 0 and self.audits_agree == self.audits_total
 
+    @property
+    def fitted(self):
+        """Whether the informative cells gave the exponents (see ``_fit_loglog``)."""
+        return bool(np.isfinite(self.nu_hat))
+
     def e_lambda_estimate(self):
         """min over recorded samples of the ground energy, minus 3 SE."""
         if not self.ground_stats:
@@ -347,13 +352,26 @@ class WegnerReport:
         return float(min(lows))
 
 
+class FitError(ValueError):
+    """The proximity cells cannot fix the three coefficients of the joint fit."""
+
+
+def _informative(records):
+    """Cells with 0 < hits < samples, the ones a log-log fit can use."""
+    return [r for r in records if 0 < r.hits < r.samples]
+
+
 def _fit_loglog(records, d):
-    """OLS of log p on [1, log eps, log volume]; returns coefficients and SEs."""
-    rows = [r for r in records if 0 < r.hits < r.samples]
+    """OLS of log p on [1, log eps, log volume]; returns coefficients and SEs.
+
+    Raises FitError unless the informative cells give a design of rank 3:
+    at least 3 of them, not all of one window or one size.
+    """
+    rows = _informative(records)
     excluded = len(records) - len(rows)
-    if len(rows) < 3:
-        raise ValueError("not enough informative proximity cells for the fit")
     x = np.array([[1.0, np.log(r.eps), np.log(float((2 * r.n + 1) ** d))] for r in rows])
+    if len(rows) < 3 or np.linalg.matrix_rank(x) < 3:
+        raise FitError("not enough informative proximity cells for the fit")
     y = np.log([r.p_hat for r in rows])
     coef, *_ = np.linalg.lstsq(x, y, rcond=None)
     resid = y - x @ coef
@@ -394,7 +412,9 @@ def wegner_report(
 
     ``families`` maps each torus size n to its ContinuumFamily and ``results``
     maps every (n, sample) to what ``wegner_sample`` returned; records and
-    ground statistics come out in ascending n.
+    ground statistics come out in ascending n.  When the informative cells
+    cannot fix the fit (see ``_fit_loglog``) its exponents and standard
+    errors are NaN and the report's ``fitted`` is false.
 
     The first ``audit_per_n`` samples of each size are assembled again from
     (master_seed, sample) and their hit decisions re-derived from dense
@@ -421,7 +441,11 @@ def wegner_report(
             se = float(g.std(ddof=1) / np.sqrt(len(g))) if len(g) > 1 else 0.0
             ground_stats.append((n, float(g.min()), float(g.mean()), se))
     d = next(iter(families.values())).q.d
-    coef, ses, excluded = _fit_loglog(records, d)
+    try:
+        coef, ses, excluded = _fit_loglog(records, d)
+    except FitError:  # no fit: the exponents are NaN and ``fitted`` is false
+        coef = ses = np.full(3, np.nan)
+        excluded = len(records) - len(_informative(records))
     return WegnerReport(
         e_center=float(e_center),
         records=tuple(records),

@@ -396,6 +396,44 @@ def test_zero_sample_count_is_config_error(tmp_path, capsys, kind, key):
     assert capsys.readouterr().err.startswith(f"config error: {kind}.{key} must be >= 1")
 
 
+@pytest.mark.parametrize(
+    "kind, text, key",
+    [
+        ("band", _preset_text("free-1d").replace("nbands = 3", "nbands = 17"), "band.nbands"),
+        ("wegner", WEGNER_TMPL.replace("n_eps = 4", "n_eps = 1"), "wegner.n_eps"),
+        ("wegner", WEGNER_TMPL + "eps_list = 0.01 0.01\n", "wegner.eps_list"),
+        ("wegner", WEGNER_TMPL.replace("n_list = 1 2", "n_list = 2 2"), "wegner.n_list"),
+    ],
+    ids=["nbands-above-fiber-size", "one-window", "repeated-window", "one-size"],
+)
+def test_cross_key_bounds_are_config_errors(tmp_path, capsys, kind, text, key):
+    """Bounds that join keys (a fiber of m ** d levels; a joint fit over
+    windows and sizes) are config errors before any sample."""
+    cfg_path = _write(tmp_path, f"{kind}.ini", text)
+    assert main([kind, "--config", cfg_path, "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err, err
+    assert not (tmp_path / "run" / "cache.csv").exists(), "no sample before the check"
+
+
+def test_wegner_scan_without_a_fit_writes_its_records_and_fails(tmp_path, capsys):
+    """Three samples per cell leave too few cells with 0 < hits < samples for
+    the joint fit: the run keeps its records and ends failed, exit 1."""
+    cfg_path = _write(
+        tmp_path, "w.ini", WEGNER_TMPL.replace("samples_per_cell = 40", "samples_per_cell = 3")
+    )
+    out = tmp_path / "run"
+    assert main(["wegner", "--config", cfg_path, "--out", str(out)]) == 1
+    header, rows = read_csv_rows(out / "records.csv")
+    assert header[:4] == ["n", "eps", "hits", "samples"] and len(rows) == 8
+    assert sum(0 < int(r[2]) < int(r[3]) for r in rows) < 3
+    fit_header, [fit_row] = read_csv_rows(out / "fit.csv")
+    fit = dict(zip(fit_header, fit_row))
+    assert fit["nu_hat"] == "nan" and fit["dim_hat"] == "nan"
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert summary[-1] == "status: failed" and summary[-2].startswith("no fit:")
+
+
 def test_ctrl_c_keeps_finished_samples_for_resume(tmp_path, monkeypatch, capsys):
     """Ctrl-C mid-run exits 130 with the finished samples cached; resuming
     then gives the bytes of a one-shot run."""

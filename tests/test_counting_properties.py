@@ -1,4 +1,4 @@
-"""Differential property tests for eigenvalue counting on periodic chains.
+"""Differential property tests for eigenvalue counting.
 
 Hypothesis draws stacks of random symmetric periodic chains (generic, zero
 corner, zero or tiny couplings; N from 3 to 60, mixed within a stack) and
@@ -6,8 +6,12 @@ thresholds far from, between and exactly on the ``eigvalsh`` levels.  The
 stacked count must equal the one-operator count, the per-threshold
 factorization and, where the gap to every level is clear, ``eigvalsh`` plus
 ``searchsorted``; the ground bisection must equal the reference bisection
-bit for bit.  The profile in ``conftest.py`` makes every run draw the same
-examples.
+bit for bit.  It also draws random symmetric 2-d torus operators (sides 4
+to 12; generic, or separable so that levels come in exact or nearly exact
+pairs) counted through SuperLU: the counts settled from the top threshold's
+factor must equal the per-threshold path's and, where the gap is clear,
+``eigvalsh`` plus ``searchsorted``.  The profile in ``conftest.py`` makes
+every run draw the same examples.
 """
 
 import numpy as np
@@ -169,3 +173,60 @@ def test_ground_bisect_equals_reference_bisection_bitwise(mat, bottom, hi):
     lowest = np.linalg.eigvalsh(mat.toarray())[0]
     mat = (mat + (bottom - lowest) * sp.identity(n, format="csr")).tocsr()
     assert ground_bisect(mat, hi) == _reference_ground(mat, hi)
+
+
+TORUS_VARIANTS = ("generic", "pairs", "near-pairs", "constant")
+
+
+def _torus(side, variant, seed):
+    """A symmetric operator on the side x side torus; "pairs" is separable,
+    f(x) + f(y) with unit couplings, so its levels mu_i + mu_j come in
+    pairs, which "near-pairs" splits by 1e-12 to 1e-7."""
+    rng = np.random.default_rng(seed)
+    n = side * side
+    couplings = -np.ones((2, n))
+    if variant == "generic":
+        diag = rng.uniform(-1.0, 3.0, n)
+        couplings = -rng.uniform(0.2, 1.5, (2, n))
+    elif variant == "constant":
+        diag = np.full(n, rng.uniform(-1.0, 3.0))
+    else:
+        f = rng.uniform(-1.0, 3.0, side)
+        diag = (f[:, None] + f[None, :]).ravel()
+        if variant == "near-pairs":
+            diag = diag + 10.0 ** rng.uniform(-12.0, -7.0) * rng.standard_normal(n)
+    site = np.arange(n).reshape(side, side)
+    right, down = np.roll(site, -1, axis=1).ravel(), np.roll(site, -1, axis=0).ravel()
+    rows = np.concatenate([site.ravel(), site.ravel(), right, site.ravel(), down])
+    cols = np.concatenate([site.ravel(), right, site.ravel(), down, site.ravel()])
+    vals = np.concatenate([diag, couplings[0], couplings[0], couplings[1], couplings[1]])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+tori = st.builds(
+    _torus, st.integers(4, 12), st.sampled_from(TORUS_VARIANTS), st.integers(0, 2**32 - 1)
+)
+
+
+@given(tori, st.integers(0, 2**32 - 1))
+def test_torus_counts_from_the_top_factor_equal_the_per_threshold_path(mat, seed):
+    rng = np.random.default_rng(seed)
+    levels = np.linalg.eigvalsh(mat.toarray())
+    low = levels[: es.RITZ_CAP - 4]  # mostly within the cap, so the route runs
+    mids = 0.5 * (low[1:] + low[:-1])
+    picks = [levels[0] - 1.0]
+    picks += list(rng.choice(low, size=2, replace=False))
+    picks += list(rng.choice(mids, size=3, replace=False))
+    picks += [rng.choice(low) + side * 1e-9 for side in (-1.0, 1.0)]
+    if rng.random() < 0.25:
+        picks.append(levels[-1] + 1.0)
+    energies = rng.permutation(np.array(picks))
+    assert es.SymmetricOperator(mat).chain is None
+    got = count_below(mat, energies, dense_cutoff=10)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(es, "_ritz_counts", lambda op, count_one, e: np.full(e.size, -1))
+        assert np.array_equal(got, count_below(mat, energies, dense_cutoff=10))
+    gap = np.min(np.abs(energies[:, None] - levels[None, :]), axis=1)
+    clear = gap > 1e-8 * max(1.0, es._norm_estimate(mat), np.max(np.abs(energies)))
+    want = np.searchsorted(levels, energies, side="left")
+    assert np.array_equal(got[clear], want[clear])

@@ -239,8 +239,10 @@ def test_chain_sweep_flags_a_cancelling_last_pivot():
 
 @pytest.mark.parametrize("path", ["dense", "sparse"])
 def test_non_chain_counts_equal_with_and_without_array(path):
-    """A d = 2 torus operator is no chain: the array form counts threshold by
-    threshold exactly as scalar calls do."""
+    """A d = 2 torus operator is no chain: the array form gives the integers
+    of scalar calls.  On the sparse path the top threshold, 9.0, has all 81
+    levels below it, more than RITZ_CAP, so after the factorization there
+    the others go threshold by threshold."""
     side = 9
     ring = _cyclic(np.full(side, 2.0), np.full(side, -1.0))
     eye = sp.identity(side, format="csr")
@@ -399,3 +401,231 @@ def test_symmetric_operator_is_prepared_once_and_gives_the_same_answers(monkeypa
     assert ground_bisect(op, 4.0) == want[1]
     with pytest.raises(ValueError, match="real symmetric"):
         es.SymmetricOperator(np.eye(3, dtype=complex))
+
+
+# -- d = 2: Ritz values from the top threshold's factor, and the fallbacks --
+
+
+def _torus(side, diag):
+    """2-d periodic lattice operator: ``diag`` on the sites, -1 between neighbours."""
+    ring = _cyclic(np.zeros(side), np.full(side, -1.0))
+    eye = sp.identity(side, format="csr")
+    return (sp.kron(ring, eye) + sp.kron(eye, ring) + sp.diags(diag)).tocsr()
+
+
+def _generic_torus(side=12, seed=3):
+    return _torus(side, np.random.default_rng(seed).uniform(0.0, 4.0, side * side))
+
+
+def _splu_calls(monkeypatch):
+    calls = []
+    splu = es.spla.splu
+    monkeypatch.setattr(es.spla, "splu", lambda *a, **k: calls.append(1) or splu(*a, **k))
+    return calls
+
+
+def _levels_and_between(mat):
+    levels = np.linalg.eigvalsh(mat.toarray())
+    return levels, 0.5 * (levels[1:] + levels[:-1])
+
+
+def test_top_threshold_factor_settles_the_thresholds_below(monkeypatch):
+    mat = _generic_torus()
+    levels, between = _levels_and_between(mat)
+    energies = np.array([between[4], levels[0] - 1.0, between[0], between[2]])
+    calls = _splu_calls(monkeypatch)
+    got = count_below(mat, energies, dense_cutoff=10)
+    assert len(calls) == 1, "one factorization, at the top threshold"
+    assert got.tolist() == [5, 0, 1, 3]
+
+
+def test_no_level_below_the_top_settles_the_rest_without_arpack(monkeypatch):
+    mat = _generic_torus()
+    levels, _ = _levels_and_between(mat)
+    monkeypatch.setattr(es.spla, "eigsh", None)  # never called
+    calls = _splu_calls(monkeypatch)
+    got = count_below(mat, levels[0] - np.array([0.5, 1.0, 2.0]), dense_cutoff=10)
+    assert len(calls) == 1 and got.tolist() == [0, 0, 0]
+
+
+def _hands_back(monkeypatch, mat, energies):
+    """Counts with the route and threshold by threshold; every threshold
+    must have had its own factorization."""
+    calls = _splu_calls(monkeypatch)
+    got = count_below(mat, energies, dense_cutoff=10)
+    assert len(calls) == energies.size
+    want = [count_below(mat, float(e), dense_cutoff=10) for e in energies]
+    assert np.array_equal(got, want)
+    return got
+
+
+def test_arpack_failure_hands_every_lower_threshold_back(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise es.spla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+    mat = _generic_torus()
+    levels, between = _levels_and_between(mat)
+    monkeypatch.setattr(es.spla, "eigsh", no_convergence)
+    energies = between[[0, 2, 4]]
+    got = _hands_back(monkeypatch, mat, energies)
+    assert got.tolist() == [1, 3, 5]
+
+
+def test_more_levels_below_the_top_than_the_cap_hand_back(monkeypatch):
+    mat = _generic_torus()
+    levels, between = _levels_and_between(mat)
+    monkeypatch.setattr(es.spla, "eigsh", None)  # never called
+    energies = between[[0, es.RITZ_CAP]]
+    got = _hands_back(monkeypatch, mat, energies)
+    assert got.tolist() == [1, es.RITZ_CAP + 1]
+
+
+def test_overlapping_intervals_of_a_degenerate_level_hand_back(monkeypatch):
+    """The free torus Laplacian has a simple lowest level and then a
+    fourfold one: their Ritz intervals overlap, so nothing is certified."""
+    mat = _torus(6, np.full(36, 4.0))
+    levels, between = _levels_and_between(mat)
+    assert np.ptp(levels[1:5]) < 1e-12 < levels[5] - levels[4]
+    ritz, certified = [], []
+    eigsh, intervals = es.spla.eigsh, es._ritz_intervals
+    monkeypatch.setattr(es.spla, "eigsh", lambda *a, **k: ritz.append(eigsh(*a, **k)) or ritz[-1])
+    monkeypatch.setattr(
+        es, "_ritz_intervals", lambda *a: certified.append(intervals(*a)) or certified[-1]
+    )
+    got = _hands_back(monkeypatch, mat, np.array([between[0], between[4]]))
+    assert len(ritz) == 1 and np.allclose(np.sort(ritz[0][0]), levels[:5], atol=1e-10)
+    assert certified == [None] and got.tolist() == [1, 5]
+
+
+def test_an_interval_in_a_threshold_bracket_hands_that_threshold_back(monkeypatch):
+    """A level 1e-8 * scale above a threshold lies in its bracket: the
+    per-threshold count could nudge past it, so that threshold is handed
+    back while the one clear of every interval is settled."""
+    mat = _generic_torus()
+    levels, between = _levels_and_between(mat)
+    scale = max(1.0, es._norm_estimate(mat))
+    energies = np.array([levels[1] - 1e-8 * scale, between[2], between[4]])
+    calls = _splu_calls(monkeypatch)
+    got = count_below(mat, energies, dense_cutoff=10)
+    assert len(calls) == 2
+    assert got.tolist() == [1, 3, 5]
+
+
+def test_a_bracket_reaching_the_top_shift_is_handed_back(monkeypatch):
+    """Above the shift E' of the top factorization nothing is known, and a
+    nudged per-threshold count could reach 1e-8 * scale past its threshold:
+    a threshold 1e-9 * scale below the top one is handed back."""
+    mat = _generic_torus()
+    levels, between = _levels_and_between(mat)
+    scale = max(1.0, es._norm_estimate(mat))
+    energies = np.array([between[2], between[2] - 1e-9 * scale, between[0]])
+    calls = _splu_calls(monkeypatch)
+    got = count_below(mat, energies, dense_cutoff=10)
+    assert len(calls) == 2
+    assert got.tolist() == [3, 3, 1]
+
+
+def test_an_interval_above_the_top_shift_is_not_certified(monkeypatch):
+    """Ritz pairs are only trusted below E': a pair of the first level above
+    it, in place of the last one below, certifies nothing."""
+    mat = _generic_torus()
+    levels, between = _levels_and_between(mat)
+    vals, vecs = np.linalg.eigh(mat.toarray())
+    wrong = [0, 1, 3]  # the levels below between[2] are 0, 1 and 2
+
+    def eigsh(*args, k, **kwargs):
+        assert k == 3
+        return vals[wrong], vecs[:, wrong]
+
+    monkeypatch.setattr(es.spla, "eigsh", eigsh)
+    got = _hands_back(monkeypatch, mat, np.array([between[2], between[1], between[0]]))
+    assert got.tolist() == [3, 2, 1]
+
+
+@pytest.mark.parametrize("glibc", [True, False])
+def test_the_heap_is_trimmed_once_after_the_route_where_glibc_is(monkeypatch, glibc):
+    trims = []
+    monkeypatch.setattr(es, "_MALLOC_TRIM", trims.append if glibc else None)
+    mat = _generic_torus()
+    _, between = _levels_and_between(mat)
+    assert count_below(mat, between[[0, 2, 4]], dense_cutoff=10).tolist() == [1, 3, 5]
+    assert trims == ([0] if glibc else [])
+
+
+def test_first_ids_2d_continuum_sample_takes_one_factorization(monkeypatch):
+    """The benchmark's d = 2 ids config, continuum sample 0: the counts of
+    the per-threshold path from one SuperLU factorization instead of three."""
+    from pathlib import Path
+
+    from displab.cli import (
+        build_distribution, build_model, build_support, load_config_file, read_config,
+    )
+    from displab.floquet import band_bottom
+    from displab.spectral_stats import ContinuumFamily
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "ids-2d.ini"
+    cfg = read_config(load_config_file(str(path)))
+    p, q, lam, n, m = build_model(cfg)
+    dist = build_distribution(cfg, build_support(cfg, q.d))
+    ids = cfg["ids"]
+    top = 0.9 / ids["c0"] ** 2
+    offsets = np.geomspace(top / 50.0, top, ids["n_offsets"])  # run_ids's default
+    energies = band_bottom(p, q, lam, np.asarray(ids["zeta"]), m).energy + offsets
+    family = ContinuumFamily(p=p, q=q, lam=lam, dist=dist, n=n, m=m)
+    op = es.SymmetricOperator(family.assemble(cfg["run"]["seed"], 0))
+    assert op.shape == (43264, 43264) and op.chain is None
+    calls = _splu_calls(monkeypatch)
+    got = count_below(op, energies)
+    assert len(calls) == 1
+    with monkeypatch.context() as mp:
+        mp.setattr(es, "_ritz_counts", lambda op, count_one, e: np.full(e.size, -1))
+        want = count_below(op, energies)
+    assert len(calls) == 4
+    assert got.tolist() == want.tolist() == [0, 1, 1]
+
+
+# -- counting when SuperLU refuses --
+
+
+def _refusing_splu(monkeypatch, how):
+    class Unsymmetric:
+        perm_r, perm_c = np.array([0, 1]), np.array([1, 0])
+
+    def splu(*args, **kwargs):
+        if how == "raises":
+            raise RuntimeError("Factor is exactly singular")
+        return Unsymmetric()
+
+    monkeypatch.setattr(es.spla, "splu", splu)
+
+
+@pytest.mark.parametrize("how", ["raises", "unsymmetric-order"])
+def test_superlu_refusal_falls_back_to_dense_ldl(monkeypatch, how):
+    mat = _torus(9, np.random.default_rng(4).uniform(0.0, 1.0, 81))
+    levels, between = _levels_and_between(mat)
+    energies = np.concatenate([[levels[0] - 0.5], between[::9], [levels[-1] + 0.5]])
+    _refusing_splu(monkeypatch, how)
+    assert np.array_equal(
+        count_below(mat, energies, dense_cutoff=10), np.searchsorted(levels, energies)
+    )
+    assert count_below(mat, float(between[3]), dense_cutoff=10) == 4
+
+
+def test_superlu_refusal_above_the_dense_fallback_names_every_path(monkeypatch):
+    mat = _generic_torus()
+    _refusing_splu(monkeypatch, "raises")
+    monkeypatch.setattr(es, "COUNT_DENSE_FALLBACK", 100)
+    with pytest.raises(es.CountBreakdownError, match="SuperLU") as err:
+        count_below(mat, 1.0, dense_cutoff=10)
+    assert "no dense LDL^T fallback above N = 100" in str(err.value)
+    assert "1e-12, 1e-10, 1e-08" in str(err.value)
+
+
+def test_an_operator_not_exactly_symmetric_is_counted_threshold_by_threshold(monkeypatch):
+    mat = _generic_torus().tolil()
+    mat[0, 1] += 1e-15
+    mat = mat.tocsr()
+    levels, between = _levels_and_between(mat)
+    monkeypatch.setattr(es.spla, "eigsh", None)  # never called
+    got = _hands_back(monkeypatch, mat, between[[0, 2, 4]])
+    assert got.tolist() == [1, 3, 5]

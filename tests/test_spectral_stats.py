@@ -12,6 +12,7 @@ from displab.potentials import periodic_family, single_site_family
 from displab.randomfields import DisplacementDistribution
 from displab.spectral_stats import (
     ContinuumFamily,
+    FitError,
     IDSCurve,
     ReducedFamily,
     WegnerRecord,
@@ -160,8 +161,14 @@ def test_loglog_fit_exact_power_law():
     assert coef[1] == pytest.approx(1.0, abs=1e-12)
     assert coef[2] == pytest.approx(1.0, abs=1e-12)
     assert np.all(ses < 1e-10)
-    with pytest.raises(ValueError):
+    with pytest.raises(FitError):
         _fit_loglog(records[:2], d=1)
+    for one_window_or_size in (
+        [r for r in records if r.eps == 1.0], [r for r in records if r.n == 2],
+    ):
+        assert len(one_window_or_size) == 3
+        with pytest.raises(FitError):
+            _fit_loglog(one_window_or_size, d=1)
 
 
 def test_wegner_record_stats():
