@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .discretize import assemble_periodic, site_lattice
+from .discretize import GridSpec, assemble_periodic, site_lattice
 from .eigensolve import smallest_eigenpairs
 from .floquet import band_bottom, v_vector
 from .potentials import DisplacementField, constant_field, wrap_nearest
@@ -350,8 +350,6 @@ def minimize_over_field(
     minimizer: matching energies within ``energy_tol`` and sitewise distance
     within ``site_tol`` certifies that constant fields minimize at this size.
     """
-    from .discretize import GridSpec
-
     grid = GridSpec(d=q.d, n=n, m=m)
     n_sites = (2 * n + 1) ** q.d
     if reference is None:
@@ -416,8 +414,6 @@ def exhaustive_field_scan(p, q, lam, support, n, m, grid_points=11):
     global argmin, the runner-up energy and whether the argmin is a constant
     configuration.
     """
-    from .discretize import GridSpec
-
     if q.d != 1:
         raise NotImplementedError("exhaustive scan is d = 1 only")
     grid = GridSpec(d=1, n=n, m=m)

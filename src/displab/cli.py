@@ -51,7 +51,7 @@ from .floquet import (
     feynman_hellmann_residual,
     v_vector,
 )
-from .potentials import constant_field, periodic_family, single_site_family
+from .potentials import DisplacementField, constant_field, periodic_family, single_site_family
 from .randomfields import DisplacementDistribution
 from .reduced import (
     band_symbol_ratio,
@@ -68,7 +68,6 @@ from .spectral_stats import (
     count_row,
     lifshitz_fit,
     sandwich_families,
-    stream_samples,
     wegner_report,
     wegner_sample,
     wegner_windows,
@@ -473,24 +472,22 @@ def _sample_cache(rd, header, key, tasks, compute, chunk=1):
 
     ``key(row)`` recovers the task from a cached row and ``compute(batch)``
     returns the rows of a tuple of up to ``chunk`` missing tasks, in order.
-    The batches stream through the sample driver in order; the cache is
-    rewritten whenever the row count passes a multiple of CACHE_EVERY and
-    once more on the way out, also when Ctrl-C or an error stops the stream,
-    so finished batches are kept for ``--resume``.
+    The batches are computed in order; the cache is rewritten whenever the
+    row count passes a multiple of CACHE_EVERY and once more on the way out,
+    also when Ctrl-C or an error stops the loop, so finished batches are kept
+    for ``--resume``.
     """
     rows = {key(row): row for row in _load_cache(rd.cache, header)}
     todo = [t for t in tasks if t not in rows]
-    batches = [tuple(todo[i : i + chunk]) for i in range(0, len(todo), chunk)]
-    stream = stream_samples(compute, batches)
     try:
-        for batch, batch_rows in stream:
+        for i in range(0, len(todo), chunk):
+            batch = tuple(todo[i : i + chunk])
             flushed = len(rows) // CACHE_EVERY
-            for task, row in zip(batch, batch_rows):
+            for task, row in zip(batch, compute(batch)):
                 rows[task] = [fmt(x) for x in row]
             if len(rows) // CACHE_EVERY > flushed:
                 _write_cache(rd, header, rows)
     finally:
-        stream.close()
         _write_cache(rd, header, rows)
     return rows
 
@@ -837,8 +834,6 @@ def run_reduce(cfg, rd, zeta, c0, alpha, n, grid_points):
     n_sites = 2 * n + 1
     rows = []
     worst_ok = True
-    from .potentials import DisplacementField
-
     for cfg_idx in np.ndindex(*([grid_points] * n_sites)):
         fld = DisplacementField(n=n, d=1, values=values[np.array(cfg_idx)][:, None])
         model = build_reduced(-1, v, lam, zeta, fld, c0, alpha)

@@ -15,7 +15,6 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .eigensolve import _diagonal_slots
 from .potentials import as_points, eval_total_potential, site_lattice, wrap_nearest
 
 
@@ -105,23 +104,32 @@ class LatticeOperator:
         return bool(np.max(np.abs(delta.data)) <= tol)
 
 
-def _axis_second_difference(npts, h, phase=1.0):
-    """1-d periodic -Laplacian with a Bloch phase on the wrap link.
+def _ring(npts, h, phase=1.0):
+    """1-d periodic -Laplacian with a Bloch phase on the wrap link, as canonical CSR.
 
-    Row stencil: (2 u_j - phase_conj-weighted neighbors) / h^2; the link from
-    the last point back to the first carries e^{i theta} per unit-cell step
-    convention, i.e. A[npts-1, 0] = -phase / h^2 and A[0, npts-1] = -conj.
+    Row stencil: (2 u_j - u_{j-1} - u_{j+1}) / h^2 (npts >= 3); the link
+    from the last point back to the first carries e^{i theta} per unit-cell
+    step, i.e. A[npts-1, 0] = -phase / h^2 and A[0, npts-1] = -conj(phase) / h^2.
     """
-    dtype = complex if np.iscomplexobj(phase) or not np.isreal(phase) else float
-    main = np.full(npts, 2.0 / h**2, dtype=dtype)
-    off = np.full(npts - 1, -1.0 / h**2, dtype=dtype)
-    mat = sp.diags([off, main, off], [-1, 0, 1], format="lil", dtype=dtype)
-    mat[npts - 1, 0] = -phase / h**2
-    mat[0, npts - 1] = -np.conj(phase) / h**2
-    return mat.tocsr()
+    dtype = complex if np.iscomplexobj(phase) else float
+    rows = np.arange(npts)
+    cols = np.stack([(rows - 1) % npts, rows, (rows + 1) % npts], axis=1)
+    vals = np.full((npts, 3), -1.0 / h**2, dtype=dtype)
+    vals[:, 1] = 2.0 / h**2
+    vals[0, 0] = -np.conj(phase) / h**2
+    vals[-1, 2] = -phase / h**2  # not -phase * (1 / h**2): complex phases differ in the last bit
+    order = np.argsort(cols, axis=1)
+    return sp.csr_matrix(
+        (
+            np.take_along_axis(vals, order, axis=1).ravel(),
+            np.take_along_axis(cols, order, axis=1).ravel(),
+            3 * np.arange(npts + 1),
+        ),
+        shape=(npts, npts),
+    )
 
 
-def _kron_laplacian(axis_mats):
+def _kron_sum(axis_mats):
     """Sum over axes of I x .. x A_j x .. x I."""
     total = None
     for j, a in enumerate(axis_mats):
@@ -134,28 +142,40 @@ def _kron_laplacian(axis_mats):
     return total.tocsr()
 
 
-@lru_cache(maxsize=8)
-def _torus_laplacian(grid):
-    """-Delta_h on the periodic grid, built once per grid and shared read-only."""
-    axis = _axis_second_difference(grid.side_points, grid.h, phase=1.0)
-    lap = _kron_laplacian([axis] * grid.d)
-    for arr in (lap.data, lap.indices, lap.indptr):
+@lru_cache(maxsize=16)
+def periodic_laplacian(d, npts, h):
+    """-Delta_h on the torus (Z / npts)^d with spacing h, and its diagonal slots.
+
+    Returns ``(lap, diagonal_slots(lap))``, built once per (d, npts, h) and
+    shared read-only: callers add their diagonal with ``plus_diagonal``.
+    """
+    if npts < 3:
+        raise ValueError("torus side must be >= 3 for unambiguous neighbors")
+    lap = _kron_sum([_ring(npts, h)] * d)
+    where = diagonal_slots(lap)
+    for arr in (lap.data, lap.indices, lap.indptr, where):
         arr.flags.writeable = False
-    return lap
+    return lap, where
 
 
-@lru_cache(maxsize=8)
-def _torus_diagonal(grid):
-    return _diagonal_slots(_torus_laplacian(grid))
+def diagonal_slots(mat):
+    """Where a canonical CSR matrix stores (i, i) in its data, row by row;
+    None unless every row stores its diagonal."""
+    if not mat.has_canonical_format:
+        return None
+    n = mat.shape[0]
+    lines = np.repeat(np.arange(n), np.diff(mat.indptr))
+    where = np.flatnonzero(mat.indices == lines)
+    return where if where.size == n else None
 
 
-def _plus_diagonal(mat, where, diag, scale=1.0):
+def plus_diagonal(mat, where, diag, scale=1.0):
     """``(scale * mat + sp.diags(diag)).tocsr()`` for a canonical CSR ``mat``.
 
-    ``where`` is ``_diagonal_slots(mat)``.  The diagonal is written into a
-    copy of mat's arrays, which are then the sparse sum's own arrays, unless
-    some entry comes out exactly 0.0: the sum drops it, so then the sum is
-    formed.
+    ``where`` is ``diagonal_slots(mat)`` and ``diag`` an array or a scalar.
+    The diagonal is written into a copy of mat's arrays, which are then the
+    sparse sum's own arrays, unless some entry comes out exactly 0.0: the
+    sum drops it, so then the sum is formed.
     """
     data = scale * mat.data
     if where is not None:
@@ -164,7 +184,7 @@ def _plus_diagonal(mat, where, diag, scale=1.0):
             return sp.csr_matrix(
                 (data, mat.indices.copy(), mat.indptr.copy()), shape=mat.shape
             )
-    return (scale * mat + sp.diags(diag, format="csr")).tocsr()
+    return (scale * mat + sp.diags([diag], [0], shape=mat.shape, format="csr")).tocsr()
 
 
 def assemble_periodic(p, q, lam, field, grid):
@@ -174,7 +194,7 @@ def assemble_periodic(p, q, lam, field, grid):
     if field.n != grid.n or field.d != grid.d:
         raise ValueError("field lattice does not match grid")
     diag = eval_total_potential(p, q, lam, field, grid.points())
-    mat = _plus_diagonal(_torus_laplacian(grid), _torus_diagonal(grid), diag)
+    mat = plus_diagonal(*periodic_laplacian(grid.d, grid.side_points, grid.h), diag)
     return LatticeOperator(matrix=mat, grid=grid, kind="periodic")
 
 
@@ -204,9 +224,8 @@ def assemble_fiber(p, q, lam, zeta, theta, m):
     phases = [complex(np.exp(1j * t)) for t in theta]
     phases = [ph.real if abs(ph.imag) < 1e-15 else ph for ph in phases]
     grid, diag = fiber_diagonal(p, q, lam, zeta, m)
-    axis_mats = [_axis_second_difference(m, grid.h, phase=ph) for ph in phases]
-    lap = _kron_laplacian(axis_mats)
-    mat = (lap + sp.diags(diag.astype(lap.dtype), format="csr")).tocsr()
+    lap = _kron_sum([_ring(m, grid.h, phase=ph) for ph in phases])
+    mat = plus_diagonal(lap, diagonal_slots(lap), diag)
     return LatticeOperator(matrix=mat, grid=grid, kind="fiber", theta=theta)
 
 
@@ -222,6 +241,9 @@ __all__ = [
     "LatticeOperator",
     "assemble_periodic",
     "assemble_fiber",
+    "periodic_laplacian",
+    "diagonal_slots",
+    "plus_diagonal",
     "fiber_diagonal",
     "free_fiber_eigenvalues",
     "cell_axis_coords",

@@ -24,6 +24,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dpttrf
 
+from .discretize import diagonal_slots, plus_diagonal
+
 DENSE_CUTOFF = 2000
 COUNT_DENSE_CUTOFF = 600
 COUNT_DENSE_FALLBACK = 8000  # most rows dense LDL^T counts when SuperLU refuses
@@ -433,44 +435,17 @@ def _dense_shift(mat):
 
 
 def _sparse_shift(mat, symmetric):
-    """E -> ``(A - E I).tocsc()``, for an exactly symmetric A mostly one cached copy.
+    """E -> ``(A - E I).tocsc()``, A - E I written by ``plus_diagonal``.
 
     The CSC arrays of an exactly symmetric canonical matrix are its CSR
-    arrays, and A - E I keeps A's pattern when A stores no zero but its whole
-    diagonal and no a_ii - E is exactly 0.0 (sparse subtraction drops a zero
-    result).  Then a copy of A's data, over A's index arrays, gets a_ii - E
-    written into its diagonal and is returned: the same arrays, rewritten by
-    the next call.  Otherwise A - E I is built, and so it is for an A not
-    known to be symmetric (``symmetric`` false): checking would transpose A,
-    and for large non-chain operators the factorization dwarfs the rebuild.
+    arrays, so for an A known to be symmetric (``symmetric``) the CSR of
+    A - E I is returned as the CSC of its transpose, without a conversion.
+    Otherwise it is converted: checking symmetry would transpose A.
     """
-    where = None
-    if symmetric and np.all(mat.data != 0.0):
-        where = _diagonal_slots(mat)
-    if where is not None:
-        csc = sp.csc_matrix((mat.data.copy(), mat.indices, mat.indptr), shape=mat.shape)
-        diag = mat.data[where]
-
-    def shifted(energy):
-        if where is not None:
-            values = diag - energy
-            if np.all(values != 0.0):
-                csc.data[where] = values
-                return csc
-        return (mat - energy * sp.identity(mat.shape[0], format="csr")).tocsc()
-
-    return shifted
-
-
-def _diagonal_slots(mat):
-    """Where a canonical CSR matrix stores (i, i) in its data, row by row;
-    None unless every row stores its diagonal."""
-    if not mat.has_canonical_format:
-        return None
-    n = mat.shape[0]
-    lines = np.repeat(np.arange(n), np.diff(mat.indptr))
-    where = np.flatnonzero(mat.indices == lines)
-    return where if where.size == n else None
+    where = diagonal_slots(mat)
+    if symmetric:
+        return lambda energy: plus_diagonal(mat, where, -energy).T
+    return lambda energy: plus_diagonal(mat, where, -energy).tocsc()
 
 
 def _periodic_chain(mat):

@@ -14,54 +14,23 @@ sides once the constant c0 is large enough.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 
-from .discretize import GridSpec, _plus_diagonal, assemble_periodic, site_lattice
-from .eigensolve import _diagonal_slots
-from .floquet import build_projectors, dispersion_symbol, fiber_ground
+from .discretize import assemble_periodic, periodic_laplacian, plus_diagonal
+from .floquet import build_projectors, dispersion_symbol, fiber_ground, v_vector
 from .potentials import DisplacementField, constant_field
+from .randomfields import sample_field
 
 
 def symbol_kinetic(d, side):
     """Half the graph Laplacian of the discrete torus (Z / side)^d.
 
     Equals the character transform of the multiplier sum_j (1 - cos theta_j)
-    over the momenta 2 pi k / side -- the identity the tests pin down.  Built
-    once per (d, side) and shared read-only.
+    over the momenta 2 pi k / side -- the identity the tests pin down.
     """
-    if side < 3:
-        raise ValueError("torus side must be >= 3 for unambiguous neighbors")
-    return _symbol_kinetic(d, side)
-
-
-@lru_cache(maxsize=8)
-def _symbol_kinetic(d, side):
-    ring = sp.diags(
-        [-1.0, -1.0, 2.0, -1.0, -1.0],
-        [-(side - 1), -1, 0, 1, side - 1],
-        shape=(side, side),
-        format="csr",
-    )
-    total = None
-    for axis in range(d):
-        term = ring
-        for _ in range(axis):
-            term = sp.kron(sp.identity(side, format="csr"), term, format="csr")
-        for _ in range(d - 1 - axis):
-            term = sp.kron(term, sp.identity(side, format="csr"), format="csr")
-        total = term if total is None else total + term
-    kin = 0.5 * total.tocsr()
-    for arr in (kin.data, kin.indices, kin.indptr):
-        arr.flags.writeable = False
-    return kin
-
-
-@lru_cache(maxsize=8)
-def _kinetic_diagonal(d, side):
-    return _diagonal_slots(_symbol_kinetic(d, side))
+    return 0.5 * periodic_laplacian(d, side, 1.0)[0]
 
 
 @dataclass(frozen=True)
@@ -97,12 +66,13 @@ def build_reduced(sign, v, lam, zeta, field, c0, alpha):
         raise ValueError("alpha must be positive")
     v = np.atleast_1d(np.asarray(v, dtype=float))
     zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
-    side = 2 * field.n + 1
     kin_scale = c0 if sign > 0 else 1.0 / c0
-    kin = symbol_kinetic(field.d, side)
     dz = field.values - zeta
     diag = lam * (dz @ v + sign * c0 * alpha * np.sum(dz**2, axis=1))
-    mat = _plus_diagonal(kin, _kinetic_diagonal(field.d, side), diag, kin_scale)
+    # 0.5 * kin_scale times the h = 1 stencil is kin_scale * symbol_kinetic bit
+    # for bit: halving is exact.
+    lap, where = periodic_laplacian(field.d, 2 * field.n + 1, 1.0)
+    mat = plus_diagonal(lap, where, diag, 0.5 * kin_scale)
     return ReducedModel(
         sign=sign, lam=lam, zeta=zeta, v=v, c0=c0, alpha=alpha, field=field, matrix=mat
     )
@@ -202,8 +172,6 @@ def sandwich_operators(p, q, lam, field, zeta, grid, c0, alpha, pack=None):
     zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
     if pack is None:
         pack = build_projectors(p, q, lam, zeta, grid)
-    from .floquet import v_vector
-
     v = v_vector(p, q, lam, zeta, m=grid.m)
     e_ref = float(pack.energies[np.argmax(np.all(pack.thetas == 0.0, axis=1))])
     w = pack.site_isometry()
@@ -312,8 +280,6 @@ def calibrate_sandwich(
     """Scan c0 upward (alpha = alpha0 / (2 c0)) until the sandwich holds
     for every sampled field; returns the reports of the first passing c0
     and the worst margins seen along the way."""
-    from .randomfields import sample_field
-
     pack = build_projectors(p, q, lam, np.atleast_1d(zeta), grid)
     all_reports = []
     passing = None

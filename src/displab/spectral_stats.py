@@ -3,9 +3,8 @@ tail fits, and eigenvalue-proximity (level-repulsion) scans.
 
 All sampling is indexed by (master_seed, sample_index) through the
 counter-based field sampler, so curves are reproducible sample-by-sample.
-The library scans here and the CLI runners all feed their per-sample work
-through ``stream_samples``, which runs one sample after another in the
-calling thread.
+The library scans here and the CLI runners compute one sample after
+another in the calling thread.
 """
 
 from __future__ import annotations
@@ -19,19 +18,6 @@ from .eigensolve import count_below, smallest_eigenpairs
 from .floquet import band_bottom, v_vector
 from .randomfields import sample_field
 from .reduced import build_reduced
-
-
-# -- sample driver ----------------------------------------------------------
-
-
-def stream_samples(fn, tasks):
-    """Yield ``(task, fn(task))`` for every task, in order.
-
-    Each result is yielded as soon as it is computed, so a caller can
-    checkpoint finished work; closing the stream early runs no further task.
-    """
-    for task in tasks:
-        yield task, fn(task)
 
 
 # -- operator families ----------------------------------------------------
@@ -134,12 +120,11 @@ def ids_curve(family, energies, n_samples, master_seed):
         raise ValueError("energies must be strictly increasing")
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    stream = stream_samples(
-        lambda s: count_row(family, master_seed, s, energies), range(n_samples)
-    )
     return IDSCurve(
         energies=energies,
-        counts=np.asarray([row for _, row in stream], dtype=int),
+        counts=np.asarray(
+            [count_row(family, master_seed, s, energies) for s in range(n_samples)], dtype=int
+        ),
         n_cells=family.n_cells,
         label=family.label,
     )
@@ -487,14 +472,11 @@ def wegner_scan(
     """
     eps_list = wegner_windows(eps_list)
     families = {n: ContinuumFamily(p=p, q=q, lam=lam, dist=dist, n=n, m=m) for n in n_list}
-
-    def one_sample(task):
-        n, s = task
-        return wegner_sample(
-            families[n], master_seed, s, e_center, eps_list, s < ground_samples
-        )
-
-    tasks = [(n, s) for n in families for s in range(samples_per_cell)]
+    samples = {
+        (n, s): wegner_sample(family, master_seed, s, e_center, eps_list, s < ground_samples)
+        for n, family in families.items()
+        for s in range(samples_per_cell)
+    }
     return wegner_report(
         families,
         e_center,
@@ -502,5 +484,5 @@ def wegner_scan(
         samples_per_cell,
         master_seed,
         max(1, audit_quota // len(families)),
-        dict(stream_samples(one_sample, tasks)),
+        samples,
     )

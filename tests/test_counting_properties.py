@@ -10,8 +10,13 @@ bit for bit.  It also draws random symmetric 2-d torus operators (sides 4
 to 12; generic, or separable so that levels come in exact or nearly exact
 pairs) counted through SuperLU: the counts settled from the top threshold's
 factor must equal the per-threshold path's and, where the gap is clear,
-``eigvalsh`` plus ``searchsorted``.  The profile in ``conftest.py`` makes
-every run draw the same examples.
+``eigvalsh`` plus ``searchsorted``.  Random dense symmetric matrices
+(generic, repeated levels, a multiple zero level, norm 1e4) go through dense
+LDL^T, and random sparse symmetric matrices through dense LDL^T, SuperLU
+and the Ritz route by moving ``dense_cutoff``: every count must equal
+``eigvalsh`` plus ``searchsorted`` where the gap is clear and lie inside the
+tie band elsewhere.  The profile in ``conftest.py`` makes every run draw
+the same examples.
 """
 
 import numpy as np
@@ -230,3 +235,92 @@ def test_torus_counts_from_the_top_factor_equal_the_per_threshold_path(mat, seed
     clear = gap > 1e-8 * max(1.0, es._norm_estimate(mat), np.max(np.abs(energies)))
     want = np.searchsorted(levels, energies, side="left")
     assert np.array_equal(got[clear], want[clear])
+
+
+def _in_band(counts, levels, energies, scale):
+    """Each count lies between the levels clearly below its threshold and
+    those at or below the threshold plus the largest tie nudge."""
+    lo = np.searchsorted(levels, energies - 1e-8 * scale, side="left")
+    hi = np.searchsorted(levels, energies + 2e-8 * scale, side="right")
+    return np.all((lo <= counts) & (counts <= hi))
+
+
+def _clear_counts(got, levels, energies, scale):
+    gap = np.min(np.abs(energies[:, None] - levels[None, :]), axis=1)
+    clear = gap > 1e-8 * scale
+    want = np.searchsorted(levels, energies, side="left")
+    return np.array_equal(got[clear], want[clear])
+
+
+DENSE_VARIANTS = ("generic", "repeated", "low-rank", "large")
+
+
+def _dense(n, variant, seed):
+    """A random dense symmetric matrix; "repeated" has levels of multiplicity
+    up to 3 and "low-rank" a multiple zero level, both up to rounding."""
+    rng = np.random.default_rng(seed)
+    if variant in ("generic", "large"):
+        g = rng.standard_normal((n, n))
+        mat = 0.5 * (g + g.T)
+        return 1e4 * mat if variant == "large" else mat
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    if variant == "repeated":
+        levels = np.repeat(rng.uniform(-2.0, 2.0, n), 3)[:n]
+    else:
+        levels = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(-2.0, 2.0, n))
+    mat = (q * levels) @ q.T
+    return 0.5 * (mat + mat.T)
+
+
+dense_mats = st.builds(
+    _dense, st.integers(1, 40), st.sampled_from(DENSE_VARIANTS), st.integers(0, 2**32 - 1)
+)
+
+
+@given(dense_mats, st.integers(0, 2**32 - 1))
+def test_dense_counts_equal_eigvalsh_where_the_gap_is_clear(mat, seed):
+    """Dense LDL^T on a dense array and on its sparse form: eigvalsh plus
+    searchsorted wherever no level is within 1e-8 * scale of the threshold,
+    and a count inside the tie band everywhere else."""
+    energies = _thresholds([sp.csr_matrix(mat)], seed)
+    levels = np.linalg.eigvalsh(mat)
+    scale = max(1.0, es._norm_estimate(mat), np.max(np.abs(energies)))
+    got = count_below(mat, energies)
+    assert got.dtype.kind == "i"
+    assert _clear_counts(got, levels, energies, scale)
+    assert _in_band(got, levels, energies, scale)
+    if mat.shape[0] > 3:  # N <= 3 is a periodic chain, counted by the sweep
+        assert np.array_equal(got, count_below(sp.csr_matrix(mat), energies))
+
+
+def _sparse(n, density, seed):
+    """A random sparse symmetric matrix: an Erdos-Renyi pattern plus the diagonal."""
+    rng = np.random.default_rng(seed)
+    upper = sp.random(n, n, density=density, random_state=rng, format="csr")
+    return (upper + upper.T + sp.diags(rng.uniform(-1.0, 1.0, n))).tocsr()
+
+
+sparse_mats = st.builds(
+    _sparse, st.integers(5, 60), st.floats(0.02, 0.3), st.integers(0, 2**32 - 1)
+)
+
+
+@given(sparse_mats, st.integers(0, 2**32 - 1))
+def test_superlu_and_dense_ldlt_count_the_same_sparse_operator(mat, seed):
+    """One sparse operator counted by dense LDL^T (``dense_cutoff`` = N), by
+    SuperLU threshold by threshold and by SuperLU with the Ritz route
+    (``dense_cutoff`` = 0), the chain sweep switched off: equal counts
+    wherever the gap is clear, and each inside the tie band elsewhere."""
+    energies = _thresholds([mat], seed)
+    levels = np.linalg.eigvalsh(mat.toarray())
+    scale = max(1.0, es._norm_estimate(mat), np.max(np.abs(energies)))
+    n = mat.shape[0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(es, "_periodic_chain", lambda mat: None)
+        dense = count_below(mat, energies, dense_cutoff=n)
+        ritz = count_below(mat, energies, dense_cutoff=0)
+        mp.setattr(es, "_ritz_counts", lambda op, count_one, e: np.full(e.size, -1))
+        superlu = count_below(mat, energies, dense_cutoff=0)
+    for got in (dense, superlu, ritz):
+        assert _clear_counts(got, levels, energies, scale)
+        assert _in_band(got, levels, energies, scale)

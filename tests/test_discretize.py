@@ -7,14 +7,14 @@ import scipy.sparse as sp
 from displab.discretize import (
     GridSpec,
     LatticeOperator,
-    _plus_diagonal,
-    _torus_diagonal,
-    _torus_laplacian,
     assemble_fiber,
     assemble_periodic,
     cell_axis_coords,
+    diagonal_slots,
     fiber_diagonal,
     free_fiber_eigenvalues,
+    periodic_laplacian,
+    plus_diagonal,
 )
 from displab.potentials import (
     DisplacementField,
@@ -197,10 +197,13 @@ def test_torus_laplacian_is_roll_second_difference(grid):
         u = u.reshape(shape)
         lap_u = sum(2 * u - np.roll(u, 1, axis=j) - np.roll(u, -1, axis=j) for j in range(grid.d))
         cols.append((lap_u / grid.h**2).ravel())
-    lap = _torus_laplacian(grid)
+    built = periodic_laplacian(grid.d, grid.side_points, grid.h)
+    lap, where = built
     assert np.array_equal(lap.toarray(), np.column_stack(cols))
-    assert _torus_laplacian(GridSpec(grid.d, grid.n, grid.m)) is lap, "one build per grid"
-    assert not lap.data.flags.writeable, "the shared matrix is read-only"
+    assert np.array_equal(where, diagonal_slots(lap))
+    assert periodic_laplacian(grid.d, grid.side_points, grid.h) is built, "built once"
+    for arr in (lap.data, lap.indices, lap.indptr, where):
+        assert not arr.flags.writeable, "the shared matrix and slots are read-only"
 
 
 @pytest.mark.parametrize("d, n", [(1, 0), (1, 2), (2, 0), (2, 1)])
@@ -230,13 +233,12 @@ def test_potential_written_into_laplacian_copy_equals_sparse_sum(grid):
     """assemble_periodic writes the potential into a copy of the cached
     Laplacian's arrays.  They must be the arrays (lap + diags(v)).tocsr() has,
     also when some lap_ii + v_i is exactly 0.0 and the sum drops it."""
-    lap = _torus_laplacian(grid)
-    where = _torus_diagonal(grid)
+    lap, where = periodic_laplacian(grid.d, grid.side_points, grid.h)
     v = np.random.default_rng(grid.n_points).uniform(-3.0, 3.0, grid.n_points)
     zeroed = v.copy()
     zeroed[3] = -lap[3, 3]
     for pot in (v, zeroed):
-        got = _plus_diagonal(lap, where, pot)
+        got = plus_diagonal(lap, where, pot)
         want = (lap + sp.diags(pot, format="csr")).tocsr()
         assert got.nnz == want.nnz == lap.nnz - (pot is zeroed)
         for a, b in (
@@ -246,3 +248,52 @@ def test_potential_written_into_laplacian_copy_equals_sparse_sum(grid):
         ):
             assert a.dtype == b.dtype and np.array_equal(a, b)
     assert not lap.data.flags.writeable and not np.shares_memory(got.data, lap.data)
+
+
+def _lil_fiber(p, q, lam, zeta, theta, m):
+    """Reference: the LIL and kron build assemble_fiber once ran."""
+    phases = [complex(np.exp(1j * t)) for t in theta]
+    phases = [ph.real if abs(ph.imag) < 1e-15 else ph for ph in phases]
+    grid, diag = fiber_diagonal(p, q, lam, zeta, m)
+    h = grid.h
+    axis_mats = []
+    for phase in phases:
+        dtype = complex if np.iscomplexobj(phase) or not np.isreal(phase) else float
+        main = np.full(m, 2.0 / h**2, dtype=dtype)
+        off = np.full(m - 1, -1.0 / h**2, dtype=dtype)
+        mat = sp.diags([off, main, off], [-1, 0, 1], format="lil", dtype=dtype)
+        mat[m - 1, 0] = -phase / h**2
+        mat[0, m - 1] = -np.conj(phase) / h**2
+        axis_mats.append(mat.tocsr())
+    total = None
+    for j, a in enumerate(axis_mats):
+        term = a
+        for k in range(j - 1, -1, -1):
+            term = sp.kron(sp.identity(axis_mats[k].shape[0], format="csr"), term, format="csr")
+        for k in range(j + 1, len(axis_mats)):
+            term = sp.kron(term, sp.identity(axis_mats[k].shape[0], format="csr"), format="csr")
+        total = term if total is None else total + term
+    lap = total.tocsr()
+    return (lap + sp.diags(diag.astype(lap.dtype), format="csr")).tocsr()
+
+
+@pytest.mark.parametrize("m", [4, 7, 24])
+@pytest.mark.parametrize(
+    "theta", [(0.0,), (np.pi,), (0.7,), (2.1,), (0.7, 2.1)], ids=["0", "pi", "0.7", "2.1", "2d"]
+)
+def test_assemble_fiber_csr_equals_lil_build(m, theta):
+    """The index-array ring gives the arrays of the LIL build, bit for bit,
+    complex wrap phases included."""
+    d = len(theta)
+    p = periodic_family("cosine", d, coefficients=[-1.0] * d)
+    q = single_site_family("asym-bump", d)
+    zeta = np.linspace(-0.4, 0.3, d)
+    got = assemble_fiber(p, q, 0.3, zeta, np.array(theta), m).matrix
+    want = _lil_fiber(p, q, 0.3, zeta, np.array(theta), m)
+    assert got.dtype == want.dtype == (float if theta in ((0.0,), (np.pi,)) else complex)
+    for a, b in (
+        (got.data.view(np.int64), want.data.view(np.int64)),
+        (got.indices, want.indices),
+        (got.indptr, want.indptr),
+    ):
+        assert a.dtype == b.dtype and np.array_equal(a, b)

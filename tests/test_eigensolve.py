@@ -341,25 +341,25 @@ def _csc_arrays(mat):
 
 @pytest.mark.parametrize("n", [3, 17, 2001])
 def test_sparse_shift_gives_the_arrays_of_the_rebuilt_shift(n):
-    """Window steps on a chain write a_ii - E into one cached copy of the
-    matrix; SuperLU must see the arrays (A - E I).tocsc() has, also where
-    a_ii - E is exactly 0.0 and the sparse subtraction drops the entry.  An
-    operator not known to be symmetric is rebuilt every time."""
+    """Window steps write a_ii - E into a copy of the matrix's arrays;
+    SuperLU must see the arrays (A - E I).tocsc() has, also where a_ii - E
+    is exactly 0.0 and the sparse subtraction drops the entry, both for a
+    chain (the CSR's transpose) and for an operator not known to be
+    symmetric (converted)."""
     mat = _random_chain(n, "generic", seed=n)
     diag = mat.diagonal()
-    cached, rebuilt = es._sparse_shift(mat, symmetric=True), es._sparse_shift(mat, symmetric=False)
-    first = cached(0.25)
+    transposed = es._sparse_shift(mat, symmetric=True)
+    converted = es._sparse_shift(mat, symmetric=False)
+    first = transposed(0.25)
     for e in (0.25, -1.5, float(diag[1]), 0.3, float(diag[-1])):
         want = (mat - e * sp.identity(n, format="csr")).tocsc()
-        for got in (cached(e), rebuilt(e)):
+        for got in (transposed(e), converted(e)):
             assert got.format == "csc"
             for a, b in zip(_csc_arrays(got), _csc_arrays(want)):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
         if e in diag:
-            assert cached(e).nnz == mat.nnz - 1, "the exact zero is dropped, as the rebuild does"
-        else:
-            assert cached(e) is first, "one cached copy, rewritten per threshold"
-        assert rebuilt(e) is not rebuilt(e)
+            assert transposed(e).nnz == mat.nnz - 1, "the exact zero is dropped, as the rebuild does"
+        assert converted(e) is not converted(e)
     assert not np.shares_memory(first.data, mat.data), "the operator itself is not written"
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from displab.discretize import GridSpec
+from displab.discretize import GridSpec, periodic_laplacian
 from displab.floquet import dispersion_symbol
 from displab.potentials import (
     DisplacementField,
@@ -70,12 +70,15 @@ def _lil_symbol_kinetic(d, side):
 
 @pytest.mark.parametrize("d, side", [(1, 3), (1, 4), (1, 2001), (2, 3), (2, 8), (3, 5)])
 def test_symbol_kinetic_is_built_once_and_equals_lil_build(d, side):
+    """symbol_kinetic is half the h = 1 torus stencil, which is built once
+    per (d, side) and shared read-only, and equals the LIL build."""
+    stencil = periodic_laplacian(d, side, 1.0)
+    assert periodic_laplacian(d, side, 1.0) is stencil
     kin = symbol_kinetic(d, side)
-    assert symbol_kinetic(d, side) is kin
     want = _lil_symbol_kinetic(d, side)
     for name in ("data", "indices", "indptr"):
+        assert not getattr(stencil[0], name).flags.writeable
         got = getattr(kin, name)
-        assert not got.flags.writeable
         assert got.dtype == getattr(want, name).dtype
         assert np.array_equal(got, getattr(want, name))
 
@@ -83,6 +86,9 @@ def test_symbol_kinetic_is_built_once_and_equals_lil_build(d, side):
 def test_symbol_kinetic_rejects_tiny_side():
     with pytest.raises(ValueError):
         symbol_kinetic(1, 2)
+    one_site = DisplacementField(n=0, d=1, values=np.zeros((1, 1)))
+    with pytest.raises(ValueError, match="torus side must be >= 3"):
+        build_reduced(-1, [1.0], 0.1, [0.0], one_site, 2.0, 0.1)
 
 
 def test_build_reduced_diagonal_hand_check():
@@ -221,7 +227,7 @@ def test_build_reduced_csr_equals_the_sparse_sum(d, n):
         want = (kin_scale * symbol_kinetic(d, 2 * n + 1) + sp.diags(diag, format="csr")).tocsr()
         _same_csr(got, want)
         for name in ("data", "indices"):
-            cached = getattr(symbol_kinetic(d, 2 * n + 1), name)
+            cached = getattr(periodic_laplacian(d, 2 * n + 1, 1.0)[0], name)
             assert not np.shares_memory(getattr(got, name), cached), "a copy, not the cache"
 
 

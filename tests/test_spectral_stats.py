@@ -21,7 +21,6 @@ from displab.spectral_stats import (
     ids_curve,
     ids_sandwich_check,
     lifshitz_fit,
-    stream_samples,
     synthetic_tail_curve,
     wegner_scan,
 )
@@ -52,22 +51,6 @@ def test_ids_curve_deterministic_operator_zero_variance():
     assert np.allclose(curve.values(), expected)
     assert curve.is_monotone()
     assert curve.label == "continuum"
-
-
-def test_stream_samples_order_and_early_close():
-    started = []
-
-    def square(x):
-        started.append(x)
-        return x * x
-
-    expected = [(x, x * x) for x in range(12)]
-    assert list(stream_samples(square, range(12))) == expected
-    started.clear()
-    stream = stream_samples(square, range(400))
-    assert next(stream) == (0, 0)
-    stream.close()  # no further task runs
-    assert started == [0]
 
 
 def test_ids_curve_input_validation():
