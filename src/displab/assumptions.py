@@ -10,14 +10,14 @@ exhaustive small grids).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .discretize import GridSpec, assemble_periodic, site_lattice
 from .eigensolve import smallest_eigenpairs
 from .floquet import band_bottom, v_vector
-from .potentials import DisplacementField, constant_field, wrap_nearest
+from .potentials import DisplacementField, wrap_nearest
 
 
 # -- projected gradient descent (shared by both minimizers) -------------

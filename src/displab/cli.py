@@ -43,7 +43,6 @@ from .discretize import (
     assemble_periodic,
     free_fiber_eigenvalues,
 )
-from .eigensolve import SymmetricOperator, count_below_stack, ground_bisect
 from .floquet import (
     band_bottom,
     band_table,
@@ -65,11 +64,12 @@ from .spectral_stats import (
     IDSCurve,
     IDSSandwichReport,
     ReducedFamily,
-    count_row,
+    count_rows,
     lifshitz_fit,
+    lifshitz_rows,
     sandwich_families,
     wegner_report,
-    wegner_sample,
+    wegner_rows,
     wegner_windows,
 )
 from . import supports
@@ -471,11 +471,12 @@ def _sample_cache(rd, header, key, tasks, compute, chunk=1):
     """Every task's cache row: replayed from ``cache.csv``, else computed.
 
     ``key(row)`` recovers the task from a cached row and ``compute(batch)``
-    returns the rows of a tuple of up to ``chunk`` missing tasks, in order.
-    The batches are computed in order; the cache is rewritten whenever the
-    row count passes a multiple of CACHE_EVERY and once more on the way out,
-    also when Ctrl-C or an error stops the loop, so finished batches are kept
-    for ``--resume``.
+    returns the rows of a tuple of up to ``chunk`` missing tasks, in order,
+    from one call of a ``spectral_stats`` batch function (``count_rows``,
+    ``lifshitz_rows`` or ``wegner_rows``).  The batches are computed in
+    order; the cache is rewritten whenever the row count passes a multiple
+    of CACHE_EVERY and once more on the way out, also when Ctrl-C or an
+    error stops the loop, so finished batches are kept for ``--resume``.
     """
     rows = {key(row): row for row in _load_cache(rd.cache, header)}
     todo = [t for t in tasks if t not in rows]
@@ -637,7 +638,7 @@ def run_ids(cfg, rd, c0, alpha, zeta, n_samples, offsets, n_offsets):
     def compute(batch):
         [(k, s)] = batch
         fam, energies = families[k]
-        return [[_IDS_FAMILIES[k], s] + count_row(fam, seed, s, energies)]
+        return [[_IDS_FAMILIES[k], s] + count_rows(fam, seed, (s,), energies)[0].tolist()]
 
     rows = _sample_cache(
         rd,
@@ -693,9 +694,7 @@ def run_lifshitz(
     fam = ReducedFamily(sign, v, lam, zeta, dist, n, c0, alpha)
 
     def compute(batch):
-        ops = [SymmetricOperator(fam.assemble(seed, s)) for s in batch]
-        grounds = [ground_bisect(op, ground_hi) for op in ops]
-        counts = count_below_stack(ops, energies)
+        grounds, counts = lifshitz_rows(fam, seed, batch, energies, ground_hi)
         return [[s, g] + c.tolist() for s, g, c in zip(batch, grounds, counts)]
 
     rows = _sample_cache(
@@ -773,10 +772,8 @@ def run_wegner(
 
     def compute(batch):
         [(n, s)] = batch
-        hits, e0 = wegner_sample(
-            families[n], seed, s, e_center, eps_list, s < ground_samples
-        )
-        return [[n, s, "" if e0 is None else e0] + hits]
+        [hits], [e0] = wegner_rows(families[n], seed, (s,), e_center, eps_list, ground_samples)
+        return [[n, s, "" if e0 is None else e0] + hits.tolist()]
 
     rows = _sample_cache(
         rd,
@@ -785,13 +782,11 @@ def run_wegner(
         [(n, s) for n in families for s in range(samples_per_cell)],
         compute,
     )
-    rep = wegner_report(
-        families, e_center, eps_list, samples_per_cell, seed, audit_per_n,
-        {
-            task: ([h == "true" for h in row[3:]], float(row[2]) if row[2] else None)
-            for task, row in rows.items()
-        },
-    )
+    cached = {n: [rows[(n, s)] for s in range(samples_per_cell)] for n in families}
+    rep = wegner_report(families, e_center, eps_list, seed, audit_per_n, {
+        n: (np.array([r[3:] for r in got]) == "true", [float(r[2]) if r[2] else None for r in got])
+        for n, got in cached.items()
+    })
     write_csv(
         rd.file("records.csv"),
         ["n", "eps", "hits", "samples", "p_hat", "stderr"],

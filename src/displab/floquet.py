@@ -15,7 +15,7 @@ import numpy as np
 
 from .discretize import GridSpec, assemble_fiber, fiber_diagonal, site_lattice
 from .eigensolve import smallest_eigenpairs
-from .potentials import constant_field, wrap_nearest
+from .potentials import wrap_nearest
 
 
 class DegenerateBandError(RuntimeError):

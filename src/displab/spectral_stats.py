@@ -3,8 +3,11 @@ tail fits, and eigenvalue-proximity (level-repulsion) scans.
 
 All sampling is indexed by (master_seed, sample_index) through the
 counter-based field sampler, so curves are reproducible sample-by-sample.
-The library scans here and the CLI runners compute one sample after
-another in the calling thread.
+Each statistic has one batch function -- ``count_rows``, ``lifshitz_rows``,
+``wegner_rows`` -- that assembles a tuple of samples and counts them in one
+``count_below_stack`` call.  The library drivers here call it once over all
+samples; the CLI runners call it on the chunks their resumable cache misses.
+A row never depends on the batch it was computed in.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretize import GridSpec, assemble_periodic
-from .eigensolve import count_below, smallest_eigenpairs
+from .eigensolve import SymmetricOperator, count_below_stack, ground_bisect, smallest_eigenpairs
 from .floquet import band_bottom, v_vector
 from .randomfields import sample_field
 from .reduced import build_reduced
@@ -108,10 +111,13 @@ class IDSCurve:
         return bool(np.all(np.diff(vals) >= -1e-12))
 
 
-def count_row(family, master_seed, sample_index, energies):
-    """Eigenvalue counts of one sampled operator below each energy."""
-    mat = family.assemble(master_seed, sample_index)
-    return count_below(mat, energies).tolist()
+def _operators(family, master_seed, samples):
+    return [SymmetricOperator(family.assemble(master_seed, s)) for s in samples]
+
+
+def count_rows(family, master_seed, samples, energies):
+    """Counts below ``energies`` of each sample's operator: a (K, T) int array."""
+    return count_below_stack(_operators(family, master_seed, samples), energies)
 
 
 def ids_curve(family, energies, n_samples, master_seed):
@@ -122,9 +128,7 @@ def ids_curve(family, energies, n_samples, master_seed):
         raise ValueError("need at least one sample")
     return IDSCurve(
         energies=energies,
-        counts=np.asarray(
-            [count_row(family, master_seed, s, energies) for s in range(n_samples)], dtype=int
-        ),
+        counts=count_rows(family, master_seed, range(n_samples), energies),
         n_cells=family.n_cells,
         label=family.label,
     )
@@ -221,6 +225,13 @@ def holder_constant(curve, exponent=0.8):
 
 
 # -- band-edge tail fit -----------------------------------------------------
+
+
+def lifshitz_rows(family, master_seed, samples, energies, ground_hi):
+    """Each sample's ``ground_bisect`` level below ``ground_hi`` and its
+    counts below ``energies``: a list of K floats and a (K, T) int array."""
+    ops = _operators(family, master_seed, samples)
+    return [ground_bisect(op, ground_hi) for op in ops], count_below_stack(ops, energies)
 
 
 @dataclass(frozen=True)
@@ -375,30 +386,32 @@ def wegner_windows(eps_list):
     return eps_list
 
 
-def wegner_sample(family, master_seed, sample_index, e_center, eps_list, ground):
-    """One sample's hit decisions, one per window, and its ground energy.
+def wegner_rows(family, master_seed, samples, e_center, eps_list, ground_samples):
+    """Each sample's hit decisions, one per window, and its ground energy.
 
-    A hit means some eigenvalue lies within eps of ``e_center``.  The ground
-    energy is computed only when ``ground`` is true, else it is None.
+    A hit means some eigenvalue lies within eps of ``e_center``; the hits
+    come as a (K, len(eps_list)) bool array.  The grounds are a list of K
+    entries: ``smallest_eigenpairs`` on the sample's matrix for samples
+    below ``ground_samples``, None for the rest.
     """
-    mat = family.assemble(master_seed, sample_index)
+    ops = _operators(family, master_seed, samples)
     eps = np.asarray(eps_list, dtype=float)
-    thresholds = np.concatenate([e_center + eps, e_center - eps])
-    upper, lower = count_below(mat, thresholds).reshape(2, -1)
-    hits = (upper > lower).tolist()
-    e0 = smallest_eigenpairs(mat, k=1).ground_energy if ground else None
-    return hits, e0
+    counts = count_below_stack(ops, np.concatenate([e_center + eps, e_center - eps]))
+    upper, lower = np.hsplit(counts, 2)
+    grounds = [
+        smallest_eigenpairs(op.matrix, k=1).ground_energy if s < ground_samples else None
+        for s, op in zip(samples, ops)
+    ]
+    return upper > lower, grounds
 
 
-def wegner_report(
-    families, e_center, eps_list, samples_per_cell, master_seed, audit_per_n, results
-):
+def wegner_report(families, e_center, eps_list, master_seed, audit_per_n, results):
     """Records, joint fit, dense audits and ground statistics of a finished scan.
 
     ``families`` maps each torus size n to its ContinuumFamily and ``results``
-    maps every (n, sample) to what ``wegner_sample`` returned; records and
-    ground statistics come out in ascending n.  When the informative cells
-    cannot fix the fit (see ``_fit_loglog``) its exponents and standard
+    maps n to what ``wegner_rows`` returns for its samples 0, 1, ...; records
+    and ground statistics come out in ascending n.  When the informative
+    cells cannot fix the fit (see ``_fit_loglog``) its exponents and standard
     errors are NaN and the report's ``fitted`` is false.
 
     The first ``audit_per_n`` samples of each size are assembled again from
@@ -407,23 +420,22 @@ def wegner_report(
     """
     records, ground_stats = [], []
     audits_total = audits_agree = 0
+    edges = [[e_center + eps, e_center - eps] for eps in eps_list]
     for n in sorted(families):
-        fam = families[n]
-        rows = [results[(n, s)] for s in range(samples_per_cell)]
-        for k, eps in enumerate(eps_list):
-            hits = sum(int(hit[k]) for hit, _ in rows)
-            records.append(WegnerRecord(n=n, eps=eps, hits=hits, samples=samples_per_cell))
-        for s in range(min(audit_per_n, samples_per_cell)):
-            dense = np.sort(np.linalg.eigvalsh(fam.assemble(master_seed, s).toarray()))
-            for k, eps in enumerate(eps_list):
-                ref_hi = int(np.searchsorted(dense, e_center + eps, side="left"))
-                ref_lo = int(np.searchsorted(dense, e_center - eps, side="left"))
-                audits_total += 1
-                audits_agree += int((ref_hi > ref_lo) == rows[s][0][k])
-        grounds = [e0 for _, e0 in rows if e0 is not None]
-        if grounds:
-            g = np.asarray(grounds)
-            se = float(g.std(ddof=1) / np.sqrt(len(g))) if len(g) > 1 else 0.0
+        hits, grounds = results[n]
+        samples = len(hits)
+        records += [
+            WegnerRecord(n=n, eps=eps, hits=int(h), samples=samples)
+            for eps, h in zip(eps_list, np.sum(hits, axis=0))
+        ]
+        for s in range(min(audit_per_n, samples)):
+            dense = np.sort(np.linalg.eigvalsh(families[n].assemble(master_seed, s).toarray()))
+            upper, lower = np.searchsorted(dense, edges).T
+            audits_total += len(eps_list)
+            audits_agree += int(np.sum((upper > lower) == hits[s]))
+        g = np.array([e0 for e0 in grounds if e0 is not None])
+        if g.size:
+            se = float(g.std(ddof=1) / np.sqrt(g.size)) if g.size > 1 else 0.0
             ground_stats.append((n, float(g.min()), float(g.mean()), se))
     d = next(iter(families.values())).q.d
     try:
@@ -446,19 +458,8 @@ def wegner_report(
 
 
 def wegner_scan(
-    p,
-    q,
-    lam,
-    dist,
-    zeta,
-    e_center,
-    eps_list,
-    n_list,
-    m,
-    samples_per_cell,
-    master_seed,
-    audit_quota=50,
-    ground_samples=50,
+    p, q, lam, dist, e_center, eps_list, n_list, m, samples_per_cell, master_seed,
+    audit_per_n=17, ground_samples=50,
 ):
     """Estimate P(some eigenvalue within eps of e_center) across sizes.
 
@@ -466,23 +467,16 @@ def wegner_scan(
     ``eps_list`` the hit probability is estimated over ``samples_per_cell``
     fields (shared across eps within a size: one operator, all windows).
     A joint log-log fit extracts the window exponent nu_hat and the volume
-    exponent dim_hat.  About ``audit_quota`` sampled instances, split evenly
-    over the sizes, have their hit decisions recomputed from dense spectra as
-    an independent cross-check.
+    exponent dim_hat.  The first ``audit_per_n`` samples of each size have
+    their hit decisions recomputed from dense spectra as an independent
+    cross-check, and the first ``ground_samples`` their ground energy; the
+    defaults are those of the CLI's ``[wegner]`` keys.
     """
     eps_list = wegner_windows(eps_list)
     families = {n: ContinuumFamily(p=p, q=q, lam=lam, dist=dist, n=n, m=m) for n in n_list}
-    samples = {
-        (n, s): wegner_sample(family, master_seed, s, e_center, eps_list, s < ground_samples)
-        for n, family in families.items()
-        for s in range(samples_per_cell)
+    samples = range(samples_per_cell)
+    results = {
+        n: wegner_rows(fam, master_seed, samples, e_center, eps_list, ground_samples)
+        for n, fam in families.items()
     }
-    return wegner_report(
-        families,
-        e_center,
-        eps_list,
-        samples_per_cell,
-        master_seed,
-        max(1, audit_quota // len(families)),
-        samples,
-    )
+    return wegner_report(families, e_center, eps_list, master_seed, audit_per_n, results)

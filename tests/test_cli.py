@@ -498,8 +498,8 @@ def test_cli_wegner_hits_equal_library_scan(tmp_path):
     eps_list = sorted({float(r["eps"]) for r in recs})
     rep = wegner_scan(
         periodic_family("cosine", 1, coefficients=[-200.0]), Q_ASYM, 0.1, DIST,
-        [-1.0], e_center, eps_list, [1, 2], 32,
-        samples_per_cell=40, master_seed=2026, ground_samples=5,
+        e_center, eps_list, [1, 2], 32,
+        samples_per_cell=40, master_seed=2026, audit_per_n=25, ground_samples=5,
     )
     assert [(int(r["n"]), float(r["eps"]), int(r["hits"])) for r in recs] == [
         (r.n, r.eps, r.hits) for r in rep.records

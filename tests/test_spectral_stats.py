@@ -8,6 +8,7 @@ failures localize to the estimator, not the physics upstream of it.
 import numpy as np
 import pytest
 
+from displab.eigensolve import count_below, ground_bisect, smallest_eigenpairs
 from displab.potentials import periodic_family, single_site_family
 from displab.randomfields import DisplacementDistribution
 from displab.spectral_stats import (
@@ -17,11 +18,14 @@ from displab.spectral_stats import (
     ReducedFamily,
     WegnerRecord,
     _fit_loglog,
+    count_rows,
     holder_constant,
     ids_curve,
     ids_sandwich_check,
     lifshitz_fit,
+    lifshitz_rows,
     synthetic_tail_curve,
+    wegner_rows,
     wegner_scan,
 )
 from displab.supports import ball
@@ -172,8 +176,8 @@ def test_wegner_scan_audits_agree_with_dense():
     eps_hi = 0.05 * (e_top - e_lam)
     eps_list = np.geomspace(eps_hi / 10**1.5, eps_hi, 4)
     rep = wegner_scan(
-        p, Q1, 0.1, DIST, np.array([-1.0]), e_center, eps_list, [1, 2], 32,
-        samples_per_cell=40, master_seed=2026, audit_quota=8, ground_samples=5,
+        p, Q1, 0.1, DIST, e_center, eps_list, [1, 2], 32,
+        samples_per_cell=40, master_seed=2026, audit_per_n=4, ground_samples=5,
     )
     assert rep.audits_total > 0
     assert rep.audit_clean
@@ -189,7 +193,7 @@ def test_wegner_scan_audits_agree_with_dense():
 
 def test_wegner_scan_validates_eps():
     with pytest.raises(ValueError):
-        wegner_scan(P1, Q1, 0.1, DIST, np.array([-1.0]), 0.06, [-0.1, 0.1], [1], 8,
+        wegner_scan(P1, Q1, 0.1, DIST, 0.06, [-0.1, 0.1], [1], 8,
                     samples_per_cell=4, master_seed=0)
 
 
@@ -206,3 +210,61 @@ def test_ids_sandwich_chain_small():
     with pytest.raises(ValueError):
         ids_sandwich_check(P1, Q1, 0.1, DIST, np.array([-1.0]), 1, 16, 8.0, alpha,
                            np.array([0.5]), n_samples=2, master_seed=0)
+
+
+# -- batch functions: a row never depends on the batch it was computed in ----
+
+P2 = periodic_family("cosine", 2, coefficients=[-1.0, -1.0])
+Q2 = single_site_family("asym-bump", 2)
+DIST2 = DisplacementDistribution(kind="uniform-ball", support=ball(np.zeros(2), 1.0))
+RING = ReducedFamily(
+    sign=1, v=np.array([5.0]), lam=0.1, zeta=np.array([-1.0]), dist=DIST, n=30, c0=1.0,
+    alpha=0.05,
+)
+
+
+@pytest.mark.parametrize(
+    "family",
+    # a reduced ring (one stacked chain sweep) and a d = 2 torus of 729
+    # points (SuperLU at the top threshold, Ritz intervals settle the rest)
+    [RING, ContinuumFamily(p=P2, q=Q2, lam=0.1, dist=DIST2, n=1, m=9)],
+    ids=["reduced-ring", "continuum-2d"],
+)
+def test_count_rows_equal_one_count_below_per_sample(family):
+    levels = np.linalg.eigvalsh(family.assemble(7, 0).toarray())
+    energies = 0.5 * (levels[[0, 2, 4, 8]] + levels[[1, 3, 5, 9]])
+    rows = count_rows(family, 7, range(4), energies)
+    assert rows.shape == (4, 4) and len(np.unique(rows)) > 4
+    for s in range(4):
+        assert np.array_equal(count_rows(family, 7, (s,), energies), rows[s : s + 1])
+        assert np.array_equal(count_below(family.assemble(7, s), energies), rows[s])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_wegner_rows_equal_one_sample_at_a_time(n):
+    family = ContinuumFamily(p=P1, q=Q1, lam=0.1, dist=DIST, n=n, m=16)
+    e_center = np.linalg.eigvalsh(family.assemble(5, 0).toarray())[2 * n + 1]
+    eps = np.array([1e-3, 1e-2, 1e-1, 1.0])
+    hits, grounds = wegner_rows(family, 5, range(6), e_center, eps, ground_samples=3)
+    assert hits.shape == (6, 4) and hits.any() and not hits.all()
+    assert [g is None for g in grounds] == [False] * 3 + [True] * 3
+    for s in range(6):
+        one_hits, one_grounds = wegner_rows(family, 5, (s,), e_center, eps, ground_samples=3)
+        assert np.array_equal(one_hits, hits[s : s + 1]) and one_grounds == [grounds[s]]
+        mat = family.assemble(5, s)
+        want = count_below(mat, e_center + eps) > count_below(mat, e_center - eps)
+        assert np.array_equal(hits[s], want)
+        if s < 3:
+            assert grounds[s] == smallest_eigenpairs(mat, k=1).ground_energy
+
+
+def test_lifshitz_rows_equal_one_sample_at_a_time():
+    energies = np.geomspace(0.1, 0.8, 6)
+    grounds, counts = lifshitz_rows(RING, 0, range(5), energies, 4.0)
+    assert counts.shape == (5, 6) and counts[:, -1].min() > 0 and counts[:, 0].max() == 0
+    for s in range(5):
+        one_grounds, one_counts = lifshitz_rows(RING, 0, (s,), energies, 4.0)
+        assert one_grounds == [grounds[s]] and np.array_equal(one_counts, counts[s : s + 1])
+        mat = RING.assemble(0, s)
+        assert grounds[s] == ground_bisect(mat, 4.0)
+        assert np.array_equal(counts[s], count_below(mat, energies))
