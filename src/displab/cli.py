@@ -19,6 +19,7 @@ import argparse
 import csv
 import hashlib
 import io
+import itertools
 import math
 import os
 import sys
@@ -75,13 +76,12 @@ from .spectral_stats import (
 from . import supports
 
 SIZE_GUARD = 200_000
-CACHE_EVERY = 50  # Monte-Carlo rows between rewrites of cache.csv
-# Lifshitz samples per stacked count.  A row of the chain sweep costs about
-# 0.85 us (two NumPy calls) plus 1 ns per column, and a lifshitz-reduced-1d
-# sample has 44 columns: at 16 samples a chunk's share of the fixed part is
-# down to its column part, while each sample held adds about 0.1 MB (its CSR
-# matrix and chain).
-LIFSHITZ_CHUNK = 16
+# Lifshitz and Wegner samples per stacked count.  A row of the chain sweep
+# costs about 0.85 us (two NumPy calls) plus 1 ns per column, and a
+# lifshitz-reduced-1d sample has 44 columns: at 16 samples a chunk's share of
+# the fixed part is down to its column part, while each sample held adds
+# about 0.1 MB (its CSR matrix and chain).
+SAMPLE_CHUNK = 16
 SEED_LIMIT = 2**63  # [run] seed keys Philox streams: 0 <= seed < 2^63
 
 
@@ -455,16 +455,24 @@ def _prepare_rundir(cfg, out):
 
 
 def _load_cache(path, header):
-    """Rows of a (possibly partial) cache; tolerates a torn final line."""
-    if not os.path.exists(path):
+    """Rows of a (possibly partial) cache.
+
+    A run killed while appending can leave a last line that is cut short yet
+    still has the right field count (``true`` -> ``tr``), so a final line
+    without its newline is dropped.
+    """
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            text = fh.read()
+    except OSError:
         return []
     try:
-        got_header, rows = read_csv_rows(path)
-    except (OSError, csv.Error):
+        rows = list(csv.reader(io.StringIO(text[: text.rfind("\n") + 1])))
+    except csv.Error:
         return []
-    if got_header != header:
+    if not rows or rows[0] != header:
         return []
-    return [row for row in rows if len(row) == len(header)]
+    return [row for row in rows[1:] if len(row) == len(header)]
 
 
 def _sample_cache(rd, header, key, tasks, compute, chunk=1):
@@ -472,25 +480,36 @@ def _sample_cache(rd, header, key, tasks, compute, chunk=1):
 
     ``key(row)`` recovers the task from a cached row and ``compute(batch)``
     returns the rows of a tuple of up to ``chunk`` missing tasks, in order,
-    from one call of a ``spectral_stats`` batch function (``count_rows``,
+    from ``spectral_stats`` batch functions (``count_rows``,
     ``lifshitz_rows`` or ``wegner_rows``).  The batches are computed in
-    order; the cache is rewritten whenever the row count passes a multiple
-    of CACHE_EVERY and once more on the way out, also when Ctrl-C or an
-    error stops the loop, so finished batches are kept for ``--resume``.
+    order and each finished batch's rows are appended to ``cache.csv``
+    (made with the first batch), so a Ctrl-C, an error or a kill keeps
+    every finished batch for ``--resume``.  On the way out the cache is
+    rewritten once, in task order, which gives a resumed run the bytes of
+    a one-shot run.
     """
     rows = {key(row): row for row in _load_cache(rd.cache, header)}
     todo = [t for t in tasks if t not in rows]
+    if os.path.exists(rd.cache):  # drop a torn or foreign tail before appending
+        _write_cache(rd, header, rows)
     try:
         for i in range(0, len(todo), chunk):
             batch = tuple(todo[i : i + chunk])
-            flushed = len(rows) // CACHE_EVERY
-            for task, row in zip(batch, compute(batch)):
-                rows[task] = [fmt(x) for x in row]
-            if len(rows) // CACHE_EVERY > flushed:
-                _write_cache(rd, header, rows)
+            done = [[fmt(x) for x in row] for row in compute(batch)]
+            rows.update(zip(batch, done))
+            _append_rows(rd.cache, header, done)
     finally:
         _write_cache(rd, header, rows)
     return rows
+
+
+def _append_rows(path, header, rows):
+    """Append rows to a CSV file, starting it with ``header`` if it is new."""
+    with open(path, "a", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
+        if not fh.tell():
+            w.writerow(header)
+        w.writerows(rows)
 
 
 def _write_cache(rd, header, rows):
@@ -703,7 +722,7 @@ def run_lifshitz(
         lambda row: int(row[0]),
         range(n_samples),
         compute,
-        chunk=LIFSHITZ_CHUNK,
+        chunk=SAMPLE_CHUNK,
     )
     counts = np.array(
         [[int(x) for x in rows[s][2:]] for s in range(n_samples)], dtype=int
@@ -771,9 +790,17 @@ def run_wegner(
         )
 
     def compute(batch):
-        [(n, s)] = batch
-        [hits], [e0] = wegner_rows(families[n], seed, (s,), e_center, eps_list, ground_samples)
-        return [[n, s, "" if e0 is None else e0] + hits.tolist()]
+        rows = []
+        for n, group in itertools.groupby(batch, key=lambda task: task[0]):
+            samples = tuple(s for _, s in group)
+            hits, grounds = wegner_rows(
+                families[n], seed, samples, e_center, eps_list, ground_samples
+            )
+            rows += [
+                [n, s, "" if e0 is None else e0] + h.tolist()
+                for s, h, e0 in zip(samples, hits, grounds)
+            ]
+        return rows
 
     rows = _sample_cache(
         rd,
@@ -781,6 +808,7 @@ def run_wegner(
         lambda row: (int(row[0]), int(row[1])),
         [(n, s) for n in families for s in range(samples_per_cell)],
         compute,
+        chunk=SAMPLE_CHUNK,
     )
     cached = {n: [rows[(n, s)] for s in range(samples_per_cell)] for n in families}
     rep = wegner_report(families, e_center, eps_list, seed, audit_per_n, {

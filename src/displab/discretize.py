@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .potentials import as_points, eval_total_potential, site_lattice, wrap_nearest
+from .potentials import as_points, eval_total_potential, site_lattice, site_plan, wrap_nearest
 
 
 @dataclass(frozen=True)
@@ -187,13 +187,23 @@ def plus_diagonal(mat, where, diag, scale=1.0):
     return (scale * mat + sp.diags([diag], [0], shape=mat.shape, format="csr")).tocsr()
 
 
+@lru_cache(maxsize=16)
+def grid_site_plan(p, grid):
+    """``site_plan(p, grid.points(), grid.n)``, built once per (p, grid) and
+    shared read-only: the field-independent part of every sample's potential."""
+    plan = site_plan(p, grid.points(), grid.n)
+    for arr in (plan.base, *plan.members, *plan.near):
+        arr.flags.writeable = False
+    return plan
+
+
 def assemble_periodic(p, q, lam, field, grid):
     """Full torus operator -Delta_h + p + sum_gamma q(. - gamma - lam omega_gamma)."""
     if grid.d != q.d:
         raise ValueError("grid dimension does not match potentials")
     if field.n != grid.n or field.d != grid.d:
         raise ValueError("field lattice does not match grid")
-    diag = eval_total_potential(p, q, lam, field, grid.points())
+    diag = eval_total_potential(p, q, lam, field, grid.points(), grid_site_plan(p, grid))
     mat = plus_diagonal(*periodic_laplacian(grid.d, grid.side_points, grid.h), diag)
     return LatticeOperator(matrix=mat, grid=grid, kind="periodic")
 
@@ -242,6 +252,7 @@ __all__ = [
     "assemble_periodic",
     "assemble_fiber",
     "periodic_laplacian",
+    "grid_site_plan",
     "diagonal_slots",
     "plus_diagonal",
     "fiber_diagonal",

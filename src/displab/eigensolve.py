@@ -73,14 +73,19 @@ class EigenResult:
 
 
 def smallest_eigenpairs(op, k=1, tol=1e-10, dense_cutoff=DENSE_CUTOFF):
-    """k smallest eigenpairs, ascending, with residual norms ||Av - lambda v||."""
+    """k smallest eigenpairs, ascending, with residual norms ||Av - lambda v||.
+
+    ``op`` is a matrix, anything with a ``matrix``, or a ``SymmetricOperator``,
+    whose ``exactly_symmetric`` spares the Hermitian check when it holds.
+    """
     mat = _as_matrix(op)
     n = mat.shape[0]
     if k < 1 or k > n:
         raise ValueError(f"k={k} out of range for size {n}")
-    hermitian_defect = _hermitian_defect(mat)
-    if hermitian_defect > 1e-10:
-        raise ValueError(f"operator is not Hermitian (defect {hermitian_defect:.2e})")
+    if not (isinstance(op, SymmetricOperator) and op.exactly_symmetric):
+        hermitian_defect = _hermitian_defect(mat)
+        if hermitian_defect > 1e-10:
+            raise ValueError(f"operator is not Hermitian (defect {hermitian_defect:.2e})")
     if n <= dense_cutoff or k > n - 2:
         dense = mat.toarray() if sp.issparse(mat) else mat
         vals, vecs = np.linalg.eigh(dense)
@@ -179,8 +184,12 @@ class SymmetricOperator:
 
     @functools.cached_property
     def exactly_symmetric(self):
-        """Whether the sparse matrix equals its transpose entry for entry."""
-        return self.chain is not None or (self.matrix != self.matrix.T).nnz == 0
+        """Whether the matrix equals its transpose entry for entry."""
+        if self.chain is not None:
+            return True
+        if sp.issparse(self.matrix):
+            return (self.matrix != self.matrix.T).nnz == 0
+        return bool(np.array_equal(self.matrix, self.matrix.T))
 
 
 def _prepared(op):

@@ -8,6 +8,7 @@ accepted and treated as ``N`` points.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -194,7 +195,39 @@ def constant_field(n, d, zeta):
     return DisplacementField(n=n, d=d, values=np.tile(zeta, (m, 1)))
 
 
-def eval_total_potential(p, q, lam, field, x):
+class SitePlan(NamedTuple):
+    """What ``eval_total_potential`` computes at fixed points without the field.
+
+    ``base`` is the background at the points, ``members[k]`` the points whose
+    torus cell is k, and ``near[i]`` the distinct cells among the 3^d
+    neighbours of site i (sites in ``site_lattice`` order).
+    """
+
+    base: np.ndarray
+    members: tuple
+    near: tuple
+
+
+def site_plan(p, x, n):
+    """The ``SitePlan`` of background ``p`` at points ``x`` on the torus of side 2n+1."""
+    x = as_points(x, p.d).reshape(-1, p.d)
+    period = 2 * n + 1
+    cells = (period,) * p.d
+    # A non-finite point gets 0.0 from every bump, so any cell will do for it.
+    cell = np.mod(np.round(np.nan_to_num(x)), period).astype(np.intp)
+    cell_id = np.ravel_multi_index(tuple(cell.T), cells)
+    counts = np.bincount(cell_id, minlength=period**p.d)
+    members = np.split(np.argsort(cell_id, kind="stable"), np.cumsum(counts)[:-1])
+    steps = site_lattice(1, p.d)
+    # at L = 1 all 3^d neighbours are one cell: visit it once
+    near = [
+        np.unique(np.ravel_multi_index(tuple((gamma + steps).T), cells, mode="wrap"))
+        for gamma in site_lattice(n, p.d)
+    ]
+    return SitePlan(p.value(x), tuple(members), tuple(near))
+
+
+def eval_total_potential(p, q, lam, field, x, plan=None):
     """Background plus torus-periodized sum of displaced site potentials.
 
     The torus has side L = 2n+1; each site's bump is evaluated at the nearest
@@ -209,6 +242,9 @@ def eval_total_potential(p, q, lam, field, x):
     cost is O(3^d * points) rather than O(sites * points).  Every point gets
     the same additions in the same site order as the sum over all sites,
     minus the exact +0.0 terms of far sites, so the result is bitwise equal.
+
+    ``plan`` is ``site_plan(p, x, field.n)`` when the caller keeps one for
+    points it evaluates at again; it is computed here otherwise.
     """
     if p.d != q.d or field.d != q.d:
         raise ValueError("dimension mismatch between p, q and field")
@@ -221,23 +257,16 @@ def eval_total_potential(p, q, lam, field, x):
     x = as_points(x, q.d)
     shape = x.shape[:-1]
     x = x.reshape(-1, q.d)
+    if plan is None:
+        if q.is_zero:
+            return p.value(x).reshape(shape)
+        plan = site_plan(p, x, field.n)
+    out = plan.base.copy()
     period = 2 * field.n + 1
-    out = p.value(x)
-    if q.is_zero:
-        return out.reshape(shape)
-    cells = (period,) * q.d
-    # A non-finite point gets 0.0 from every bump, so any cell will do for it.
-    cell = np.mod(np.round(np.nan_to_num(x)), period).astype(np.intp)
-    cell_id = np.ravel_multi_index(tuple(cell.T), cells)
-    counts = np.bincount(cell_id, minlength=period**q.d)
-    members = np.split(np.argsort(cell_id, kind="stable"), np.cumsum(counts)[:-1])
-    sites = site_lattice(field.n, field.d)
-    steps = site_lattice(1, q.d)
-    for gamma, c in zip(sites, sites + lam * field.values):
-        # at L = 1 all 3^d neighbours are one cell: visit it once
-        near = np.unique(np.ravel_multi_index(tuple((gamma + steps).T), cells, mode="wrap"))
-        idx = np.concatenate([members[k] for k in near])
-        out[idx] += q.value(wrap_nearest(x[idx] - c, period))
+    if not q.is_zero:
+        for near, c in zip(plan.near, site_lattice(field.n, field.d) + lam * field.values):
+            idx = np.concatenate([plan.members[k] for k in near])
+            out[idx] += q.value(wrap_nearest(x[idx] - c, period))
     return out.reshape(shape)
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,9 +93,8 @@ def site_rng(master_seed, sample_index, site_index):
 
 
 # Sites settled by the vector path and sites handed to the per-site loop,
-# summed over every ``sample_field`` call in this process (any thread).
+# summed over every ``sample_field`` call in this process.
 SITE_COUNTS = {"vector": 0, "loop": 0}
-_SITE_COUNTS_LOCK = threading.Lock()
 
 # Below about this many sites the vector path's fixed cost (≈0.5 ms)
 # exceeds the per-site loop's.
@@ -138,9 +136,8 @@ def sample_field(dist, n, master_seed, sample_index):
     if n_sites >= _VECTOR_MIN_SITES and _vectorizable(dist) and _vector_path_ok():
         values, settled = _block_draws(dist, start["state"]["key"], np.arange(n_sites))
         loop_sites = np.flatnonzero(~settled).tolist()
-    with _SITE_COUNTS_LOCK:
-        SITE_COUNTS["vector"] += n_sites - len(loop_sites)
-        SITE_COUNTS["loop"] += len(loop_sites)
+    SITE_COUNTS["vector"] += n_sites - len(loop_sites)
+    SITE_COUNTS["loop"] += len(loop_sites)
     rng = np.random.Generator(bg)
     for site in loop_sites:
         bg.state = start

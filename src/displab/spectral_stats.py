@@ -391,7 +391,7 @@ def wegner_rows(family, master_seed, samples, e_center, eps_list, ground_samples
 
     A hit means some eigenvalue lies within eps of ``e_center``; the hits
     come as a (K, len(eps_list)) bool array.  The grounds are a list of K
-    entries: ``smallest_eigenpairs`` on the sample's matrix for samples
+    entries: ``smallest_eigenpairs`` on the sample's operator for samples
     below ``ground_samples``, None for the rest.
     """
     ops = _operators(family, master_seed, samples)
@@ -399,7 +399,7 @@ def wegner_rows(family, master_seed, samples, e_center, eps_list, ground_samples
     counts = count_below_stack(ops, np.concatenate([e_center + eps, e_center - eps]))
     upper, lower = np.hsplit(counts, 2)
     grounds = [
-        smallest_eigenpairs(op.matrix, k=1).ground_energy if s < ground_samples else None
+        smallest_eigenpairs(op, k=1).ground_energy if s < ground_samples else None
         for s, op in zip(samples, ops)
     ]
     return upper > lower, grounds

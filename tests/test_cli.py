@@ -18,7 +18,6 @@ import pytest
 
 import displab
 from displab.cli import (
-    CACHE_EVERY,
     SIZE_GUARD,
     ConfigError,
     build_model,
@@ -34,7 +33,7 @@ from displab.cli import (
 )
 from displab.potentials import periodic_family, single_site_family
 from displab.randomfields import DisplacementDistribution
-from displab.spectral_stats import ReducedFamily, ids_sandwich_check, wegner_scan
+from displab.spectral_stats import ContinuumFamily, ReducedFamily, ids_sandwich_check, wegner_scan
 from displab.supports import ball
 
 BAND_TMPL = """\
@@ -538,12 +537,12 @@ def _small_lifshitz(n_samples):
 
 
 def test_lifshitz_ctrl_c_mid_chunk_keeps_whole_chunks_for_resume(tmp_path, monkeypatch, capsys):
-    """Lifshitz samples are computed LIFSHITZ_CHUNK at a time: Ctrl-C inside
+    """Lifshitz samples are computed SAMPLE_CHUNK at a time: Ctrl-C inside
     the second chunk keeps the first whole, and resuming gives the bytes of
     a one-shot run."""
     import displab.cli as cli
 
-    chunk = cli.LIFSHITZ_CHUNK
+    chunk = cli.SAMPLE_CHUNK
     cfg_path = _write(tmp_path, "lifshitz.ini", _small_lifshitz(2 * chunk + 3))
     full, cut = str(tmp_path / "full"), str(tmp_path / "cut")
     assert main(["lifshitz", "--config", cfg_path, "--out", full]) == 0
@@ -570,14 +569,14 @@ def test_lifshitz_ctrl_c_mid_chunk_keeps_whole_chunks_for_resume(tmp_path, monke
 
 
 def test_cache_is_flushed_whenever_a_chunk_crosses_a_multiple(tmp_path, monkeypatch):
-    """After a partial resume, chunks land on row counts that are not
-    multiples of CACHE_EVERY; a flush is due each time one is passed."""
+    """Every finished chunk is appended to the cache before the next one
+    starts, also after a partial resume, and the way out rewrites the cache
+    in task order."""
     import displab.cli as cli
 
-    monkeypatch.setattr(cli, "CACHE_EVERY", 10)
     rd = cli.RunDir(str(tmp_path))
     header = ["task", "value"]
-    write_csv(rd.cache, header, [[t, 2 * t] for t in range(7)])
+    write_csv(rd.cache, header, [[t, 2 * t] for t in (6, 0, 1, 2, 3, 4, 5)])
     on_disk = []
 
     def compute(batch):
@@ -585,9 +584,81 @@ def test_cache_is_flushed_whenever_a_chunk_crosses_a_multiple(tmp_path, monkeypa
         return [[t, 2 * t] for t in batch]
 
     rows = cli._sample_cache(rd, header, lambda row: int(row[0]), range(20), compute, chunk=4)
-    # batches 7-10, 11-14, 15-18, 19: the first passes 10 rows, the last 20
-    assert on_disk == [7, 11, 11, 11]
-    assert len(rows) == 20 and len(read_csv_rows(rd.cache)[1]) == 20
+    # batches 7-10, 11-14, 15-18, 19
+    assert on_disk == [7, 11, 15, 19]
+    assert len(rows) == 20
+    assert read_csv_rows(rd.cache)[1] == [[str(t), str(2 * t)] for t in range(20)]
+
+
+def _wegner_text(samples_per_cell, ground_samples=5):
+    return WEGNER_TMPL.replace(
+        "samples_per_cell = 40", f"samples_per_cell = {samples_per_cell}"
+    ).replace("ground_samples = 5", f"ground_samples = {ground_samples}")
+
+
+def _same_files(a, b):
+    assert sorted(os.listdir(a)) == sorted(os.listdir(b))
+    for name in os.listdir(a):
+        assert open(os.path.join(a, name), "rb").read() == open(
+            os.path.join(b, name), "rb"
+        ).read(), name
+
+
+def test_wegner_ctrl_c_mid_chunk_keeps_whole_chunks_for_resume(tmp_path, monkeypatch, capsys):
+    """Wegner samples are computed SAMPLE_CHUNK at a time, in order of (n,
+    sample), so a chunk can hold samples of two sizes.  Ctrl-C inside such a
+    chunk keeps the chunks before it whole, resuming gives the bytes of a
+    one-shot run, and so does a run with chunks of one sample."""
+    import displab.cli as cli
+
+    chunk = cli.SAMPLE_CHUNK
+    per_cell = chunk + 4  # the second chunk is n = 1's last 4 and n = 2's first samples
+    cfg_path = _write(tmp_path, "wegner.ini", _wegner_text(per_cell))
+    full, cut, single = (str(tmp_path / name) for name in ("full", "cut", "single"))
+    code = main(["wegner", "--config", cfg_path, "--out", full])
+    assert code in (0, 1)
+
+    real_assemble = ContinuumFamily.assemble
+
+    def assemble_then_interrupt(self, master_seed, sample_index):
+        if self.n == 2 and sample_index == 3:
+            raise KeyboardInterrupt
+        return real_assemble(self, master_seed, sample_index)
+
+    monkeypatch.setattr(ContinuumFamily, "assemble", assemble_then_interrupt)
+    assert main(["wegner", "--config", cfg_path, "--out", cut]) == 130
+    monkeypatch.undo()
+    assert f"interrupted; resume with --resume {cut}" in capsys.readouterr().err
+    _, rows = read_csv_rows(os.path.join(cut, "cache.csv"))
+    assert [(int(row[0]), int(row[1])) for row in rows] == [(1, s) for s in range(chunk)]
+    assert main(["wegner", "--resume", cut]) == code
+    _same_files(full, cut)
+
+    monkeypatch.setattr(cli, "SAMPLE_CHUNK", 1)
+    assert main(["wegner", "--config", cfg_path, "--out", single]) == code
+    _same_files(full, single)
+
+
+def test_resume_drops_a_torn_last_cache_line(tmp_path):
+    """A kill while appending can cut the last cache line short at any byte;
+    a cut line may still have the right field count (a ground -139.8123 cut
+    to -139.8, true to tr).  Resuming from every such cut gives the bytes of
+    a one-shot run."""
+    cfg_path = _write(tmp_path, "wegner.ini", _wegner_text(6, ground_samples=6))
+    full = str(tmp_path / "full")
+    code = main(["wegner", "--config", cfg_path, "--out", full])
+    text = open(os.path.join(full, "cache.csv"), "rb").read()
+    last = text.rstrip(b"\n").rfind(b"\n") + 1
+    assert text[last:].split(b",")[2], "the last row has a ground"
+    for cut in range(last, len(text)):
+        run = tmp_path / f"cut{cut}"
+        run.mkdir()
+        for name in os.listdir(full):
+            if name != "summary.txt":
+                (run / name).write_bytes(open(os.path.join(full, name), "rb").read())
+        (run / "cache.csv").write_bytes(text[:cut])
+        assert main(["wegner", "--resume", str(run)]) == code, cut
+        _same_files(full, str(run))
 
 
 def _preset_path(name):
@@ -692,7 +763,7 @@ def test_sigint_keeps_finished_samples_for_resume(tmp_path):
     assert b"interrupted; resume with --resume" in err
     _, cut_rows = read_csv_rows(str(cut / "cache.csv"))
     _, all_rows = read_csv_rows(str(full / "cache.csv"))
-    assert CACHE_EVERY <= len(cut_rows) < len(all_rows)
+    assert 1 <= len(cut_rows) < len(all_rows)
     assert main(["ids", "--resume", str(cut)]) == 0
     assert sorted(os.listdir(cut)) == sorted(os.listdir(full))
     for name in os.listdir(full):

@@ -75,6 +75,32 @@ def test_accepts_lattice_operator():
     assert np.all(res.residuals < 1e-9)
 
 
+@pytest.mark.parametrize("kind", ["chain", "torus", "dense"])
+def test_smallest_eigenpairs_of_a_symmetric_operator_skips_only_a_proven_check(monkeypatch, kind):
+    """An exactly symmetric SymmetricOperator gives the EigenResult bits of
+    the call on its matrix without computing the Hermitian defect; a
+    non-symmetric matrix is refused with or without the wrapper."""
+    mat = {
+        "chain": lambda: _random_chain(60, "generic", 5),
+        "torus": lambda: _generic_torus(side=8),
+        "dense": lambda: _random_sym(30),
+    }[kind]()
+    want = smallest_eigenpairs(mat, k=3)
+    op = es.SymmetricOperator(mat)
+    assert op.exactly_symmetric
+    monkeypatch.setattr(es, "_hermitian_defect", lambda m: pytest.fail("defect computed"))
+    got = smallest_eigenpairs(op, k=3)
+    monkeypatch.undo()
+    assert got.method == want.method == "dense"
+    for name in ("values", "vectors", "residuals"):
+        assert np.array_equal(getattr(got, name).view(np.int64), getattr(want, name).view(np.int64))
+    b = rng.standard_normal((10, 10))
+    for bad in (sp.csr_matrix(b), b):
+        for arg in (bad, es.SymmetricOperator(bad)):
+            with pytest.raises(ValueError, match="not Hermitian"):
+                smallest_eigenpairs(arg, k=1)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_count_below_matches_eigvalsh(seed):
     local = np.random.default_rng(seed)

@@ -8,7 +8,7 @@ rest is shape, support, and wrapping bookkeeping.
 import numpy as np
 import pytest
 
-from displab.discretize import GridSpec
+from displab.discretize import GridSpec, grid_site_plan
 from displab.potentials import (
     DisplacementField,
     DisplacementTooLargeError,
@@ -199,7 +199,8 @@ def test_total_potential_equals_all_sites_sum_bitwise(d, n, family):
     lam = (1.0 - q.radius) * (1.0 - 1e-12)
     assert 1.0 - 1e-9 < lam * field.max_norm() + q.radius < 1.0
     L = 2 * n + 1
-    grid = GridSpec(d=d, n=n, m=8).points()
+    spec = GridSpec(d=d, n=n, m=8)
+    grid = spec.points()
     off_grid = rng.uniform(-1.5 * L, 1.5 * L, size=(500, d))
     cell_edges = rng.integers(-L, L, size=(40, d)) + 0.5
     for x in (grid, off_grid, cell_edges):
@@ -208,6 +209,16 @@ def test_total_potential_equals_all_sites_sum_bitwise(d, n, family):
         assert got.shape == want.shape == (len(x),)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         assert np.any(got != p.value(x)), "bumps must contribute"
+    # assemble_periodic's plan, kept per (p, grid): a second field reuses it
+    plan = grid_site_plan(p, spec)
+    for f in (field, DisplacementField(n=n, d=d, values=-field.values[::-1])):
+        got = eval_total_potential(p, q, lam, f, grid, plan)
+        want = _all_sites_reference(p, q, lam, f, grid)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert grid_site_plan(p, spec) is plan, "built once"
+    assert len(plan.members) == L**d and len(plan.near) == L**d
+    for arr in (plan.base, *plan.members, *plan.near):
+        assert not arr.flags.writeable, "the shared plan is read-only"
     non_finite = np.array([[np.nan] * d, [np.inf] * d, [-np.inf] * d])
     with np.errstate(invalid="ignore"):
         got = eval_total_potential(p, q, lam, field, non_finite)
