@@ -76,11 +76,11 @@ from .spectral_stats import (
 from . import supports
 
 SIZE_GUARD = 200_000
-# Lifshitz and Wegner samples per stacked count.  A row of the chain sweep
-# costs about 0.85 us (two NumPy calls) plus 1 ns per column, and a
-# lifshitz-reduced-1d sample has 44 columns: at 16 samples a chunk's share of
-# the fixed part is down to its column part, while each sample held adds
-# about 0.1 MB (its CSR matrix and chain).
+# Samples per stacked count in the ids, lifshitz and wegner runners.  A row
+# of the chain sweep costs about 0.85 us (two NumPy calls) plus 1 ns per
+# column, and a lifshitz-reduced-1d sample has 44 columns: at 16 samples a
+# chunk's share of the fixed part is down to its column part, while each
+# sample held adds about 0.1 MB (its CSR matrix and chain).
 SAMPLE_CHUNK = 16
 SEED_LIMIT = 2**63  # [run] seed keys Philox streams: 0 <= seed < 2^63
 
@@ -503,6 +503,12 @@ def _sample_cache(rd, header, key, tasks, compute, chunk=1):
     return rows
 
 
+def _runs(batch):
+    """The (family, samples) runs of a batch of (family, sample) tasks, in order."""
+    for family, group in itertools.groupby(batch, key=lambda task: task[0]):
+        yield family, tuple(s for _, s in group)
+
+
 def _append_rows(path, header, rows):
     """Append rows to a CSV file, starting it with ``header`` if it is new."""
     with open(path, "a", encoding="utf-8", newline="") as fh:
@@ -655,9 +661,12 @@ def run_ids(cfg, rd, c0, alpha, zeta, n_samples, offsets, n_offsets):
         raise ConfigError(f"ids.offsets: {exc}") from exc
 
     def compute(batch):
-        [(k, s)] = batch
-        fam, energies = families[k]
-        return [[_IDS_FAMILIES[k], s] + count_rows(fam, seed, (s,), energies)[0].tolist()]
+        rows = []
+        for k, samples in _runs(batch):
+            fam, energies = families[k]
+            counts = count_rows(fam, seed, samples, energies)
+            rows += [[_IDS_FAMILIES[k], s] + c.tolist() for s, c in zip(samples, counts)]
+        return rows
 
     rows = _sample_cache(
         rd,
@@ -665,6 +674,7 @@ def run_ids(cfg, rd, c0, alpha, zeta, n_samples, offsets, n_offsets):
         lambda row: (_IDS_FAMILIES.index(row[0]), int(row[1])),
         [(k, s) for k in range(len(families)) for s in range(n_samples)],
         compute,
+        chunk=SAMPLE_CHUNK,
     )
     curves = [
         IDSCurve(
@@ -789,12 +799,16 @@ def run_wegner(
             f"{len(families)} (wegner.n_list)"
         )
 
+    fresh_audits = {}  # (n, sample) -> dense hit decisions; never written to disk
+
     def compute(batch):
         rows = []
-        for n, group in itertools.groupby(batch, key=lambda task: task[0]):
-            samples = tuple(s for _, s in group)
-            hits, grounds = wegner_rows(
-                families[n], seed, samples, e_center, eps_list, ground_samples
+        for n, samples in _runs(batch):
+            hits, grounds, audits = wegner_rows(
+                families[n], seed, samples, e_center, eps_list, ground_samples, audit_per_n
+            )
+            fresh_audits.update(
+                ((n, s), a) for s, a in zip(samples, audits) if a is not None
             )
             rows += [
                 [n, s, "" if e0 is None else e0] + h.tolist()
@@ -812,7 +826,11 @@ def run_wegner(
     )
     cached = {n: [rows[(n, s)] for s in range(samples_per_cell)] for n in families}
     rep = wegner_report(families, e_center, eps_list, seed, audit_per_n, {
-        n: (np.array([r[3:] for r in got]) == "true", [float(r[2]) if r[2] else None for r in got])
+        n: (
+            np.array([r[3:] for r in got]) == "true",
+            [float(r[2]) if r[2] else None for r in got],
+            [fresh_audits.get((n, s)) for s in range(samples_per_cell)],
+        )
         for n, got in cached.items()
     })
     write_csv(

@@ -260,30 +260,42 @@ def count_below_stack(ops, energies, dense_cutoff=COUNT_DENSE_CUTOFF):
     Row k equals ``count_below(ops[k], energies, dense_cutoff)``.  Periodic
     chains of equal N share one cyclic LDL^T sweep whose columns are every
     (operator, bracket threshold) pair; each column sees the operations of
-    a sweep of its own, so the stack changes no count.
+    a sweep of its own, so the stack changes no count.  ``ops`` may be a
+    generator: an operator that is not a chain is counted as it arrives and
+    not held after that, so a stack of large d >= 2 operators holds one at
+    a time.
     """
     flat = np.atleast_1d(_thresholds(energies))
-    return _count_stack([_prepared(op) for op in ops], flat, dense_cutoff)
+    return _count_stack((_prepared(op) for op in ops), flat, dense_cutoff)
 
 
 def _count_stack(ops, energies, dense_cutoff):
-    counts = np.full((len(ops), energies.size), -1)
-    by_size = {}
-    for k, op in enumerate(ops):
+    rows, chains = [], {}
+    for op in ops:
+        rows.append(np.full(energies.size, -1))
         if op.chain is not None and energies.size:
-            by_size.setdefault(op.shape[0], []).append(k)
-    for rows in by_size.values():
-        counts[rows] = _chain_counts([ops[k] for k in rows], energies)
-    for op, row in zip(ops, counts):
-        todo = np.flatnonzero(row < 0)
-        if todo.size:
-            count_one = _threshold_counter(op, dense_cutoff)
-            if todo.size > 1 and _takes_superlu(op, dense_cutoff) and op.exactly_symmetric:
-                row[todo] = _ritz_counts(op, count_one, energies[todo])
-                _trim_heap()
-            for k in np.flatnonzero(row < 0):
-                row[k] = count_one(float(energies[k]))[0]
-    return counts
+            chains.setdefault(op.shape[0], []).append((op, rows[-1]))
+        else:
+            _count_rest(op, rows[-1], energies, dense_cutoff)
+    for group in chains.values():
+        swept = _chain_counts([op for op, _ in group], energies)
+        for (op, row), counts in zip(group, swept):
+            row[:] = counts
+            _count_rest(op, row, energies, dense_cutoff)
+    return np.array(rows, dtype=int).reshape(len(rows), energies.size)
+
+
+def _count_rest(op, row, energies, dense_cutoff):
+    """Fill the entries of ``row`` still -1: by the Ritz route, else one
+    factorization per threshold."""
+    todo = np.flatnonzero(row < 0)
+    if todo.size:
+        count_one = _threshold_counter(op, dense_cutoff)
+        if todo.size > 1 and _takes_superlu(op, dense_cutoff) and op.exactly_symmetric:
+            row[todo] = _ritz_counts(op, count_one, energies[todo])
+            _trim_heap()
+        for k in np.flatnonzero(row < 0):
+            row[k] = count_one(float(energies[k]))[0]
 
 
 def _takes_superlu(op, dense_cutoff):

@@ -17,7 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretize import GridSpec, assemble_periodic
-from .eigensolve import SymmetricOperator, count_below_stack, ground_bisect, smallest_eigenpairs
+from .eigensolve import (
+    DENSE_CUTOFF, SymmetricOperator, count_below_stack, ground_bisect, smallest_eigenpairs,
+)
 from .floquet import band_bottom, v_vector
 from .randomfields import sample_field
 from .reduced import build_reduced
@@ -116,8 +118,14 @@ def _operators(family, master_seed, samples):
 
 
 def count_rows(family, master_seed, samples, energies):
-    """Counts below ``energies`` of each sample's operator: a (K, T) int array."""
-    return count_below_stack(_operators(family, master_seed, samples), energies)
+    """Counts below ``energies`` of each sample's operator: a (K, T) int array.
+
+    The operators are assembled as the stacked count takes them, so a batch
+    of operators that are not chains holds one at a time.
+    """
+    return count_below_stack(
+        (SymmetricOperator(family.assemble(master_seed, s)) for s in samples), energies
+    )
 
 
 def ids_curve(family, energies, n_samples, master_seed):
@@ -386,23 +394,51 @@ def wegner_windows(eps_list):
     return eps_list
 
 
-def wegner_rows(family, master_seed, samples, e_center, eps_list, ground_samples):
-    """Each sample's hit decisions, one per window, and its ground energy.
+def dense_levels(matrix):
+    """Every eigenvalue of ``matrix``, ascending, from ``np.linalg.eigh``.
+
+    This is the call ``smallest_eigenpairs`` makes up to ``DENSE_CUTOFF``
+    rows, so the first level is its ground to the bit (``eigvalsh`` and
+    ``subset_by_index`` give other bits).
+    """
+    return np.linalg.eigh(matrix.toarray())[0]
+
+
+def _level_hits(levels, e_center, eps):
+    """Whether some of the ascending ``levels`` lies within each eps of ``e_center``."""
+    upper, lower = np.searchsorted(levels, [e_center + eps, e_center - eps])
+    return upper > lower
+
+
+def wegner_rows(family, master_seed, samples, e_center, eps_list, ground_samples, audit_per_n):
+    """Each sample's hit decisions, one per window, its ground energy and
+    the dense audit of its hit decisions.
 
     A hit means some eigenvalue lies within eps of ``e_center``; the hits
-    come as a (K, len(eps_list)) bool array.  The grounds are a list of K
-    entries: ``smallest_eigenpairs`` on the sample's operator for samples
-    below ``ground_samples``, None for the rest.
+    come as a (K, len(eps_list)) bool array, counted by Sylvester inertia.
+    The grounds and the audits are lists of K entries, None for samples at
+    or above ``ground_samples`` and ``audit_per_n`` respectively.  A sample
+    below either gets one dense spectrum (``dense_levels``): its first level
+    is the ground, and the audit is a bool array of hit decisions read off
+    it.  Above ``DENSE_CUTOFF`` rows the ground comes from
+    ``smallest_eigenpairs`` (ARPACK) instead.
     """
     ops = _operators(family, master_seed, samples)
     eps = np.asarray(eps_list, dtype=float)
     counts = count_below_stack(ops, np.concatenate([e_center + eps, e_center - eps]))
     upper, lower = np.hsplit(counts, 2)
-    grounds = [
-        smallest_eigenpairs(op, k=1).ground_energy if s < ground_samples else None
-        for s, op in zip(samples, ops)
-    ]
-    return upper > lower, grounds
+    grounds, audits = [], []
+    for s, op in zip(samples, ops):
+        dense_ground = s < ground_samples and op.shape[0] <= DENSE_CUTOFF
+        levels = dense_levels(op.matrix) if dense_ground or s < audit_per_n else None
+        if dense_ground:
+            grounds.append(float(levels[0]))
+        elif s < ground_samples:
+            grounds.append(smallest_eigenpairs(op, k=1).ground_energy)
+        else:
+            grounds.append(None)
+        audits.append(_level_hits(levels, e_center, eps) if s < audit_per_n else None)
+    return upper > lower, grounds, audits
 
 
 def wegner_report(families, e_center, eps_list, master_seed, audit_per_n, results):
@@ -414,25 +450,30 @@ def wegner_report(families, e_center, eps_list, master_seed, audit_per_n, result
     cells cannot fix the fit (see ``_fit_loglog``) its exponents and standard
     errors are NaN and the report's ``fitted`` is false.
 
-    The first ``audit_per_n`` samples of each size are assembled again from
-    (master_seed, sample) and their hit decisions re-derived from dense
-    spectra, so replayed results are audited as well as fresh ones.
+    The first ``audit_per_n`` samples of each size are audited: their hit
+    decisions from the dense spectrum must equal the counted ones.  An audit
+    entry that is None (a sample replayed from a cache) is taken from the
+    spectrum of the sample assembled again from (master_seed, sample), by the
+    same function as a fresh sample's, so replayed results are audited as
+    well as fresh ones and a resumed scan gives the report of a one-shot one.
     """
     records, ground_stats = [], []
     audits_total = audits_agree = 0
-    edges = [[e_center + eps, e_center - eps] for eps in eps_list]
+    eps = np.asarray(eps_list, dtype=float)
     for n in sorted(families):
-        hits, grounds = results[n]
+        hits, grounds, audits = results[n]
         samples = len(hits)
         records += [
-            WegnerRecord(n=n, eps=eps, hits=int(h), samples=samples)
-            for eps, h in zip(eps_list, np.sum(hits, axis=0))
+            WegnerRecord(n=n, eps=e, hits=int(h), samples=samples)
+            for e, h in zip(eps_list, np.sum(hits, axis=0))
         ]
         for s in range(min(audit_per_n, samples)):
-            dense = np.sort(np.linalg.eigvalsh(families[n].assemble(master_seed, s).toarray()))
-            upper, lower = np.searchsorted(dense, edges).T
+            dense_hits = audits[s]
+            if dense_hits is None:
+                levels = dense_levels(families[n].assemble(master_seed, s))
+                dense_hits = _level_hits(levels, e_center, eps)
             audits_total += len(eps_list)
-            audits_agree += int(np.sum((upper > lower) == hits[s]))
+            audits_agree += int(np.sum(dense_hits == hits[s]))
         g = np.array([e0 for e0 in grounds if e0 is not None])
         if g.size:
             se = float(g.std(ddof=1) / np.sqrt(g.size)) if g.size > 1 else 0.0
@@ -469,14 +510,17 @@ def wegner_scan(
     A joint log-log fit extracts the window exponent nu_hat and the volume
     exponent dim_hat.  The first ``audit_per_n`` samples of each size have
     their hit decisions recomputed from dense spectra as an independent
-    cross-check, and the first ``ground_samples`` their ground energy; the
-    defaults are those of the CLI's ``[wegner]`` keys.
+    cross-check, and the first ``ground_samples`` their ground energy, both
+    from one dense spectrum per sample (see ``wegner_rows``); the defaults
+    are those of the CLI's ``[wegner]`` keys.
     """
     eps_list = wegner_windows(eps_list)
     families = {n: ContinuumFamily(p=p, q=q, lam=lam, dist=dist, n=n, m=m) for n in n_list}
     samples = range(samples_per_cell)
     results = {
-        n: wegner_rows(fam, master_seed, samples, e_center, eps_list, ground_samples)
+        n: wegner_rows(
+            fam, master_seed, samples, e_center, eps_list, ground_samples, audit_per_n
+        )
         for n, fam in families.items()
     }
     return wegner_report(families, e_center, eps_list, master_seed, audit_per_n, results)

@@ -20,6 +20,7 @@ from displab.assumptions import (
     minimize_over_support,
 )
 from displab.cli import main, read_csv_rows
+from preset_pins import pinned_differences
 from displab.discretize import (
     GridSpec,
     assemble_fiber,
@@ -277,7 +278,7 @@ def test_criterion_12_lifshitz_tail_machinery(tmp_path):
 def test_criterion_13_wegner_window_scaling(tmp_path):
     """Shipped proximity preset: nu_hat >= 0.8, dim_hat in [0.5, 1.5],
     400 samples per cell, and >= 50 audited instances all agreeing with
-    dense diagonalization."""
+    dense diagonalization; every output matches its pinned reference."""
     t0 = time.monotonic()
     out = str(tmp_path / "wegner")
     assert main(["wegner", "--config", _preset("wegner-1d"), "--out", out]) == 0
@@ -292,12 +293,14 @@ def test_criterion_13_wegner_window_scaling(tmp_path):
     n_eps = len({r["eps"] for r in recs})
     audited_instances = int(fit["audits_total"]) // n_eps
     assert audited_instances >= 50
+    assert pinned_differences(out, "wegner-1d") == []
     assert time.monotonic() - t0 < 1200.0
 
 
 def test_criterion_14_determinism_and_resume(tmp_path):
     """Equal configs give byte-identical CSVs; resuming a truncated cache
-    reproduces the one-shot outputs exactly."""
+    reproduces the one-shot outputs exactly; the ids-1d outputs match their
+    pinned reference."""
     # plain rerun, smallest deterministic preset
     a, b = str(tmp_path / "free_a"), str(tmp_path / "free_b")
     assert main(["band", "--config", _preset("free-1d"), "--out", a]) == 0
@@ -308,6 +311,7 @@ def test_criterion_14_determinism_and_resume(tmp_path):
     # Monte-Carlo rerun + resume-equals-one-shot on the sampling preset
     full, again = str(tmp_path / "ids_full"), str(tmp_path / "ids_again")
     assert main(["ids", "--config", _preset("ids-1d"), "--out", full]) == 0
+    assert pinned_differences(full, "ids-1d") == []
     assert main(["ids", "--config", _preset("ids-1d"), "--out", again]) == 0
     for name in ("curves.csv", "cache.csv", "summary.txt"):
         assert _read(os.path.join(full, name)) == _read(os.path.join(again, name)), name

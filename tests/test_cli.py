@@ -5,6 +5,7 @@ as the installed console script but without subprocess overhead -- except
 the SIGINT test, which has to signal a real process.
 """
 
+import collections
 import os
 import signal
 import subprocess
@@ -445,7 +446,9 @@ def test_ctrl_c_keeps_finished_samples_for_resume(tmp_path, monkeypatch, capsys)
 
     def assemble_then_interrupt(self, master_seed, sample_index):
         calls.append(sample_index)
-        if len(calls) == 8:  # 6 plus samples, 6 middle ones, then minus sample 1
+        # the first chunk of 16 holds 6 plus samples, 6 middle ones and minus
+        # samples 0-3; the 11th call is minus sample 4, in the second chunk
+        if len(calls) == 11:
             raise KeyboardInterrupt
         return real_assemble(self, master_seed, sample_index)
 
@@ -459,7 +462,7 @@ def test_ctrl_c_keeps_finished_samples_for_resume(tmp_path, monkeypatch, capsys)
     assert f"interrupted; resume with --resume {cut}" in capsys.readouterr().err
     assert not os.path.exists(os.path.join(cut, "summary.txt"))
     _, rows = read_csv_rows(os.path.join(cut, "cache.csv"))
-    assert len(rows) == 13
+    assert len(rows) == 16
 
     assert main(["ids", "--resume", cut]) == 0
     for name in ("cache.csv", "curves.csv", "summary.txt"):
@@ -637,6 +640,108 @@ def test_wegner_ctrl_c_mid_chunk_keeps_whole_chunks_for_resume(tmp_path, monkeyp
     monkeypatch.setattr(cli, "SAMPLE_CHUNK", 1)
     assert main(["wegner", "--config", cfg_path, "--out", single]) == code
     _same_files(full, single)
+
+
+def test_ids_ctrl_c_mid_chunk_keeps_whole_chunks_for_resume(tmp_path, monkeypatch, capsys):
+    """ids tasks are (family, sample) in family order, computed SAMPLE_CHUNK
+    at a time with one stacked count per family in a chunk.  Ctrl-C inside a
+    chunk that spans two families keeps the chunks before it whole, resuming
+    gives the bytes of a one-shot run, and so does a run with chunks of one
+    task."""
+    import displab.cli as cli
+
+    chunk = cli.SAMPLE_CHUNK
+    n_samples = chunk + 4  # chunk 3 is middle's last 8 samples and minus's first
+    cfg_path = _write(
+        tmp_path, "ids.ini", IDS_TMPL.replace("n_samples = 6", f"n_samples = {n_samples}")
+    )
+    full, cut, single = (str(tmp_path / name) for name in ("full", "cut", "single"))
+    assert main(["ids", "--config", cfg_path, "--out", full]) == 0
+
+    real_assemble = ReducedFamily.assemble
+    stacked = []
+    real_count_rows = cli.count_rows
+
+    def count_rows_logged(family, master_seed, samples, energies):
+        stacked.append((family.label, tuple(samples)))
+        return real_count_rows(family, master_seed, samples, energies)
+
+    def assemble_then_interrupt(self, master_seed, sample_index):
+        if self.sign < 0 and sample_index == 3:
+            raise KeyboardInterrupt
+        return real_assemble(self, master_seed, sample_index)
+
+    monkeypatch.setattr(cli, "count_rows", count_rows_logged)
+    monkeypatch.setattr(ReducedFamily, "assemble", assemble_then_interrupt)
+    assert main(["ids", "--config", cfg_path, "--out", cut]) == 130
+    monkeypatch.undo()
+    assert f"interrupted; resume with --resume {cut}" in capsys.readouterr().err
+    assert stacked == [
+        ("reduced-plus", tuple(range(chunk))),
+        ("reduced-plus", tuple(range(chunk, n_samples))),
+        ("continuum", tuple(range(chunk - 4))),
+        ("continuum", tuple(range(chunk - 4, n_samples))),
+        ("reduced-minus", tuple(range(8))),
+    ]
+    _, rows = read_csv_rows(os.path.join(cut, "cache.csv"))
+    assert [(row[0], int(row[1])) for row in rows] == [
+        ("plus", s) for s in range(n_samples)
+    ] + [("middle", s) for s in range(chunk - 4)]
+    assert main(["ids", "--resume", cut]) == 0
+    _same_files(full, cut)
+
+    monkeypatch.setattr(cli, "SAMPLE_CHUNK", 1)
+    assert main(["ids", "--config", cfg_path, "--out", single]) == 0
+    _same_files(full, single)
+
+
+def _counting_assembly(monkeypatch):
+    """Count ContinuumFamily.assemble calls per (n, sample)."""
+    made = collections.Counter()
+    real_assemble = ContinuumFamily.assemble
+
+    def assemble_counted(self, master_seed, sample_index):
+        made[(self.n, sample_index)] += 1
+        return real_assemble(self, master_seed, sample_index)
+
+    monkeypatch.setattr(ContinuumFamily, "assemble", assemble_counted)
+    return made
+
+
+@pytest.mark.parametrize("audit_per_n", [4, 25])
+def test_fresh_wegner_run_assembles_each_sample_once(tmp_path, monkeypatch, audit_per_n):
+    """The ground and the audit read one dense spectrum of the operator the
+    counts came from, so a fresh run assembles every (n, sample) once, also
+    when more samples are audited than grounded."""
+    text = _wegner_text(40).replace("audit_per_n = 4", f"audit_per_n = {audit_per_n}")
+    made = _counting_assembly(monkeypatch)
+    out = tmp_path / "run"
+    assert main(["wegner", "--config", _write(tmp_path, "w.ini", text), "--out", str(out)]) == 0
+    assert made == {(n, s): 1 for n in (1, 2) for s in range(40)}
+    assert f"audits: {8 * audit_per_n}/{8 * audit_per_n} agree" in (out / "summary.txt").read_text()
+
+
+@pytest.mark.parametrize("audit_per_n", [4, 25])
+def test_wegner_resume_audits_replayed_samples(tmp_path, monkeypatch, audit_per_n):
+    """A resumed run whose cache holds every audited sample assembles those
+    samples again for their audit only, computes the rest, and gives the
+    bytes of a one-shot run."""
+    kept = 30
+    text = _wegner_text(40).replace("audit_per_n = 4", f"audit_per_n = {audit_per_n}")
+    cfg_path = _write(tmp_path, "w.ini", text)
+    full, cut = tmp_path / "full", tmp_path / "cut"
+    assert main(["wegner", "--config", cfg_path, "--out", str(full)]) == 0
+    cut.mkdir()
+    for name in ("manifest.txt", "cache.csv"):
+        (cut / name).write_bytes((full / name).read_bytes())
+    header, rows = read_csv_rows(cut / "cache.csv")
+    write_csv(str(cut / "cache.csv"), header, [r for r in rows if int(r[1]) < kept])
+    made = _counting_assembly(monkeypatch)
+    assert main(["wegner", "--resume", str(cut)]) == 0
+    assert made == {
+        (n, s): 1 for n in (1, 2) for s in list(range(audit_per_n)) + list(range(kept, 40))
+    }
+    _same_files(str(full), str(cut))
 
 
 def test_resume_drops_a_torn_last_cache_line(tmp_path):

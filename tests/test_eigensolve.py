@@ -4,6 +4,8 @@ Random matrices below use a fixed generator so every run sees the same
 instances; the sparse paths are forced by lowering the dense cutoffs.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -411,6 +413,40 @@ def test_count_below_stack_mixes_sizes_and_non_chains():
     assert es.count_below_stack([], energies).shape == (0, energies.size)
     with pytest.raises(ValueError, match="finite"):
         es.count_below_stack(ops, [np.nan])
+
+
+def test_count_below_stack_counts_a_generator_holding_one_non_chain(monkeypatch):
+    """Operators that are not chains are counted as a generator yields them
+    and dropped after, so none is alive while another is counted; a chain
+    waits for the shared sweep.  The counts are those of one call each."""
+    side = 5
+    ring = _cyclic(np.full(side, 2.0), np.full(side, -1.0))
+    eye = sp.identity(side, format="csr")
+    torus = (sp.kron(ring, eye) + sp.kron(eye, ring) + sp.diags(np.linspace(0, 1, 25))).tocsr()
+    mats = [(torus + k * sp.identity(25)).tocsr() for k in range(3)]
+    mats.insert(1, _random_chain(17, "generic", 1))
+    energies = np.array([-1.0, 0.3, 1.1, 2.5, 9.0])
+    made, alive = [], []
+
+    def operators():
+        for mat in mats:
+            op = es.SymmetricOperator(mat)
+            if op.chain is None:
+                made.append(weakref.ref(op))
+            yield op
+
+    real_count_rest = es._count_rest
+
+    def count_rest_logged(op, row, energies, dense_cutoff):
+        if op.chain is None:
+            alive.append(sum(ref() is not None for ref in made))
+        return real_count_rest(op, row, energies, dense_cutoff)
+
+    monkeypatch.setattr(es, "_count_rest", count_rest_logged)
+    got = es.count_below_stack(operators(), energies)
+    assert alive == [1, 1, 1]
+    for mat, row in zip(mats, got):
+        assert np.array_equal(row, count_below(mat, energies))
 
 
 def test_symmetric_operator_is_prepared_once_and_gives_the_same_answers(monkeypatch):

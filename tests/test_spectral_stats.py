@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from displab.eigensolve import count_below, ground_bisect, smallest_eigenpairs
+from displab.floquet import band_bottom
 from displab.potentials import periodic_family, single_site_family
 from displab.randomfields import DisplacementDistribution
 from displab.spectral_stats import (
@@ -25,6 +26,7 @@ from displab.spectral_stats import (
     lifshitz_fit,
     lifshitz_rows,
     synthetic_tail_curve,
+    wegner_report,
     wegner_rows,
     wegner_scan,
 )
@@ -168,8 +170,6 @@ def test_wegner_scan_audits_agree_with_dense():
     """Small proximity scan on the deep-well background: every audited hit
     decision must match a dense diagonalization of the same instance."""
     p = periodic_family("cosine", 1, coefficients=[-200.0])
-    from displab.floquet import band_bottom
-
     e_lam = band_bottom(p, Q1, 0.1, np.array([-1.0]), 32).energy
     e_top = band_bottom(p, Q1, 0.0, np.array([-1.0]), 32).energy
     e_center = 0.5 * (e_lam + e_top)
@@ -189,6 +189,55 @@ def test_wegner_scan_audits_agree_with_dense():
         ps = [r.p_hat for r in rep.records if r.n == n]
         assert all(a <= b + 1e-12 for a, b in zip(ps, ps[1:]))
     assert rep.e_lambda_estimate() <= e_center
+
+
+def _eigvalsh_audits(family, master_seed, e_center, eps_list, audited):
+    """Reference audit, a pass of its own: each audited sample assembled
+    again and its hit decisions read off ``eigvalsh``."""
+    edges = [[e_center + eps, e_center - eps] for eps in eps_list]
+    decisions = []
+    for s in range(audited):
+        dense = np.sort(np.linalg.eigvalsh(family.assemble(master_seed, s).toarray()))
+        upper, lower = np.searchsorted(dense, edges).T
+        decisions.append(upper > lower)
+    return decisions
+
+
+@pytest.mark.parametrize("audit_per_n", [4, 25])
+def test_wegner_audits_equal_a_separate_eigvalsh_pass(audit_per_n):
+    """The audit reads the spectrum the ground came from (and takes one of
+    its own past ``ground_samples``); its decisions equal those of a
+    separate ``eigvalsh`` pass over the re-assembled samples, fresh or
+    replayed, on the CLI tests' deep-well scan (25 audited > 5 grounds)."""
+    p = periodic_family("cosine", 1, coefficients=[-200.0])
+    q = single_site_family("asym-bump", 1, amplitude=0.5, radius=0.45)
+    e_lam = band_bottom(p, q, 0.1, np.array([-1.0]), 32).energy
+    e_top = band_bottom(p, q, 0.0, np.array([-1.0]), 32).energy
+    e_center = 0.5 * (e_lam + e_top)
+    eps_hi = 0.05 * (e_top - e_lam)
+    eps_list = list(np.geomspace(eps_hi / 10**1.5, eps_hi, 4))
+    families = {n: ContinuumFamily(p=p, q=q, lam=0.1, dist=DIST, n=n, m=32) for n in (1, 2)}
+    results, total, agree = {}, 0, 0
+    for n, fam in families.items():
+        hits, grounds, audits = results[n] = wegner_rows(
+            fam, 2026, range(40), e_center, eps_list, ground_samples=5, audit_per_n=audit_per_n
+        )
+        want = _eigvalsh_audits(fam, 2026, e_center, eps_list, audit_per_n)
+        assert all(a is None for a in audits[audit_per_n:])
+        for s, decided in enumerate(want):
+            assert np.array_equal(audits[s], decided), (n, s)
+            agree += int(np.sum(decided == hits[s]))
+        total += len(want) * len(eps_list)
+    assert total == 2 * audit_per_n * 4 and agree == total
+    replayed = {n: (hits, grounds, [None] * 40) for n, (hits, grounds, _) in results.items()}
+    for res in (results, replayed):
+        rep = wegner_report(families, e_center, eps_list, 2026, audit_per_n, res)
+        assert (rep.audits_total, rep.audits_agree) == (total, agree)
+    scan = wegner_scan(
+        p, q, 0.1, DIST, e_center, eps_list, [1, 2], 32, samples_per_cell=40,
+        master_seed=2026, audit_per_n=audit_per_n, ground_samples=5,
+    )
+    assert scan == rep
 
 
 def test_wegner_scan_validates_eps():
@@ -245,12 +294,18 @@ def test_wegner_rows_equal_one_sample_at_a_time(n):
     family = ContinuumFamily(p=P1, q=Q1, lam=0.1, dist=DIST, n=n, m=16)
     e_center = np.linalg.eigvalsh(family.assemble(5, 0).toarray())[2 * n + 1]
     eps = np.array([1e-3, 1e-2, 1e-1, 1.0])
-    hits, grounds = wegner_rows(family, 5, range(6), e_center, eps, ground_samples=3)
+    hits, grounds, audits = wegner_rows(
+        family, 5, range(6), e_center, eps, ground_samples=3, audit_per_n=4
+    )
     assert hits.shape == (6, 4) and hits.any() and not hits.all()
     assert [g is None for g in grounds] == [False] * 3 + [True] * 3
+    assert [a is None for a in audits] == [False] * 4 + [True] * 2
     for s in range(6):
-        one_hits, one_grounds = wegner_rows(family, 5, (s,), e_center, eps, ground_samples=3)
+        one_hits, one_grounds, one_audits = wegner_rows(
+            family, 5, (s,), e_center, eps, ground_samples=3, audit_per_n=4
+        )
         assert np.array_equal(one_hits, hits[s : s + 1]) and one_grounds == [grounds[s]]
+        assert len(one_audits) == 1 and np.array_equal(one_audits[0], audits[s])
         mat = family.assemble(5, s)
         want = count_below(mat, e_center + eps) > count_below(mat, e_center - eps)
         assert np.array_equal(hits[s], want)
