@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretize import GridSpec, assemble_periodic, site_lattice
-from .eigensolve import smallest_eigenpairs
+from .eigensolve import dense_levels, smallest_eigenpairs
 from .floquet import band_bottom, v_vector
 from .potentials import DisplacementField, wrap_nearest
 
@@ -412,7 +412,9 @@ def exhaustive_field_scan(p, q, lam, support, n, m, grid_points=11):
 
     Enumerates all grid_points^(2n+1) displacement configurations; reports the
     global argmin, the runner-up energy and whether the argmin is a constant
-    configuration.
+    configuration.  Each ground is the first of ``dense_levels``, ``eigh``'s
+    eigenvalues without its eigenvectors, so up to ``DENSE_CUTOFF`` rows it is
+    the ``smallest_eigenpairs`` ground to the bit.
     """
     if q.d != 1:
         raise NotImplementedError("exhaustive scan is d = 1 only")
@@ -425,7 +427,7 @@ def exhaustive_field_scan(p, q, lam, support, n, m, grid_points=11):
     for cfg in np.ndindex(*([grid_points] * n_sites)):
         fld = DisplacementField(n=n, d=1, values=values[np.array(cfg)][:, None])
         op = assemble_periodic(p, q, lam, fld, grid)
-        e = smallest_eigenpairs(op, k=1).ground_energy
+        e = dense_levels(op.matrix)[0]
         if e < best_e:
             second = best_e
             best_e, best_cfg = e, np.array(cfg)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import hashlib
 import io
 import itertools
@@ -1067,6 +1068,14 @@ def _build_parser():
 
 
 def main(argv=None):
+    # Move the objects NumPy and SciPy made at import out of the cyclic
+    # collector's reach: they live until exit anyway, and the interpreter's
+    # last collections over them cost each run about 50 ms.  Reference
+    # counting still frees everything else and open files are still flushed.
+    # Only the first call in a process freezes, so a caller that runs main
+    # again and again does not pin the cyclic garbage of its earlier runs.
+    if gc.get_freeze_count() == 0:
+        gc.freeze()
     args = _build_parser().parse_args(argv)
     try:
         if args.config:

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dpttrf
+from scipy.linalg.lapack import dpttrf, dstevd, dsytrd, dsytrd_lwork
 
 from .discretize import diagonal_slots, plus_diagonal
 
@@ -102,6 +102,40 @@ def smallest_eigenpairs(op, k=1, tol=1e-10, dense_cutoff=DENSE_CUTOFF):
         [np.linalg.norm(mat @ vecs[:, j] - vals[j] * vecs[:, j]) for j in range(k)]
     )
     return EigenResult(values=vals, vectors=vecs, residuals=res, method=method)
+
+
+def dense_levels(matrix):
+    """Every eigenvalue of the real symmetric sparse ``matrix``, ascending.
+
+    ``np.linalg.eigh`` is LAPACK ``dsyevd``, which reduces the lower triangle
+    to tridiagonal form (``dsytrd``), solves the tridiagonal problem by
+    divide and conquer (``dstedc``) and back-transforms the vectors.  The
+    eigenvalues are final after the second stage, so this runs only the
+    first two -- ``dsytrd`` with its optimal (blocked) workspace, then
+    ``dstevd`` with vectors, the entry that calls ``dstedc`` as ``dsyevd``
+    does -- and returns ``eigh``'s eigenvalues to the bit.  ``eigvalsh``,
+    ``subset_by_index``, an unblocked ``dsytrd`` and ``dstevd`` without
+    vectors (``dsterf``) all give other bits.  Raises ``np.linalg.LinAlgError``
+    when LAPACK reports a failure, as ``eigh`` does.
+    """
+    if np.iscomplexobj(matrix):
+        raise ValueError("dense_levels expects a real symmetric matrix")
+    a = matrix.toarray(order="F")  # the layout dsytrd overwrites without a copy
+    n = a.shape[0]
+    _, d, e, _, info = dsytrd(a, lower=1, lwork=_dsytrd_lwork(n), overwrite_a=1)
+    if info == 0 and n > 1:  # the dstevd wrapper refuses an empty off-diagonal
+        d, _, info = dstevd(d, e, compute_v=1, overwrite_d=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dense_levels: LAPACK info {info}")
+    return d
+
+
+@functools.cache
+def _dsytrd_lwork(n):
+    work, info = dsytrd_lwork(n, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsytrd_lwork: LAPACK info {info}")
+    return int(work)
 
 
 def _hermitian_defect(mat):

@@ -18,7 +18,8 @@ import numpy as np
 
 from .discretize import GridSpec, assemble_periodic
 from .eigensolve import (
-    DENSE_CUTOFF, SymmetricOperator, count_below_stack, ground_bisect, smallest_eigenpairs,
+    DENSE_CUTOFF, SymmetricOperator, count_below_stack, dense_levels, ground_bisect,
+    smallest_eigenpairs,
 )
 from .floquet import band_bottom, v_vector
 from .randomfields import sample_field
@@ -394,16 +395,6 @@ def wegner_windows(eps_list):
     return eps_list
 
 
-def dense_levels(matrix):
-    """Every eigenvalue of ``matrix``, ascending, from ``np.linalg.eigh``.
-
-    This is the call ``smallest_eigenpairs`` makes up to ``DENSE_CUTOFF``
-    rows, so the first level is its ground to the bit (``eigvalsh`` and
-    ``subset_by_index`` give other bits).
-    """
-    return np.linalg.eigh(matrix.toarray())[0]
-
-
 def _level_hits(levels, e_center, eps):
     """Whether some of the ascending ``levels`` lies within each eps of ``e_center``."""
     upper, lower = np.searchsorted(levels, [e_center + eps, e_center - eps])
@@ -418,10 +409,12 @@ def wegner_rows(family, master_seed, samples, e_center, eps_list, ground_samples
     come as a (K, len(eps_list)) bool array, counted by Sylvester inertia.
     The grounds and the audits are lists of K entries, None for samples at
     or above ``ground_samples`` and ``audit_per_n`` respectively.  A sample
-    below either gets one dense spectrum (``dense_levels``): its first level
-    is the ground, and the audit is a bool array of hit decisions read off
-    it.  Above ``DENSE_CUTOFF`` rows the ground comes from
-    ``smallest_eigenpairs`` (ARPACK) instead.
+    below either gets one dense spectrum (``eigensolve.dense_levels``:
+    ``eigh``'s eigenvalues, bit for bit, without its eigenvectors): its
+    first level is the ground ``smallest_eigenpairs`` would give, and the
+    audit is a bool array of hit decisions read off it.  Above
+    ``DENSE_CUTOFF`` rows the ground comes from ``smallest_eigenpairs``
+    (ARPACK) instead.
     """
     ops = _operators(family, master_seed, samples)
     eps = np.asarray(eps_list, dtype=float)

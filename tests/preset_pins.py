@@ -11,13 +11,20 @@ config hash.
 
     PYTHONPATH=src python tests/preset_pins.py wegner-1d ids-1d
 
-runs the named presets in a temporary directory and rewrites their
-references.  A change that alters a preset's outputs on purpose rewrites
-them in the same commit.
+runs the named presets (default: every shipped preset) in a temporary
+directory and rewrites their references.  A change that alters a preset's
+outputs on purpose rewrites them in the same commit.
+
+    PYTHONPATH=src python tests/preset_pins.py --out DIR [PRESET ...]
+
+runs the presets into ``DIR/<preset>`` and pins nothing.  Run it on two
+checkouts and compare them with ``diff -r`` to show that a change leaves
+every preset's run directory byte-identical.
 """
 
 from __future__ import annotations
 
+import argparse
 import importlib.util
 import json
 import os
@@ -27,6 +34,8 @@ import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 REFERENCE_DIR = os.path.join(HERE, "preset_outputs")
+PRESET_DIR = os.path.join(os.path.dirname(HERE), "src", "displab", "presets")
+PRESETS = sorted(name[: -len(".ini")] for name in os.listdir(PRESET_DIR) if name.endswith(".ini"))
 _NUMBER = re.compile(r"([-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?)")
 
 
@@ -118,19 +127,31 @@ def write_reference(rundir, preset):
     return reference_path(preset)
 
 
-if __name__ == "__main__":
-    from importlib.resources import files as package_files
-
+def run_preset(preset, rundir):
+    """Run a shipped preset through the CLI entry point into ``rundir``."""
     from displab.cli import load_config_file, main
 
-    if len(sys.argv) < 2:
-        raise SystemExit(__doc__)
-    with tempfile.TemporaryDirectory() as tmp:
-        for preset in sys.argv[1:]:
-            config = str(package_files("displab") / "presets" / f"{preset}.ini")
-            rundir = os.path.join(tmp, preset)
-            kind = load_config_file(config)["run"]["kind"]
-            code = main([kind, "--config", config, "--out", rundir])
-            if code != 0:
-                raise SystemExit(f"{preset}: exit status {code}, nothing pinned")
-            print(write_reference(rundir, preset))
+    config = os.path.join(PRESET_DIR, f"{preset}.ini")
+    kind = load_config_file(config)["run"]["kind"]
+    code = main([kind, "--config", config, "--out", rundir])
+    if code != 0:
+        raise SystemExit(f"{preset}: exit status {code}")
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("presets", nargs="*", default=PRESETS, metavar="PRESET")
+    parser.add_argument("--out", help="run the presets into OUT/<preset>; pin nothing")
+    args = parser.parse_args()
+    unknown = sorted(set(args.presets) - set(PRESETS))
+    if unknown:
+        parser.error(f"unknown preset {', '.join(unknown)}; shipped: {', '.join(PRESETS)}")
+    if args.out:
+        for preset in args.presets:
+            run_preset(preset, os.path.join(args.out, preset))
+            print(os.path.join(args.out, preset))
+    else:
+        with tempfile.TemporaryDirectory() as tmp:
+            for preset in args.presets:
+                run_preset(preset, os.path.join(tmp, preset))
+                print(write_reference(os.path.join(tmp, preset), preset))

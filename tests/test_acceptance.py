@@ -258,7 +258,8 @@ def test_criterion_11_ids_counting_chain():
 
 def test_criterion_12_lifshitz_tail_machinery(tmp_path):
     """Fitter recovers -d/2 on synthetic doubly-log tails to 0.02; the reduced
-    1-d model (2001 sites, 200 samples) lands in the loose band [-0.9, -0.25]."""
+    1-d model (2001 sites, 200 samples) lands in the loose band [-0.9, -0.25],
+    and every output matches its pinned reference."""
     t0 = time.monotonic()
     for d, kappa in ((1, 0.5), (2, 1.0)):
         energies = 0.3 + np.geomspace(1e-3, 0.5, 36)
@@ -272,6 +273,7 @@ def test_criterion_12_lifshitz_tail_machinery(tmp_path):
     assert -0.9 <= float(fitrow["slope"]) <= -0.25, fitrow
     assert int(fitrow["n_points"]) >= 10
     assert fitrow["no_tail"] == "false"
+    assert pinned_differences(out, "lifshitz-reduced-1d") == []
     assert time.monotonic() - t0 < 900.0
 
 
@@ -299,14 +301,15 @@ def test_criterion_13_wegner_window_scaling(tmp_path):
 
 def test_criterion_14_determinism_and_resume(tmp_path):
     """Equal configs give byte-identical CSVs; resuming a truncated cache
-    reproduces the one-shot outputs exactly; the ids-1d outputs match their
-    pinned reference."""
+    reproduces the one-shot outputs exactly; the free-1d and ids-1d outputs
+    match their pinned references."""
     # plain rerun, smallest deterministic preset
     a, b = str(tmp_path / "free_a"), str(tmp_path / "free_b")
     assert main(["band", "--config", _preset("free-1d"), "--out", a]) == 0
     assert main(["band", "--config", _preset("free-1d"), "--out", b]) == 0
     assert _read(os.path.join(a, "bands.csv")) == _read(os.path.join(b, "bands.csv"))
     assert _read(os.path.join(a, "summary.txt")) == _read(os.path.join(b, "summary.txt"))
+    assert pinned_differences(a, "free-1d") == []
 
     # Monte-Carlo rerun + resume-equals-one-shot on the sampling preset
     full, again = str(tmp_path / "ids_full"), str(tmp_path / "ids_again")

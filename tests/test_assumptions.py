@@ -19,7 +19,8 @@ from displab.assumptions import (
     prop1_geometry,
     robust_linear_minimizer,
 )
-from displab.discretize import GridSpec
+from displab.discretize import GridSpec, assemble_periodic
+from displab.eigensolve import smallest_eigenpairs
 from displab.floquet import v_vector
 from displab.potentials import (
     DisplacementField,
@@ -144,6 +145,40 @@ def test_exhaustive_scan_prefers_constant_field():
     assert scan.constant_value == -1.0
     assert scan.margin > 0
     assert scan.grid_values.shape == (3,)
+
+
+def _reference_scan(p, q, lam, support, n, m, grid_points):
+    """The scan as it was before ``dense_levels``: one ``smallest_eigenpairs``
+    ground per configuration, through the same comparison loop."""
+    grid = GridSpec(d=1, n=n, m=m)
+    lo = support.project(np.array([-1e9]))[0]
+    hi = support.project(np.array([1e9]))[0]
+    values = np.linspace(lo, hi, grid_points)
+    best_e, best_cfg, second = np.inf, None, np.inf
+    for cfg in np.ndindex(*([grid_points] * (2 * n + 1))):
+        fld = DisplacementField(n=n, d=1, values=values[np.array(cfg)][:, None])
+        e = smallest_eigenpairs(assemble_periodic(p, q, lam, fld, grid), k=1).ground_energy
+        if e < best_e:
+            second = best_e
+            best_e, best_cfg = e, np.array(cfg)
+        elif e < second:
+            second = e
+    return best_cfg, best_e, second
+
+
+@pytest.mark.parametrize("grid_points", [3, 4, 5])
+@pytest.mark.parametrize("site", ["asym-bump", "sym-bump"])
+def test_exhaustive_scan_equals_the_smallest_eigenpairs_loop(site, grid_points):
+    """Same argmin, ground and runner-up bits as the per-configuration
+    ``smallest_eigenpairs`` loop; the symmetric bump makes mirrored
+    configurations tie, so the first minimum in ``ndindex`` order must win."""
+    q = single_site_family(site, 1)
+    scan = exhaustive_field_scan(P1, q, 0.1, K, 1, 16, grid_points=grid_points)
+    cfg, best, second = _reference_scan(P1, q, 0.1, K, 1, 16, grid_points)
+    assert np.array_equal(scan.argmin_config, cfg)
+    assert scan.argmin_energy == best
+    assert scan.runner_up_energy == second
+    assert scan.argmin_is_constant == bool(np.all(cfg == cfg[0]))
 
 
 def test_exhaustive_scan_rejects_d2():

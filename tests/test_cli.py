@@ -6,6 +6,7 @@ the SIGINT test, which has to signal a real process.
 """
 
 import collections
+import gc
 import os
 import signal
 import subprocess
@@ -36,6 +37,7 @@ from displab.potentials import periodic_family, single_site_family
 from displab.randomfields import DisplacementDistribution
 from displab.spectral_stats import ContinuumFamily, ReducedFamily, ids_sandwich_check, wegner_scan
 from displab.supports import ball
+from preset_pins import pinned_differences
 
 BAND_TMPL = """\
 [run]
@@ -295,7 +297,8 @@ def test_resume_validations(tmp_path):
     ["asym-1d", "minimize-1d", "reduce-1d", "sandwich-1d", "theorem1-1d"],
 )
 def test_shipped_presets_run_clean(tmp_path, preset):
-    """Every committed preset must run to a complete summary as shipped.
+    """Every committed preset must run to a complete summary as shipped, with
+    the outputs pinned in ``tests/preset_outputs/``.
 
     The Monte-Carlo presets (ids / lifshitz / wegner / free) are exercised by
     the acceptance gate; these are the remaining verification-style ones.
@@ -312,6 +315,19 @@ def test_shipped_presets_run_clean(tmp_path, preset):
     assert main([kind, "--config", cfg, "--out", out]) == 0
     summary = open(os.path.join(out, "summary.txt"), encoding="utf-8").read()
     assert summary.rstrip().endswith("status: complete")
+    assert pinned_differences(out, preset) == []
+
+
+def test_main_freezes_the_import_time_objects_once(capsys):
+    """The first ``main`` of a process moves what exists out of the cyclic
+    collector's reach; later calls freeze nothing more."""
+    gc.unfreeze()
+    assert main(["band"]) == 2
+    frozen = gc.get_freeze_count()
+    assert frozen > 0
+    assert main(["band"]) == 2
+    assert gc.get_freeze_count() == frozen
+    assert capsys.readouterr().err.count("config error: ") == 2
 
 
 WEGNER_TMPL = """\

@@ -15,13 +15,16 @@ factor must equal the per-threshold path's and, where the gap is clear,
 LDL^T, and random sparse symmetric matrices through dense LDL^T, SuperLU
 and the Ritz route by moving ``dense_cutoff``: every count must equal
 ``eigvalsh`` plus ``searchsorted`` where the gap is clear and lie inside the
-tie band elsewhere.  The profile in ``conftest.py`` makes every run draw
-the same examples.
+tie band elsewhere.  Random dense symmetric matrices (N up to 64) and
+chains also go through ``dense_levels``, whose levels must be LAPACK
+``dsyevd``'s to the bit.  The profile in ``conftest.py`` makes every run
+draw the same examples.
 """
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg.lapack import dsyevd
 
 import displab.eigensolve as es
 from displab.eigensolve import SymmetricOperator, count_below, count_below_stack, ground_bisect
@@ -324,3 +327,27 @@ def test_superlu_and_dense_ldlt_count_the_same_sparse_operator(mat, seed):
     for got in (dense, superlu, ritz):
         assert _clear_counts(got, levels, energies, scale)
         assert _in_band(got, levels, energies, scale)
+
+
+@given(
+    st.one_of(
+        st.builds(
+            _dense, st.integers(1, 64), st.sampled_from(DENSE_VARIANTS),
+            st.integers(0, 2**32 - 1),
+        ),
+        chains,
+    )
+)
+def test_dense_levels_are_dsyevds_eigenvalues_bit_for_bit(mat):
+    """``dense_levels`` runs the first two of ``dsyevd``'s three stages, so
+    its levels are those of ``dsyevd`` from the same LAPACK to the bit, and
+    within 1e-12 relative of ``np.linalg.eigh``'s, which may link another
+    BLAS build."""
+    a = mat.toarray() if sp.issparse(mat) else mat
+    want, _, info = dsyevd(a, compute_v=1, lower=1)
+    assert info == 0
+    got = es.dense_levels(sp.csr_matrix(mat))
+    assert np.array_equal(got, want)
+    np.testing.assert_allclose(
+        got, np.linalg.eigh(a)[0], rtol=0.0, atol=1e-12 * np.max(np.abs(want))
+    )

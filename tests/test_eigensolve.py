@@ -32,6 +32,27 @@ def test_dense_smallest_matches_eigh():
     assert np.all(got.residuals < 1e-10)
 
 
+def test_dense_levels_of_one_and_two_rows():
+    """N = 1 skips the tridiagonal solver, whose wrapper refuses an empty
+    off-diagonal."""
+    assert es.dense_levels(sp.csr_matrix([[3.0]])).tolist() == [3.0]
+    two = sp.csr_matrix([[2.0, 1.0], [1.0, 2.0]])
+    assert np.allclose(es.dense_levels(two), [1.0, 3.0], rtol=0.0, atol=4 * es._EPS)
+
+
+@pytest.mark.parametrize("stage", ["dsytrd", "dstevd"])
+def test_dense_levels_raises_when_lapack_reports_a_failure(monkeypatch, stage):
+    real = getattr(es, stage)
+    monkeypatch.setattr(es, stage, lambda *a, **k: (*real(*a, **k)[:-1], 1))
+    with pytest.raises(np.linalg.LinAlgError, match="LAPACK info 1"):
+        es.dense_levels(sp.csr_matrix(_random_sym(5)))
+
+
+def test_dense_levels_refuses_complex_input():
+    with pytest.raises(ValueError, match="real symmetric"):
+        es.dense_levels(sp.csr_matrix([[1.0, 1j], [-1j, 1.0]]))
+
+
 def test_arpack_agrees_with_dense():
     """Force the sparse path on a moderate ring and compare both branches."""
     n = 300
