@@ -25,6 +25,7 @@ from .assumptions import (
     robust_linear_minimizer,
 )
 from .discretize import (
+    DiagonalStack,
     GridSpec,
     LatticeOperator,
     assemble_fiber,
@@ -54,6 +55,7 @@ from .floquet import (
 )
 from .potentials import (
     DisplacementField,
+    FieldChunk,
     PeriodicPotential,
     SingleSitePotential,
     constant_field,
@@ -68,6 +70,7 @@ from .randomfields import (
     radial_density_bound,
     radial_density_note,
     sample_field,
+    sample_fields,
     site_rng,
 )
 from .reduced import (

@@ -16,8 +16,10 @@ one-shot run.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import csv
 import gc
+import glob
 import hashlib
 import io
 import itertools
@@ -53,7 +55,7 @@ from .floquet import (
     v_vector,
 )
 from .potentials import DisplacementField, constant_field, periodic_family, single_site_family
-from .randomfields import DisplacementDistribution
+from .randomfields import DisplacementDistribution, sample_fields
 from .reduced import (
     band_symbol_ratio,
     build_reduced,
@@ -77,7 +79,9 @@ from .spectral_stats import (
 from . import supports
 
 SIZE_GUARD = 200_000
-# Samples per stacked count in the ids, lifshitz and wegner runners.  A row
+# Samples per chunk in the ids, lifshitz and wegner runners: each chunk's
+# fields are drawn at once, assembled at once and counted in one stacked
+# count per family (ids: per family, on the shared fields).  A row
 # of the chain sweep costs about 0.85 us (two NumPy calls) plus 1 ns per
 # column, and a lifshitz-reduced-1d sample has 44 columns: at 16 samples a
 # chunk's share of the fixed part is down to its column part, while each
@@ -662,20 +666,27 @@ def run_ids(cfg, rd, c0, alpha, zeta, n_samples, offsets, n_offsets):
         raise ConfigError(f"ids.offsets: {exc}") from exc
 
     def compute(batch):
-        rows = []
-        for k, samples in _runs(batch):
-            fam, energies = families[k]
-            counts = count_rows(fam, seed, samples, energies)
-            rows += [[_IDS_FAMILIES[k], s] + c.tolist() for s, c in zip(samples, counts)]
-        return rows
+        # The families share each sample's field: draw the batch's fields once.
+        samples = list(dict.fromkeys(s for _, s in batch))
+        fields = sample_fields(dist, n, seed, samples)
+        rows = {}
+        for k, (fam, energies) in enumerate(families):
+            mine = tuple(s for j, s in batch if j == k)
+            if mine:
+                shared = fields.take(samples.index(s) for s in mine)
+                counts = count_rows(fam, seed, mine, energies, shared)
+                rows.update(
+                    ((k, s), [_IDS_FAMILIES[k], s] + c.tolist()) for s, c in zip(mine, counts)
+                )
+        return [rows[task] for task in batch]
 
     rows = _sample_cache(
         rd,
         ["family", "sample"] + [f"c_{g}" for g in range(len(offsets))],
         lambda row: (_IDS_FAMILIES.index(row[0]), int(row[1])),
-        [(k, s) for k in range(len(families)) for s in range(n_samples)],
+        [(k, s) for s in range(n_samples) for k in range(len(families))],
         compute,
-        chunk=SAMPLE_CHUNK,
+        chunk=len(families) * SAMPLE_CHUNK,
     )
     curves = [
         IDSCurve(
@@ -1067,6 +1078,44 @@ def _build_parser():
     return parser
 
 
+# The OpenBLAS each wheel bundles: (package, library file pattern in the
+# wheel's ``<package>.libs`` directory, its thread-count setter).
+_WHEEL_BLAS = (
+    ("numpy", "libscipy_openblas64_*.so*", "scipy_openblas_set_num_threads64_"),
+    ("scipy", "libscipy_openblas-*.so*", "scipy_openblas_set_num_threads"),
+)
+
+
+def _one_blas_thread():
+    """Set the OpenBLAS of NumPy's and of SciPy's wheel to one thread each.
+
+    Samples run one after another on small dense matrices, where a BLAS
+    thread pool only costs time: after a multithreaded NumPy call its idle
+    threads keep spinning, and a dense spectrum through SciPy's library at
+    N = 96 took 10.0 ms instead of 2.1 ms on 2 cores.  An explicit
+    OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is left alone, and a library that
+    is not loaded (another BLAS, another build) is skipped.  Returns the
+    paths of the libraries set.
+    """
+    if "OPENBLAS_NUM_THREADS" in os.environ or "OMP_NUM_THREADS" in os.environ:
+        return []
+    done = []
+    for package, pattern, setter in _WHEEL_BLAS:
+        module = sys.modules.get(package)
+        if module is None:
+            continue
+        libs = os.path.join(os.path.dirname(os.path.dirname(module.__file__)), package + ".libs")
+        for path in sorted(glob.glob(os.path.join(libs, pattern))):
+            try:  # RTLD_NOLOAD: only a library this process has loaded already
+                set_threads = getattr(ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY), setter)
+            except (OSError, AttributeError):
+                continue
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            set_threads(1)
+            done.append(path)
+    return done
+
+
 def main(argv=None):
     # Move the objects NumPy and SciPy made at import out of the cyclic
     # collector's reach: they live until exit anyway, and the interpreter's
@@ -1076,6 +1125,7 @@ def main(argv=None):
     # again and again does not pin the cyclic garbage of its earlier runs.
     if gc.get_freeze_count() == 0:
         gc.freeze()
+    _one_blas_thread()
     args = _build_parser().parse_args(argv)
     try:
         if args.config:

@@ -15,7 +15,9 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .potentials import as_points, eval_total_potential, site_lattice, site_plan, wrap_nearest
+from .potentials import (
+    FieldChunk, as_points, eval_total_potential, site_lattice, site_plan, wrap_nearest,
+)
 
 
 @dataclass(frozen=True)
@@ -86,7 +88,11 @@ def cell_axis_coords(m):
 
 @dataclass(frozen=True)
 class LatticeOperator:
-    """Assembled sparse operator together with its grid and boundary data."""
+    """Assembled sparse operator together with its grid and boundary data.
+
+    ``matrix`` is a CSR matrix, or the ``DiagonalStack`` of a chunk's
+    operators when ``assemble_periodic`` was given a ``FieldChunk``.
+    """
 
     matrix: sp.csr_matrix
     grid: GridSpec
@@ -187,6 +193,46 @@ def plus_diagonal(mat, where, diag, scale=1.0):
     return (scale * mat + sp.diags([diag], [0], shape=mat.shape, format="csr")).tocsr()
 
 
+@dataclass(frozen=True)
+class DiagonalStack:
+    """The operators ``scale * stencil + diag(diags[k])``, one per row of ``diags``.
+
+    ``stencil`` is a canonical CSR matrix shared read-only (a
+    ``periodic_laplacian``) and ``slots`` its ``diagonal_slots``.  ``stack[k]``
+    builds operator k with ``plus_diagonal``; ``data()`` writes every
+    diagonal into one stacked copy of the stencil's data, so what is read
+    off the operators' entries can be read off all of them in one pass.
+    """
+
+    stencil: sp.csr_matrix
+    slots: np.ndarray
+    diags: np.ndarray
+    scale: float = 1.0
+
+    @property
+    def shape(self):
+        return self.stencil.shape
+
+    @property
+    def nnz(self):
+        """Entries stored over all operators, before ``plus_diagonal`` drops
+        a diagonal that cancels to exactly 0.0."""
+        return len(self) * self.stencil.nnz
+
+    def __len__(self):
+        return self.diags.shape[0]
+
+    def __getitem__(self, k):
+        return plus_diagonal(self.stencil, self.slots, self.diags[k], self.scale)
+
+    def data(self):
+        """(K, nnz): row k is the CSR data of ``self[k]``, zeros kept in place."""
+        data = np.empty((len(self), self.stencil.nnz))
+        data[:] = self.scale * self.stencil.data
+        data[:, self.slots] += self.diags
+        return data
+
+
 @lru_cache(maxsize=16)
 def grid_site_plan(p, grid):
     """``site_plan(p, grid.points(), grid.n)``, built once per (p, grid) and
@@ -198,14 +244,21 @@ def grid_site_plan(p, grid):
 
 
 def assemble_periodic(p, q, lam, field, grid):
-    """Full torus operator -Delta_h + p + sum_gamma q(. - gamma - lam omega_gamma)."""
+    """Full torus operator -Delta_h + p + sum_gamma q(. - gamma - lam omega_gamma).
+
+    ``field`` is a ``DisplacementField``, which gives a CSR ``matrix``, or a
+    ``FieldChunk``, which gives the chunk's operators as a ``DiagonalStack``:
+    every field's potential comes from one ``eval_total_potential`` pass on
+    the shared stencil.  The two give the same operators, bit for bit.
+    """
     if grid.d != q.d:
         raise ValueError("grid dimension does not match potentials")
     if field.n != grid.n or field.d != grid.d:
         raise ValueError("field lattice does not match grid")
-    diag = eval_total_potential(p, q, lam, field, grid.points(), grid_site_plan(p, grid))
-    mat = plus_diagonal(*periodic_laplacian(grid.d, grid.side_points, grid.h), diag)
-    return LatticeOperator(matrix=mat, grid=grid, kind="periodic")
+    chunk = FieldChunk.of(field)
+    diags = eval_total_potential(p, q, lam, chunk, grid.points(), grid_site_plan(p, grid))
+    stack = DiagonalStack(*periodic_laplacian(grid.d, grid.side_points, grid.h), diags)
+    return LatticeOperator(matrix=stack if chunk is field else stack[0], grid=grid, kind="periodic")
 
 
 def fiber_diagonal(p, q, lam, zeta, m):
@@ -249,6 +302,7 @@ def free_fiber_eigenvalues(theta, m):
 __all__ = [
     "GridSpec",
     "LatticeOperator",
+    "DiagonalStack",
     "assemble_periodic",
     "assemble_fiber",
     "periodic_laplacian",

@@ -189,6 +189,14 @@ def _sparse_inertia(shifted, scale):
     if not np.array_equal(lu.perm_r, lu.perm_c):
         return None
     diag = lu.U.diagonal()
+    # Reading U made SuperLU build CSC copies of L and U, which it caches on
+    # the factor and hands out again on every access (about 36 MB at
+    # N = 43,264).  Only ``lu.solve`` is used from here on, so the copies'
+    # arrays are released now rather than with the factor, after the Ritz step.
+    for copy in (lu.L, lu.U):
+        copy.data = np.empty(0, dtype=copy.data.dtype)
+        copy.indices = np.empty(0, dtype=copy.indices.dtype)
+        copy.indptr = np.zeros_like(copy.indptr)
     if np.any(~np.isfinite(diag)) or np.any(np.abs(diag) <= _ZERO_PIVOT * scale):
         return None
     return int(np.sum(diag < 0.0)), lu
@@ -202,6 +210,7 @@ class SymmetricOperator:
     ``count_below``, ``count_below_stack`` and ``ground_bisect`` take one
     wherever they take an operator, so an operator that is both bisected and
     counted is prepared once.  The matrix must not change afterwards.
+    ``SymmetricOperator.chunk`` prepares the operators of a chunk together.
     """
 
     def __init__(self, op):
@@ -211,6 +220,36 @@ class SymmetricOperator:
         self.matrix = mat
         self.norm = _norm_estimate(mat)
         self.chain = _periodic_chain(mat)
+
+    @classmethod
+    def chunk(cls, stack):
+        """One prepared operator per operator of a ``discretize.DiagonalStack``.
+
+        On a periodic-chain stencil (every d = 1 torus) the norms and chain
+        forms of all the operators are read off the stack's data in one pass
+        each, by the functions that read one operator's (``_stack_norms``,
+        ``_stack_chains``), so they are bitwise the ones its own matrix gives.
+        An operator whose diagonal cancels to exactly 0.0 somewhere, which
+        ``plus_diagonal`` drops from its pattern, is prepared from its own
+        matrix.  The result is a list.  On any other stencil (d >= 2) it is a
+        generator that builds and prepares one operator at a time, so a chunk
+        of large operators is never held at once.
+        """
+        if _chain_pattern(stack.stencil) is None:
+            return (cls(stack[k]) for k in range(len(stack)))
+        data = stack.data()
+        norms = _stack_norms(stack.stencil.indptr, data)
+        chains = _stack_chains(stack.stencil, data)
+        ops = []
+        for k, (norm, chain) in enumerate(zip(norms, chains)):
+            mat = stack[k]
+            if mat.nnz < stack.stencil.nnz:  # a dropped 0.0
+                ops.append(cls(mat))
+                continue
+            op = cls.__new__(cls)
+            op.matrix, op.norm, op.chain = mat, float(norm), chain
+            ops.append(op)
+        return ops
 
     @property
     def shape(self):
@@ -512,20 +551,46 @@ def _periodic_chain(mat):
     """
     if not sp.issparse(mat):
         return None
+    return _stack_chains(mat, mat.data[None])[0]
+
+
+def _chain_pattern(mat):
+    """``(rows, offsets)`` of the stored entries, offsets ``(j - i) mod N``, if
+    the sparse ``mat`` is N x N with N >= 3 and stores entries only at
+    (i, i) and (i, i +- 1 mod N); else None."""
     n = mat.shape[0]
-    if n < 3 or mat.shape != (n, n) or not np.all(np.isfinite(mat.data)):
+    if n < 3 or mat.shape != (n, n):
         return None
     rows = np.repeat(np.arange(n), np.diff(mat.indptr))
     offset = (mat.indices - rows) % n
     if not np.all((offset == 0) | (offset == 1) | (offset == n - 1)):
         return None
+    return rows, offset
+
+
+def _stack_chains(mat, data):
+    """``_periodic_chain`` of each matrix with ``mat``'s pattern and a row of
+    ``data`` (K, nnz) for its entries: a list of K ``(a, b)`` or None.
+
+    Each entry of a, of b and of the subdiagonal is summed from the stored
+    entries at its place by one ``bincount`` over all K matrices, whose bins
+    see the additions of K separate ones.
+    """
+    pattern = _chain_pattern(mat)
+    if pattern is None:
+        return [None] * len(data)
+    rows, offset = pattern
+    n = mat.shape[0]
+    bins = rows + n * np.arange(len(data))[:, None]
     diag, up, down = (
-        np.bincount(rows[offset == k], weights=mat.data[offset == k], minlength=n)
+        np.bincount(
+            bins[:, offset == k].ravel(), weights=data[:, offset == k].ravel(),
+            minlength=n * len(data),
+        ).reshape(-1, n)
         for k in (0, 1, n - 1)
     )
-    if not np.array_equal(up, np.roll(down, -1)):
-        return None
-    return diag, up
+    chain = np.all(np.isfinite(data), axis=1) & np.all(up == np.roll(down, -1, axis=1), axis=1)
+    return [(a, b) if ok else None for a, b, ok in zip(diag, up, chain)]
 
 
 def _chain_counts(ops, energies):
@@ -784,6 +849,24 @@ def _last_pivot(heads, shifted_last, piv):
 
 
 def _norm_estimate(mat):
+    """Largest absolute row sum: ``abs(A).sum(axis=1).max()`` for a sparse A."""
     if sp.issparse(mat):
-        return float(np.abs(mat).sum(axis=1).max()) if mat.nnz else 0.0
+        mat.sum_duplicates()  # in place, as SciPy's abs(A) does before its row sums
+        return float(_stack_norms(mat.indptr, mat.data[None])[0])
     return float(np.linalg.norm(mat, np.inf)) if mat.size else 0.0
+
+
+def _stack_norms(indptr, data):
+    """``_norm_estimate`` of each sparse matrix with row pointers ``indptr``
+    and a row of ``data`` (K, nnz) for its entries: K norms.
+
+    SciPy sums a sparse matrix's rows with ``np.add.reduceat`` over each
+    nonempty row's entries; one ``reduceat`` over all K data rows makes the
+    same reductions, so every norm has the bits of its own matrix's.
+    """
+    k, nnz = data.shape
+    if not nnz:
+        return np.zeros(k)
+    starts = indptr[np.flatnonzero(np.diff(indptr))] + nnz * np.arange(k)[:, None]
+    sums = np.add.reduceat(np.abs(data).ravel(), starts.ravel())
+    return sums.reshape(k, -1).max(axis=1)

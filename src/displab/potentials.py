@@ -182,6 +182,51 @@ class DisplacementField:
         return bool(np.max(np.abs(self.values - np.asarray(zeta, dtype=float))) <= tol)
 
 
+@dataclass(frozen=True)
+class FieldChunk:
+    """The displacement fields of a chunk of samples on one torus lattice.
+
+    ``values`` has shape (K, (2n+1)^d, d): row k is the k-th field's
+    ``DisplacementField.values``.  ``eval_total_potential``,
+    ``assemble_periodic`` and ``build_reduced`` take a chunk wherever they
+    take a field and then give one result per field, stacked.
+    """
+
+    n: int
+    d: int
+    values: np.ndarray
+
+    def __post_init__(self):
+        vals = np.asarray(self.values, dtype=float)
+        m = (2 * self.n + 1) ** self.d
+        if vals.ndim != 3 or vals.shape[1:] != (m, self.d):
+            raise ValueError(f"chunk shape {vals.shape} != (K, {m}, {self.d})")
+        object.__setattr__(self, "values", vals)
+
+    @classmethod
+    def of(cls, field):
+        """``field`` itself if it is a chunk, else the chunk of that one field."""
+        if isinstance(field, cls):
+            return field
+        return cls(n=field.n, d=field.d, values=field.values[None])
+
+    def __len__(self):
+        return self.values.shape[0]
+
+    def __getitem__(self, k):
+        return DisplacementField(n=self.n, d=self.d, values=self.values[k])
+
+    def take(self, rows):
+        """The chunk of the fields at positions ``rows``."""
+        return FieldChunk(n=self.n, d=self.d, values=self.values[list(rows)])
+
+    def max_norm(self):
+        """Largest |omega| over every site of every field."""
+        if self.values.size == 0:
+            return 0.0
+        return float(np.max(np.linalg.norm(self.values, axis=-1)))
+
+
 def site_lattice(n, d):
     """Integer sites gamma in {-n..n}^d, lexicographic (C-order) rows."""
     axes = [np.arange(-n, n + 1)] * d
@@ -230,6 +275,10 @@ def site_plan(p, x, n):
 def eval_total_potential(p, q, lam, field, x, plan=None):
     """Background plus torus-periodized sum of displaced site potentials.
 
+    ``field`` is a ``DisplacementField``, which gives values of shape
+    ``x.shape[:-1]``, or a ``FieldChunk`` of K fields, which gives one such
+    row per field, shape (K,) + ``x.shape[:-1]``.
+
     The torus has side L = 2n+1; each site's bump is evaluated at the nearest
     periodic image.  Requires lam * max|omega| + r_q < 1 so that no bump
     wraps ambiguously across its own images.
@@ -239,35 +288,37 @@ def eval_total_potential(p, q, lam, field, x, plan=None):
     round(x) mod L (within 1/2 of x) only sees the sites of the 3^d cells
     around that cell.  Points are grouped by cell once, and each bump is
     evaluated on the distinct cells among its 3^d neighbours only, so the
-    cost is O(3^d * points) rather than O(sites * points).  Every point gets
-    the same additions in the same site order as the sum over all sites,
-    minus the exact +0.0 terms of far sites, so the result is bitwise equal.
+    cost is O(3^d * points) rather than O(sites * points).  The loop runs
+    over sites, in ``site_lattice`` order, and each step adds site gamma's
+    bump for every field of the chunk at once.  Every point of every field
+    gets the same additions in the same site order as the sum over all sites
+    of that field alone, minus the exact +0.0 terms of far sites, so the
+    result is bitwise equal.
 
     ``plan`` is ``site_plan(p, x, field.n)`` when the caller keeps one for
     points it evaluates at again; it is computed here otherwise.
     """
-    if p.d != q.d or field.d != q.d:
+    chunk = FieldChunk.of(field)
+    if p.d != q.d or chunk.d != q.d:
         raise ValueError("dimension mismatch between p, q and field")
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    if lam * field.max_norm() + q.radius >= 1.0:
-        raise DisplacementTooLargeError(
-            f"lam*max|omega| + r_q = {lam * field.max_norm() + q.radius:.3f} >= 1"
-        )
+    reach = lam * chunk.max_norm() + q.radius
+    if reach >= 1.0:
+        raise DisplacementTooLargeError(f"lam*max|omega| + r_q = {reach:.3f} >= 1")
     x = as_points(x, q.d)
     shape = x.shape[:-1]
     x = x.reshape(-1, q.d)
     if plan is None:
-        if q.is_zero:
-            return p.value(x).reshape(shape)
-        plan = site_plan(p, x, field.n)
-    out = plan.base.copy()
-    period = 2 * field.n + 1
+        plan = SitePlan(p.value(x), (), ()) if q.is_zero else site_plan(p, x, chunk.n)
+    out = np.repeat(plan.base[None], len(chunk), axis=0)
+    period = 2 * chunk.n + 1
     if not q.is_zero:
-        for near, c in zip(plan.near, site_lattice(field.n, field.d) + lam * field.values):
+        centers = site_lattice(chunk.n, chunk.d) + lam * chunk.values
+        for i, near in enumerate(plan.near):
             idx = np.concatenate([plan.members[k] for k in near])
-            out[idx] += q.value(wrap_nearest(x[idx] - c, period))
-    return out.reshape(shape)
+            out[:, idx] += q.value(wrap_nearest(x[idx] - centers[:, i, None], period))
+    return out.reshape((len(chunk),) + shape if chunk is field else shape)
 
 
 def periodic_family(name, d, coefficients=None):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .potentials import DisplacementField
+from .potentials import FieldChunk
 from .supports import SupportSet, ball
 
 DISTRIBUTION_KINDS = ("uniform-ball", "uniform-sphere", "polar", "product-box")
@@ -93,24 +93,38 @@ def site_rng(master_seed, sample_index, site_index):
 
 
 # Sites settled by the vector path and sites handed to the per-site loop,
-# summed over every ``sample_field`` call in this process.
+# summed over every ``sample_fields`` call in this process.
 SITE_COUNTS = {"vector": 0, "loop": 0}
 
-# Below about this many sites the vector path's fixed cost (≈0.5 ms)
-# exceeds the per-site loop's.
+# Below about this many (sample, site) pairs in a chunk the vector path's
+# fixed cost (≈0.5 ms) exceeds the per-site loop's.
 _VECTOR_MIN_SITES = 33
+
+# Most (sample, site) pairs in one vector pass: a chunk's pairs go in blocks
+# of this many, so the pass's working arrays stay near a 2001-site field's.
+_PHILOX_PAIRS = 2048
 
 
 def sample_field(dist, n, master_seed, sample_index):
-    """Draw a full displacement field on the lattice {-n..n}^d, canonical order.
+    """One displacement field on the lattice {-n..n}^d: ``sample_fields`` of
+    a chunk of one sample."""
+    return sample_fields(dist, n, master_seed, (sample_index,))[0]
 
-    Site k draws from ``site_rng(master_seed, sample_index, k)``: Philox4x64-10
-    with the key NumPy builds from ``[master_seed & (2**64 - 1), sample_index]``
-    (read back from that generator, since NumPy passes such a list through
-    float64 when an entry is 2**63 or more) and counters ``(k << 16) + 1,
-    + 2, ...``, four 64-bit words per counter.  Philox is counter-based, so the
-    first block of every site is computed at once in NumPy ``uint64``
-    arithmetic and turned into draws with NumPy's own formulas:
+
+def sample_fields(dist, n, master_seed, samples):
+    """Draw the displacement fields of a chunk of samples on the lattice
+    {-n..n}^d: a ``FieldChunk`` whose row k is sample ``samples[k]``'s field,
+    sites in canonical order.
+
+    Site k of sample s draws from ``site_rng(master_seed, s, k)``:
+    Philox4x64-10 with the key NumPy builds from
+    ``[master_seed & (2**64 - 1), s]`` (read back from that generator, since
+    NumPy passes such a list through float64 when an entry is 2**63 or more)
+    and counters ``(k << 16) + 1, + 2, ...``, four 64-bit words per counter.
+    Philox is counter-based, so the first block of every (sample, site) pair
+    of the chunk is computed in NumPy ``uint64`` arithmetic, ``_PHILOX_PAIRS``
+    pairs per pass with one key per pair, and turned into draws with NumPy's
+    own formulas:
 
     - the d = 1 uniform-ball and polar laws use only the sign of one
       ``standard_normal``, which the ziggurat takes from bit 8 of the first
@@ -120,30 +134,39 @@ def sample_field(dist, n, master_seed, sample_index):
     - the radius is ``R * u**(1 / (k + 1))`` with the uniform
       ``u = (w >> 11) * 2**-53`` of the second word.
 
-    The per-site loop (one Philox reset to the key's start and advanced to
-    the site) draws every site the vector path does not settle: fields below
-    ``_VECTOR_MIN_SITES`` sites, every other kind and dimension, d = 1 sites
-    above their layer's bound or with ``rabs < 2**40``, and every site when
-    the first-use self-check fails.  Either way the field is bitwise the
-    per-site streams' draws.
+    The per-site loop (the sample's Philox reset to its key's start and
+    advanced to the site) draws every pair the vector path does not settle:
+    chunks below ``_VECTOR_MIN_SITES`` pairs, every other kind and dimension,
+    d = 1 sites above their layer's bound or with ``rabs < 2**40``, and every
+    pair when the first-use self-check fails.  Either way each field is
+    bitwise the per-site streams' draws, whatever the chunk.
     """
     d = dist.d
     n_sites = (2 * n + 1) ** d
-    bg = np.random.Philox(key=[master_seed & _U64, sample_index])
-    start = bg.state
-    values = np.empty((n_sites, d))
-    loop_sites = range(n_sites)
-    if n_sites >= _VECTOR_MIN_SITES and _vectorizable(dist) and _vector_path_ok():
-        values, settled = _block_draws(dist, start["state"]["key"], np.arange(n_sites))
-        loop_sites = np.flatnonzero(~settled).tolist()
-    SITE_COUNTS["vector"] += n_sites - len(loop_sites)
-    SITE_COUNTS["loop"] += len(loop_sites)
-    rng = np.random.Generator(bg)
-    for site in loop_sites:
-        bg.state = start
-        bg.advance(site << 16)
-        values[site] = dist.draw(rng)
-    return DisplacementField(n=n, d=d, values=values)
+    gens = [np.random.Philox(key=[master_seed & _U64, s]) for s in samples]
+    starts = [bg.state for bg in gens]
+    values = np.empty((len(gens), n_sites, d))
+    flat = values.reshape(-1, d)
+    n_pairs = flat.shape[0]
+    loop_pairs = range(n_pairs)
+    if n_pairs >= _VECTOR_MIN_SITES and _vectorizable(dist) and _vector_path_ok():
+        keys = np.array([start["state"]["key"] for start in starts]).reshape(-1, 2)
+        loop_pairs = []
+        for lo in range(0, n_pairs, _PHILOX_PAIRS):
+            pairs = np.arange(lo, min(lo + _PHILOX_PAIRS, n_pairs))
+            owner = pairs // n_sites
+            drawn, settled = _block_draws(dist, keys[owner].T, pairs - owner * n_sites)
+            flat[pairs] = drawn
+            loop_pairs += (lo + np.flatnonzero(~settled)).tolist()
+    SITE_COUNTS["vector"] += n_pairs - len(loop_pairs)
+    SITE_COUNTS["loop"] += len(loop_pairs)
+    rngs = [np.random.Generator(bg) for bg in gens]
+    for pair in loop_pairs:
+        k, site = divmod(pair, n_sites)
+        gens[k].state = starts[k]
+        gens[k].advance(site << 16)
+        flat[pair] = dist.draw(rngs[k])
+    return FieldChunk(n=n, d=d, values=values)
 
 
 # Philox4x64 multipliers and Weyl key increments (Salmon et al., SC 2011).
@@ -274,15 +297,21 @@ def _mulhi(a, m):
 
 
 def _philox_block(key, sites):
-    """First Philox4x64-10 block (counter ``(site << 16) + 1``) of each site's stream."""
+    """First Philox4x64-10 block (counter ``(site << 16) + 1``) of each site's stream.
+
+    ``key`` is the pair ``(k0, k1)`` of one stream key, as NumPy's Philox
+    state holds it, or of two uint64 arrays shaped like ``sites``: one key per
+    site.
+    """
     c0 = (sites.astype(np.uint64) << np.uint64(16)) + np.uint64(1)
     c1 = c2 = c3 = np.zeros_like(c0)
-    (m0, m1), (k0, k1) = _PHILOX_M, (int(key[0]), int(key[1]))
+    (m0, m1), (w0, w1) = _PHILOX_M, _PHILOX_W
+    k0, k1 = (np.broadcast_to(np.asarray(k, dtype=np.uint64), c0.shape) for k in key)
     for _ in range(_PHILOX_ROUNDS):
         hi0, lo0 = _mulhi(c0, m0), c0 * np.uint64(m0)
         hi1, lo1 = _mulhi(c2, m1), c2 * np.uint64(m1)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
-        k0, k1 = (k0 + _PHILOX_W[0]) & _U64, (k1 + _PHILOX_W[1]) & _U64
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+        k0, k1 = k0 + np.uint64(w0), k1 + np.uint64(w1)
     return c0, c1, c2, c3
 
 
@@ -314,8 +343,9 @@ def _first_try(seed, sample, sites):
 
 def _block_draws(dist, key, sites):
     """``dist.draw`` (a d = 1 uniform-ball or polar law) at each site from its
-    first Philox block, and the mask of sites where that is provably the
-    per-site stream's draw (rows outside the mask are meaningless)."""
+    first Philox block (``key`` as ``_philox_block`` takes it), and the mask
+    of sites where that is provably the per-site stream's draw (rows outside
+    the mask are meaningless)."""
     w, w1 = _philox_block(key, sites)[:2]
     layer, rabs = _layer_rabs(w)
     # rabs >= 2**40 keeps |g| = rabs * wi[layer] >= 2**-14, far above _unit's
@@ -341,7 +371,7 @@ _SELF_CHECK_SITES = 32
 @functools.cache
 def _vector_path_ok():
     """First-use check that the vector path reproduces ``site_rng`` draws with
-    this NumPy; if it does not, ``sample_field`` draws every site by loop.
+    this NumPy; if it does not, ``sample_fields`` draws every site by loop.
 
     Two parts: the settled sites of one stream must equal ``dist.draw`` on
     their ``site_rng`` (key, word layout and draw formulas), and each layer's

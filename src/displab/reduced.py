@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .discretize import assemble_periodic, periodic_laplacian, plus_diagonal
+from .discretize import DiagonalStack, assemble_periodic, periodic_laplacian
 from .floquet import build_projectors, dispersion_symbol, fiber_ground, v_vector
-from .potentials import DisplacementField, constant_field
+from .potentials import DisplacementField, FieldChunk, constant_field
 from .randomfields import sample_field
 
 
@@ -35,7 +35,9 @@ def symbol_kinetic(d, side):
 
 @dataclass(frozen=True)
 class ReducedModel:
-    """One signed comparison operator h^sign on the site lattice."""
+    """One signed comparison operator h^sign on the site lattice, or a
+    chunk's: then ``field`` is a ``FieldChunk`` and ``matrix`` a
+    ``DiagonalStack``."""
 
     sign: int
     lam: float
@@ -43,8 +45,8 @@ class ReducedModel:
     v: np.ndarray
     c0: float
     alpha: float
-    field: DisplacementField
-    matrix: sp.csr_matrix
+    field: DisplacementField | FieldChunk
+    matrix: sp.csr_matrix | DiagonalStack
 
     @property
     def n_sites(self):
@@ -56,7 +58,10 @@ def build_reduced(sign, v, lam, zeta, field, c0, alpha):
 
     sign=-1 scales the kinetic part by 1/c0 (lower model), sign=+1 by c0
     (upper model); the diagonal couples linearly through v and quadratically
-    through c0 * alpha, with the quadratic term signed.
+    through c0 * alpha, with the quadratic term signed.  For a ``FieldChunk``
+    every field's diagonal is computed at once and ``matrix`` is their
+    ``DiagonalStack``, whose operators equal one call's per field bit for
+    bit.
     """
     if sign not in (-1, 1):
         raise ValueError("sign must be +1 or -1")
@@ -67,14 +72,16 @@ def build_reduced(sign, v, lam, zeta, field, c0, alpha):
     v = np.atleast_1d(np.asarray(v, dtype=float))
     zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
     kin_scale = c0 if sign > 0 else 1.0 / c0
-    dz = field.values - zeta
-    diag = lam * (dz @ v + sign * c0 * alpha * np.sum(dz**2, axis=1))
+    chunk = FieldChunk.of(field)
+    dz = chunk.values - zeta
+    diags = lam * (dz @ v + sign * c0 * alpha * np.sum(dz**2, axis=-1))
     # 0.5 * kin_scale times the h = 1 stencil is kin_scale * symbol_kinetic bit
     # for bit: halving is exact.
-    lap, where = periodic_laplacian(field.d, 2 * field.n + 1, 1.0)
-    mat = plus_diagonal(lap, where, diag, 0.5 * kin_scale)
+    lap, where = periodic_laplacian(chunk.d, 2 * chunk.n + 1, 1.0)
+    stack = DiagonalStack(lap, where, diags, 0.5 * kin_scale)
     return ReducedModel(
-        sign=sign, lam=lam, zeta=zeta, v=v, c0=c0, alpha=alpha, field=field, matrix=mat
+        sign=sign, lam=lam, zeta=zeta, v=v, c0=c0, alpha=alpha, field=field,
+        matrix=stack if chunk is field else stack[0],
     )
 
 

@@ -4,7 +4,9 @@ tail fits, and eigenvalue-proximity (level-repulsion) scans.
 All sampling is indexed by (master_seed, sample_index) through the
 counter-based field sampler, so curves are reproducible sample-by-sample.
 Each statistic has one batch function -- ``count_rows``, ``lifshitz_rows``,
-``wegner_rows`` -- that assembles a tuple of samples and counts them in one
+``wegner_rows`` -- that draws a tuple of samples' fields in one
+``sample_fields`` call (or takes fields the caller drew for several
+families), assembles them in one pass and counts them in one
 ``count_below_stack`` call.  The library drivers here call it once over all
 samples; the CLI runners call it on the chunks their resumable cache misses.
 A row never depends on the batch it was computed in.
@@ -22,15 +24,34 @@ from .eigensolve import (
     smallest_eigenpairs,
 )
 from .floquet import band_bottom, v_vector
-from .randomfields import sample_field
+from .randomfields import sample_fields
 from .reduced import build_reduced
 
 
 # -- operator families ----------------------------------------------------
 
 
+class _SampledFamily:
+    """Sampling and preparation shared by the families; each has ``dist``,
+    ``n`` and ``stack(fields)``."""
+
+    def operators(self, master_seed, samples, fields=None):
+        """The samples' operators, prepared (``SymmetricOperator.chunk``).
+
+        ``fields`` is ``sample_fields(self.dist, self.n, master_seed,
+        samples)`` when the caller has drawn it already.
+        """
+        if fields is None:
+            fields = sample_fields(self.dist, self.n, master_seed, samples)
+        return SymmetricOperator.chunk(self.stack(fields))
+
+    def assemble(self, master_seed, sample_index):
+        """One sample's CSR matrix: ``operators`` of a chunk of one."""
+        return next(iter(self.operators(master_seed, (sample_index,)))).matrix
+
+
 @dataclass(frozen=True)
-class ContinuumFamily:
+class ContinuumFamily(_SampledFamily):
     """Random torus operators H_{lam, omega} at fixed discretization."""
 
     p: object
@@ -52,13 +73,13 @@ class ContinuumFamily:
     def grid(self):
         return GridSpec(d=self.q.d, n=self.n, m=self.m)
 
-    def assemble(self, master_seed, sample_index):
-        field = sample_field(self.dist, self.n, master_seed, sample_index)
-        return assemble_periodic(self.p, self.q, self.lam, field, self.grid).matrix
+    def stack(self, fields):
+        """The operators of a ``FieldChunk``, as a ``DiagonalStack``."""
+        return assemble_periodic(self.p, self.q, self.lam, fields, self.grid).matrix
 
 
 @dataclass(frozen=True)
-class ReducedFamily:
+class ReducedFamily(_SampledFamily):
     """Random signed comparison operators on the site lattice."""
 
     sign: int
@@ -78,10 +99,10 @@ class ReducedFamily:
     def n_cells(self):
         return (2 * self.n + 1) ** self.dist.d
 
-    def assemble(self, master_seed, sample_index):
-        field = sample_field(self.dist, self.n, master_seed, sample_index)
+    def stack(self, fields):
+        """The operators of a ``FieldChunk``, as a ``DiagonalStack``."""
         return build_reduced(
-            self.sign, self.v, self.lam, self.zeta, field, self.c0, self.alpha
+            self.sign, self.v, self.lam, self.zeta, fields, self.c0, self.alpha
         ).matrix
 
 
@@ -114,22 +135,20 @@ class IDSCurve:
         return bool(np.all(np.diff(vals) >= -1e-12))
 
 
-def _operators(family, master_seed, samples):
-    return [SymmetricOperator(family.assemble(master_seed, s)) for s in samples]
-
-
-def count_rows(family, master_seed, samples, energies):
+def count_rows(family, master_seed, samples, energies, fields=None):
     """Counts below ``energies`` of each sample's operator: a (K, T) int array.
 
-    The operators are assembled as the stacked count takes them, so a batch
-    of operators that are not chains holds one at a time.
+    ``fields`` are the samples' fields when the caller drew them for several
+    families (see ``ContinuumFamily.operators``).  Operators that are not
+    chains are assembled as the stacked count takes them, so a batch of
+    them holds one at a time.
     """
-    return count_below_stack(
-        (SymmetricOperator(family.assemble(master_seed, s)) for s in samples), energies
-    )
+    return count_below_stack(family.operators(master_seed, samples, fields), energies)
 
 
-def ids_curve(family, energies, n_samples, master_seed):
+def ids_curve(family, energies, n_samples, master_seed, fields=None):
+    """The counting curve of samples 0 .. n_samples - 1; ``fields`` as for
+    ``count_rows``."""
     energies = np.asarray(energies, dtype=float)
     if np.any(np.diff(energies) <= 0):
         raise ValueError("energies must be strictly increasing")
@@ -137,7 +156,7 @@ def ids_curve(family, energies, n_samples, master_seed):
         raise ValueError("need at least one sample")
     return IDSCurve(
         energies=energies,
-        counts=count_rows(family, master_seed, range(n_samples), energies),
+        counts=count_rows(family, master_seed, range(n_samples), energies, fields),
         n_cells=family.n_cells,
         label=family.label,
     )
@@ -207,14 +226,15 @@ def ids_sandwich_check(
 ):
     """Run all three counting curves on shared displacement fields.
 
-    See ``sandwich_families`` for the admissible offsets ``energies``.  The
-    report carries the three curves, the 3-sigma mean comparisons, and the
-    number of strict per-sample violations of the integer chain (expected
-    zero).
+    See ``sandwich_families`` for the admissible offsets ``energies``.  Each
+    field is drawn once and counted by all three families.  The report
+    carries the three curves, the 3-sigma mean comparisons, and the number
+    of strict per-sample violations of the integer chain (expected zero).
     """
     e_ref, families = sandwich_families(p, q, lam, dist, zeta, n, m, c0, alpha, energies)
+    fields = sample_fields(dist, n, master_seed, range(max(n_samples, 0)))
     curves = [
-        ids_curve(fam, thresholds, n_samples, master_seed)
+        ids_curve(fam, thresholds, n_samples, master_seed, fields)
         for fam, thresholds in families
     ]
     return IDSSandwichReport.from_curves(
@@ -239,7 +259,7 @@ def holder_constant(curve, exponent=0.8):
 def lifshitz_rows(family, master_seed, samples, energies, ground_hi):
     """Each sample's ``ground_bisect`` level below ``ground_hi`` and its
     counts below ``energies``: a list of K floats and a (K, T) int array."""
-    ops = _operators(family, master_seed, samples)
+    ops = list(family.operators(master_seed, samples))
     return [ground_bisect(op, ground_hi) for op in ops], count_below_stack(ops, energies)
 
 
@@ -416,7 +436,7 @@ def wegner_rows(family, master_seed, samples, e_center, eps_list, ground_samples
     ``DENSE_CUTOFF`` rows the ground comes from ``smallest_eigenpairs``
     (ARPACK) instead.
     """
-    ops = _operators(family, master_seed, samples)
+    ops = list(family.operators(master_seed, samples))
     eps = np.asarray(eps_list, dtype=float)
     counts = count_below_stack(ops, np.concatenate([e_center + eps, e_center - eps]))
     upper, lower = np.hsplit(counts, 2)

@@ -318,6 +318,66 @@ def test_shipped_presets_run_clean(tmp_path, preset):
     assert pinned_differences(out, preset) == []
 
 
+def _wheel_blas():
+    """``{path: (get_threads, set_threads)}`` of each loaded wheel OpenBLAS."""
+    import ctypes
+
+    import displab.cli as cli
+
+    found = {}
+    for package, pattern, setter in cli._WHEEL_BLAS:
+        libs = Path(sys.modules[package].__file__).parent.parent / f"{package}.libs"
+        for path in sorted(libs.glob(pattern)):
+            try:
+                lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+            except OSError:  # not loaded in this process
+                continue
+            get, set_ = getattr(lib, setter.replace("_set_", "_get_")), getattr(lib, setter)
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            found[str(path)] = get, set_
+    return found
+
+
+def test_main_sets_each_wheel_blas_to_one_thread(monkeypatch, capsys):
+    """Serial runs gain nothing from a BLAS pool: ``main`` sets NumPy's and
+    SciPy's OpenBLAS to one thread unless the environment chose a count."""
+    import displab.cli as cli
+
+    libs = _wheel_blas()
+    if len(libs) < 2:
+        pytest.skip("NumPy's and SciPy's wheels do not bundle OpenBLAS here")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    for _, set_threads in libs.values():
+        set_threads(2)
+    assert main(["band"]) == 2
+    assert [get() for get, _ in libs.values()] == [1, 1]
+    assert sorted(cli._one_blas_thread()) == sorted(libs)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    for _, set_threads in libs.values():
+        set_threads(2)
+    chosen = [get() for get, _ in libs.values()]
+    assert main(["band"]) == 2 and cli._one_blas_thread() == []
+    assert [get() for get, _ in libs.values()] == chosen
+    for _, set_threads in libs.values():
+        set_threads(1)
+
+
+def test_a_missing_blas_library_is_not_an_error(monkeypatch, capsys):
+    import displab.cli as cli
+
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setattr(cli, "_WHEEL_BLAS", (
+        ("numpy", "libno_such_blas*.so*", "no_such_setter"),
+        ("numpy", "libgfortran*.so*", "scipy_openblas_set_num_threads64_"),
+        ("not_a_loaded_package", "*.so*", "openblas_set_num_threads"),
+    ))
+    assert cli._one_blas_thread() == []
+    assert main(["band"]) == 2
+
+
 def test_main_freezes_the_import_time_objects_once(capsys):
     """The first ``main`` of a process moves what exists out of the cyclic
     collector's reach; later calls freeze nothing more."""
@@ -453,22 +513,23 @@ def test_wegner_scan_without_a_fit_writes_its_records_and_fails(tmp_path, capsys
 def test_ctrl_c_keeps_finished_samples_for_resume(tmp_path, monkeypatch, capsys):
     """Ctrl-C mid-run exits 130 with the finished samples cached; resuming
     then gives the bytes of a one-shot run."""
+    import displab.cli as cli
+
     cfg_path = _write(tmp_path, "ids.ini", IDS_TMPL)
     full, cut = str(tmp_path / "full"), str(tmp_path / "cut")
     assert main(["ids", "--config", cfg_path, "--out", full]) == 0
 
-    real_assemble = ReducedFamily.assemble
-    calls = []
+    real_operators = ReducedFamily.operators
 
-    def assemble_then_interrupt(self, master_seed, sample_index):
-        calls.append(sample_index)
-        # the first chunk of 16 holds 6 plus samples, 6 middle ones and minus
-        # samples 0-3; the 11th call is minus sample 4, in the second chunk
-        if len(calls) == 11:
+    def operators_then_interrupt(self, master_seed, samples, fields=None):
+        # chunks of 4 samples: the first holds samples 0-3 of all three
+        # families; minus sample 4 is in the second
+        if self.sign < 0 and 4 in samples:
             raise KeyboardInterrupt
-        return real_assemble(self, master_seed, sample_index)
+        return real_operators(self, master_seed, samples, fields)
 
-    monkeypatch.setattr(ReducedFamily, "assemble", assemble_then_interrupt)
+    monkeypatch.setattr(cli, "SAMPLE_CHUNK", 4)
+    monkeypatch.setattr(ReducedFamily, "operators", operators_then_interrupt)
     try:
         code = main(["ids", "--config", cfg_path, "--out", cut])
     except KeyboardInterrupt:
@@ -478,7 +539,7 @@ def test_ctrl_c_keeps_finished_samples_for_resume(tmp_path, monkeypatch, capsys)
     assert f"interrupted; resume with --resume {cut}" in capsys.readouterr().err
     assert not os.path.exists(os.path.join(cut, "summary.txt"))
     _, rows = read_csv_rows(os.path.join(cut, "cache.csv"))
-    assert len(rows) == 16
+    assert len(rows) == 12
 
     assert main(["ids", "--resume", cut]) == 0
     for name in ("cache.csv", "curves.csv", "summary.txt"):
@@ -566,14 +627,14 @@ def test_lifshitz_ctrl_c_mid_chunk_keeps_whole_chunks_for_resume(tmp_path, monke
     full, cut = str(tmp_path / "full"), str(tmp_path / "cut")
     assert main(["lifshitz", "--config", cfg_path, "--out", full]) == 0
 
-    real_assemble = ReducedFamily.assemble
+    real_operators = ReducedFamily.operators
 
-    def assemble_then_interrupt(self, master_seed, sample_index):
-        if sample_index == chunk + 2:
+    def operators_then_interrupt(self, master_seed, samples, fields=None):
+        if chunk + 2 in samples:
             raise KeyboardInterrupt
-        return real_assemble(self, master_seed, sample_index)
+        return real_operators(self, master_seed, samples, fields)
 
-    monkeypatch.setattr(ReducedFamily, "assemble", assemble_then_interrupt)
+    monkeypatch.setattr(ReducedFamily, "operators", operators_then_interrupt)
     assert main(["lifshitz", "--config", cfg_path, "--out", cut]) == 130
     monkeypatch.undo()
     assert f"interrupted; resume with --resume {cut}" in capsys.readouterr().err
@@ -637,14 +698,14 @@ def test_wegner_ctrl_c_mid_chunk_keeps_whole_chunks_for_resume(tmp_path, monkeyp
     code = main(["wegner", "--config", cfg_path, "--out", full])
     assert code in (0, 1)
 
-    real_assemble = ContinuumFamily.assemble
+    real_operators = ContinuumFamily.operators
 
-    def assemble_then_interrupt(self, master_seed, sample_index):
-        if self.n == 2 and sample_index == 3:
+    def operators_then_interrupt(self, master_seed, samples, fields=None):
+        if self.n == 2 and 3 in samples:
             raise KeyboardInterrupt
-        return real_assemble(self, master_seed, sample_index)
+        return real_operators(self, master_seed, samples, fields)
 
-    monkeypatch.setattr(ContinuumFamily, "assemble", assemble_then_interrupt)
+    monkeypatch.setattr(ContinuumFamily, "operators", operators_then_interrupt)
     assert main(["wegner", "--config", cfg_path, "--out", cut]) == 130
     monkeypatch.undo()
     assert f"interrupted; resume with --resume {cut}" in capsys.readouterr().err
@@ -659,50 +720,54 @@ def test_wegner_ctrl_c_mid_chunk_keeps_whole_chunks_for_resume(tmp_path, monkeyp
 
 
 def test_ids_ctrl_c_mid_chunk_keeps_whole_chunks_for_resume(tmp_path, monkeypatch, capsys):
-    """ids tasks are (family, sample) in family order, computed SAMPLE_CHUNK
-    at a time with one stacked count per family in a chunk.  Ctrl-C inside a
-    chunk that spans two families keeps the chunks before it whole, resuming
-    gives the bytes of a one-shot run, and so does a run with chunks of one
-    task."""
+    """ids tasks are (family, sample) in sample order, computed SAMPLE_CHUNK
+    samples at a time: one draw of the chunk's fields, shared by the three
+    families, and one stacked count per family.  Ctrl-C inside the second
+    chunk keeps the first whole, resuming gives the bytes of a one-shot run,
+    and so does a run with chunks of one sample."""
     import displab.cli as cli
 
     chunk = cli.SAMPLE_CHUNK
-    n_samples = chunk + 4  # chunk 3 is middle's last 8 samples and minus's first
+    n_samples = chunk + 4  # the second chunk is samples chunk .. chunk + 3
     cfg_path = _write(
         tmp_path, "ids.ini", IDS_TMPL.replace("n_samples = 6", f"n_samples = {n_samples}")
     )
     full, cut, single = (str(tmp_path / name) for name in ("full", "cut", "single"))
     assert main(["ids", "--config", cfg_path, "--out", full]) == 0
 
-    real_assemble = ReducedFamily.assemble
-    stacked = []
-    real_count_rows = cli.count_rows
+    real_operators = ReducedFamily.operators
+    stacked, drawn = [], []
+    real_count_rows, real_sample_fields = cli.count_rows, cli.sample_fields
 
-    def count_rows_logged(family, master_seed, samples, energies):
+    def count_rows_logged(family, master_seed, samples, energies, fields=None):
         stacked.append((family.label, tuple(samples)))
-        return real_count_rows(family, master_seed, samples, energies)
+        return real_count_rows(family, master_seed, samples, energies, fields)
 
-    def assemble_then_interrupt(self, master_seed, sample_index):
-        if self.sign < 0 and sample_index == 3:
+    def sample_fields_logged(dist, n, master_seed, samples):
+        drawn.append(tuple(samples))
+        return real_sample_fields(dist, n, master_seed, samples)
+
+    def operators_then_interrupt(self, master_seed, samples, fields=None):
+        if self.sign < 0 and chunk + 1 in samples:
             raise KeyboardInterrupt
-        return real_assemble(self, master_seed, sample_index)
+        return real_operators(self, master_seed, samples, fields)
 
     monkeypatch.setattr(cli, "count_rows", count_rows_logged)
-    monkeypatch.setattr(ReducedFamily, "assemble", assemble_then_interrupt)
+    monkeypatch.setattr(cli, "sample_fields", sample_fields_logged)
+    monkeypatch.setattr(ReducedFamily, "operators", operators_then_interrupt)
     assert main(["ids", "--config", cfg_path, "--out", cut]) == 130
     monkeypatch.undo()
     assert f"interrupted; resume with --resume {cut}" in capsys.readouterr().err
+    first, second = tuple(range(chunk)), tuple(range(chunk, n_samples))
+    assert drawn == [first, second]
     assert stacked == [
-        ("reduced-plus", tuple(range(chunk))),
-        ("reduced-plus", tuple(range(chunk, n_samples))),
-        ("continuum", tuple(range(chunk - 4))),
-        ("continuum", tuple(range(chunk - 4, n_samples))),
-        ("reduced-minus", tuple(range(8))),
+        ("reduced-plus", first), ("continuum", first), ("reduced-minus", first),
+        ("reduced-plus", second), ("continuum", second), ("reduced-minus", second),
     ]
     _, rows = read_csv_rows(os.path.join(cut, "cache.csv"))
     assert [(row[0], int(row[1])) for row in rows] == [
-        ("plus", s) for s in range(n_samples)
-    ] + [("middle", s) for s in range(chunk - 4)]
+        (name, s) for name in ("plus", "middle", "minus") for s in first
+    ]
     assert main(["ids", "--resume", cut]) == 0
     _same_files(full, cut)
 
@@ -712,15 +777,15 @@ def test_ids_ctrl_c_mid_chunk_keeps_whole_chunks_for_resume(tmp_path, monkeypatc
 
 
 def _counting_assembly(monkeypatch):
-    """Count ContinuumFamily.assemble calls per (n, sample)."""
+    """Count the samples ContinuumFamily.operators assembles, per (n, sample)."""
     made = collections.Counter()
-    real_assemble = ContinuumFamily.assemble
+    real_operators = ContinuumFamily.operators
 
-    def assemble_counted(self, master_seed, sample_index):
-        made[(self.n, sample_index)] += 1
-        return real_assemble(self, master_seed, sample_index)
+    def operators_counted(self, master_seed, samples, fields=None):
+        made.update((self.n, s) for s in samples)
+        return real_operators(self, master_seed, samples, fields)
 
-    monkeypatch.setattr(ContinuumFamily, "assemble", assemble_counted)
+    monkeypatch.setattr(ContinuumFamily, "operators", operators_counted)
     return made
 
 
@@ -889,3 +954,14 @@ def test_sigint_keeps_finished_samples_for_resume(tmp_path):
     assert sorted(os.listdir(cut)) == sorted(os.listdir(full))
     for name in os.listdir(full):
         assert (full / name).read_bytes() == (cut / name).read_bytes(), name
+
+
+def test_ids_preset_draws_each_field_once(tmp_path):
+    """The three families of a sample share its field: the ids-1d preset
+    draws 100 fields of 5 sites, not one per family."""
+    from displab import randomfields
+
+    before = sum(randomfields.SITE_COUNTS.values())
+    cfg, out = str(files("displab") / "presets" / "ids-1d.ini"), str(tmp_path / "ids")
+    assert main(["ids", "--config", cfg, "--out", out]) == 0
+    assert sum(randomfields.SITE_COUNTS.values()) - before == 100 * 5

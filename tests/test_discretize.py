@@ -18,6 +18,7 @@ from displab.discretize import (
 )
 from displab.potentials import (
     DisplacementField,
+    FieldChunk,
     constant_field,
     periodic_family,
     single_site_family,
@@ -224,6 +225,27 @@ def test_assemble_periodic_csr_equals_per_call_build(d, n):
         assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64))
         assert np.array_equal(got.indices, want.indices)
         assert np.array_equal(got.indptr, want.indptr)
+
+
+@pytest.mark.parametrize("d, n", [(1, 0), (1, 2), (2, 1)])
+def test_assemble_periodic_chunk_equals_one_field_at_a_time(d, n):
+    """A FieldChunk gives the DiagonalStack of the one-field operators, bit
+    for bit, with ``data()`` their stacked data arrays."""
+    grid = GridSpec(d=d, n=n, m=8)
+    p = periodic_family("cosine", d, coefficients=[-1.0] * d)
+    q = single_site_family("asym-bump", d)
+    values = np.random.default_rng(d + 10 * n).uniform(-0.7, 0.7, (3, (2 * n + 1) ** d, d))
+    chunk = FieldChunk(n=n, d=d, values=values)
+    stack = assemble_periodic(p, q, 0.5, chunk, grid).matrix
+    assert len(stack) == 3 and stack.shape == (grid.n_points,) * 2
+    assert stack.nnz == 3 * stack.stencil.nnz
+    for k in range(3):
+        want = assemble_periodic(p, q, 0.5, chunk[k], grid).matrix
+        got = stack[k]
+        assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64))
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(stack.data()[k].view(np.int64), want.data.view(np.int64))
 
 
 @pytest.mark.parametrize(

@@ -712,3 +712,124 @@ def test_an_operator_not_exactly_symmetric_is_counted_threshold_by_threshold(mon
     monkeypatch.setattr(es.spla, "eigsh", None)  # never called
     got = _hands_back(monkeypatch, mat, between[[0, 2, 4]])
     assert got.tolist() == [1, 3, 5]
+
+
+# -- a chunk's operators prepared together ----------------------------------
+
+
+def _reference_norm_estimate(mat):
+    """The norm as it was read before chunks: SciPy's row sums of |A|."""
+    if sp.issparse(mat):
+        return float(np.abs(mat).sum(axis=1).max()) if mat.nnz else 0.0
+    return float(np.linalg.norm(mat, np.inf)) if mat.size else 0.0
+
+
+def _reference_periodic_chain(mat):
+    """The chain form as it was read before chunks: one operator's masked
+    ``bincount``s."""
+    if not sp.issparse(mat):
+        return None
+    n = mat.shape[0]
+    if n < 3 or mat.shape != (n, n) or not np.all(np.isfinite(mat.data)):
+        return None
+    rows = np.repeat(np.arange(n), np.diff(mat.indptr))
+    offset = (mat.indices - rows) % n
+    if not np.all((offset == 0) | (offset == 1) | (offset == n - 1)):
+        return None
+    diag, up, down = (
+        np.bincount(rows[offset == k], weights=mat.data[offset == k], minlength=n)
+        for k in (0, 1, n - 1)
+    )
+    if not np.array_equal(up, np.roll(down, -1)):
+        return None
+    return diag, up
+
+
+def _same_bits(a, b):
+    return np.float64(a).view(np.int64) == np.float64(b).view(np.int64)
+
+
+def _same_preparation(op, mat):
+    assert _same_bits(op.norm, _reference_norm_estimate(mat))
+    want = _reference_periodic_chain(mat)
+    if want is None:
+        assert op.chain is None
+    else:
+        for got_part, want_part in zip(op.chain, want):
+            assert np.array_equal(got_part.view(np.int64), want_part.view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "d, side, scale", [(1, 3, 1.0), (1, 97, 0.0625), (1, 2001, 1 / 3), (2, 9, 1.0)]
+)
+def test_chunk_preparation_equals_the_one_operator_reading(d, side, scale):
+    """Norms and chain forms read off a DiagonalStack in one pass equal the
+    parent's one-operator ``_norm_estimate`` and ``_periodic_chain`` bit for
+    bit: with a diagonal that cancels to exactly 0.0 (``plus_diagonal``
+    drops it), a non-finite diagonal, and on a d = 2 stencil, which is no
+    chain and is prepared one operator at a time."""
+    from displab.discretize import DiagonalStack, periodic_laplacian
+
+    lap, where = periodic_laplacian(d, side, 0.25)
+    n = lap.shape[0]
+    diags = np.random.default_rng(side).uniform(-40.0, 40.0, (5, n))
+    diags[1, n // 2] = -scale * lap[n // 2, n // 2]  # cancels to exactly 0.0
+    diags[3, 0] = np.inf
+    stack = DiagonalStack(lap, where, diags, scale)
+    ops = es.SymmetricOperator.chunk(stack)
+    assert isinstance(ops, list) == (d == 1)
+    ops = list(ops)
+    assert len(ops) == 5 and stack[1].nnz == lap.nnz - 1
+    for k, op in enumerate(ops):
+        mat = stack[k]
+        assert np.array_equal(op.matrix.data.view(np.int64), mat.data.view(np.int64))
+        _same_preparation(op, mat)
+        assert (op.chain is not None) == (d == 1 and k != 3)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_one_operator_reading_equals_the_reference(seed):
+    """``_norm_estimate`` and ``_periodic_chain`` (a stack of one) on random
+    sparse matrices: chains with zero couplings, unsorted and duplicate
+    entries, non-square and non-chain patterns, an empty matrix."""
+    local = np.random.default_rng(seed)
+    n = int(local.integers(3, 12))
+    mats = [
+        _random_chain(n, ("generic", "zero-corner", "zero-offdiagonals")[seed % 3], seed),
+        sp.random(n, n, density=0.4, random_state=seed, format="csr"),
+        sp.csr_matrix((n, n)),
+        sp.csr_matrix(local.uniform(-1, 1, (n, n + 1))),
+    ]
+    chain = _random_chain(n, "generic", seed + 100)
+    last = chain.indptr[-1]  # a second A[n - 1, 0], stored after the row's others
+    mats.append(sp.csr_matrix(
+        (np.append(chain.data, 0.5), np.append(chain.indices, 0),
+         np.append(chain.indptr[:-1], last + 1)), shape=(n, n),
+    ))
+    assert not mats[-1].has_canonical_format
+    for mat in mats:
+        assert _same_bits(es._norm_estimate(mat.copy()), _reference_norm_estimate(mat.copy()))
+        want, got = _reference_periodic_chain(mat.copy()), es._periodic_chain(mat.copy())
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_superlu_copies_are_released_and_the_factor_still_solves():
+    """After a count, the factor's cached L and U copies hold no entries, and
+    ``lu.solve`` and the Ritz intervals are those of an untouched factor."""
+    mat = _generic_torus()
+    levels, between = _levels_and_between(mat)
+    shifted = (mat - between[4] * sp.identity(mat.shape[0], format="csr")).tocsr()
+    scale = max(1.0, es._norm_estimate(mat), abs(between[4]))
+    count, lu = es._sparse_inertia(shifted, scale)
+    kept = es.spla.splu(
+        shifted.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        options=dict(SymmetricMode=True),
+    )
+    assert count == 5 and lu.L.nnz == lu.U.nnz == 0 and kept.U.nnz > 0
+    rhs = np.random.default_rng(1).standard_normal((mat.shape[0], 3))
+    assert np.array_equal(lu.solve(rhs), kept.solve(rhs))
+    op = es.SymmetricOperator(mat)
+    got, want = (es._ritz_intervals(op, f, between[4], 5) for f in (lu, kept))
+    assert got is not None and all(np.array_equal(g, w) for g, w in zip(got, want))

@@ -12,6 +12,7 @@ from displab.discretize import GridSpec, grid_site_plan
 from displab.potentials import (
     DisplacementField,
     DisplacementTooLargeError,
+    FieldChunk,
     UnknownFamilyError,
     as_points,
     constant_field,
@@ -19,6 +20,7 @@ from displab.potentials import (
     periodic_family,
     single_site_family,
     site_lattice,
+    site_plan,
     wrap_nearest,
 )
 
@@ -226,3 +228,47 @@ def test_total_potential_equals_all_sites_sum_bitwise(d, n, family):
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     batched = eval_total_potential(p, q, lam, field, off_grid.reshape(20, 25, d))
     assert np.array_equal(batched.ravel(), eval_total_potential(p, q, lam, field, off_grid))
+
+
+def _one_field_reference(p, q, lam, field, x, plan=None):
+    """eval_total_potential as it was before chunks: one field, its sites in
+    turn, each bump evaluated on its neighbouring cells' points."""
+    x = as_points(x, q.d)
+    shape = x.shape[:-1]
+    x = x.reshape(-1, q.d)
+    if plan is None:
+        plan = site_plan(p, x, field.n)
+    out = plan.base.copy()
+    for near, c in zip(plan.near, site_lattice(field.n, field.d) + lam * field.values):
+        idx = np.concatenate([plan.members[k] for k in near])
+        out[idx] += q.value(wrap_nearest(x[idx] - c, 2 * field.n + 1))
+    return out.reshape(shape)
+
+
+@pytest.mark.parametrize("d,n", [(1, 0), (1, 1), (1, 3), (2, 1), (2, 2), (3, 1)])
+def test_chunk_total_potential_equals_one_field_at_a_time_bitwise(d, n):
+    """A chunk of fields gives each field's row of the one-field loop, bit
+    for bit, on the grid with the shared plan and off the grid without it;
+    a single field is a chunk of one."""
+    rng = np.random.default_rng(10 * d + n)
+    p = periodic_family("cosine", d, coefficients=[-1.0] * d)
+    q = single_site_family("asym-bump", d, amplitude=0.5, radius=0.45)
+    sites = (2 * n + 1) ** d
+    omega = rng.uniform(-1.0, 1.0, size=(5, sites, d)) / np.sqrt(d)
+    omega[3, 0] = 1.0 / np.sqrt(d)  # max |omega| = 1, in one field only
+    chunk = FieldChunk(n=n, d=d, values=omega)
+    lam = 0.5
+    spec = GridSpec(d=d, n=n, m=4 if d == 3 else 8)
+    L = 2 * n + 1
+    off_grid = rng.uniform(-1.5 * L, 1.5 * L, size=(6, 7, d))
+    for x, plan in ((spec.points(), grid_site_plan(p, spec)), (off_grid, None)):
+        got = eval_total_potential(p, q, lam, chunk, x, plan)
+        assert got.shape == (5,) + x.shape[:-1]
+        for k in range(5):
+            want = _one_field_reference(p, q, lam, chunk[k], x, plan)
+            assert np.array_equal(got[k].view(np.int64), want.view(np.int64))
+            one = eval_total_potential(p, q, lam, chunk[k], x, plan)
+            assert np.array_equal(one.view(np.int64), want.view(np.int64))
+    assert np.array_equal(FieldChunk.of(chunk[2]).values, omega[2:3])
+    with pytest.raises(DisplacementTooLargeError):
+        eval_total_potential(p, q, 0.56, chunk, off_grid)  # 0.56 * 1 + 0.45 >= 1

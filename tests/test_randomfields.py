@@ -14,6 +14,7 @@ from displab.randomfields import (
     radial_density_bound,
     radial_density_note,
     sample_field,
+    sample_fields,
     site_rng,
 )
 from displab.supports import ball, box, sphere
@@ -106,6 +107,57 @@ def test_sample_field_equals_site_rng_draws_at_scale(kind, d):
         n_sites += field.n_sites
     assert served == (kind in ("uniform-ball", "polar") and d == 1)
     assert n_sites >= (10**5 if served else 25)
+
+
+# (n, master_seed, samples): 3-site fields that reach the vector path's
+# cutoff only as a chunk (48 pairs), a chunk below it (15 pairs), one exactly
+# at it, and, for the kinds the vector path serves, 2001-site fields whose
+# 6003 pairs span several Philox blocks and leave unsettled sites to the loop.
+_CHUNK_CASES = [
+    (1, 2**63 + 17, tuple(range(16))),
+    (1, 3, (0, 2**32 + 3, 5, 7, 9)),
+    (5, 2**63 + 17, (2**32 + 1, 4, 0)),
+]
+_BULK_CHUNK = (1000, 11, (0, 2**32 + 9, 1))
+
+
+@pytest.mark.parametrize("kind", DISTRIBUTION_KINDS)
+def test_sample_fields_equal_site_rng_draws(kind):
+    """Each field of a chunk is its sample's per-site streams' draws, whatever
+    the chunk; the vector path serves a chunk of at least
+    ``_VECTOR_MIN_SITES`` pairs, however few sites each field has."""
+    dist = _distribution(kind, 1)
+    served = randomfields._vectorizable(dist)
+    for n, seed, samples in _CHUNK_CASES + ([_BULK_CHUNK] if served else []):
+        before = dict(randomfields.SITE_COUNTS)
+        chunk = sample_fields(dist, n, seed, samples)
+        vector = randomfields.SITE_COUNTS["vector"] - before["vector"]
+        loop = randomfields.SITE_COUNTS["loop"] - before["loop"]
+        assert chunk.values.shape == (len(samples), 2 * n + 1, 1)
+        for k, s in enumerate(samples):
+            assert np.array_equal(chunk.values[k], _site_draws(dist, n, seed, s))
+            assert np.array_equal(chunk[k].values, sample_field(dist, n, seed, s).values)
+        pairs = len(samples) * (2 * n + 1)
+        assert vector + loop == pairs
+        if served and pairs >= randomfields._VECTOR_MIN_SITES:
+            assert vector > 0.9 * pairs
+        else:
+            assert vector == 0
+        if n == _BULK_CHUNK[0]:
+            assert pairs > 2 * randomfields._PHILOX_PAIRS and loop > 0
+
+
+def test_one_key_per_site_equals_one_key_per_call():
+    """``_philox_block`` with a key per site gives each site the block its
+    own stream key gives it."""
+    keys = [np.random.Philox(key=[2**63 + 17, s]).state["state"]["key"] for s in (0, 2**32 + 3)]
+    sites = np.arange(40)
+    per_site = np.repeat(np.array(keys), 20, axis=0).T
+    got = randomfields._philox_block(per_site, sites)
+    for k, key in enumerate(keys):
+        want = randomfields._philox_block(key, sites[20 * k : 20 * (k + 1)])
+        for word, want_word in zip(got, want):
+            assert np.array_equal(word[20 * k : 20 * (k + 1)], want_word)
 
 
 def _probe_layers_and_rabs(first, count):

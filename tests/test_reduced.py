@@ -8,11 +8,12 @@ from displab.discretize import GridSpec, periodic_laplacian
 from displab.floquet import dispersion_symbol
 from displab.potentials import (
     DisplacementField,
+    FieldChunk,
     constant_field,
     periodic_family,
     single_site_family,
 )
-from displab.randomfields import DisplacementDistribution, sample_field
+from displab.randomfields import DisplacementDistribution, sample_field, sample_fields
 from displab.reduced import (
     band_symbol_ratio,
     build_reduced,
@@ -239,3 +240,28 @@ def test_build_reduced_exact_zero_diagonal_takes_the_sparse_sum():
     want = (symbol_kinetic(1, 3) + sp.diags([-1.0, -2.25, -0.25], format="csr")).tocsr()
     assert got.nnz == 8
     _same_csr(got, want)
+
+
+@pytest.mark.parametrize("d, n", [(1, 1), (1, 30), (2, 2)])
+def test_build_reduced_chunk_equals_one_field_at_a_time(d, n):
+    """A FieldChunk gives a DiagonalStack whose operators are, bit for bit,
+    the one-field calls' operators."""
+    dist = DisplacementDistribution(kind="uniform-ball", support=ball(np.zeros(d), 1.0))
+    zeta, v = np.full(d, -1.0), np.linspace(0.5, 2.0, d)
+    chunk = sample_fields(dist, n, 3, range(4))
+    for sign, c0 in ((-1, 4.0), (1, 3.0)):
+        model = build_reduced(sign, v, 0.1, zeta, chunk, c0, 0.05)
+        assert model.field is chunk and len(model.matrix) == 4
+        for k in range(4):
+            _same_csr(model.matrix[k], build_reduced(sign, v, 0.1, zeta, chunk[k], c0, 0.05).matrix)
+
+
+def test_build_reduced_chunk_keeps_the_exact_zero_fallback():
+    """The field of the test above, in a chunk: its operator drops the
+    cancelled entry, the other's keeps the full pattern."""
+    values = np.array([[[0.0], [0.5], [-0.5]], [[0.1], [0.5], [-0.5]]])
+    model = build_reduced(-1, [0.0], 1.0, [-1.0], FieldChunk(n=1, d=1, values=values), 1.0, 1.0)
+    assert [model.matrix[k].nnz for k in range(2)] == [8, 9]
+    for k in range(2):
+        one = DisplacementField(n=1, d=1, values=values[k])
+        _same_csr(model.matrix[k], build_reduced(-1, [0.0], 1.0, [-1.0], one, 1.0, 1.0).matrix)
