@@ -23,7 +23,7 @@ from .potentials import DisplacementField, wrap_nearest
 # -- projected gradient descent (shared by both minimizers) -------------
 
 
-def _pgd(f_and_grad, project, x0, gtol=1e-9, max_iter=300, t0=1.0):
+def _pgd(f_and_grad, project, x0, gtol, max_iter, t0):
     """Monotone projected gradient with Armijo backtracking.
 
     ``f_and_grad(x) -> (f, g)``; ``project`` maps onto the feasible set.
@@ -76,15 +76,14 @@ class MinimizerCertificate:
         return float(np.linalg.norm(self.gradient))
 
 
-def minimize_over_support(
-    p, q, lam, support, m, restarts=8, seed=0, gtol=1e-9, max_iter=300, unique_tol=1e-4
-):
+def minimize_over_support(p, q, lam, support, m, restarts=8, seed=0):
     """Minimize the band bottom over constant displacements in the support.
 
-    Projected gradient from ``restarts`` random starts plus the center.
-    The certificate records every endpoint; ``unique`` means all endpoints
-    whose energy ties the best (within 1e-10) sit within ``unique_tol`` of
-    each other, ``flat`` that the landscape is constant to rounding.
+    Projected gradient (step tolerance 1e-9, at most 300 iterations) from
+    ``restarts`` random starts plus the center.  The certificate records
+    every endpoint; ``unique`` means all endpoints whose energy ties the
+    best (within 1e-10) sit within 1e-4 of each other, ``flat`` that the
+    landscape is constant to rounding.
     """
     d = q.d
 
@@ -101,7 +100,7 @@ def minimize_over_support(
     t0 = max(support.bounding_radius(), 1.0) / max(lam, 1e-12) * 10.0
     ends, energies, grads, iters, convs = [], [], [], [], []
     for x0 in starts:
-        x, fx, gx, it, ok = _pgd(f_and_grad, support.project, x0, gtol, max_iter, t0)
+        x, fx, gx, it, ok = _pgd(f_and_grad, support.project, x0, 1e-9, 300, t0)
         ends.append(x)
         energies.append(fx)
         grads.append(gx)
@@ -130,7 +129,7 @@ def minimize_over_support(
         converged=tuple(convs),
         cluster_diameter=diam,
         energy_spread=spread,
-        unique=bool(not flat and diam <= unique_tol),
+        unique=bool(not flat and diam <= 1e-4),
         flat=bool(flat),
     )
 
@@ -147,18 +146,19 @@ class CoercivityReport:
     positive: bool
 
 
-def coercivity_constant(p, q, lam, support, zeta_min, m, n_samples=256, seed=1):
+def coercivity_constant(p, q, lam, support, zeta_min, m, seed=1):
     """alpha0 = min over zeta != zeta_min of grad E(zeta_min).(zeta - zeta_min) / (lam |zeta - zeta_min|^2).
 
-    Sampled over interior draws, boundary pushes and extreme points; the
-    extremes matter because for a linear-in-zeta energy the ratio decays like
-    1/|zeta - zeta_min| and bottoms out at the far end of the support.
+    Sampled over 256 interior draws, 64 boundary pushes and the extreme
+    points; the extremes matter because for a linear-in-zeta energy the ratio
+    decays like 1/|zeta - zeta_min| and bottoms out at the far end of the
+    support.
     """
     zeta_min = np.atleast_1d(np.asarray(zeta_min, dtype=float))
     grad = lam * v_vector(p, q, lam, zeta_min, m)
     rng = np.random.default_rng(seed)
-    pts = [support.sample(rng, n_samples)]
-    dirs = rng.standard_normal((max(32, n_samples // 4), support.d))
+    pts = [support.sample(rng, 256)]
+    dirs = rng.standard_normal((64, support.d))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     reach = 2.0 * support.bounding_radius()
     pts.append(np.array([support.project(support.center + reach * u) for u in dirs]))
@@ -200,7 +200,7 @@ class RobustMinimizerReport:
     candidates: np.ndarray
 
 
-def robust_linear_minimizer(support, v_q, eps, n_samples=512, seed=2):
+def robust_linear_minimizer(support, v_q, eps, seed=2):
     """Find zeta0 minimizing w . zeta simultaneously for all |w - v_q| <= eps.
 
     Such a point exists iff some extreme point's normal cone contains the
@@ -215,7 +215,7 @@ def robust_linear_minimizer(support, v_q, eps, n_samples=512, seed=2):
     if support.kind != "polytope":
         cands = np.vstack([cands, support.support_point(v_q)])
     rng = np.random.default_rng(seed)
-    probe = np.vstack([support.sample(rng, n_samples), support.extreme_points(), cands])
+    probe = np.vstack([support.sample(rng, 512), support.extreme_points(), cands])
     scale = max(1.0, float(np.linalg.norm(v_q)), support.bounding_radius())
     best_margin, best_z = -np.inf, cands[0]
     for z0 in cands:
@@ -336,8 +336,6 @@ def minimize_over_field(
     m,
     restarts=16,
     seed=0,
-    gtol=1e-10,
-    max_iter=400,
     energy_tol=1e-8,
     site_tol=1e-3,
     reference=None,
@@ -345,8 +343,9 @@ def minimize_over_field(
     """Descend the torus ground energy over all per-site displacements.
 
     Every restart starts from an independent random field (sites drawn from
-    the support) and is projected back into the support sitewise.  The report
-    compares endpoints against the constant field at the single-cell
+    the support) and descends by projected gradient (step tolerance 1e-10,
+    at most 400 iterations), projected back into the support sitewise.  The
+    report compares endpoints against the constant field at the single-cell
     minimizer: matching energies within ``energy_tol`` and sitewise distance
     within ``site_tol`` certifies that constant fields minimize at this size.
     """
@@ -371,7 +370,7 @@ def minimize_over_field(
     records, best_energy, best_field = [], np.inf, None
     for _ in range(restarts):
         x0 = support.sample(rng, n_sites).ravel()
-        x, fx, _, it, ok = _pgd(f_and_grad, project, x0, gtol, max_iter, t0)
+        x, fx, _, it, ok = _pgd(f_and_grad, project, x0, 1e-10, 400, t0)
         endpoint = x.reshape(n_sites, q.d)
         dev = float(np.max(np.linalg.norm(endpoint - zeta_ref, axis=1)))
         records.append(

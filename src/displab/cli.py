@@ -125,13 +125,6 @@ def _atomic_write(path, text):
     os.replace(tmp, path)
 
 
-def read_csv_rows(path):
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
-    return rows[0], rows[1:]
-
-
 # -- config handling ---------------------------------------------------------
 
 _CANON_SKIP = {("run", "out")}
@@ -480,7 +473,7 @@ def _load_cache(path, header):
     return [row for row in rows[1:] if len(row) == len(header)]
 
 
-def _sample_cache(rd, header, key, tasks, compute, chunk=1):
+def _sample_cache(rd, header, key, tasks, compute, chunk):
     """Every task's cache row: replayed from ``cache.csv``, else computed.
 
     ``key(row)`` recovers the task from a cached row and ``compute(batch)``

@@ -103,11 +103,11 @@ class LatticeOperator:
     def n_points(self):
         return self.matrix.shape[0]
 
-    def is_hermitian(self, tol=1e-12):
+    def is_hermitian(self):
         delta = self.matrix - self.matrix.getH()
         if delta.nnz == 0:
             return True
-        return bool(np.max(np.abs(delta.data)) <= tol)
+        return bool(np.max(np.abs(delta.data)) <= 1e-12)
 
 
 def _ring(npts, h, phase=1.0):

@@ -72,11 +72,13 @@ class EigenResult:
         return self.vectors[:, 0]
 
 
-def smallest_eigenpairs(op, k=1, tol=1e-10, dense_cutoff=DENSE_CUTOFF):
+def smallest_eigenpairs(op, k=1):
     """k smallest eigenpairs, ascending, with residual norms ||Av - lambda v||.
 
     ``op`` is a matrix, anything with a ``matrix``, or a ``SymmetricOperator``,
     whose ``exactly_symmetric`` spares the Hermitian check when it holds.
+    Up to DENSE_CUTOFF rows (read at call time) the pairs come from
+    ``np.linalg.eigh``, above it from ARPACK at tolerance 1e-10.
     """
     mat = _as_matrix(op)
     n = mat.shape[0]
@@ -86,13 +88,13 @@ def smallest_eigenpairs(op, k=1, tol=1e-10, dense_cutoff=DENSE_CUTOFF):
         hermitian_defect = _hermitian_defect(mat)
         if hermitian_defect > 1e-10:
             raise ValueError(f"operator is not Hermitian (defect {hermitian_defect:.2e})")
-    if n <= dense_cutoff or k > n - 2:
+    if n <= DENSE_CUTOFF or k > n - 2:
         dense = mat.toarray() if sp.issparse(mat) else mat
         vals, vecs = np.linalg.eigh(dense)
         vals, vecs = vals[:k], vecs[:, :k]
         method = "dense"
     else:
-        vals, vecs = spla.eigsh(mat, k=k, which="SA", tol=tol, maxiter=max(5000, 40 * n))
+        vals, vecs = spla.eigsh(mat, k=k, which="SA", tol=1e-10, maxiter=max(5000, 40 * n))
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
         method = "arpack"
@@ -209,12 +211,14 @@ class SymmetricOperator:
     row sum and ``chain`` its periodic-chain form ``(a, b)`` or None.
     ``count_below``, ``count_below_stack`` and ``ground_bisect`` take one
     wherever they take an operator, so an operator that is both bisected and
-    counted is prepared once.  The matrix must not change afterwards.
+    counted is prepared once.  The matrix must not change afterwards.  A
+    sparse matrix with unsorted or duplicate entries is read from a summed
+    copy, so the caller's stays as it was.
     ``SymmetricOperator.chunk`` prepares the operators of a chunk together.
     """
 
     def __init__(self, op):
-        mat = _as_matrix(op)
+        mat = _canonical(_as_matrix(op))
         if np.iscomplexobj(mat.data if sp.issparse(mat) else mat):
             raise ValueError("count_below expects a real symmetric operator")
         self.matrix = mat
@@ -278,7 +282,7 @@ def _thresholds(energy):
     return energies
 
 
-def count_below(op, energy, dense_cutoff=COUNT_DENSE_CUTOFF):
+def count_below(op, energy):
     """Number of eigenvalues of a real symmetric operator strictly below ``energy``.
 
     ``energy`` is a scalar, which gives an ``int``, or a 1-d array of
@@ -296,12 +300,12 @@ def count_below(op, energy, dense_cutoff=COUNT_DENSE_CUTOFF):
     bound of the sum that forms it.
 
     Every other threshold takes the per-threshold factorization: dense
-    LDL^T up to ``dense_cutoff`` rows, sparse symmetric-mode LU (SuperLU)
-    above.  If a threshold ties an eigenvalue (zero pivot) that
-    factorization nudges it upward by tiny shifts (1e-12, 1e-10, 1e-8 times
-    scale).  If SuperLU refuses E and every nudge, dense LDL^T takes over
-    up to COUNT_DENSE_FALLBACK rows; past that, or if dense LDL^T refuses
-    too, ``CountBreakdownError`` names every path tried.
+    LDL^T up to COUNT_DENSE_CUTOFF rows (read at call time), sparse
+    symmetric-mode LU (SuperLU) above.  If a threshold ties an eigenvalue
+    (zero pivot) that factorization nudges it upward by tiny shifts (1e-12,
+    1e-10, 1e-8 times scale).  If SuperLU refuses E and every nudge, dense
+    LDL^T takes over up to COUNT_DENSE_FALLBACK rows; past that, or if
+    dense LDL^T refuses too, ``CountBreakdownError`` names every path tried.
 
     Where an exactly symmetric sparse operator would send two or more
     thresholds to SuperLU, it is factored once at the largest, E_top, with
@@ -323,70 +327,70 @@ def count_below(op, energy, dense_cutoff=COUNT_DENSE_CUTOFF):
     Here scale = max(1, ||A||_inf, |E|).
     """
     energies = _thresholds(energy)
-    counts = _count_stack([_prepared(op)], np.atleast_1d(energies), dense_cutoff)[0]
+    counts = _count_stack([_prepared(op)], np.atleast_1d(energies))[0]
     return int(counts[0]) if energies.ndim == 0 else counts
 
 
-def count_below_stack(ops, energies, dense_cutoff=COUNT_DENSE_CUTOFF):
+def count_below_stack(ops, energies):
     """Counts below each threshold for several operators: a (K, T) int array.
 
-    Row k equals ``count_below(ops[k], energies, dense_cutoff)``.  Periodic
-    chains of equal N share one cyclic LDL^T sweep whose columns are every
-    (operator, bracket threshold) pair; each column sees the operations of
-    a sweep of its own, so the stack changes no count.  ``ops`` may be a
+    Row k equals ``count_below(ops[k], energies)``.  Periodic chains of
+    equal N share one cyclic LDL^T sweep whose columns are every (operator,
+    bracket threshold) pair; each column sees the operations of a sweep of
+    its own, so the stack changes no count.  ``ops`` may be a
     generator: an operator that is not a chain is counted as it arrives and
     not held after that, so a stack of large d >= 2 operators holds one at
     a time.
     """
     flat = np.atleast_1d(_thresholds(energies))
-    return _count_stack((_prepared(op) for op in ops), flat, dense_cutoff)
+    return _count_stack((_prepared(op) for op in ops), flat)
 
 
-def _count_stack(ops, energies, dense_cutoff):
+def _count_stack(ops, energies):
     rows, chains = [], {}
     for op in ops:
         rows.append(np.full(energies.size, -1))
         if op.chain is not None and energies.size:
             chains.setdefault(op.shape[0], []).append((op, rows[-1]))
         else:
-            _count_rest(op, rows[-1], energies, dense_cutoff)
+            _count_rest(op, rows[-1], energies)
     for group in chains.values():
         swept = _chain_counts([op for op, _ in group], energies)
         for (op, row), counts in zip(group, swept):
             row[:] = counts
-            _count_rest(op, row, energies, dense_cutoff)
+            _count_rest(op, row, energies)
     return np.array(rows, dtype=int).reshape(len(rows), energies.size)
 
 
-def _count_rest(op, row, energies, dense_cutoff):
+def _count_rest(op, row, energies):
     """Fill the entries of ``row`` still -1: by the Ritz route, else one
     factorization per threshold."""
     todo = np.flatnonzero(row < 0)
     if todo.size:
-        count_one = _threshold_counter(op, dense_cutoff)
-        if todo.size > 1 and _takes_superlu(op, dense_cutoff) and op.exactly_symmetric:
+        count_one = _threshold_counter(op)
+        if todo.size > 1 and _takes_superlu(op) and op.exactly_symmetric:
             row[todo] = _ritz_counts(op, count_one, energies[todo])
             _trim_heap()
         for k in np.flatnonzero(row < 0):
             row[k] = count_one(float(energies[k]))[0]
 
 
-def _takes_superlu(op, dense_cutoff):
-    return op.shape[0] > dense_cutoff and sp.issparse(op.matrix)
+def _takes_superlu(op):
+    return op.shape[0] > COUNT_DENSE_CUTOFF and sp.issparse(op.matrix)
 
 
-def _threshold_counter(op, dense_cutoff):
+def _threshold_counter(op):
     """The per-threshold count as a function of E: one factorization per call.
 
     The function returns ``(count, E', factor)``: E' is the threshold the
     count holds at, E or E nudged up after a tie, and ``factor`` is
     SuperLU's factor of A - E' (None from dense LDL^T).  Dense LDL^T counts
-    up to ``dense_cutoff`` rows and any dense matrix, SuperLU the rest; if
+    up to COUNT_DENSE_CUTOFF rows and any dense matrix, SuperLU the rest; if
     SuperLU refuses E and all its nudges, dense LDL^T takes over up to
     COUNT_DENSE_FALLBACK rows.
     """
     paths = []
-    if _takes_superlu(op, dense_cutoff):
+    if _takes_superlu(op):
         shift = _sparse_shift(op.matrix, symmetric=op.chain is not None)
         paths.append(("SuperLU", shift, _sparse_inertia))
     if not paths or op.shape[0] <= COUNT_DENSE_FALLBACK:
@@ -728,7 +732,7 @@ def ground_bisect(op, hi):
     the steps those leave open and on any other operator.
     """
     op = _prepared(op)
-    count_one = _threshold_counter(op, COUNT_DENSE_CUTOFF)
+    count_one = _threshold_counter(op)
     heads = None if op.chain is None else _ChainHeads.of(*op.chain)
 
     def below(e):
@@ -848,10 +852,19 @@ def _last_pivot(heads, shifted_last, piv):
     return last, cancel
 
 
+def _canonical(mat):
+    """A sparse ``mat`` with sorted entries and no duplicates: ``mat`` itself
+    if it has them, else a copy with its duplicates summed."""
+    if sp.issparse(mat) and not mat.has_canonical_format:
+        mat = mat.copy()
+        mat.sum_duplicates()
+    return mat
+
+
 def _norm_estimate(mat):
     """Largest absolute row sum: ``abs(A).sum(axis=1).max()`` for a sparse A."""
     if sp.issparse(mat):
-        mat.sum_duplicates()  # in place, as SciPy's abs(A) does before its row sums
+        mat = _canonical(mat)  # SciPy's abs(A) sums duplicates before its row sums
         return float(_stack_norms(mat.indptr, mat.data[None])[0])
     return float(np.linalg.norm(mat, np.inf)) if mat.size else 0.0
 

@@ -22,17 +22,15 @@ class DegenerateBandError(RuntimeError):
     """Fiber ground state is (numerically) degenerate; projectors are ill-defined."""
 
 
-def fiber_ground(p, q, lam, zeta, theta, m, return_gap=False):
-    """Ground energy and gauge-fixed unit eigenvector of one fiber."""
+def fiber_ground(p, q, lam, zeta, theta, m):
+    """``(e0, u, gap)``: ground energy, gauge-fixed unit eigenvector and the
+    gap to the next level of one fiber."""
     op = assemble_fiber(p, q, lam, zeta, theta, m)
     res = smallest_eigenpairs(op, k=2)
     e0, e1 = float(res.values[0]), float(res.values[1])
     if e1 - e0 < 1e-10:
         raise DegenerateBandError(f"fiber gap {e1 - e0:.3e} at theta={theta}")
-    u = _gauge_fix(res.vectors[:, 0])
-    if return_gap:
-        return e0, u, e1 - e0
-    return e0, u
+    return e0, _gauge_fix(res.vectors[:, 0]), e1 - e0
 
 
 def _gauge_fix(u):
@@ -64,7 +62,7 @@ class BandBottom:
 
 def band_bottom(p, q, lam, zeta, m):
     zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
-    e0, u, gap = fiber_ground(p, q, lam, zeta, np.zeros(q.d), m, return_gap=True)
+    e0, u, gap = fiber_ground(p, q, lam, zeta, np.zeros(q.d), m)
     grid = GridSpec(d=q.d, n=0, m=m)
     phi0 = u * m ** (q.d / 2.0)  # ell^2 unit -> L^2(K0) unit
     return BandBottom(energy=e0, gap=gap, phi0=phi0, grid=grid, lam=lam, zeta=zeta)
@@ -200,7 +198,7 @@ def build_projectors(p, q, lam, zeta, grid):
     gamma_axis = np.arange(-grid.n, grid.n + 1, dtype=float)
     cols, energies, gaps = [], [], []
     for theta in thetas:
-        e0, u, gap = fiber_ground(p, q, lam, zeta, theta, m, return_gap=True)
+        e0, u, gap = fiber_ground(p, q, lam, zeta, theta, m)
         tile = np.tile(u.reshape((m,) * d), (reps,) * d)
         for axis in range(d):
             phase = np.exp(1j * theta[axis] * gamma_axis)
@@ -222,13 +220,12 @@ def build_projectors(p, q, lam, zeta, grid):
     )
 
 
-def band_table(p, q, lam, zeta, m, nbands=3, thetas=None, n=2):
-    """Rows (theta_1..theta_d, E_1..E_nbands) over a momentum list."""
+def band_table(p, q, lam, zeta, m, nbands=3, n=2):
+    """Rows (theta_1..theta_d, E_1..E_nbands) over the momenta of the torus
+    of side 2n + 1."""
     zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
-    if thetas is None:
-        thetas = GridSpec(d=q.d, n=n, m=m).thetas()
     rows = []
-    for theta in np.atleast_2d(thetas):
+    for theta in GridSpec(d=q.d, n=n, m=m).thetas():
         op = assemble_fiber(p, q, lam, zeta, theta, m)
         res = smallest_eigenpairs(op, k=nbands)
         rows.append(np.concatenate([theta, res.values]))

@@ -178,8 +178,8 @@ class DisplacementField:
             return 0.0
         return float(np.max(np.linalg.norm(self.values, axis=1)))
 
-    def is_constant(self, zeta, tol=1e-10):
-        return bool(np.max(np.abs(self.values - np.asarray(zeta, dtype=float))) <= tol)
+    def is_constant(self, zeta):
+        return bool(np.max(np.abs(self.values - np.asarray(zeta, dtype=float))) <= 1e-10)
 
 
 @dataclass(frozen=True)

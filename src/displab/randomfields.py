@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .potentials import FieldChunk
-from .supports import SupportSet, ball
+from .supports import SupportSet, ball, unit_vector
 
 DISTRIBUTION_KINDS = ("uniform-ball", "uniform-sphere", "polar", "product-box")
 
@@ -69,20 +69,12 @@ class DisplacementDistribution:
             hi = self.support.vertices.max(axis=0)
             return rng.uniform(lo, hi)
         center, radius = self.support.center, self.support.radius
-        direction = _unit(rng, d)
+        direction = unit_vector(rng, d)
         if self.kind == "uniform-sphere":
             return center + radius * direction
         k = float(d - 1) if self.kind == "uniform-ball" else float(self.radial_exponent)
         r = radius * rng.uniform() ** (1.0 / (k + 1.0))
         return center + r * direction
-
-
-def _unit(rng, d):
-    while True:
-        g = rng.standard_normal(d)
-        norm = np.linalg.norm(g)
-        if norm > 1e-12:
-            return g / norm
 
 
 def site_rng(master_seed, sample_index, site_index):
@@ -348,8 +340,8 @@ def _block_draws(dist, key, sites):
     the mask are meaningless)."""
     w, w1 = _philox_block(key, sites)[:2]
     layer, rabs = _layer_rabs(w)
-    # rabs >= 2**40 keeps |g| = rabs * wi[layer] >= 2**-14, far above _unit's
-    # 1e-12 norm test (every ziggurat width wi exceeds 2**-54).
+    # rabs >= 2**40 keeps |g| = rabs * wi[layer] >= 2**-14, far above
+    # unit_vector's 1e-12 norm test (every ziggurat width wi exceeds 2**-54).
     settled = (rabs <= _FIRST_TRY_BOUND[layer]) & (rabs >= 2**40)
     direction = np.where(w & np.uint64(0x100), -1.0, 1.0)
     center, radius = dist.support.center, dist.support.radius

@@ -93,7 +93,7 @@ class GroundZeroReport:
     consistent: bool
 
 
-def ground_zero_iff_constant(model, quad_floor=None):
+def ground_zero_iff_constant(model):
     """Check: the lower model's bottom is 0 exactly at the constant field.
 
     For non-constant fields the bottom must be strictly positive and clear a
@@ -109,11 +109,10 @@ def ground_zero_iff_constant(model, quad_floor=None):
     const = model.field.is_constant(model.zeta)
     if const:
         return GroundZeroReport(bottom, True, 0.0, bool(abs(bottom) <= 1e-12))
-    if quad_floor is None:
-        dz = model.field.values - model.zeta
-        min_dev2 = float(np.min(np.sum(dz**2, axis=1)))
-        alpha0_equiv = 2.0 * model.c0 * model.alpha
-        quad_floor = model.lam * alpha0_equiv * min_dev2 / (2.0 * model.n_sites)
+    dz = model.field.values - model.zeta
+    min_dev2 = float(np.min(np.sum(dz**2, axis=1)))
+    alpha0_equiv = 2.0 * model.c0 * model.alpha
+    quad_floor = model.lam * alpha0_equiv * min_dev2 / (2.0 * model.n_sites)
     ok = bottom > 1e-13 and bottom >= quad_floor - 1e-13
     return GroundZeroReport(bottom, False, quad_floor, bool(ok))
 
@@ -140,13 +139,13 @@ class BandSymbolTable:
 def band_symbol_ratio(p, q, lam, zeta, m, thetas):
     """(E_0(theta) - E_0(0)) / sum_j (1 - cos theta_j) over nonzero momenta."""
     zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
-    e00, _ = fiber_ground(p, q, lam, zeta, np.zeros(q.d), m)
+    e00, _, _ = fiber_ground(p, q, lam, zeta, np.zeros(q.d), m)
     ratios, kept = [], []
     for theta in np.atleast_2d(thetas):
         s = dispersion_symbol(theta)
         if s < 1e-12:
             continue
-        e0, _ = fiber_ground(p, q, lam, zeta, theta, m)
+        e0, _, _ = fiber_ground(p, q, lam, zeta, theta, m)
         ratios.append((e0 - e00) / s)
         kept.append(theta)
     if not ratios:
@@ -225,7 +224,7 @@ class SandwichReport:
         )
 
 
-def sandwich_check(p, q, lam, field, zeta, grid, c0, alpha, trials=100, seed=0, tol=1e-8, pack=None):
+def sandwich_check(p, q, lam, field, zeta, grid, c0, alpha, trials, seed, tol=1e-8, pack=None):
     """Test middle - lower >= 0 and upper - middle >= 0.
 
     Both differences are probed with ``trials`` random unit vectors (real and
@@ -278,10 +277,10 @@ def calibrate_sandwich(
     grid,
     alpha0,
     dist,
-    c0_values=(2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0),
-    n_fields=20,
-    master_seed=7,
-    trials=40,
+    c0_values,
+    n_fields,
+    master_seed,
+    trials,
     tol=1e-8,
 ):
     """Scan c0 upward (alpha = alpha0 / (2 c0)) until the sandwich holds

@@ -285,21 +285,20 @@ class LifshitzFit:
         return abs(self.slope - self.half_window_slope)
 
 
-def lifshitz_fit(energies, values, e_bottom, n_bottom=0.0, window=None):
+def lifshitz_fit(energies, values, e_bottom, window=None):
     energies = np.asarray(energies, dtype=float)
     values = np.asarray(values, dtype=float)
     rel = energies - e_bottom
-    dn = values - n_bottom
-    mask = (rel > 0) & (dn > 0)
-    saturated = int(np.sum(mask & (dn >= 1.0)))
-    mask &= dn < 1.0
+    mask = (rel > 0) & (values > 0)
+    saturated = int(np.sum(mask & (values >= 1.0)))
+    mask &= values < 1.0
     if window is not None:
         lo, hi = window
         mask &= (rel >= lo) & (rel <= hi)
     if int(mask.sum()) < 3:
         raise ValueError("fewer than 3 usable points for the tail fit")
     x = np.log(rel[mask])
-    y = np.log(-np.log(dn[mask]))
+    y = np.log(-np.log(values[mask]))
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     half_cut = np.median(x)

@@ -146,11 +146,11 @@ class SupportSet:
         scores = self.vertices @ u
         return self.vertices[np.argmin(scores)].copy()
 
-    def extreme_points(self, n_directions=64, seed=0):
+    def extreme_points(self, n_directions=64):
         """Vertices for polytopes; a spray of boundary extreme points otherwise."""
         if self.kind == "polytope":
             return self.vertices.copy()
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         dirs = rng.standard_normal((n_directions, self.d))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         return np.array([self.support_point(u) for u in dirs])
@@ -164,11 +164,11 @@ class SupportSet:
 
     def _sample_one(self, rng):
         if self.kind in ("ball", "ellipsoid"):
-            u = _unit_vector(rng, self.d) * rng.uniform() ** (1.0 / self.d)
+            u = unit_vector(rng, self.d) * rng.uniform() ** (1.0 / self.d)
             scale = self.radius if self.kind == "ball" else self.semi_axes
             return self.center + scale * u
         if self.kind in ("sphere", "ellipsoid-boundary"):
-            u = _unit_vector(rng, self.d)
+            u = unit_vector(rng, self.d)
             scale = self.radius if self.kind == "sphere" else self.semi_axes
             return self.center + scale * u
         lo, hi = self.vertices.min(axis=0), self.vertices.max(axis=0)
@@ -200,7 +200,9 @@ def _e1(d):
     return e
 
 
-def _unit_vector(rng, d):
+def unit_vector(rng, d):
+    """A uniformly random unit vector of R^d: the first normalized draw of d
+    standard normals whose norm exceeds 1e-12."""
     while True:
         g = rng.standard_normal(d)
         r = np.linalg.norm(g)

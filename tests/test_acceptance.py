@@ -19,8 +19,9 @@ from displab.assumptions import (
     minimize_over_field,
     minimize_over_support,
 )
-from displab.cli import main, read_csv_rows
+from displab.cli import main
 from preset_pins import pinned_differences
+from test_cli import read_csv_rows
 from displab.discretize import (
     GridSpec,
     assemble_fiber,

@@ -6,6 +6,7 @@ the SIGINT test, which has to signal a real process.
 """
 
 import collections
+import csv
 import gc
 import os
 import signal
@@ -30,7 +31,6 @@ from displab.cli import (
     load_config_text,
     main,
     read_config,
-    read_csv_rows,
     write_csv,
 )
 from displab.potentials import periodic_family, single_site_family
@@ -38,6 +38,14 @@ from displab.randomfields import DisplacementDistribution
 from displab.spectral_stats import ContinuumFamily, ReducedFamily, ids_sandwich_check, wegner_scan
 from displab.supports import ball
 from preset_pins import pinned_differences
+
+
+def read_csv_rows(path):
+    """``(header, rows)`` of a CSV file written by a run."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    return rows[0], rows[1:]
+
 
 BAND_TMPL = """\
 [run]

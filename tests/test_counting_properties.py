@@ -13,13 +13,15 @@ factor must equal the per-threshold path's and, where the gap is clear,
 ``eigvalsh`` plus ``searchsorted``.  Random dense symmetric matrices
 (generic, repeated levels, a multiple zero level, norm 1e4) go through dense
 LDL^T, and random sparse symmetric matrices through dense LDL^T, SuperLU
-and the Ritz route by moving ``dense_cutoff``: every count must equal
+and the Ritz route by patching ``COUNT_DENSE_CUTOFF``: every count must equal
 ``eigvalsh`` plus ``searchsorted`` where the gap is clear and lie inside the
 tie band elsewhere.  Random dense symmetric matrices (N up to 64) and
 chains also go through ``dense_levels``, whose levels must be LAPACK
 ``dsyevd``'s to the bit.  The profile in ``conftest.py`` makes every run
 draw the same examples.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -230,10 +232,11 @@ def test_torus_counts_from_the_top_factor_equal_the_per_threshold_path(mat, seed
         picks.append(levels[-1] + 1.0)
     energies = rng.permutation(np.array(picks))
     assert es.SymmetricOperator(mat).chain is None
-    got = count_below(mat, energies, dense_cutoff=10)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(es, "_ritz_counts", lambda op, count_one, e: np.full(e.size, -1))
-        assert np.array_equal(got, count_below(mat, energies, dense_cutoff=10))
+    with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 10):
+        got = count_below(mat, energies)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(es, "_ritz_counts", lambda op, count_one, e: np.full(e.size, -1))
+            assert np.array_equal(got, count_below(mat, energies))
     gap = np.min(np.abs(energies[:, None] - levels[None, :]), axis=1)
     clear = gap > 1e-8 * max(1.0, es._norm_estimate(mat), np.max(np.abs(energies)))
     want = np.searchsorted(levels, energies, side="left")
@@ -310,9 +313,9 @@ sparse_mats = st.builds(
 
 @given(sparse_mats, st.integers(0, 2**32 - 1))
 def test_superlu_and_dense_ldlt_count_the_same_sparse_operator(mat, seed):
-    """One sparse operator counted by dense LDL^T (``dense_cutoff`` = N), by
-    SuperLU threshold by threshold and by SuperLU with the Ritz route
-    (``dense_cutoff`` = 0), the chain sweep switched off: equal counts
+    """One sparse operator counted by dense LDL^T (``COUNT_DENSE_CUTOFF`` =
+    N), by SuperLU threshold by threshold and by SuperLU with the Ritz route
+    (``COUNT_DENSE_CUTOFF`` = 0), the chain sweep switched off: equal counts
     wherever the gap is clear, and each inside the tie band elsewhere."""
     energies = _thresholds([mat], seed)
     levels = np.linalg.eigvalsh(mat.toarray())
@@ -320,10 +323,12 @@ def test_superlu_and_dense_ldlt_count_the_same_sparse_operator(mat, seed):
     n = mat.shape[0]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(es, "_periodic_chain", lambda mat: None)
-        dense = count_below(mat, energies, dense_cutoff=n)
-        ritz = count_below(mat, energies, dense_cutoff=0)
-        mp.setattr(es, "_ritz_counts", lambda op, count_one, e: np.full(e.size, -1))
-        superlu = count_below(mat, energies, dense_cutoff=0)
+        with mock.patch.object(es, "COUNT_DENSE_CUTOFF", n):
+            dense = count_below(mat, energies)
+        with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 0):
+            ritz = count_below(mat, energies)
+            mp.setattr(es, "_ritz_counts", lambda op, count_one, e: np.full(e.size, -1))
+            superlu = count_below(mat, energies)
     for got in (dense, superlu, ritz):
         assert _clear_counts(got, levels, energies, scale)
         assert _in_band(got, levels, energies, scale)

@@ -1,10 +1,12 @@
 """Eigenpair extraction and inertia counting, cross-checked against LAPACK.
 
 Random matrices below use a fixed generator so every run sees the same
-instances; the sparse paths are forced by lowering the dense cutoffs.
+instances; the sparse paths are forced by patching the dense cutoffs
+``DENSE_CUTOFF`` and ``COUNT_DENSE_CUTOFF`` lower.
 """
 
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -62,7 +64,8 @@ def test_arpack_agrees_with_dense():
     ).tolil()
     mat[0, n - 1] = mat[n - 1, 0] = -1.0
     mat = mat.tocsr()
-    sparse = smallest_eigenpairs(mat, k=4, dense_cutoff=10)
+    with mock.patch.object(es, "DENSE_CUTOFF", 10):
+        sparse = smallest_eigenpairs(mat, k=4)
     dense = smallest_eigenpairs(mat, k=4)
     assert sparse.method == "arpack"
     assert dense.method == "dense"
@@ -172,7 +175,11 @@ def test_count_agrees_between_dense_and_sparse_paths(monkeypatch):
     diag = np.random.default_rng(9).uniform(0, 4, n)
     mat = sp.diags([np.full(n - 1, -1.0), diag, np.full(n - 1, -1.0)], [-1, 0, 1]).tocsr()
     for e in (0.5, 2.0):
-        assert count_below(mat, e, dense_cutoff=10) == count_below(mat, e, dense_cutoff=5000)
+        with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 10):
+            sparse = count_below(mat, e)
+        with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 5000):
+            dense = count_below(mat, e)
+        assert sparse == dense
 
 
 @pytest.mark.parametrize("energy", [np.nan, np.inf, -np.inf])
@@ -188,8 +195,8 @@ def test_count_below_rejects_non_finite_threshold(monkeypatch, energy, path):
     n = 50
     mat = sp.diags([np.full(n - 1, -1.0), np.full(n, 2.0), np.full(n - 1, -1.0)], [-1, 0, 1])
     op = mat.toarray() if path == "dense" else mat.tocsr()
-    with pytest.raises(ValueError, match="finite"):
-        count_below(op, energy, dense_cutoff=10)
+    with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 10), pytest.raises(ValueError, match="finite"):
+        count_below(op, energy)
 
 
 # -- periodic chains: one sweep for all thresholds, and the ground bisection --
@@ -301,8 +308,9 @@ def test_non_chain_counts_equal_with_and_without_array(path):
     cutoff = 10 if path == "sparse" else 600
     eigs = np.linalg.eigvalsh(mat.toarray())
     energies = np.concatenate([[eigs[0] - 0.5], 0.5 * (eigs[1:] + eigs[:-1])[::7], [9.0]])
-    got = count_below(mat, energies, dense_cutoff=cutoff)
-    want = [count_below(mat, float(e), dense_cutoff=cutoff) for e in energies]
+    with mock.patch.object(es, "COUNT_DENSE_CUTOFF", cutoff):
+        got = count_below(mat, energies)
+        want = [count_below(mat, float(e)) for e in energies]
     assert np.array_equal(got, want)
     assert np.array_equal(got, np.searchsorted(eigs, energies, side="left"))
 
@@ -458,10 +466,10 @@ def test_count_below_stack_counts_a_generator_holding_one_non_chain(monkeypatch)
 
     real_count_rest = es._count_rest
 
-    def count_rest_logged(op, row, energies, dense_cutoff):
+    def count_rest_logged(op, row, energies):
         if op.chain is None:
             alive.append(sum(ref() is not None for ref in made))
-        return real_count_rest(op, row, energies, dense_cutoff)
+        return real_count_rest(op, row, energies)
 
     monkeypatch.setattr(es, "_count_rest", count_rest_logged)
     got = es.count_below_stack(operators(), energies)
@@ -484,6 +492,41 @@ def test_symmetric_operator_is_prepared_once_and_gives_the_same_answers(monkeypa
     assert ground_bisect(op, 4.0) == want[1]
     with pytest.raises(ValueError, match="real symmetric"):
         es.SymmetricOperator(np.eye(3, dtype=complex))
+
+
+def test_counting_leaves_the_callers_matrix_as_it_was():
+    """A CSR that stores A[5, 0] twice is read from a summed copy: every entry
+    point leaves the caller's arrays as they were and answers as it does on
+    the canonical matrix."""
+    canonical = _cyclic(np.full(6, 3.0), np.full(6, -1.0))
+    start, stop = canonical.indptr[5:7]
+    corner = start + int(np.flatnonzero(canonical.indices[start:stop] == 0)[0])
+    data = canonical.data.copy()
+    data[corner] = -0.75  # and -0.25 stored again after the row's others
+    mat = sp.csr_matrix(
+        (np.append(data, -0.25), np.append(canonical.indices, 0),
+         np.append(canonical.indptr[:-1], stop + 1)), shape=(6, 6),
+    )
+    assert not mat.has_canonical_format and mat.nnz == 19
+    arrays = [a.copy() for a in (mat.indptr, mat.indices, mat.data)]
+    energies = np.array([1.5, 3.0, 4.5])
+
+    def prepared(m):
+        op = es.SymmetricOperator(m)
+        return (op.norm, *op.chain)
+
+    entry_points = {
+        "SymmetricOperator": prepared,
+        "count_below": lambda m: (count_below(m, energies),),
+        "count_below_stack": lambda m: (es.count_below_stack([m, m], energies),),
+        "ground_bisect": lambda m: (ground_bisect(m, 4.0),),
+    }
+    for name, entry in entry_points.items():
+        got, want = entry(mat), entry(canonical)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want)), name
+        for kept, now in zip(arrays, (mat.indptr, mat.indices, mat.data)):
+            assert np.array_equal(kept, now), name
+    assert not mat.has_canonical_format and mat.nnz == 19
 
 
 # -- d = 2: Ritz values from the top threshold's factor, and the fallbacks --
@@ -517,7 +560,8 @@ def test_top_threshold_factor_settles_the_thresholds_below(monkeypatch):
     levels, between = _levels_and_between(mat)
     energies = np.array([between[4], levels[0] - 1.0, between[0], between[2]])
     calls = _splu_calls(monkeypatch)
-    got = count_below(mat, energies, dense_cutoff=10)
+    with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 10):
+        got = count_below(mat, energies)
     assert len(calls) == 1, "one factorization, at the top threshold"
     assert got.tolist() == [5, 0, 1, 3]
 
@@ -527,7 +571,8 @@ def test_no_level_below_the_top_settles_the_rest_without_arpack(monkeypatch):
     levels, _ = _levels_and_between(mat)
     monkeypatch.setattr(es.spla, "eigsh", None)  # never called
     calls = _splu_calls(monkeypatch)
-    got = count_below(mat, levels[0] - np.array([0.5, 1.0, 2.0]), dense_cutoff=10)
+    with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 10):
+        got = count_below(mat, levels[0] - np.array([0.5, 1.0, 2.0]))
     assert len(calls) == 1 and got.tolist() == [0, 0, 0]
 
 
@@ -535,9 +580,10 @@ def _hands_back(monkeypatch, mat, energies):
     """Counts with the route and threshold by threshold; every threshold
     must have had its own factorization."""
     calls = _splu_calls(monkeypatch)
-    got = count_below(mat, energies, dense_cutoff=10)
-    assert len(calls) == energies.size
-    want = [count_below(mat, float(e), dense_cutoff=10) for e in energies]
+    with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 10):
+        got = count_below(mat, energies)
+        assert len(calls) == energies.size
+        want = [count_below(mat, float(e)) for e in energies]
     assert np.array_equal(got, want)
     return got
 
@@ -589,7 +635,8 @@ def test_an_interval_in_a_threshold_bracket_hands_that_threshold_back(monkeypatc
     scale = max(1.0, es._norm_estimate(mat))
     energies = np.array([levels[1] - 1e-8 * scale, between[2], between[4]])
     calls = _splu_calls(monkeypatch)
-    got = count_below(mat, energies, dense_cutoff=10)
+    with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 10):
+        got = count_below(mat, energies)
     assert len(calls) == 2
     assert got.tolist() == [1, 3, 5]
 
@@ -603,7 +650,8 @@ def test_a_bracket_reaching_the_top_shift_is_handed_back(monkeypatch):
     scale = max(1.0, es._norm_estimate(mat))
     energies = np.array([between[2], between[2] - 1e-9 * scale, between[0]])
     calls = _splu_calls(monkeypatch)
-    got = count_below(mat, energies, dense_cutoff=10)
+    with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 10):
+        got = count_below(mat, energies)
     assert len(calls) == 2
     assert got.tolist() == [3, 3, 1]
 
@@ -631,7 +679,8 @@ def test_the_heap_is_trimmed_once_after_the_route_where_glibc_is(monkeypatch, gl
     monkeypatch.setattr(es, "_MALLOC_TRIM", trims.append if glibc else None)
     mat = _generic_torus()
     _, between = _levels_and_between(mat)
-    assert count_below(mat, between[[0, 2, 4]], dense_cutoff=10).tolist() == [1, 3, 5]
+    with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 10):
+        assert count_below(mat, between[[0, 2, 4]]).tolist() == [1, 3, 5]
     assert trims == ([0] if glibc else [])
 
 
@@ -688,18 +737,17 @@ def test_superlu_refusal_falls_back_to_dense_ldl(monkeypatch, how):
     levels, between = _levels_and_between(mat)
     energies = np.concatenate([[levels[0] - 0.5], between[::9], [levels[-1] + 0.5]])
     _refusing_splu(monkeypatch, how)
-    assert np.array_equal(
-        count_below(mat, energies, dense_cutoff=10), np.searchsorted(levels, energies)
-    )
-    assert count_below(mat, float(between[3]), dense_cutoff=10) == 4
+    with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 10):
+        assert np.array_equal(count_below(mat, energies), np.searchsorted(levels, energies))
+        assert count_below(mat, float(between[3])) == 4
 
 
 def test_superlu_refusal_above_the_dense_fallback_names_every_path(monkeypatch):
     mat = _generic_torus()
     _refusing_splu(monkeypatch, "raises")
     monkeypatch.setattr(es, "COUNT_DENSE_FALLBACK", 100)
-    with pytest.raises(es.CountBreakdownError, match="SuperLU") as err:
-        count_below(mat, 1.0, dense_cutoff=10)
+    with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 10), pytest.raises(es.CountBreakdownError, match="SuperLU") as err:
+        count_below(mat, 1.0)
     assert "no dense LDL^T fallback above N = 100" in str(err.value)
     assert "1e-12, 1e-10, 1e-08" in str(err.value)
 

@@ -48,8 +48,8 @@ def test_phi0_positive_and_normalized():
 
 
 def test_fiber_ground_gauge_is_deterministic():
-    e1, u1 = fiber_ground(P1, Q1, 0.1, ZETA, np.array([0.7]), 12)
-    e2, u2 = fiber_ground(P1, Q1, 0.1, ZETA, np.array([0.7]), 12)
+    e1, u1, _ = fiber_ground(P1, Q1, 0.1, ZETA, np.array([0.7]), 12)
+    e2, u2, _ = fiber_ground(P1, Q1, 0.1, ZETA, np.array([0.7]), 12)
     assert e1 == e2
     assert np.array_equal(u1, u2)
 
