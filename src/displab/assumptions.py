@@ -76,7 +76,7 @@ class MinimizerCertificate:
         return float(np.linalg.norm(self.gradient))
 
 
-def minimize_over_support(p, q, lam, support, m, restarts=8, seed=0):
+def minimize_over_support(p, q, lam, support, m, seed, restarts=8):
     """Minimize the band bottom over constant displacements in the support.
 
     Projected gradient (step tolerance 1e-9, at most 300 iterations) from
@@ -253,7 +253,7 @@ class GapRatioTable:
         return min(self.ratios)
 
 
-def gap_ratio_table(p, q, lams, support, m, restarts=6, seed=3):
+def gap_ratio_table(p, q, lams, support, m, seed, restarts=6):
     """(E_0 - E(lam, zeta_lam)) / lam for each coupling; E_0 is the lam = 0 bottom."""
     e0 = band_bottom(p, q, 0.0, np.zeros(q.d), m).energy
     energies, zetas, ratios = [], [], []
@@ -334,8 +334,8 @@ def minimize_over_field(
     support,
     n,
     m,
-    restarts=16,
-    seed=0,
+    restarts,
+    seed,
     energy_tol=1e-8,
     site_tol=1e-3,
     reference=None,
@@ -406,7 +406,7 @@ class FieldScanReport:
         return self.runner_up_energy - self.argmin_energy
 
 
-def exhaustive_field_scan(p, q, lam, support, n, m, grid_points=11):
+def exhaustive_field_scan(p, q, lam, support, n, m, grid_points):
     """Brute-force the torus ground energy over a per-site value grid (d = 1).
 
     Enumerates all grid_points^(2n+1) displacement configurations; reports the

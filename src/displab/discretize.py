@@ -235,11 +235,10 @@ class DiagonalStack:
 
 @lru_cache(maxsize=16)
 def grid_site_plan(p, grid):
-    """``site_plan(p, grid.points(), grid.n)``, built once per (p, grid) and
-    shared read-only: the field-independent part of every sample's potential."""
-    plan = site_plan(p, grid.points(), grid.n)
-    for arr in (plan.base, *plan.members, *plan.near):
-        arr.flags.writeable = False
+    """``site_plan(p, grid.points())``, built once per (p, grid) and shared
+    read-only: the field-independent part of every sample's potential."""
+    plan = site_plan(p, grid.points())
+    plan.base.flags.writeable = False
     return plan
 
 

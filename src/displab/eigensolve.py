@@ -6,7 +6,8 @@ Periodic chains (every d = 1 torus operator) are counted by a cyclic LDL^T
 sweep over all thresholds, and over a whole stack of chains at once.  Other
 large sparse operators (d = 2) are factored once, at their largest
 threshold, and the thresholds below it are settled from certified Ritz
-values computed with that same factor.
+values of a Lanczos run on that same factor's inverse, which starts from
+the constant vector and stops as soon as its certificate settles them.
 Every returned eigenpair carries an explicitly computed residual so callers
 never have to trust solver-internal convergence flags.
 """
@@ -30,8 +31,8 @@ DENSE_CUTOFF = 2000
 COUNT_DENSE_CUTOFF = 600
 COUNT_DENSE_FALLBACK = 8000  # most rows dense LDL^T counts when SuperLU refuses
 RITZ_CAP = 16  # most eigenvalues below the top threshold that settle the ones below
-_RITZ_EXTRA = 8  # Lanczos vectors beyond 2 K for the Ritz values
-_RITZ_MAXITER = 10  # ARPACK restarts before the Ritz values are given up
+_RITZ_EXTRA = 8  # Lanczos steps beyond 2 K before the unsettled thresholds go back
+_START_NOISE = 1e-3  # weight of the random part of the Lanczos start for K > 1
 _ZERO_PIVOT = 1e-13  # a pivot within this times scale of zero is a tie
 _TIE_NUDGES = (1e-12, 1e-10, 1e-8)  # upward threshold shifts after a tie, times scale
 _EPS = np.finfo(float).eps
@@ -72,7 +73,7 @@ class EigenResult:
         return self.vectors[:, 0]
 
 
-def smallest_eigenpairs(op, k=1):
+def smallest_eigenpairs(op, k):
     """k smallest eigenpairs, ascending, with residual norms ||Av - lambda v||.
 
     ``op`` is a matrix, anything with a ``matrix``, or a ``SymmetricOperator``,
@@ -310,17 +311,22 @@ def count_below(op, energy):
     Where an exactly symmetric sparse operator would send two or more
     thresholds to SuperLU, it is factored once at the largest, E_top, with
     the nudges as above; that gives K and the shift E' it factored at.  For
-    K <= RITZ_CAP, ARPACK in shift-invert mode on that same factor gives K
-    Ritz pairs (theta, v), and each gives the interval theta +- (||A v -
-    theta v|| / ||v|| plus a bound on the rounding of that residual), which
-    holds an eigenvalue.  If the K intervals are pairwise disjoint and lie
-    below E', they hold the K eigenvalues below E'.  A lower threshold E is
-    then settled if E + 2e-8 * scale < E' and no interval meets
+    K <= RITZ_CAP, a Lanczos run on (A - E')^-1, one ``lu.solve`` of that
+    same factor per step, starts from the constant vector (plus a small
+    fixed random part for K > 1) and after each step gives K Ritz pairs
+    (theta, v).  Each gives the interval theta +- (||A v - theta v|| / ||v||
+    plus a bound on the rounding of that residual), which holds an
+    eigenvalue.  If the K intervals are pairwise disjoint and lie below E',
+    they hold the K eigenvalues below E'.  A lower threshold E is then
+    settled if E + 2e-8 * scale < E' and no interval meets
     [E - 1e-13 * scale, E + 2e-8 * scale]; its count is the number of
-    intervals below that bracket.  For K = 0 every threshold so far below
-    E' counts 0 without ARPACK.  Every threshold left over, and every one
-    when K exceeds the cap, ARPACK fails or an interval check fails, takes
-    the per-threshold factorization.
+    intervals below that bracket.  The run stops as soon as every lower
+    threshold the intervals can settle is settled, or after 2 K + 8 steps.
+    For K = 0 every threshold so far below E' counts 0 without a run.  Every
+    threshold left over, and every one when K exceeds the cap or no step
+    certifies its intervals (an exactly degenerate level, whose copies one
+    start vector cannot all find, never does), takes the per-threshold
+    factorization.
 
     Both the sweep's and the Ritz route's bracket span the nudges, so the
     array form gives the same integers as one scalar call per threshold.
@@ -391,7 +397,7 @@ def _threshold_counter(op):
     """
     paths = []
     if _takes_superlu(op):
-        shift = _sparse_shift(op.matrix, symmetric=op.chain is not None)
+        shift = _sparse_shift(op.matrix, op.exactly_symmetric)
         paths.append(("SuperLU", shift, _sparse_inertia))
     if not paths or op.shape[0] <= COUNT_DENSE_FALLBACK:
         paths.append(("dense LDL^T", _dense_shift(op.matrix), _dense_inertia))
@@ -425,14 +431,17 @@ def _ritz_counts(op, count_one, energies):
 
     The largest threshold is counted by the per-threshold path, which
     gives K, the shift E' it factored at and SuperLU's factor of A - E'.
-    Up to RITZ_CAP, ARPACK in shift-invert mode on that factor finds the K
-    eigenvalues below E' and ``_ritz_intervals`` certifies one interval
-    around each.  A lower threshold E is settled when its bracket
-    [E - 1e-13 * scale, E + 2e-8 * scale], the chain sweep's, lies below
-    E' and meets no interval: all eigenvalues below E' are in the
-    intervals, so the count is the same anywhere in the bracket, and so
-    the per-threshold count at E or at any nudge of it is the number of
-    intervals below the bracket.
+    Up to RITZ_CAP, a Lanczos run on that factor's inverse
+    (``_lanczos_pairs``) gives K Ritz pairs per step, and
+    ``_certified_intervals`` tries to certify one interval around each.  A
+    lower threshold E is settled when its bracket [E - 1e-13 * scale,
+    E + 2e-8 * scale], the chain sweep's, lies below E' and meets no
+    certified interval: all eigenvalues below E' are in the intervals, so the
+    count is the same anywhere in the bracket, and so the per-threshold
+    count at E or at any nudge of it is the number of intervals below the
+    bracket.  The run stops once every threshold whose bracket lies below
+    E' is settled or holds a certified interval whole, which no later step
+    can settle.
     """
     counts = np.full(energies.size, -1)
     top = energies.max()
@@ -440,16 +449,24 @@ def _ritz_counts(op, count_one, energies):
     counts[energies == top] = count
     if lu is None or count > RITZ_CAP:
         return counts
-    intervals = _ritz_intervals(op, lu, shift, count)
-    del lu  # the per-threshold factorizations below run without it
-    if intervals is None:
-        return counts
-    lower, upper = (bound[:, None] for bound in intervals)
     scale = np.maximum(max(1.0, op.norm), np.abs(energies))
     lo = energies - _ZERO_PIVOT * scale
     hi = energies + 2.0 * _TIE_NUDGES[-1] * scale
-    settled = (counts < 0) & (hi < shift) & ~np.any((upper >= lo) & (lower <= hi), axis=0)
-    counts[settled] = np.sum(upper < lo, axis=0)[settled]
+    pending = (counts < 0) & (hi < shift)
+    if count == 0:  # nothing below E': no interval to meet
+        counts[pending] = 0
+        return counts
+    for vals, vecs in _lanczos_pairs(lu, shift, count):
+        intervals = _certified_intervals(op, vals, vecs, shift)
+        if intervals is None:
+            continue
+        lower, upper = (bound[:, None] for bound in intervals)
+        meets = np.any((upper >= lo) & (lower <= hi), axis=0)
+        settled = pending & ~meets
+        counts[settled] = np.sum(upper < lo, axis=0)[settled]
+        pending &= meets & ~np.any((lower >= lo) & (upper <= hi), axis=0)
+        if not pending.any():
+            break
     return counts
 
 
@@ -472,33 +489,69 @@ def _trim_heap():
         _MALLOC_TRIM(0)
 
 
-def _ritz_intervals(op, lu, shift, k):
-    """``(lower, upper)``, ascending: k disjoint intervals below ``shift``, each
-    holding an eigenvalue; None when ARPACK or the certificate fails.
+def _lanczos_pairs(lu, shift, k):
+    """Ritz pairs ``(values, vectors)`` of A below ``shift``: one set per
+    Lanczos step on (A - shift)^-1, from the k-th step on.
 
-    ``lu`` factors A - shift, which has k negative eigenvalues.  With its
-    solves as the shift-invert operator, the k smallest algebraic
-    eigenvalues 1 / (lambda - shift) belong to the k eigenvalues below the
-    shift.  Any Ritz pair (theta, v) of a symmetric A has an eigenvalue
-    within ||A v - theta v|| / ||v|| of theta, so k pairwise disjoint such
-    intervals below the shift hold k distinct eigenvalues, which the
-    inertia says are all there are below it.
+    ``lu`` factors A - shift, which has k negative eigenvalues, so the k most
+    negative eigenvalues 1 / (lambda - shift) of its inverse S belong to the
+    k eigenvalues below the shift.  Each step is one ``lu.solve``; the basis
+    is reorthogonalized in full, twice.  The run starts from the constant
+    vector: the ground state of a -Delta_h + V is positive (Perron-Frobenius),
+    so the start has weight on it.  For k > 1 a fixed small random part
+    (``default_rng(0)``) gives it weight on every other eigenvector too.
+    After step j, with basis Q and T = Q^T S Q tridiagonal, each of the k
+    most negative Ritz values of T, with vector y, gives the pair
+    v = S Q y, one inverse step past the Ritz vector Q y and read off the
+    solves already made, and lambda = shift + (Q y . v) / (v . v), the
+    Rayleigh quotient of A at v.  A step whose T has fewer than k negative
+    Ritz values yields nothing.  The run stops after 2 k + _RITZ_EXTRA
+    steps, at the size of A, or when the Krylov space stops growing.
+    """
+    n = lu.shape[0]
+    start = np.ones(n)
+    if k > 1:
+        start += _START_NOISE * np.random.default_rng(0).standard_normal(n)
+    steps = min(n, 2 * k + _RITZ_EXTRA)
+    basis, images = np.empty((steps + 1, n)), np.empty((steps, n))
+    basis[0] = start / np.linalg.norm(start)
+    alpha, beta = np.empty(steps), np.empty(steps)
+    for j in range(steps):
+        images[j] = lu.solve(basis[j])
+        w = images[j].copy()
+        q = basis[: j + 1]
+        alpha[j] = 0.0
+        for _ in range(2):
+            coef = q @ w
+            w -= coef @ q
+            alpha[j] += coef[j]
+        beta[j] = np.linalg.norm(w)
+        if not (np.isfinite(alpha[j]) and np.isfinite(beta[j])):
+            return
+        if j + 1 >= k:
+            theta, y = sla.eigh_tridiagonal(alpha[: j + 1], beta[:j])
+            if theta[k - 1] < 0.0:
+                y = y[:, :k]
+                vecs = images[: j + 1].T @ y
+                ritz = q.T @ y
+                yield shift + np.sum(ritz * vecs, axis=0) / np.sum(vecs * vecs, axis=0), vecs
+        if not beta[j] > _EPS * np.linalg.norm(images[j]):  # an invariant subspace: nothing new
+            return
+        basis[j + 1] = w / beta[j]
+
+
+def _certified_intervals(op, vals, vecs, shift):
+    """``(lower, upper)``, ascending: one interval per pair ``(vals[i],
+    vecs[:, i])``, each holding an eigenvalue, if the intervals are pairwise
+    disjoint and lie below ``shift``; else None.
+
+    Any pair (theta, v) of a symmetric A has an eigenvalue within
+    ||A v - theta v|| / ||v|| of theta, so k pairwise disjoint such
+    intervals below the shift hold k distinct eigenvalues; where the inertia
+    of A - shift says k lie below it, they are all there are.
     """
     mat = op.matrix
     n = mat.shape[0]
-    if k == 0:
-        return np.empty(0), np.empty(0)
-    if k >= n - 1:
-        return None
-    solve = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
-    try:
-        vals, vecs = spla.eigsh(
-            mat, k=k, sigma=shift, which="SA", OPinv=solve,
-            v0=np.random.default_rng(0).standard_normal(n),
-            ncv=min(n, 2 * k + _RITZ_EXTRA), maxiter=_RITZ_MAXITER,
-        )
-    except spla.ArpackError:
-        return None
     width = np.linalg.norm(mat @ vecs - vecs * vals, axis=0) / np.linalg.norm(vecs, axis=0)
     # Rounding of the computed residual r = A v - theta v.  Row i of A v, a
     # sum of at most m products, is off by at most m eps (|A| |v|)_i, theta
@@ -533,17 +586,29 @@ def _dense_shift(mat):
 
 
 def _sparse_shift(mat, symmetric):
-    """E -> ``(A - E I).tocsc()``, A - E I written by ``plus_diagonal``.
+    """E -> A - E I in CSC form, for SuperLU.
 
-    The CSC arrays of an exactly symmetric canonical matrix are its CSR
-    arrays, so for an A known to be symmetric (``symmetric``) the CSR of
-    A - E I is returned as the CSC of its transpose, without a conversion.
-    Otherwise it is converted: checking symmetry would transpose A.
+    The CSC arrays of an exactly symmetric canonical matrix with no stored
+    zero are its CSR arrays, so for an A known to be symmetric
+    (``symmetric``) A - E I is written into a copy of A's data and handed
+    over as one CSC matrix on A's own index arrays.  If some entry comes out
+    exactly 0.0, which the sparse sum drops, ``plus_diagonal`` forms the sum
+    and its CSR is read as the CSC of its transpose.  Any other A - E I is
+    converted.
     """
     where = diagonal_slots(mat)
-    if symmetric:
-        return lambda energy: plus_diagonal(mat, where, -energy).T
-    return lambda energy: plus_diagonal(mat, where, -energy).tocsc()
+    if not symmetric:
+        return lambda energy: plus_diagonal(mat, where, -energy).tocsc()
+
+    def shifted(energy):
+        if where is not None:
+            data = mat.data.copy()
+            data[where] -= energy
+            if np.all(data != 0.0):
+                return sp.csc_matrix((data, mat.indices, mat.indptr), shape=mat.shape)
+        return plus_diagonal(mat, where, -energy).T
+
+    return shifted
 
 
 def _periodic_chain(mat):

@@ -220,7 +220,7 @@ def build_projectors(p, q, lam, zeta, grid):
     )
 
 
-def band_table(p, q, lam, zeta, m, nbands=3, n=2):
+def band_table(p, q, lam, zeta, m, nbands, n):
     """Rows (theta_1..theta_d, E_1..E_nbands) over the momenta of the torus
     of side 2n + 1."""
     zeta = np.atleast_1d(np.asarray(zeta, dtype=float))

@@ -31,7 +31,7 @@ def as_points(x, d):
     return x
 
 
-def wrap_nearest(y, period=1.0):
+def wrap_nearest(y, period):
     """Wrap offsets to the symmetric fundamental domain [-period/2, period/2)."""
     return y - period * np.round(y / period)
 
@@ -241,35 +241,54 @@ def constant_field(n, d, zeta):
 
 
 class SitePlan(NamedTuple):
-    """What ``eval_total_potential`` computes at fixed points without the field.
-
-    ``base`` is the background at the points, ``members[k]`` the points whose
-    torus cell is k, and ``near[i]`` the distinct cells among the 3^d
-    neighbours of site i (sites in ``site_lattice`` order).
-    """
+    """What ``eval_total_potential`` computes at fixed points without the field:
+    ``base``, the background at the points."""
 
     base: np.ndarray
-    members: tuple
-    near: tuple
 
 
-def site_plan(p, x, n):
-    """The ``SitePlan`` of background ``p`` at points ``x`` on the torus of side 2n+1."""
-    x = as_points(x, p.d).reshape(-1, p.d)
+def site_plan(p, x):
+    """The ``SitePlan`` of background ``p`` at points ``x``."""
+    return SitePlan(p.value(as_points(x, p.d).reshape(-1, p.d)))
+
+
+_REACH_SLACK = 1e-9  # kept beyond lam * max|omega| + r_q, for the rounding of both sides
+
+
+def _axis_sites(x, n, reach):
+    """Per axis, the sites within ``reach`` of each point, in two layers.
+
+    Along axis j, with c = round(x_j) and t = x_j - c, the candidates are
+    site c, at torus distance |t|, and site c + sign(t), at 1 - |t|: reach
+    < 1 rules out the third neighbour.  Returns ``index`` and ``dist``, each
+    (2, P, d): layer 0 holds the site of the smaller index along the axis
+    (its position -n..n plus n) among those within reach, layer 1 the
+    other, and ``dist`` their distances, inf where a layer holds none.  On a
+    torus of side 1 the two candidates are one site, at distance |t|.
+    """
     period = 2 * n + 1
-    cells = (period,) * p.d
-    # A non-finite point gets 0.0 from every bump, so any cell will do for it.
-    cell = np.mod(np.round(np.nan_to_num(x)), period).astype(np.intp)
-    cell_id = np.ravel_multi_index(tuple(cell.T), cells)
-    counts = np.bincount(cell_id, minlength=period**p.d)
-    members = np.split(np.argsort(cell_id, kind="stable"), np.cumsum(counts)[:-1])
-    steps = site_lattice(1, p.d)
-    # at L = 1 all 3^d neighbours are one cell: visit it once
-    near = [
-        np.unique(np.ravel_multi_index(tuple((gamma + steps).T), cells, mode="wrap"))
-        for gamma in site_lattice(n, p.d)
-    ]
-    return SitePlan(p.value(x), tuple(members), tuple(near))
+    cell = np.round(x)
+    with np.errstate(invalid="ignore"):
+        t = x - cell  # exact; NaN for a non-finite point, which is within reach of no site
+    own = cell + n
+    off = ~((own >= 0) & (own < period))  # outside the fundamental domain, or not finite
+    if off.any():
+        own[off] = np.mod(np.nan_to_num(own[off]), period)
+    own = own.astype(np.intp)
+    other = own + 2 * (t > 0) - 1
+    other[other == period] = 0
+    other[other < 0] = period - 1
+    own_dist = np.abs(t)
+    other_dist = 1.0 - own_dist
+    own_seen = own_dist < reach
+    other_seen = (other_dist < reach) & (period > 1)
+    own_dist[~own_seen] = np.inf
+    other_dist[~other_seen] = np.inf
+    own_first = own_seen & ~(other_seen & (other < own))
+    return (
+        np.stack([np.where(own_first, own, other), np.where(own_first, other, own)]),
+        np.stack([np.where(own_first, own_dist, other_dist), np.where(own_first, other_dist, own_dist)]),
+    )
 
 
 def eval_total_potential(p, q, lam, field, x, plan=None):
@@ -283,20 +302,21 @@ def eval_total_potential(p, q, lam, field, x, plan=None):
     periodic image.  Requires lam * max|omega| + r_q < 1 so that no bump
     wraps ambiguously across its own images.
 
-    Locality: under that bound the bump of site gamma vanishes unless the
-    torus distance |x - gamma|_inf < 1, so a point whose torus cell is
-    round(x) mod L (within 1/2 of x) only sees the sites of the 3^d cells
-    around that cell.  Points are grouped by cell once, and each bump is
-    evaluated on the distinct cells among its 3^d neighbours only, so the
-    cost is O(3^d * points) rather than O(sites * points).  The loop runs
-    over sites, in ``site_lattice`` order, and each step adds site gamma's
-    bump for every field of the chunk at once.  Every point of every field
-    gets the same additions in the same site order as the sum over all sites
-    of that field alone, minus the exact +0.0 terms of far sites, so the
-    result is bitwise equal.
+    Locality: the bump of site gamma vanishes unless the torus distance
+    |x - gamma| < lam * max|omega| + r_q, the reach (over the chunk's
+    fields), so along each axis a point is within reach of at most two
+    sites, and of at most 2^d in all (``_axis_sites``).  Each bump is
+    evaluated only at the points within its reach, for every field of the
+    chunk, in one vectorized pass, and the values are added in 2^d layers,
+    one per choice of the lower or the higher of the two sites along each
+    axis, in lexicographic order: for every point that is ``site_lattice``
+    order.  Every point of every field so gets the same additions in the
+    same site order as the sum over all sites of that field alone, minus
+    the exact +0.0 terms of the sites out of reach, so the result is
+    bitwise equal.
 
-    ``plan`` is ``site_plan(p, x, field.n)`` when the caller keeps one for
-    points it evaluates at again; it is computed here otherwise.
+    ``plan`` is ``site_plan(p, x)`` when the caller keeps one for points it
+    evaluates at again; it is computed here otherwise.
     """
     chunk = FieldChunk.of(field)
     if p.d != q.d or chunk.d != q.d:
@@ -310,14 +330,26 @@ def eval_total_potential(p, q, lam, field, x, plan=None):
     shape = x.shape[:-1]
     x = x.reshape(-1, q.d)
     if plan is None:
-        plan = SitePlan(p.value(x), (), ()) if q.is_zero else site_plan(p, x, chunk.n)
+        plan = site_plan(p, x)
     out = np.repeat(plan.base[None], len(chunk), axis=0)
-    period = 2 * chunk.n + 1
     if not q.is_zero:
+        period = 2 * chunk.n + 1
         centers = site_lattice(chunk.n, chunk.d) + lam * chunk.values
-        for i, near in enumerate(plan.near):
-            idx = np.concatenate([plan.members[k] for k in near])
-            out[:, idx] += q.value(wrap_nearest(x[idx] - centers[:, i, None], period))
+        kept = reach + _REACH_SLACK
+        index, dist = _axis_sites(x, chunk.n, kept)
+        axes = np.arange(q.d)
+        strides = period ** axes[::-1]
+        layers = []
+        for layer in np.ndindex(*(2,) * q.d):  # lexicographic: increasing site index
+            layer = np.array(layer)
+            pts = np.flatnonzero(np.sum(dist[layer, :, axes] ** 2, axis=0) < kept**2)
+            layers.append((pts, index[layer, pts[:, None], axes] @ strides))
+        pts, sites = (np.concatenate(part) for part in zip(*layers))
+        vals = q.value(wrap_nearest(x[pts] - centers[:, sites], period))
+        done = 0
+        for pts, _ in layers:
+            out[:, pts] += vals[:, done : done + pts.size]
+            done += pts.size
     return out.reshape((len(chunk),) + shape if chunk is field else shape)
 
 

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import eigensolve
 from .discretize import GridSpec, assemble_periodic
 from .eigensolve import (
-    DENSE_CUTOFF, SymmetricOperator, count_below_stack, dense_levels, ground_bisect,
-    smallest_eigenpairs,
+    SymmetricOperator, count_below_stack, dense_levels, ground_bisect, smallest_eigenpairs,
 )
 from .floquet import band_bottom, v_vector
 from .randomfields import sample_fields
@@ -242,7 +242,7 @@ def ids_sandwich_check(
     )
 
 
-def holder_constant(curve, exponent=0.8):
+def holder_constant(curve, exponent):
     """Largest per-pair ratio |N(E1) - N(E2)| / |E1 - E2|^exponent on the grid."""
     vals = curve.values()
     e = curve.energies
@@ -432,8 +432,9 @@ def wegner_rows(family, master_seed, samples, e_center, eps_list, ground_samples
     ``eigh``'s eigenvalues, bit for bit, without its eigenvectors): its
     first level is the ground ``smallest_eigenpairs`` would give, and the
     audit is a bool array of hit decisions read off it.  Above
-    ``DENSE_CUTOFF`` rows the ground comes from ``smallest_eigenpairs``
-    (ARPACK) instead.
+    ``eigensolve.DENSE_CUTOFF`` rows (read at call time, as
+    ``smallest_eigenpairs`` reads it) the ground comes from
+    ``smallest_eigenpairs`` (ARPACK) instead.
     """
     ops = list(family.operators(master_seed, samples))
     eps = np.asarray(eps_list, dtype=float)
@@ -441,7 +442,7 @@ def wegner_rows(family, master_seed, samples, e_center, eps_list, ground_samples
     upper, lower = np.hsplit(counts, 2)
     grounds, audits = [], []
     for s, op in zip(samples, ops):
-        dense_ground = s < ground_samples and op.shape[0] <= DENSE_CUTOFF
+        dense_ground = s < ground_samples and op.shape[0] <= eigensolve.DENSE_CUTOFF
         levels = dense_levels(op.matrix) if dense_ground or s < audit_per_n else None
         if dense_ground:
             grounds.append(float(levels[0]))

@@ -155,7 +155,7 @@ class SupportSet:
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         return np.array([self.support_point(u) for u in dirs])
 
-    def sample(self, rng, size=1):
+    def sample(self, rng, size):
         """Draw points of the set (uniform for ball/sphere/box variants)."""
         out = np.empty((size, self.d))
         for i in range(size):

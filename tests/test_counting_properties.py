@@ -243,6 +243,35 @@ def test_torus_counts_from_the_top_factor_equal_the_per_threshold_path(mat, seed
     assert np.array_equal(got[clear], want[clear])
 
 
+@given(tori, st.sampled_from([0, 1, 2, 3, 5]), st.booleans(), st.integers(0, 2**32 - 1))
+def test_lanczos_counts_equal_the_per_threshold_path(mat, below, cut, seed):
+    """K = ``below`` levels under the top threshold (0, 1 or several), lower
+    thresholds on a level (inside its interval), 1e-9 to 1e-5 of scale off
+    one or off the top (at the edge of an interval or of the top shift) and
+    far from every level.  With ``cut`` the Lanczos run has a budget of one
+    step, which certifies little, so the thresholds it leaves take the
+    per-threshold path.  Every count equals that path's."""
+    rng = np.random.default_rng(seed)
+    levels = np.linalg.eigvalsh(mat.toarray())
+    scale = max(1.0, es._norm_estimate(mat))
+    top = levels[0] - 0.5 if below == 0 else 0.5 * (levels[below - 1] + levels[below])
+    near = 10.0 ** rng.uniform(-9.0, -5.0) * scale
+    picks = [top, levels[0] - 1.0, top - near]
+    if below:
+        level = rng.choice(levels[:below])
+        picks += [level, level + rng.choice([-1.0, 1.0]) * near]
+    if below > 1:
+        picks.append(0.5 * (levels[0] + levels[1]))
+    energies = rng.permutation(np.minimum(np.array(picks), top))
+    with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 10), pytest.MonkeyPatch.context() as mp:
+        if cut:
+            mp.setattr(es, "_RITZ_EXTRA", 1 - 2 * below)
+        got = count_below(mat, energies)
+        mp.setattr(es, "_ritz_counts", lambda op, count_one, e: np.full(e.size, -1))
+        assert np.array_equal(got, count_below(mat, energies))
+    assert _clear_counts(got, levels, energies, max(scale, np.max(np.abs(energies))))
+
+
 def _in_band(counts, levels, energies, scale):
     """Each count lies between the levels clearly below its threshold and
     those at or below the threshold plus the largest tie nudge."""

@@ -566,10 +566,10 @@ def test_top_threshold_factor_settles_the_thresholds_below(monkeypatch):
     assert got.tolist() == [5, 0, 1, 3]
 
 
-def test_no_level_below_the_top_settles_the_rest_without_arpack(monkeypatch):
+def test_no_level_below_the_top_settles_the_rest_without_lanczos(monkeypatch):
     mat = _generic_torus()
     levels, _ = _levels_and_between(mat)
-    monkeypatch.setattr(es.spla, "eigsh", None)  # never called
+    monkeypatch.setattr(es, "_lanczos_pairs", None)  # never called
     calls = _splu_calls(monkeypatch)
     with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 10):
         got = count_below(mat, levels[0] - np.array([0.5, 1.0, 2.0]))
@@ -588,13 +588,12 @@ def _hands_back(monkeypatch, mat, energies):
     return got
 
 
-def test_arpack_failure_hands_every_lower_threshold_back(monkeypatch):
-    def no_convergence(*args, **kwargs):
-        raise es.spla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
-
+def test_a_lanczos_run_without_pairs_hands_every_lower_threshold_back(monkeypatch):
+    """A Lanczos run that ends before its T has K negative Ritz values
+    yields no pairs: nothing is certified."""
     mat = _generic_torus()
     levels, between = _levels_and_between(mat)
-    monkeypatch.setattr(es.spla, "eigsh", no_convergence)
+    monkeypatch.setattr(es, "_lanczos_pairs", lambda lu, shift, k: iter(()))
     energies = between[[0, 2, 4]]
     got = _hands_back(monkeypatch, mat, energies)
     assert got.tolist() == [1, 3, 5]
@@ -603,7 +602,7 @@ def test_arpack_failure_hands_every_lower_threshold_back(monkeypatch):
 def test_more_levels_below_the_top_than_the_cap_hand_back(monkeypatch):
     mat = _generic_torus()
     levels, between = _levels_and_between(mat)
-    monkeypatch.setattr(es.spla, "eigsh", None)  # never called
+    monkeypatch.setattr(es, "_lanczos_pairs", None)  # never called
     energies = between[[0, es.RITZ_CAP]]
     got = _hands_back(monkeypatch, mat, energies)
     assert got.tolist() == [1, es.RITZ_CAP + 1]
@@ -611,19 +610,26 @@ def test_more_levels_below_the_top_than_the_cap_hand_back(monkeypatch):
 
 def test_overlapping_intervals_of_a_degenerate_level_hand_back(monkeypatch):
     """The free torus Laplacian has a simple lowest level and then a
-    fourfold one: their Ritz intervals overlap, so nothing is certified."""
+    fourfold one.  Exact eigenpairs of all five levels give overlapping
+    intervals: nothing is certified.  A Lanczos run from one start vector
+    finds one vector of the fourfold level, so it certifies nothing either,
+    and every threshold goes back."""
     mat = _torus(6, np.full(36, 4.0))
     levels, between = _levels_and_between(mat)
     assert np.ptp(levels[1:5]) < 1e-12 < levels[5] - levels[4]
+    vals, vecs = np.linalg.eigh(mat.toarray())
+    op = es.SymmetricOperator(mat)
+    assert es._certified_intervals(op, vals[:5], vecs[:, :5], between[4]) is None
     ritz, certified = [], []
-    eigsh, intervals = es.spla.eigsh, es._ritz_intervals
-    monkeypatch.setattr(es.spla, "eigsh", lambda *a, **k: ritz.append(eigsh(*a, **k)) or ritz[-1])
+    pairs, intervals = es._lanczos_pairs, es._certified_intervals
     monkeypatch.setattr(
-        es, "_ritz_intervals", lambda *a: certified.append(intervals(*a)) or certified[-1]
+        es, "_lanczos_pairs", lambda *a: (ritz.append(p) or p for p in pairs(*a))
+    )
+    monkeypatch.setattr(
+        es, "_certified_intervals", lambda *a: certified.append(intervals(*a)) or certified[-1]
     )
     got = _hands_back(monkeypatch, mat, np.array([between[0], between[4]]))
-    assert len(ritz) == 1 and np.allclose(np.sort(ritz[0][0]), levels[:5], atol=1e-10)
-    assert certified == [None] and got.tolist() == [1, 5]
+    assert certified == [None] * len(ritz) and got.tolist() == [1, 5]
 
 
 def test_an_interval_in_a_threshold_bracket_hands_that_threshold_back(monkeypatch):
@@ -664,11 +670,11 @@ def test_an_interval_above_the_top_shift_is_not_certified(monkeypatch):
     vals, vecs = np.linalg.eigh(mat.toarray())
     wrong = [0, 1, 3]  # the levels below between[2] are 0, 1 and 2
 
-    def eigsh(*args, k, **kwargs):
+    def lanczos_pairs(lu, shift, k):
         assert k == 3
-        return vals[wrong], vecs[:, wrong]
+        yield vals[wrong], vecs[:, wrong]
 
-    monkeypatch.setattr(es.spla, "eigsh", eigsh)
+    monkeypatch.setattr(es, "_lanczos_pairs", lanczos_pairs)
     got = _hands_back(monkeypatch, mat, np.array([between[2], between[1], between[0]]))
     assert got.tolist() == [3, 2, 1]
 
@@ -684,9 +690,9 @@ def test_the_heap_is_trimmed_once_after_the_route_where_glibc_is(monkeypatch, gl
     assert trims == ([0] if glibc else [])
 
 
-def test_first_ids_2d_continuum_sample_takes_one_factorization(monkeypatch):
-    """The benchmark's d = 2 ids config, continuum sample 0: the counts of
-    the per-threshold path from one SuperLU factorization instead of three."""
+def _ids_2d_continuum():
+    """The benchmark's d = 2 ids config: its continuum family, its three
+    thresholds and its seed."""
     from pathlib import Path
 
     from displab.cli import (
@@ -704,7 +710,14 @@ def test_first_ids_2d_continuum_sample_takes_one_factorization(monkeypatch):
     offsets = np.geomspace(top / 50.0, top, ids["n_offsets"])  # run_ids's default
     energies = band_bottom(p, q, lam, np.asarray(ids["zeta"]), m).energy + offsets
     family = ContinuumFamily(p=p, q=q, lam=lam, dist=dist, n=n, m=m)
-    op = es.SymmetricOperator(family.assemble(cfg["run"]["seed"], 0))
+    return family, energies, cfg["run"]["seed"], ids["n_samples"]
+
+
+def test_first_ids_2d_continuum_sample_takes_one_factorization(monkeypatch):
+    """The benchmark's d = 2 ids config, continuum sample 0: the counts of
+    the per-threshold path from one SuperLU factorization instead of three."""
+    family, energies, seed, _ = _ids_2d_continuum()
+    op = es.SymmetricOperator(family.assemble(seed, 0))
     assert op.shape == (43264, 43264) and op.chain is None
     calls = _splu_calls(monkeypatch)
     got = count_below(op, energies)
@@ -714,6 +727,90 @@ def test_first_ids_2d_continuum_sample_takes_one_factorization(monkeypatch):
         want = count_below(op, energies)
     assert len(calls) == 4
     assert got.tolist() == want.tolist() == [0, 1, 1]
+
+
+class _CountingFactor:
+    """A SuperLU factor whose ``solve`` calls are counted."""
+
+    def __init__(self, lu, solves):
+        self._lu, self._solves = lu, solves
+
+    def __getattr__(self, name):
+        return getattr(self._lu, name)
+
+    def solve(self, rhs):
+        self._solves.append(1)
+        return self._lu.solve(rhs)
+
+
+def test_each_ids_2d_continuum_count_takes_one_factorization_and_two_solves(monkeypatch):
+    """Every continuum sample of the benchmark's d = 2 ids run: one SuperLU
+    factorization, the Lanczos run stops on its certificate after at most
+    3 solves, and ARPACK is never called."""
+    family, energies, seed, n_samples = _ids_2d_continuum()
+    splu, factors, solves = es.spla.splu, [], []
+    monkeypatch.setattr(
+        es.spla, "splu", lambda *a, **k: factors.append(1) or _CountingFactor(splu(*a, **k), solves)
+    )
+    monkeypatch.setattr(es.spla, "eigsh", None)
+    for sample in range(n_samples):
+        op = es.SymmetricOperator(family.assemble(seed, sample))
+        factors.clear(), solves.clear()
+        assert count_below(op, energies).tolist() == [0, 1, 1]
+        assert len(factors) == 1 and 1 <= len(solves) <= 3
+
+
+def test_a_run_cut_by_its_step_budget_hands_the_unsettled_thresholds_back(monkeypatch):
+    """A threshold inside the first step's interval but clear of the last
+    one's: a full run settles it, a run cut to one step hands it back."""
+    mat = _generic_torus()
+    levels, between = _levels_and_between(mat)
+    op = es.SymmetricOperator(mat)
+    count, lu = es._sparse_inertia(es._sparse_shift(op.matrix, True)(between[0]), 10.0)
+    pairs = [es._certified_intervals(op, *p, between[0]) for p in es._lanczos_pairs(lu, between[0], 1)]
+    (first_lo, _), (last_lo, _) = pairs[0], pairs[-1]
+    assert count == 1 and first_lo[0] < last_lo[0] - 1e-6
+    energies = np.array([between[0], 0.5 * (first_lo[0] + last_lo[0])])
+    for extra, factorizations in ((es._RITZ_EXTRA, 1), (-1, 2)):  # -1: a budget of one step
+        monkeypatch.setattr(es, "_RITZ_EXTRA", extra)
+        calls = _splu_calls(monkeypatch)
+        with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 10):
+            assert count_below(mat, energies).tolist() == [1, 0]
+        assert len(calls) == factorizations
+
+
+@pytest.mark.parametrize("kind", ["chain", "d = 2"])
+def test_superlu_gets_one_csc_matrix_with_the_old_shifts_arrays(monkeypatch, kind):
+    """An exactly symmetric operator's A - E reaches SuperLU as one CSC
+    matrix on A's index arrays, with the data, indices and indptr that
+    ``plus_diagonal`` and a CSC conversion give, also where a diagonal
+    entry cancels to exactly 0.0."""
+    from displab.discretize import diagonal_slots, plus_diagonal
+
+    if kind == "chain":
+        local = np.random.default_rng(5)
+        mat = _cyclic(local.uniform(0.0, 4.0, 40), local.uniform(-1.0, 1.0, 40))
+    else:
+        mat = _generic_torus()
+    op = es.SymmetricOperator(mat)
+    assert op.exactly_symmetric and (op.chain is None) == (kind != "chain")
+    got, splu = [], es.spla.splu
+    monkeypatch.setattr(es.spla, "splu", lambda a, **k: got.append(a) or splu(a, **k))
+    where = diagonal_slots(op.matrix)
+    first = []
+    with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 10):
+        counter = es._threshold_counter(op)
+        for energy in (0.7, float(op.matrix.diagonal()[3])):
+            first.append(len(got))
+            counter(energy)  # a tie at the second nudges E up: its first try is at E
+            shifted = plus_diagonal(op.matrix, where, -energy)
+            want = shifted.T if kind == "chain" else shifted.tocsc()  # as before
+            for name in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(got[first[-1]], name), getattr(want, name)), name
+            assert got[first[-1]].format == "csc"
+    shared = got[first[0]]
+    assert all(np.shares_memory(getattr(shared, a), getattr(op.matrix, a)) for a in ("indices", "indptr"))
+    assert got[first[1]].nnz == op.matrix.nnz - 1  # the cancelled diagonal entry is dropped
 
 
 # -- counting when SuperLU refuses --
@@ -757,7 +854,7 @@ def test_an_operator_not_exactly_symmetric_is_counted_threshold_by_threshold(mon
     mat[0, 1] += 1e-15
     mat = mat.tocsr()
     levels, between = _levels_and_between(mat)
-    monkeypatch.setattr(es.spla, "eigsh", None)  # never called
+    monkeypatch.setattr(es, "_lanczos_pairs", None)  # never called
     got = _hands_back(monkeypatch, mat, between[[0, 2, 4]])
     assert got.tolist() == [1, 3, 5]
 
@@ -878,6 +975,9 @@ def test_superlu_copies_are_released_and_the_factor_still_solves():
     assert count == 5 and lu.L.nnz == lu.U.nnz == 0 and kept.U.nnz > 0
     rhs = np.random.default_rng(1).standard_normal((mat.shape[0], 3))
     assert np.array_equal(lu.solve(rhs), kept.solve(rhs))
+    got, want = (list(es._lanczos_pairs(f, between[4], 5)) for f in (lu, kept))
+    assert len(got) == len(want) > 0
+    for g, w in zip(got, want):
+        assert all(np.array_equal(a, b) for a, b in zip(g, w))
     op = es.SymmetricOperator(mat)
-    got, want = (es._ritz_intervals(op, f, between[4], 5) for f in (lu, kept))
-    assert got is not None and all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert es._certified_intervals(op, *got[-1], between[4]) is not None

@@ -20,7 +20,6 @@ from displab.potentials import (
     periodic_family,
     single_site_family,
     site_lattice,
-    site_plan,
     wrap_nearest,
 )
 
@@ -218,9 +217,8 @@ def test_total_potential_equals_all_sites_sum_bitwise(d, n, family):
         want = _all_sites_reference(p, q, lam, f, grid)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         assert grid_site_plan(p, spec) is plan, "built once"
-    assert len(plan.members) == L**d and len(plan.near) == L**d
-    for arr in (plan.base, *plan.members, *plan.near):
-        assert not arr.flags.writeable, "the shared plan is read-only"
+    assert plan.base.shape == (len(grid),)
+    assert not plan.base.flags.writeable, "the shared plan is read-only"
     non_finite = np.array([[np.nan] * d, [np.inf] * d, [-np.inf] * d])
     with np.errstate(invalid="ignore"):
         got = eval_total_potential(p, q, lam, field, non_finite)
@@ -230,18 +228,27 @@ def test_total_potential_equals_all_sites_sum_bitwise(d, n, family):
     assert np.array_equal(batched.ravel(), eval_total_potential(p, q, lam, field, off_grid))
 
 
-def _one_field_reference(p, q, lam, field, x, plan=None):
-    """eval_total_potential as it was before chunks: one field, its sites in
-    turn, each bump evaluated on its neighbouring cells' points."""
+def _one_field_reference(p, q, lam, field, x):
+    """The per-site loop ``eval_total_potential`` ran before chunks and
+    before each bump was evaluated only within its reach: one field, its
+    sites in ``site_lattice`` order, each bump evaluated on all points of the
+    3^d cells around its site."""
     x = as_points(x, q.d)
     shape = x.shape[:-1]
     x = x.reshape(-1, q.d)
-    if plan is None:
-        plan = site_plan(p, x, field.n)
-    out = plan.base.copy()
-    for near, c in zip(plan.near, site_lattice(field.n, field.d) + lam * field.values):
-        idx = np.concatenate([plan.members[k] for k in near])
-        out[idx] += q.value(wrap_nearest(x[idx] - c, 2 * field.n + 1))
+    period = 2 * field.n + 1
+    cells = (period,) * q.d
+    cell = np.mod(np.round(np.nan_to_num(x)), period).astype(np.intp)
+    cell_id = np.ravel_multi_index(tuple(cell.T), cells)
+    counts = np.bincount(cell_id, minlength=period**q.d)
+    members = np.split(np.argsort(cell_id, kind="stable"), np.cumsum(counts)[:-1])
+    steps = site_lattice(1, q.d)
+    out = p.value(x)
+    for gamma, c in zip(site_lattice(field.n, q.d), site_lattice(field.n, q.d) + lam * field.values):
+        # at L = 1 all 3^d neighbours are one cell: visit it once
+        near = np.unique(np.ravel_multi_index(tuple((gamma + steps).T), cells, mode="wrap"))
+        idx = np.concatenate([members[k] for k in near])
+        out[idx] += q.value(wrap_nearest(x[idx] - c, period))
     return out.reshape(shape)
 
 
@@ -265,7 +272,7 @@ def test_chunk_total_potential_equals_one_field_at_a_time_bitwise(d, n):
         got = eval_total_potential(p, q, lam, chunk, x, plan)
         assert got.shape == (5,) + x.shape[:-1]
         for k in range(5):
-            want = _one_field_reference(p, q, lam, chunk[k], x, plan)
+            want = _one_field_reference(p, q, lam, chunk[k], x)
             assert np.array_equal(got[k].view(np.int64), want.view(np.int64))
             one = eval_total_potential(p, q, lam, chunk[k], x, plan)
             assert np.array_equal(one.view(np.int64), want.view(np.int64))

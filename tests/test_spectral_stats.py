@@ -240,6 +240,31 @@ def test_wegner_audits_equal_a_separate_eigvalsh_pass(audit_per_n):
     assert scan == rep
 
 
+def test_wegner_grounds_follow_the_patched_dense_cutoff():
+    """``wegner_rows`` reads ``eigensolve.DENSE_CUTOFF`` at call time, as
+    ``smallest_eigenpairs`` does: below the patched cutoff's N its grounds
+    come from ``smallest_eigenpairs`` (ARPACK), and they agree with the
+    dense ones."""
+    from unittest import mock
+
+    import displab.eigensolve as es
+    import displab.spectral_stats as ss
+
+    fam = ContinuumFamily(p=P1, q=Q1, lam=0.1, dist=DIST, n=1, m=8)
+    calls, pairs = [], ss.smallest_eigenpairs
+
+    def counted(op, k):
+        calls.append(pairs(op, k=k))
+        return calls[-1]
+
+    args = (fam, 7, range(3), 0.06, [0.01, 0.1], 2, 0)
+    _, dense, _ = wegner_rows(*args)
+    with mock.patch.object(ss, "smallest_eigenpairs", counted), mock.patch.object(es, "DENSE_CUTOFF", 10):
+        _, grounds, _ = wegner_rows(*args)
+    assert [r.method for r in calls] == ["arpack", "arpack"]
+    assert grounds[2] is None and np.allclose(grounds[:2], dense[:2], rtol=0, atol=1e-9)
+
+
 def test_wegner_scan_validates_eps():
     with pytest.raises(ValueError):
         wegner_scan(P1, Q1, 0.1, DIST, 0.06, [-0.1, 0.1], [1], 8,
