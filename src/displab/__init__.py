@@ -86,14 +86,18 @@ from .reduced import (
 from .spectral_stats import (
     ContinuumFamily,
     IDSCurve,
+    IDSSandwichReport,
     ReducedFamily,
     WegnerRecord,
     WegnerReport,
+    count_rows,
     holder_constant,
-    ids_curve,
-    ids_sandwich_check,
     lifshitz_fit,
+    lifshitz_rows,
+    sandwich_families,
     synthetic_tail_curve,
-    wegner_scan,
+    wegner_report,
+    wegner_rows,
+    wegner_windows,
 )
 from . import supports

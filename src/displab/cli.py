@@ -175,8 +175,9 @@ def config_sha(cfg):
 class Key(NamedTuple):
     """One config key.  ``many`` reads a list of one or more values, split at
     spaces or commas; each number must be finite, >= ``lo``, > ``above`` and
-    in ``choices``, where set.  A default of "auto" also admits that word,
-    for which the runner works the value out."""
+    in ``choices``, where set.  A ``per_axis`` list holds exactly model.d
+    values.  A default of "auto" also admits that word, for which the runner
+    works the value out."""
 
     type: type
     default: object = None
@@ -185,6 +186,7 @@ class Key(NamedTuple):
     lo: float | None = None
     above: float | None = None
     choices: tuple | range | None = None
+    per_axis: bool = False
 
 
 # Every key of every section, as "section.key".  A config holds the common
@@ -203,15 +205,15 @@ SCHEMA = {
     "site.amplitude": Key(float, 0.5),
     "site.radius": Key(float, 0.45),
     "support.kind": Key(str, "ball"),
-    "support.center": Key(float, many=True),
+    "support.center": Key(float, many=True, per_axis=True),
     "support.radius": Key(float, 1.0),
-    "support.semi_axes": Key(float, many=True),
-    "support.lo": Key(float, many=True),
-    "support.hi": Key(float, many=True),
+    "support.semi_axes": Key(float, many=True, per_axis=True),
+    "support.lo": Key(float, many=True, per_axis=True),
+    "support.hi": Key(float, many=True, per_axis=True),
     "support.vertices": Key(str),
     "distribution.kind": Key(str, "uniform-ball"),
     "distribution.radial_exponent": Key(float),
-    "band.zeta": Key(float, many=True),
+    "band.zeta": Key(float, many=True, per_axis=True),
     "band.nbands": Key(int, 3, lo=1),
     "band.theta_n": Key(int, 2, lo=0),
     "minimize.restarts": Key(int, 8, lo=1),
@@ -223,7 +225,7 @@ SCHEMA = {
     "theorem1.grid_points": Key(int, 0, lo=0),
     "ids.c0": Key(float, required=True, lo=1),
     "ids.alpha": Key(float, required=True, above=0),
-    "ids.zeta": Key(float, required=True, many=True),
+    "ids.zeta": Key(float, required=True, many=True, per_axis=True),
     "ids.n_samples": Key(int, 100, lo=1),
     "ids.offsets": Key(float, many=True),
     "ids.n_offsets": Key(int, 12, lo=1),
@@ -232,13 +234,13 @@ SCHEMA = {
     "lifshitz.sign": Key(int, 1, choices=(-1, 1)),
     "lifshitz.c0": Key(float, required=True, lo=1),
     "lifshitz.alpha": Key(float, required=True, above=0),
-    "lifshitz.zeta": Key(float, required=True, many=True),
-    "lifshitz.v": Key(float, "auto", many=True),
+    "lifshitz.zeta": Key(float, required=True, many=True, per_axis=True),
+    "lifshitz.v": Key(float, "auto", many=True, per_axis=True),
     "lifshitz.e_min": Key(float, required=True, above=0),
     "lifshitz.e_max": Key(float, required=True),
     "lifshitz.n_energies": Key(int, 24, lo=3),  # the tail fit needs 3 points
     "lifshitz.ground_hi": Key(float, 4.0),
-    "wegner.zeta": Key(float, required=True, many=True),
+    "wegner.zeta": Key(float, required=True, many=True, per_axis=True),
     "wegner.n_list": Key(int, (1, 2, 3), many=True, lo=0),
     "wegner.samples_per_cell": Key(int, 400, lo=1),
     "wegner.ground_samples": Key(int, 50, lo=0),
@@ -248,12 +250,12 @@ SCHEMA = {
     "wegner.n_eps": Key(int, 6, lo=1),
     "wegner.eps_frac": Key(float, 0.25, above=0),
     "wegner.eps_hi": Key(float, above=0),
-    "reduce.zeta": Key(float, required=True, many=True),
+    "reduce.zeta": Key(float, required=True, many=True, per_axis=True),
     "reduce.c0": Key(float, required=True, lo=1),
     "reduce.alpha": Key(float, required=True, above=0),
     "reduce.n": Key(int, 1, lo=1),
     "reduce.grid_points": Key(int, 9, lo=1),
-    "sandwich.zeta": Key(float, "auto", many=True),
+    "sandwich.zeta": Key(float, "auto", many=True, per_axis=True),
     "sandwich.alpha0": Key(float, "auto"),
     "sandwich.c0_list": Key(float, (2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0), many=True, lo=1),
     "sandwich.n_fields": Key(int, 20, lo=1),
@@ -270,7 +272,8 @@ def read_config(cfg):
     """Every key of a loaded config's run, typed: ``{section: {key: value}}``.
 
     Absent keys take their defaults.  An unknown section or key, a missing
-    required key and a malformed or out-of-range value are ConfigErrors.
+    required key, a malformed or out-of-range value and a per-axis list
+    without one value per axis are ConfigErrors.
     """
     kind = cfg["run"]["kind"]
     sections = ("run", "model", "periodic", "site", "support", "distribution", _own_section(kind))
@@ -285,6 +288,12 @@ def read_config(cfg):
         section, name = where.split(".")
         if section in typed:
             typed[section][name] = _read_value(where, name, key, cfg.get(section, {}).get(name))
+    d = typed["model"]["d"]
+    for where, key in SCHEMA.items():
+        section, name = where.split(".")
+        value = typed.get(section, {}).get(name)
+        if key.per_axis and value not in (None, "auto") and len(value) != d:
+            raise ConfigError(f"{where} needs one value per axis (model.d = {d}), got {len(value)}")
     return typed
 
 
@@ -1140,6 +1149,8 @@ def main(argv=None):
             )
         cfg = read_config(raw)
         if args.resume:
+            if args.seed is not None and args.seed != cfg["run"]["seed"]:
+                raise ConfigError("--seed disagrees with the manifest being resumed")
             rd = RunDir(out)
             if rd.is_complete():
                 print(f"{out}: already complete")

@@ -15,9 +15,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .potentials import (
-    FieldChunk, as_points, eval_total_potential, site_lattice, site_plan, wrap_nearest,
-)
+from .potentials import FieldChunk, as_points, eval_total_potential, site_lattice, wrap_nearest
 
 
 @dataclass(frozen=True)
@@ -233,15 +231,6 @@ class DiagonalStack:
         return data
 
 
-@lru_cache(maxsize=16)
-def grid_site_plan(p, grid):
-    """``site_plan(p, grid.points())``, built once per (p, grid) and shared
-    read-only: the field-independent part of every sample's potential."""
-    plan = site_plan(p, grid.points())
-    plan.base.flags.writeable = False
-    return plan
-
-
 def assemble_periodic(p, q, lam, field, grid):
     """Full torus operator -Delta_h + p + sum_gamma q(. - gamma - lam omega_gamma).
 
@@ -255,7 +244,7 @@ def assemble_periodic(p, q, lam, field, grid):
     if field.n != grid.n or field.d != grid.d:
         raise ValueError("field lattice does not match grid")
     chunk = FieldChunk.of(field)
-    diags = eval_total_potential(p, q, lam, chunk, grid.points(), grid_site_plan(p, grid))
+    diags = eval_total_potential(p, q, lam, chunk, grid.points())
     stack = DiagonalStack(*periodic_laplacian(grid.d, grid.side_points, grid.h), diags)
     return LatticeOperator(matrix=stack if chunk is field else stack[0], grid=grid, kind="periodic")
 
@@ -305,7 +294,6 @@ __all__ = [
     "assemble_periodic",
     "assemble_fiber",
     "periodic_laplacian",
-    "grid_site_plan",
     "diagonal_slots",
     "plus_diagonal",
     "fiber_diagonal",

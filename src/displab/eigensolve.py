@@ -238,10 +238,10 @@ class SymmetricOperator:
         ``plus_diagonal`` drops from its pattern, is prepared from its own
         matrix.  The result is a list.  On any other stencil (d >= 2) it is a
         generator that builds and prepares one operator at a time, so a chunk
-        of large operators is never held at once.
+        of large operators is never held at once (``_stack_unchained``).
         """
         if _chain_pattern(stack.stencil) is None:
-            return (cls(stack[k]) for k in range(len(stack)))
+            return cls._stack_unchained(stack)
         data = stack.data()
         norms = _stack_norms(stack.stencil.indptr, data)
         chains = _stack_chains(stack.stencil, data)
@@ -256,6 +256,31 @@ class SymmetricOperator:
             ops.append(op)
         return ops
 
+    @classmethod
+    def _stack_unchained(cls, stack):
+        """``chunk`` of a stack whose stencil is not a periodic chain.
+
+        An operator on the stencil's own pattern is not a chain either, and
+        its entries off the diagonal are the stencil's, the same in every
+        operator of the stack: adding a diagonal neither makes nor breaks
+        exact symmetry.  So the first such operator decides
+        ``exactly_symmetric`` for all of them, and only its norm is read off
+        each.  An operator from which ``plus_diagonal`` dropped a 0.0 is
+        prepared from its own matrix.
+        """
+        symmetric = None
+        for k in range(len(stack)):
+            mat = stack[k]
+            if mat.nnz < stack.stencil.nnz:  # a dropped 0.0
+                yield cls(mat)
+                continue
+            op = cls.__new__(cls)
+            op.matrix, op.norm, op.chain = mat, _norm_estimate(mat), None
+            if symmetric is None:
+                symmetric = op.exactly_symmetric
+            op.exactly_symmetric = symmetric
+            yield op
+
     @property
     def shape(self):
         return self.matrix.shape
@@ -265,9 +290,13 @@ class SymmetricOperator:
         """Whether the matrix equals its transpose entry for entry."""
         if self.chain is not None:
             return True
-        if sp.issparse(self.matrix):
-            return (self.matrix != self.matrix.T).nnz == 0
-        return bool(np.array_equal(self.matrix, self.matrix.T))
+        return _exactly_symmetric(self.matrix)
+
+
+def _exactly_symmetric(mat):
+    if sp.issparse(mat):
+        return (mat != mat.T).nnz == 0
+    return bool(np.array_equal(mat, mat.T))
 
 
 def _prepared(op):

@@ -8,7 +8,6 @@ accepted and treated as ``N`` points.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -240,18 +239,6 @@ def constant_field(n, d, zeta):
     return DisplacementField(n=n, d=d, values=np.tile(zeta, (m, 1)))
 
 
-class SitePlan(NamedTuple):
-    """What ``eval_total_potential`` computes at fixed points without the field:
-    ``base``, the background at the points."""
-
-    base: np.ndarray
-
-
-def site_plan(p, x):
-    """The ``SitePlan`` of background ``p`` at points ``x``."""
-    return SitePlan(p.value(as_points(x, p.d).reshape(-1, p.d)))
-
-
 _REACH_SLACK = 1e-9  # kept beyond lam * max|omega| + r_q, for the rounding of both sides
 
 
@@ -291,7 +278,7 @@ def _axis_sites(x, n, reach):
     )
 
 
-def eval_total_potential(p, q, lam, field, x, plan=None):
+def eval_total_potential(p, q, lam, field, x):
     """Background plus torus-periodized sum of displaced site potentials.
 
     ``field`` is a ``DisplacementField``, which gives values of shape
@@ -314,9 +301,6 @@ def eval_total_potential(p, q, lam, field, x, plan=None):
     same site order as the sum over all sites of that field alone, minus
     the exact +0.0 terms of the sites out of reach, so the result is
     bitwise equal.
-
-    ``plan`` is ``site_plan(p, x)`` when the caller keeps one for points it
-    evaluates at again; it is computed here otherwise.
     """
     chunk = FieldChunk.of(field)
     if p.d != q.d or chunk.d != q.d:
@@ -329,9 +313,7 @@ def eval_total_potential(p, q, lam, field, x, plan=None):
     x = as_points(x, q.d)
     shape = x.shape[:-1]
     x = x.reshape(-1, q.d)
-    if plan is None:
-        plan = site_plan(p, x)
-    out = np.repeat(plan.base[None], len(chunk), axis=0)
+    out = np.repeat(p.value(x)[None], len(chunk), axis=0)
     if not q.is_zero:
         period = 2 * chunk.n + 1
         centers = site_lattice(chunk.n, chunk.d) + lam * chunk.values

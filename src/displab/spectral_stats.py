@@ -7,9 +7,12 @@ Each statistic has one batch function -- ``count_rows``, ``lifshitz_rows``,
 ``wegner_rows`` -- that draws a tuple of samples' fields in one
 ``sample_fields`` call (or takes fields the caller drew for several
 families), assembles them in one pass and counts them in one
-``count_below_stack`` call.  The library drivers here call it once over all
-samples; the CLI runners call it on the chunks their resumable cache misses.
-A row never depends on the batch it was computed in.
+``count_below_stack`` call.  A row never depends on the batch it was
+computed in.  The CLI runners (``displab.cli.run_ids``, ``run_lifshitz``,
+``run_wegner``) are the Monte-Carlo drivers: they call the batch functions
+on the chunks their resumable cache misses and build the reports with
+``sandwich_families``, ``IDSSandwichReport.from_curves``,
+``wegner_windows`` and ``wegner_report``.
 """
 
 from __future__ import annotations
@@ -146,22 +149,6 @@ def count_rows(family, master_seed, samples, energies, fields=None):
     return count_below_stack(family.operators(master_seed, samples, fields), energies)
 
 
-def ids_curve(family, energies, n_samples, master_seed, fields=None):
-    """The counting curve of samples 0 .. n_samples - 1; ``fields`` as for
-    ``count_rows``."""
-    energies = np.asarray(energies, dtype=float)
-    if np.any(np.diff(energies) <= 0):
-        raise ValueError("energies must be strictly increasing")
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
-    return IDSCurve(
-        energies=energies,
-        counts=count_rows(family, master_seed, range(n_samples), energies, fields),
-        n_cells=family.n_cells,
-        label=family.label,
-    )
-
-
 @dataclass(frozen=True)
 class IDSSandwichReport:
     """Counting chain N+(E/c0) <= N_mid(E_ref + E) <= N-(c0 E), same fields."""
@@ -218,27 +205,6 @@ def sandwich_families(p, q, lam, dist, zeta, n, m, c0, alpha, energies):
         (ReducedFamily(sign=+1, **reduced), energies / c0),
         (ContinuumFamily(p=p, q=q, lam=lam, dist=dist, n=n, m=m), e_ref + energies),
         (ReducedFamily(sign=-1, **reduced), c0 * energies),
-    )
-
-
-def ids_sandwich_check(
-    p, q, lam, dist, zeta, n, m, c0, alpha, energies, n_samples, master_seed
-):
-    """Run all three counting curves on shared displacement fields.
-
-    See ``sandwich_families`` for the admissible offsets ``energies``.  Each
-    field is drawn once and counted by all three families.  The report
-    carries the three curves, the 3-sigma mean comparisons, and the number
-    of strict per-sample violations of the integer chain (expected zero).
-    """
-    e_ref, families = sandwich_families(p, q, lam, dist, zeta, n, m, c0, alpha, energies)
-    fields = sample_fields(dist, n, master_seed, range(max(n_samples, 0)))
-    curves = [
-        ids_curve(fam, thresholds, n_samples, master_seed, fields)
-        for fam, thresholds in families
-    ]
-    return IDSSandwichReport.from_curves(
-        np.asarray(energies, dtype=float), e_ref, c0, *curves
     )
 
 
@@ -509,31 +475,3 @@ def wegner_report(families, e_center, eps_list, master_seed, audit_per_n, result
         audits_agree=audits_agree,
         ground_stats=tuple(ground_stats),
     )
-
-
-def wegner_scan(
-    p, q, lam, dist, e_center, eps_list, n_list, m, samples_per_cell, master_seed,
-    audit_per_n=17, ground_samples=50,
-):
-    """Estimate P(some eigenvalue within eps of e_center) across sizes.
-
-    For every torus size in ``n_list`` and every window half-width in
-    ``eps_list`` the hit probability is estimated over ``samples_per_cell``
-    fields (shared across eps within a size: one operator, all windows).
-    A joint log-log fit extracts the window exponent nu_hat and the volume
-    exponent dim_hat.  The first ``audit_per_n`` samples of each size have
-    their hit decisions recomputed from dense spectra as an independent
-    cross-check, and the first ``ground_samples`` their ground energy, both
-    from one dense spectrum per sample (see ``wegner_rows``); the defaults
-    are those of the CLI's ``[wegner]`` keys.
-    """
-    eps_list = wegner_windows(eps_list)
-    families = {n: ContinuumFamily(p=p, q=q, lam=lam, dist=dist, n=n, m=m) for n in n_list}
-    samples = range(samples_per_cell)
-    results = {
-        n: wegner_rows(
-            fam, master_seed, samples, e_center, eps_list, ground_samples, audit_per_n
-        )
-        for n, fam in families.items()
-    }
-    return wegner_report(families, e_center, eps_list, master_seed, audit_per_n, results)

@@ -48,11 +48,7 @@ from displab.reduced import (
     ground_zero_iff_constant,
     symbol_kinetic,
 )
-from displab.spectral_stats import (
-    ids_sandwich_check,
-    lifshitz_fit,
-    synthetic_tail_curve,
-)
+from displab.spectral_stats import lifshitz_fit, synthetic_tail_curve
 from displab.supports import ball, interval
 
 P1 = periodic_family("cosine", 1, coefficients=[-1.0])
@@ -240,20 +236,30 @@ def test_criterion_10_sandwich_inequality():
     assert time.monotonic() - t0 < 300.0
 
 
-def test_criterion_11_ids_counting_chain():
-    """Counting chain on shared fields, d=1, n=2, 100 samples, 12 offsets:
-    both inequalities hold within 3-sigma bands at every offset."""
+def test_criterion_11_ids_counting_chain(tmp_path):
+    """Counting chain on shared fields, d=1, n=2, 100 samples, 12 offsets
+    (the CLI's default geomspace(top / 50, top, 12), top = 0.9 / c0^2), run
+    by ``displab ids``: both inequalities hold within 3-sigma bands at every
+    offset, and no sample breaks the integer chain."""
     t0 = time.monotonic()
     c0 = 8.0
     alpha0 = coercivity_constant(P1, Q1, 0.1, ball(np.zeros(1), 1.0), ZETA, 32).alpha0
-    top = 0.9 / c0**2
-    offsets = np.geomspace(top / 50.0, top, 12)
-    rep = ids_sandwich_check(
-        P1, Q1, 0.1, DIST, ZETA, 2, 32, c0, alpha0 / (2.0 * c0),
-        offsets, n_samples=100, master_seed=0,
+    config = tmp_path / "ids.ini"
+    config.write_text(
+        "[run]\nkind = ids\nseed = 0\n"
+        "[model]\nd = 1\nn = 2\nm = 32\nlam = 0.1\n"
+        "[periodic]\nfamily = cosine\ncoefficients = -1.0\n"
+        "[site]\nfamily = asym-bump\n"
+        f"[ids]\nc0 = {c0!r}\nalpha = {alpha0 / (2.0 * c0)!r}\nzeta = -1.0\n"
+        "n_samples = 100\nn_offsets = 12\n"
     )
-    assert rep.all_ok, (rep.lower_ok(), rep.upper_ok())
-    assert rep.sample_violations == 0
+    out = tmp_path / "ids"
+    assert main(["ids", "--config", str(config), "--out", str(out)]) == 0
+    header, rows = read_csv_rows(out / "curves.csv")
+    assert len(rows) == 12
+    ok = [dict(zip(header, row)) for row in rows]
+    assert all(r["ok_lower"] == r["ok_upper"] == "true" for r in ok), ok
+    assert "strict per-sample violations: 0" in (out / "summary.txt").read_text().splitlines()
     assert time.monotonic() - t0 < 600.0
 
 

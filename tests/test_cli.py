@@ -33,10 +33,7 @@ from displab.cli import (
     read_config,
     write_csv,
 )
-from displab.potentials import periodic_family, single_site_family
-from displab.randomfields import DisplacementDistribution
-from displab.spectral_stats import ContinuumFamily, ReducedFamily, ids_sandwich_check, wegner_scan
-from displab.supports import ball
+from displab.spectral_stats import ContinuumFamily, ReducedFamily
 from preset_pins import pinned_differences
 
 
@@ -300,6 +297,42 @@ def test_resume_validations(tmp_path):
     assert main(["ids", "--resume", out, "--config", other]) == 2
 
 
+def test_resume_with_another_seed_is_refused(tmp_path, capsys):
+    """``--resume DIR --seed S`` runs at the manifest's seed or not at all."""
+    out = str(tmp_path / "run")
+    assert main(["band", "--config", _preset_path("free-1d"), "--out", out]) == 0
+    assert main(["band", "--resume", out, "--seed", "0"]) == 0
+    assert main(["band", "--resume", out, "--seed", "5"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: --seed disagrees with the manifest being resumed\n"
+    )
+
+
+D2 = (("d = 1", "d = 2"), ("coefficients = -1.0", "coefficients = -1.0 -1.0"))
+
+
+@pytest.mark.parametrize(
+    "kind, text, key",
+    [
+        ("band", BAND_TMPL.format(extra="").replace("zeta = -1.0", "zeta = 0.5"), "band.zeta"),
+        ("band", BAND_TMPL.format(extra="").replace("zeta = -1.0", "zeta = 0.5 0.1 0.2"), "band.zeta"),
+        ("ids", IDS_TMPL, "ids.zeta"),
+    ],
+    ids=["band-one-value", "band-three-values", "ids-one-value"],
+)
+def test_a_per_axis_list_needs_one_value_per_axis(tmp_path, capsys, kind, text, key):
+    """On a d = 2 model a zeta of one or of three values is a config error
+    (exit 2) before the run directory is made, not broadcast to both axes
+    or left to NumPy."""
+    for old, new in D2:
+        text = text.replace(old, new)
+    out = tmp_path / "run"
+    assert main([kind, "--config", _write(tmp_path, "c.ini", text), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key} needs one value per axis (model.d = 2)"), err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "preset",
     ["asym-1d", "minimize-1d", "reduce-1d", "sandwich-1d", "theorem1-1d"],
@@ -433,10 +466,6 @@ ground_samples = 5
 audit_per_n = 4
 """
 
-DIST = DisplacementDistribution(kind="uniform-ball", support=ball(np.zeros(1), 1.0))
-Q_ASYM = single_site_family("asym-bump", 1, amplitude=0.5, radius=0.45)
-
-
 def _preset_text(name):
     from importlib.resources import files
 
@@ -554,43 +583,6 @@ def test_ctrl_c_keeps_finished_samples_for_resume(tmp_path, monkeypatch, capsys)
         assert open(os.path.join(full, name), "rb").read() == open(
             os.path.join(cut, name), "rb"
         ).read(), name
-
-
-def test_cli_ids_counts_equal_library_sandwich(tmp_path):
-    cfg_path = _write(tmp_path, "ids.ini", IDS_TMPL)
-    out = str(tmp_path / "run")
-    assert main(["ids", "--config", cfg_path, "--out", out]) == 0
-    _, curve_rows = read_csv_rows(os.path.join(out, "curves.csv"))
-    offsets = [float(row[0]) for row in curve_rows]
-    rep = ids_sandwich_check(
-        periodic_family("cosine", 1, coefficients=[-1.0]), Q_ASYM, 0.1, DIST,
-        [-1.0], 1, 8, 8.0, 0.0015, offsets, n_samples=6, master_seed=3,
-    )
-    _, cache = read_csv_rows(os.path.join(out, "cache.csv"))
-    cached = {(row[0], int(row[1])): [int(x) for x in row[2:]] for row in cache}
-    assert len(cached) == 18
-    for name, curve in (("plus", rep.plus), ("middle", rep.middle), ("minus", rep.minus)):
-        for s in range(6):
-            assert cached[(name, s)] == curve.counts[s].tolist(), (name, s)
-
-
-def test_cli_wegner_hits_equal_library_scan(tmp_path):
-    cfg_path = _write(tmp_path, "wegner.ini", WEGNER_TMPL)
-    out = str(tmp_path / "run")
-    assert main(["wegner", "--config", cfg_path, "--out", out]) == 0
-    header, fit_rows = read_csv_rows(os.path.join(out, "fit.csv"))
-    e_center = float(dict(zip(header, fit_rows[0]))["e_center"])
-    header, rec_rows = read_csv_rows(os.path.join(out, "records.csv"))
-    recs = [dict(zip(header, row)) for row in rec_rows]
-    eps_list = sorted({float(r["eps"]) for r in recs})
-    rep = wegner_scan(
-        periodic_family("cosine", 1, coefficients=[-200.0]), Q_ASYM, 0.1, DIST,
-        e_center, eps_list, [1, 2], 32,
-        samples_per_cell=40, master_seed=2026, audit_per_n=25, ground_samples=5,
-    )
-    assert [(int(r["n"]), float(r["eps"]), int(r["hits"])) for r in recs] == [
-        (r.n, r.eps, r.hits) for r in rep.records
-    ]
 
 
 @pytest.mark.parametrize("seed", [-1, 2**63, 2**64 - 1])

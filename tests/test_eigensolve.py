@@ -5,6 +5,7 @@ instances; the sparse paths are forced by patching the dense cutoffs
 ``DENSE_CUTOFF`` and ``COUNT_DENSE_CUTOFF`` lower.
 """
 
+import collections
 import weakref
 from unittest import mock
 
@@ -930,6 +931,42 @@ def test_chunk_preparation_equals_the_one_operator_reading(d, side, scale):
         assert np.array_equal(op.matrix.data.view(np.int64), mat.data.view(np.int64))
         _same_preparation(op, mat)
         assert (op.chain is not None) == (d == 1 and k != 3)
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_a_d2_chunk_examines_its_stencil_once(monkeypatch, symmetric):
+    """On a d = 2 stencil the chunk decides once that no operator is a
+    chain and once whether they are exactly symmetric, and each prepared
+    operator equals ``SymmetricOperator(stack[k])`` field for field, on a
+    symmetric stencil and on one with a single entry off its mirror."""
+    from displab.discretize import DiagonalStack, periodic_laplacian
+
+    lap, where = periodic_laplacian(2, 9, 0.25)
+    if not symmetric:
+        lap = lap.copy()
+        lap.data[np.setdiff1d(np.arange(lap.nnz), where)[0]] *= 1.5
+    diags = np.random.default_rng(9).uniform(-40.0, 40.0, (4, lap.shape[0]))
+    stack = DiagonalStack(lap, where, diags, 0.5)
+    calls = collections.Counter()
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("_chain_pattern", "_exactly_symmetric"):
+        monkeypatch.setattr(es, name, counted(getattr(es, name)))
+    ops = list(es.SymmetricOperator.chunk(stack))
+    assert [op.exactly_symmetric for op in ops] == [symmetric] * 4
+    assert calls == {"_chain_pattern": 1, "_exactly_symmetric": 1}
+    monkeypatch.undo()
+    for k, op in enumerate(ops):
+        want = es.SymmetricOperator(stack[k])
+        assert want.exactly_symmetric == symmetric and vars(op).keys() == vars(want).keys()
+        assert _same_bits(op.norm, want.norm) and op.chain is want.chain is None
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(op.matrix, part), getattr(want.matrix, part))
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -12,7 +12,7 @@ in ``conftest.py`` makes every run draw the same examples.
 import numpy as np
 import pytest
 
-from displab.discretize import GridSpec, grid_site_plan
+from displab.discretize import GridSpec
 from displab.potentials import FieldChunk, eval_total_potential, periodic_family, single_site_family
 from test_potentials import _one_field_reference
 
@@ -54,18 +54,18 @@ def test_total_potential_equals_the_per_site_loop_bitwise(case):
     spec = GridSpec(d=d, n=n, m=4 if d == 3 else 8)
     side = 2 * n + 1
     points = [
-        (spec.points(), grid_site_plan(p, spec)),
-        (rng.uniform(-1.5 * side, 1.5 * side, (60, d)), None),
-        (rng.integers(-side, side, (20, d)) + 0.5, None),  # cell edges
-        (np.array([[np.nan] * d, [np.inf] * d, [-np.inf] * d]), None),
+        spec.points(),
+        rng.uniform(-1.5 * side, 1.5 * side, (60, d)),
+        rng.integers(-side, side, (20, d)) + 0.5,  # cell edges
+        np.array([[np.nan] * d, [np.inf] * d, [-np.inf] * d]),
     ]
-    for x, plan in points:
+    for x in points:
         with np.errstate(invalid="ignore"):
             want = [_one_field_reference(p, q, lam, chunk[j], x) for j in range(k)]
         for start in range(0, k, cut):
             rows = range(start, min(start + cut, k))
             with np.errstate(invalid="ignore"):
-                got = eval_total_potential(p, q, lam, chunk.take(rows), x, plan)
+                got = eval_total_potential(p, q, lam, chunk.take(rows), x)
             for row, j in zip(got, rows):
                 assert np.array_equal(row.view(np.int64), want[j].view(np.int64))
                 assert np.array_equal(np.signbit(row), np.signbit(want[j]))

@@ -8,7 +8,7 @@ rest is shape, support, and wrapping bookkeeping.
 import numpy as np
 import pytest
 
-from displab.discretize import GridSpec, grid_site_plan
+from displab.discretize import GridSpec
 from displab.potentials import (
     DisplacementField,
     DisplacementTooLargeError,
@@ -210,15 +210,6 @@ def test_total_potential_equals_all_sites_sum_bitwise(d, n, family):
         assert got.shape == want.shape == (len(x),)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         assert np.any(got != p.value(x)), "bumps must contribute"
-    # assemble_periodic's plan, kept per (p, grid): a second field reuses it
-    plan = grid_site_plan(p, spec)
-    for f in (field, DisplacementField(n=n, d=d, values=-field.values[::-1])):
-        got = eval_total_potential(p, q, lam, f, grid, plan)
-        want = _all_sites_reference(p, q, lam, f, grid)
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
-        assert grid_site_plan(p, spec) is plan, "built once"
-    assert plan.base.shape == (len(grid),)
-    assert not plan.base.flags.writeable, "the shared plan is read-only"
     non_finite = np.array([[np.nan] * d, [np.inf] * d, [-np.inf] * d])
     with np.errstate(invalid="ignore"):
         got = eval_total_potential(p, q, lam, field, non_finite)
@@ -255,8 +246,7 @@ def _one_field_reference(p, q, lam, field, x):
 @pytest.mark.parametrize("d,n", [(1, 0), (1, 1), (1, 3), (2, 1), (2, 2), (3, 1)])
 def test_chunk_total_potential_equals_one_field_at_a_time_bitwise(d, n):
     """A chunk of fields gives each field's row of the one-field loop, bit
-    for bit, on the grid with the shared plan and off the grid without it;
-    a single field is a chunk of one."""
+    for bit, on the grid and off it; a single field is a chunk of one."""
     rng = np.random.default_rng(10 * d + n)
     p = periodic_family("cosine", d, coefficients=[-1.0] * d)
     q = single_site_family("asym-bump", d, amplitude=0.5, radius=0.45)
@@ -268,13 +258,13 @@ def test_chunk_total_potential_equals_one_field_at_a_time_bitwise(d, n):
     spec = GridSpec(d=d, n=n, m=4 if d == 3 else 8)
     L = 2 * n + 1
     off_grid = rng.uniform(-1.5 * L, 1.5 * L, size=(6, 7, d))
-    for x, plan in ((spec.points(), grid_site_plan(p, spec)), (off_grid, None)):
-        got = eval_total_potential(p, q, lam, chunk, x, plan)
+    for x in (spec.points(), off_grid):
+        got = eval_total_potential(p, q, lam, chunk, x)
         assert got.shape == (5,) + x.shape[:-1]
         for k in range(5):
             want = _one_field_reference(p, q, lam, chunk[k], x)
             assert np.array_equal(got[k].view(np.int64), want.view(np.int64))
-            one = eval_total_potential(p, q, lam, chunk[k], x, plan)
+            one = eval_total_potential(p, q, lam, chunk[k], x)
             assert np.array_equal(one.view(np.int64), want.view(np.int64))
     assert np.array_equal(FieldChunk.of(chunk[2]).values, omega[2:3])
     with pytest.raises(DisplacementTooLargeError):

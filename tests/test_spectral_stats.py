@@ -16,19 +16,19 @@ from displab.spectral_stats import (
     ContinuumFamily,
     FitError,
     IDSCurve,
+    IDSSandwichReport,
     ReducedFamily,
     WegnerRecord,
     _fit_loglog,
     count_rows,
     holder_constant,
-    ids_curve,
-    ids_sandwich_check,
     lifshitz_fit,
     lifshitz_rows,
+    sandwich_families,
     synthetic_tail_curve,
     wegner_report,
     wegner_rows,
-    wegner_scan,
+    wegner_windows,
 )
 from displab.supports import ball
 
@@ -50,7 +50,7 @@ def test_ids_curve_deterministic_operator_zero_variance():
     every sample counts the same free spectrum: zero standard error."""
     fam = ContinuumFamily(p=P0, q=Q0, lam=0.1, dist=DIST, n=1, m=4)
     energies = np.array([1.0, 10.0, 50.0, 130.0])
-    curve = ids_curve(fam, energies, n_samples=5, master_seed=3)
+    curve = IDSCurve(energies, count_rows(fam, 3, range(5), energies), fam.n_cells, fam.label)
     assert np.all(curve.stderr() == 0.0)
     free = np.sort(32.0 * (1.0 - np.cos(np.pi * np.arange(12) / 6.0)))
     expected = np.array([np.sum(free < e) for e in energies]) / 3.0
@@ -60,11 +60,15 @@ def test_ids_curve_deterministic_operator_zero_variance():
 
 
 def test_ids_curve_input_validation():
-    fam = ContinuumFamily(p=P0, q=Q0, lam=0.0, dist=DIST, n=1, m=4)
-    with pytest.raises(ValueError):
-        ids_curve(fam, np.array([2.0, 1.0]), n_samples=2, master_seed=0)
-    with pytest.raises(ValueError):
-        ids_curve(fam, np.array([1.0, 2.0]), n_samples=0, master_seed=0)
+    """The offsets of the three curves must be nonempty, strictly
+    increasing and inside (0, 1/c0^2)."""
+    args = (P1, Q1, 0.1, DIST, [-1.0], 1, 16, 8.0, 1e-3)
+    e_ref, families = sandwich_families(*args, [0.001, 0.002])
+    assert [fam.label for fam, _ in families] == ["reduced-plus", "continuum", "reduced-minus"]
+    assert np.allclose(families[1][1], e_ref + np.array([0.001, 0.002]))
+    for offsets in ([], [0.002, 0.001], [0.001, 0.001], [0.0, 0.001], [0.001, 1.0 / 64.0]):
+        with pytest.raises(ValueError):
+            sandwich_families(*args, offsets)
 
 
 def test_reduced_family_jump_positions():
@@ -74,7 +78,7 @@ def test_reduced_family_jump_positions():
     fam = ReducedFamily(sign=-1, v=np.array([0.016]), lam=0.1, zeta=zeta,
                         dist=_near_point_dist(zeta), n=1, c0=2.0, alpha=0.001)
     energies = np.array([0.01, 0.5, 0.8])
-    curve = ids_curve(fam, energies, n_samples=4, master_seed=0)
+    curve = IDSCurve(energies, count_rows(fam, 0, range(4), energies), fam.n_cells, fam.label)
     assert np.allclose(curve.values(), [1.0 / 3.0, 1.0 / 3.0, 1.0])
     assert np.all(curve.stderr() == 0.0)
     assert fam.label == "reduced-minus"
@@ -174,11 +178,13 @@ def test_wegner_scan_audits_agree_with_dense():
     e_top = band_bottom(p, Q1, 0.0, np.array([-1.0]), 32).energy
     e_center = 0.5 * (e_lam + e_top)
     eps_hi = 0.05 * (e_top - e_lam)
-    eps_list = np.geomspace(eps_hi / 10**1.5, eps_hi, 4)
-    rep = wegner_scan(
-        p, Q1, 0.1, DIST, e_center, eps_list, [1, 2], 32,
-        samples_per_cell=40, master_seed=2026, audit_per_n=4, ground_samples=5,
-    )
+    eps_list = wegner_windows(np.geomspace(eps_hi / 10**1.5, eps_hi, 4))
+    families = {n: ContinuumFamily(p=p, q=Q1, lam=0.1, dist=DIST, n=n, m=32) for n in (1, 2)}
+    results = {
+        n: wegner_rows(fam, 2026, range(40), e_center, eps_list, ground_samples=5, audit_per_n=4)
+        for n, fam in families.items()
+    }
+    rep = wegner_report(families, e_center, eps_list, 2026, 4, results)
     assert rep.audits_total > 0
     assert rep.audit_clean
     assert len(rep.records) == 8
@@ -233,11 +239,6 @@ def test_wegner_audits_equal_a_separate_eigvalsh_pass(audit_per_n):
     for res in (results, replayed):
         rep = wegner_report(families, e_center, eps_list, 2026, audit_per_n, res)
         assert (rep.audits_total, rep.audits_agree) == (total, agree)
-    scan = wegner_scan(
-        p, q, 0.1, DIST, e_center, eps_list, [1, 2], 32, samples_per_cell=40,
-        master_seed=2026, audit_per_n=audit_per_n, ground_samples=5,
-    )
-    assert scan == rep
 
 
 def test_wegner_grounds_follow_the_patched_dense_cutoff():
@@ -266,24 +267,29 @@ def test_wegner_grounds_follow_the_patched_dense_cutoff():
 
 
 def test_wegner_scan_validates_eps():
-    with pytest.raises(ValueError):
-        wegner_scan(P1, Q1, 0.1, DIST, 0.06, [-0.1, 0.1], [1], 8,
-                    samples_per_cell=4, master_seed=0)
+    """The scan's windows come out ascending; an empty list or a window
+    that is not positive is refused."""
+    assert wegner_windows([0.1, 0.01, 0.05]) == [0.01, 0.05, 0.1]
+    for eps_list in ([], [-0.1, 0.1], [0.0, 0.1]):
+        with pytest.raises(ValueError):
+            wegner_windows(eps_list)
 
 
 def test_ids_sandwich_chain_small():
     alpha = 0.024083227206936605 / 16.0  # alpha0(m=16) / (2 c0), c0 = 8
     energies = np.geomspace(0.002, 0.012, 5)
-    rep = ids_sandwich_check(
-        P1, Q1, 0.1, DIST, np.array([-1.0]), 1, 16, 8.0, alpha,
-        energies, n_samples=25, master_seed=5,
+    e_ref, families = sandwich_families(
+        P1, Q1, 0.1, DIST, np.array([-1.0]), 1, 16, 8.0, alpha, energies
     )
+    # each family draws the fields of (seed 5, sample s) itself: the same ones
+    curves = [
+        IDSCurve(thresholds, count_rows(fam, 5, range(25), thresholds), fam.n_cells, fam.label)
+        for fam, thresholds in families
+    ]
+    rep = IDSSandwichReport.from_curves(energies, e_ref, 8.0, *curves)
     assert rep.all_ok
     assert rep.sample_violations == 0
     assert rep.middle.is_monotone()
-    with pytest.raises(ValueError):
-        ids_sandwich_check(P1, Q1, 0.1, DIST, np.array([-1.0]), 1, 16, 8.0, alpha,
-                           np.array([0.5]), n_samples=2, master_seed=0)
 
 
 # -- batch functions: a row never depends on the batch it was computed in ----
