@@ -54,7 +54,6 @@ from .floquet import (
     v_vector,
 )
 from .potentials import (
-    DisplacementField,
     FieldChunk,
     PeriodicPotential,
     SingleSitePotential,
@@ -66,10 +65,7 @@ from .potentials import (
 )
 from .randomfields import (
     DisplacementDistribution,
-    polar_decompose,
     radial_density_bound,
-    radial_density_note,
-    sample_field,
     sample_fields,
     site_rng,
 )
@@ -91,7 +87,6 @@ from .spectral_stats import (
     WegnerRecord,
     WegnerReport,
     count_rows,
-    holder_constant,
     lifshitz_fit,
     lifshitz_rows,
     sandwich_families,

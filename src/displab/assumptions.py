@@ -17,7 +17,7 @@ import numpy as np
 from .discretize import GridSpec, assemble_periodic, site_lattice
 from .eigensolve import dense_levels, smallest_eigenpairs
 from .floquet import band_bottom, v_vector
-from .potentials import DisplacementField, wrap_nearest
+from .potentials import FieldChunk, wrap_nearest
 
 
 # -- projected gradient descent (shared by both minimizers) -------------
@@ -70,10 +70,6 @@ class MinimizerCertificate:
     energy_spread: float
     unique: bool
     flat: bool
-
-    @property
-    def grad_norm(self):
-        return float(np.linalg.norm(self.gradient))
 
 
 def minimize_over_support(p, q, lam, support, m, seed, restarts=8):
@@ -275,21 +271,21 @@ def gap_ratio_table(p, q, lams, support, m, seed, restarts=6):
 
 
 def field_energy_and_gradient(p, q, lam, field, grid):
-    """Torus ground energy and its per-site derivative in the displacements.
+    """Torus ground energy and its per-site derivative in the displacements
+    of one field, given as its chunk of one.
 
     The gradient row for site gamma is -lam * sum_i |psi_i|^2 grad q at the
     sampled offsets, i.e. exact first-order perturbation of the assembled
     matrix (psi is the ell^2-normalized ground vector).
     """
-    op = assemble_periodic(p, q, lam, field, grid)
-    res = smallest_eigenpairs(op, k=1)
+    res = smallest_eigenpairs(assemble_periodic(p, q, lam, field, grid).matrix[0], k=1)
     psi2 = np.abs(res.ground_vector) ** 2
     pts = grid.points()
     period = float(grid.side_cells)
     sites = site_lattice(grid.n, grid.d)
     grad = np.zeros((sites.shape[0], grid.d))
     for idx, gamma in enumerate(sites):
-        offs = wrap_nearest(pts - gamma - lam * field.values[idx], period)
+        offs = wrap_nearest(pts - gamma - lam * field.values[0, idx], period)
         grad[idx] = -lam * psi2 @ q.gradient(offs)
     return res.ground_energy, grad
 
@@ -357,7 +353,7 @@ def minimize_over_field(
     ref_energy = band_bottom(p, q, lam, zeta_ref, m).energy
 
     def f_and_grad(flat):
-        fld = DisplacementField(n=n, d=q.d, values=flat.reshape(n_sites, q.d))
+        fld = FieldChunk(n=n, d=q.d, values=flat.reshape(1, n_sites, q.d))
         e, g = field_energy_and_gradient(p, q, lam, fld, grid)
         return e, g.ravel()
 
@@ -409,11 +405,12 @@ class FieldScanReport:
 def exhaustive_field_scan(p, q, lam, support, n, m, grid_points):
     """Brute-force the torus ground energy over a per-site value grid (d = 1).
 
-    Enumerates all grid_points^(2n+1) displacement configurations; reports the
-    global argmin, the runner-up energy and whether the argmin is a constant
-    configuration.  Each ground is the first of ``dense_levels``, ``eigh``'s
-    eigenvalues without its eigenvectors, so up to ``DENSE_CUTOFF`` rows it is
-    the ``smallest_eigenpairs`` ground to the bit.
+    Enumerates all grid_points^(2n+1) displacement configurations, assembled
+    as one chunk; reports the global argmin, the runner-up energy and whether
+    the argmin is a constant configuration.  Each ground is the first of
+    ``dense_levels``, ``eigh``'s eigenvalues without its eigenvectors, so up
+    to ``DENSE_CUTOFF`` rows it is the ``smallest_eigenpairs`` ground to the
+    bit.
     """
     if q.d != 1:
         raise NotImplementedError("exhaustive scan is d = 1 only")
@@ -422,11 +419,12 @@ def exhaustive_field_scan(p, q, lam, support, n, m, grid_points):
     lo = support.project(np.array([-1e9]))[0]
     hi = support.project(np.array([1e9]))[0]
     values = np.linspace(lo, hi, grid_points)
+    cfgs = list(np.ndindex(*([grid_points] * n_sites)))
+    chunk = FieldChunk(n=n, d=1, values=values[np.array(cfgs)][..., None])
+    stack = assemble_periodic(p, q, lam, chunk, grid).matrix
     best_e, best_cfg, second = np.inf, None, np.inf
-    for cfg in np.ndindex(*([grid_points] * n_sites)):
-        fld = DisplacementField(n=n, d=1, values=values[np.array(cfg)][:, None])
-        op = assemble_periodic(p, q, lam, fld, grid)
-        e = dense_levels(op.matrix)[0]
+    for k, cfg in enumerate(cfgs):
+        e = dense_levels(stack[k])[0]
         if e < best_e:
             second = best_e
             best_e, best_cfg = e, np.array(cfg)

@@ -54,7 +54,7 @@ from .floquet import (
     feynman_hellmann_residual,
     v_vector,
 )
-from .potentials import DisplacementField, constant_field, periodic_family, single_site_family
+from .potentials import FieldChunk, constant_field, periodic_family, single_site_family
 from .randomfields import DisplacementDistribution, sample_fields
 from .reduced import (
     band_symbol_ratio,
@@ -345,6 +345,7 @@ def build_model(cfg):
 
 
 def build_support(cfg, d):
+    """The [support] set; a ConfigError unless its dimension is model.d."""
     sup = cfg["support"]
     kind, center = sup["kind"], sup["center"] or [0.0] * d
 
@@ -355,27 +356,31 @@ def build_support(cfg, d):
 
     try:
         if kind == "ball":
-            return supports.ball(center, sup["radius"])
-        if kind == "sphere":
-            return supports.sphere(center, sup["radius"])
-        if kind in ("ellipsoid", "ellipsoid-boundary"):
+            support = supports.ball(center, sup["radius"])
+        elif kind == "sphere":
+            support = supports.sphere(center, sup["radius"])
+        elif kind in ("ellipsoid", "ellipsoid-boundary"):
             boundary = kind.endswith("boundary")
-            return supports.ellipsoid(center, need("semi_axes"), boundary_only=boundary)
-        if kind == "interval":
+            support = supports.ellipsoid(center, need("semi_axes"), boundary_only=boundary)
+        elif kind == "interval":
             lo, hi = sup["lo"] or [-1.0], sup["hi"] or [1.0]
             if len(lo) != 1 or len(hi) != 1:
                 raise ConfigError("support.lo and support.hi of an interval are numbers")
-            return supports.interval(lo[0], hi[0])
-        if kind == "box":
-            return supports.box(need("lo"), need("hi"))
-        if kind == "polygon":
+            support = supports.interval(lo[0], hi[0])
+        elif kind == "box":
+            support = supports.box(need("lo"), need("hi"))
+        elif kind == "polygon":
             verts = [[float(t) for t in chunk.split()] for chunk in need("vertices").split(";")]
-            return supports.polygon(verts)
+            support = supports.polygon(verts)
+        else:
+            raise ConfigError(f"unknown support kind {kind!r}")
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(f"bad support: {exc}") from exc
-    raise ConfigError(f"unknown support kind {kind!r}")
+    if support.d != d:
+        raise ConfigError(f"support.kind = {kind} is {support.d}-dimensional, but model.d = {d}")
+    return support
 
 
 def build_distribution(cfg, support):
@@ -887,17 +892,14 @@ def run_reduce(cfg, rd, zeta, c0, alpha, n, grid_points):
     hi = support.project(np.array([1e9]))[0]
     values = np.linspace(lo, hi, grid_points)
     n_sites = 2 * n + 1
-    rows = []
-    worst_ok = True
-    for cfg_idx in np.ndindex(*([grid_points] * n_sites)):
-        fld = DisplacementField(n=n, d=1, values=values[np.array(cfg_idx)][:, None])
-        model = build_reduced(-1, v, lam, zeta, fld, c0, alpha)
-        rep = ground_zero_iff_constant(model)
-        worst_ok = worst_ok and rep.consistent
-        rows.append(
-            list(values[np.array(cfg_idx)])
-            + [rep.min_eigenvalue, rep.lower_bound, rep.field_is_constant, rep.consistent]
-        )
+    configs = values[np.array(list(np.ndindex(*([grid_points] * n_sites))))]
+    fields = FieldChunk(n=n, d=1, values=configs[..., None])
+    reports = ground_zero_iff_constant(build_reduced(-1, v, lam, zeta, fields, c0, alpha))
+    worst_ok = all(rep.consistent for rep in reports)
+    rows = [
+        list(config) + [rep.min_eigenvalue, rep.lower_bound, rep.field_is_constant, rep.consistent]
+        for config, rep in zip(configs, reports)
+    ]
     write_csv(
         rd.file("scan.csv"),
         [f"omega_{i + 1}" for i in range(n_sites)]
@@ -982,7 +984,7 @@ def run_verify_all(cfg, rd, c0):
     check("frame_orthonormal", pack.isometry_defect(), pack.isometry_defect() <= 1e-10)
     full = assemble_periodic(
         p, q, lam, constant_field(1, q.d, np.full(q.d, -1.0)), grid
-    ).matrix.toarray()
+    ).matrix[0].toarray()
     resid = float(
         np.max(
             np.linalg.norm(

@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .potentials import FieldChunk, as_points, eval_total_potential, site_lattice, wrap_nearest
+from .potentials import as_points, eval_total_potential, site_lattice, wrap_nearest
 
 
 @dataclass(frozen=True)
@@ -88,11 +88,12 @@ def cell_axis_coords(m):
 class LatticeOperator:
     """Assembled sparse operator together with its grid and boundary data.
 
-    ``matrix`` is a CSR matrix, or the ``DiagonalStack`` of a chunk's
-    operators when ``assemble_periodic`` was given a ``FieldChunk``.
+    ``matrix`` is a fiber's CSR matrix, or the ``DiagonalStack`` of a
+    chunk's torus operators (``assemble_periodic``); ``is_hermitian``
+    reads a CSR matrix.
     """
 
-    matrix: sp.csr_matrix
+    matrix: sp.csr_matrix | DiagonalStack
     grid: GridSpec
     kind: str  # "periodic" | "fiber"
     theta: np.ndarray | None = None
@@ -232,21 +233,21 @@ class DiagonalStack:
 
 
 def assemble_periodic(p, q, lam, field, grid):
-    """Full torus operator -Delta_h + p + sum_gamma q(. - gamma - lam omega_gamma).
+    """Full torus operators -Delta_h + p + sum_gamma q(. - gamma - lam omega_gamma).
 
-    ``field`` is a ``DisplacementField``, which gives a CSR ``matrix``, or a
-    ``FieldChunk``, which gives the chunk's operators as a ``DiagonalStack``:
-    every field's potential comes from one ``eval_total_potential`` pass on
-    the shared stencil.  The two give the same operators, bit for bit.
+    ``field`` is a ``FieldChunk``; ``matrix`` is the chunk's operators as a
+    ``DiagonalStack`` on the shared stencil, every field's potential from one
+    ``eval_total_potential`` pass.  A field's operator is the same, bit for
+    bit, whatever chunk it comes in; a single field's is ``matrix[0]`` of its
+    chunk of one.
     """
     if grid.d != q.d:
         raise ValueError("grid dimension does not match potentials")
     if field.n != grid.n or field.d != grid.d:
         raise ValueError("field lattice does not match grid")
-    chunk = FieldChunk.of(field)
-    diags = eval_total_potential(p, q, lam, chunk, grid.points())
+    diags = eval_total_potential(p, q, lam, field, grid.points())
     stack = DiagonalStack(*periodic_laplacian(grid.d, grid.side_points, grid.h), diags)
-    return LatticeOperator(matrix=stack if chunk is field else stack[0], grid=grid, kind="periodic")
+    return LatticeOperator(matrix=stack, grid=grid, kind="periodic")
 
 
 def fiber_diagonal(p, q, lam, zeta, m):

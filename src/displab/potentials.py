@@ -1,5 +1,8 @@
 """Periodic backgrounds, compactly supported site potentials, displacement fields.
 
+Displacement fields come K at a time as a ``FieldChunk``; a single field is
+a chunk of one.
+
 All evaluators take points as arrays whose last axis is the coordinate axis
 (shape ``(..., d)``).  For d=1 a bare scalar or a shape ``(N,)`` array is
 accepted and treated as ``N`` points.
@@ -151,44 +154,14 @@ class SingleSitePotential:
 
 
 @dataclass(frozen=True)
-class DisplacementField:
-    """Per-site displacements on the torus lattice {-n..n}^d, canonical order.
-
-    ``values`` has shape ((2n+1)^d, d); row order matches ``site_lattice``.
-    """
-
-    n: int
-    d: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        m = (2 * self.n + 1) ** self.d
-        if vals.shape != (m, self.d):
-            raise ValueError(f"field shape {vals.shape} != ({m}, {self.d})")
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def n_sites(self):
-        return self.values.shape[0]
-
-    def max_norm(self):
-        if self.values.size == 0:
-            return 0.0
-        return float(np.max(np.linalg.norm(self.values, axis=1)))
-
-    def is_constant(self, zeta):
-        return bool(np.max(np.abs(self.values - np.asarray(zeta, dtype=float))) <= 1e-10)
-
-
-@dataclass(frozen=True)
 class FieldChunk:
     """The displacement fields of a chunk of samples on one torus lattice.
 
     ``values`` has shape (K, (2n+1)^d, d): row k is the k-th field's
-    ``DisplacementField.values``.  ``eval_total_potential``,
-    ``assemble_periodic`` and ``build_reduced`` take a chunk wherever they
-    take a field and then give one result per field, stacked.
+    per-site displacements, sites in ``site_lattice`` order.  Fields come K
+    at a time, and a single field is a chunk of one; ``eval_total_potential``,
+    ``assemble_periodic`` and ``build_reduced`` give one result per field,
+    stacked.
     """
 
     n: int
@@ -202,18 +175,8 @@ class FieldChunk:
             raise ValueError(f"chunk shape {vals.shape} != (K, {m}, {self.d})")
         object.__setattr__(self, "values", vals)
 
-    @classmethod
-    def of(cls, field):
-        """``field`` itself if it is a chunk, else the chunk of that one field."""
-        if isinstance(field, cls):
-            return field
-        return cls(n=field.n, d=field.d, values=field.values[None])
-
     def __len__(self):
         return self.values.shape[0]
-
-    def __getitem__(self, k):
-        return DisplacementField(n=self.n, d=self.d, values=self.values[k])
 
     def take(self, rows):
         """The chunk of the fields at positions ``rows``."""
@@ -234,9 +197,10 @@ def site_lattice(n, d):
 
 
 def constant_field(n, d, zeta):
+    """The chunk of one field that displaces every site by ``zeta``."""
     zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
     m = (2 * n + 1) ** d
-    return DisplacementField(n=n, d=d, values=np.tile(zeta, (m, 1)))
+    return FieldChunk(n=n, d=d, values=np.tile(zeta, (1, m, 1)))
 
 
 _REACH_SLACK = 1e-9  # kept beyond lam * max|omega| + r_q, for the rounding of both sides
@@ -281,9 +245,8 @@ def _axis_sites(x, n, reach):
 def eval_total_potential(p, q, lam, field, x):
     """Background plus torus-periodized sum of displaced site potentials.
 
-    ``field`` is a ``DisplacementField``, which gives values of shape
-    ``x.shape[:-1]``, or a ``FieldChunk`` of K fields, which gives one such
-    row per field, shape (K,) + ``x.shape[:-1]``.
+    ``field`` is a ``FieldChunk`` of K fields; the values come one row per
+    field, shape (K,) + ``x.shape[:-1]``.
 
     The torus has side L = 2n+1; each site's bump is evaluated at the nearest
     periodic image.  Requires lam * max|omega| + r_q < 1 so that no bump
@@ -302,23 +265,22 @@ def eval_total_potential(p, q, lam, field, x):
     the exact +0.0 terms of the sites out of reach, so the result is
     bitwise equal.
     """
-    chunk = FieldChunk.of(field)
-    if p.d != q.d or chunk.d != q.d:
+    if p.d != q.d or field.d != q.d:
         raise ValueError("dimension mismatch between p, q and field")
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    reach = lam * chunk.max_norm() + q.radius
+    reach = lam * field.max_norm() + q.radius
     if reach >= 1.0:
         raise DisplacementTooLargeError(f"lam*max|omega| + r_q = {reach:.3f} >= 1")
     x = as_points(x, q.d)
     shape = x.shape[:-1]
     x = x.reshape(-1, q.d)
-    out = np.repeat(p.value(x)[None], len(chunk), axis=0)
+    out = np.repeat(p.value(x)[None], len(field), axis=0)
     if not q.is_zero:
-        period = 2 * chunk.n + 1
-        centers = site_lattice(chunk.n, chunk.d) + lam * chunk.values
+        period = 2 * field.n + 1
+        centers = site_lattice(field.n, field.d) + lam * field.values
         kept = reach + _REACH_SLACK
-        index, dist = _axis_sites(x, chunk.n, kept)
+        index, dist = _axis_sites(x, field.n, kept)
         axes = np.arange(q.d)
         strides = period ** axes[::-1]
         layers = []
@@ -332,7 +294,7 @@ def eval_total_potential(p, q, lam, field, x):
         for pts, _ in layers:
             out[:, pts] += vals[:, done : done + pts.size]
             done += pts.size
-    return out.reshape((len(chunk),) + shape if chunk is field else shape)
+    return out.reshape((len(field),) + shape)
 
 
 def periodic_family(name, d, coefficients=None):

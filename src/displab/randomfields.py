@@ -97,12 +97,6 @@ _VECTOR_MIN_SITES = 33
 _PHILOX_PAIRS = 2048
 
 
-def sample_field(dist, n, master_seed, sample_index):
-    """One displacement field on the lattice {-n..n}^d: ``sample_fields`` of
-    a chunk of one sample."""
-    return sample_fields(dist, n, master_seed, (sample_index,))[0]
-
-
 def sample_fields(dist, n, master_seed, samples):
     """Draw the displacement fields of a chunk of samples on the lattice
     {-n..n}^d: a ``FieldChunk`` whose row k is sample ``samples[k]``'s field,
@@ -390,24 +384,6 @@ def _vector_path_ok():
     return bool(_first_try(seed, sample, witness.tolist()).all())
 
 
-@dataclass(frozen=True)
-class PolarParts:
-    r: float
-    sigma: np.ndarray
-    degenerate: bool
-
-
-def polar_decompose(omega):
-    """omega = r sigma with |sigma| = 1; degenerate flags the r = 0 corner case."""
-    omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    r = float(np.linalg.norm(omega))
-    if r < 1e-300:
-        sigma = np.zeros_like(omega)
-        sigma[0] = 1.0
-        return PolarParts(r=0.0, sigma=sigma, degenerate=True)
-    return PolarParts(r=r, sigma=omega / r, degenerate=False)
-
-
 def radial_density_bound(dist):
     """sup over (0, R) of |h'(r)| for the radial density h of |omega - center|.
 
@@ -427,16 +403,3 @@ def radial_density_bound(dist):
     if k < 1.0:
         return math.inf
     return k * (k + 1.0) * radius ** (k - 1.0) / radius ** (k + 1.0)
-
-
-def radial_density_note(dist):
-    """Human-readable verdict on the bounded-derivative requirement."""
-    try:
-        bound = radial_density_bound(dist)
-    except UnsupportedVariantError:
-        return "not applicable: no isotropic radial decomposition"
-    if math.isinf(bound):
-        if dist.kind == "uniform-sphere":
-            return "fails: atomic radial law (all mass at r = R)"
-        return "fails: radial density has unbounded derivative near 0"
-    return f"holds: sup |h'| = {bound:.6g}"

@@ -16,12 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .discretize import DiagonalStack, assemble_periodic, periodic_laplacian
 from .floquet import build_projectors, dispersion_symbol, fiber_ground, v_vector
-from .potentials import DisplacementField, FieldChunk, constant_field
-from .randomfields import sample_field
+from .potentials import FieldChunk, constant_field
+from .randomfields import sample_fields
 
 
 def symbol_kinetic(d, side):
@@ -35,9 +34,8 @@ def symbol_kinetic(d, side):
 
 @dataclass(frozen=True)
 class ReducedModel:
-    """One signed comparison operator h^sign on the site lattice, or a
-    chunk's: then ``field`` is a ``FieldChunk`` and ``matrix`` a
-    ``DiagonalStack``."""
+    """The signed comparison operators h^sign on the site lattice of a
+    chunk of fields: ``matrix[k]`` is the operator of ``field``'s k-th."""
 
     sign: int
     lam: float
@@ -45,8 +43,8 @@ class ReducedModel:
     v: np.ndarray
     c0: float
     alpha: float
-    field: DisplacementField | FieldChunk
-    matrix: sp.csr_matrix | DiagonalStack
+    field: FieldChunk
+    matrix: DiagonalStack
 
     @property
     def n_sites(self):
@@ -58,10 +56,10 @@ def build_reduced(sign, v, lam, zeta, field, c0, alpha):
 
     sign=-1 scales the kinetic part by 1/c0 (lower model), sign=+1 by c0
     (upper model); the diagonal couples linearly through v and quadratically
-    through c0 * alpha, with the quadratic term signed.  For a ``FieldChunk``
-    every field's diagonal is computed at once and ``matrix`` is their
-    ``DiagonalStack``, whose operators equal one call's per field bit for
-    bit.
+    through c0 * alpha, with the quadratic term signed.  Every diagonal of
+    the ``FieldChunk`` is computed at once and ``matrix`` is their
+    ``DiagonalStack``: a field's operator is the same, bit for bit, whatever
+    chunk it comes in.
     """
     if sign not in (-1, 1):
         raise ValueError("sign must be +1 or -1")
@@ -72,16 +70,14 @@ def build_reduced(sign, v, lam, zeta, field, c0, alpha):
     v = np.atleast_1d(np.asarray(v, dtype=float))
     zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
     kin_scale = c0 if sign > 0 else 1.0 / c0
-    chunk = FieldChunk.of(field)
-    dz = chunk.values - zeta
+    dz = field.values - zeta
     diags = lam * (dz @ v + sign * c0 * alpha * np.sum(dz**2, axis=-1))
     # 0.5 * kin_scale times the h = 1 stencil is kin_scale * symbol_kinetic bit
     # for bit: halving is exact.
-    lap, where = periodic_laplacian(chunk.d, 2 * chunk.n + 1, 1.0)
-    stack = DiagonalStack(lap, where, diags, 0.5 * kin_scale)
+    lap, where = periodic_laplacian(field.d, 2 * field.n + 1, 1.0)
     return ReducedModel(
         sign=sign, lam=lam, zeta=zeta, v=v, c0=c0, alpha=alpha, field=field,
-        matrix=stack if chunk is field else stack[0],
+        matrix=DiagonalStack(lap, where, diags, 0.5 * kin_scale),
     )
 
 
@@ -94,7 +90,8 @@ class GroundZeroReport:
 
 
 def ground_zero_iff_constant(model):
-    """Check: the lower model's bottom is 0 exactly at the constant field.
+    """Check, field by field: the lower model's bottom is 0 exactly at the
+    constant field.  Returns one report per field of ``model.field``.
 
     For non-constant fields the bottom must be strictly positive and clear a
     quadratic floor: the diagonal dominates lam * (alpha0/2) |dev|^2 per site
@@ -104,17 +101,19 @@ def ground_zero_iff_constant(model):
     """
     if model.sign != -1:
         raise ValueError("zero-ground characterization applies to the lower model")
-    vals = np.linalg.eigvalsh(model.matrix.toarray())
-    bottom = float(vals[0])
-    const = model.field.is_constant(model.zeta)
-    if const:
-        return GroundZeroReport(bottom, True, 0.0, bool(abs(bottom) <= 1e-12))
-    dz = model.field.values - model.zeta
-    min_dev2 = float(np.min(np.sum(dz**2, axis=1)))
     alpha0_equiv = 2.0 * model.c0 * model.alpha
-    quad_floor = model.lam * alpha0_equiv * min_dev2 / (2.0 * model.n_sites)
-    ok = bottom > 1e-13 and bottom >= quad_floor - 1e-13
-    return GroundZeroReport(bottom, False, quad_floor, bool(ok))
+    reports = []
+    for k, values in enumerate(model.field.values):
+        bottom = float(np.linalg.eigvalsh(model.matrix[k].toarray())[0])
+        dz = values - model.zeta
+        if np.max(np.abs(dz)) <= 1e-10:
+            reports.append(GroundZeroReport(bottom, True, 0.0, bool(abs(bottom) <= 1e-12)))
+            continue
+        min_dev2 = float(np.min(np.sum(dz**2, axis=1)))
+        quad_floor = model.lam * alpha0_equiv * min_dev2 / (2.0 * model.n_sites)
+        ok = bottom > 1e-13 and bottom >= quad_floor - 1e-13
+        reports.append(GroundZeroReport(bottom, False, quad_floor, bool(ok)))
+    return tuple(reports)
 
 
 @dataclass(frozen=True)
@@ -168,7 +167,8 @@ class SandwichOperators:
 
 
 def sandwich_operators(p, q, lam, field, zeta, grid, c0, alpha, pack=None):
-    """Materialize lower / middle / upper for one displacement field.
+    """Materialize lower / middle / upper for one displacement field, given
+    as its chunk of one.
 
     The site frame W unfolds the reduced models into the lowest-band range;
     the complementary block is the bare projector for the lower side and the
@@ -183,15 +183,15 @@ def sandwich_operators(p, q, lam, field, zeta, grid, c0, alpha, pack=None):
     w = pack.site_isometry()
     pi_plus = pack.pi_plus()
 
-    h_minus = build_reduced(-1, v, lam, zeta, field, c0, alpha).matrix.toarray()
-    h_plus = build_reduced(+1, v, lam, zeta, field, c0, alpha).matrix.toarray()
+    h_minus = build_reduced(-1, v, lam, zeta, field, c0, alpha).matrix[0].toarray()
+    h_plus = build_reduced(+1, v, lam, zeta, field, c0, alpha).matrix[0].toarray()
 
-    middle_op = assemble_periodic(p, q, lam, field, grid).matrix.toarray()
+    middle_op = assemble_periodic(p, q, lam, field, grid).matrix[0].toarray()
     middle = middle_op - e_ref * np.eye(middle_op.shape[0])
 
     const_op = assemble_periodic(
         p, q, lam, constant_field(grid.n, grid.d, zeta), grid
-    ).matrix.toarray()
+    ).matrix[0].toarray()
     shifted_const = const_op - e_ref * np.eye(const_op.shape[0])
     htilde = pi_plus @ shifted_const @ pi_plus
     htilde = 0.5 * (htilde + htilde.conj().T)
@@ -225,7 +225,8 @@ class SandwichReport:
 
 
 def sandwich_check(p, q, lam, field, zeta, grid, c0, alpha, trials, seed, tol=1e-8, pack=None):
-    """Test middle - lower >= 0 and upper - middle >= 0.
+    """Test middle - lower >= 0 and upper - middle >= 0 for one field (a
+    chunk of one).
 
     Both differences are probed with ``trials`` random unit vectors (real and
     complex mixtures) and then certified by their smallest eigenvalue; the
@@ -287,6 +288,7 @@ def calibrate_sandwich(
     for every sampled field; returns the reports of the first passing c0
     and the worst margins seen along the way."""
     pack = build_projectors(p, q, lam, np.atleast_1d(zeta), grid)
+    fields = sample_fields(dist, grid.n, master_seed, range(n_fields))
     all_reports = []
     passing = None
     for c0 in c0_values:
@@ -294,9 +296,9 @@ def calibrate_sandwich(
         worst = None
         ok = True
         for s in range(n_fields):
-            field = sample_field(dist, grid.n, master_seed, s)
             rep = sandwich_check(
-                p, q, lam, field, zeta, grid, c0, alpha, trials=trials, seed=s, tol=tol, pack=pack
+                p, q, lam, fields.take([s]), zeta, grid, c0, alpha,
+                trials=trials, seed=s, tol=tol, pack=pack,
             )
             if worst is None or min(rep.min_eig_lower, rep.min_eig_upper) < min(
                 worst.min_eig_lower, worst.min_eig_upper

@@ -48,10 +48,6 @@ class _SampledFamily:
             fields = sample_fields(self.dist, self.n, master_seed, samples)
         return SymmetricOperator.chunk(self.stack(fields))
 
-    def assemble(self, master_seed, sample_index):
-        """One sample's CSR matrix: ``operators`` of a chunk of one."""
-        return next(iter(self.operators(master_seed, (sample_index,)))).matrix
-
 
 @dataclass(frozen=True)
 class ContinuumFamily(_SampledFamily):
@@ -206,17 +202,6 @@ def sandwich_families(p, q, lam, dist, zeta, n, m, c0, alpha, energies):
         (ContinuumFamily(p=p, q=q, lam=lam, dist=dist, n=n, m=m), e_ref + energies),
         (ReducedFamily(sign=-1, **reduced), c0 * energies),
     )
-
-
-def holder_constant(curve, exponent):
-    """Largest per-pair ratio |N(E1) - N(E2)| / |E1 - E2|^exponent on the grid."""
-    vals = curve.values()
-    e = curve.energies
-    best = 0.0
-    for i in range(len(e)):
-        for j in range(i + 1, len(e)):
-            best = max(best, abs(vals[j] - vals[i]) / abs(e[j] - e[i]) ** exponent)
-    return best
 
 
 # -- band-edge tail fit -----------------------------------------------------
@@ -433,8 +418,9 @@ def wegner_report(families, e_center, eps_list, master_seed, audit_per_n, result
     decisions from the dense spectrum must equal the counted ones.  An audit
     entry that is None (a sample replayed from a cache) is taken from the
     spectrum of the sample assembled again from (master_seed, sample), by the
-    same function as a fresh sample's, so replayed results are audited as
-    well as fresh ones and a resumed scan gives the report of a one-shot one.
+    same function as a fresh sample's (one ``operators`` call per size for
+    all of them), so replayed results are audited as well as fresh ones and
+    a resumed scan gives the report of a one-shot one.
     """
     records, ground_stats = [], []
     audits_total = audits_agree = 0
@@ -446,11 +432,12 @@ def wegner_report(families, e_center, eps_list, master_seed, audit_per_n, result
             WegnerRecord(n=n, eps=e, hits=int(h), samples=samples)
             for e, h in zip(eps_list, np.sum(hits, axis=0))
         ]
-        for s in range(min(audit_per_n, samples)):
-            dense_hits = audits[s]
-            if dense_hits is None:
-                levels = dense_levels(families[n].assemble(master_seed, s))
-                dense_hits = _level_hits(levels, e_center, eps)
+        audits = list(audits[: min(audit_per_n, samples)])
+        replayed = [s for s, dense_hits in enumerate(audits) if dense_hits is None]
+        if replayed:
+            for s, op in zip(replayed, families[n].operators(master_seed, replayed)):
+                audits[s] = _level_hits(dense_levels(op.matrix), e_center, eps)
+        for s, dense_hits in enumerate(audits):
             audits_total += len(eps_list)
             audits_agree += int(np.sum(dense_hits == hits[s]))
         g = np.array([e0 for e0 in grounds if e0 is not None])

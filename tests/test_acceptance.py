@@ -35,7 +35,7 @@ from displab.floquet import (
     v_vector,
 )
 from displab.potentials import (
-    DisplacementField,
+    FieldChunk,
     constant_field,
     periodic_family,
     single_site_family,
@@ -85,7 +85,7 @@ def test_criterion_01_free_operator_exactness():
             assert np.max(np.abs(got - want)) <= 1e-10
             exact_union.append(want)
         per = assemble_periodic(p0, q0, 0.0, constant_field(1, 1, z0), grid)
-        got_per = np.linalg.eigvalsh(per.matrix.toarray())
+        got_per = np.linalg.eigvalsh(per.matrix[0].toarray())
         want_per = np.sort(np.concatenate(exact_union))
         assert np.max(np.abs(got_per - want_per)) <= 1e-10
     assert time.monotonic() - t0 < 1.0
@@ -102,7 +102,7 @@ def test_criterion_02_floquet_completeness():
         fibers.append(np.linalg.eigvalsh(op.matrix.toarray()))
     union = np.sort(np.concatenate(fibers))
     per = assemble_periodic(P1, Q1, 0.1, constant_field(1, 1, ZETA), grid)
-    full = np.linalg.eigvalsh(per.matrix.toarray())
+    full = np.linalg.eigvalsh(per.matrix[0].toarray())
     assert full.shape == union.shape == (48,)
     assert np.max(np.abs(full - union)) <= 1e-10
     assert time.monotonic() - t0 < 5.0
@@ -192,9 +192,9 @@ def test_criterion_08_reduced_ground_zero_iff_constant():
     values = np.linspace(-1.0, 1.0, 5)
     n_constant = 0
     for cfg in np.ndindex(5, 5, 5):
-        field = DisplacementField(n=1, d=1, values=values[np.array(cfg)][:, None])
+        field = FieldChunk(n=1, d=1, values=values[np.array(cfg)][None, :, None])
         mod = build_reduced(-1, v, 0.1, ZETA, field, c0, alpha)
-        rep = ground_zero_iff_constant(mod)
+        (rep,) = ground_zero_iff_constant(mod)
         assert rep.consistent, (cfg, rep.min_eigenvalue, rep.lower_bound)
         if rep.field_is_constant:
             n_constant += 1

@@ -23,7 +23,7 @@ from displab.discretize import GridSpec, assemble_periodic
 from displab.eigensolve import smallest_eigenpairs
 from displab.floquet import v_vector
 from displab.potentials import (
-    DisplacementField,
+    FieldChunk,
     periodic_family,
     single_site_family,
 )
@@ -112,16 +112,16 @@ def test_gap_ratio_table_positive_and_stable():
 
 def test_field_gradient_matches_finite_differences():
     grid = GridSpec(d=1, n=1, m=8)
-    vals = np.random.default_rng(4).uniform(-0.9, 0.9, size=(3, 1))
-    fld = DisplacementField(n=1, d=1, values=vals)
+    vals = np.random.default_rng(4).uniform(-0.9, 0.9, size=(1, 3, 1))
+    fld = FieldChunk(n=1, d=1, values=vals)
     _, grad = field_energy_and_gradient(P1, Q1, 0.1, fld, grid)
     h = 1e-6
     for i in range(3):
         vp, vm = vals.copy(), vals.copy()
-        vp[i, 0] += h
-        vm[i, 0] -= h
-        ep, _ = field_energy_and_gradient(P1, Q1, 0.1, DisplacementField(n=1, d=1, values=vp), grid)
-        em, _ = field_energy_and_gradient(P1, Q1, 0.1, DisplacementField(n=1, d=1, values=vm), grid)
+        vp[0, i, 0] += h
+        vm[0, i, 0] -= h
+        ep, _ = field_energy_and_gradient(P1, Q1, 0.1, FieldChunk(n=1, d=1, values=vp), grid)
+        em, _ = field_energy_and_gradient(P1, Q1, 0.1, FieldChunk(n=1, d=1, values=vm), grid)
         assert (ep - em) / (2 * h) == pytest.approx(grad[i, 0], abs=1e-6)
 
 
@@ -148,16 +148,17 @@ def test_exhaustive_scan_prefers_constant_field():
 
 
 def _reference_scan(p, q, lam, support, n, m, grid_points):
-    """The scan as it was before ``dense_levels``: one ``smallest_eigenpairs``
-    ground per configuration, through the same comparison loop."""
+    """The scan as it was before ``dense_levels`` and before one chunk: one
+    ``smallest_eigenpairs`` ground per configuration, each assembled as its
+    own chunk of one, through the same comparison loop."""
     grid = GridSpec(d=1, n=n, m=m)
     lo = support.project(np.array([-1e9]))[0]
     hi = support.project(np.array([1e9]))[0]
     values = np.linspace(lo, hi, grid_points)
     best_e, best_cfg, second = np.inf, None, np.inf
     for cfg in np.ndindex(*([grid_points] * (2 * n + 1))):
-        fld = DisplacementField(n=n, d=1, values=values[np.array(cfg)][:, None])
-        e = smallest_eigenpairs(assemble_periodic(p, q, lam, fld, grid), k=1).ground_energy
+        fld = FieldChunk(n=n, d=1, values=values[np.array(cfg)][None, :, None])
+        e = smallest_eigenpairs(assemble_periodic(p, q, lam, fld, grid).matrix[0], k=1).ground_energy
         if e < best_e:
             second = best_e
             best_e, best_cfg = e, np.array(cfg)

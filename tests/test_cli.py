@@ -334,6 +334,30 @@ def test_a_per_axis_list_needs_one_value_per_axis(tmp_path, capsys, kind, text, 
 
 
 @pytest.mark.parametrize(
+    "d, support, message",
+    [
+        (2, "kind = interval\n", "support.kind = interval is 1-dimensional, but model.d = 2"),
+        (
+            1,
+            "kind = polygon\nvertices = 0 0; 1 0; 0 1\n",
+            "support.kind = polygon is 2-dimensional, but model.d = 1",
+        ),
+    ],
+    ids=["interval-in-d2", "polygon-in-d1"],
+)
+def test_a_support_of_another_dimension_is_a_config_error(tmp_path, capsys, d, support, message):
+    """A support whose dimension is not model.d is refused with exit 2 and
+    one line, not left to NumPy in the minimizer or the assembly."""
+    text = open(_preset_path("minimize-1d"), encoding="utf-8").read()
+    text = text.replace("kind = ball\ncenter = 0.0\nradius = 1.0\n", support)
+    for old, new in D2 if d == 2 else ():
+        text = text.replace(old, new)
+    out = str(tmp_path / "run")
+    assert main(["minimize", "--config", _write(tmp_path, "c.ini", text), "--out", out]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "preset",
     ["asym-1d", "minimize-1d", "reduce-1d", "sandwich-1d", "theorem1-1d"],
 )

@@ -17,7 +17,6 @@ from displab.discretize import (
     plus_diagonal,
 )
 from displab.potentials import (
-    DisplacementField,
     FieldChunk,
     constant_field,
     periodic_family,
@@ -134,19 +133,20 @@ def test_periodic_assembly_free_spectrum():
     g = GridSpec(d=1, n=1, m=4)
     field = constant_field(1, 1, np.array([0.0]))
     op = assemble_periodic(P0, Q0, 0.0, field, g)
-    eigs = np.linalg.eigvalsh(op.matrix.toarray())
+    eigs = np.linalg.eigvalsh(op.matrix[0].toarray())
     k = np.arange(12)
     expected = np.sort(32.0 * (1.0 - np.cos(np.pi * k / 6.0)))
     assert np.allclose(eigs, expected, atol=1e-9)
     assert op.kind == "periodic"
-    assert op.is_hermitian()
+    assert len(op.matrix) == 1
+    assert (op.matrix[0] != op.matrix[0].T).nnz == 0
 
 
 def test_periodic_assembly_2d_is_axis_sum():
     g = GridSpec(d=2, n=0, m=4)
     field = constant_field(0, 2, np.array([0.0, 0.0]))
     op = assemble_periodic(periodic_family("zero", 2), single_site_family("zero", 2), 0.0, field, g)
-    eigs = np.linalg.eigvalsh(op.matrix.toarray())
+    eigs = np.linalg.eigvalsh(op.matrix[0].toarray())
     one = 32.0 * (1.0 - np.cos(np.pi * np.arange(4) / 2.0))
     expected = np.sort((one[:, None] + one[None, :]).ravel())
     assert np.allclose(eigs, expected, atol=1e-9)
@@ -215,13 +215,13 @@ def test_assemble_periodic_csr_equals_per_call_build(d, n):
     rng = np.random.default_rng(d + 10 * n)
     lap = _lil_kron_laplacian(grid)
     for _ in range(2):  # the second sample reuses the cached Laplacian
-        field = DisplacementField(n=n, d=d, values=rng.uniform(-0.7, 0.7, ((2 * n + 1) ** d, d)))
+        field = FieldChunk(n=n, d=d, values=rng.uniform(-0.7, 0.7, (1, (2 * n + 1) ** d, d)))
         pts = grid.points()
         diag = p.value(pts)  # reference diagonal: every site's bump at every point
-        for c in site_lattice(n, d) + 0.5 * field.values:
+        for c in site_lattice(n, d) + 0.5 * field.values[0]:
             diag += q.value(wrap_nearest(pts - c, 2 * n + 1))
         want = (lap + sp.diags(diag, format="csr")).tocsr()
-        got = assemble_periodic(p, q, 0.5, field, grid).matrix
+        got = assemble_periodic(p, q, 0.5, field, grid).matrix[0]
         assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64))
         assert np.array_equal(got.indices, want.indices)
         assert np.array_equal(got.indptr, want.indptr)
@@ -229,8 +229,8 @@ def test_assemble_periodic_csr_equals_per_call_build(d, n):
 
 @pytest.mark.parametrize("d, n", [(1, 0), (1, 2), (2, 1)])
 def test_assemble_periodic_chunk_equals_one_field_at_a_time(d, n):
-    """A FieldChunk gives the DiagonalStack of the one-field operators, bit
-    for bit, with ``data()`` their stacked data arrays."""
+    """A FieldChunk gives the DiagonalStack of the operators of its fields'
+    chunks of one, bit for bit, with ``data()`` their stacked data arrays."""
     grid = GridSpec(d=d, n=n, m=8)
     p = periodic_family("cosine", d, coefficients=[-1.0] * d)
     q = single_site_family("asym-bump", d)
@@ -240,7 +240,7 @@ def test_assemble_periodic_chunk_equals_one_field_at_a_time(d, n):
     assert len(stack) == 3 and stack.shape == (grid.n_points,) * 2
     assert stack.nnz == 3 * stack.stencil.nnz
     for k in range(3):
-        want = assemble_periodic(p, q, 0.5, chunk[k], grid).matrix
+        want = assemble_periodic(p, q, 0.5, chunk.take([k]), grid).matrix[0]
         got = stack[k]
         assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64))
         assert np.array_equal(got.indices, want.indices)

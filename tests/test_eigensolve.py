@@ -17,6 +17,7 @@ from displab.discretize import assemble_fiber
 import displab.eigensolve as es
 from displab.eigensolve import count_below, ground_bisect, smallest_eigenpairs
 from displab.potentials import periodic_family, single_site_family
+from test_spectral_stats import _one_matrix
 
 rng = np.random.default_rng(12345)
 
@@ -373,7 +374,7 @@ def test_ground_bisect_equals_count_bisection_on_lifshitz_preset():
     )
     hi = float(sec["ground_hi"])
     for s in range(3):
-        mat = fam.assemble(int(cfg["run"]["seed"]), s)
+        mat = _one_matrix(fam, int(cfg["run"]["seed"]), s)
         assert ground_bisect(mat, hi) == _reference_ground(mat, hi)
 
 
@@ -718,7 +719,7 @@ def test_first_ids_2d_continuum_sample_takes_one_factorization(monkeypatch):
     """The benchmark's d = 2 ids config, continuum sample 0: the counts of
     the per-threshold path from one SuperLU factorization instead of three."""
     family, energies, seed, _ = _ids_2d_continuum()
-    op = es.SymmetricOperator(family.assemble(seed, 0))
+    op = es.SymmetricOperator(_one_matrix(family, seed, 0))
     assert op.shape == (43264, 43264) and op.chain is None
     calls = _splu_calls(monkeypatch)
     got = count_below(op, energies)
@@ -755,7 +756,7 @@ def test_each_ids_2d_continuum_count_takes_one_factorization_and_two_solves(monk
     )
     monkeypatch.setattr(es.spla, "eigsh", None)
     for sample in range(n_samples):
-        op = es.SymmetricOperator(family.assemble(seed, sample))
+        op = es.SymmetricOperator(_one_matrix(family, seed, sample))
         factors.clear(), solves.clear()
         assert count_below(op, energies).tolist() == [0, 1, 1]
         assert len(factors) == 1 and 1 <= len(solves) <= 3

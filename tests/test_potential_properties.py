@@ -61,7 +61,7 @@ def test_total_potential_equals_the_per_site_loop_bitwise(case):
     ]
     for x in points:
         with np.errstate(invalid="ignore"):
-            want = [_one_field_reference(p, q, lam, chunk[j], x) for j in range(k)]
+            want = [_one_field_reference(p, q, lam, chunk.take([j]), x) for j in range(k)]
         for start in range(0, k, cut):
             rows = range(start, min(start + cut, k))
             with np.errstate(invalid="ignore"):

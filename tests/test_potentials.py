@@ -10,7 +10,6 @@ import pytest
 
 from displab.discretize import GridSpec
 from displab.potentials import (
-    DisplacementField,
     DisplacementTooLargeError,
     FieldChunk,
     UnknownFamilyError,
@@ -146,16 +145,17 @@ def test_site_lattice_order_and_range():
 
 
 def test_constant_field_and_norms():
+    """A constant field is a chunk of one; a chunk's values carry the chunk
+    axis, so one field's bare (sites, d) values are refused."""
     f = constant_field(2, 1, np.array([-1.0]))
-    assert f.values.shape == (5, 1)
-    assert f.is_constant(np.array([-1.0]))
-    assert not f.is_constant(np.array([1.0]))
+    assert len(f) == 1
+    assert f.values.shape == (1, 5, 1)
+    assert np.array_equal(f.values, np.full((1, 5, 1), -1.0))
     assert f.max_norm() == 1.0
-    g = DisplacementField(n=2, d=1, values=f.values.copy())
-    g.values[3, 0] = 0.25
-    assert not g.is_constant(np.array([-1.0]))
     with pytest.raises(ValueError):
-        DisplacementField(n=2, d=1, values=np.zeros((4, 1)))
+        FieldChunk(n=2, d=1, values=np.zeros((1, 4, 1)))
+    with pytest.raises(ValueError):
+        FieldChunk(n=2, d=1, values=np.zeros((5, 1)))
 
 
 def test_total_potential_periodicity_and_displacement_guard():
@@ -176,7 +176,7 @@ def _all_sites_reference(p, q, lam, field, x):
     """The O(sites x points) sum: every site's bump at every point."""
     x = as_points(x, q.d)
     out = p.value(x)
-    for c in site_lattice(field.n, field.d) + lam * field.values:
+    for c in site_lattice(field.n, field.d) + lam * field.values[0]:
         out += q.value(wrap_nearest(x - c, 2 * field.n + 1))
     return out
 
@@ -196,7 +196,7 @@ def test_total_potential_equals_all_sites_sum_bitwise(d, n, family):
     omega = rng.normal(size=(sites, d))
     omega *= rng.uniform(0.5, 1.0, size=(sites, 1)) / np.linalg.norm(omega, axis=1, keepdims=True)
     omega[0] /= np.linalg.norm(omega[0])  # max |omega| = 1
-    field = DisplacementField(n=n, d=d, values=omega)
+    field = FieldChunk(n=n, d=d, values=omega[None])
     lam = (1.0 - q.radius) * (1.0 - 1e-12)
     assert 1.0 - 1e-9 < lam * field.max_norm() + q.radius < 1.0
     L = 2 * n + 1
@@ -207,22 +207,23 @@ def test_total_potential_equals_all_sites_sum_bitwise(d, n, family):
     for x in (grid, off_grid, cell_edges):
         got = eval_total_potential(p, q, lam, field, x)
         want = _all_sites_reference(p, q, lam, field, x)
-        assert got.shape == want.shape == (len(x),)
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
-        assert np.any(got != p.value(x)), "bumps must contribute"
+        assert got.shape == (1,) + want.shape == (1, len(x))
+        assert np.array_equal(got[0].view(np.int64), want.view(np.int64))
+        assert np.any(got[0] != p.value(x)), "bumps must contribute"
     non_finite = np.array([[np.nan] * d, [np.inf] * d, [-np.inf] * d])
     with np.errstate(invalid="ignore"):
         got = eval_total_potential(p, q, lam, field, non_finite)
         want = _all_sites_reference(p, q, lam, field, non_finite)
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.array_equal(got[0].view(np.int64), want.view(np.int64))
     batched = eval_total_potential(p, q, lam, field, off_grid.reshape(20, 25, d))
-    assert np.array_equal(batched.ravel(), eval_total_potential(p, q, lam, field, off_grid))
+    assert batched.shape == (1, 20, 25)
+    assert np.array_equal(batched[0].ravel(), eval_total_potential(p, q, lam, field, off_grid)[0])
 
 
 def _one_field_reference(p, q, lam, field, x):
     """The per-site loop ``eval_total_potential`` ran before chunks and
-    before each bump was evaluated only within its reach: one field, its
-    sites in ``site_lattice`` order, each bump evaluated on all points of the
+    before each bump was evaluated only within its reach: one field (a
+    chunk of one), its sites in ``site_lattice`` order, each bump evaluated on all points of the
     3^d cells around its site."""
     x = as_points(x, q.d)
     shape = x.shape[:-1]
@@ -235,7 +236,7 @@ def _one_field_reference(p, q, lam, field, x):
     members = np.split(np.argsort(cell_id, kind="stable"), np.cumsum(counts)[:-1])
     steps = site_lattice(1, q.d)
     out = p.value(x)
-    for gamma, c in zip(site_lattice(field.n, q.d), site_lattice(field.n, q.d) + lam * field.values):
+    for gamma, c in zip(site_lattice(field.n, q.d), site_lattice(field.n, q.d) + lam * field.values[0]):
         # at L = 1 all 3^d neighbours are one cell: visit it once
         near = np.unique(np.ravel_multi_index(tuple((gamma + steps).T), cells, mode="wrap"))
         idx = np.concatenate([members[k] for k in near])
@@ -262,10 +263,11 @@ def test_chunk_total_potential_equals_one_field_at_a_time_bitwise(d, n):
         got = eval_total_potential(p, q, lam, chunk, x)
         assert got.shape == (5,) + x.shape[:-1]
         for k in range(5):
-            want = _one_field_reference(p, q, lam, chunk[k], x)
+            want = _one_field_reference(p, q, lam, chunk.take([k]), x)
             assert np.array_equal(got[k].view(np.int64), want.view(np.int64))
-            one = eval_total_potential(p, q, lam, chunk[k], x)
-            assert np.array_equal(one.view(np.int64), want.view(np.int64))
-    assert np.array_equal(FieldChunk.of(chunk[2]).values, omega[2:3])
+            one = eval_total_potential(p, q, lam, chunk.take([k]), x)
+            assert one.shape == (1,) + x.shape[:-1]
+            assert np.array_equal(one[0].view(np.int64), want.view(np.int64))
+    assert np.array_equal(chunk.take([2]).values, omega[2:3])
     with pytest.raises(DisplacementTooLargeError):
         eval_total_potential(p, q, 0.56, chunk, off_grid)  # 0.56 * 1 + 0.45 >= 1

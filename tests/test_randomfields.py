@@ -10,10 +10,7 @@ from displab.randomfields import (
     DISTRIBUTION_KINDS,
     DisplacementDistribution,
     UnsupportedVariantError,
-    polar_decompose,
     radial_density_bound,
-    radial_density_note,
-    sample_field,
     sample_fields,
     site_rng,
 )
@@ -24,21 +21,21 @@ BALL2 = DisplacementDistribution(kind="uniform-ball", support=ball(np.zeros(2), 
 
 
 def test_sampling_is_reproducible():
-    a = sample_field(BALL1, 2, master_seed=42, sample_index=7)
-    b = sample_field(BALL1, 2, master_seed=42, sample_index=7)
+    a = sample_fields(BALL1, 2, 42, (7,))
+    b = sample_fields(BALL1, 2, 42, (7,))
     assert np.array_equal(a.values, b.values)
-    c = sample_field(BALL1, 2, master_seed=42, sample_index=8)
+    c = sample_fields(BALL1, 2, 42, (8,))
     assert not np.array_equal(a.values, c.values)
-    d = sample_field(BALL1, 2, master_seed=43, sample_index=7)
+    d = sample_fields(BALL1, 2, 43, (7,))
     assert not np.array_equal(a.values, d.values)
 
 
 def test_growing_the_lattice_preserves_existing_draws():
     """Site streams are keyed by (seed, sample, site), so a bigger torus
     reuses the small torus's draws for the shared site indices."""
-    small = sample_field(BALL1, 1, master_seed=5, sample_index=0)
-    large = sample_field(BALL1, 3, master_seed=5, sample_index=0)
-    assert np.array_equal(small.values, large.values[: small.n_sites])
+    small = sample_fields(BALL1, 1, 5, (0,))
+    large = sample_fields(BALL1, 3, 5, (0,))
+    assert np.array_equal(small.values, large.values[:, : small.values.shape[1]])
 
 
 def test_site_rng_streams_are_independent():
@@ -62,12 +59,12 @@ def _distribution(kind, d):
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("kind", DISTRIBUTION_KINDS)
 def test_sample_field_equals_per_site_streams(kind, d):
-    """One generator per sample, reset per site, draws exactly what a fresh
-    ``site_rng`` stream per site draws."""
+    """One field (a chunk of one) draws exactly what a fresh ``site_rng``
+    stream per site draws."""
     dist = _distribution(kind, d)
-    field = sample_field(dist, 3, master_seed=2**63 + 17, sample_index=5)
-    want = [dist.draw(site_rng(2**63 + 17, 5, k)) for k in range(field.n_sites)]
-    assert np.array_equal(field.values, np.array(want))
+    field = sample_fields(dist, 3, 2**63 + 17, (5,))
+    want = [dist.draw(site_rng(2**63 + 17, 5, k)) for k in range(7**d)]
+    assert np.array_equal(field.values, np.array([want]))
 
 
 def _site_draws(dist, n, seed, sample):
@@ -95,16 +92,17 @@ def test_sample_field_equals_site_rng_draws_at_scale(kind, d):
     n_sites = 0
     for n, seed, sample in _CUTOFF_CASES[d] + (_BULK_CASES if served else []):
         before = dict(randomfields.SITE_COUNTS)
-        field = sample_field(dist, n, master_seed=seed, sample_index=sample)
-        assert np.array_equal(field.values, _site_draws(dist, n, seed, sample))
+        field = sample_fields(dist, n, seed, (sample,))
+        assert np.array_equal(field.values[0], _site_draws(dist, n, seed, sample))
+        sites = field.values.shape[1]
         vector = randomfields.SITE_COUNTS["vector"] - before["vector"]
         loop = randomfields.SITE_COUNTS["loop"] - before["loop"]
-        assert vector + loop == field.n_sites
-        if served and field.n_sites >= randomfields._VECTOR_MIN_SITES:
-            assert vector > 0.9 * field.n_sites
+        assert vector + loop == sites
+        if served and sites >= randomfields._VECTOR_MIN_SITES:
+            assert vector > 0.9 * sites
         else:
             assert vector == 0
-        n_sites += field.n_sites
+        n_sites += sites
     assert served == (kind in ("uniform-ball", "polar") and d == 1)
     assert n_sites >= (10**5 if served else 25)
 
@@ -136,7 +134,7 @@ def test_sample_fields_equal_site_rng_draws(kind):
         assert chunk.values.shape == (len(samples), 2 * n + 1, 1)
         for k, s in enumerate(samples):
             assert np.array_equal(chunk.values[k], _site_draws(dist, n, seed, s))
-            assert np.array_equal(chunk[k].values, sample_field(dist, n, seed, s).values)
+            assert np.array_equal(chunk.values[k], sample_fields(dist, n, seed, (s,)).values[0])
         pairs = len(samples) * (2 * n + 1)
         assert vector + loop == pairs
         if served and pairs >= randomfields._VECTOR_MIN_SITES:
@@ -233,10 +231,10 @@ def test_self_check_mismatch_sends_every_site_to_the_loop(broken, monkeypatch, f
         monkeypatch.setattr(randomfields, "_PHILOX_M", (m0 ^ 1, m1))
     assert not randomfields._vector_path_ok()
     before = dict(randomfields.SITE_COUNTS)
-    field = sample_field(BALL1, 1000, master_seed=2**63 + 17, sample_index=2**32 + 9)
-    assert np.array_equal(field.values, _site_draws(BALL1, 1000, 2**63 + 17, 2**32 + 9))
+    field = sample_fields(BALL1, 1000, 2**63 + 17, (2**32 + 9,))
+    assert np.array_equal(field.values[0], _site_draws(BALL1, 1000, 2**63 + 17, 2**32 + 9))
     assert randomfields.SITE_COUNTS["vector"] == before["vector"]
-    assert randomfields.SITE_COUNTS["loop"] == before["loop"] + field.n_sites
+    assert randomfields.SITE_COUNTS["loop"] == before["loop"] + 2001
 
 
 def test_lifshitz_preset_fields_are_mostly_vectorized():
@@ -251,7 +249,7 @@ def test_lifshitz_preset_fields_are_mostly_vectorized():
     dist = build_distribution(cfg, build_support(cfg, build_model(cfg)[1].d))
     before = dict(randomfields.SITE_COUNTS)
     for s in range(5):
-        sample_field(dist, int(cfg["lifshitz"]["n"]), int(cfg["run"]["seed"]), s)
+        sample_fields(dist, int(cfg["lifshitz"]["n"]), int(cfg["run"]["seed"]), (s,))
     vector = randomfields.SITE_COUNTS["vector"] - before["vector"]
     loop = randomfields.SITE_COUNTS["loop"] - before["loop"]
     assert vector + loop == 5 * 2001
@@ -259,8 +257,8 @@ def test_lifshitz_preset_fields_are_mostly_vectorized():
 
 
 def test_uniform_ball_stays_inside_and_fills_volume():
-    f = sample_field(BALL2, 3, master_seed=11, sample_index=1)
-    radii = np.linalg.norm(f.values, axis=1)
+    f = sample_fields(BALL2, 3, 11, (1,))
+    radii = np.linalg.norm(f.values[0], axis=1)
     assert radii.max() <= 1.0
     # uniform on the disc: E r = 2/3, loose MC band for 49 sites
     assert abs(radii.mean() - 2.0 / 3.0) < 0.1
@@ -268,8 +266,8 @@ def test_uniform_ball_stays_inside_and_fills_volume():
 
 def test_uniform_sphere_is_atomic_in_radius():
     dist = DisplacementDistribution(kind="uniform-sphere", support=sphere(np.zeros(2), 0.8))
-    f = sample_field(dist, 2, master_seed=1, sample_index=0)
-    assert np.allclose(np.linalg.norm(f.values, axis=1), 0.8)
+    f = sample_fields(dist, 2, 1, (0,))
+    assert np.allclose(np.linalg.norm(f.values[0], axis=1), 0.8)
 
 
 def test_polar_radial_law():
@@ -309,17 +307,6 @@ def test_distribution_validation():
         DisplacementDistribution(kind="gaussian", support=ball(np.zeros(2), 1.0))
 
 
-def test_polar_decompose():
-    parts = polar_decompose(np.array([3.0, 4.0]))
-    assert parts.r == 5.0
-    assert np.allclose(parts.sigma, [0.6, 0.8])
-    assert not parts.degenerate
-    zero = polar_decompose(np.zeros(2))
-    assert zero.degenerate
-    assert zero.r == 0.0
-    assert np.linalg.norm(zero.sigma) == 1.0
-
-
 def test_radial_density_bound_cases():
     # d=2 ball: h(r) = 2 r / R^2, |h'| = 2 / R^2
     assert radial_density_bound(BALL2) == pytest.approx(2.0)
@@ -346,10 +333,3 @@ def test_radial_density_bound_scales_with_radius():
         )
         assert radial_density_bound(dist) == pytest.approx(12.0 / radius**2)
 
-
-def test_radial_density_notes():
-    assert radial_density_note(BALL2).startswith("holds")
-    shell = DisplacementDistribution(kind="uniform-sphere", support=sphere(np.zeros(2), 1.0))
-    assert "atomic" in radial_density_note(shell)
-    boxdist = DisplacementDistribution(kind="product-box", support=box([-1.0], [1.0]))
-    assert radial_density_note(boxdist).startswith("not applicable")

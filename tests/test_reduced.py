@@ -7,13 +7,12 @@ import scipy.sparse as sp
 from displab.discretize import GridSpec, periodic_laplacian
 from displab.floquet import dispersion_symbol
 from displab.potentials import (
-    DisplacementField,
     FieldChunk,
     constant_field,
     periodic_family,
     single_site_family,
 )
-from displab.randomfields import DisplacementDistribution, sample_field, sample_fields
+from displab.randomfields import DisplacementDistribution, sample_fields
 from displab.reduced import (
     band_symbol_ratio,
     build_reduced,
@@ -87,23 +86,23 @@ def test_symbol_kinetic_is_built_once_and_equals_lil_build(d, side):
 def test_symbol_kinetic_rejects_tiny_side():
     with pytest.raises(ValueError):
         symbol_kinetic(1, 2)
-    one_site = DisplacementField(n=0, d=1, values=np.zeros((1, 1)))
+    one_site = FieldChunk(n=0, d=1, values=np.zeros((1, 1, 1)))
     with pytest.raises(ValueError, match="torus side must be >= 3"):
         build_reduced(-1, [1.0], 0.1, [0.0], one_site, 2.0, 0.1)
 
 
 def test_build_reduced_diagonal_hand_check():
     """3-site lower model: diagonal lam*(v.dz - c0 alpha |dz|^2), kinetic/c0."""
-    field = DisplacementField(n=1, d=1, values=np.array([[-1.0], [0.0], [0.5]]))
+    field = FieldChunk(n=1, d=1, values=np.array([[[-1.0], [0.0], [0.5]]]))
     mod = build_reduced(-1, [2.0], 0.1, ZETA, field, c0=4.0, alpha=0.25)
-    mat = mod.matrix.toarray()
+    mat = mod.matrix[0].toarray()
     dz = np.array([0.0, 1.0, 1.5])
     want_diag = 0.1 * (2.0 * dz - 4.0 * 0.25 * dz**2)
     kin = 0.5 * np.array([[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]])
     assert np.allclose(mat, kin / 4.0 + np.diag(want_diag), atol=1e-14)
     up = build_reduced(+1, [2.0], 0.1, ZETA, field, c0=4.0, alpha=0.25)
     want_up = 0.1 * (2.0 * dz + 4.0 * 0.25 * dz**2)
-    assert np.allclose(up.matrix.toarray(), 4.0 * kin + np.diag(want_up), atol=1e-14)
+    assert np.allclose(up.matrix[0].toarray(), 4.0 * kin + np.diag(want_up), atol=1e-14)
 
 
 def test_build_reduced_validation():
@@ -119,17 +118,17 @@ def test_build_reduced_validation():
 def test_ground_zero_at_constant_field():
     field = constant_field(1, 1, ZETA)
     mod = build_reduced(-1, [0.016], 0.1, ZETA, field, c0=8.0, alpha=0.0005)
-    rep = ground_zero_iff_constant(mod)
+    (rep,) = ground_zero_iff_constant(mod)
     assert rep.field_is_constant
     assert rep.consistent
     assert abs(rep.min_eigenvalue) <= 1e-12
 
 
 def test_ground_positive_off_constant():
-    vals = np.array([[-1.0], [-0.25], [0.75]])
-    mod = build_reduced(-1, [0.016], 0.1, ZETA, DisplacementField(n=1, d=1, values=vals),
+    vals = np.array([[[-1.0], [-0.25], [0.75]]])
+    mod = build_reduced(-1, [0.016], 0.1, ZETA, FieldChunk(n=1, d=1, values=vals),
                         c0=8.0, alpha=0.0005)
-    rep = ground_zero_iff_constant(mod)
+    (rep,) = ground_zero_iff_constant(mod)
     assert not rep.field_is_constant
     assert rep.min_eigenvalue > 0
     assert rep.consistent
@@ -182,7 +181,7 @@ def test_sandwich_check_random_fields():
     grid = GridSpec(d=1, n=1, m=16)
     alpha = 0.024083227 / 16.0  # alpha0 / (2 c0) at c0 = 8
     for k in range(3):
-        field = sample_field(DIST, 1, master_seed=9, sample_index=k)
+        field = sample_fields(DIST, 1, 9, (k,))
         rep = sandwich_check(P1, Q1, 0.1, field, ZETA, grid, c0=8.0, alpha=alpha,
                              trials=40, seed=k)
         assert rep.passed, (rep.min_quad_lower, rep.min_quad_upper,
@@ -220,9 +219,9 @@ def test_build_reduced_csr_equals_the_sparse_sum(d, n):
     dist = DisplacementDistribution(kind="uniform-ball", support=ball(np.zeros(d), 1.0))
     zeta, v = np.full(d, -1.0), np.linspace(0.5, 2.0, d)
     for sign, c0 in ((-1, 4.0), (1, 1.0), (1, 3.0)):
-        field = sample_field(dist, n, 7, sign + 2)
-        got = build_reduced(sign, v, 0.1, zeta, field, c0, 0.05).matrix
-        dz = field.values - zeta
+        field = sample_fields(dist, n, 7, (sign + 2,))
+        got = build_reduced(sign, v, 0.1, zeta, field, c0, 0.05).matrix[0]
+        dz = field.values[0] - zeta
         diag = 0.1 * (dz @ v + sign * c0 * 0.05 * np.sum(dz**2, axis=1))
         kin_scale = c0 if sign > 0 else 1.0 / c0
         want = (kin_scale * symbol_kinetic(d, 2 * n + 1) + sp.diags(diag, format="csr")).tocsr()
@@ -235,8 +234,8 @@ def test_build_reduced_csr_equals_the_sparse_sum(d, n):
 def test_build_reduced_exact_zero_diagonal_takes_the_sparse_sum():
     """kin_scale * k_00 + diag_0 = 1 - 1 = 0.0 exactly: the sparse sum drops
     the entry, so build_reduced gives that pattern too."""
-    field = DisplacementField(n=1, d=1, values=np.array([[0.0], [0.5], [-0.5]]))
-    got = build_reduced(-1, [0.0], 1.0, [-1.0], field, c0=1.0, alpha=1.0).matrix
+    field = FieldChunk(n=1, d=1, values=np.array([[[0.0], [0.5], [-0.5]]]))
+    got = build_reduced(-1, [0.0], 1.0, [-1.0], field, c0=1.0, alpha=1.0).matrix[0]
     want = (symbol_kinetic(1, 3) + sp.diags([-1.0, -2.25, -0.25], format="csr")).tocsr()
     assert got.nnz == 8
     _same_csr(got, want)
@@ -245,7 +244,7 @@ def test_build_reduced_exact_zero_diagonal_takes_the_sparse_sum():
 @pytest.mark.parametrize("d, n", [(1, 1), (1, 30), (2, 2)])
 def test_build_reduced_chunk_equals_one_field_at_a_time(d, n):
     """A FieldChunk gives a DiagonalStack whose operators are, bit for bit,
-    the one-field calls' operators."""
+    those of its fields' chunks of one."""
     dist = DisplacementDistribution(kind="uniform-ball", support=ball(np.zeros(d), 1.0))
     zeta, v = np.full(d, -1.0), np.linspace(0.5, 2.0, d)
     chunk = sample_fields(dist, n, 3, range(4))
@@ -253,7 +252,8 @@ def test_build_reduced_chunk_equals_one_field_at_a_time(d, n):
         model = build_reduced(sign, v, 0.1, zeta, chunk, c0, 0.05)
         assert model.field is chunk and len(model.matrix) == 4
         for k in range(4):
-            _same_csr(model.matrix[k], build_reduced(sign, v, 0.1, zeta, chunk[k], c0, 0.05).matrix)
+            one = build_reduced(sign, v, 0.1, zeta, chunk.take([k]), c0, 0.05)
+            _same_csr(model.matrix[k], one.matrix[0])
 
 
 def test_build_reduced_chunk_keeps_the_exact_zero_fallback():
@@ -263,5 +263,5 @@ def test_build_reduced_chunk_keeps_the_exact_zero_fallback():
     model = build_reduced(-1, [0.0], 1.0, [-1.0], FieldChunk(n=1, d=1, values=values), 1.0, 1.0)
     assert [model.matrix[k].nnz for k in range(2)] == [8, 9]
     for k in range(2):
-        one = DisplacementField(n=1, d=1, values=values[k])
-        _same_csr(model.matrix[k], build_reduced(-1, [0.0], 1.0, [-1.0], one, 1.0, 1.0).matrix)
+        one = FieldChunk(n=1, d=1, values=values[k : k + 1])
+        _same_csr(model.matrix[k], build_reduced(-1, [0.0], 1.0, [-1.0], one, 1.0, 1.0).matrix[0])

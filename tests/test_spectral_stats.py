@@ -11,7 +11,7 @@ import pytest
 from displab.eigensolve import count_below, ground_bisect, smallest_eigenpairs
 from displab.floquet import band_bottom
 from displab.potentials import periodic_family, single_site_family
-from displab.randomfields import DisplacementDistribution
+from displab.randomfields import DisplacementDistribution, sample_fields
 from displab.spectral_stats import (
     ContinuumFamily,
     FitError,
@@ -21,7 +21,6 @@ from displab.spectral_stats import (
     WegnerRecord,
     _fit_loglog,
     count_rows,
-    holder_constant,
     lifshitz_fit,
     lifshitz_rows,
     sandwich_families,
@@ -37,6 +36,11 @@ Q0 = single_site_family("zero", 1)
 P1 = periodic_family("cosine", 1, coefficients=[-1.0])
 Q1 = single_site_family("asym-bump", 1)
 DIST = DisplacementDistribution(kind="uniform-ball", support=ball(np.zeros(1), 1.0))
+
+
+def _one_matrix(family, master_seed, sample):
+    """One sample's CSR matrix: its field drawn and assembled as a chunk of one."""
+    return family.stack(sample_fields(family.dist, family.n, master_seed, (sample,)))[0]
 
 
 def _near_point_dist(center):
@@ -82,13 +86,6 @@ def test_reduced_family_jump_positions():
     assert np.allclose(curve.values(), [1.0 / 3.0, 1.0 / 3.0, 1.0])
     assert np.all(curve.stderr() == 0.0)
     assert fam.label == "reduced-minus"
-
-
-def test_holder_constant_hand_check():
-    curve = IDSCurve(energies=np.array([0.0, 1.0, 2.0]),
-                     counts=np.array([[0, 1, 2]]), n_cells=1, label="synthetic")
-    assert holder_constant(curve, exponent=1.0) == pytest.approx(1.0)
-    assert holder_constant(curve, exponent=0.8) == pytest.approx(2.0 / 2.0**0.8)
 
 
 @pytest.mark.parametrize("kappa", [0.5, 1.0])
@@ -203,7 +200,7 @@ def _eigvalsh_audits(family, master_seed, e_center, eps_list, audited):
     edges = [[e_center + eps, e_center - eps] for eps in eps_list]
     decisions = []
     for s in range(audited):
-        dense = np.sort(np.linalg.eigvalsh(family.assemble(master_seed, s).toarray()))
+        dense = np.sort(np.linalg.eigvalsh(_one_matrix(family, master_seed, s).toarray()))
         upper, lower = np.searchsorted(dense, edges).T
         decisions.append(upper > lower)
     return decisions
@@ -311,19 +308,19 @@ RING = ReducedFamily(
     ids=["reduced-ring", "continuum-2d"],
 )
 def test_count_rows_equal_one_count_below_per_sample(family):
-    levels = np.linalg.eigvalsh(family.assemble(7, 0).toarray())
+    levels = np.linalg.eigvalsh(_one_matrix(family, 7, 0).toarray())
     energies = 0.5 * (levels[[0, 2, 4, 8]] + levels[[1, 3, 5, 9]])
     rows = count_rows(family, 7, range(4), energies)
     assert rows.shape == (4, 4) and len(np.unique(rows)) > 4
     for s in range(4):
         assert np.array_equal(count_rows(family, 7, (s,), energies), rows[s : s + 1])
-        assert np.array_equal(count_below(family.assemble(7, s), energies), rows[s])
+        assert np.array_equal(count_below(_one_matrix(family, 7, s), energies), rows[s])
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_wegner_rows_equal_one_sample_at_a_time(n):
     family = ContinuumFamily(p=P1, q=Q1, lam=0.1, dist=DIST, n=n, m=16)
-    e_center = np.linalg.eigvalsh(family.assemble(5, 0).toarray())[2 * n + 1]
+    e_center = np.linalg.eigvalsh(_one_matrix(family, 5, 0).toarray())[2 * n + 1]
     eps = np.array([1e-3, 1e-2, 1e-1, 1.0])
     hits, grounds, audits = wegner_rows(
         family, 5, range(6), e_center, eps, ground_samples=3, audit_per_n=4
@@ -337,7 +334,7 @@ def test_wegner_rows_equal_one_sample_at_a_time(n):
         )
         assert np.array_equal(one_hits, hits[s : s + 1]) and one_grounds == [grounds[s]]
         assert len(one_audits) == 1 and np.array_equal(one_audits[0], audits[s])
-        mat = family.assemble(5, s)
+        mat = _one_matrix(family, 5, s)
         want = count_below(mat, e_center + eps) > count_below(mat, e_center - eps)
         assert np.array_equal(hits[s], want)
         if s < 3:
@@ -351,6 +348,6 @@ def test_lifshitz_rows_equal_one_sample_at_a_time():
     for s in range(5):
         one_grounds, one_counts = lifshitz_rows(RING, 0, (s,), energies, 4.0)
         assert one_grounds == [grounds[s]] and np.array_equal(one_counts, counts[s : s + 1])
-        mat = RING.assemble(0, s)
+        mat = _one_matrix(RING, 0, s)
         assert grounds[s] == ground_bisect(mat, 4.0)
         assert np.array_equal(counts[s], count_below(mat, energies))
