@@ -21,7 +21,6 @@ from .assumptions import (
     gap_ratio_table,
     minimize_over_field,
     minimize_over_support,
-    prop1_geometry,
     robust_linear_minimizer,
 )
 from .discretize import (

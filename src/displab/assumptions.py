@@ -1,11 +1,11 @@
 """Certified checks of the model hypotheses at finite volume.
 
 Covers: existence/uniqueness of the constant displacement minimizer, the
-quadratic coercivity constant of the band bottom around it, the geometric
-side conditions (boundary curvature, robust linear minimizers), lower bounds
-on the spectral shift per unit coupling, and minimization of the torus ground
-energy over full displacement fields (both local descent from many starts and
-exhaustive small grids).
+quadratic coercivity constant of the band bottom around it, the robust
+linear minimizer (the other geometric side condition, boundary curvature, is
+``SupportSet.min_curvature``), lower bounds on the spectral shift per unit
+coupling, and minimization of the torus ground energy over full displacement
+fields (both local descent from many starts and exhaustive small grids).
 """
 
 from __future__ import annotations
@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretize import GridSpec, assemble_periodic, site_lattice
+from .discretize import GridSpec, assemble_periodic
 from .eigensolve import dense_levels, smallest_eigenpairs
 from .floquet import band_bottom, v_vector
-from .potentials import FieldChunk, wrap_nearest
+from .potentials import FieldChunk, site_lattice, wrap_nearest
 
 
 # -- projected gradient descent (shared by both minimizers) -------------
@@ -58,16 +58,13 @@ def _pgd(f_and_grad, project, x0, gtol, max_iter, t0):
 
 @dataclass(frozen=True)
 class MinimizerCertificate:
-    lam: float
     zeta: np.ndarray
     energy: float
-    gradient: np.ndarray
     endpoints: np.ndarray
     endpoint_energies: np.ndarray
     iterations: tuple
     converged: tuple
     cluster_diameter: float
-    energy_spread: float
     unique: bool
     flat: bool
 
@@ -84,10 +81,8 @@ def minimize_over_support(p, q, lam, support, m, seed, restarts=8):
     d = q.d
 
     def f_and_grad(z):
-        return (
-            band_bottom(p, q, lam, z, m).energy,
-            lam * v_vector(p, q, lam, z, m),
-        )
+        bb = band_bottom(p, q, lam, z, m)
+        return bb.energy, lam * bb.v
 
     rng = np.random.default_rng(seed)
     starts = [support.center.copy()]
@@ -115,16 +110,13 @@ def minimize_over_support(p, q, lam, support, m, seed, restarts=8):
         np.linalg.norm(g) < 1e-12 for g in grads
     )
     return MinimizerCertificate(
-        lam=lam,
         zeta=ends[best],
         energy=float(energies[best]),
-        gradient=np.asarray(grads[best]),
         endpoints=ends,
         endpoint_energies=energies,
         iterations=tuple(iters),
         converged=tuple(convs),
         cluster_diameter=diam,
-        energy_spread=spread,
         unique=bool(not flat and diam <= 1e-4),
         flat=bool(flat),
     )
@@ -136,9 +128,6 @@ def minimize_over_support(p, q, lam, support, m, seed, restarts=8):
 @dataclass(frozen=True)
 class CoercivityReport:
     alpha0: float
-    worst_zeta: np.ndarray
-    gradient: np.ndarray
-    n_samples: int
     positive: bool
 
 
@@ -160,40 +149,24 @@ def coercivity_constant(p, q, lam, support, zeta_min, m, seed=1):
     pts.append(np.array([support.project(support.center + reach * u) for u in dirs]))
     pts.append(support.extreme_points())
     pts = np.concatenate(pts, axis=0)
-    best, worst = np.inf, zeta_min
+    best = np.inf
     for z in pts:
         dz = z - zeta_min
         r2 = float(np.dot(dz, dz))
         if r2 < 1e-18:
             continue
-        ratio = float(np.dot(grad, dz)) / (lam * r2)
-        if ratio < best:
-            best, worst = ratio, z
-    return CoercivityReport(
-        alpha0=float(best),
-        worst_zeta=np.asarray(worst),
-        gradient=grad,
-        n_samples=pts.shape[0],
-        positive=bool(best > 0.0),
-    )
+        best = min(best, float(np.dot(grad, dz)) / (lam * r2))
+    return CoercivityReport(alpha0=float(best), positive=bool(best > 0.0))
 
 
 # -- geometric side conditions -------------------------------------------
 
 
-def prop1_geometry(support):
-    """Boundary curvature report: strict convexity is what a curvature-based
-    coercivity bound needs, so flat-faced supports come back flagged."""
-    return support.min_curvature()
-
-
 @dataclass(frozen=True)
 class RobustMinimizerReport:
     zeta0: np.ndarray
-    eps: float
     margin: float
     ok: bool
-    candidates: np.ndarray
 
 
 def robust_linear_minimizer(support, v_q, eps, seed=2):
@@ -222,10 +195,8 @@ def robust_linear_minimizer(support, v_q, eps, seed=2):
             best_margin, best_z = margin, z0
     return RobustMinimizerReport(
         zeta0=np.asarray(best_z),
-        eps=float(eps),
         margin=best_margin,
         ok=bool(best_margin >= -1e-12 * scale),
-        candidates=cands,
     )
 
 
@@ -236,8 +207,6 @@ def robust_linear_minimizer(support, v_q, eps, seed=2):
 class GapRatioTable:
     lams: tuple
     energies: tuple
-    zetas: np.ndarray
-    reference_energy: float
     ratios: tuple
 
     @property
@@ -252,18 +221,13 @@ class GapRatioTable:
 def gap_ratio_table(p, q, lams, support, m, seed, restarts=6):
     """(E_0 - E(lam, zeta_lam)) / lam for each coupling; E_0 is the lam = 0 bottom."""
     e0 = band_bottom(p, q, 0.0, np.zeros(q.d), m).energy
-    energies, zetas, ratios = [], [], []
+    energies, ratios = [], []
     for lam in lams:
         cert = minimize_over_support(p, q, lam, support, m, restarts=restarts, seed=seed)
         energies.append(cert.energy)
-        zetas.append(cert.zeta)
         ratios.append((e0 - cert.energy) / lam)
     return GapRatioTable(
-        lams=tuple(float(x) for x in lams),
-        energies=tuple(energies),
-        zetas=np.asarray(zetas),
-        reference_energy=e0,
-        ratios=tuple(ratios),
+        lams=tuple(float(x) for x in lams), energies=tuple(energies), ratios=tuple(ratios)
     )
 
 
@@ -300,9 +264,6 @@ class RestartRecord:
 
 @dataclass(frozen=True)
 class FieldMinimizerReport:
-    lam: float
-    grid_n: int
-    grid_m: int
     reference_zeta: np.ndarray
     reference_energy: float
     best_energy: float
@@ -375,9 +336,6 @@ def minimize_over_field(
         if fx < best_energy:
             best_energy, best_field = float(fx), endpoint
     return FieldMinimizerReport(
-        lam=lam,
-        grid_n=n,
-        grid_m=m,
         reference_zeta=zeta_ref,
         reference_energy=float(ref_energy),
         best_energy=best_energy,
@@ -390,7 +348,6 @@ def minimize_over_field(
 
 @dataclass(frozen=True)
 class FieldScanReport:
-    grid_values: np.ndarray
     argmin_config: np.ndarray
     argmin_energy: float
     runner_up_energy: float
@@ -432,7 +389,6 @@ def exhaustive_field_scan(p, q, lam, support, n, m, grid_points):
             second = e
     is_const = bool(np.all(best_cfg == best_cfg[0]))
     return FieldScanReport(
-        grid_values=values,
         argmin_config=best_cfg,
         argmin_energy=float(best_e),
         runner_up_energy=float(second),

@@ -38,7 +38,6 @@ from .assumptions import (
     gap_ratio_table,
     minimize_over_field,
     minimize_over_support,
-    prop1_geometry,
     robust_linear_minimizer,
 )
 from .discretize import (
@@ -450,9 +449,15 @@ class RunDir:
 
 
 def _prepare_rundir(cfg, out):
+    """The run directory of ``cfg`` at ``out``, with its manifest written.
+
+    A directory that holds another run's manifest is refused, unless the
+    manifest is all it holds: a run stopped by a config error before it
+    wrote anything leaves no results to protect.
+    """
     rd = RunDir(out)
     os.makedirs(out, exist_ok=True)
-    if os.path.exists(rd.manifest):
+    if os.path.exists(rd.manifest) and os.listdir(out) != ["manifest.txt"]:
         existing = rd.read_manifest_config()
         if config_sha(existing) != config_sha(cfg):
             raise ConfigError(
@@ -561,7 +566,7 @@ def run_band(cfg, rd, zeta, nbands, theta_n):
     lines += [
         f"bottom energy: {fmt(bb.energy)}",
         f"fiber gap at theta=0: {fmt(bb.gap)}",
-        f"drift vector: {' '.join(fmt(x) for x in v_vector(p, q, lam, zeta, m))}",
+        f"drift vector: {' '.join(fmt(x) for x in bb.v)}",
         f"gradient residual (delta={fmt(fh.delta)}): {fmt(fh.residual)}",
     ]
     return rd.finish(lines)
@@ -591,7 +596,7 @@ def run_minimize(cfg, rd, restarts, eps_robust, gap_lams):
         coer = coercivity_constant(p, q, lam, support, cert.zeta, m, seed=seed + 1)
         checks.append(("alpha0", coer.alpha0, coer.positive))
         lines.append(f"growth constant alpha0: {fmt(coer.alpha0)} (positive: {fmt(coer.positive)})")
-    curv = prop1_geometry(support)
+    curv = support.min_curvature()
     checks.append(("min_curvature", curv.value, curv.strictly_convex))
     lines.append(f"boundary curvature: {fmt(curv.value)} ({curv.note})")
     v_q = v_vector(p, q, 0.0, np.zeros(q.d), m)
@@ -697,16 +702,14 @@ def run_ids(cfg, rd, c0, alpha, zeta, n_samples, offsets, n_offsets):
     )
     curves = [
         IDSCurve(
-            energies=energies,
             counts=np.array(
                 [[int(x) for x in rows[(k, s)][2:]] for s in range(n_samples)], dtype=int
             ),
             n_cells=fam.n_cells,
-            label=fam.label,
         )
-        for k, (fam, energies) in enumerate(families)
+        for k, (fam, _) in enumerate(families)
     ]
-    rep = IDSSandwichReport.from_curves(offsets, e_ref, c0, *curves)
+    rep = IDSSandwichReport.from_curves(*curves)
     columns = [offsets]
     for curve in curves:
         columns += [curve.values(), curve.stderr()]
@@ -761,7 +764,7 @@ def run_lifshitz(
     # The deterministic bottom of the signed model (constant field at zeta) is 0.
     ground_se = float(grounds.std(ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
     e_hat = max(0.0, float(grounds.min()) - 3.0 * ground_se)
-    curve = IDSCurve(energies=energies, counts=counts, n_cells=fam.n_cells, label=fam.label)
+    curve = IDSCurve(counts=counts, n_cells=fam.n_cells)
     vals, ses = curve.values(), curve.stderr()
     write_csv(
         rd.file("curve.csv"),
@@ -874,7 +877,7 @@ def run_wegner(
         f"window center: {fmt(e_center)} in [{fmt(e_lam)}, {fmt(e_top)}]",
         f"audits: {rep.audits_agree}/{rep.audits_total} agree",
     ]
-    for n, gmin, _, gse in rep.ground_stats:
+    for n, gmin, gse in rep.ground_stats:
         lines.append(f"ground min at n={n}: {fmt(gmin)} (est. bottom {fmt(gmin - 3 * gse)})")
     if not rep.fitted:
         lines.append("no fit: the cells with 0 < hits < samples do not fix the three coefficients")
@@ -972,7 +975,7 @@ def run_verify_all(cfg, rd, c0):
         for theta in (0.0, 0.7, 2.0):
             got = np.sort(
                 np.linalg.eigvalsh(
-                    assemble_fiber(zero_p, zero_q, 0.0, [0.0], [theta], mm).matrix.toarray()
+                    assemble_fiber(zero_p, zero_q, 0.0, [0.0], [theta], mm).toarray()
                 )
             )
             worst = max(worst, float(np.max(np.abs(got - free_fiber_eigenvalues(theta, mm)))))

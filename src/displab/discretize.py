@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .potentials import as_points, eval_total_potential, site_lattice, wrap_nearest
+from .potentials import eval_total_potential, wrap_nearest
 
 
 @dataclass(frozen=True)
@@ -47,10 +47,6 @@ class GridSpec:
         return self.side_cells * self.m
 
     @property
-    def n_points(self):
-        return self.side_points**self.d
-
-    @property
     def cell_volume_element(self):
         return self.h**self.d
 
@@ -62,7 +58,7 @@ class GridSpec:
         )
 
     def points(self):
-        """All grid points, shape (n_points, d), C-order over axes."""
+        """All grid points, shape (side_points^d, d), C-order over axes."""
         ax = self.axis_coords()
         mesh = np.meshgrid(*([ax] * self.d), indexing="ij")
         return np.stack([m_.ravel() for m_ in mesh], axis=-1)
@@ -86,27 +82,10 @@ def cell_axis_coords(m):
 
 @dataclass(frozen=True)
 class LatticeOperator:
-    """Assembled sparse operator together with its grid and boundary data.
+    """What ``assemble_periodic`` returns: ``matrix``, the ``DiagonalStack`` of
+    a chunk's torus operators (``perfbench/tracer.py`` reads ``matrix.nnz``)."""
 
-    ``matrix`` is a fiber's CSR matrix, or the ``DiagonalStack`` of a
-    chunk's torus operators (``assemble_periodic``); ``is_hermitian``
-    reads a CSR matrix.
-    """
-
-    matrix: sp.csr_matrix | DiagonalStack
-    grid: GridSpec
-    kind: str  # "periodic" | "fiber"
-    theta: np.ndarray | None = None
-
-    @property
-    def n_points(self):
-        return self.matrix.shape[0]
-
-    def is_hermitian(self):
-        delta = self.matrix - self.matrix.getH()
-        if delta.nnz == 0:
-            return True
-        return bool(np.max(np.abs(delta.data)) <= 1e-12)
+    matrix: DiagonalStack
 
 
 def _ring(npts, h, phase=1.0):
@@ -247,7 +226,7 @@ def assemble_periodic(p, q, lam, field, grid):
         raise ValueError("field lattice does not match grid")
     diags = eval_total_potential(p, q, lam, field, grid.points())
     stack = DiagonalStack(*periodic_laplacian(grid.d, grid.side_points, grid.h), diags)
-    return LatticeOperator(matrix=stack, grid=grid, kind="periodic")
+    return LatticeOperator(matrix=stack)
 
 
 def fiber_diagonal(p, q, lam, zeta, m):
@@ -263,8 +242,8 @@ def assemble_fiber(p, q, lam, zeta, theta, m):
     """One Floquet fiber H(theta) on the unit cell.
 
     Boundary convention u(x + e_j) = e^{i theta_j} u(x): the wrap entry of the
-    second-difference along axis j is -e^{i theta_j} / h^2.  Returns a real
-    matrix whenever every phase is real (theta_j in {0, pi}).
+    second-difference along axis j is -e^{i theta_j} / h^2.  Returns its CSR
+    matrix, real whenever every phase is real (theta_j in {0, pi}).
     """
     if p.d != q.d:
         raise ValueError("dimension mismatch between p and q")
@@ -277,8 +256,7 @@ def assemble_fiber(p, q, lam, zeta, theta, m):
     phases = [ph.real if abs(ph.imag) < 1e-15 else ph for ph in phases]
     grid, diag = fiber_diagonal(p, q, lam, zeta, m)
     lap = _kron_sum([_ring(m, grid.h, phase=ph) for ph in phases])
-    mat = plus_diagonal(lap, diagonal_slots(lap), diag)
-    return LatticeOperator(matrix=mat, grid=grid, kind="fiber", theta=theta)
+    return plus_diagonal(lap, diagonal_slots(lap), diag)
 
 
 def free_fiber_eigenvalues(theta, m):
@@ -300,6 +278,4 @@ __all__ = [
     "fiber_diagonal",
     "free_fiber_eigenvalues",
     "cell_axis_coords",
-    "site_lattice",
-    "as_points",
 ]

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretize import GridSpec, assemble_fiber, fiber_diagonal, site_lattice
+from .discretize import GridSpec, assemble_fiber
 from .eigensolve import smallest_eigenpairs
-from .potentials import wrap_nearest
+from .potentials import site_lattice, wrap_nearest
 
 
 class DegenerateBandError(RuntimeError):
@@ -51,41 +51,37 @@ class BandBottom:
     energy: float
     gap: float
     phi0: np.ndarray  # L^2(K0)-normalized, strictly positive, shape (m^d,)
-    grid: GridSpec
-    lam: float
-    zeta: np.ndarray
-
-    @property
-    def m(self):
-        return self.grid.m
+    v: np.ndarray  # the drift vector v(lam, zeta), see ``v_vector``
 
 
 def band_bottom(p, q, lam, zeta, m):
+    """The theta = 0 fiber's ground energy, gap, ground state and drift vector,
+    from one fiber solve.
+
+    The drift vector v(lam, zeta) = -integral over K0 of grad q(x - lam zeta)
+    |phi0|^2 is evaluated with the analytic gradient of q at the same grid
+    points that enter the fiber matrix, so lam * v is the exact derivative of
+    the discrete ground energy in zeta (matrix-level first-order
+    perturbation).
+    """
     zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
     e0, u, gap = fiber_ground(p, q, lam, zeta, np.zeros(q.d), m)
     grid = GridSpec(d=q.d, n=0, m=m)
     phi0 = u * m ** (q.d / 2.0)  # ell^2 unit -> L^2(K0) unit
-    return BandBottom(energy=e0, gap=gap, phi0=phi0, grid=grid, lam=lam, zeta=zeta)
+    grads = q.gradient(wrap_nearest(grid.cell_points() - lam * zeta, 1.0))
+    weights = np.abs(phi0) ** 2 * grid.cell_volume_element
+    v = -np.tensordot(weights, grads, axes=(0, 0))
+    return BandBottom(energy=e0, gap=gap, phi0=phi0, v=v)
 
 
 def v_vector(p, q, lam, zeta, m):
-    """Drift vector v(lam, zeta) = -integral over K0 of grad q(x - lam zeta) |phi0|^2.
-
-    Evaluated with the analytic gradient of q at the same grid points that
-    enter the fiber matrix, so lam * v is the exact derivative of the
-    discrete ground energy in zeta (matrix-level first-order perturbation).
-    """
-    bb = band_bottom(p, q, lam, zeta, m)
-    pts = bb.grid.cell_points()
-    zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
-    grads = q.gradient(wrap_nearest(pts - lam * zeta, 1.0))
-    weights = np.abs(bb.phi0) ** 2 * bb.grid.cell_volume_element
-    return -np.tensordot(weights, grads, axes=(0, 0))
+    """Drift vector v(lam, zeta) of ``band_bottom``; a caller that also needs
+    the energy reads both off one ``band_bottom`` call."""
+    return band_bottom(p, q, lam, zeta, m).v
 
 
 @dataclass(frozen=True)
 class FHResidual:
-    grad_fd: np.ndarray
     lam_v: np.ndarray
     residual: float
     delta: float
@@ -103,7 +99,6 @@ def feynman_hellmann_residual(p, q, lam, zeta, m, delta=1e-3):
         grad[j] = (ep - em) / (2.0 * delta)
     lam_v = lam * v_vector(p, q, lam, zeta, m)
     return FHResidual(
-        grad_fd=grad,
         lam_v=lam_v,
         residual=float(np.max(np.abs(grad - lam_v))),
         delta=delta,
@@ -114,10 +109,7 @@ def feynman_hellmann_residual(p, q, lam, zeta, m, delta=1e-3):
 class GradientLimitTable:
     """sup over a zeta grid of |v(lam, zeta) - v_q| for a decreasing list of lam."""
 
-    v_q: np.ndarray
-    lams: tuple
     sups: tuple
-    ratios: tuple
     min_ratio: float
 
     @property
@@ -138,13 +130,7 @@ def gradient_limit_check(p, q, zeta_grid, lams, m):
             dev = max(dev, float(np.linalg.norm(v - v_q)))
         sups.append(dev)
     ratios = tuple(a / b for a, b in zip(sups, sups[1:]))
-    return GradientLimitTable(
-        v_q=v_q,
-        lams=lams,
-        sups=tuple(sups),
-        ratios=ratios,
-        min_ratio=min(ratios) if ratios else float("inf"),
-    )
+    return GradientLimitTable(sups=tuple(sups), min_ratio=min(ratios) if ratios else float("inf"))
 
 
 @dataclass(frozen=True)
@@ -159,11 +145,8 @@ class ProjectorPack:
     """
 
     grid: GridSpec
-    lam: float
-    zeta: np.ndarray
     thetas: np.ndarray  # (M, d)
     energies: np.ndarray  # (M,)
-    gaps: np.ndarray  # (M,)
     psi: np.ndarray  # (N, M)
 
     @property
@@ -196,9 +179,9 @@ def build_projectors(p, q, lam, zeta, grid):
     thetas = grid.thetas()
     m, d, reps = grid.m, grid.d, grid.side_cells
     gamma_axis = np.arange(-grid.n, grid.n + 1, dtype=float)
-    cols, energies, gaps = [], [], []
+    cols, energies = [], []
     for theta in thetas:
-        e0, u, gap = fiber_ground(p, q, lam, zeta, theta, m)
+        e0, u, _ = fiber_ground(p, q, lam, zeta, theta, m)
         tile = np.tile(u.reshape((m,) * d), (reps,) * d)
         for axis in range(d):
             phase = np.exp(1j * theta[axis] * gamma_axis)
@@ -208,14 +191,10 @@ def build_projectors(p, q, lam, zeta, grid):
             tile = tile * per_point.reshape(shape)
         cols.append(tile.ravel() / np.sqrt(reps**d))
         energies.append(e0)
-        gaps.append(gap)
     return ProjectorPack(
         grid=grid,
-        lam=lam,
-        zeta=zeta,
         thetas=thetas,
         energies=np.array(energies),
-        gaps=np.array(gaps),
         psi=np.column_stack(cols),
     )
 
@@ -250,7 +229,6 @@ __all__ = [
     "dispersion_symbol",
     "feynman_hellmann_residual",
     "fiber_ground",
-    "fiber_diagonal",
     "gradient_limit_check",
     "v_vector",
 ]

@@ -85,24 +85,6 @@ def _bump_gradient(y, rho):
     return out
 
 
-def _bump_hessian(y, rho):
-    # d_i d_j b = b * [ 4 y_i y_j / rho^4 * ((u-1)^-4 + 2(u-1)^-3)
-    #                   - 2 delta_ij / rho^2 * (u-1)^-2 ]
-    d = y.shape[-1]
-    u = np.sum((y / rho) ** 2, axis=-1)
-    out = np.zeros(y.shape[:-1] + (d, d))
-    inside = u < 1.0
-    ui = u[inside]
-    yi = y[inside]
-    f = np.exp(1.0 / (ui - 1.0))
-    w = ui - 1.0
-    outer = yi[..., :, None] * yi[..., None, :]
-    term1 = (4.0 / rho**4) * (w**-4 + 2.0 * w**-3)[..., None, None] * outer
-    term2 = (2.0 / rho**2) * (w**-2)[..., None, None] * np.eye(d)
-    out[inside] = f[..., None, None] * (term1 - term2)
-    return out
-
-
 @dataclass(frozen=True)
 class SingleSitePotential:
     """Compactly supported C^2 site potential: a finite sum of smooth bumps.
@@ -139,13 +121,6 @@ class SingleSitePotential:
         out = np.zeros(x.shape)
         for p in self.parts:
             out += p.amp * _bump_gradient(self._offsets(x, p), p.rho)
-        return out
-
-    def hessian(self, x):
-        x = as_points(x, self.d)
-        out = np.zeros(x.shape + (self.d,))
-        for p in self.parts:
-            out += p.amp * _bump_hessian(self._offsets(x, p), p.rho)
         return out
 
     @property

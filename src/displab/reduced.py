@@ -40,7 +40,6 @@ class ReducedModel:
     sign: int
     lam: float
     zeta: np.ndarray
-    v: np.ndarray
     c0: float
     alpha: float
     field: FieldChunk
@@ -76,7 +75,7 @@ def build_reduced(sign, v, lam, zeta, field, c0, alpha):
     # for bit: halving is exact.
     lap, where = periodic_laplacian(field.d, 2 * field.n + 1, 1.0)
     return ReducedModel(
-        sign=sign, lam=lam, zeta=zeta, v=v, c0=c0, alpha=alpha, field=field,
+        sign=sign, lam=lam, zeta=zeta, c0=c0, alpha=alpha, field=field,
         matrix=DiagonalStack(lap, where, diags, 0.5 * kin_scale),
     )
 
@@ -118,7 +117,6 @@ def ground_zero_iff_constant(model):
 
 @dataclass(frozen=True)
 class BandSymbolTable:
-    lam: float
     thetas: np.ndarray
     ratios: np.ndarray
 
@@ -149,7 +147,7 @@ def band_symbol_ratio(p, q, lam, zeta, m, thetas):
         kept.append(theta)
     if not ratios:
         raise ValueError("theta list contains no nonzero momentum")
-    return BandSymbolTable(lam=lam, thetas=np.asarray(kept), ratios=np.asarray(ratios))
+    return BandSymbolTable(thetas=np.asarray(kept), ratios=np.asarray(ratios))
 
 
 # -- the two-sided sandwich ----------------------------------------------
@@ -162,8 +160,6 @@ class SandwichOperators:
     middle: np.ndarray  # H_{lam,omega} - E(lam, zeta)
     lower: np.ndarray  # (1/c0) (W h^- W* + Pi_+)
     upper: np.ndarray  # c0 (W h^+ W* + H-tilde_+)
-    c0: float
-    alpha: float
 
 
 def sandwich_operators(p, q, lam, field, zeta, grid, c0, alpha, pack=None):
@@ -200,7 +196,7 @@ def sandwich_operators(p, q, lam, field, zeta, grid, c0, alpha, pack=None):
     upper = c0 * (w @ h_plus @ w.conj().T + htilde)
     lower = 0.5 * (lower + lower.conj().T)
     upper = 0.5 * (upper + upper.conj().T)
-    return SandwichOperators(middle=middle, lower=lower, upper=upper, c0=c0, alpha=alpha)
+    return SandwichOperators(middle=middle, lower=lower, upper=upper)
 
 
 @dataclass(frozen=True)
@@ -262,7 +258,6 @@ def sandwich_check(p, q, lam, field, zeta, grid, c0, alpha, trials, seed, tol=1e
 @dataclass(frozen=True)
 class SandwichCalibration:
     reports: tuple
-    c0_values: tuple
     passing_c0: float | None
 
     @property
@@ -311,8 +306,4 @@ def calibrate_sandwich(
         if ok:
             passing = c0
             break
-    return SandwichCalibration(
-        reports=tuple(all_reports),
-        c0_values=tuple(c0_values[: len(all_reports)]),
-        passing_c0=passing,
-    )
+    return SandwichCalibration(reports=tuple(all_reports), passing_c0=passing)

@@ -26,7 +26,7 @@ from .discretize import GridSpec, assemble_periodic
 from .eigensolve import (
     SymmetricOperator, count_below_stack, dense_levels, ground_bisect, smallest_eigenpairs,
 )
-from .floquet import band_bottom, v_vector
+from .floquet import band_bottom
 from .randomfields import sample_fields
 from .reduced import build_reduced
 
@@ -112,10 +112,8 @@ class ReducedFamily(_SampledFamily):
 class IDSCurve:
     """Per-cell eigenvalue counting function, sample by sample."""
 
-    energies: np.ndarray  # (G,)
     counts: np.ndarray  # (S, G) integer counts below each energy
     n_cells: int
-    label: str
 
     @property
     def n_samples(self):
@@ -128,10 +126,6 @@ class IDSCurve:
         if self.n_samples < 2:
             return np.zeros(self.counts.shape[1])
         return self.counts.std(axis=0, ddof=1) / np.sqrt(self.n_samples) / self.n_cells
-
-    def is_monotone(self):
-        vals = self.values()
-        return bool(np.all(np.diff(vals) >= -1e-12))
 
 
 def count_rows(family, master_seed, samples, energies, fields=None):
@@ -149,21 +143,18 @@ def count_rows(family, master_seed, samples, energies, fields=None):
 class IDSSandwichReport:
     """Counting chain N+(E/c0) <= N_mid(E_ref + E) <= N-(c0 E), same fields."""
 
-    energies: np.ndarray
-    e_ref: float
-    c0: float
     plus: IDSCurve
     middle: IDSCurve
     minus: IDSCurve
     sample_violations: int
 
     @classmethod
-    def from_curves(cls, energies, e_ref, c0, plus, middle, minus):
+    def from_curves(cls, plus, middle, minus):
         """Report on three curves counted on shared fields, sample by sample."""
         violations = int(
             np.sum(plus.counts > middle.counts) + np.sum(middle.counts > minus.counts)
         )
-        return cls(energies, e_ref, c0, plus, middle, minus, violations)
+        return cls(plus, middle, minus, violations)
 
     def _sig(self, a, b):
         return 3.0 * np.sqrt(a.stderr() ** 2 + b.stderr() ** 2)
@@ -194,9 +185,9 @@ def sandwich_families(p, q, lam, dist, zeta, n, m, c0, alpha, energies):
     if np.any(energies <= 0) or np.any(energies >= 1.0 / c0**2):
         raise ValueError("offsets must lie strictly inside (0, 1/c0^2)")
     zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
-    e_ref = band_bottom(p, q, lam, zeta, m).energy
-    v = v_vector(p, q, lam, zeta, m)
-    reduced = dict(v=v, lam=lam, zeta=zeta, dist=dist, n=n, c0=c0, alpha=alpha)
+    bottom = band_bottom(p, q, lam, zeta, m)
+    e_ref = bottom.energy
+    reduced = dict(v=bottom.v, lam=lam, zeta=zeta, dist=dist, n=n, c0=c0, alpha=alpha)
     return e_ref, (
         (ReducedFamily(sign=+1, **reduced), energies / c0),
         (ContinuumFamily(p=p, q=q, lam=lam, dist=dist, n=n, m=m), e_ref + energies),
@@ -229,20 +220,13 @@ class LifshitzFit:
     rms_residual: float
     half_window_slope: float
     no_tail: bool
-    excluded_saturated: int
-
-    @property
-    def window_sensitivity(self):
-        return abs(self.slope - self.half_window_slope)
 
 
 def lifshitz_fit(energies, values, e_bottom, window=None):
     energies = np.asarray(energies, dtype=float)
     values = np.asarray(values, dtype=float)
     rel = energies - e_bottom
-    mask = (rel > 0) & (values > 0)
-    saturated = int(np.sum(mask & (values >= 1.0)))
-    mask &= values < 1.0
+    mask = (rel > 0) & (values > 0) & (values < 1.0)
     if window is not None:
         lo, hi = window
         mask &= (rel >= lo) & (rel <= hi)
@@ -265,7 +249,6 @@ def lifshitz_fit(energies, values, e_bottom, window=None):
         rms_residual=float(np.sqrt(np.mean(resid**2))),
         half_window_slope=half_slope,
         no_tail=bool(slope > -0.2),
-        excluded_saturated=saturated,
     )
 
 
@@ -299,7 +282,6 @@ class WegnerRecord:
 
 @dataclass(frozen=True)
 class WegnerReport:
-    e_center: float
     records: tuple
     nu_hat: float
     nu_stderr: float
@@ -308,7 +290,7 @@ class WegnerReport:
     n_excluded: int
     audits_total: int
     audits_agree: int
-    ground_stats: tuple  # rows (n, min_ground, mean_ground, se_ground)
+    ground_stats: tuple  # rows (n, min_ground, se_ground)
 
     @property
     def audit_clean(self):
@@ -318,13 +300,6 @@ class WegnerReport:
     def fitted(self):
         """Whether the informative cells gave the exponents (see ``_fit_loglog``)."""
         return bool(np.isfinite(self.nu_hat))
-
-    def e_lambda_estimate(self):
-        """min over recorded samples of the ground energy, minus 3 SE."""
-        if not self.ground_stats:
-            return float("nan")
-        lows = [row[1] - 3.0 * row[3] for row in self.ground_stats]
-        return float(min(lows))
 
 
 class FitError(ValueError):
@@ -443,7 +418,7 @@ def wegner_report(families, e_center, eps_list, master_seed, audit_per_n, result
         g = np.array([e0 for e0 in grounds if e0 is not None])
         if g.size:
             se = float(g.std(ddof=1) / np.sqrt(g.size)) if g.size > 1 else 0.0
-            ground_stats.append((n, float(g.min()), float(g.mean()), se))
+            ground_stats.append((n, float(g.min()), se))
     d = next(iter(families.values())).q.d
     try:
         coef, ses, excluded = _fit_loglog(records, d)
@@ -451,7 +426,6 @@ def wegner_report(families, e_center, eps_list, master_seed, audit_per_n, result
         coef = ses = np.full(3, np.nan)
         excluded = len(records) - len(_informative(records))
     return WegnerReport(
-        e_center=float(e_center),
         records=tuple(records),
         nu_hat=float(coef[1]),
         nu_stderr=float(ses[1]),

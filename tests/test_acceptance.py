@@ -80,7 +80,7 @@ def test_criterion_01_free_operator_exactness():
         exact_union = []
         for theta in grid.thetas():
             op = assemble_fiber(p0, q0, 0.0, z0, theta, m)
-            got = np.linalg.eigvalsh(op.matrix.toarray())
+            got = np.linalg.eigvalsh(op.toarray())
             want = free_fiber_eigenvalues(theta[0], m)
             assert np.max(np.abs(got - want)) <= 1e-10
             exact_union.append(want)
@@ -99,7 +99,7 @@ def test_criterion_02_floquet_completeness():
     fibers = []
     for theta in grid.thetas():
         op = assemble_fiber(P1, Q1, 0.1, ZETA, theta, 16)
-        fibers.append(np.linalg.eigvalsh(op.matrix.toarray()))
+        fibers.append(np.linalg.eigvalsh(op.toarray()))
     union = np.sort(np.concatenate(fibers))
     per = assemble_periodic(P1, Q1, 0.1, constant_field(1, 1, ZETA), grid)
     full = np.linalg.eigvalsh(per.matrix[0].toarray())

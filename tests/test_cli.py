@@ -216,6 +216,24 @@ def test_refuses_overwrite_of_other_run(tmp_path):
     assert main(["band", "--config", other, "--out", out]) == 2
 
 
+def test_a_run_stopped_by_a_config_error_leaves_its_dir_to_the_next_config(tmp_path, capsys):
+    """A runner's config error leaves only the manifest behind; a corrected
+    config then claims the directory, since it holds no results.  A
+    directory holding any other file stays refused."""
+    good = open(_preset_path("minimize-1d"), encoding="utf-8").read()
+    bad = good.replace("kind = ball\ncenter = 0.0\nradius = 1.0\n", "kind = interval\n")
+    for old, new in D2:
+        bad = bad.replace(old, new)
+    bad_path, good_path = _write(tmp_path, "bad.ini", bad), _write(tmp_path, "good.ini", good)
+    out = tmp_path / "run"
+    assert main(["minimize", "--config", bad_path, "--out", str(out)]) == 2
+    assert os.listdir(out) == ["manifest.txt"]
+    assert main(["minimize", "--config", good_path, "--out", str(out)]) == 0
+    assert main(["minimize", "--config", bad_path, "--out", str(out)]) == 2
+    assert "holds a different run" in capsys.readouterr().err
+    assert main(["minimize", "--config", good_path, "--out", str(out)]) == 0
+
+
 def test_seed_flag_overrides_config(tmp_path):
     cfg_path = _write(tmp_path, "band.ini", BAND_TMPL.format(extra=""))
     out = str(tmp_path / "run")

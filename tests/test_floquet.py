@@ -44,7 +44,7 @@ def test_phi0_positive_and_normalized():
     bb = band_bottom(P1, Q1, 0.1, ZETA, 16)
     assert np.all(bb.phi0 > 0), "fiber ground state is strictly positive"
     # L^2(K0) normalization: sum |phi0|^2 h^d = 1
-    assert np.sum(np.abs(bb.phi0) ** 2) * bb.grid.cell_volume_element == pytest.approx(1.0)
+    assert np.sum(np.abs(bb.phi0) ** 2) / 16 == pytest.approx(1.0)
 
 
 def test_fiber_ground_gauge_is_deterministic():

@@ -57,20 +57,6 @@ def test_bump_gradient_matches_finite_differences(d):
         assert np.max(np.abs(fd - grad[:, j])) < 5e-6
 
 
-@pytest.mark.parametrize("d", [1, 2])
-def test_bump_hessian_matches_finite_differences(d):
-    q = single_site_family("sym-bump", d, amplitude=1.0, radius=0.4)
-    rng = np.random.default_rng(6)
-    pts = rng.uniform(-0.25, 0.25, size=(25, d))
-    hess = q.hessian(pts)
-    h = 1e-5
-    for j in range(d):
-        e = np.zeros(d)
-        e[j] = h
-        fd = (q.gradient(pts + e) - q.gradient(pts - e)) / (2 * h)
-        assert np.max(np.abs(fd - hess[:, :, j])) < 2e-4
-
-
 def test_gradient_convergence_order():
     """Central differences on the bump converge at second order."""
     q = single_site_family("sym-bump", 1, amplitude=1.0, radius=0.4)
