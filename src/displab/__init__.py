@@ -92,6 +92,5 @@ from .spectral_stats import (
     synthetic_tail_curve,
     wegner_report,
     wegner_rows,
-    wegner_windows,
 )
 from . import supports

@@ -46,6 +46,7 @@ from .discretize import (
     assemble_periodic,
     free_fiber_eigenvalues,
 )
+from .eigensolve import CountBreakdownError
 from .floquet import (
     band_bottom,
     band_table,
@@ -73,7 +74,6 @@ from .spectral_stats import (
     sandwich_families,
     wegner_report,
     wegner_rows,
-    wegner_windows,
 )
 from . import supports
 
@@ -126,9 +126,6 @@ def _atomic_write(path, text):
 
 # -- config handling ---------------------------------------------------------
 
-_CANON_SKIP = {("run", "out")}
-
-
 def load_config_text(text):
     parser = ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
@@ -155,14 +152,9 @@ def load_config_file(path):
 def canonical_config(cfg):
     lines = []
     for section in sorted(cfg):
-        body = [
-            f"{k} = {v.strip()}"
-            for k, v in sorted(cfg[section].items())
-            if (section, k) not in _CANON_SKIP
-        ]
-        if body:
+        if cfg[section]:
             lines.append(f"[{section}]")
-            lines.extend(body)
+            lines.extend(f"{k} = {v.strip()}" for k, v in sorted(cfg[section].items()))
             lines.append("")
     return "\n".join(lines)
 
@@ -193,7 +185,6 @@ class Key(NamedTuple):
 SCHEMA = {
     "run.kind": Key(str, required=True),
     "run.seed": Key(int, 0, choices=range(SEED_LIMIT)),
-    "run.out": Key(str),
     "model.d": Key(int, required=True, choices=(1, 2)),
     "model.lam": Key(float, required=True, lo=0),
     "model.m": Key(int, required=True, lo=4),
@@ -216,7 +207,6 @@ SCHEMA = {
     "band.nbands": Key(int, 3, lo=1),
     "band.theta_n": Key(int, 2, lo=0),
     "minimize.restarts": Key(int, 8, lo=1),
-    "minimize.eps_robust": Key(float, lo=0),
     "minimize.gap_lams": Key(float, (0.2, 0.1, 0.05), many=True),
     "theorem1.restarts": Key(int, 16, lo=1),
     "theorem1.site_tol": Key(float, 1e-3),
@@ -226,7 +216,6 @@ SCHEMA = {
     "ids.alpha": Key(float, required=True, above=0),
     "ids.zeta": Key(float, required=True, many=True, per_axis=True),
     "ids.n_samples": Key(int, 100, lo=1),
-    "ids.offsets": Key(float, many=True),
     "ids.n_offsets": Key(int, 12, lo=1),
     "lifshitz.n": Key(int, 1000, lo=1),
     "lifshitz.n_samples": Key(int, 200, lo=1),
@@ -245,10 +234,8 @@ SCHEMA = {
     "wegner.ground_samples": Key(int, 50, lo=0),
     "wegner.audit_per_n": Key(int, 17, lo=0),
     "wegner.e_center": Key(float, "auto"),
-    "wegner.eps_list": Key(float, many=True, above=0),
     "wegner.n_eps": Key(int, 6, lo=1),
     "wegner.eps_frac": Key(float, 0.25, above=0),
-    "wegner.eps_hi": Key(float, above=0),
     "reduce.zeta": Key(float, required=True, many=True, per_axis=True),
     "reduce.c0": Key(float, required=True, lo=1),
     "reduce.alpha": Key(float, required=True, above=0),
@@ -572,7 +559,7 @@ def run_band(cfg, rd, zeta, nbands, theta_n):
     return rd.finish(lines)
 
 
-def run_minimize(cfg, rd, restarts, eps_robust, gap_lams):
+def run_minimize(cfg, rd, restarts, gap_lams):
     p, q, lam, n, m = build_model(cfg)
     support = build_support(cfg, q.d)
     seed = cfg["run"]["seed"]
@@ -600,8 +587,7 @@ def run_minimize(cfg, rd, restarts, eps_robust, gap_lams):
     checks.append(("min_curvature", curv.value, curv.strictly_convex))
     lines.append(f"boundary curvature: {fmt(curv.value)} ({curv.note})")
     v_q = v_vector(p, q, 0.0, np.zeros(q.d), m)
-    if eps_robust is None:
-        eps_robust = 0.5 * float(np.linalg.norm(v_q))
+    eps_robust = 0.5 * float(np.linalg.norm(v_q))
     rob = robust_linear_minimizer(support, v_q, eps_robust, seed=seed + 2)
     checks.append(("robust_margin", rob.margin, rob.ok))
     lines.append(
@@ -663,19 +649,14 @@ def run_theorem1(cfg, rd, restarts, site_tol, energy_tol, grid_points):
 _IDS_FAMILIES = ("plus", "middle", "minus")
 
 
-def run_ids(cfg, rd, c0, alpha, zeta, n_samples, offsets, n_offsets):
+def run_ids(cfg, rd, c0, alpha, zeta, n_samples, n_offsets):
     p, q, lam, n, m = build_model(cfg)
     support = build_support(cfg, q.d)
     dist = build_distribution(cfg, support)
     seed = cfg["run"]["seed"]
-    if offsets is None:
-        top = 0.9 / c0**2
-        offsets = list(np.geomspace(top / 50.0, top, n_offsets))
-    offsets = np.asarray(offsets, dtype=float)
-    try:
-        e_ref, families = sandwich_families(p, q, lam, dist, zeta, n, m, c0, alpha, offsets)
-    except ValueError as exc:
-        raise ConfigError(f"ids.offsets: {exc}") from exc
+    top = 0.9 / c0**2
+    offsets = np.geomspace(top / 50.0, top, n_offsets)
+    e_ref, families = sandwich_families(p, q, lam, dist, zeta, n, m, c0, alpha, offsets)
 
     def compute(batch):
         # The families share each sample's field: draw the batch's fields once.
@@ -795,7 +776,7 @@ def run_lifshitz(
 
 def run_wegner(
     cfg, rd, zeta, n_list, samples_per_cell, ground_samples, audit_per_n,
-    e_center, eps_list, n_eps, eps_frac, eps_hi,
+    e_center, n_eps, eps_frac,
 ):
     p, q, lam, n_model, m = build_model(cfg)
     support = build_support(cfg, q.d)
@@ -805,19 +786,18 @@ def run_wegner(
     e_top = band_bottom(p, q, 0.0, np.zeros(q.d), m).energy
     if e_center == "auto":
         e_center = 0.5 * (e_lam + e_top)
-    if eps_list is None:
-        if eps_hi is None:
-            eps_hi = eps_frac * (e_top - e_lam)
-        eps_list = list(np.geomspace(eps_hi / 10**1.5, eps_hi, n_eps))
-    try:
-        eps_list = wegner_windows(eps_list)
-    except ValueError as exc:
-        raise ConfigError(f"wegner.eps_list: {exc}") from exc
+    eps_hi = eps_frac * (e_top - e_lam)
+    if not eps_hi > 0:
+        raise ConfigError(
+            f"wegner.eps_frac scales the band gap e_top - e_lam = {fmt(e_top - e_lam)} "
+            "(the band bottom at lam = 0 minus the one at model.lam), which must be > 0"
+        )
+    eps_list = np.geomspace(eps_hi / 10**1.5, eps_hi, n_eps).tolist()
     families = {n: ContinuumFamily(p=p, q=q, lam=lam, dist=dist, n=n, m=m) for n in n_list}
     if len(set(eps_list)) < 2 or len(families) < 2:
         raise ConfigError(
             f"the joint fit of log p on log eps and log volume needs at least 2 windows "
-            f"and 2 sizes, got {len(set(eps_list))} (wegner.n_eps or wegner.eps_list) and "
+            f"and 2 sizes, got {len(set(eps_list))} (wegner.n_eps) and "
             f"{len(families)} (wegner.n_list)"
         )
 
@@ -1161,15 +1141,18 @@ def main(argv=None):
                 print(f"{out}: already complete")
                 return 0
         else:
-            out = args.out or cfg["run"]["out"]
+            out = args.out
             if not out:
-                raise ConfigError("no output directory (--out or [run] out)")
+                raise ConfigError("no output directory (--out DIR)")
             rd = _prepare_rundir(raw, out)
         try:
             code = _RUNNERS[kind](cfg, rd, **cfg[_own_section(kind)])
         except KeyboardInterrupt:
             print(f"interrupted; resume with --resume {out}", file=sys.stderr)
             return 130
+        except (CountBreakdownError, np.linalg.LinAlgError) as exc:
+            print(f"solver error: {exc}; resume with --resume {out}", file=sys.stderr)
+            return 3
         status = "ok" if code == 0 else "FAILED CHECKS"
         print(f"{out}: {status} (see summary.txt)")
         return code

@@ -1,7 +1,9 @@
 """Extremal eigenpairs and inertia-based spectral counting.
 
-Small problems go through dense LAPACK; large sparse ones through ARPACK
-(smallest pairs) or a symmetric-mode sparse LDL^T factorization (counting).
+Every entry takes a sparse matrix or a ``SymmetricOperator``; a dense
+array is a ``TypeError``.  Small problems go through dense LAPACK; large
+ones through ARPACK (smallest pairs) or a symmetric-mode sparse LDL^T
+factorization (counting).
 Periodic chains (every d = 1 torus operator) are counted by a cyclic LDL^T
 sweep over all thresholds, and over a whole stack of chains at once.  Other
 large sparse operators (d = 2) are factored once, at their largest
@@ -23,7 +25,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dpttrf, dstevd, dsytrd, dsytrd_lwork
+from scipy.linalg.lapack import dpttrf, dstevd, dsytrd, dsytrd_lwork, dsytrf, dsytrf_lwork
 
 from .discretize import diagonal_slots, plus_diagonal
 
@@ -43,10 +45,14 @@ class CountBreakdownError(RuntimeError):
 
 
 def _as_matrix(op):
-    mat = getattr(op, "matrix", op)
-    if sp.issparse(mat):
-        return mat.tocsr()
-    return np.asarray(mat)
+    """The CSR matrix of a sparse matrix or a ``SymmetricOperator``."""
+    if isinstance(op, SymmetricOperator):
+        return op.matrix
+    if not sp.issparse(op):
+        raise TypeError(
+            f"eigensolve takes a sparse matrix or a SymmetricOperator, not {type(op).__name__}"
+        )
+    return op.tocsr()
 
 
 def _fix_sign(vec):
@@ -76,8 +82,8 @@ class EigenResult:
 def smallest_eigenpairs(op, k):
     """k smallest eigenpairs, ascending, with residual norms ||Av - lambda v||.
 
-    ``op`` is a matrix, anything with a ``matrix``, or a ``SymmetricOperator``,
-    whose ``exactly_symmetric`` spares the Hermitian check when it holds.
+    ``op`` is a sparse matrix or a ``SymmetricOperator``, whose
+    ``exactly_symmetric`` spares the Hermitian check when it holds.
     Up to DENSE_CUTOFF rows (read at call time) the pairs come from
     ``np.linalg.eigh``, above it from ARPACK at tolerance 1e-10.
     """
@@ -90,8 +96,7 @@ def smallest_eigenpairs(op, k):
         if hermitian_defect > 1e-10:
             raise ValueError(f"operator is not Hermitian (defect {hermitian_defect:.2e})")
     if n <= DENSE_CUTOFF or k > n - 2:
-        dense = mat.toarray() if sp.issparse(mat) else mat
-        vals, vecs = np.linalg.eigh(dense)
+        vals, vecs = np.linalg.eigh(mat.toarray())
         vals, vecs = vals[:k], vecs[:, :k]
         method = "dense"
     else:
@@ -125,7 +130,7 @@ def dense_levels(matrix):
         raise ValueError("dense_levels expects a real symmetric matrix")
     a = matrix.toarray(order="F")  # the layout dsytrd overwrites without a copy
     n = a.shape[0]
-    _, d, e, _, info = dsytrd(a, lower=1, lwork=_dsytrd_lwork(n), overwrite_a=1)
+    _, d, e, _, info = dsytrd(a, lower=1, lwork=_lwork(dsytrd_lwork, n), overwrite_a=1)
     if info == 0 and n > 1:  # the dstevd wrapper refuses an empty off-diagonal
         d, _, info = dstevd(d, e, compute_v=1, overwrite_d=1)
     if info != 0:
@@ -134,41 +139,45 @@ def dense_levels(matrix):
 
 
 @functools.cache
-def _dsytrd_lwork(n):
-    work, info = dsytrd_lwork(n, lower=1)
+def _lwork(query, n):
+    """The optimal workspace of a lower-storage LAPACK call of order n, as
+    ``query`` (``dsytrd_lwork``, ``dsytrf_lwork``) gives it."""
+    work, info = query(n, lower=1)
     if info != 0:
-        raise np.linalg.LinAlgError(f"dsytrd_lwork: LAPACK info {info}")
+        raise np.linalg.LinAlgError(f"{query.__name__}: LAPACK info {info}")
     return int(work)
 
 
 def _hermitian_defect(mat):
-    if sp.issparse(mat):
-        delta = mat - mat.getH()
-        return 0.0 if delta.nnz == 0 else float(np.max(np.abs(delta.data)))
-    return float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0
+    delta = mat - mat.getH()
+    return 0.0 if delta.nnz == 0 else float(np.max(np.abs(delta.data)))
 
 
 def _dense_inertia(shifted, scale):
-    """``(count, None)``: negative eigenvalues via LDL^T block diagonal; None on near-zero pivot."""
-    _, d, _ = sla.ldl(shifted)
-    neg = 0
-    i, n = 0, d.shape[0]
-    while i < n:
-        if i + 1 < n and (d[i, i + 1] != 0.0 or d[i + 1, i] != 0.0):
-            block = d[i : i + 2, i : i + 2]
-            ev = np.linalg.eigvalsh(block)
-            if np.min(np.abs(ev)) <= _ZERO_PIVOT * scale:
-                return None
-            neg += int(np.sum(ev < 0.0))
-            i += 2
-        else:
-            piv = d[i, i]
-            if abs(piv) <= _ZERO_PIVOT * scale:
-                return None
-            if piv < 0.0:
-                neg += 1
-            i += 1
-    return neg, None
+    """``(count, None)``: negative eigenvalues via LDL^T block diagonal; None on near-zero pivot.
+
+    LAPACK ``dsytrf`` (lower storage, the workspace ``scipy.linalg.ldl``
+    asks for, and so ``ldl``'s D) factors the array.  A 2 x 2 block of D
+    at k, k + 1 stores two equal negative entries in ``ipiv`` and every
+    other entry is positive, so the negative entries, in order, are the
+    blocks' pairs.  Each block counts its negative eigenvalues, each 1 x 1
+    pivot its sign.  A non-finite entry raises ``ValueError``, as in ``ldl``.
+    """
+    ldu, ipiv, _ = dsytrf(
+        np.asarray_chkfinite(shifted), lower=1, lwork=_lwork(dsytrf_lwork, shifted.shape[0]),
+        overwrite_a=1,
+    )
+    paired = np.flatnonzero(ipiv < 0)
+    top = paired[0::2]
+    pivots = np.delete(ldu.diagonal(), paired)
+    blocks = np.empty((top.size, 2, 2))
+    blocks[:, 0, 0], blocks[:, 1, 1] = ldu[top, top], ldu[top + 1, top + 1]
+    blocks[:, 1, 0] = blocks[:, 0, 1] = ldu[top + 1, top]
+    ev = np.linalg.eigvalsh(blocks)
+    zero = _ZERO_PIVOT * scale
+    if np.any(np.abs(pivots) <= zero) or np.any(np.abs(ev) <= zero):
+        return None
+    return int(np.sum(pivots < 0.0) + np.sum(ev < 0.0)), None
 
 
 def _sparse_inertia(shifted, scale):
@@ -208,7 +217,7 @@ def _sparse_inertia(shifted, scale):
 class SymmetricOperator:
     """A real symmetric operator with what counting reads taken out once.
 
-    ``matrix`` is the CSR (or dense) matrix, ``norm`` its largest absolute
+    ``matrix`` is the CSR matrix, ``norm`` its largest absolute
     row sum and ``chain`` its periodic-chain form ``(a, b)`` or None.
     ``count_below``, ``count_below_stack`` and ``ground_bisect`` take one
     wherever they take an operator, so an operator that is both bisected and
@@ -220,7 +229,7 @@ class SymmetricOperator:
 
     def __init__(self, op):
         mat = _canonical(_as_matrix(op))
-        if np.iscomplexobj(mat.data if sp.issparse(mat) else mat):
+        if np.iscomplexobj(mat.data):
             raise ValueError("count_below expects a real symmetric operator")
         self.matrix = mat
         self.norm = _norm_estimate(mat)
@@ -294,9 +303,7 @@ class SymmetricOperator:
 
 
 def _exactly_symmetric(mat):
-    if sp.issparse(mat):
-        return (mat != mat.T).nnz == 0
-    return bool(np.array_equal(mat, mat.T))
+    return (mat != mat.T).nnz == 0
 
 
 def _prepared(op):
@@ -403,15 +410,11 @@ def _count_rest(op, row, energies):
     todo = np.flatnonzero(row < 0)
     if todo.size:
         count_one = _threshold_counter(op)
-        if todo.size > 1 and _takes_superlu(op) and op.exactly_symmetric:
+        if todo.size > 1 and op.shape[0] > COUNT_DENSE_CUTOFF and op.exactly_symmetric:
             row[todo] = _ritz_counts(op, count_one, energies[todo])
             _trim_heap()
         for k in np.flatnonzero(row < 0):
             row[k] = count_one(float(energies[k]))[0]
-
-
-def _takes_superlu(op):
-    return op.shape[0] > COUNT_DENSE_CUTOFF and sp.issparse(op.matrix)
 
 
 def _threshold_counter(op):
@@ -420,12 +423,12 @@ def _threshold_counter(op):
     The function returns ``(count, E', factor)``: E' is the threshold the
     count holds at, E or E nudged up after a tie, and ``factor`` is
     SuperLU's factor of A - E' (None from dense LDL^T).  Dense LDL^T counts
-    up to COUNT_DENSE_CUTOFF rows and any dense matrix, SuperLU the rest; if
+    up to COUNT_DENSE_CUTOFF rows, SuperLU the rest; if
     SuperLU refuses E and all its nudges, dense LDL^T takes over up to
     COUNT_DENSE_FALLBACK rows.
     """
     paths = []
-    if _takes_superlu(op):
+    if op.shape[0] > COUNT_DENSE_CUTOFF:
         shift = _sparse_shift(op.matrix, op.exactly_symmetric)
         paths.append(("SuperLU", shift, _sparse_inertia))
     if not paths or op.shape[0] <= COUNT_DENSE_FALLBACK:
@@ -605,11 +608,11 @@ def _certified_intervals(op, vals, vecs, shift):
 
 
 def _dense_shift(mat):
-    """E -> the dense array A - E I; a sparse A is made dense at the first call."""
+    """E -> the dense array A - E I; A is made dense at the first call."""
 
     @functools.cache
     def base():
-        return mat.toarray() if sp.issparse(mat) else mat
+        return mat.toarray()
 
     return lambda e: base() - e * np.eye(mat.shape[0])
 
@@ -647,8 +650,6 @@ def _periodic_chain(mat):
     and (i, i +- 1 mod N), and is exactly symmetric.  ``a[i] = A[i, i]`` and
     ``b[i] = A[i, i + 1 mod N]``, so ``b[N - 1]`` is the corner A[N - 1, 0].
     """
-    if not sp.issparse(mat):
-        return None
     return _stack_chains(mat, mat.data[None])[0]
 
 
@@ -947,20 +948,18 @@ def _last_pivot(heads, shifted_last, piv):
 
 
 def _canonical(mat):
-    """A sparse ``mat`` with sorted entries and no duplicates: ``mat`` itself
-    if it has them, else a copy with its duplicates summed."""
-    if sp.issparse(mat) and not mat.has_canonical_format:
+    """``mat`` with sorted entries and no duplicates: ``mat`` itself if it
+    has them, else a copy with its duplicates summed."""
+    if not mat.has_canonical_format:
         mat = mat.copy()
         mat.sum_duplicates()
     return mat
 
 
 def _norm_estimate(mat):
-    """Largest absolute row sum: ``abs(A).sum(axis=1).max()`` for a sparse A."""
-    if sp.issparse(mat):
-        mat = _canonical(mat)  # SciPy's abs(A) sums duplicates before its row sums
-        return float(_stack_norms(mat.indptr, mat.data[None])[0])
-    return float(np.linalg.norm(mat, np.inf)) if mat.size else 0.0
+    """Largest absolute row sum: ``abs(A).sum(axis=1).max()``."""
+    mat = _canonical(mat)  # SciPy's abs(A) sums duplicates before its row sums
+    return float(_stack_norms(mat.indptr, mat.data[None])[0])
 
 
 def _stack_norms(indptr, data):

@@ -11,8 +11,8 @@ families), assembles them in one pass and counts them in one
 computed in.  The CLI runners (``displab.cli.run_ids``, ``run_lifshitz``,
 ``run_wegner``) are the Monte-Carlo drivers: they call the batch functions
 on the chunks their resumable cache misses and build the reports with
-``sandwich_families``, ``IDSSandwichReport.from_curves``,
-``wegner_windows`` and ``wegner_report``.
+``sandwich_families``, ``IDSSandwichReport.from_curves`` and
+``wegner_report``.
 """
 
 from __future__ import annotations
@@ -330,14 +330,6 @@ def _fit_loglog(records, d):
     cov = sigma2 * np.linalg.inv(x.T @ x)
     ses = np.sqrt(np.diag(cov))
     return coef, ses, excluded
-
-
-def wegner_windows(eps_list):
-    """Window half-widths in ascending order; all must be positive."""
-    eps_list = sorted(float(e) for e in eps_list)
-    if not eps_list or eps_list[0] <= 0:
-        raise ValueError("eps must be positive")
-    return eps_list
 
 
 def _level_hits(levels, e_center, eps):

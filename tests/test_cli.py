@@ -114,15 +114,6 @@ def test_config_parses_and_validates():
         load_config_text("[run]\nkind = frobnicate\n")
 
 
-def test_canonical_config_excludes_run_out():
-    base = load_config_text(BAND_TMPL.format(extra=""))
-    b = load_config_text(BAND_TMPL.format(extra="out = /somewhere/else\n"))
-    assert canonical_config(base) == canonical_config(b)
-    assert config_sha(base) == config_sha(b)
-    c = load_config_text(BAND_TMPL.format(extra="seed = 2\n").replace("seed = 1\n", ""))
-    assert config_sha(base) != config_sha(c)
-
-
 def test_canonical_config_is_order_insensitive():
     cfg = load_config_text(BAND_TMPL.format(extra=""))
     shuffled = load_config_text(
@@ -130,7 +121,10 @@ def test_canonical_config_is_order_insensitive():
         "[periodic]\ncoefficients = -1.0\nfamily = cosine\n\n"
         "[model]\nlam = 0.1\nm = 8\nn = 1\nd = 1\n\n[run]\nseed = 1\nkind = band\n"
     )
+    assert canonical_config(cfg) == canonical_config(shuffled)
     assert config_sha(cfg) == config_sha(shuffled)
+    reseeded = load_config_text(BAND_TMPL.format(extra="seed = 2\n").replace("seed = 1\n", ""))
+    assert config_sha(cfg) != config_sha(reseeded)
 
 
 def test_build_model_errors():
@@ -184,15 +178,18 @@ def test_kind_subcommand_mismatch(tmp_path):
     assert main(["minimize", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 2
 
 
-def test_no_out_dir_is_error(tmp_path):
+def test_no_out_dir_is_error(tmp_path, capsys):
+    """The output directory comes from --out only: [run] out is an unknown key."""
     cfg_path = _write(tmp_path, "band.ini", BAND_TMPL.format(extra=""))
     assert main(["band", "--config", cfg_path]) == 2
+    assert capsys.readouterr().err == "config error: no output directory (--out DIR)\n"
     cfg_path2 = _write(tmp_path, "band2.ini", BAND_TMPL.format(extra="out = sub\n"))
     cwd = os.getcwd()
     os.chdir(tmp_path)
     try:
-        assert main(["band", "--config", cfg_path2]) == 0
-        assert os.path.exists(tmp_path / "sub" / "summary.txt")
+        assert main(["band", "--config", cfg_path2]) == 2
+        assert capsys.readouterr().err == "config error: unknown key run.out\n"
+        assert not os.path.exists(tmp_path / "sub")
     finally:
         os.chdir(cwd)
 
@@ -517,22 +514,37 @@ def _preset_text(name):
 @pytest.mark.parametrize(
     "kind, text",
     [
-        ("ids", IDS_TMPL + "offsets = 0.01 0.005\n"),
-        ("wegner", WEGNER_TMPL + "eps_list = 0.0 0.001\n"),
+        ("wegner", WEGNER_TMPL.replace("lam = 0.1", "lam = 0.0")),
         ("lifshitz", _preset_text("lifshitz-reduced-1d").replace("n_energies = 22", "n_energies = 2")),
         ("ids", IDS_TMPL.replace("n_offsets = 4", "n_offsets = 0")),
-        ("ids", IDS_TMPL + "offsets =\n"),
     ],
-    ids=[
-        "ids-unsorted-offsets", "wegner-zero-eps", "lifshitz-two-energies",
-        "ids-zero-offsets", "ids-empty-offsets",
-    ],
+    ids=["wegner-zero-lam", "lifshitz-two-energies", "ids-zero-offsets"],
 )
 def test_library_input_errors_are_config_errors(tmp_path, capsys, kind, text):
     cfg_path = _write(tmp_path, f"{kind}.ini", text)
     assert main([kind, "--config", cfg_path, "--out", str(tmp_path / "run")]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {kind}.")
     assert not (tmp_path / "run" / "cache.csv").exists(), "no sample before the check"
+
+
+@pytest.mark.parametrize(
+    "kind, text, key",
+    [
+        ("band", BAND_TMPL.format(extra="out = sub\n"), "run.out"),
+        ("ids", IDS_TMPL + "offsets = 0.001 0.01\n", "ids.offsets"),
+        ("wegner", WEGNER_TMPL + "eps_list = 0.001 0.01\n", "wegner.eps_list"),
+        ("wegner", WEGNER_TMPL + "eps_hi = 0.01\n", "wegner.eps_hi"),
+        ("minimize", _preset_text("minimize-1d") + "eps_robust = 0.1\n", "minimize.eps_robust"),
+    ],
+    ids=["run.out", "ids.offsets", "wegner.eps_list", "wegner.eps_hi", "minimize.eps_robust"],
+)
+def test_a_key_with_no_second_way_in_is_unknown(tmp_path, capsys, kind, text, key):
+    """Each value has one way in: the output directory is --out, the ids
+    offsets come from n_offsets, the wegner windows from n_eps and
+    eps_frac, and the robust minimizer's eps is half |v_q|."""
+    cfg_path = _write(tmp_path, f"{kind}.ini", text)
+    assert main([kind, "--config", cfg_path, "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == f"config error: unknown key {key}\n"
 
 
 @pytest.mark.parametrize(
@@ -556,10 +568,9 @@ def test_zero_sample_count_is_config_error(tmp_path, capsys, kind, key):
     [
         ("band", _preset_text("free-1d").replace("nbands = 3", "nbands = 17"), "band.nbands"),
         ("wegner", WEGNER_TMPL.replace("n_eps = 4", "n_eps = 1"), "wegner.n_eps"),
-        ("wegner", WEGNER_TMPL + "eps_list = 0.01 0.01\n", "wegner.eps_list"),
         ("wegner", WEGNER_TMPL.replace("n_list = 1 2", "n_list = 2 2"), "wegner.n_list"),
     ],
-    ids=["nbands-above-fiber-size", "one-window", "repeated-window", "one-size"],
+    ids=["nbands-above-fiber-size", "one-window", "one-size"],
 )
 def test_cross_key_bounds_are_config_errors(tmp_path, capsys, kind, text, key):
     """Bounds that join keys (a fiber of m ** d levels; a joint fit over
@@ -625,6 +636,73 @@ def test_ctrl_c_keeps_finished_samples_for_resume(tmp_path, monkeypatch, capsys)
         assert open(os.path.join(full, name), "rb").read() == open(
             os.path.join(cut, name), "rb"
         ).read(), name
+
+
+# A d = 2 ids run with N = (5 * 20)^2 = 10,000 grid points, above
+# eigensolve.COUNT_DENSE_FALLBACK: a continuum count SuperLU refuses has no
+# dense fallback.
+IDS_2D_TMPL = (
+    IDS_TMPL.replace("d = 1", "d = 2").replace("n = 1", "n = 2").replace("m = 8", "m = 20")
+    .replace("coefficients = -1.0", "coefficients = -1.0 -1.0")
+    .replace("zeta = -1.0", "zeta = -1.0 0.0").replace("n_samples = 6", "n_samples = 2")
+)
+
+
+def test_a_solver_failure_ends_the_run_and_keeps_finished_chunks(tmp_path, monkeypatch, capsys):
+    """A count that every exact path refuses ends the run with exit 3 and
+    one stderr line, no traceback.  The refusal is injected into SuperLU
+    from the second sample on, in chunks of one sample: the first chunk
+    stays in cache.csv, and --resume without the fault gives the bytes of
+    a one-shot run."""
+    import displab.cli as cli
+    import displab.eigensolve as es
+
+    assert es.COUNT_DENSE_FALLBACK < 10_000
+    cfg_path = _write(tmp_path, "ids-2d.ini", IDS_2D_TMPL)
+    full, cut = str(tmp_path / "full"), str(tmp_path / "cut")
+    code = main(["ids", "--config", cfg_path, "--out", full])
+    assert code in (0, 1)
+    capsys.readouterr()
+
+    real_operators, real_inertia = ContinuumFamily.operators, es._sparse_inertia
+    second = []
+
+    def operators_flagged(self, master_seed, samples, fields=None):
+        second.append(1 in samples)
+        return real_operators(self, master_seed, samples, fields)
+
+    def inertia_refused(shifted, scale):
+        return None if second[-1] else real_inertia(shifted, scale)
+
+    monkeypatch.setattr(cli, "SAMPLE_CHUNK", 1)
+    monkeypatch.setattr(ContinuumFamily, "operators", operators_flagged)
+    monkeypatch.setattr(es, "_sparse_inertia", inertia_refused)
+    assert main(["ids", "--config", cfg_path, "--out", cut]) == 3
+    monkeypatch.undo()
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: inertia count failed at E=")
+    assert err.endswith(f"; resume with --resume {cut}\n") and err.count("\n") == 1
+    assert "Traceback" not in err and not os.path.exists(os.path.join(cut, "summary.txt"))
+    _, rows = read_csv_rows(os.path.join(cut, "cache.csv"))
+    assert [(row[0], int(row[1])) for row in rows] == [("plus", 0), ("middle", 0), ("minus", 0)]
+    assert main(["ids", "--resume", cut]) == code
+    _same_files(full, cut)
+
+
+def test_a_dense_spectrum_failure_ends_a_wegner_run(tmp_path, monkeypatch, capsys):
+    """A LAPACK failure in ``dense_levels`` ends a wegner run with exit 3."""
+    import displab.spectral_stats as ss
+
+    def failed(matrix):
+        raise np.linalg.LinAlgError("dense_levels: LAPACK info 1")
+
+    monkeypatch.setattr(ss, "dense_levels", failed)
+    cfg_path = _write(tmp_path, "wegner.ini", WEGNER_TMPL)
+    out = str(tmp_path / "run")
+    assert main(["wegner", "--config", cfg_path, "--out", out]) == 3
+    assert capsys.readouterr().err == (
+        f"solver error: dense_levels: LAPACK info 1; resume with --resume {out}\n"
+    )
 
 
 @pytest.mark.parametrize("seed", [-1, 2**63, 2**64 - 1])

@@ -11,6 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from displab.discretize import assemble_fiber
@@ -29,7 +30,7 @@ def _random_sym(n, scale=1.0):
 
 def test_dense_smallest_matches_eigh():
     a = _random_sym(40)
-    got = smallest_eigenpairs(a, k=5)
+    got = smallest_eigenpairs(sp.csr_matrix(a), k=5)
     want = np.linalg.eigvalsh(a)[:5]
     assert got.method == "dense"
     assert np.allclose(got.values, want, atol=1e-12)
@@ -76,22 +77,35 @@ def test_arpack_agrees_with_dense():
 
 
 def test_ground_accessors_and_sign_convention():
-    a = _random_sym(25)
-    res = smallest_eigenpairs(a, k=2)
+    res = smallest_eigenpairs(sp.csr_matrix(_random_sym(25)), k=2)
     assert res.ground_energy == res.values[0]
     assert res.ground_vector.sum() > 0, "real eigenvectors carry a deterministic sign"
     assert np.allclose(np.linalg.norm(res.vectors, axis=0), 1.0)
 
 
 def test_smallest_eigenpairs_input_checks():
-    a = _random_sym(10)
+    a = sp.csr_matrix(_random_sym(10))
     with pytest.raises(ValueError):
         smallest_eigenpairs(a, k=0)
     with pytest.raises(ValueError):
         smallest_eigenpairs(a, k=11)
-    b = rng.standard_normal((10, 10))
+    b = sp.csr_matrix(rng.standard_normal((10, 10)))
     with pytest.raises(ValueError):
         smallest_eigenpairs(b, k=1)
+
+
+def test_a_dense_array_is_refused():
+    """The entry points take a sparse matrix or a SymmetricOperator: a dense
+    array is a TypeError that names its type."""
+    a = _random_sym(5)
+    calls = (
+        lambda: count_below(a, 0.0),
+        lambda: smallest_eigenpairs(a, k=1),
+        lambda: es.SymmetricOperator(a),
+    )
+    for call in calls:
+        with pytest.raises(TypeError, match="ndarray"):
+            call()
 
 
 def test_accepts_lattice_operator():
@@ -111,7 +125,7 @@ def test_smallest_eigenpairs_of_a_symmetric_operator_skips_only_a_proven_check(m
     mat = {
         "chain": lambda: _random_chain(60, "generic", 5),
         "torus": lambda: _generic_torus(side=8),
-        "dense": lambda: _random_sym(30),
+        "dense": lambda: sp.csr_matrix(_random_sym(30)),  # every entry stored
     }[kind]()
     want = smallest_eigenpairs(mat, k=3)
     op = es.SymmetricOperator(mat)
@@ -122,11 +136,10 @@ def test_smallest_eigenpairs_of_a_symmetric_operator_skips_only_a_proven_check(m
     assert got.method == want.method == "dense"
     for name in ("values", "vectors", "residuals"):
         assert np.array_equal(getattr(got, name).view(np.int64), getattr(want, name).view(np.int64))
-    b = rng.standard_normal((10, 10))
-    for bad in (sp.csr_matrix(b), b):
-        for arg in (bad, es.SymmetricOperator(bad)):
-            with pytest.raises(ValueError, match="not Hermitian"):
-                smallest_eigenpairs(arg, k=1)
+    bad = sp.csr_matrix(rng.standard_normal((10, 10)))
+    for arg in (bad, es.SymmetricOperator(bad)):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            smallest_eigenpairs(arg, k=1)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -136,7 +149,7 @@ def test_count_below_matches_eigvalsh(seed):
     a = 0.5 * (a + a.T)
     eigs = np.linalg.eigvalsh(a)
     for e in (-5.0, eigs[10] + 1e-6, 0.0, eigs[-1] + 1.0):
-        assert count_below(a, e) == int(np.sum(eigs < e))
+        assert count_below(sp.csr_matrix(a), e) == int(np.sum(eigs < e))
 
 
 def test_count_below_sparse_ring_closed_form():
@@ -157,16 +170,69 @@ def test_count_below_sparse_ring_closed_form():
 
 def test_count_below_tied_threshold_retries_upward():
     # threshold exactly on an eigenvalue: the tiny upward nudges must count it
-    a = np.diag([1.0, 2.0, 2.0, 3.0])
+    a = sp.diags([1.0, 2.0, 2.0, 3.0], format="csr")
     assert count_below(a, 2.0) == 3  # nudge resolves the tie upward
     assert count_below(a, 2.0 + 1e-6) == 3
     assert count_below(a, 1.0 - 1e-12) == 0
 
 
 def test_count_below_rejects_complex():
-    a = np.eye(4, dtype=complex)
+    a = sp.identity(4, dtype=complex, format="csr")
     with pytest.raises(ValueError):
         count_below(a, 0.5)
+
+
+def _ldl_walk_inertia(shifted, scale):
+    """The dense count read off ``scipy.linalg.ldl``'s block diagonal D, one
+    block at a time: ``(count, None)``, or None on a near-zero pivot."""
+    _, d, _ = sla.ldl(shifted)
+    neg = 0
+    i, n = 0, d.shape[0]
+    while i < n:
+        if i + 1 < n and (d[i, i + 1] != 0.0 or d[i + 1, i] != 0.0):
+            ev = np.linalg.eigvalsh(d[i : i + 2, i : i + 2])
+            if np.min(np.abs(ev)) <= es._ZERO_PIVOT * scale:
+                return None
+            neg += int(np.sum(ev < 0.0))
+            i += 2
+        else:
+            if abs(d[i, i]) <= es._ZERO_PIVOT * scale:
+                return None
+            neg += int(d[i, i] < 0.0)
+            i += 1
+    return neg, None
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_dense_inertia_equals_the_ldl_walk(seed):
+    """``_dense_inertia`` reads D straight from LAPACK ``dsytrf``: on random
+    symmetric matrices, with 2 x 2 blocks, exact ties and zero pivots, it
+    gives the count, or the refusal, of walking ``scipy.linalg.ldl``'s D."""
+    local = np.random.default_rng(seed)
+    paired = refused = 0
+    for trial in range(200):
+        n = int(local.integers(1, 41))
+        g = local.standard_normal((n, n))
+        a = g + g.T
+        variant = trial % 4
+        if variant == 1:  # a small diagonal makes dsytrf choose 2 x 2 blocks
+            a[np.diag_indices(n)] *= 1e-3
+        elif variant == 2:  # small integers, and singular: a repeated row and column
+            a = local.integers(-2, 3, (n, n)).astype(float)
+            a = a + a.T
+            a[-1], a[:, -1] = a[0], a[0]
+        elif variant == 3:  # zero diagonal, rank deficient
+            h = local.standard_normal((n, max(1, n // 2)))
+            a = h @ h.T
+            a[np.diag_indices(n)] = 0.0
+        e = 0.0 if variant == 2 else float(local.standard_normal())
+        shifted = a - e * np.eye(n)
+        scale = max(1.0, float(np.abs(a).sum(axis=1).max()), abs(e))
+        want = _ldl_walk_inertia(shifted, scale)
+        assert es._dense_inertia(shifted.copy(), scale) == want
+        paired += bool(np.any(sla.lapack.dsytrf(shifted, lower=1)[1] < 0))
+        refused += want is None
+    assert paired > 100 and refused > 0
 
 
 def test_count_agrees_between_dense_and_sparse_paths(monkeypatch):
@@ -196,9 +262,9 @@ def test_count_below_rejects_non_finite_threshold(monkeypatch, energy, path):
     monkeypatch.setattr(es, "_sparse_inertia", no_factorization)
     n = 50
     mat = sp.diags([np.full(n - 1, -1.0), np.full(n, 2.0), np.full(n - 1, -1.0)], [-1, 0, 1])
-    op = mat.toarray() if path == "dense" else mat.tocsr()
-    with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 10), pytest.raises(ValueError, match="finite"):
-        count_below(op, energy)
+    cutoff = 600 if path == "dense" else 10
+    with mock.patch.object(es, "COUNT_DENSE_CUTOFF", cutoff), pytest.raises(ValueError, match="finite"):
+        count_below(mat.tocsr(), energy)
 
 
 # -- periodic chains: one sweep for all thresholds, and the ground bisection --
@@ -320,7 +386,7 @@ def test_non_chain_counts_equal_with_and_without_array(path):
 def test_count_below_scalar_and_array_forms():
     mat = _cyclic(np.full(6, 2.0), np.full(6, -1.0))
     assert type(count_below(mat, 1.0)) is int
-    assert type(count_below(mat.toarray(), 1.0)) is int
+    assert type(count_below(sp.csr_matrix([[2.0, -1.0], [-1.0, 2.0]]), 1.0)) is int
     assert count_below(mat, np.array([])).shape == (0,)
     assert count_below(mat, [1.0]).tolist() == [count_below(mat, 1.0)]
     with pytest.raises(ValueError, match="1-d"):
@@ -432,7 +498,7 @@ def test_count_below_stack_mixes_sizes_and_non_chains():
         torus,
         _random_chain(4, "zero-corner", 2),
         _random_chain(17, "zero-offdiagonals", 3),
-        _random_sym(9),
+        sp.csr_matrix(_random_sym(9)),
         es.SymmetricOperator(_random_chain(4, "generic", 4)),
     ]
     energies = np.array([-1.0, 0.3, 1.1, 2.5, 9.0])
@@ -493,7 +559,7 @@ def test_symmetric_operator_is_prepared_once_and_gives_the_same_answers(monkeypa
     assert np.array_equal(es.count_below_stack([op, op], energies), [want[0], want[0]])
     assert ground_bisect(op, 4.0) == want[1]
     with pytest.raises(ValueError, match="real symmetric"):
-        es.SymmetricOperator(np.eye(3, dtype=complex))
+        es.SymmetricOperator(sp.identity(3, dtype=complex, format="csr"))
 
 
 def test_counting_leaves_the_callers_matrix_as_it_was():
