@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretize import GridSpec, assemble_periodic
-from .eigensolve import dense_levels, smallest_eigenpairs
+from .eigensolve import SymmetricOperator, count_below_stack, dense_levels, smallest_eigenpairs
 from .floquet import band_bottom, v_vector
 from .potentials import FieldChunk, site_lattice, wrap_nearest
 
@@ -368,6 +368,15 @@ def exhaustive_field_scan(p, q, lam, support, n, m, grid_points):
     ``dense_levels``, ``eigh``'s eigenvalues without its eigenvectors, so up
     to ``DENSE_CUTOFF`` rows it is the ``smallest_eigenpairs`` ground to the
     bit.
+
+    Only configurations that can hold one of the two smallest grounds are
+    diagonalized.  The second-smallest ground U of the constant
+    configurations bounds the runner-up from above, and one stacked count
+    at U + delta, delta = 1e-9 * max(1, largest ||A||_inf), well above the
+    eigensolver's backward error O(N eps ||A||), drops every configuration
+    with no eigenvalue below it: its ground exceeds U.  The rest go through
+    the comparison loop in ``ndindex`` order, so ties resolve as in the full
+    loop.  With fewer than two constant configurations every one does.
     """
     if q.d != 1:
         raise NotImplementedError("exhaustive scan is d = 1 only")
@@ -379,12 +388,19 @@ def exhaustive_field_scan(p, q, lam, support, n, m, grid_points):
     cfgs = list(np.ndindex(*([grid_points] * n_sites)))
     chunk = FieldChunk(n=n, d=1, values=values[np.array(cfgs)][..., None])
     stack = assemble_periodic(p, q, lam, chunk, grid).matrix
+    constant = [k for k, cfg in enumerate(cfgs) if len(set(cfg)) == 1]
+    survivors = range(len(cfgs))
+    if len(constant) >= 2:
+        bound = sorted(dense_levels(stack[k])[0] for k in constant)[1]
+        ops = SymmetricOperator.chunk(stack)
+        delta = 1e-9 * max(1.0, max(op.norm for op in ops))
+        survivors = np.flatnonzero(count_below_stack(ops, [bound + delta])[:, 0] > 0)
     best_e, best_cfg, second = np.inf, None, np.inf
-    for k, cfg in enumerate(cfgs):
+    for k in survivors:
         e = dense_levels(stack[k])[0]
         if e < best_e:
             second = best_e
-            best_e, best_cfg = e, np.array(cfg)
+            best_e, best_cfg = e, np.array(cfgs[k])
         elif e < second:
             second = e
     is_const = bool(np.all(best_cfg == best_cfg[0]))

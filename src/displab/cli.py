@@ -488,9 +488,10 @@ def _sample_cache(rd, header, key, tasks, compute, chunk):
     ``lifshitz_rows`` or ``wegner_rows``).  The batches are computed in
     order and each finished batch's rows are appended to ``cache.csv``
     (made with the first batch), so a Ctrl-C, an error or a kill keeps
-    every finished batch for ``--resume``.  On the way out the cache is
-    rewritten once, in task order, which gives a resumed run the bytes of
-    a one-shot run.
+    every finished batch for ``--resume``.  A solver failure in a batch is
+    raised again with the batch's first and last task, named by the key
+    columns of ``header``.  On the way out the cache is rewritten once, in
+    task order, which gives a resumed run the bytes of a one-shot run.
     """
     rows = {key(row): row for row in _load_cache(rd.cache, header)}
     todo = [t for t in tasks if t not in rows]
@@ -499,12 +500,22 @@ def _sample_cache(rd, header, key, tasks, compute, chunk):
     try:
         for i in range(0, len(todo), chunk):
             batch = tuple(todo[i : i + chunk])
-            done = [[fmt(x) for x in row] for row in compute(batch)]
+            try:
+                done = [[fmt(x) for x in row] for row in compute(batch)]
+            except (CountBreakdownError, np.linalg.LinAlgError) as exc:
+                first, last = (_task_text(header, task) for task in (batch[0], batch[-1]))
+                raise type(exc)(f"{exc} (in the chunk from {first} to {last})") from exc
             rows.update(zip(batch, done))
             _append_rows(rd.cache, header, done)
     finally:
         _write_cache(rd, header, rows)
     return rows
+
+
+def _task_text(header, task):
+    """A task by its key columns: ``sample 4`` or ``family 0, sample 4``."""
+    values = task if isinstance(task, tuple) else (task,)
+    return ", ".join(f"{name} {value}" for name, value in zip(header, values))
 
 
 def _runs(batch):
@@ -1112,6 +1123,13 @@ def main(argv=None):
     # again and again does not pin the cyclic garbage of its earlier runs.
     if gc.get_freeze_count() == 0:
         gc.freeze()
+    # glibc serves a block above its mmap threshold (128 KiB at start) from a
+    # fresh mapping, faulted in page by page, and raises the threshold to the
+    # size of each mapped block freed.  Freeing one 1 MiB block here lets a
+    # run's dense arrays (392 KiB at N = 224) reuse heap pages from the first
+    # sample on, whatever blocks the imports happened to free: without it a
+    # perfbench wegner-1d run takes about 16,600 page faults instead of 470.
+    bytearray(1 << 20)
     _one_blas_thread()
     args = _build_parser().parse_args(argv)
     try:
@@ -1151,7 +1169,10 @@ def main(argv=None):
             print(f"interrupted; resume with --resume {out}", file=sys.stderr)
             return 130
         except (CountBreakdownError, np.linalg.LinAlgError) as exc:
-            print(f"solver error: {exc}; resume with --resume {out}", file=sys.stderr)
+            print(
+                f"solver error in the {kind} run: {exc}; resume with --resume {out}",
+                file=sys.stderr,
+            )
             return 3
         status = "ok" if code == 0 else "FAILED CHECKS"
         print(f"{out}: {status} (see summary.txt)")

@@ -154,21 +154,19 @@ def diagonal_slots(mat):
 
 
 def plus_diagonal(mat, where, diag, scale=1.0):
-    """``(scale * mat + sp.diags(diag)).tocsr()`` for a canonical CSR ``mat``.
+    """``scale * mat + diag(diag)`` for a canonical CSR ``mat``, on mat's pattern.
 
     ``where`` is ``diagonal_slots(mat)`` and ``diag`` an array or a scalar.
-    The diagonal is written into a copy of mat's arrays, which are then the
-    sparse sum's own arrays, unless some entry comes out exactly 0.0: the
-    sum drops it, so then the sum is formed.
+    The diagonal is written into a copy of mat's data on copies of its index
+    arrays, so an entry that comes out exactly 0.0 stays stored.  Where mat
+    does not store its whole diagonal (``where`` is None) the sparse sum is
+    formed.
     """
+    if where is None:
+        return (scale * mat + sp.diags([diag], [0], shape=mat.shape, format="csr")).tocsr()
     data = scale * mat.data
-    if where is not None:
-        data[where] += diag
-        if np.all(data != 0.0):
-            return sp.csr_matrix(
-                (data, mat.indices.copy(), mat.indptr.copy()), shape=mat.shape
-            )
-    return (scale * mat + sp.diags([diag], [0], shape=mat.shape, format="csr")).tocsr()
+    data[where] += diag
+    return sp.csr_matrix((data, mat.indices.copy(), mat.indptr.copy()), shape=mat.shape)
 
 
 @dataclass(frozen=True)
@@ -177,9 +175,10 @@ class DiagonalStack:
 
     ``stencil`` is a canonical CSR matrix shared read-only (a
     ``periodic_laplacian``) and ``slots`` its ``diagonal_slots``.  ``stack[k]``
-    builds operator k with ``plus_diagonal``; ``data()`` writes every
-    diagonal into one stacked copy of the stencil's data, so what is read
-    off the operators' entries can be read off all of them in one pass.
+    builds operator k with ``plus_diagonal``, on the stencil's pattern;
+    ``data()`` writes every diagonal into one stacked copy of the stencil's
+    data, so what is read off the operators' entries can be read off all of
+    them in one pass.
     """
 
     stencil: sp.csr_matrix
@@ -193,8 +192,7 @@ class DiagonalStack:
 
     @property
     def nnz(self):
-        """Entries stored over all operators, before ``plus_diagonal`` drops
-        a diagonal that cancels to exactly 0.0."""
+        """Entries stored over all operators."""
         return len(self) * self.stencil.nnz
 
     def __len__(self):
@@ -204,7 +202,7 @@ class DiagonalStack:
         return plus_diagonal(self.stencil, self.slots, self.diags[k], self.scale)
 
     def data(self):
-        """(K, nnz): row k is the CSR data of ``self[k]``, zeros kept in place."""
+        """(K, nnz): row k is the CSR data of ``self[k]``."""
         data = np.empty((len(self), self.stencil.nnz))
         data[:] = self.scale * self.stencil.data
         data[:, self.slots] += self.diags
@@ -264,18 +262,3 @@ def free_fiber_eigenvalues(theta, m):
     h = 1.0 / m
     k = np.arange(m)
     return np.sort(2.0 / h**2 * (1.0 - np.cos(h * (theta + 2.0 * np.pi * k))))
-
-
-__all__ = [
-    "GridSpec",
-    "LatticeOperator",
-    "DiagonalStack",
-    "assemble_periodic",
-    "assemble_fiber",
-    "periodic_laplacian",
-    "diagonal_slots",
-    "plus_diagonal",
-    "fiber_diagonal",
-    "free_fiber_eigenvalues",
-    "cell_axis_coords",
-]

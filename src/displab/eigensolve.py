@@ -242,12 +242,11 @@ class SymmetricOperator:
         On a periodic-chain stencil (every d = 1 torus) the norms and chain
         forms of all the operators are read off the stack's data in one pass
         each, by the functions that read one operator's (``_stack_norms``,
-        ``_stack_chains``), so they are bitwise the ones its own matrix gives.
-        An operator whose diagonal cancels to exactly 0.0 somewhere, which
-        ``plus_diagonal`` drops from its pattern, is prepared from its own
-        matrix.  The result is a list.  On any other stencil (d >= 2) it is a
-        generator that builds and prepares one operator at a time, so a chunk
-        of large operators is never held at once (``_stack_unchained``).
+        ``_stack_chains``), so they are bitwise the ones its own matrix gives:
+        every operator has the stencil's pattern.  The result is a list.  On
+        any other stencil (d >= 2) it is a generator that builds and prepares
+        one operator at a time, so a chunk of large operators is never held
+        at once (``_stack_unchained``).
         """
         if _chain_pattern(stack.stencil) is None:
             return cls._stack_unchained(stack)
@@ -256,12 +255,8 @@ class SymmetricOperator:
         chains = _stack_chains(stack.stencil, data)
         ops = []
         for k, (norm, chain) in enumerate(zip(norms, chains)):
-            mat = stack[k]
-            if mat.nnz < stack.stencil.nnz:  # a dropped 0.0
-                ops.append(cls(mat))
-                continue
             op = cls.__new__(cls)
-            op.matrix, op.norm, op.chain = mat, float(norm), chain
+            op.matrix, op.norm, op.chain = stack[k], float(norm), chain
             ops.append(op)
         return ops
 
@@ -274,15 +269,11 @@ class SymmetricOperator:
         operator of the stack: adding a diagonal neither makes nor breaks
         exact symmetry.  So the first such operator decides
         ``exactly_symmetric`` for all of them, and only its norm is read off
-        each.  An operator from which ``plus_diagonal`` dropped a 0.0 is
-        prepared from its own matrix.
+        each.
         """
         symmetric = None
         for k in range(len(stack)):
             mat = stack[k]
-            if mat.nnz < stack.stencil.nnz:  # a dropped 0.0
-                yield cls(mat)
-                continue
             op = cls.__new__(cls)
             op.matrix, op.norm, op.chain = mat, _norm_estimate(mat), None
             if symmetric is None:
@@ -620,25 +611,21 @@ def _dense_shift(mat):
 def _sparse_shift(mat, symmetric):
     """E -> A - E I in CSC form, for SuperLU.
 
-    The CSC arrays of an exactly symmetric canonical matrix with no stored
-    zero are its CSR arrays, so for an A known to be symmetric
-    (``symmetric``) A - E I is written into a copy of A's data and handed
-    over as one CSC matrix on A's own index arrays.  If some entry comes out
-    exactly 0.0, which the sparse sum drops, ``plus_diagonal`` forms the sum
-    and its CSR is read as the CSC of its transpose.  Any other A - E I is
-    converted.
+    Read as CSC, the CSR arrays of a matrix give its transpose, which is the
+    matrix itself for an A known to be exactly symmetric (``symmetric``).  So
+    where such an A stores its whole diagonal, A - E I is written into a copy
+    of A's data and handed over as one CSC matrix on A's own index arrays; an
+    entry that comes out exactly 0.0 stays stored, as in ``plus_diagonal``.
+    Any other A - E I is ``plus_diagonal``'s, converted.
     """
     where = diagonal_slots(mat)
-    if not symmetric:
+    if not symmetric or where is None:
         return lambda energy: plus_diagonal(mat, where, -energy).tocsc()
 
     def shifted(energy):
-        if where is not None:
-            data = mat.data.copy()
-            data[where] -= energy
-            if np.all(data != 0.0):
-                return sp.csc_matrix((data, mat.indices, mat.indptr), shape=mat.shape)
-        return plus_diagonal(mat, where, -energy).T
+        data = mat.data.copy()
+        data[where] -= energy
+        return sp.csc_matrix((data, mat.indices, mat.indptr), shape=mat.shape)
 
     return shifted
 

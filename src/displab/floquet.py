@@ -215,20 +215,3 @@ def dispersion_symbol(theta):
     """Free lattice band shape: sum_j (1 - cos theta_j)."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     return float(np.sum(1.0 - np.cos(theta)))
-
-
-__all__ = [
-    "BandBottom",
-    "DegenerateBandError",
-    "FHResidual",
-    "GradientLimitTable",
-    "ProjectorPack",
-    "band_bottom",
-    "band_table",
-    "build_projectors",
-    "dispersion_symbol",
-    "feynman_hellmann_residual",
-    "fiber_ground",
-    "gradient_limit_check",
-    "v_vector",
-]

@@ -189,14 +189,27 @@ def _reference_scan(p, q, lam, support, n, m, grid_points):
     return best_cfg, best_e, second
 
 
-@pytest.mark.parametrize("grid_points", [3, 4, 5])
-@pytest.mark.parametrize("site", ["asym-bump", "sym-bump"])
-def test_exhaustive_scan_equals_the_smallest_eigenpairs_loop(site, grid_points):
+@pytest.mark.parametrize("grid_points", [1, 3, 4, 5])
+@pytest.mark.parametrize("site", ["asym-bump", "sym-bump", "zero"])
+def test_exhaustive_scan_equals_the_smallest_eigenpairs_loop(monkeypatch, site, grid_points):
     """Same argmin, ground and runner-up bits as the per-configuration
     ``smallest_eigenpairs`` loop; the symmetric bump makes mirrored
-    configurations tie, so the first minimum in ``ndindex`` order must win."""
+    configurations tie, so the first minimum in ``ndindex`` order must win.
+    The scan diagonalizes only what its stacked count keeps: with the zero
+    site every ground ties, so the bound U comes from a tie and every
+    configuration is kept; with one grid point there is one constant
+    configuration, no U, and the plain loop."""
     q = single_site_family(site, 1)
+    levels = []
+    real = assumptions.dense_levels
+    monkeypatch.setattr(assumptions, "dense_levels", lambda m: levels.append(1) or real(m))
     scan = exhaustive_field_scan(P1, q, 0.1, K, 1, 16, grid_points=grid_points)
+    monkeypatch.undo()
+    configs = grid_points**3
+    if site == "zero" or grid_points == 1:  # the constants' grounds, then every configuration
+        assert len(levels) == (grid_points if grid_points > 1 else 0) + configs
+    else:
+        assert len(levels) < configs
     cfg, best, second = _reference_scan(P1, q, 0.1, K, 1, 16, grid_points)
     assert np.array_equal(scan.argmin_config, cfg)
     assert scan.argmin_energy == best

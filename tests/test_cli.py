@@ -650,7 +650,7 @@ IDS_2D_TMPL = (
 
 def test_a_solver_failure_ends_the_run_and_keeps_finished_chunks(tmp_path, monkeypatch, capsys):
     """A count that every exact path refuses ends the run with exit 3 and
-    one stderr line, no traceback.  The refusal is injected into SuperLU
+    one stderr line naming the run and the chunk, no traceback.  The refusal is injected into SuperLU
     from the second sample on, in chunks of one sample: the first chunk
     stays in cache.csv, and --resume without the fault gives the bytes of
     a one-shot run."""
@@ -680,8 +680,11 @@ def test_a_solver_failure_ends_the_run_and_keeps_finished_chunks(tmp_path, monke
     assert main(["ids", "--config", cfg_path, "--out", cut]) == 3
     monkeypatch.undo()
     err = capsys.readouterr().err
-    assert err.startswith("solver error: inertia count failed at E=")
-    assert err.endswith(f"; resume with --resume {cut}\n") and err.count("\n") == 1
+    assert err.startswith("solver error in the ids run: inertia count failed at E=")
+    assert err.endswith(
+        f" (in the chunk from family 0, sample 1 to family 2, sample 1); resume with --resume {cut}\n"
+    )
+    assert err.count("\n") == 1
     assert "Traceback" not in err and not os.path.exists(os.path.join(cut, "summary.txt"))
     _, rows = read_csv_rows(os.path.join(cut, "cache.csv"))
     assert [(row[0], int(row[1])) for row in rows] == [("plus", 0), ("middle", 0), ("minus", 0)]
@@ -690,7 +693,8 @@ def test_a_solver_failure_ends_the_run_and_keeps_finished_chunks(tmp_path, monke
 
 
 def test_a_dense_spectrum_failure_ends_a_wegner_run(tmp_path, monkeypatch, capsys):
-    """A LAPACK failure in ``dense_levels`` ends a wegner run with exit 3."""
+    """A LAPACK failure in ``dense_levels`` ends a wegner run with exit 3 and
+    one stderr line naming the run and the chunk of the first sample."""
     import displab.spectral_stats as ss
 
     def failed(matrix):
@@ -701,7 +705,8 @@ def test_a_dense_spectrum_failure_ends_a_wegner_run(tmp_path, monkeypatch, capsy
     out = str(tmp_path / "run")
     assert main(["wegner", "--config", cfg_path, "--out", out]) == 3
     assert capsys.readouterr().err == (
-        f"solver error: dense_levels: LAPACK info 1; resume with --resume {out}\n"
+        "solver error in the wegner run: dense_levels: LAPACK info 1 "
+        f"(in the chunk from n 1, sample 0 to n 1, sample 15); resume with --resume {out}\n"
     )
 
 
@@ -766,6 +771,81 @@ def test_lifshitz_ctrl_c_mid_chunk_keeps_whole_chunks_for_resume(tmp_path, monke
         assert open(os.path.join(full, name), "rb").read() == open(
             os.path.join(cut, name), "rb"
         ).read(), name
+
+
+def test_a_solver_failure_ends_a_lifshitz_run_and_keeps_finished_chunks(
+    tmp_path, monkeypatch, capsys
+):
+    """Both exact per-threshold paths refuse every threshold from the second
+    chunk of lifshitz samples on: exit 3, one stderr line naming the run and
+    the chunk, no traceback, the first chunk's rows in cache.csv, and
+    --resume without the fault gives the bytes of a one-shot run."""
+    import displab.cli as cli
+    import displab.eigensolve as es
+
+    chunk = cli.SAMPLE_CHUNK
+    cfg_path = _write(tmp_path, "lifshitz.ini", _small_lifshitz(chunk + 4))
+    full, cut = str(tmp_path / "full"), str(tmp_path / "cut")
+    assert main(["lifshitz", "--config", cfg_path, "--out", full]) == 0
+    capsys.readouterr()
+
+    real_operators = ReducedFamily.operators
+    second, refused = [], []
+
+    def operators_flagged(self, master_seed, samples, fields=None):
+        second.append(chunk in samples)
+        return real_operators(self, master_seed, samples, fields)
+
+    def refusing(real):
+        def inertia(shifted, scale):
+            if second[-1]:
+                refused.append(1)
+                return None
+            return real(shifted, scale)
+        return inertia
+
+    monkeypatch.setattr(ReducedFamily, "operators", operators_flagged)
+    for name in ("_dense_inertia", "_sparse_inertia"):
+        monkeypatch.setattr(es, name, refusing(getattr(es, name)))
+    assert main(["lifshitz", "--config", cfg_path, "--out", cut]) == 3
+    monkeypatch.undo()
+    assert refused
+    err = capsys.readouterr().err
+    assert err.startswith("solver error in the lifshitz run: inertia count failed at E=")
+    assert err.endswith(
+        f" (in the chunk from sample {chunk} to sample {chunk + 3}); resume with --resume {cut}\n"
+    )
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not os.path.exists(os.path.join(cut, "summary.txt"))
+    _, rows = read_csv_rows(os.path.join(cut, "cache.csv"))
+    assert [int(row[0]) for row in rows] == list(range(chunk))
+    assert main(["lifshitz", "--resume", cut]) == 0
+    _same_files(full, cut)
+
+
+def test_an_ids_2d_run_without_lanczos_pairs_gives_the_same_bytes(tmp_path, monkeypatch):
+    """With ``_lanczos_pairs`` yielding nothing, every lower threshold of a
+    d = 2 ids run takes the per-threshold factorization: the slower path
+    gives the run directory of the fast one, byte for byte."""
+    import displab.eigensolve as es
+
+    cfg_path = _write(tmp_path, "ids-2d.ini", IDS_2D_TMPL)
+    fast, slow = str(tmp_path / "fast"), str(tmp_path / "slow")
+    factored, runs, real_splu = [], [], es.spla.splu
+    monkeypatch.setattr(es.spla, "splu", lambda *a, **k: factored.append(1) or real_splu(*a, **k))
+    code = main(["ids", "--config", cfg_path, "--out", fast])
+    assert code in (0, 1)
+    fast_factored = len(factored)
+
+    def no_pairs(lu, shift, k):
+        runs.append(k)
+        return iter(())
+
+    monkeypatch.setattr(es, "_lanczos_pairs", no_pairs)
+    assert main(["ids", "--config", cfg_path, "--out", slow]) == code
+    monkeypatch.undo()
+    assert runs and len(factored) - fast_factored > fast_factored
+    _same_files(fast, slow)
 
 
 def test_cache_is_flushed_whenever_a_chunk_crosses_a_multiple(tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from displab.discretize import (
+    DiagonalStack,
     GridSpec,
     assemble_fiber,
     assemble_periodic,
@@ -243,24 +244,36 @@ def test_assemble_periodic_chunk_equals_one_field_at_a_time(d, n):
 )
 def test_potential_written_into_laplacian_copy_equals_sparse_sum(grid):
     """assemble_periodic writes the potential into a copy of the cached
-    Laplacian's arrays.  They must be the arrays (lap + diags(v)).tocsr() has,
-    also when some lap_ii + v_i is exactly 0.0 and the sum drops it."""
+    Laplacian's arrays.  They must be the arrays (lap + diags(v)).tocsr() has.
+    Where some lap_ii + v_i is exactly 0.0, which the sum drops, the entry
+    stays stored as 0.0: the operator keeps the Laplacian's pattern and its
+    dense form is the sum's, bit for bit.  So does every operator of a
+    DiagonalStack on the Laplacian."""
     lap, where = periodic_laplacian(grid.d, grid.side_points, grid.h)
     npts = grid.side_points**grid.d
     v = np.random.default_rng(npts).uniform(-3.0, 3.0, npts)
     zeroed = v.copy()
     zeroed[3] = -lap[3, 3]
-    for pot in (v, zeroed):
+    stack = DiagonalStack(lap, where, np.stack([v, zeroed]))
+    for k, pot in enumerate((v, zeroed)):
         got = plus_diagonal(lap, where, pot)
         want = (lap + sp.diags(pot, format="csr")).tocsr()
-        assert got.nnz == want.nnz == lap.nnz - (pot is zeroed)
-        for a, b in (
-            (got.data.view(np.int64), want.data.view(np.int64)),
-            (got.indices, want.indices),
-            (got.indptr, want.indptr),
-        ):
+        assert got.nnz == lap.nnz and want.nnz == lap.nnz - (pot is zeroed)
+        assert np.array_equal(got.toarray().view(np.int64), want.toarray().view(np.int64))
+        if pot is v:
+            pairs = [(got.data.view(np.int64), want.data.view(np.int64))]
+            pairs += [(got.indices, want.indices), (got.indptr, want.indptr)]
+        else:
+            assert got.data[where[3]] == 0.0, "the cancelled entry stays stored"
+            pairs = [(got.indices, lap.indices), (got.indptr, lap.indptr)]
+        for a, b in pairs:
             assert a.dtype == b.dtype and np.array_equal(a, b)
-    assert not lap.data.flags.writeable and not np.shares_memory(got.data, lap.data)
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(stack[k], name), getattr(got, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+            assert not np.shares_memory(getattr(got, name), getattr(lap, name))
+        assert np.array_equal(stack.data()[k].view(np.int64), got.data.view(np.int64))
+    assert not lap.data.flags.writeable
 
 
 def _lil_fiber(p, q, lam, zeta, theta, m):

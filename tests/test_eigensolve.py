@@ -467,10 +467,11 @@ def _csc_arrays(mat):
 @pytest.mark.parametrize("n", [3, 17, 2001])
 def test_sparse_shift_gives_the_arrays_of_the_rebuilt_shift(n):
     """Window steps write a_ii - E into a copy of the matrix's arrays;
-    SuperLU must see the arrays (A - E I).tocsc() has, also where a_ii - E
-    is exactly 0.0 and the sparse subtraction drops the entry, both for a
-    chain (the CSR's transpose) and for an operator not known to be
-    symmetric (converted)."""
+    SuperLU must see the arrays (A - E I).tocsc() has, both for a chain (the
+    CSR's transpose) and for an operator not known to be symmetric
+    (converted).  Where a_ii - E is exactly 0.0, which the sparse subtraction
+    drops, the entry stays stored as 0.0 on A's pattern, and the dense form
+    is the subtraction's, bit for bit."""
     mat = _random_chain(n, "generic", seed=n)
     diag = mat.diagonal()
     transposed = es._sparse_shift(mat, symmetric=True)
@@ -480,10 +481,14 @@ def test_sparse_shift_gives_the_arrays_of_the_rebuilt_shift(n):
         want = (mat - e * sp.identity(n, format="csr")).tocsc()
         for got in (transposed(e), converted(e)):
             assert got.format == "csc"
-            for a, b in zip(_csc_arrays(got), _csc_arrays(want)):
+            assert np.array_equal(got.toarray().view(np.int64), want.toarray().view(np.int64))
+            if e in diag:
+                assert got.nnz == mat.nnz == want.nnz + 1, "the exact zero stays stored"
+                pairs = [(got.indices, mat.indices), (got.indptr, mat.indptr)]
+            else:
+                pairs = zip(_csc_arrays(got), _csc_arrays(want))
+            for a, b in pairs:
                 assert a.dtype == b.dtype and np.array_equal(a, b)
-        if e in diag:
-            assert transposed(e).nnz == mat.nnz - 1, "the exact zero is dropped, as the rebuild does"
         assert converted(e) is not converted(e)
     assert not np.shares_memory(first.data, mat.data), "the operator itself is not written"
 
@@ -852,7 +857,8 @@ def test_superlu_gets_one_csc_matrix_with_the_old_shifts_arrays(monkeypatch, kin
     """An exactly symmetric operator's A - E reaches SuperLU as one CSC
     matrix on A's index arrays, with the data, indices and indptr that
     ``plus_diagonal`` and a CSC conversion give, also where a diagonal
-    entry cancels to exactly 0.0."""
+    entry cancels to exactly 0.0: that entry stays stored, and the dense
+    form is the sparse subtraction's, bit for bit."""
     from displab.discretize import diagonal_slots, plus_diagonal
 
     if kind == "chain":
@@ -878,7 +884,11 @@ def test_superlu_gets_one_csc_matrix_with_the_old_shifts_arrays(monkeypatch, kin
             assert got[first[-1]].format == "csc"
     shared = got[first[0]]
     assert all(np.shares_memory(getattr(shared, a), getattr(op.matrix, a)) for a in ("indices", "indptr"))
-    assert got[first[1]].nnz == op.matrix.nnz - 1  # the cancelled diagonal entry is dropped
+    cancelled, energy = got[first[1]], float(op.matrix.diagonal()[3])
+    assert cancelled.nnz == op.matrix.nnz  # the cancelled diagonal entry stays stored
+    want = op.matrix - energy * sp.identity(op.shape[0], format="csr")
+    assert want.nnz == op.matrix.nnz - 1
+    assert np.array_equal(cancelled.toarray().view(np.int64), want.toarray().view(np.int64))
 
 
 # -- counting when SuperLU refuses --
@@ -978,9 +988,10 @@ def _same_preparation(op, mat):
 def test_chunk_preparation_equals_the_one_operator_reading(d, side, scale):
     """Norms and chain forms read off a DiagonalStack in one pass equal the
     parent's one-operator ``_norm_estimate`` and ``_periodic_chain`` bit for
-    bit: with a diagonal that cancels to exactly 0.0 (``plus_diagonal``
-    drops it), a non-finite diagonal, and on a d = 2 stencil, which is no
-    chain and is prepared one operator at a time."""
+    bit, and those of ``SymmetricOperator(stack[k])``: with a diagonal that
+    cancels to exactly 0.0 (stored as 0.0 on the stencil's pattern, which
+    every operator keeps), a non-finite diagonal, and on a d = 2 stencil,
+    which is no chain and is prepared one operator at a time."""
     from displab.discretize import DiagonalStack, periodic_laplacian
 
     lap, where = periodic_laplacian(d, side, 0.25)
@@ -992,12 +1003,21 @@ def test_chunk_preparation_equals_the_one_operator_reading(d, side, scale):
     ops = es.SymmetricOperator.chunk(stack)
     assert isinstance(ops, list) == (d == 1)
     ops = list(ops)
-    assert len(ops) == 5 and stack[1].nnz == lap.nnz - 1
+    assert len(ops) == 5 and stack[1].nnz == lap.nnz
+    summed = (scale * lap + sp.diags(diags[1], format="csr")).tocsr()
+    assert summed.nnz == lap.nnz - 1
+    assert np.array_equal(stack[1].toarray().view(np.int64), summed.toarray().view(np.int64))
     for k, op in enumerate(ops):
         mat = stack[k]
         assert np.array_equal(op.matrix.data.view(np.int64), mat.data.view(np.int64))
+        assert np.array_equal(op.matrix.indices, lap.indices)
+        assert np.array_equal(op.matrix.indptr, lap.indptr)
         _same_preparation(op, mat)
         assert (op.chain is not None) == (d == 1 and k != 3)
+        want = es.SymmetricOperator(mat)
+        _same_preparation(want, mat)
+        assert _same_bits(op.norm, want.norm)
+        assert op.exactly_symmetric == want.exactly_symmetric
 
 
 @pytest.mark.parametrize("symmetric", [True, False])

@@ -231,14 +231,18 @@ def test_build_reduced_csr_equals_the_sparse_sum(d, n):
             assert not np.shares_memory(getattr(got, name), cached), "a copy, not the cache"
 
 
-def test_build_reduced_exact_zero_diagonal_takes_the_sparse_sum():
+def test_build_reduced_exact_zero_diagonal_stays_stored():
     """kin_scale * k_00 + diag_0 = 1 - 1 = 0.0 exactly: the sparse sum drops
-    the entry, so build_reduced gives that pattern too."""
+    the entry, build_reduced stores it as 0.0 on the kinetic stencil's
+    pattern, and the two dense forms agree bit for bit."""
     field = FieldChunk(n=1, d=1, values=np.array([[[0.0], [0.5], [-0.5]]]))
     got = build_reduced(-1, [0.0], 1.0, [-1.0], field, c0=1.0, alpha=1.0).matrix[0]
     want = (symbol_kinetic(1, 3) + sp.diags([-1.0, -2.25, -0.25], format="csr")).tocsr()
-    assert got.nnz == 8
-    _same_csr(got, want)
+    assert want.nnz == 8 and got.nnz == 9 and got.data[0] == 0.0
+    stencil = symbol_kinetic(1, 3)
+    assert np.array_equal(got.indices, stencil.indices)
+    assert np.array_equal(got.indptr, stencil.indptr)
+    assert np.array_equal(got.toarray().view(np.int64), want.toarray().view(np.int64))
 
 
 @pytest.mark.parametrize("d, n", [(1, 1), (1, 30), (2, 2)])
@@ -256,12 +260,14 @@ def test_build_reduced_chunk_equals_one_field_at_a_time(d, n):
             _same_csr(model.matrix[k], one.matrix[0])
 
 
-def test_build_reduced_chunk_keeps_the_exact_zero_fallback():
-    """The field of the test above, in a chunk: its operator drops the
-    cancelled entry, the other's keeps the full pattern."""
+def test_build_reduced_chunk_keeps_the_stencil_pattern_at_an_exact_zero():
+    """The field of the test above, in a chunk: its operator, like the
+    other's, keeps the full pattern with the cancelled entry stored as 0.0,
+    and each equals its field's chunk of one bit for bit."""
     values = np.array([[[0.0], [0.5], [-0.5]], [[0.1], [0.5], [-0.5]]])
     model = build_reduced(-1, [0.0], 1.0, [-1.0], FieldChunk(n=1, d=1, values=values), 1.0, 1.0)
-    assert [model.matrix[k].nnz for k in range(2)] == [8, 9]
+    assert [model.matrix[k].nnz for k in range(2)] == [9, 9]
+    assert model.matrix[0].data[0] == 0.0 and model.matrix[1].data[0] != 0.0
     for k in range(2):
         one = FieldChunk(n=1, d=1, values=values[k : k + 1])
         _same_csr(model.matrix[k], build_reduced(-1, [0.0], 1.0, [-1.0], one, 1.0, 1.0).matrix[0])
