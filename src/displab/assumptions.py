@@ -131,7 +131,7 @@ class CoercivityReport:
     positive: bool
 
 
-def coercivity_constant(p, q, lam, support, zeta_min, m, seed=1):
+def coercivity_constant(p, q, lam, support, zeta_min, m, seed):
     """alpha0 = min over zeta != zeta_min of grad E(zeta_min).(zeta - zeta_min) / (lam |zeta - zeta_min|^2).
 
     Sampled over 256 interior draws, 64 boundary pushes and the extreme
@@ -169,7 +169,7 @@ class RobustMinimizerReport:
     ok: bool
 
 
-def robust_linear_minimizer(support, v_q, eps, seed=2):
+def robust_linear_minimizer(support, v_q, eps, seed):
     """Find zeta0 minimizing w . zeta simultaneously for all |w - v_q| <= eps.
 
     Such a point exists iff some extreme point's normal cone contains the
@@ -218,12 +218,13 @@ class GapRatioTable:
         return min(self.ratios)
 
 
-def gap_ratio_table(p, q, lams, support, m, seed, restarts=6):
-    """(E_0 - E(lam, zeta_lam)) / lam for each coupling; E_0 is the lam = 0 bottom."""
+def gap_ratio_table(p, q, lams, support, m, seed):
+    """(E_0 - E(lam, zeta_lam)) / lam for each coupling; E_0 is the lam = 0 bottom
+    and zeta_lam the minimizer ``minimize_over_support`` finds with 6 restarts."""
     e0 = band_bottom(p, q, 0.0, np.zeros(q.d), m).energy
     energies, ratios = [], []
     for lam in lams:
-        cert = minimize_over_support(p, q, lam, support, m, restarts=restarts, seed=seed)
+        cert = minimize_over_support(p, q, lam, support, m, restarts=6, seed=seed)
         energies.append(cert.energy)
         ratios.append((e0 - cert.energy) / lam)
     return GapRatioTable(
@@ -293,9 +294,8 @@ def minimize_over_field(
     m,
     restarts,
     seed,
-    energy_tol=1e-8,
-    site_tol=1e-3,
-    reference=None,
+    energy_tol,
+    site_tol,
 ):
     """Descend the torus ground energy over all per-site displacements.
 
@@ -305,11 +305,12 @@ def minimize_over_field(
     report compares endpoints against the constant field at the single-cell
     minimizer: matching energies within ``energy_tol`` and sitewise distance
     within ``site_tol`` certifies that constant fields minimize at this size.
+    The single-cell minimizer comes from ``minimize_over_support`` with 6
+    restarts, seeded ``seed + 1``.
     """
     grid = GridSpec(d=q.d, n=n, m=m)
     n_sites = (2 * n + 1) ** q.d
-    if reference is None:
-        reference = minimize_over_support(p, q, lam, support, m, restarts=6, seed=seed + 1)
+    reference = minimize_over_support(p, q, lam, support, m, restarts=6, seed=seed + 1)
     zeta_ref = np.atleast_1d(np.asarray(reference.zeta, dtype=float))
     ref_energy = band_bottom(p, q, lam, zeta_ref, m).energy
 

@@ -513,8 +513,12 @@ def _sample_cache(rd, header, key, tasks, compute, chunk):
 
 
 def _task_text(header, task):
-    """A task by its key columns: ``sample 4`` or ``family 0, sample 4``."""
+    """A task by its key columns as ``cache.csv`` stores them: ``sample 4`` or
+    ``family plus, sample 4``.  An ``ids`` task holds its family's index in
+    ``_IDS_FAMILIES``, which orders the cache; the cache stores the name."""
     values = task if isinstance(task, tuple) else (task,)
+    if header[0] == "family":
+        values = (_IDS_FAMILIES[values[0]],) + values[1:]
     return ", ".join(f"{name} {value}" for name, value in zip(header, values))
 
 

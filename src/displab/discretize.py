@@ -51,8 +51,9 @@ class GridSpec:
         return self.h**self.d
 
     def axis_coords(self):
-        """Coordinates along one torus axis, cell by cell."""
-        local = cell_axis_coords(self.m)
+        """Coordinates along one torus axis, cell by cell: cell gamma holds
+        gamma - 1/2 + j/m, j = 0..m-1."""
+        local = -0.5 + np.arange(self.m) / self.m
         return np.concatenate(
             [g + local for g in np.arange(-self.n, self.n + 1, dtype=float)]
         )
@@ -63,21 +64,11 @@ class GridSpec:
         mesh = np.meshgrid(*([ax] * self.d), indexing="ij")
         return np.stack([m_.ravel() for m_ in mesh], axis=-1)
 
-    def cell_points(self):
-        """Points of the single cell K0 = [-1/2, 1/2)^d, shape (m^d, d)."""
-        ax = cell_axis_coords(self.m)
-        mesh = np.meshgrid(*([ax] * self.d), indexing="ij")
-        return np.stack([m_.ravel() for m_ in mesh], axis=-1)
-
     def thetas(self):
         """Discrete Floquet momenta (2 pi / (2n+1)) k, k in {0..2n}^d."""
         vals = 2.0 * np.pi * np.arange(self.side_cells) / self.side_cells
         mesh = np.meshgrid(*([vals] * self.d), indexing="ij")
         return np.stack([m_.ravel() for m_ in mesh], axis=-1)
-
-
-def cell_axis_coords(m):
-    return -0.5 + np.arange(m) / m
 
 
 @dataclass(frozen=True)
@@ -230,7 +221,7 @@ def assemble_periodic(p, q, lam, field, grid):
 def fiber_diagonal(p, q, lam, zeta, m):
     """Sampled cell potential p + q(. - lam zeta) on K0 (single site, no wrap)."""
     grid = GridSpec(d=q.d, n=0, m=m)
-    pts = grid.cell_points()
+    pts = grid.points()
     zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
     vals = p.value(pts) + q.value(wrap_nearest(pts - lam * zeta, 1.0))
     return grid, vals

@@ -1,9 +1,10 @@
 """Extremal eigenpairs and inertia-based spectral counting.
 
-Every entry takes a sparse matrix or a ``SymmetricOperator``; a dense
-array is a ``TypeError``.  Small problems go through dense LAPACK; large
-ones through ARPACK (smallest pairs) or a symmetric-mode sparse LDL^T
-factorization (counting).
+Every entry takes a sparse matrix, and the counting entries
+(``count_below_stack``, ``ground_bisect``) a ``SymmetricOperator`` as
+well; any other type is a ``TypeError``.  Small problems go through
+dense LAPACK; large ones through ARPACK (smallest pairs) or a
+symmetric-mode sparse LDL^T factorization (counting).
 Periodic chains (every d = 1 torus operator) are counted by a cyclic LDL^T
 sweep over all thresholds, and over a whole stack of chains at once.  Other
 large sparse operators (d = 2) are factored once, at their largest
@@ -44,14 +45,10 @@ class CountBreakdownError(RuntimeError):
     """Factorization hit a (near-)zero pivot even after shifting E."""
 
 
-def _as_matrix(op):
-    """The CSR matrix of a sparse matrix or a ``SymmetricOperator``."""
-    if isinstance(op, SymmetricOperator):
-        return op.matrix
+def _sparse(op):
+    """The CSR matrix of a sparse matrix; any other type is a ``TypeError``."""
     if not sp.issparse(op):
-        raise TypeError(
-            f"eigensolve takes a sparse matrix or a SymmetricOperator, not {type(op).__name__}"
-        )
+        raise TypeError(f"eigensolve takes a sparse matrix, not {type(op).__name__}")
     return op.tocsr()
 
 
@@ -82,19 +79,17 @@ class EigenResult:
 def smallest_eigenpairs(op, k):
     """k smallest eigenpairs, ascending, with residual norms ||Av - lambda v||.
 
-    ``op`` is a sparse matrix or a ``SymmetricOperator``, whose
-    ``exactly_symmetric`` spares the Hermitian check when it holds.
-    Up to DENSE_CUTOFF rows (read at call time) the pairs come from
-    ``np.linalg.eigh``, above it from ARPACK at tolerance 1e-10.
+    ``op`` is a sparse matrix, Hermitian to 1e-10.  Up to DENSE_CUTOFF rows
+    (read at call time) the pairs come from ``np.linalg.eigh``, above it
+    from ARPACK at tolerance 1e-10.
     """
-    mat = _as_matrix(op)
+    mat = _sparse(op)
     n = mat.shape[0]
     if k < 1 or k > n:
         raise ValueError(f"k={k} out of range for size {n}")
-    if not (isinstance(op, SymmetricOperator) and op.exactly_symmetric):
-        hermitian_defect = _hermitian_defect(mat)
-        if hermitian_defect > 1e-10:
-            raise ValueError(f"operator is not Hermitian (defect {hermitian_defect:.2e})")
+    hermitian_defect = _hermitian_defect(mat)
+    if hermitian_defect > 1e-10:
+        raise ValueError(f"operator is not Hermitian (defect {hermitian_defect:.2e})")
     if n <= DENSE_CUTOFF or k > n - 2:
         vals, vecs = np.linalg.eigh(mat.toarray())
         vals, vecs = vals[:k], vecs[:, :k]
@@ -219,8 +214,8 @@ class SymmetricOperator:
 
     ``matrix`` is the CSR matrix, ``norm`` its largest absolute
     row sum and ``chain`` its periodic-chain form ``(a, b)`` or None.
-    ``count_below``, ``count_below_stack`` and ``ground_bisect`` take one
-    wherever they take an operator, so an operator that is both bisected and
+    ``count_below_stack`` and ``ground_bisect`` take one wherever they take
+    an operator, so an operator that is both bisected and
     counted is prepared once.  The matrix must not change afterwards.  A
     sparse matrix with unsorted or duplicate entries is read from a summed
     copy, so the caller's stays as it was.
@@ -228,9 +223,9 @@ class SymmetricOperator:
     """
 
     def __init__(self, op):
-        mat = _canonical(_as_matrix(op))
+        mat = _canonical(_sparse(op))
         if np.iscomplexobj(mat.data):
-            raise ValueError("count_below expects a real symmetric operator")
+            raise ValueError("SymmetricOperator expects a real symmetric operator")
         self.matrix = mat
         self.norm = _norm_estimate(mat)
         self.chain = _periodic_chain(mat)
@@ -301,23 +296,13 @@ def _prepared(op):
     return op if isinstance(op, SymmetricOperator) else SymmetricOperator(op)
 
 
-def _thresholds(energy):
-    energies = np.asarray(energy, dtype=float)
-    if energies.ndim > 1:
-        raise ValueError("count_below takes a scalar or a 1-d array of thresholds")
-    if not np.all(np.isfinite(energies)):
-        raise ValueError(f"count_below threshold must be finite, got {energy!r}")
-    return energies
+def count_below_stack(ops, energies):
+    """Counts below each threshold for several operators: a (K, T) int array.
 
-
-def count_below(op, energy):
-    """Number of eigenvalues of a real symmetric operator strictly below ``energy``.
-
-    ``energy`` is a scalar, which gives an ``int``, or a 1-d array of
-    thresholds, which gives an int array of counts in the same order.  Counts
-    are exact integers by Sylvester inertia; a non-finite threshold raises
-    ``ValueError`` before any factorization.  This is the one-operator case
-    of ``count_below_stack``.
+    Entry (k, t) is the number of eigenvalues of the real symmetric operator
+    ``ops[k]`` strictly below ``energies[t]``; a scalar ``energies`` is one
+    threshold.  Counts are exact integers by Sylvester inertia; a non-finite
+    threshold raises ``ValueError`` before any factorization.
 
     A sparse real symmetric periodic chain (N >= 3, entries only at i and
     i +- 1 mod N: every d = 1 torus operator) counts all thresholds in one
@@ -356,27 +341,23 @@ def count_below(op, energy):
     factorization.
 
     Both the sweep's and the Ritz route's bracket span the nudges, so the
-    array form gives the same integers as one scalar call per threshold.
+    array form gives the same integers as one call per threshold.
     Here scale = max(1, ||A||_inf, |E|).
-    """
-    energies = _thresholds(energy)
-    counts = _count_stack([_prepared(op)], np.atleast_1d(energies))[0]
-    return int(counts[0]) if energies.ndim == 0 else counts
 
-
-def count_below_stack(ops, energies):
-    """Counts below each threshold for several operators: a (K, T) int array.
-
-    Row k equals ``count_below(ops[k], energies)``.  Periodic chains of
-    equal N share one cyclic LDL^T sweep whose columns are every (operator,
-    bracket threshold) pair; each column sees the operations of a sweep of
-    its own, so the stack changes no count.  ``ops`` may be a
+    Periodic chains of equal N share one cyclic LDL^T sweep whose columns
+    are every (operator, bracket threshold) pair; each column sees the
+    operations of a sweep of its own, so the stack changes no count, and
+    row k is the row of a stack of ``ops[k]`` alone.  ``ops`` may be a
     generator: an operator that is not a chain is counted as it arrives and
     not held after that, so a stack of large d >= 2 operators holds one at
     a time.
     """
-    flat = np.atleast_1d(_thresholds(energies))
-    return _count_stack((_prepared(op) for op in ops), flat)
+    thresholds = np.asarray(energies, dtype=float)
+    if thresholds.ndim > 1:
+        raise ValueError("count_below_stack takes a scalar or a 1-d array of thresholds")
+    if not np.all(np.isfinite(thresholds)):
+        raise ValueError(f"count_below_stack threshold must be finite, got {energies!r}")
+    return _count_stack((_prepared(op) for op in ops), np.atleast_1d(thresholds))
 
 
 def _count_stack(ops, energies):
@@ -807,11 +788,11 @@ def ground_bisect(op, hi):
     """Smallest eigenvalue of a PSD operator by 48 bisection steps on [0, hi].
 
     Returns ``hi`` when no eigenvalue lies below it.  Each step asks whether
-    some eigenvalue lies strictly below the midpoint, with the answer of
-    ``count_below(op, mid) > 0``: on a periodic chain through tests for
-    positive definiteness of A - E at E just above and below the midpoint
-    (``_chain_has_level_below``), and through the per-threshold count for
-    the steps those leave open and on any other operator.
+    some eigenvalue lies strictly below the midpoint, which the
+    per-threshold count answers; on a periodic chain tests for positive
+    definiteness of A - E at E just above and below the midpoint
+    (``_chain_has_level_below``) answer first, and the count takes the
+    steps those leave open.
     """
     op = _prepared(op)
     count_one = _threshold_counter(op)

@@ -68,7 +68,7 @@ def band_bottom(p, q, lam, zeta, m):
     e0, u, gap = fiber_ground(p, q, lam, zeta, np.zeros(q.d), m)
     grid = GridSpec(d=q.d, n=0, m=m)
     phi0 = u * m ** (q.d / 2.0)  # ell^2 unit -> L^2(K0) unit
-    grads = q.gradient(wrap_nearest(grid.cell_points() - lam * zeta, 1.0))
+    grads = q.gradient(wrap_nearest(grid.points() - lam * zeta, 1.0))
     weights = np.abs(phi0) ** 2 * grid.cell_volume_element
     v = -np.tensordot(weights, grads, axes=(0, 0))
     return BandBottom(energy=e0, gap=gap, phi0=phi0, v=v)
@@ -87,8 +87,9 @@ class FHResidual:
     delta: float
 
 
-def feynman_hellmann_residual(p, q, lam, zeta, m, delta=1e-3):
-    """Central-difference zeta-gradient of the band bottom vs lam * v."""
+def feynman_hellmann_residual(p, q, lam, zeta, m):
+    """Central-difference zeta-gradient of the band bottom, step 1e-3, vs lam * v."""
+    delta = 1e-3
     zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
     grad = np.zeros(q.d)
     for j in range(q.d):

@@ -4,8 +4,7 @@ Displacement fields come K at a time as a ``FieldChunk``; a single field is
 a chunk of one.
 
 All evaluators take points as arrays whose last axis is the coordinate axis
-(shape ``(..., d)``).  For d=1 a bare scalar or a shape ``(N,)`` array is
-accepted and treated as ``N`` points.
+(shape ``(..., d)``), in every dimension: N points of d = 1 are ``(N, 1)``.
 """
 
 from __future__ import annotations
@@ -24,12 +23,10 @@ class DisplacementTooLargeError(ValueError):
 
 
 def as_points(x, d):
-    """Normalize ``x`` to shape ``(..., d)`` float array."""
+    """``x`` as a float array of points, shape ``(..., d)``."""
     x = np.asarray(x, dtype=float)
-    if d == 1 and (x.ndim == 0 or x.shape[-1] != 1):
-        x = x[..., None]
-    if x.shape[-1] != d:
-        raise ValueError(f"points have last axis {x.shape[-1]}, expected d={d}")
+    if x.ndim == 0 or x.shape[-1] != d:
+        raise ValueError(f"points have shape {x.shape}, expected (..., {d})")
     return x
 
 

@@ -162,18 +162,16 @@ class SandwichOperators:
     upper: np.ndarray  # c0 (W h^+ W* + H-tilde_+)
 
 
-def sandwich_operators(p, q, lam, field, zeta, grid, c0, alpha, pack=None):
+def sandwich_operators(p, q, lam, field, zeta, grid, c0, alpha, pack):
     """Materialize lower / middle / upper for one displacement field, given
     as its chunk of one.
 
     The site frame W unfolds the reduced models into the lowest-band range;
     the complementary block is the bare projector for the lower side and the
     symmetrized compression of the shifted constant-field operator for the
-    upper side.
+    upper side.  ``pack`` is ``build_projectors(p, q, lam, zeta, grid)``.
     """
     zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
-    if pack is None:
-        pack = build_projectors(p, q, lam, zeta, grid)
     v = v_vector(p, q, lam, zeta, m=grid.m)
     e_ref = float(pack.energies[np.argmax(np.all(pack.thetas == 0.0, axis=1))])
     w = pack.site_isometry()
@@ -207,11 +205,10 @@ class SandwichReport:
     min_quad_upper: float
     min_eig_lower: float
     min_eig_upper: float
-    tol: float
 
     @property
     def passed(self):
-        floor = -self.tol
+        floor = -1e-8
         return (
             self.min_quad_lower >= floor
             and self.min_quad_upper >= floor
@@ -220,14 +217,15 @@ class SandwichReport:
         )
 
 
-def sandwich_check(p, q, lam, field, zeta, grid, c0, alpha, trials, seed, tol=1e-8, pack=None):
+def sandwich_check(p, q, lam, field, zeta, grid, c0, alpha, trials, seed, pack):
     """Test middle - lower >= 0 and upper - middle >= 0 for one field (a
     chunk of one).
 
     Both differences are probed with ``trials`` random unit vectors (real and
     complex mixtures) and then certified by their smallest eigenvalue; the
     report keeps the worst quadratic form value and the worst eigenvalue for
-    each side, normalized thresholds at ``-tol``.
+    each side, and ``passed`` holds when none is below -1e-8.  ``pack`` is
+    as in ``sandwich_operators``.
     """
     ops = sandwich_operators(p, q, lam, field, zeta, grid, c0, alpha, pack=pack)
     gap_low = ops.middle - ops.lower
@@ -251,7 +249,6 @@ def sandwich_check(p, q, lam, field, zeta, grid, c0, alpha, trials, seed, tol=1e
         min_quad_upper=min_q_up,
         min_eig_lower=eig_low,
         min_eig_upper=eig_up,
-        tol=tol,
     )
 
 
@@ -277,7 +274,6 @@ def calibrate_sandwich(
     n_fields,
     master_seed,
     trials,
-    tol=1e-8,
 ):
     """Scan c0 upward (alpha = alpha0 / (2 c0)) until the sandwich holds
     for every sampled field; returns the reports of the first passing c0
@@ -293,7 +289,7 @@ def calibrate_sandwich(
         for s in range(n_fields):
             rep = sandwich_check(
                 p, q, lam, fields.take([s]), zeta, grid, c0, alpha,
-                trials=trials, seed=s, tol=tol, pack=pack,
+                trials=trials, seed=s, pack=pack,
             )
             if worst is None or min(rep.min_eig_lower, rep.min_eig_upper) < min(
                 worst.min_eig_lower, worst.min_eig_upper

@@ -61,10 +61,6 @@ class ContinuumFamily(_SampledFamily):
     m: int
 
     @property
-    def label(self):
-        return "continuum"
-
-    @property
     def n_cells(self):
         return (2 * self.n + 1) ** self.q.d
 
@@ -89,10 +85,6 @@ class ReducedFamily(_SampledFamily):
     n: int
     c0: float
     alpha: float
-
-    @property
-    def label(self):
-        return "reduced-minus" if self.sign < 0 else "reduced-plus"
 
     @property
     def n_cells(self):
@@ -128,13 +120,13 @@ class IDSCurve:
         return self.counts.std(axis=0, ddof=1) / np.sqrt(self.n_samples) / self.n_cells
 
 
-def count_rows(family, master_seed, samples, energies, fields=None):
+def count_rows(family, master_seed, samples, energies, fields):
     """Counts below ``energies`` of each sample's operator: a (K, T) int array.
 
     ``fields`` are the samples' fields when the caller drew them for several
-    families (see ``ContinuumFamily.operators``).  Operators that are not
-    chains are assembled as the stacked count takes them, so a batch of
-    them holds one at a time.
+    families, or None (see ``_SampledFamily.operators``).  Operators that
+    are not chains are assembled as the stacked count takes them, so a
+    batch of them holds one at a time.
     """
     return count_below_stack(family.operators(master_seed, samples, fields), energies)
 
@@ -222,14 +214,11 @@ class LifshitzFit:
     no_tail: bool
 
 
-def lifshitz_fit(energies, values, e_bottom, window=None):
+def lifshitz_fit(energies, values, e_bottom):
     energies = np.asarray(energies, dtype=float)
     values = np.asarray(values, dtype=float)
     rel = energies - e_bottom
     mask = (rel > 0) & (values > 0) & (values < 1.0)
-    if window is not None:
-        lo, hi = window
-        mask &= (rel >= lo) & (rel <= hi)
     if int(mask.sum()) < 3:
         raise ValueError("fewer than 3 usable points for the tail fit")
     x = np.log(rel[mask])
@@ -252,12 +241,12 @@ def lifshitz_fit(energies, values, e_bottom, window=None):
     )
 
 
-def synthetic_tail_curve(e_bottom, kappa, energies, scale=1.0):
-    """Reference curve N(E) = exp(-scale (E - E0)^(-kappa)) for fit validation."""
+def synthetic_tail_curve(e_bottom, kappa, energies):
+    """Reference curve N(E) = exp(-(E - E0)^(-kappa)) for fit validation."""
     rel = np.asarray(energies, dtype=float) - e_bottom
     if np.any(rel <= 0):
         raise ValueError("energies must exceed the bottom")
-    return np.exp(-scale * rel ** (-kappa))
+    return np.exp(-(rel ** (-kappa)))
 
 
 # -- eigenvalue-proximity scan ----------------------------------------------
@@ -365,7 +354,7 @@ def wegner_rows(family, master_seed, samples, e_center, eps_list, ground_samples
         if dense_ground:
             grounds.append(float(levels[0]))
         elif s < ground_samples:
-            grounds.append(smallest_eigenpairs(op, k=1).ground_energy)
+            grounds.append(smallest_eigenpairs(op.matrix, k=1).ground_energy)
         else:
             grounds.append(None)
         audits.append(_level_hits(levels, e_center, eps) if s < audit_per_n else None)

@@ -72,7 +72,7 @@ class SupportSet:
             return float(np.max(self.semi_axes))
         return float(np.max(np.linalg.norm(self.vertices - self.center, axis=1)))
 
-    def contains(self, z, tol=1e-9):
+    def contains(self, z, tol):
         z = np.asarray(z, dtype=float) - self.center
         if self.kind == "ball":
             return bool(np.linalg.norm(z) <= self.radius + tol)
@@ -146,12 +146,12 @@ class SupportSet:
         scores = self.vertices @ u
         return self.vertices[np.argmin(scores)].copy()
 
-    def extreme_points(self, n_directions=64):
-        """Vertices for polytopes; a spray of boundary extreme points otherwise."""
+    def extreme_points(self):
+        """Vertices for polytopes; a spray of 64 boundary extreme points otherwise."""
         if self.kind == "polytope":
             return self.vertices.copy()
         rng = np.random.default_rng(0)
-        dirs = rng.standard_normal((n_directions, self.d))
+        dirs = rng.standard_normal((64, self.d))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         return np.array([self.support_point(u) for u in dirs])
 
@@ -306,7 +306,7 @@ def sphere(center, radius):
     return SupportSet(kind="sphere", d=center.size, center=center, radius=float(radius))
 
 
-def ellipsoid(center, semi_axes, boundary_only=False):
+def ellipsoid(center, semi_axes, boundary_only):
     center = np.atleast_1d(np.asarray(center, dtype=float))
     kind = "ellipsoid-boundary" if boundary_only else "ellipsoid"
     return SupportSet(kind=kind, d=center.size, center=center, semi_axes=np.atleast_1d(semi_axes))

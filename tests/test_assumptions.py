@@ -95,7 +95,8 @@ def test_coercivity_frozen_values():
 def test_prop1_geometry_dispatch():
     """Boundary curvature: strict convexity is what a curvature-based
     coercivity bound needs, so flat-faced supports come back flagged."""
-    assert ellipsoid(np.zeros(2), [2.0, 1.0]).min_curvature().value == pytest.approx(0.25)
+    ellipse = ellipsoid(np.zeros(2), [2.0, 1.0], boundary_only=False)
+    assert ellipse.min_curvature().value == pytest.approx(0.25)
     assert ball(np.zeros(1), 1.0).min_curvature().value == np.inf
     for flat_set in (interval(-1.0, 1.0), box([-1.0, -1.0], [1.0, 1.0])):
         rep = flat_set.min_curvature()
@@ -105,11 +106,11 @@ def test_prop1_geometry_dispatch():
 def test_robust_minimizer_interval_hand_check():
     # v_q = 0.5 pulls to the left endpoint; the choice survives any gradient
     # perturbation smaller than v_q itself and fails beyond it
-    ok = robust_linear_minimizer(K, np.array([0.5]), eps=0.3)
+    ok = robust_linear_minimizer(K, np.array([0.5]), eps=0.3, seed=2)
     assert ok.ok
     assert ok.zeta0[0] == -1.0
     assert ok.margin >= -1e-12
-    bad = robust_linear_minimizer(K, np.array([0.5]), eps=0.7)
+    bad = robust_linear_minimizer(K, np.array([0.5]), eps=0.7, seed=2)
     assert not bad.ok
     assert bad.margin == pytest.approx(2 * (0.5 - 0.7), abs=1e-9)
 
@@ -119,14 +120,14 @@ def test_robust_minimizer_smooth_boundary_never_robust():
     breaks the common minimizer; eps = 0 keeps the support point."""
     s = ball(np.zeros(2), 1.0)
     v_q = np.array([0.3, 0.4])
-    assert robust_linear_minimizer(s, v_q, eps=0.0).ok
-    assert not robust_linear_minimizer(s, v_q, eps=0.05).ok
+    assert robust_linear_minimizer(s, v_q, eps=0.0, seed=2).ok
+    assert not robust_linear_minimizer(s, v_q, eps=0.05, seed=2).ok
     with pytest.raises(ValueError):
-        robust_linear_minimizer(s, v_q, eps=-0.1)
+        robust_linear_minimizer(s, v_q, eps=-0.1, seed=2)
 
 
 def test_gap_ratio_table_positive_and_stable():
-    tab = gap_ratio_table(P1, Q1, [0.2, 0.1, 0.05], K, 32, restarts=4, seed=3)
+    tab = gap_ratio_table(P1, Q1, [0.2, 0.1, 0.05], K, 32, seed=3)
     assert tab.all_positive
     assert max(tab.ratios) / min(tab.ratios) < 50
     # deeper coupling digs a lower band edge (below the lam = 0 bottom: all_positive)
@@ -149,7 +150,9 @@ def test_field_gradient_matches_finite_differences():
 
 
 def test_field_descent_reaches_constant_configuration():
-    rep = minimize_over_field(P1, Q1, 0.1, K, 0, 64, restarts=4, seed=0)
+    rep = minimize_over_field(
+        P1, Q1, 0.1, K, 0, 64, restarts=4, seed=0, energy_tol=1e-8, site_tol=1e-3
+    )
     assert rep.all_converged_to_constant
     assert rep.reference_zeta[0] == pytest.approx(-1.0)
     assert abs(rep.energy_gap) < 1e-10
@@ -157,7 +160,9 @@ def test_field_descent_reaches_constant_configuration():
 
 
 def test_field_descent_n1():
-    rep = minimize_over_field(P1, Q1, 0.1, K, 1, 64, restarts=3, seed=0)
+    rep = minimize_over_field(
+        P1, Q1, 0.1, K, 1, 64, restarts=3, seed=0, energy_tol=1e-8, site_tol=1e-3
+    )
     assert rep.all_converged_to_constant
     assert max(r.max_site_deviation for r in rep.restarts) <= 1e-3
 

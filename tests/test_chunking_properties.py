@@ -83,7 +83,7 @@ def _ids_rows(samples):
 
 
 _BATCHES = {
-    "count_rows": lambda samples: count_rows(RING, 4, samples, _RING_ENERGIES),
+    "count_rows": lambda samples: count_rows(RING, 4, samples, _RING_ENERGIES, None),
     "lifshitz_rows": lambda samples: lifshitz_rows(RING, 4, samples, _RING_ENERGIES, 4.0),
     "wegner_rows": lambda samples: wegner_rows(
         CONTINUUM_RING, 4, samples, 0.0, _EPS, ground_samples=6, audit_per_n=3
@@ -111,8 +111,8 @@ def test_rows_do_not_depend_on_the_chunking(name, cuts):
 def test_shared_fields_give_each_familys_own_rows():
     shared = _one_shot("ids-shared-fields")
     every = tuple(range(_CUT_SAMPLES))
-    assert np.array_equal(shared[0], count_rows(RING, 4, every, _RING_ENERGIES))
+    assert np.array_equal(shared[0], count_rows(RING, 4, every, _RING_ENERGIES, None))
     assert np.array_equal(
-        shared[1], count_rows(CONTINUUM_RING, 4, every, _CONTINUUM_ENERGIES)
+        shared[1], count_rows(CONTINUUM_RING, 4, every, _CONTINUUM_ENERGIES, None)
     )
     assert len(np.unique(shared[1])) > 2

@@ -682,12 +682,71 @@ def test_a_solver_failure_ends_the_run_and_keeps_finished_chunks(tmp_path, monke
     err = capsys.readouterr().err
     assert err.startswith("solver error in the ids run: inertia count failed at E=")
     assert err.endswith(
-        f" (in the chunk from family 0, sample 1 to family 2, sample 1); resume with --resume {cut}\n"
+        f" (in the chunk from family plus, sample 1 to family minus, sample 1); resume with --resume {cut}\n"
     )
     assert err.count("\n") == 1
     assert "Traceback" not in err and not os.path.exists(os.path.join(cut, "summary.txt"))
     _, rows = read_csv_rows(os.path.join(cut, "cache.csv"))
     assert [(row[0], int(row[1])) for row in rows] == [("plus", 0), ("middle", 0), ("minus", 0)]
+    assert main(["ids", "--resume", cut]) == code
+    _same_files(full, cut)
+
+
+def _superlu_refuses(monkeypatch):
+    """Make every SuperLU factorization raise, as ``splu`` does on a matrix
+    it cannot factor; count the attempts."""
+    import displab.eigensolve as es
+
+    tried = []
+
+    def refused(*args, **kwargs):
+        tried.append(1)
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(es.spla, "splu", refused)
+    return tried
+
+
+def test_a_superlu_refusal_falls_back_to_dense_ldlt(tmp_path, monkeypatch, capsys):
+    """A d = 2 ids run whose continuum operators (N = (3 * 9)^2 = 729 rows)
+    lie between COUNT_DENSE_CUTOFF and COUNT_DENSE_FALLBACK: with SuperLU
+    refusing every factorization, dense LDL^T counts instead and the run
+    gives the exit code and the run-directory bytes of a normal run."""
+    import displab.eigensolve as es
+
+    assert es.COUNT_DENSE_CUTOFF < 729 <= es.COUNT_DENSE_FALLBACK
+    text = (
+        IDS_2D_TMPL.replace("n = 2", "n = 1").replace("m = 20", "m = 9")
+        .replace("n_samples = 2", "n_samples = 3")
+    )
+    cfg_path = _write(tmp_path, "ids-2d.ini", text)
+    full, refused = str(tmp_path / "full"), str(tmp_path / "refused")
+    code = main(["ids", "--config", cfg_path, "--out", full])
+    assert code in (0, 1)
+    tried = _superlu_refuses(monkeypatch)
+    assert main(["ids", "--config", cfg_path, "--out", refused]) == code
+    monkeypatch.undo()
+    assert tried and "error" not in capsys.readouterr().err
+    _same_files(full, refused)
+
+
+def test_a_superlu_refusal_without_fallback_ends_the_run(tmp_path, monkeypatch, capsys):
+    """Above COUNT_DENSE_FALLBACK (N = 10,000) a SuperLU refusal has no
+    dense fallback: exit 3, one stderr line, no traceback, and a resume
+    without the fault gives the bytes of a one-shot run."""
+    cfg_path = _write(tmp_path, "ids-2d.ini", IDS_2D_TMPL)
+    full, cut = str(tmp_path / "full"), str(tmp_path / "cut")
+    code = main(["ids", "--config", cfg_path, "--out", full])
+    assert code in (0, 1)
+    capsys.readouterr()
+    _superlu_refuses(monkeypatch)
+    assert main(["ids", "--config", cfg_path, "--out", cut]) == 3
+    monkeypatch.undo()
+    err = capsys.readouterr().err
+    assert err.startswith("solver error in the ids run: inertia count failed at E=")
+    assert "SuperLU (no dense LDL^T fallback above N = 8000)" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not os.path.exists(os.path.join(cut, "summary.txt"))
     assert main(["ids", "--resume", cut]) == code
     _same_files(full, cut)
 
@@ -939,8 +998,8 @@ def test_ids_ctrl_c_mid_chunk_keeps_whole_chunks_for_resume(tmp_path, monkeypatc
     stacked, drawn = [], []
     real_count_rows, real_sample_fields = cli.count_rows, cli.sample_fields
 
-    def count_rows_logged(family, master_seed, samples, energies, fields=None):
-        stacked.append((family.label, tuple(samples)))
+    def count_rows_logged(family, master_seed, samples, energies, fields):
+        stacked.append((getattr(family, "sign", 0), tuple(samples)))
         return real_count_rows(family, master_seed, samples, energies, fields)
 
     def sample_fields_logged(dist, n, master_seed, samples):
@@ -961,8 +1020,7 @@ def test_ids_ctrl_c_mid_chunk_keeps_whole_chunks_for_resume(tmp_path, monkeypatc
     first, second = tuple(range(chunk)), tuple(range(chunk, n_samples))
     assert drawn == [first, second]
     assert stacked == [
-        ("reduced-plus", first), ("continuum", first), ("reduced-minus", first),
-        ("reduced-plus", second), ("continuum", second), ("reduced-minus", second),
+        (1, first), (0, first), (-1, first), (1, second), (0, second), (-1, second),
     ]
     _, rows = read_csv_rows(os.path.join(cut, "cache.csv"))
     assert [(row[0], int(row[1])) for row in rows] == [

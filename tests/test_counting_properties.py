@@ -29,7 +29,7 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dsyevd
 
 import displab.eigensolve as es
-from displab.eigensolve import SymmetricOperator, count_below, count_below_stack, ground_bisect
+from displab.eigensolve import SymmetricOperator, count_below_stack, ground_bisect
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -79,10 +79,10 @@ def _thresholds(mats, seed):
 
 
 def _per_threshold(mat, energies):
-    """count_below one threshold at a time with the chain sweep switched off."""
+    """One count per threshold, with the chain sweep switched off."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(es, "_periodic_chain", lambda mat: None)
-        return np.array([count_below(mat, float(e)) for e in energies])
+        return np.array([count_below_stack([mat], [float(e)])[0, 0] for e in energies])
 
 
 def _reference_chain_sweep(diag, off, energies, norm):
@@ -130,7 +130,7 @@ def test_stacked_counts_equal_every_other_path(mats, seed):
     got = count_below_stack(mats, energies)
     assert got.shape == (len(mats), energies.size) and got.dtype.kind == "i"
     for mat, row in zip(mats, got):
-        assert np.array_equal(row, count_below(mat, energies))
+        assert np.array_equal(row, count_below_stack([mat], energies)[0])
         assert np.array_equal(row, _per_threshold(mat, energies))
         levels = np.linalg.eigvalsh(mat.toarray())
         gap = np.min(np.abs(energies[:, None] - levels[None, :]), axis=1)
@@ -165,12 +165,12 @@ def _reference_ground(mat, hi):
     """The ground bisection as it was: one per-threshold count per step."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(es, "_periodic_chain", lambda mat: None)
-        if count_below(mat, hi) == 0:
+        if count_below_stack([mat], [hi])[0, 0] == 0:
             return hi
         lo = 0.0
         for _ in range(48):
             mid = 0.5 * (lo + hi)
-            if count_below(mat, mid) > 0:
+            if count_below_stack([mat], [mid])[0, 0] > 0:
                 hi = mid
             else:
                 lo = mid
@@ -233,10 +233,10 @@ def test_torus_counts_from_the_top_factor_equal_the_per_threshold_path(mat, seed
     energies = rng.permutation(np.array(picks))
     assert es.SymmetricOperator(mat).chain is None
     with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 10):
-        got = count_below(mat, energies)
+        got = count_below_stack([mat], energies)[0]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(es, "_ritz_counts", lambda op, count_one, e: np.full(e.size, -1))
-            assert np.array_equal(got, count_below(mat, energies))
+            assert np.array_equal(got, count_below_stack([mat], energies)[0])
     gap = np.min(np.abs(energies[:, None] - levels[None, :]), axis=1)
     clear = gap > 1e-8 * max(1.0, es._norm_estimate(mat), np.max(np.abs(energies)))
     want = np.searchsorted(levels, energies, side="left")
@@ -266,9 +266,9 @@ def test_lanczos_counts_equal_the_per_threshold_path(mat, below, cut, seed):
     with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 10), pytest.MonkeyPatch.context() as mp:
         if cut:
             mp.setattr(es, "_RITZ_EXTRA", 1 - 2 * below)
-        got = count_below(mat, energies)
+        got = count_below_stack([mat], energies)[0]
         mp.setattr(es, "_ritz_counts", lambda op, count_one, e: np.full(e.size, -1))
-        assert np.array_equal(got, count_below(mat, energies))
+        assert np.array_equal(got, count_below_stack([mat], energies)[0])
     assert _clear_counts(got, levels, energies, max(scale, np.max(np.abs(energies))))
 
 
@@ -322,7 +322,7 @@ def test_dense_counts_equal_eigvalsh_where_the_gap_is_clear(mat, seed):
     energies = _thresholds([sparse], seed)
     levels = np.linalg.eigvalsh(mat)
     scale = max(1.0, es._norm_estimate(sparse), np.max(np.abs(energies)))
-    got = count_below(sparse, energies)
+    got = count_below_stack([sparse], energies)[0]
     assert got.dtype.kind == "i"
     assert _clear_counts(got, levels, energies, scale)
     assert _in_band(got, levels, energies, scale)
@@ -353,11 +353,11 @@ def test_superlu_and_dense_ldlt_count_the_same_sparse_operator(mat, seed):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(es, "_periodic_chain", lambda mat: None)
         with mock.patch.object(es, "COUNT_DENSE_CUTOFF", n):
-            dense = count_below(mat, energies)
+            dense = count_below_stack([mat], energies)[0]
         with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 0):
-            ritz = count_below(mat, energies)
+            ritz = count_below_stack([mat], energies)[0]
             mp.setattr(es, "_ritz_counts", lambda op, count_one, e: np.full(e.size, -1))
-            superlu = count_below(mat, energies)
+            superlu = count_below_stack([mat], energies)[0]
     for got in (dense, superlu, ritz):
         assert _clear_counts(got, levels, energies, scale)
         assert _in_band(got, levels, energies, scale)

@@ -9,7 +9,6 @@ from displab.discretize import (
     GridSpec,
     assemble_fiber,
     assemble_periodic,
-    cell_axis_coords,
     diagonal_slots,
     fiber_diagonal,
     free_fiber_eigenvalues,
@@ -45,7 +44,8 @@ def test_gridspec_validation(bad):
 
 
 def test_cell_axis_coords():
-    ax = cell_axis_coords(4)
+    """The n = 0 grid's axis is the unit cell's: -1/2 + j/m."""
+    ax = GridSpec(d=1, n=0, m=4).axis_coords()
     assert np.allclose(ax, [-0.5, -0.25, 0.0, 0.25])
 
 
@@ -58,8 +58,9 @@ def test_axis_coords_cover_torus():
 
 
 def test_cell_points_half_open():
+    """The n = 0 grid's points fill the unit cell [-1/2, 1/2)^d."""
     g = GridSpec(d=2, n=0, m=5)
-    pts = g.cell_points()
+    pts = g.points()
     assert pts.shape == (25, 2)
     assert pts.min() == -0.5
     assert pts.max() < 0.5
@@ -118,7 +119,7 @@ def test_fiber_rejects_bad_theta():
 def test_fiber_diagonal_samples_displaced_site():
     q = single_site_family("sym-bump", 1)
     grid, diag = fiber_diagonal(P0, q, 0.2, np.array([0.5]), 16)
-    pts = grid.cell_points()
+    pts = grid.points()
     # the sampled bump is centered at lam * zeta = 0.1, periodized on the cell
     assert np.argmax(diag) == np.argmin(np.abs(pts[:, 0] - 0.1))
     assert np.allclose(diag, q.value(wrap_nearest(pts - 0.1, 1.0)))

@@ -16,7 +16,7 @@ import scipy.sparse as sp
 
 from displab.discretize import assemble_fiber
 import displab.eigensolve as es
-from displab.eigensolve import count_below, ground_bisect, smallest_eigenpairs
+from displab.eigensolve import count_below_stack, ground_bisect, smallest_eigenpairs
 from displab.potentials import periodic_family, single_site_family
 from test_spectral_stats import _one_matrix
 
@@ -90,16 +90,17 @@ def test_smallest_eigenpairs_input_checks():
     with pytest.raises(ValueError):
         smallest_eigenpairs(a, k=11)
     b = sp.csr_matrix(rng.standard_normal((10, 10)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not Hermitian"):
         smallest_eigenpairs(b, k=1)
 
 
 def test_a_dense_array_is_refused():
-    """The entry points take a sparse matrix or a SymmetricOperator: a dense
-    array is a TypeError that names its type."""
+    """Every entry takes a sparse matrix (the counting entry a
+    SymmetricOperator as well): a dense array is a TypeError that names its
+    type."""
     a = _random_sym(5)
     calls = (
-        lambda: count_below(a, 0.0),
+        lambda: count_below_stack([a], [0.0]),
         lambda: smallest_eigenpairs(a, k=1),
         lambda: es.SymmetricOperator(a),
     )
@@ -117,29 +118,13 @@ def test_accepts_lattice_operator():
     assert np.all(res.residuals < 1e-9)
 
 
-@pytest.mark.parametrize("kind", ["chain", "torus", "dense"])
-def test_smallest_eigenpairs_of_a_symmetric_operator_skips_only_a_proven_check(monkeypatch, kind):
-    """An exactly symmetric SymmetricOperator gives the EigenResult bits of
-    the call on its matrix without computing the Hermitian defect; a
-    non-symmetric matrix is refused with or without the wrapper."""
-    mat = {
-        "chain": lambda: _random_chain(60, "generic", 5),
-        "torus": lambda: _generic_torus(side=8),
-        "dense": lambda: sp.csr_matrix(_random_sym(30)),  # every entry stored
-    }[kind]()
-    want = smallest_eigenpairs(mat, k=3)
-    op = es.SymmetricOperator(mat)
-    assert op.exactly_symmetric
-    monkeypatch.setattr(es, "_hermitian_defect", lambda m: pytest.fail("defect computed"))
-    got = smallest_eigenpairs(op, k=3)
-    monkeypatch.undo()
-    assert got.method == want.method == "dense"
-    for name in ("values", "vectors", "residuals"):
-        assert np.array_equal(getattr(got, name).view(np.int64), getattr(want, name).view(np.int64))
-    bad = sp.csr_matrix(rng.standard_normal((10, 10)))
-    for arg in (bad, es.SymmetricOperator(bad)):
-        with pytest.raises(ValueError, match="not Hermitian"):
-            smallest_eigenpairs(arg, k=1)
+def test_smallest_eigenpairs_takes_only_a_sparse_matrix():
+    """A SymmetricOperator is a TypeError that names its type; its matrix
+    gives the pairs."""
+    mat = _random_chain(60, "generic", 5)
+    with pytest.raises(TypeError, match="SymmetricOperator"):
+        smallest_eigenpairs(es.SymmetricOperator(mat), k=1)
+    assert smallest_eigenpairs(es.SymmetricOperator(mat).matrix, k=1).method == "dense"
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -149,7 +134,7 @@ def test_count_below_matches_eigvalsh(seed):
     a = 0.5 * (a + a.T)
     eigs = np.linalg.eigvalsh(a)
     for e in (-5.0, eigs[10] + 1e-6, 0.0, eigs[-1] + 1.0):
-        assert count_below(sp.csr_matrix(a), e) == int(np.sum(eigs < e))
+        assert count_below_stack([sp.csr_matrix(a)], [e])[0, 0] == int(np.sum(eigs < e))
 
 
 def test_count_below_sparse_ring_closed_form():
@@ -161,25 +146,25 @@ def test_count_below_sparse_ring_closed_form():
     mat = mat.tocsr()
     eigs = 2.0 * (1.0 - np.cos(2.0 * np.pi * np.arange(n) / n))
     for e in (0.5, 1.0, 3.9):
-        assert count_below(mat, e) == int(np.sum(eigs < e))
-    assert count_below(mat, 4.1) == n
+        assert count_below_stack([mat], [e])[0, 0] == int(np.sum(eigs < e))
+    assert count_below_stack([mat], [4.1])[0, 0] == n
     # E = 0 ties the ground state exactly; the documented upward nudge counts it
-    assert count_below(mat, 0.0) == 1
-    assert count_below(mat, -1e-9) == 0
+    assert count_below_stack([mat], [0.0])[0, 0] == 1
+    assert count_below_stack([mat], [-1e-9])[0, 0] == 0
 
 
 def test_count_below_tied_threshold_retries_upward():
     # threshold exactly on an eigenvalue: the tiny upward nudges must count it
     a = sp.diags([1.0, 2.0, 2.0, 3.0], format="csr")
-    assert count_below(a, 2.0) == 3  # nudge resolves the tie upward
-    assert count_below(a, 2.0 + 1e-6) == 3
-    assert count_below(a, 1.0 - 1e-12) == 0
+    assert count_below_stack([a], [2.0])[0, 0] == 3  # nudge resolves the tie upward
+    assert count_below_stack([a], [2.0 + 1e-6])[0, 0] == 3
+    assert count_below_stack([a], [1.0 - 1e-12])[0, 0] == 0
 
 
 def test_count_below_rejects_complex():
     a = sp.identity(4, dtype=complex, format="csr")
     with pytest.raises(ValueError):
-        count_below(a, 0.5)
+        count_below_stack([a], [0.5])[0, 0]
 
 
 def _ldl_walk_inertia(shifted, scale):
@@ -244,9 +229,9 @@ def test_count_agrees_between_dense_and_sparse_paths(monkeypatch):
     mat = sp.diags([np.full(n - 1, -1.0), diag, np.full(n - 1, -1.0)], [-1, 0, 1]).tocsr()
     for e in (0.5, 2.0):
         with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 10):
-            sparse = count_below(mat, e)
+            sparse = count_below_stack([mat], [e])[0, 0]
         with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 5000):
-            dense = count_below(mat, e)
+            dense = count_below_stack([mat], [e])[0, 0]
         assert sparse == dense
 
 
@@ -264,7 +249,7 @@ def test_count_below_rejects_non_finite_threshold(monkeypatch, energy, path):
     mat = sp.diags([np.full(n - 1, -1.0), np.full(n, 2.0), np.full(n - 1, -1.0)], [-1, 0, 1])
     cutoff = 600 if path == "dense" else 10
     with mock.patch.object(es, "COUNT_DENSE_CUTOFF", cutoff), pytest.raises(ValueError, match="finite"):
-        count_below(mat.tocsr(), energy)
+        count_below_stack([mat.tocsr()], energy)
 
 
 # -- periodic chains: one sweep for all thresholds, and the ground bisection --
@@ -292,10 +277,10 @@ def _random_chain(n, variant, seed):
 
 
 def _per_threshold(mat, energies):
-    """count_below one threshold at a time with the chain sweep switched off."""
+    """One count per threshold, with the chain sweep switched off."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(es, "_periodic_chain", lambda mat: None)
-        return np.array([count_below(mat, float(e)) for e in energies])
+        return np.array([count_below_stack([mat], [float(e)])[0, 0] for e in energies])
 
 
 @pytest.mark.parametrize("variant", ["generic", "zero-corner", "zero-offdiagonals"])
@@ -308,7 +293,7 @@ def test_chain_counts_equal_per_threshold_path(n, variant):
     energies = np.concatenate(
         [[eigs[0] - 1.0, eigs[-1] + 1.0], mids[:: max(1, n // 25)], [0.0, 1.5]]
     )
-    got = count_below(mat, energies)
+    got = count_below_stack([mat], energies)[0]
     assert got.dtype.kind == "i" and got.shape == energies.shape
     assert np.array_equal(got, _per_threshold(mat, energies))
     assert np.array_equal(got, np.searchsorted(eigs, energies, side="left"))
@@ -322,7 +307,7 @@ def test_chain_counts_on_ring_eigenvalues_equal_per_threshold_path(n):
     mat = _cyclic(np.full(n, 1.5), np.full(n, 0.7))
     levels = np.unique(1.5 - 1.4 * np.cos(2.0 * np.pi * np.arange(n) / n))
     energies = np.concatenate([levels[:: max(1, len(levels) // 20)], [levels[-1]]])
-    assert np.array_equal(count_below(mat, energies), _per_threshold(mat, energies))
+    assert np.array_equal(count_below_stack([mat], energies)[0], _per_threshold(mat, energies))
 
 
 @pytest.mark.parametrize("n", [3, 5, 17])
@@ -335,7 +320,7 @@ def test_chain_counts_at_computed_levels_equal_per_threshold_path(n):
         off = 10.0 ** local.uniform(-6.0, 0.5, n) * local.choice([-1.0, 1.0], n)
         mat = _cyclic(local.uniform(-1.0, 1.0, n), off)
         levels = np.linalg.eigvalsh(mat.toarray())
-        assert np.array_equal(count_below(mat, levels), _per_threshold(mat, levels))
+        assert np.array_equal(count_below_stack([mat], levels)[0], _per_threshold(mat, levels))
 
 
 def test_chain_sweep_flags_a_cancelling_last_pivot():
@@ -358,7 +343,7 @@ def test_chain_sweep_flags_a_cancelling_last_pivot():
     diag, off = es._periodic_chain(mat)
     sweep = es._chain_sweep(diag[:, None], off[:, None], np.array([[e]]), np.array([2.0]))
     assert sweep.tolist() == [[-1]]
-    assert count_below(mat, e) == int(np.searchsorted(eigs, e))
+    assert count_below_stack([mat], [e])[0, 0] == int(np.searchsorted(eigs, e))
 
 
 @pytest.mark.parametrize("path", ["dense", "sparse"])
@@ -377,30 +362,33 @@ def test_non_chain_counts_equal_with_and_without_array(path):
     eigs = np.linalg.eigvalsh(mat.toarray())
     energies = np.concatenate([[eigs[0] - 0.5], 0.5 * (eigs[1:] + eigs[:-1])[::7], [9.0]])
     with mock.patch.object(es, "COUNT_DENSE_CUTOFF", cutoff):
-        got = count_below(mat, energies)
-        want = [count_below(mat, float(e)) for e in energies]
+        got = count_below_stack([mat], energies)[0]
+        want = [count_below_stack([mat], [float(e)])[0, 0] for e in energies]
     assert np.array_equal(got, want)
     assert np.array_equal(got, np.searchsorted(eigs, energies, side="left"))
 
 
 def test_count_below_scalar_and_array_forms():
-    mat = _cyclic(np.full(6, 2.0), np.full(6, -1.0))
-    assert type(count_below(mat, 1.0)) is int
-    assert type(count_below(sp.csr_matrix([[2.0, -1.0], [-1.0, 2.0]]), 1.0)) is int
-    assert count_below(mat, np.array([])).shape == (0,)
-    assert count_below(mat, [1.0]).tolist() == [count_below(mat, 1.0)]
+    """A scalar threshold is one column of integers, an empty array none; a
+    2-d array is refused."""
+    mat = _cyclic(np.full(6, 2.0), np.full(6, -1.0))  # levels 0, 1, 1, 3, 3, 4
+    pair = sp.csr_matrix([[2.0, -1.0], [-1.0, 2.0]])  # levels 1, 3
+    got = count_below_stack([mat, pair], 2.0)
+    assert got.dtype.kind == "i"
+    assert got.tolist() == count_below_stack([mat, pair], [2.0]).tolist() == [[3], [1]]
+    assert count_below_stack([mat], np.array([])).shape == (1, 0)
     with pytest.raises(ValueError, match="1-d"):
-        count_below(mat, np.ones((2, 2)))
+        count_below_stack([mat], np.ones((2, 2)))
 
 
 def _ground_bisect(mat, hi, iters=48):
-    """The ground bisection as it was: one count_below per step."""
-    if count_below(mat, hi) == 0:
+    """The ground bisection as it was: one count per step."""
+    if count_below_stack([mat], [hi])[0, 0] == 0:
         return hi
     lo = 0.0
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        if count_below(mat, mid) > 0:
+        if count_below_stack([mat], [mid])[0, 0] > 0:
             hi = mid
         else:
             lo = mid
@@ -510,7 +498,7 @@ def test_count_below_stack_mixes_sizes_and_non_chains():
     got = es.count_below_stack(ops, energies)
     assert got.shape == (len(ops), energies.size)
     for op, row in zip(ops, got):
-        assert np.array_equal(row, count_below(op, energies))
+        assert np.array_equal(row, count_below_stack([op], energies)[0])
     assert es.count_below_stack(ops, np.array([])).shape == (len(ops), 0)
     assert es.count_below_stack([], energies).shape == (0, energies.size)
     with pytest.raises(ValueError, match="finite"):
@@ -548,7 +536,7 @@ def test_count_below_stack_counts_a_generator_holding_one_non_chain(monkeypatch)
     got = es.count_below_stack(operators(), energies)
     assert alive == [1, 1, 1]
     for mat, row in zip(mats, got):
-        assert np.array_equal(row, count_below(mat, energies))
+        assert np.array_equal(row, count_below_stack([mat], energies)[0])
 
 
 def test_symmetric_operator_is_prepared_once_and_gives_the_same_answers(monkeypatch):
@@ -557,10 +545,10 @@ def test_symmetric_operator_is_prepared_once_and_gives_the_same_answers(monkeypa
     op = es.SymmetricOperator(mat)
     assert op.shape == mat.shape and op.chain is not None
     energies = np.array([0.5, 1.5, 2.5])
-    want = count_below(mat, energies), ground_bisect(mat, 4.0)
+    want = count_below_stack([mat], energies)[0], ground_bisect(mat, 4.0)
     monkeypatch.setattr(es, "_periodic_chain", lambda m: pytest.fail("chain extracted again"))
     monkeypatch.setattr(es, "_norm_estimate", lambda m: pytest.fail("norm taken again"))
-    assert np.array_equal(count_below(op, energies), want[0])
+    assert np.array_equal(count_below_stack([op], energies)[0], want[0])
     assert np.array_equal(es.count_below_stack([op, op], energies), [want[0], want[0]])
     assert ground_bisect(op, 4.0) == want[1]
     with pytest.raises(ValueError, match="real symmetric"):
@@ -590,7 +578,7 @@ def test_counting_leaves_the_callers_matrix_as_it_was():
 
     entry_points = {
         "SymmetricOperator": prepared,
-        "count_below": lambda m: (count_below(m, energies),),
+        "count_below": lambda m: (count_below_stack([m], energies)[0],),
         "count_below_stack": lambda m: (es.count_below_stack([m, m], energies),),
         "ground_bisect": lambda m: (ground_bisect(m, 4.0),),
     }
@@ -634,7 +622,7 @@ def test_top_threshold_factor_settles_the_thresholds_below(monkeypatch):
     energies = np.array([between[4], levels[0] - 1.0, between[0], between[2]])
     calls = _splu_calls(monkeypatch)
     with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 10):
-        got = count_below(mat, energies)
+        got = count_below_stack([mat], energies)[0]
     assert len(calls) == 1, "one factorization, at the top threshold"
     assert got.tolist() == [5, 0, 1, 3]
 
@@ -645,7 +633,7 @@ def test_no_level_below_the_top_settles_the_rest_without_lanczos(monkeypatch):
     monkeypatch.setattr(es, "_lanczos_pairs", None)  # never called
     calls = _splu_calls(monkeypatch)
     with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 10):
-        got = count_below(mat, levels[0] - np.array([0.5, 1.0, 2.0]))
+        got = count_below_stack([mat], levels[0] - np.array([0.5, 1.0, 2.0]))[0]
     assert len(calls) == 1 and got.tolist() == [0, 0, 0]
 
 
@@ -654,9 +642,9 @@ def _hands_back(monkeypatch, mat, energies):
     must have had its own factorization."""
     calls = _splu_calls(monkeypatch)
     with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 10):
-        got = count_below(mat, energies)
+        got = count_below_stack([mat], energies)[0]
         assert len(calls) == energies.size
-        want = [count_below(mat, float(e)) for e in energies]
+        want = [count_below_stack([mat], [float(e)])[0, 0] for e in energies]
     assert np.array_equal(got, want)
     return got
 
@@ -715,7 +703,7 @@ def test_an_interval_in_a_threshold_bracket_hands_that_threshold_back(monkeypatc
     energies = np.array([levels[1] - 1e-8 * scale, between[2], between[4]])
     calls = _splu_calls(monkeypatch)
     with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 10):
-        got = count_below(mat, energies)
+        got = count_below_stack([mat], energies)[0]
     assert len(calls) == 2
     assert got.tolist() == [1, 3, 5]
 
@@ -730,7 +718,7 @@ def test_a_bracket_reaching_the_top_shift_is_handed_back(monkeypatch):
     energies = np.array([between[2], between[2] - 1e-9 * scale, between[0]])
     calls = _splu_calls(monkeypatch)
     with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 10):
-        got = count_below(mat, energies)
+        got = count_below_stack([mat], energies)[0]
     assert len(calls) == 2
     assert got.tolist() == [3, 3, 1]
 
@@ -759,7 +747,7 @@ def test_the_heap_is_trimmed_once_after_the_route_where_glibc_is(monkeypatch, gl
     mat = _generic_torus()
     _, between = _levels_and_between(mat)
     with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 10):
-        assert count_below(mat, between[[0, 2, 4]]).tolist() == [1, 3, 5]
+        assert count_below_stack([mat], between[[0, 2, 4]])[0].tolist() == [1, 3, 5]
     assert trims == ([0] if glibc else [])
 
 
@@ -793,11 +781,11 @@ def test_first_ids_2d_continuum_sample_takes_one_factorization(monkeypatch):
     op = es.SymmetricOperator(_one_matrix(family, seed, 0))
     assert op.shape == (43264, 43264) and op.chain is None
     calls = _splu_calls(monkeypatch)
-    got = count_below(op, energies)
+    got = count_below_stack([op], energies)[0]
     assert len(calls) == 1
     with monkeypatch.context() as mp:
         mp.setattr(es, "_ritz_counts", lambda op, count_one, e: np.full(e.size, -1))
-        want = count_below(op, energies)
+        want = count_below_stack([op], energies)[0]
     assert len(calls) == 4
     assert got.tolist() == want.tolist() == [0, 1, 1]
 
@@ -829,7 +817,7 @@ def test_each_ids_2d_continuum_count_takes_one_factorization_and_two_solves(monk
     for sample in range(n_samples):
         op = es.SymmetricOperator(_one_matrix(family, seed, sample))
         factors.clear(), solves.clear()
-        assert count_below(op, energies).tolist() == [0, 1, 1]
+        assert count_below_stack([op], energies)[0].tolist() == [0, 1, 1]
         assert len(factors) == 1 and 1 <= len(solves) <= 3
 
 
@@ -848,7 +836,7 @@ def test_a_run_cut_by_its_step_budget_hands_the_unsettled_thresholds_back(monkey
         monkeypatch.setattr(es, "_RITZ_EXTRA", extra)
         calls = _splu_calls(monkeypatch)
         with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 10):
-            assert count_below(mat, energies).tolist() == [1, 0]
+            assert count_below_stack([mat], energies)[0].tolist() == [1, 0]
         assert len(calls) == factorizations
 
 
@@ -913,8 +901,9 @@ def test_superlu_refusal_falls_back_to_dense_ldl(monkeypatch, how):
     energies = np.concatenate([[levels[0] - 0.5], between[::9], [levels[-1] + 0.5]])
     _refusing_splu(monkeypatch, how)
     with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 10):
-        assert np.array_equal(count_below(mat, energies), np.searchsorted(levels, energies))
-        assert count_below(mat, float(between[3])) == 4
+        got = count_below_stack([mat], energies)[0]
+        assert np.array_equal(got, np.searchsorted(levels, energies))
+        assert count_below_stack([mat], [float(between[3])])[0, 0] == 4
 
 
 def test_superlu_refusal_above_the_dense_fallback_names_every_path(monkeypatch):
@@ -922,7 +911,7 @@ def test_superlu_refusal_above_the_dense_fallback_names_every_path(monkeypatch):
     _refusing_splu(monkeypatch, "raises")
     monkeypatch.setattr(es, "COUNT_DENSE_FALLBACK", 100)
     with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 10), pytest.raises(es.CountBreakdownError, match="SuperLU") as err:
-        count_below(mat, 1.0)
+        count_below_stack([mat], [1.0])[0, 0]
     assert "no dense LDL^T fallback above N = 100" in str(err.value)
     assert "1e-12, 1e-10, 1e-08" in str(err.value)
 

@@ -79,7 +79,7 @@ def test_v_vector_vanishes_for_symmetric_site():
 
 def test_feynman_hellmann_identity_1d():
     """lam * v equals the numerical zeta-derivative of the band bottom."""
-    res = feynman_hellmann_residual(P1, Q1, 0.1, ZETA, 24, delta=1e-3)
+    res = feynman_hellmann_residual(P1, Q1, 0.1, ZETA, 24)
     assert res.residual < 1e-6
     assert res.lam_v.shape == (1,)
 
@@ -87,7 +87,7 @@ def test_feynman_hellmann_identity_1d():
 def test_feynman_hellmann_identity_2d():
     p2 = periodic_family("cosine", 2, coefficients=[-1.0, -1.0])
     q2 = single_site_family("asym-bump", 2)
-    res = feynman_hellmann_residual(p2, q2, 0.1, np.array([-0.7, 0.2]), 12, delta=1e-3)
+    res = feynman_hellmann_residual(p2, q2, 0.1, np.array([-0.7, 0.2]), 12)
     assert res.residual < 1e-5
 
 

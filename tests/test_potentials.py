@@ -115,6 +115,22 @@ def test_unknown_family_raises():
         single_site_family("mexican-hat", 1)
 
 
+def test_points_carry_their_coordinate_axis():
+    """Points are (..., d) in every dimension: N points of d = 1 are (N, 1),
+    and an (N,) array or a scalar is refused rather than read as N points."""
+    q = single_site_family("sym-bump", 1)
+    xs = np.array([[0.0], [0.1], [0.3]])
+    assert as_points(xs, 1).shape == (3, 1) and q.value(xs).shape == (3,)
+    assert as_points(np.array([0.1]), 1).shape == (1,)
+    for bad in (np.array([0.0, 0.1, 0.3]), 0.1):
+        with pytest.raises(ValueError, match="expected"):
+            as_points(bad, 1)
+        with pytest.raises(ValueError):
+            q.value(bad)
+    with pytest.raises(ValueError):
+        as_points(np.zeros((4, 3)), 2)
+
+
 def test_wrap_nearest():
     y = np.array([0.6, -0.6, 0.49, 1.0, -1.51])
     w = wrap_nearest(y, 1.0)

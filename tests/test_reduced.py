@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from displab.discretize import GridSpec, periodic_laplacian
-from displab.floquet import dispersion_symbol
+from displab.floquet import build_projectors, dispersion_symbol
 from displab.potentials import (
     FieldChunk,
     constant_field,
@@ -168,7 +168,8 @@ def test_band_symbol_ratio_free_case_is_exactly_one():
 def test_sandwich_operators_hermitian_and_ordered_at_constant_field():
     grid = GridSpec(d=1, n=1, m=16)
     field = constant_field(1, 1, ZETA)
-    ops = sandwich_operators(P1, Q1, 0.1, field, ZETA, grid, c0=8.0, alpha=0.0015, )
+    pack = build_projectors(P1, Q1, 0.1, ZETA, grid)
+    ops = sandwich_operators(P1, Q1, 0.1, field, ZETA, grid, c0=8.0, alpha=0.0015, pack=pack)
     for mat in (ops.middle, ops.lower, ops.upper):
         assert np.max(np.abs(mat - mat.conj().T)) < 1e-12
     lo = np.linalg.eigvalsh(ops.middle - ops.lower)
@@ -180,10 +181,11 @@ def test_sandwich_operators_hermitian_and_ordered_at_constant_field():
 def test_sandwich_check_random_fields():
     grid = GridSpec(d=1, n=1, m=16)
     alpha = 0.024083227 / 16.0  # alpha0 / (2 c0) at c0 = 8
+    pack = build_projectors(P1, Q1, 0.1, ZETA, grid)
     for k in range(3):
         field = sample_fields(DIST, 1, 9, (k,))
         rep = sandwich_check(P1, Q1, 0.1, field, ZETA, grid, c0=8.0, alpha=alpha,
-                             trials=40, seed=k)
+                             trials=40, seed=k, pack=pack)
         assert rep.passed, (rep.min_quad_lower, rep.min_quad_upper,
                             rep.min_eig_lower, rep.min_eig_upper)
 

@@ -8,7 +8,7 @@ failures localize to the estimator, not the physics upstream of it.
 import numpy as np
 import pytest
 
-from displab.eigensolve import count_below, ground_bisect, smallest_eigenpairs
+from displab.eigensolve import count_below_stack, ground_bisect, smallest_eigenpairs
 from displab.floquet import band_bottom
 from displab.potentials import periodic_family, single_site_family
 from displab.randomfields import DisplacementDistribution, sample_fields
@@ -53,12 +53,11 @@ def test_ids_curve_deterministic_operator_zero_variance():
     every sample counts the same free spectrum: zero standard error."""
     fam = ContinuumFamily(p=P0, q=Q0, lam=0.1, dist=DIST, n=1, m=4)
     energies = np.array([1.0, 10.0, 50.0, 130.0])
-    curve = IDSCurve(count_rows(fam, 3, range(5), energies), fam.n_cells)
+    curve = IDSCurve(count_rows(fam, 3, range(5), energies, None), fam.n_cells)
     assert np.all(curve.stderr() == 0.0)
     free = np.sort(32.0 * (1.0 - np.cos(np.pi * np.arange(12) / 6.0)))
     expected = np.array([np.sum(free < e) for e in energies]) / 3.0
     assert np.allclose(curve.values(), expected)
-    assert fam.label == "continuum"
 
 
 def test_ids_curve_input_validation():
@@ -66,7 +65,8 @@ def test_ids_curve_input_validation():
     increasing and inside (0, 1/c0^2)."""
     args = (P1, Q1, 0.1, DIST, [-1.0], 1, 16, 8.0, 1e-3)
     e_ref, families = sandwich_families(*args, [0.001, 0.002])
-    assert [fam.label for fam, _ in families] == ["reduced-plus", "continuum", "reduced-minus"]
+    assert [type(fam) for fam, _ in families] == [ReducedFamily, ContinuumFamily, ReducedFamily]
+    assert [families[0][0].sign, families[2][0].sign] == [1, -1]
     assert np.allclose(families[1][1], e_ref + np.array([0.001, 0.002]))
     for offsets in ([], [0.002, 0.001], [0.001, 0.001], [0.0, 0.001], [0.001, 1.0 / 64.0]):
         with pytest.raises(ValueError):
@@ -80,10 +80,9 @@ def test_reduced_family_jump_positions():
     fam = ReducedFamily(sign=-1, v=np.array([0.016]), lam=0.1, zeta=zeta,
                         dist=_near_point_dist(zeta), n=1, c0=2.0, alpha=0.001)
     energies = np.array([0.01, 0.5, 0.8])
-    curve = IDSCurve(count_rows(fam, 0, range(4), energies), fam.n_cells)
+    curve = IDSCurve(count_rows(fam, 0, range(4), energies, None), fam.n_cells)
     assert np.allclose(curve.values(), [1.0 / 3.0, 1.0 / 3.0, 1.0])
     assert np.all(curve.stderr() == 0.0)
-    assert fam.label == "reduced-minus"
 
 
 @pytest.mark.parametrize("kappa", [0.5, 1.0])
@@ -112,7 +111,7 @@ def test_lifshitz_fit_flags_van_hove_edge():
 
 def test_lifshitz_fit_excludes_saturated_and_validates():
     energies = 0.0 + np.geomspace(0.01, 2.0, 20)
-    vals = synthetic_tail_curve(0.0, 0.5, energies, scale=0.3)
+    vals = synthetic_tail_curve(0.0, 0.5, energies)
     vals = np.where(energies > 1.0, 1.2, vals)  # saturate the top of the window
     fit = lifshitz_fit(energies, vals, e_bottom=0.0)
     assert fit.n_points == int(np.sum(energies <= 1.0))
@@ -120,15 +119,6 @@ def test_lifshitz_fit_excludes_saturated_and_validates():
         lifshitz_fit(np.array([1.0, 2.0]), np.array([0.5, 0.6]), e_bottom=0.0)
     with pytest.raises(ValueError):
         synthetic_tail_curve(0.5, 1.0, np.array([0.4, 0.6]))
-
-
-def test_lifshitz_fit_window_restriction():
-    energies = 0.2 + np.geomspace(1e-3, 0.5, 40)
-    vals = synthetic_tail_curve(0.2, 0.5, energies)
-    fit = lifshitz_fit(energies, vals, e_bottom=0.2, window=(1e-2, 0.1))
-    rel = energies - 0.2
-    assert fit.n_points == int(np.sum((rel >= 1e-2) & (rel <= 0.1)))
-    assert fit.slope == pytest.approx(-0.5, abs=1e-9)
 
 
 def test_loglog_fit_exact_power_law():
@@ -267,7 +257,7 @@ def test_ids_sandwich_chain_small():
     )
     # each family draws the fields of (seed 5, sample s) itself: the same ones
     curves = [
-        IDSCurve(count_rows(fam, 5, range(25), thresholds), fam.n_cells)
+        IDSCurve(count_rows(fam, 5, range(25), thresholds, None), fam.n_cells)
         for fam, thresholds in families
     ]
     rep = IDSSandwichReport.from_curves(*curves)
@@ -297,11 +287,11 @@ RING = ReducedFamily(
 def test_count_rows_equal_one_count_below_per_sample(family):
     levels = np.linalg.eigvalsh(_one_matrix(family, 7, 0).toarray())
     energies = 0.5 * (levels[[0, 2, 4, 8]] + levels[[1, 3, 5, 9]])
-    rows = count_rows(family, 7, range(4), energies)
+    rows = count_rows(family, 7, range(4), energies, None)
     assert rows.shape == (4, 4) and len(np.unique(rows)) > 4
     for s in range(4):
-        assert np.array_equal(count_rows(family, 7, (s,), energies), rows[s : s + 1])
-        assert np.array_equal(count_below(_one_matrix(family, 7, s), energies), rows[s])
+        assert np.array_equal(count_rows(family, 7, (s,), energies, None), rows[s : s + 1])
+        assert np.array_equal(count_below_stack([_one_matrix(family, 7, s)], energies)[0], rows[s])
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -322,8 +312,9 @@ def test_wegner_rows_equal_one_sample_at_a_time(n):
         assert np.array_equal(one_hits, hits[s : s + 1]) and one_grounds == [grounds[s]]
         assert len(one_audits) == 1 and np.array_equal(one_audits[0], audits[s])
         mat = _one_matrix(family, 5, s)
-        want = count_below(mat, e_center + eps) > count_below(mat, e_center - eps)
-        assert np.array_equal(hits[s], want)
+        upper = count_below_stack([mat], e_center + eps)[0]
+        lower = count_below_stack([mat], e_center - eps)[0]
+        assert np.array_equal(hits[s], upper > lower)
         if s < 3:
             assert grounds[s] == smallest_eigenpairs(mat, k=1).ground_energy
 
@@ -337,4 +328,4 @@ def test_lifshitz_rows_equal_one_sample_at_a_time():
         assert one_grounds == [grounds[s]] and np.array_equal(one_counts, counts[s : s + 1])
         mat = _one_matrix(RING, 0, s)
         assert grounds[s] == ground_bisect(mat, 4.0)
-        assert np.array_equal(counts[s], count_below(mat, energies))
+        assert np.array_equal(counts[s], count_below_stack([mat], energies)[0])
