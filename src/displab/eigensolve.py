@@ -1,10 +1,11 @@
 """Extremal eigenpairs and inertia-based spectral counting.
 
-Every entry takes a sparse matrix, and the counting entries
-(``count_below_stack``, ``ground_bisect``) a ``SymmetricOperator`` as
-well; any other type is a ``TypeError``.  Small problems go through
-dense LAPACK; large ones through ARPACK (smallest pairs) or a
-symmetric-mode sparse LDL^T factorization (counting).
+``smallest_eigenpairs`` and ``dense_levels`` take a sparse matrix.  The
+counting entries (``count_below_stack``, ``ground_bisect``) take only
+operators prepared by ``SymmetricOperator.chunk``, and ``count_below_stack``
+a 1-d array of thresholds; any other operator type is a ``TypeError``.
+Small problems go through dense LAPACK; large ones through ARPACK (smallest
+pairs) or a symmetric-mode sparse LDL^T factorization (counting).
 Periodic chains (every d = 1 torus operator) are counted by a cyclic LDL^T
 sweep over all thresholds, and over a whole stack of chains at once.  Other
 large sparse operators (d = 2) are factored once, at their largest
@@ -212,23 +213,19 @@ def _sparse_inertia(shifted, scale):
 class SymmetricOperator:
     """A real symmetric operator with what counting reads taken out once.
 
-    ``matrix`` is the CSR matrix, ``norm`` its largest absolute
+    ``matrix`` is the canonical CSR matrix, ``norm`` its largest absolute
     row sum and ``chain`` its periodic-chain form ``(a, b)`` or None.
-    ``count_below_stack`` and ``ground_bisect`` take one wherever they take
-    an operator, so an operator that is both bisected and
-    counted is prepared once.  The matrix must not change afterwards.  A
-    sparse matrix with unsorted or duplicate entries is read from a summed
-    copy, so the caller's stays as it was.
-    ``SymmetricOperator.chunk`` prepares the operators of a chunk together.
+    ``count_below_stack`` and ``ground_bisect`` take only these, so an
+    operator that is both bisected and counted is prepared once.  The matrix
+    must not change afterwards.  ``SymmetricOperator.chunk`` is the one
+    constructor: it prepares the operators of a chunk together.
     """
 
-    def __init__(self, op):
-        mat = _canonical(_sparse(op))
-        if np.iscomplexobj(mat.data):
-            raise ValueError("SymmetricOperator expects a real symmetric operator")
-        self.matrix = mat
-        self.norm = _norm_estimate(mat)
-        self.chain = _periodic_chain(mat)
+    @classmethod
+    def _of(cls, matrix, norm, chain):
+        op = cls.__new__(cls)
+        op.matrix, op.norm, op.chain = matrix, norm, chain
+        return op
 
     @classmethod
     def chunk(cls, stack):
@@ -248,12 +245,10 @@ class SymmetricOperator:
         data = stack.data()
         norms = _stack_norms(stack.stencil.indptr, data)
         chains = _stack_chains(stack.stencil, data)
-        ops = []
-        for k, (norm, chain) in enumerate(zip(norms, chains)):
-            op = cls.__new__(cls)
-            op.matrix, op.norm, op.chain = stack[k], float(norm), chain
-            ops.append(op)
-        return ops
+        return [
+            cls._of(stack[k], float(norm), chain)
+            for k, (norm, chain) in enumerate(zip(norms, chains))
+        ]
 
     @classmethod
     def _stack_unchained(cls, stack):
@@ -269,8 +264,7 @@ class SymmetricOperator:
         symmetric = None
         for k in range(len(stack)):
             mat = stack[k]
-            op = cls.__new__(cls)
-            op.matrix, op.norm, op.chain = mat, _norm_estimate(mat), None
+            op = cls._of(mat, float(_stack_norms(mat.indptr, mat.data[None])[0]), None)
             if symmetric is None:
                 symmetric = op.exactly_symmetric
             op.exactly_symmetric = symmetric
@@ -292,17 +286,23 @@ def _exactly_symmetric(mat):
     return (mat != mat.T).nnz == 0
 
 
-def _prepared(op):
-    return op if isinstance(op, SymmetricOperator) else SymmetricOperator(op)
+def _checked(op):
+    """``op`` if ``SymmetricOperator.chunk`` prepared it; any other type is a
+    ``TypeError`` that names it."""
+    if not isinstance(op, SymmetricOperator):
+        raise TypeError(f"counting takes a SymmetricOperator.chunk operator, not {type(op).__name__}")
+    return op
 
 
 def count_below_stack(ops, energies):
     """Counts below each threshold for several operators: a (K, T) int array.
 
-    Entry (k, t) is the number of eigenvalues of the real symmetric operator
-    ``ops[k]`` strictly below ``energies[t]``; a scalar ``energies`` is one
-    threshold.  Counts are exact integers by Sylvester inertia; a non-finite
-    threshold raises ``ValueError`` before any factorization.
+    Entry (k, t) is the number of eigenvalues of the prepared operator
+    ``ops[k]`` (``SymmetricOperator.chunk``) strictly below ``energies[t]``.
+    Any other operator type is a ``TypeError``; ``energies`` must be a 1-d
+    array, and a 0-d or 2-d one, like a non-finite threshold, raises
+    ``ValueError`` before any factorization.  Counts are exact integers by
+    Sylvester inertia.
 
     A sparse real symmetric periodic chain (N >= 3, entries only at i and
     i +- 1 mod N: every d = 1 torus operator) counts all thresholds in one
@@ -353,11 +353,13 @@ def count_below_stack(ops, energies):
     a time.
     """
     thresholds = np.asarray(energies, dtype=float)
-    if thresholds.ndim > 1:
-        raise ValueError("count_below_stack takes a scalar or a 1-d array of thresholds")
+    if thresholds.ndim != 1:
+        raise ValueError(
+            f"count_below_stack takes a 1-d array of thresholds, not a {thresholds.ndim}-d one"
+        )
     if not np.all(np.isfinite(thresholds)):
         raise ValueError(f"count_below_stack threshold must be finite, got {energies!r}")
-    return _count_stack((_prepared(op) for op in ops), np.atleast_1d(thresholds))
+    return _count_stack((_checked(op) for op in ops), thresholds)
 
 
 def _count_stack(ops, energies):
@@ -611,16 +613,6 @@ def _sparse_shift(mat, symmetric):
     return shifted
 
 
-def _periodic_chain(mat):
-    """``(a, b)`` of a sparse real symmetric periodic chain, else None.
-
-    A periodic chain is N x N with N >= 3, has finite entries only at (i, i)
-    and (i, i +- 1 mod N), and is exactly symmetric.  ``a[i] = A[i, i]`` and
-    ``b[i] = A[i, i + 1 mod N]``, so ``b[N - 1]`` is the corner A[N - 1, 0].
-    """
-    return _stack_chains(mat, mat.data[None])[0]
-
-
 def _chain_pattern(mat):
     """``(rows, offsets)`` of the stored entries, offsets ``(j - i) mod N``, if
     the sparse ``mat`` is N x N with N >= 3 and stores entries only at
@@ -636,9 +628,12 @@ def _chain_pattern(mat):
 
 
 def _stack_chains(mat, data):
-    """``_periodic_chain`` of each matrix with ``mat``'s pattern and a row of
-    ``data`` (K, nnz) for its entries: a list of K ``(a, b)`` or None.
+    """The periodic-chain form of each matrix with ``mat``'s pattern and a row
+    of ``data`` (K, nnz) for its entries: a list of K ``(a, b)`` or None.
 
+    A periodic chain is N x N with N >= 3, has finite entries only at (i, i)
+    and (i, i +- 1 mod N), and is exactly symmetric.  ``a[i] = A[i, i]`` and
+    ``b[i] = A[i, i + 1 mod N]``, so ``b[N - 1]`` is the corner A[N - 1, 0].
     Each entry of a, of b and of the subdiagonal is summed from the stored
     entries at its place by one ``bincount`` over all K matrices, whose bins
     see the additions of K separate ones.
@@ -785,7 +780,7 @@ def _chain_sweep(diag, off, energies, norms):
 
 
 def ground_bisect(op, hi):
-    """Smallest eigenvalue of a PSD operator by 48 bisection steps on [0, hi].
+    """Smallest eigenvalue of a prepared PSD operator by 48 bisection steps on [0, hi].
 
     Returns ``hi`` when no eigenvalue lies below it.  Each step asks whether
     some eigenvalue lies strictly below the midpoint, which the
@@ -794,7 +789,7 @@ def ground_bisect(op, hi):
     (``_chain_has_level_below``) answer first, and the count takes the
     steps those leave open.
     """
-    op = _prepared(op)
+    op = _checked(op)
     count_one = _threshold_counter(op)
     heads = None if op.chain is None else _ChainHeads.of(*op.chain)
 
@@ -915,24 +910,10 @@ def _last_pivot(heads, shifted_last, piv):
     return last, cancel
 
 
-def _canonical(mat):
-    """``mat`` with sorted entries and no duplicates: ``mat`` itself if it
-    has them, else a copy with its duplicates summed."""
-    if not mat.has_canonical_format:
-        mat = mat.copy()
-        mat.sum_duplicates()
-    return mat
-
-
-def _norm_estimate(mat):
-    """Largest absolute row sum: ``abs(A).sum(axis=1).max()``."""
-    mat = _canonical(mat)  # SciPy's abs(A) sums duplicates before its row sums
-    return float(_stack_norms(mat.indptr, mat.data[None])[0])
-
-
 def _stack_norms(indptr, data):
-    """``_norm_estimate`` of each sparse matrix with row pointers ``indptr``
-    and a row of ``data`` (K, nnz) for its entries: K norms.
+    """The largest absolute row sum, ``abs(A).sum(axis=1).max()``, of each
+    canonical sparse matrix with row pointers ``indptr`` and a row of
+    ``data`` (K, nnz) for its entries: K norms.
 
     SciPy sums a sparse matrix's rows with ``np.add.reduceat`` over each
     nonempty row's entries; one ``reduceat`` over all K data rows makes the

@@ -9,7 +9,6 @@ existing draws.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,10 +19,6 @@ from .supports import SupportSet, ball, unit_vector
 DISTRIBUTION_KINDS = ("uniform-ball", "uniform-sphere", "polar", "product-box")
 
 _U64 = 0xFFFFFFFFFFFFFFFF
-
-
-class UnsupportedVariantError(ValueError):
-    """Operation undefined for this distribution variant."""
 
 
 @dataclass(frozen=True)
@@ -382,24 +377,3 @@ def _vector_path_ok():
     if not (np.array_equal(layer, layers) and np.array_equal(rabs, _FIRST_TRY_BOUND[layers])):
         return False
     return bool(_first_try(seed, sample, witness.tolist()).all())
-
-
-def radial_density_bound(dist):
-    """sup over (0, R) of |h'(r)| for the radial density h of |omega - center|.
-
-    Power laws h(r) = (k+1) r^k / R^{k+1} give k (k+1) / R^2 for k >= 1,
-    zero for k = 0, and an unbounded derivative for 0 < k < 1.  Atomic radial
-    laws (boundary shells) return inf.  Box variants have no radial density;
-    they raise.
-    """
-    if dist.kind == "product-box":
-        raise UnsupportedVariantError("product-box has no isotropic radial density")
-    if dist.kind == "uniform-sphere":
-        return math.inf
-    radius = dist.support.radius
-    k = float(dist.d - 1) if dist.kind == "uniform-ball" else float(dist.radial_exponent)
-    if k == 0.0:
-        return 0.0
-    if k < 1.0:
-        return math.inf
-    return k * (k + 1.0) * radius ** (k - 1.0) / radius ** (k + 1.0)

@@ -1,7 +1,13 @@
 """Terminal reporting for the acceptance gate: one verdict line per criterion,
-and the one Hypothesis profile of the property tests."""
+the one Hypothesis profile of the property tests, and ``prepared``, the
+tests' way from a sparse matrix to a counting operator."""
 
 import re
+
+import numpy as np
+
+from displab.discretize import DiagonalStack, diagonal_slots
+from displab.eigensolve import SymmetricOperator
 
 try:
     from hypothesis import settings
@@ -14,6 +20,26 @@ else:
         "tier1", derandomize=True, max_examples=60, deadline=None, database=None
     )
     settings.load_profile("tier1")
+
+
+def prepared(mat):
+    """The operator of a chunk of one (``SymmetricOperator.chunk``) whose
+    matrix has the data, indices and indptr of the canonical real CSR
+    ``mat``, bit for bit.
+
+    ``mat`` is the stack's stencil, and the stack's diagonal is -0.0 at
+    every slot, which adds nothing (x + -0.0 is x, sign of a zero included);
+    a matrix that does not store its whole diagonal gets no slots.
+    """
+    mat = mat.tocsr()
+    if not mat.has_canonical_format:
+        raise ValueError("prepared takes a canonical CSR matrix")
+    slots = diagonal_slots(mat)
+    if slots is None:
+        slots = np.empty(0, dtype=int)
+    (op,) = SymmetricOperator.chunk(DiagonalStack(mat, slots, np.full((1, slots.size), -0.0)))
+    return op
+
 
 _results = {}
 

@@ -29,7 +29,8 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dsyevd
 
 import displab.eigensolve as es
-from displab.eigensolve import SymmetricOperator, count_below_stack, ground_bisect
+from displab.eigensolve import count_below_stack, ground_bisect
+from conftest import prepared
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -81,8 +82,10 @@ def _thresholds(mats, seed):
 def _per_threshold(mat, energies):
     """One count per threshold, with the chain sweep switched off."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(es, "_periodic_chain", lambda mat: None)
-        return np.array([count_below_stack([mat], [float(e)])[0, 0] for e in energies])
+        mp.setattr(es, "_chain_pattern", lambda mat: None)
+        op = prepared(mat)
+        assert op.chain is None
+        return np.array([count_below_stack([op], [float(e)])[0, 0] for e in energies])
 
 
 def _reference_chain_sweep(diag, off, energies, norm):
@@ -127,14 +130,15 @@ def _reference_chain_sweep(diag, off, energies, norm):
 @given(st.lists(chains, min_size=1, max_size=5), st.integers(0, 2**32 - 1))
 def test_stacked_counts_equal_every_other_path(mats, seed):
     energies = _thresholds(mats, seed)
-    got = count_below_stack(mats, energies)
+    ops = [prepared(mat) for mat in mats]
+    got = count_below_stack(ops, energies)
     assert got.shape == (len(mats), energies.size) and got.dtype.kind == "i"
-    for mat, row in zip(mats, got):
-        assert np.array_equal(row, count_below_stack([mat], energies)[0])
+    for mat, op, row in zip(mats, ops, got):
+        assert np.array_equal(row, count_below_stack([op], energies)[0])
         assert np.array_equal(row, _per_threshold(mat, energies))
         levels = np.linalg.eigvalsh(mat.toarray())
         gap = np.min(np.abs(energies[:, None] - levels[None, :]), axis=1)
-        clear = gap > 1e-8 * max(1.0, es._norm_estimate(mat), np.max(np.abs(energies)))
+        clear = gap > 1e-8 * max(1.0, op.norm, np.max(np.abs(energies)))
         want = np.searchsorted(levels, energies, side="left")
         assert np.array_equal(row[clear], want[clear])
 
@@ -145,7 +149,7 @@ def test_blocked_stacked_sweep_equals_the_one_chain_sweep(mats, seed, cells):
     every column the counts and flags of the unblocked one-chain sweep."""
     n = mats[0].shape[0]
     mats = [m for m in mats if m.shape[0] == n] + [_chain(n, "generic", seed)]
-    ops = [SymmetricOperator(m) for m in mats]
+    ops = [prepared(m) for m in mats]
     rng = np.random.default_rng(seed)
     energies = np.sort(rng.uniform(-2.0, 4.0, (len(ops), 6)), axis=1)
     energies[:, 0] = np.linalg.eigvalsh(mats[0].toarray())[0]
@@ -164,13 +168,15 @@ def test_blocked_stacked_sweep_equals_the_one_chain_sweep(mats, seed, cells):
 def _reference_ground(mat, hi):
     """The ground bisection as it was: one per-threshold count per step."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(es, "_periodic_chain", lambda mat: None)
-        if count_below_stack([mat], [hi])[0, 0] == 0:
+        mp.setattr(es, "_chain_pattern", lambda mat: None)
+        op = prepared(mat)
+        assert op.chain is None
+        if count_below_stack([op], [hi])[0, 0] == 0:
             return hi
         lo = 0.0
         for _ in range(48):
             mid = 0.5 * (lo + hi)
-            if count_below_stack([mat], [mid])[0, 0] > 0:
+            if count_below_stack([op], [mid])[0, 0] > 0:
                 hi = mid
             else:
                 lo = mid
@@ -182,7 +188,7 @@ def test_ground_bisect_equals_reference_bisection_bitwise(mat, bottom, hi):
     n = mat.shape[0]
     lowest = np.linalg.eigvalsh(mat.toarray())[0]
     mat = (mat + (bottom - lowest) * sp.identity(n, format="csr")).tocsr()
-    assert ground_bisect(mat, hi) == _reference_ground(mat, hi)
+    assert ground_bisect(prepared(mat), hi) == _reference_ground(mat, hi)
 
 
 TORUS_VARIANTS = ("generic", "pairs", "near-pairs", "constant")
@@ -231,14 +237,15 @@ def test_torus_counts_from_the_top_factor_equal_the_per_threshold_path(mat, seed
     if rng.random() < 0.25:
         picks.append(levels[-1] + 1.0)
     energies = rng.permutation(np.array(picks))
-    assert es.SymmetricOperator(mat).chain is None
+    op = prepared(mat)
+    assert op.chain is None
     with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 10):
-        got = count_below_stack([mat], energies)[0]
+        got = count_below_stack([op], energies)[0]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(es, "_ritz_counts", lambda op, count_one, e: np.full(e.size, -1))
-            assert np.array_equal(got, count_below_stack([mat], energies)[0])
+            assert np.array_equal(got, count_below_stack([op], energies)[0])
     gap = np.min(np.abs(energies[:, None] - levels[None, :]), axis=1)
-    clear = gap > 1e-8 * max(1.0, es._norm_estimate(mat), np.max(np.abs(energies)))
+    clear = gap > 1e-8 * max(1.0, op.norm, np.max(np.abs(energies)))
     want = np.searchsorted(levels, energies, side="left")
     assert np.array_equal(got[clear], want[clear])
 
@@ -253,7 +260,8 @@ def test_lanczos_counts_equal_the_per_threshold_path(mat, below, cut, seed):
     per-threshold path.  Every count equals that path's."""
     rng = np.random.default_rng(seed)
     levels = np.linalg.eigvalsh(mat.toarray())
-    scale = max(1.0, es._norm_estimate(mat))
+    op = prepared(mat)
+    scale = max(1.0, op.norm)
     top = levels[0] - 0.5 if below == 0 else 0.5 * (levels[below - 1] + levels[below])
     near = 10.0 ** rng.uniform(-9.0, -5.0) * scale
     picks = [top, levels[0] - 1.0, top - near]
@@ -266,9 +274,9 @@ def test_lanczos_counts_equal_the_per_threshold_path(mat, below, cut, seed):
     with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 10), pytest.MonkeyPatch.context() as mp:
         if cut:
             mp.setattr(es, "_RITZ_EXTRA", 1 - 2 * below)
-        got = count_below_stack([mat], energies)[0]
+        got = count_below_stack([op], energies)[0]
         mp.setattr(es, "_ritz_counts", lambda op, count_one, e: np.full(e.size, -1))
-        assert np.array_equal(got, count_below_stack([mat], energies)[0])
+        assert np.array_equal(got, count_below_stack([op], energies)[0])
     assert _clear_counts(got, levels, energies, max(scale, np.max(np.abs(energies))))
 
 
@@ -321,8 +329,9 @@ def test_dense_counts_equal_eigvalsh_where_the_gap_is_clear(mat, seed):
     sparse = sp.csr_matrix(mat)
     energies = _thresholds([sparse], seed)
     levels = np.linalg.eigvalsh(mat)
-    scale = max(1.0, es._norm_estimate(sparse), np.max(np.abs(energies)))
-    got = count_below_stack([sparse], energies)[0]
+    op = prepared(sparse)
+    scale = max(1.0, op.norm, np.max(np.abs(energies)))
+    got = count_below_stack([op], energies)[0]
     assert got.dtype.kind == "i"
     assert _clear_counts(got, levels, energies, scale)
     assert _in_band(got, levels, energies, scale)
@@ -348,16 +357,18 @@ def test_superlu_and_dense_ldlt_count_the_same_sparse_operator(mat, seed):
     wherever the gap is clear, and each inside the tie band elsewhere."""
     energies = _thresholds([mat], seed)
     levels = np.linalg.eigvalsh(mat.toarray())
-    scale = max(1.0, es._norm_estimate(mat), np.max(np.abs(energies)))
     n = mat.shape[0]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(es, "_periodic_chain", lambda mat: None)
+        mp.setattr(es, "_chain_pattern", lambda mat: None)
+        op = prepared(mat)
+        assert op.chain is None
         with mock.patch.object(es, "COUNT_DENSE_CUTOFF", n):
-            dense = count_below_stack([mat], energies)[0]
+            dense = count_below_stack([op], energies)[0]
         with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 0):
-            ritz = count_below_stack([mat], energies)[0]
+            ritz = count_below_stack([op], energies)[0]
             mp.setattr(es, "_ritz_counts", lambda op, count_one, e: np.full(e.size, -1))
-            superlu = count_below_stack([mat], energies)[0]
+            superlu = count_below_stack([op], energies)[0]
+    scale = max(1.0, op.norm, np.max(np.abs(energies)))
     for got in (dense, superlu, ritz):
         assert _clear_counts(got, levels, energies, scale)
         assert _in_band(got, levels, energies, scale)

@@ -18,6 +18,7 @@ from displab.discretize import assemble_fiber
 import displab.eigensolve as es
 from displab.eigensolve import count_below_stack, ground_bisect, smallest_eigenpairs
 from displab.potentials import periodic_family, single_site_family
+from conftest import prepared
 from test_spectral_stats import _one_matrix
 
 rng = np.random.default_rng(12345)
@@ -95,14 +96,13 @@ def test_smallest_eigenpairs_input_checks():
 
 
 def test_a_dense_array_is_refused():
-    """Every entry takes a sparse matrix (the counting entry a
-    SymmetricOperator as well): a dense array is a TypeError that names its
-    type."""
+    """``smallest_eigenpairs`` takes a sparse matrix and the counting entries
+    a prepared operator: a dense array is a TypeError that names its type."""
     a = _random_sym(5)
     calls = (
         lambda: count_below_stack([a], [0.0]),
+        lambda: ground_bisect(a, 1.0),
         lambda: smallest_eigenpairs(a, k=1),
-        lambda: es.SymmetricOperator(a),
     )
     for call in calls:
         with pytest.raises(TypeError, match="ndarray"):
@@ -121,10 +121,29 @@ def test_accepts_lattice_operator():
 def test_smallest_eigenpairs_takes_only_a_sparse_matrix():
     """A SymmetricOperator is a TypeError that names its type; its matrix
     gives the pairs."""
-    mat = _random_chain(60, "generic", 5)
+    op = prepared(_random_chain(60, "generic", 5))
     with pytest.raises(TypeError, match="SymmetricOperator"):
-        smallest_eigenpairs(es.SymmetricOperator(mat), k=1)
-    assert smallest_eigenpairs(es.SymmetricOperator(mat).matrix, k=1).method == "dense"
+        smallest_eigenpairs(op, k=1)
+    assert smallest_eigenpairs(op.matrix, k=1).method == "dense"
+
+
+def test_counting_takes_only_prepared_operators_and_1d_thresholds():
+    """A raw CSR matrix is a TypeError that names its type, in both counting
+    entries; a 0-d or 2-d threshold array is a ValueError.  A 1-d array of T
+    thresholds gives T integer columns, also for T = 1 and T = 0."""
+    mat = _cyclic(np.full(6, 2.0), np.full(6, -1.0))  # levels 0, 1, 1, 3, 3, 4
+    pair = sp.csr_matrix([[2.0, -1.0], [-1.0, 2.0]])  # levels 1, 3
+    with pytest.raises(TypeError, match="csr_matrix"):
+        count_below_stack([mat], [2.0])
+    with pytest.raises(TypeError, match="csr_matrix"):
+        ground_bisect(mat, 4.0)
+    ops = [prepared(mat), prepared(pair)]
+    for energies in (2.0, np.float64(2.0), np.ones((2, 2)), [[2.0]]):
+        with pytest.raises(ValueError, match="1-d"):
+            count_below_stack(ops, energies)
+    got = count_below_stack(ops, [2.0])
+    assert got.dtype.kind == "i" and got.tolist() == [[3], [1]]
+    assert count_below_stack(ops, np.array([])).shape == (2, 0)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -134,7 +153,7 @@ def test_count_below_matches_eigvalsh(seed):
     a = 0.5 * (a + a.T)
     eigs = np.linalg.eigvalsh(a)
     for e in (-5.0, eigs[10] + 1e-6, 0.0, eigs[-1] + 1.0):
-        assert count_below_stack([sp.csr_matrix(a)], [e])[0, 0] == int(np.sum(eigs < e))
+        assert count_below_stack([prepared(sp.csr_matrix(a))], [e])[0, 0] == int(np.sum(eigs < e))
 
 
 def test_count_below_sparse_ring_closed_form():
@@ -143,28 +162,22 @@ def test_count_below_sparse_ring_closed_form():
     n = 2001
     mat = sp.diags([np.full(n - 1, -1.0), np.full(n, 2.0), np.full(n - 1, -1.0)], [-1, 0, 1]).tolil()
     mat[0, n - 1] = mat[n - 1, 0] = -1.0
-    mat = mat.tocsr()
+    op = prepared(mat)
     eigs = 2.0 * (1.0 - np.cos(2.0 * np.pi * np.arange(n) / n))
     for e in (0.5, 1.0, 3.9):
-        assert count_below_stack([mat], [e])[0, 0] == int(np.sum(eigs < e))
-    assert count_below_stack([mat], [4.1])[0, 0] == n
+        assert count_below_stack([op], [e])[0, 0] == int(np.sum(eigs < e))
+    assert count_below_stack([op], [4.1])[0, 0] == n
     # E = 0 ties the ground state exactly; the documented upward nudge counts it
-    assert count_below_stack([mat], [0.0])[0, 0] == 1
-    assert count_below_stack([mat], [-1e-9])[0, 0] == 0
+    assert count_below_stack([op], [0.0])[0, 0] == 1
+    assert count_below_stack([op], [-1e-9])[0, 0] == 0
 
 
 def test_count_below_tied_threshold_retries_upward():
     # threshold exactly on an eigenvalue: the tiny upward nudges must count it
-    a = sp.diags([1.0, 2.0, 2.0, 3.0], format="csr")
-    assert count_below_stack([a], [2.0])[0, 0] == 3  # nudge resolves the tie upward
-    assert count_below_stack([a], [2.0 + 1e-6])[0, 0] == 3
-    assert count_below_stack([a], [1.0 - 1e-12])[0, 0] == 0
-
-
-def test_count_below_rejects_complex():
-    a = sp.identity(4, dtype=complex, format="csr")
-    with pytest.raises(ValueError):
-        count_below_stack([a], [0.5])[0, 0]
+    op = prepared(sp.diags([1.0, 2.0, 2.0, 3.0], format="csr"))
+    assert count_below_stack([op], [2.0])[0, 0] == 3  # nudge resolves the tie upward
+    assert count_below_stack([op], [2.0 + 1e-6])[0, 0] == 3
+    assert count_below_stack([op], [1.0 - 1e-12])[0, 0] == 0
 
 
 def _ldl_walk_inertia(shifted, scale):
@@ -223,15 +236,15 @@ def test_dense_inertia_equals_the_ldl_walk(seed):
 def test_count_agrees_between_dense_and_sparse_paths(monkeypatch):
     import displab.eigensolve as es
 
-    monkeypatch.setattr(es, "_periodic_chain", lambda mat: None)  # a chain skips both
+    monkeypatch.setattr(es, "_chain_pattern", lambda mat: None)  # a chain skips both
     n = 700
     diag = np.random.default_rng(9).uniform(0, 4, n)
     mat = sp.diags([np.full(n - 1, -1.0), diag, np.full(n - 1, -1.0)], [-1, 0, 1]).tocsr()
     for e in (0.5, 2.0):
         with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 10):
-            sparse = count_below_stack([mat], [e])[0, 0]
+            sparse = count_below_stack([prepared(mat)], [e])[0, 0]
         with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 5000):
-            dense = count_below_stack([mat], [e])[0, 0]
+            dense = count_below_stack([prepared(mat)], [e])[0, 0]
         assert sparse == dense
 
 
@@ -249,7 +262,7 @@ def test_count_below_rejects_non_finite_threshold(monkeypatch, energy, path):
     mat = sp.diags([np.full(n - 1, -1.0), np.full(n, 2.0), np.full(n - 1, -1.0)], [-1, 0, 1])
     cutoff = 600 if path == "dense" else 10
     with mock.patch.object(es, "COUNT_DENSE_CUTOFF", cutoff), pytest.raises(ValueError, match="finite"):
-        count_below_stack([mat.tocsr()], energy)
+        count_below_stack([prepared(mat.tocsr())], [energy])
 
 
 # -- periodic chains: one sweep for all thresholds, and the ground bisection --
@@ -279,21 +292,23 @@ def _random_chain(n, variant, seed):
 def _per_threshold(mat, energies):
     """One count per threshold, with the chain sweep switched off."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(es, "_periodic_chain", lambda mat: None)
-        return np.array([count_below_stack([mat], [float(e)])[0, 0] for e in energies])
+        mp.setattr(es, "_chain_pattern", lambda mat: None)
+        op = prepared(mat)
+        assert op.chain is None
+        return np.array([count_below_stack([op], [float(e)])[0, 0] for e in energies])
 
 
 @pytest.mark.parametrize("variant", ["generic", "zero-corner", "zero-offdiagonals"])
 @pytest.mark.parametrize("n", [3, 4, 5, 17, 2001])
 def test_chain_counts_equal_per_threshold_path(n, variant):
     mat = _random_chain(n, variant, seed=1000 * n + len(variant))
-    assert es._periodic_chain(mat) is not None
+    assert prepared(mat).chain is not None
     eigs = np.linalg.eigvalsh(mat.toarray())
     mids = 0.5 * (eigs[1:] + eigs[:-1])
     energies = np.concatenate(
         [[eigs[0] - 1.0, eigs[-1] + 1.0], mids[:: max(1, n // 25)], [0.0, 1.5]]
     )
-    got = count_below_stack([mat], energies)[0]
+    got = count_below_stack([prepared(mat)], energies)[0]
     assert got.dtype.kind == "i" and got.shape == energies.shape
     assert np.array_equal(got, _per_threshold(mat, energies))
     assert np.array_equal(got, np.searchsorted(eigs, energies, side="left"))
@@ -307,7 +322,8 @@ def test_chain_counts_on_ring_eigenvalues_equal_per_threshold_path(n):
     mat = _cyclic(np.full(n, 1.5), np.full(n, 0.7))
     levels = np.unique(1.5 - 1.4 * np.cos(2.0 * np.pi * np.arange(n) / n))
     energies = np.concatenate([levels[:: max(1, len(levels) // 20)], [levels[-1]]])
-    assert np.array_equal(count_below_stack([mat], energies)[0], _per_threshold(mat, energies))
+    got = count_below_stack([prepared(mat)], energies)[0]
+    assert np.array_equal(got, _per_threshold(mat, energies))
 
 
 @pytest.mark.parametrize("n", [3, 5, 17])
@@ -320,7 +336,8 @@ def test_chain_counts_at_computed_levels_equal_per_threshold_path(n):
         off = 10.0 ** local.uniform(-6.0, 0.5, n) * local.choice([-1.0, 1.0], n)
         mat = _cyclic(local.uniform(-1.0, 1.0, n), off)
         levels = np.linalg.eigvalsh(mat.toarray())
-        assert np.array_equal(count_below_stack([mat], levels)[0], _per_threshold(mat, levels))
+        got = count_below_stack([prepared(mat)], levels)[0]
+        assert np.array_equal(got, _per_threshold(mat, levels))
 
 
 def test_chain_sweep_flags_a_cancelling_last_pivot():
@@ -340,10 +357,10 @@ def test_chain_sweep_flags_a_cancelling_last_pivot():
     mat = _cyclic(np.array([a0, a1, a2]), np.array([b0, b1, c]))
     eigs = np.linalg.eigvalsh(mat.toarray())
     assert 0 < np.min(np.abs(eigs - e)) < 2e-6
-    diag, off = es._periodic_chain(mat)
+    diag, off = prepared(mat).chain
     sweep = es._chain_sweep(diag[:, None], off[:, None], np.array([[e]]), np.array([2.0]))
     assert sweep.tolist() == [[-1]]
-    assert count_below_stack([mat], [e])[0, 0] == int(np.searchsorted(eigs, e))
+    assert count_below_stack([prepared(mat)], [e])[0, 0] == int(np.searchsorted(eigs, e))
 
 
 @pytest.mark.parametrize("path", ["dense", "sparse"])
@@ -357,38 +374,26 @@ def test_non_chain_counts_equal_with_and_without_array(path):
     eye = sp.identity(side, format="csr")
     diag = np.random.default_rng(4).uniform(0.0, 1.0, side * side)
     mat = (sp.kron(ring, eye) + sp.kron(eye, ring) + sp.diags(diag)).tocsr()
-    assert es._periodic_chain(mat) is None
+    op = prepared(mat)
+    assert op.chain is None
     cutoff = 10 if path == "sparse" else 600
     eigs = np.linalg.eigvalsh(mat.toarray())
     energies = np.concatenate([[eigs[0] - 0.5], 0.5 * (eigs[1:] + eigs[:-1])[::7], [9.0]])
     with mock.patch.object(es, "COUNT_DENSE_CUTOFF", cutoff):
-        got = count_below_stack([mat], energies)[0]
-        want = [count_below_stack([mat], [float(e)])[0, 0] for e in energies]
+        got = count_below_stack([op], energies)[0]
+        want = [count_below_stack([op], [float(e)])[0, 0] for e in energies]
     assert np.array_equal(got, want)
     assert np.array_equal(got, np.searchsorted(eigs, energies, side="left"))
 
 
-def test_count_below_scalar_and_array_forms():
-    """A scalar threshold is one column of integers, an empty array none; a
-    2-d array is refused."""
-    mat = _cyclic(np.full(6, 2.0), np.full(6, -1.0))  # levels 0, 1, 1, 3, 3, 4
-    pair = sp.csr_matrix([[2.0, -1.0], [-1.0, 2.0]])  # levels 1, 3
-    got = count_below_stack([mat, pair], 2.0)
-    assert got.dtype.kind == "i"
-    assert got.tolist() == count_below_stack([mat, pair], [2.0]).tolist() == [[3], [1]]
-    assert count_below_stack([mat], np.array([])).shape == (1, 0)
-    with pytest.raises(ValueError, match="1-d"):
-        count_below_stack([mat], np.ones((2, 2)))
-
-
-def _ground_bisect(mat, hi, iters=48):
+def _ground_bisect(op, hi, iters=48):
     """The ground bisection as it was: one count per step."""
-    if count_below_stack([mat], [hi])[0, 0] == 0:
+    if count_below_stack([op], [hi])[0, 0] == 0:
         return hi
     lo = 0.0
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        if count_below_stack([mat], [mid])[0, 0] > 0:
+        if count_below_stack([op], [mid])[0, 0] > 0:
             hi = mid
         else:
             lo = mid
@@ -397,8 +402,10 @@ def _ground_bisect(mat, hi, iters=48):
 
 def _reference_ground(mat, hi):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(es, "_periodic_chain", lambda mat: None)
-        return _ground_bisect(mat, hi)
+        mp.setattr(es, "_chain_pattern", lambda mat: None)
+        op = prepared(mat)
+    assert op.chain is None
+    return _ground_bisect(op, hi)
 
 
 @pytest.mark.parametrize("variant", ["generic", "zero-corner", "zero-offdiagonals"])
@@ -407,8 +414,8 @@ def test_ground_bisect_equals_count_bisection_bitwise(n, variant):
     mat = _random_chain(n, variant, seed=7 * n + len(variant))
     lowest = np.linalg.eigvalsh(mat.toarray())[0]
     mat = (mat + (1.7 - lowest) * sp.identity(n, format="csr")).tocsr()
-    assert ground_bisect(mat, 10.0) == _reference_ground(mat, 10.0)
-    assert ground_bisect(mat, 1.0) == _reference_ground(mat, 1.0) == 1.0
+    assert ground_bisect(prepared(mat), 10.0) == _reference_ground(mat, 10.0)
+    assert ground_bisect(prepared(mat), 1.0) == _reference_ground(mat, 1.0) == 1.0
 
 
 def test_ground_bisect_equals_count_bisection_on_lifshitz_preset():
@@ -429,7 +436,7 @@ def test_ground_bisect_equals_count_bisection_on_lifshitz_preset():
     hi = float(sec["ground_hi"])
     for s in range(3):
         mat = _one_matrix(fam, int(cfg["run"]["seed"]), s)
-        assert ground_bisect(mat, hi) == _reference_ground(mat, hi)
+        assert ground_bisect(prepared(mat), hi) == _reference_ground(mat, hi)
 
 
 def test_ground_bisect_leaves_a_tied_midpoint_to_the_count(monkeypatch):
@@ -441,7 +448,7 @@ def test_ground_bisect_leaves_a_tied_midpoint_to_the_count(monkeypatch):
     calls = []
     count = es._inertia_count
     monkeypatch.setattr(es, "_inertia_count", lambda *a: calls.append(a[1]) or count(*a))
-    got = ground_bisect(mat, 4.0)
+    got = ground_bisect(prepared(mat), 4.0)
     assert 2.0 in calls
     monkeypatch.setattr(es, "_inertia_count", count)
     assert got == _reference_ground(mat, 4.0)
@@ -486,14 +493,15 @@ def test_count_below_stack_mixes_sizes_and_non_chains():
     ring = _cyclic(np.full(side, 2.0), np.full(side, -1.0))
     eye = sp.identity(side, format="csr")
     torus = (sp.kron(ring, eye) + sp.kron(eye, ring) + sp.diags(np.linspace(0, 1, 25))).tocsr()
-    ops = [
+    mats = [
         _random_chain(17, "generic", 1),
         torus,
         _random_chain(4, "zero-corner", 2),
         _random_chain(17, "zero-offdiagonals", 3),
         sp.csr_matrix(_random_sym(9)),
-        es.SymmetricOperator(_random_chain(4, "generic", 4)),
+        _random_chain(4, "generic", 4),
     ]
+    ops = [prepared(mat) for mat in mats]
     energies = np.array([-1.0, 0.3, 1.1, 2.5, 9.0])
     got = es.count_below_stack(ops, energies)
     assert got.shape == (len(ops), energies.size)
@@ -520,7 +528,7 @@ def test_count_below_stack_counts_a_generator_holding_one_non_chain(monkeypatch)
 
     def operators():
         for mat in mats:
-            op = es.SymmetricOperator(mat)
+            op = prepared(mat)
             if op.chain is None:
                 made.append(weakref.ref(op))
             yield op
@@ -536,58 +544,23 @@ def test_count_below_stack_counts_a_generator_holding_one_non_chain(monkeypatch)
     got = es.count_below_stack(operators(), energies)
     assert alive == [1, 1, 1]
     for mat, row in zip(mats, got):
-        assert np.array_equal(row, count_below_stack([mat], energies)[0])
+        assert np.array_equal(row, count_below_stack([prepared(mat)], energies)[0])
 
 
 def test_symmetric_operator_is_prepared_once_and_gives_the_same_answers(monkeypatch):
+    """Counting and bisecting a prepared operator read its norm and chain
+    form, never its entries again, and give the answers of a fresh one."""
     mat = _random_chain(60, "generic", 5)
     mat = (mat + (1.0 - np.linalg.eigvalsh(mat.toarray())[0]) * sp.identity(60)).tocsr()
-    op = es.SymmetricOperator(mat)
+    op = prepared(mat)
     assert op.shape == mat.shape and op.chain is not None
     energies = np.array([0.5, 1.5, 2.5])
-    want = count_below_stack([mat], energies)[0], ground_bisect(mat, 4.0)
-    monkeypatch.setattr(es, "_periodic_chain", lambda m: pytest.fail("chain extracted again"))
-    monkeypatch.setattr(es, "_norm_estimate", lambda m: pytest.fail("norm taken again"))
+    want = count_below_stack([prepared(mat)], energies)[0], ground_bisect(prepared(mat), 4.0)
+    for name in ("_chain_pattern", "_stack_chains", "_stack_norms"):
+        monkeypatch.setattr(es, name, lambda *a: pytest.fail("operator prepared again"))
     assert np.array_equal(count_below_stack([op], energies)[0], want[0])
     assert np.array_equal(es.count_below_stack([op, op], energies), [want[0], want[0]])
     assert ground_bisect(op, 4.0) == want[1]
-    with pytest.raises(ValueError, match="real symmetric"):
-        es.SymmetricOperator(sp.identity(3, dtype=complex, format="csr"))
-
-
-def test_counting_leaves_the_callers_matrix_as_it_was():
-    """A CSR that stores A[5, 0] twice is read from a summed copy: every entry
-    point leaves the caller's arrays as they were and answers as it does on
-    the canonical matrix."""
-    canonical = _cyclic(np.full(6, 3.0), np.full(6, -1.0))
-    start, stop = canonical.indptr[5:7]
-    corner = start + int(np.flatnonzero(canonical.indices[start:stop] == 0)[0])
-    data = canonical.data.copy()
-    data[corner] = -0.75  # and -0.25 stored again after the row's others
-    mat = sp.csr_matrix(
-        (np.append(data, -0.25), np.append(canonical.indices, 0),
-         np.append(canonical.indptr[:-1], stop + 1)), shape=(6, 6),
-    )
-    assert not mat.has_canonical_format and mat.nnz == 19
-    arrays = [a.copy() for a in (mat.indptr, mat.indices, mat.data)]
-    energies = np.array([1.5, 3.0, 4.5])
-
-    def prepared(m):
-        op = es.SymmetricOperator(m)
-        return (op.norm, *op.chain)
-
-    entry_points = {
-        "SymmetricOperator": prepared,
-        "count_below": lambda m: (count_below_stack([m], energies)[0],),
-        "count_below_stack": lambda m: (es.count_below_stack([m, m], energies),),
-        "ground_bisect": lambda m: (ground_bisect(m, 4.0),),
-    }
-    for name, entry in entry_points.items():
-        got, want = entry(mat), entry(canonical)
-        assert all(np.array_equal(g, w) for g, w in zip(got, want)), name
-        for kept, now in zip(arrays, (mat.indptr, mat.indices, mat.data)):
-            assert np.array_equal(kept, now), name
-    assert not mat.has_canonical_format and mat.nnz == 19
 
 
 # -- d = 2: Ritz values from the top threshold's factor, and the fallbacks --
@@ -622,7 +595,7 @@ def test_top_threshold_factor_settles_the_thresholds_below(monkeypatch):
     energies = np.array([between[4], levels[0] - 1.0, between[0], between[2]])
     calls = _splu_calls(monkeypatch)
     with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 10):
-        got = count_below_stack([mat], energies)[0]
+        got = count_below_stack([prepared(mat)], energies)[0]
     assert len(calls) == 1, "one factorization, at the top threshold"
     assert got.tolist() == [5, 0, 1, 3]
 
@@ -633,18 +606,19 @@ def test_no_level_below_the_top_settles_the_rest_without_lanczos(monkeypatch):
     monkeypatch.setattr(es, "_lanczos_pairs", None)  # never called
     calls = _splu_calls(monkeypatch)
     with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 10):
-        got = count_below_stack([mat], levels[0] - np.array([0.5, 1.0, 2.0]))[0]
+        got = count_below_stack([prepared(mat)], levels[0] - np.array([0.5, 1.0, 2.0]))[0]
     assert len(calls) == 1 and got.tolist() == [0, 0, 0]
 
 
 def _hands_back(monkeypatch, mat, energies):
     """Counts with the route and threshold by threshold; every threshold
     must have had its own factorization."""
+    op = prepared(mat)
     calls = _splu_calls(monkeypatch)
     with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 10):
-        got = count_below_stack([mat], energies)[0]
+        got = count_below_stack([op], energies)[0]
         assert len(calls) == energies.size
-        want = [count_below_stack([mat], [float(e)])[0, 0] for e in energies]
+        want = [count_below_stack([op], [float(e)])[0, 0] for e in energies]
     assert np.array_equal(got, want)
     return got
 
@@ -679,7 +653,7 @@ def test_overlapping_intervals_of_a_degenerate_level_hand_back(monkeypatch):
     levels, between = _levels_and_between(mat)
     assert np.ptp(levels[1:5]) < 1e-12 < levels[5] - levels[4]
     vals, vecs = np.linalg.eigh(mat.toarray())
-    op = es.SymmetricOperator(mat)
+    op = prepared(mat)
     assert es._certified_intervals(op, vals[:5], vecs[:, :5], between[4]) is None
     ritz, certified = [], []
     pairs, intervals = es._lanczos_pairs, es._certified_intervals
@@ -699,11 +673,12 @@ def test_an_interval_in_a_threshold_bracket_hands_that_threshold_back(monkeypatc
     back while the one clear of every interval is settled."""
     mat = _generic_torus()
     levels, between = _levels_and_between(mat)
-    scale = max(1.0, es._norm_estimate(mat))
+    op = prepared(mat)
+    scale = max(1.0, op.norm)
     energies = np.array([levels[1] - 1e-8 * scale, between[2], between[4]])
     calls = _splu_calls(monkeypatch)
     with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 10):
-        got = count_below_stack([mat], energies)[0]
+        got = count_below_stack([op], energies)[0]
     assert len(calls) == 2
     assert got.tolist() == [1, 3, 5]
 
@@ -714,11 +689,12 @@ def test_a_bracket_reaching_the_top_shift_is_handed_back(monkeypatch):
     a threshold 1e-9 * scale below the top one is handed back."""
     mat = _generic_torus()
     levels, between = _levels_and_between(mat)
-    scale = max(1.0, es._norm_estimate(mat))
+    op = prepared(mat)
+    scale = max(1.0, op.norm)
     energies = np.array([between[2], between[2] - 1e-9 * scale, between[0]])
     calls = _splu_calls(monkeypatch)
     with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 10):
-        got = count_below_stack([mat], energies)[0]
+        got = count_below_stack([op], energies)[0]
     assert len(calls) == 2
     assert got.tolist() == [3, 3, 1]
 
@@ -747,7 +723,7 @@ def test_the_heap_is_trimmed_once_after_the_route_where_glibc_is(monkeypatch, gl
     mat = _generic_torus()
     _, between = _levels_and_between(mat)
     with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 10):
-        assert count_below_stack([mat], between[[0, 2, 4]])[0].tolist() == [1, 3, 5]
+        assert count_below_stack([prepared(mat)], between[[0, 2, 4]])[0].tolist() == [1, 3, 5]
     assert trims == ([0] if glibc else [])
 
 
@@ -778,7 +754,7 @@ def test_first_ids_2d_continuum_sample_takes_one_factorization(monkeypatch):
     """The benchmark's d = 2 ids config, continuum sample 0: the counts of
     the per-threshold path from one SuperLU factorization instead of three."""
     family, energies, seed, _ = _ids_2d_continuum()
-    op = es.SymmetricOperator(_one_matrix(family, seed, 0))
+    op = prepared(_one_matrix(family, seed, 0))
     assert op.shape == (43264, 43264) and op.chain is None
     calls = _splu_calls(monkeypatch)
     got = count_below_stack([op], energies)[0]
@@ -815,7 +791,7 @@ def test_each_ids_2d_continuum_count_takes_one_factorization_and_two_solves(monk
     )
     monkeypatch.setattr(es.spla, "eigsh", None)
     for sample in range(n_samples):
-        op = es.SymmetricOperator(_one_matrix(family, seed, sample))
+        op = prepared(_one_matrix(family, seed, sample))
         factors.clear(), solves.clear()
         assert count_below_stack([op], energies)[0].tolist() == [0, 1, 1]
         assert len(factors) == 1 and 1 <= len(solves) <= 3
@@ -826,7 +802,7 @@ def test_a_run_cut_by_its_step_budget_hands_the_unsettled_thresholds_back(monkey
     one's: a full run settles it, a run cut to one step hands it back."""
     mat = _generic_torus()
     levels, between = _levels_and_between(mat)
-    op = es.SymmetricOperator(mat)
+    op = prepared(mat)
     count, lu = es._sparse_inertia(es._sparse_shift(op.matrix, True)(between[0]), 10.0)
     pairs = [es._certified_intervals(op, *p, between[0]) for p in es._lanczos_pairs(lu, between[0], 1)]
     (first_lo, _), (last_lo, _) = pairs[0], pairs[-1]
@@ -836,7 +812,7 @@ def test_a_run_cut_by_its_step_budget_hands_the_unsettled_thresholds_back(monkey
         monkeypatch.setattr(es, "_RITZ_EXTRA", extra)
         calls = _splu_calls(monkeypatch)
         with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 10):
-            assert count_below_stack([mat], energies)[0].tolist() == [1, 0]
+            assert count_below_stack([op], energies)[0].tolist() == [1, 0]
         assert len(calls) == factorizations
 
 
@@ -854,7 +830,7 @@ def test_superlu_gets_one_csc_matrix_with_the_old_shifts_arrays(monkeypatch, kin
         mat = _cyclic(local.uniform(0.0, 4.0, 40), local.uniform(-1.0, 1.0, 40))
     else:
         mat = _generic_torus()
-    op = es.SymmetricOperator(mat)
+    op = prepared(mat)
     assert op.exactly_symmetric and (op.chain is None) == (kind != "chain")
     got, splu = [], es.spla.splu
     monkeypatch.setattr(es.spla, "splu", lambda a, **k: got.append(a) or splu(a, **k))
@@ -901,9 +877,9 @@ def test_superlu_refusal_falls_back_to_dense_ldl(monkeypatch, how):
     energies = np.concatenate([[levels[0] - 0.5], between[::9], [levels[-1] + 0.5]])
     _refusing_splu(monkeypatch, how)
     with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 10):
-        got = count_below_stack([mat], energies)[0]
+        got = count_below_stack([prepared(mat)], energies)[0]
         assert np.array_equal(got, np.searchsorted(levels, energies))
-        assert count_below_stack([mat], [float(between[3])])[0, 0] == 4
+        assert count_below_stack([prepared(mat)], [float(between[3])])[0, 0] == 4
 
 
 def test_superlu_refusal_above_the_dense_fallback_names_every_path(monkeypatch):
@@ -911,7 +887,7 @@ def test_superlu_refusal_above_the_dense_fallback_names_every_path(monkeypatch):
     _refusing_splu(monkeypatch, "raises")
     monkeypatch.setattr(es, "COUNT_DENSE_FALLBACK", 100)
     with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 10), pytest.raises(es.CountBreakdownError, match="SuperLU") as err:
-        count_below_stack([mat], [1.0])[0, 0]
+        count_below_stack([prepared(mat)], [1.0])[0, 0]
     assert "no dense LDL^T fallback above N = 100" in str(err.value)
     assert "1e-12, 1e-10, 1e-08" in str(err.value)
 
@@ -931,16 +907,12 @@ def test_an_operator_not_exactly_symmetric_is_counted_threshold_by_threshold(mon
 
 def _reference_norm_estimate(mat):
     """The norm as it was read before chunks: SciPy's row sums of |A|."""
-    if sp.issparse(mat):
-        return float(np.abs(mat).sum(axis=1).max()) if mat.nnz else 0.0
-    return float(np.linalg.norm(mat, np.inf)) if mat.size else 0.0
+    return float(np.abs(mat).sum(axis=1).max()) if mat.nnz else 0.0
 
 
 def _reference_periodic_chain(mat):
     """The chain form as it was read before chunks: one operator's masked
     ``bincount``s."""
-    if not sp.issparse(mat):
-        return None
     n = mat.shape[0]
     if n < 3 or mat.shape != (n, n) or not np.all(np.isfinite(mat.data)):
         return None
@@ -972,15 +944,18 @@ def _same_preparation(op, mat):
 
 
 @pytest.mark.parametrize(
-    "d, side, scale", [(1, 3, 1.0), (1, 97, 0.0625), (1, 2001, 1 / 3), (2, 9, 1.0)]
+    "d, side, scale",
+    [(1, 3, 1.0), (1, 4, 0.5), (1, 40, 2.0), (1, 97, 0.0625), (1, 2001, 1 / 3), (2, 9, 1.0)],
 )
 def test_chunk_preparation_equals_the_one_operator_reading(d, side, scale):
-    """Norms and chain forms read off a DiagonalStack in one pass equal the
-    parent's one-operator ``_norm_estimate`` and ``_periodic_chain`` bit for
-    bit, and those of ``SymmetricOperator(stack[k])``: with a diagonal that
-    cancels to exactly 0.0 (stored as 0.0 on the stencil's pattern, which
-    every operator keeps), a non-finite diagonal, and on a d = 2 stencil,
-    which is no chain and is prepared one operator at a time."""
+    """Norms and chain forms read off a DiagonalStack in one pass equal, bit
+    for bit, the one-operator readings SciPy's row sums and masked
+    ``bincount``s give (``_reference_norm_estimate``,
+    ``_reference_periodic_chain``): on chains of N = 3, 4, 40, 97 and 2001,
+    with a diagonal that cancels to exactly 0.0 (stored as 0.0 on the
+    stencil's pattern, which every operator keeps), a non-finite diagonal,
+    and on a d = 2 stencil, which is no chain and is prepared one operator
+    at a time."""
     from displab.discretize import DiagonalStack, periodic_laplacian
 
     lap, where = periodic_laplacian(d, side, 0.25)
@@ -1003,18 +978,16 @@ def test_chunk_preparation_equals_the_one_operator_reading(d, side, scale):
         assert np.array_equal(op.matrix.indptr, lap.indptr)
         _same_preparation(op, mat)
         assert (op.chain is not None) == (d == 1 and k != 3)
-        want = es.SymmetricOperator(mat)
-        _same_preparation(want, mat)
-        assert _same_bits(op.norm, want.norm)
-        assert op.exactly_symmetric == want.exactly_symmetric
+        assert op.exactly_symmetric == ((mat != mat.T).nnz == 0)
 
 
 @pytest.mark.parametrize("symmetric", [True, False])
 def test_a_d2_chunk_examines_its_stencil_once(monkeypatch, symmetric):
     """On a d = 2 stencil the chunk decides once that no operator is a
     chain and once whether they are exactly symmetric, and each prepared
-    operator equals ``SymmetricOperator(stack[k])`` field for field, on a
-    symmetric stencil and on one with a single entry off its mirror."""
+    operator holds ``stack[k]``, its reference norm, no chain form and the
+    symmetry ``stack[k]`` has, and nothing else, on a symmetric stencil and
+    on one with a single entry off its mirror."""
     from displab.discretize import DiagonalStack, periodic_laplacian
 
     lap, where = periodic_laplacian(2, 9, 0.25)
@@ -1038,39 +1011,33 @@ def test_a_d2_chunk_examines_its_stencil_once(monkeypatch, symmetric):
     assert calls == {"_chain_pattern": 1, "_exactly_symmetric": 1}
     monkeypatch.undo()
     for k, op in enumerate(ops):
-        want = es.SymmetricOperator(stack[k])
-        assert want.exactly_symmetric == symmetric and vars(op).keys() == vars(want).keys()
-        assert _same_bits(op.norm, want.norm) and op.chain is want.chain is None
+        mat = stack[k]
+        assert ((mat != mat.T).nnz == 0) == symmetric
+        assert vars(op).keys() == {"matrix", "norm", "chain", "exactly_symmetric"}
+        _same_preparation(op, mat)
         for part in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(op.matrix, part), getattr(want.matrix, part))
+            assert np.array_equal(getattr(op.matrix, part), getattr(mat, part))
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_one_operator_reading_equals_the_reference(seed):
-    """``_norm_estimate`` and ``_periodic_chain`` (a stack of one) on random
-    sparse matrices: chains with zero couplings, unsorted and duplicate
-    entries, non-square and non-chain patterns, an empty matrix."""
+    """A chunk of one (``prepared``) on random canonical square sparse
+    matrices, chains with zero couplings, non-chain patterns and an empty
+    matrix: its operator has the matrix's arrays bit for bit, and the norm
+    and chain form of the reference reading."""
     local = np.random.default_rng(seed)
     n = int(local.integers(3, 12))
     mats = [
         _random_chain(n, ("generic", "zero-corner", "zero-offdiagonals")[seed % 3], seed),
         sp.random(n, n, density=0.4, random_state=seed, format="csr"),
         sp.csr_matrix((n, n)),
-        sp.csr_matrix(local.uniform(-1, 1, (n, n + 1))),
     ]
-    chain = _random_chain(n, "generic", seed + 100)
-    last = chain.indptr[-1]  # a second A[n - 1, 0], stored after the row's others
-    mats.append(sp.csr_matrix(
-        (np.append(chain.data, 0.5), np.append(chain.indices, 0),
-         np.append(chain.indptr[:-1], last + 1)), shape=(n, n),
-    ))
-    assert not mats[-1].has_canonical_format
     for mat in mats:
-        assert _same_bits(es._norm_estimate(mat.copy()), _reference_norm_estimate(mat.copy()))
-        want, got = _reference_periodic_chain(mat.copy()), es._periodic_chain(mat.copy())
-        assert (got is None) == (want is None)
-        if want is not None:
-            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        op = prepared(mat)
+        assert np.array_equal(op.matrix.data.view(np.int64), mat.data.view(np.int64))
+        assert np.array_equal(op.matrix.indices, mat.indices)
+        assert np.array_equal(op.matrix.indptr, mat.indptr)
+        _same_preparation(op, mat)
 
 
 def test_superlu_copies_are_released_and_the_factor_still_solves():
@@ -1079,7 +1046,8 @@ def test_superlu_copies_are_released_and_the_factor_still_solves():
     mat = _generic_torus()
     levels, between = _levels_and_between(mat)
     shifted = (mat - between[4] * sp.identity(mat.shape[0], format="csr")).tocsr()
-    scale = max(1.0, es._norm_estimate(mat), abs(between[4]))
+    op = prepared(mat)
+    scale = max(1.0, op.norm, abs(between[4]))
     count, lu = es._sparse_inertia(shifted, scale)
     kept = es.spla.splu(
         shifted.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
@@ -1092,5 +1060,4 @@ def test_superlu_copies_are_released_and_the_factor_still_solves():
     assert len(got) == len(want) > 0
     for g, w in zip(got, want):
         assert all(np.array_equal(a, b) for a, b in zip(g, w))
-    op = es.SymmetricOperator(mat)
     assert es._certified_intervals(op, *got[-1], between[4]) is not None

@@ -1,7 +1,5 @@
 """Distribution plumbing and reproducible per-site sampling."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -9,8 +7,6 @@ from displab import randomfields
 from displab.randomfields import (
     DISTRIBUTION_KINDS,
     DisplacementDistribution,
-    UnsupportedVariantError,
-    radial_density_bound,
     sample_fields,
     site_rng,
 )
@@ -305,31 +301,3 @@ def test_distribution_validation():
         DisplacementDistribution(kind="polar", support=ball(np.zeros(2), 1.0), radial_exponent=-1.0)
     with pytest.raises(ValueError):
         DisplacementDistribution(kind="gaussian", support=ball(np.zeros(2), 1.0))
-
-
-def test_radial_density_bound_cases():
-    # d=2 ball: h(r) = 2 r / R^2, |h'| = 2 / R^2
-    assert radial_density_bound(BALL2) == pytest.approx(2.0)
-    # d=1 ball: k = 0, flat density, zero derivative
-    assert radial_density_bound(BALL1) == 0.0
-    # k = 1/2: density derivative blows up at the origin
-    frac = DisplacementDistribution(
-        kind="polar", support=ball(np.zeros(2), 1.0), radial_exponent=0.5
-    )
-    assert radial_density_bound(frac) == math.inf
-    shell = DisplacementDistribution(kind="uniform-sphere", support=sphere(np.zeros(2), 1.0))
-    assert radial_density_bound(shell) == math.inf
-    with pytest.raises(UnsupportedVariantError):
-        radial_density_bound(
-            DisplacementDistribution(kind="product-box", support=box([-1.0], [1.0]))
-        )
-
-
-def test_radial_density_bound_scales_with_radius():
-    # k = 3: sup |h'| = k (k+1) R^{k-1} / R^{k+1} = 12 / R^2
-    for radius in (0.5, 1.0, 2.0):
-        dist = DisplacementDistribution(
-            kind="polar", support=ball(np.zeros(2), radius), radial_exponent=3.0
-        )
-        assert radial_density_bound(dist) == pytest.approx(12.0 / radius**2)
-

@@ -28,6 +28,7 @@ from displab.spectral_stats import (
     wegner_report,
     wegner_rows,
 )
+from conftest import prepared
 from displab.supports import ball
 
 P0 = periodic_family("zero", 1)
@@ -291,7 +292,8 @@ def test_count_rows_equal_one_count_below_per_sample(family):
     assert rows.shape == (4, 4) and len(np.unique(rows)) > 4
     for s in range(4):
         assert np.array_equal(count_rows(family, 7, (s,), energies, None), rows[s : s + 1])
-        assert np.array_equal(count_below_stack([_one_matrix(family, 7, s)], energies)[0], rows[s])
+        op = prepared(_one_matrix(family, 7, s))
+        assert np.array_equal(count_below_stack([op], energies)[0], rows[s])
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -312,8 +314,9 @@ def test_wegner_rows_equal_one_sample_at_a_time(n):
         assert np.array_equal(one_hits, hits[s : s + 1]) and one_grounds == [grounds[s]]
         assert len(one_audits) == 1 and np.array_equal(one_audits[0], audits[s])
         mat = _one_matrix(family, 5, s)
-        upper = count_below_stack([mat], e_center + eps)[0]
-        lower = count_below_stack([mat], e_center - eps)[0]
+        op = prepared(mat)
+        upper = count_below_stack([op], e_center + eps)[0]
+        lower = count_below_stack([op], e_center - eps)[0]
         assert np.array_equal(hits[s], upper > lower)
         if s < 3:
             assert grounds[s] == smallest_eigenpairs(mat, k=1).ground_energy
@@ -326,6 +329,6 @@ def test_lifshitz_rows_equal_one_sample_at_a_time():
     for s in range(5):
         one_grounds, one_counts = lifshitz_rows(RING, 0, (s,), energies, 4.0)
         assert one_grounds == [grounds[s]] and np.array_equal(one_counts, counts[s : s + 1])
-        mat = _one_matrix(RING, 0, s)
-        assert grounds[s] == ground_bisect(mat, 4.0)
-        assert np.array_equal(counts[s], count_below_stack([mat], energies)[0])
+        op = prepared(_one_matrix(RING, 0, s))
+        assert grounds[s] == ground_bisect(op, 4.0)
+        assert np.array_equal(counts[s], count_below_stack([op], energies)[0])
