@@ -207,7 +207,7 @@ SCHEMA = {
     "band.nbands": Key(int, 3, lo=1),
     "band.theta_n": Key(int, 2, lo=0),
     "minimize.restarts": Key(int, 8, lo=1),
-    "minimize.gap_lams": Key(float, (0.2, 0.1, 0.05), many=True),
+    "minimize.gap_lams": Key(float, (0.2, 0.1, 0.05), many=True, above=0),
     "theorem1.restarts": Key(int, 16, lo=1),
     "theorem1.site_tol": Key(float, 1e-3),
     "theorem1.energy_tol": Key(float, 1e-8),
@@ -227,7 +227,7 @@ SCHEMA = {
     "lifshitz.e_min": Key(float, required=True, above=0),
     "lifshitz.e_max": Key(float, required=True),
     "lifshitz.n_energies": Key(int, 24, lo=3),  # the tail fit needs 3 points
-    "lifshitz.ground_hi": Key(float, 4.0),
+    "lifshitz.ground_hi": Key(float, 4.0, above=0),
     "wegner.zeta": Key(float, required=True, many=True, per_axis=True),
     "wegner.n_list": Key(int, (1, 2, 3), many=True, lo=0),
     "wegner.samples_per_cell": Key(int, 400, lo=1),
@@ -328,6 +328,22 @@ def build_model(cfg):
             f"size guard: ((2n+1) m)^d = {((2 * n + 1) * m) ** d} exceeds {SIZE_GUARD}"
         )
     return p, q, model["lam"], n, m
+
+
+def _need_torus(n, run):
+    """A ConfigError unless model.n makes a torus of side 2n + 1 >= 3, which
+    the sandwich operators of an ``ids`` or ``sandwich`` run need."""
+    if n < 1:
+        raise ConfigError(f"model.n must be >= 1 for {run} (a torus side 2n+1 >= 3), got {n}")
+
+
+def _need_coupling(lam, run):
+    """A ConfigError unless model.lam > 0: the growth constant alpha0 that
+    ``verify-all`` and an auto ``sandwich.alpha0`` measure divides by lam."""
+    if not lam > 0:
+        raise ConfigError(
+            f"model.lam must be > 0 for {run} (the growth constant alpha0 divides by it), got {lam}"
+        )
 
 
 def build_support(cfg, d):
@@ -666,6 +682,7 @@ _IDS_FAMILIES = ("plus", "middle", "minus")
 
 def run_ids(cfg, rd, c0, alpha, zeta, n_samples, n_offsets):
     p, q, lam, n, m = build_model(cfg)
+    _need_torus(n, "ids")
     support = build_support(cfg, q.d)
     dist = build_distribution(cfg, support)
     seed = cfg["run"]["seed"]
@@ -767,6 +784,8 @@ def run_lifshitz(
         ["energy", "value", "stderr"],
         list(zip(energies, vals, ses)),
     )
+    # ground_bisect returns ground_hi itself for a sample with no level below it.
+    missed = int(np.sum(grounds >= ground_hi))
     fit = lifshitz_fit(energies, vals, e_bottom=e_hat)
     write_csv(
         rd.file("fit.csv"),
@@ -786,7 +805,11 @@ def run_lifshitz(
         f"sampled ground levels: min {fmt(float(grounds.min()))} se {fmt(ground_se)}",
         f"doubly-log tail visible: {fmt(not fit.no_tail)}",
     ]
-    return rd.finish(lines, ok=not fit.no_tail)
+    if missed:
+        lines.append(
+            f"no level below lifshitz.ground_hi = {fmt(ground_hi)} in {missed} of {n_samples} samples"
+        )
+    return rd.finish(lines, ok=not fit.no_tail and not missed)
 
 
 def run_wegner(
@@ -921,6 +944,9 @@ def run_reduce(cfg, rd, zeta, c0, alpha, n, grid_points):
 
 def run_sandwich(cfg, rd, zeta, alpha0, c0_list, n_fields, trials):
     p, q, lam, n, m = build_model(cfg)
+    _need_torus(n, "sandwich")
+    if alpha0 == "auto":
+        _need_coupling(lam, "sandwich with alpha0 = auto")
     support = build_support(cfg, q.d)
     dist = build_distribution(cfg, support)
     seed = cfg["run"]["seed"]
@@ -954,6 +980,7 @@ def run_sandwich(cfg, rd, zeta, alpha0, c0_list, n_fields, trials):
 
 def run_verify_all(cfg, rd, c0):
     p, q, lam, n, m = build_model(cfg)
+    _need_coupling(lam, "verify-all")
     support = build_support(cfg, q.d)
     dist = build_distribution(cfg, support)
     seed = cfg["run"]["seed"]

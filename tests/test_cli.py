@@ -569,17 +569,40 @@ def test_zero_sample_count_is_config_error(tmp_path, capsys, kind, key):
         ("band", _preset_text("free-1d").replace("nbands = 3", "nbands = 17"), "band.nbands"),
         ("wegner", WEGNER_TMPL.replace("n_eps = 4", "n_eps = 1"), "wegner.n_eps"),
         ("wegner", WEGNER_TMPL.replace("n_list = 1 2", "n_list = 2 2"), "wegner.n_list"),
+        ("ids", _preset_text("ids-1d").replace("\nn = 2\n", "\nn = 0\n"), "model.n"),
+        ("sandwich", _preset_text("sandwich-1d").replace("\nn = 1\n", "\nn = 0\n"), "model.n"),
+        ("verify-all", _preset_text("asym-1d").replace("lam = 0.1", "lam = 0.0"), "model.lam"),
+        ("sandwich", _preset_text("sandwich-1d").replace("lam = 0.1", "lam = 0.0"), "model.lam"),
     ],
-    ids=["nbands-above-fiber-size", "one-window", "one-size"],
+    ids=[
+        "nbands-above-fiber-size", "one-window", "one-size", "ids-one-cell-torus",
+        "sandwich-one-cell-torus", "verify-all-zero-lam", "sandwich-auto-alpha0-zero-lam",
+    ],
 )
 def test_cross_key_bounds_are_config_errors(tmp_path, capsys, kind, text, key):
     """Bounds that join keys (a fiber of m ** d levels; a joint fit over
-    windows and sizes) are config errors before any sample."""
+    windows and sizes; a torus of side 2n + 1 >= 3 for the sandwich
+    operators of ids and sandwich; lam > 0 where the growth constant
+    alpha0, a ratio over lam, is measured) are config errors before any
+    sample: one line, and only the manifest is left."""
     cfg_path = _write(tmp_path, f"{kind}.ini", text)
     assert main([kind, "--config", cfg_path, "--out", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: ") and key in err, err
-    assert not (tmp_path / "run" / "cache.csv").exists(), "no sample before the check"
+    assert err.startswith("config error: ") and key in err and err.count("\n") == 1, err
+    assert os.listdir(tmp_path / "run") == ["manifest.txt"], "nothing written before the check"
+
+
+def test_a_ground_hi_below_the_ground_fails_the_run(tmp_path):
+    """A sample with no level below lifshitz.ground_hi has no ground (the
+    bisection returns ground_hi itself): the run keeps its outputs and ends
+    failed, exit 1, with a line that names the key."""
+    text = _preset_text("lifshitz-reduced-1d").replace("n_samples = 200", "n_samples = 8")
+    text = text.replace("ground_hi = 4.0", "ground_hi = 0.05")
+    out = tmp_path / "run"
+    assert main(["lifshitz", "--config", _write(tmp_path, "l.ini", text), "--out", str(out)]) == 1
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert summary[-1] == "status: failed"
+    assert summary[-2] == "no level below lifshitz.ground_hi = 0.05 in 8 of 8 samples"
 
 
 def test_wegner_scan_without_a_fit_writes_its_records_and_fails(tmp_path, capsys):
@@ -1125,11 +1148,15 @@ def _preset_path(name):
         ("free-1d", "lam = 0.0", "lam = nan", "model.lam"),
         ("free-1d", "zeta = 0.0", "zeta =", "band.zeta"),
         ("lifshitz-reduced-1d", "c0 = 1.0\n", "", "missing lifshitz.c0"),
+        ("lifshitz-reduced-1d", "ground_hi = 4.0", "ground_hi = -1", "lifshitz.ground_hi"),
+        ("minimize-1d", "gap_lams = 0.2 0.1 0.05", "gap_lams = 0.2 0.0", "minimize.gap_lams"),
+        ("minimize-1d", "gap_lams = 0.2 0.1 0.05", "gap_lams = -0.1", "minimize.gap_lams"),
     ],
     ids=[
         "unknown-key", "unknown-section", "misspelt-key", "run-threads", "n_list-inf",
         "n_list-nan", "zero-bands", "negative-theta_n", "m-below-4", "lifshitz-n-zero",
-        "lam-nan", "empty-list", "missing-required",
+        "lam-nan", "empty-list", "missing-required", "negative-ground_hi", "zero-gap-lam",
+        "negative-gap-lam",
     ],
 )
 def test_config_is_checked_before_the_run(tmp_path, capsys, preset, old, new, key):

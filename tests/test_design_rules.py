@@ -1,0 +1,489 @@
+"""The design rules of the code, checked on one index of the tree.
+
+Nine rules keep the design in place: no private names shared between
+modules, no threads, no unused imports and no ``__all__``, no class member
+that nothing reads, dense spectra only through ``eigensolve``, no idle or
+always-overridden default, ARPACK only in ``smallest_eigenpairs``,
+Monte-Carlo batches only in the CLI runners, and no config key that no
+shipped config sets.  Each rule is a function of the index that returns
+its violation lines, and each test asserts that the list is empty.
+
+Readers and callers are counted from ``src/`` and ``perfbench/`` only:
+tests are not readers or callers.  A rule that parses nothing passes, so
+every rule is also run on a small synthetic tree that keeps all nine, with
+one violation planted, and must give that violation's line and no other.
+"""
+
+import ast
+import configparser
+from dataclasses import dataclass
+from pathlib import Path, PurePosixPath
+
+import pytest
+
+import displab
+from displab.cli import SCHEMA
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Members that only tests read, and why each stays.
+ONLY_CHECKED = {
+    "SupportSet.contains": "the membership oracle of the support-set unit tests",
+    "FieldScanReport.argmin_config": "the reference test compares the scan's minimizer with a full loop",
+    "BandBottom.phi0": "the fiber ground state whose positivity and norm the Floquet tests check",
+    "GradientLimitTable.decreasing": "the monotone gradient limit that acceptance criterion 5 asserts",
+}
+
+# Config keys that no shipped config sets, and the kind of support or law
+# that needs each.
+UNSHIPPED_KEYS = {
+    "support.semi_axes": "the semi-axes of an ellipsoid support",
+    "support.vertices": "the vertices of a polygon support",
+    "distribution.radial_exponent": "the exponent of the polar law",
+}
+
+
+@dataclass(frozen=True)
+class Index:
+    """The parsed tree the rules read."""
+
+    modules: dict  # path of each src/displab module -> its parsed module
+    reads: frozenset  # attributes read, and names getattr reads, in src/ and perfbench/
+    calls: dict  # callee name -> [(keywords, positional count, spread)] in src/ and perfbench/
+    config_keys: frozenset  # "section.key" that some shipped config sets
+    n_configs: int
+    schema: tuple  # every "section.key" of the config schema
+
+
+def index_of(sources, configs, schema):
+    """The index of ``sources`` (path -> text of every .py file under src/
+    and perfbench/), ``configs`` (path -> text of every shipped config) and
+    the ``schema`` keys.  The displab modules are the files directly in
+    src/displab."""
+    trees = {path: ast.parse(text) for path, text in sorted(sources.items())}
+    reads, calls = set(), {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+            elif isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                spread = any(k.arg is None for k in node.keywords) or any(
+                    isinstance(a, ast.Starred) for a in node.args
+                )
+                calls.setdefault(name, []).append(
+                    ({k.arg for k in node.keywords}, len(node.args), spread)
+                )
+                if (
+                    getattr(node.func, "id", None) == "getattr"
+                    and len(node.args) >= 2
+                    and isinstance(node.args[1], ast.Constant)
+                ):
+                    reads.add(node.args[1].value)
+    keys = set()
+    for text in configs.values():
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+        parser.read_string(text)
+        keys |= {f"{section}.{key}" for section in parser.sections() for key in parser[section]}
+    return Index(
+        modules={
+            path: tree
+            for path, tree in trees.items()
+            if PurePosixPath(path).parent == PurePosixPath("src/displab")
+        },
+        reads=frozenset(reads),
+        calls=calls,
+        config_keys=frozenset(keys),
+        n_configs=len(configs),
+        schema=tuple(schema),
+    )
+
+
+def _texts(patterns):
+    return {
+        path.relative_to(ROOT).as_posix(): path.read_text(encoding="utf-8")
+        for pattern in patterns
+        for path in sorted(ROOT.glob(pattern))
+    }
+
+
+@pytest.fixture(scope="session")
+def index():
+    return index_of(
+        _texts(["src/**/*.py", "perfbench/**/*.py"]),
+        _texts(["src/displab/presets/*.ini", "perfbench/configs/*.ini"]),
+        SCHEMA,
+    )
+
+
+# -- the rules -----------------------------------------------------------------
+
+
+def private_imports(index):
+    """A helper two modules need gets a public name in the module that owns it."""
+    return [
+        f"{path}:{node.lineno} imports {alias.name} from a sibling module"
+        for path, tree in index.modules.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level >= 1
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    ]
+
+
+def thread_imports(index):
+    """Runs are serial (the hidden --threads flag takes only 1), so module
+    state such as randomfields.SITE_COUNTS needs no lock."""
+    bad = []
+    for path, tree in index.modules.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                if name == "threading" or name.split(".")[0] == "concurrent":
+                    bad.append(f"{path}:{node.lineno} imports {name}")
+    return bad
+
+
+def unused_imports(index):
+    """An import counts as used only where the module's own code reads it,
+    so no module, __init__.py included, re-exports a sibling's name: every
+    name has one binding, in the module that defines it, and its callers
+    import it from there.  No module lists an __all__ either.  __future__
+    imports are exempt."""
+    bad = []
+    for path, tree in index.modules.items():
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        bad += [
+            f"{path}:{n.lineno} binds __all__"
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and n.id == "__all__" and isinstance(n.ctx, ast.Store)
+        ]
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used:
+                        bad.append(f"{path}:{node.lineno} imports {name}, which the module never uses")
+    return bad
+
+
+def unread_members(index):
+    """Every annotated field, property and public method of a displab class
+    is read somewhere in src/ or perfbench/: as an attribute, or by getattr
+    with its name.  A member that only tests read is named in ONLY_CHECKED
+    with the reason it stays.  Members match by name, so a read of a
+    namesake keeps a member and a false match only makes the rule lenient."""
+    bad, kept = [], []
+    for path, tree in index.modules.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    name, what = node.target.id, "field"
+                elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    name = node.name
+                    what = "property" if any(
+                        getattr(d, "id", None) == "property" for d in node.decorator_list
+                    ) else "method"
+                else:
+                    continue
+                if not name.startswith("_") and name not in index.reads:
+                    if f"{cls.name}.{name}" in ONLY_CHECKED:
+                        kept.append(f"{cls.name}.{name}")
+                    else:
+                        bad.append(f"{path}:{node.lineno} {cls.name}.{name} ({what}) is never read")
+    stale = sorted(set(ONLY_CHECKED) - set(kept))
+    return bad + [
+        f"{member} is in ONLY_CHECKED but is read in src/ or perfbench/, or gone" for member in stale
+    ]
+
+
+def dense_spectra_outside_eigensolve(index):
+    """eigensolve.dense_levels gives eigh's eigenvalues without the vectors
+    and smallest_eigenpairs gives the pairs; no other module calls eigh."""
+    bad = []
+    for path, tree in index.modules.items():
+        if PurePosixPath(path).name == "eigensolve.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "eigh":
+                bad.append(f"{path}:{node.lineno} calls {ast.unparse(node)}")
+            elif isinstance(node, ast.ImportFrom) and any(a.name == "eigh" for a in node.names):
+                bad.append(f"{path}:{node.lineno} imports eigh from {node.module}")
+    return bad
+
+
+def idle_defaults(index):
+    """A default of a displab function or method that no call in src/ or
+    perfbench/ overrides, by keyword or by position, is a constant and
+    belongs in the body; one that every such call overrides is dead and the
+    parameter is required.  Tests are not callers: an option is justified by
+    the callers that need it, so a test states every value it uses.
+    Dataclass fields are not parameters.  Calls match by name (a class's
+    name calls its __init__), and one with *args or **kwargs may set or
+    leave every parameter, so a false match only makes the rule lenient."""
+
+    def sets(keywords, positional, arg, i):
+        return arg in keywords or (i is not None and positional > i)
+
+    unset, overridden = [], []
+    for path, tree in index.modules.items():
+        for owner in ast.walk(tree):
+            if not isinstance(owner, (ast.Module, ast.ClassDef)):
+                continue
+            for fn in owner.body:
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                # a method's calls pass self or cls before their positionals
+                bound = isinstance(owner, ast.ClassDef) and not any(
+                    getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list
+                )
+                name = owner.name if fn.name == "__init__" else fn.name
+                args = fn.args.posonlyargs + fn.args.args
+                first = len(args) - len(fn.args.defaults)
+                params = [(a.arg, i - bound) for i, a in enumerate(args) if i >= first]
+                params += [
+                    (a.arg, None)
+                    for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                    if d is not None
+                ]
+                made = index.calls.get(name, [])
+                for arg, i in params:
+                    where = f"{path}:{fn.lineno} {fn.name}"
+                    if not any(spread or sets(kw, pos, arg, i) for kw, pos, spread in made):
+                        unset.append(f"{where}: no call sets {arg}")
+                    elif all(not spread and sets(kw, pos, arg, i) for kw, pos, spread in made):
+                        overridden.append(f"{where}: every call sets {arg}")
+    return unset + overridden
+
+
+def arpack_outside_smallest_eigenpairs(index):
+    """Counting certifies its Ritz values from its own Lanczos run on the
+    SuperLU factor it already has; eigsh serves only the eigenpairs that
+    eigensolve.smallest_eigenpairs returns."""
+    bad = []
+    for path, tree in index.modules.items():
+        allowed = set()
+        if PurePosixPath(path).name == "eigensolve.py":
+            for fn in tree.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name == "smallest_eigenpairs":
+                    allowed = {id(node) for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if id(node) in allowed:
+                continue
+            if (isinstance(node, ast.Attribute) and node.attr == "eigsh") or (
+                isinstance(node, ast.Name) and node.id == "eigsh"
+            ):
+                bad.append(f"{path}:{node.lineno} uses {ast.unparse(node)}")
+            elif isinstance(node, ast.ImportFrom) and any(a.name == "eigsh" for a in node.names):
+                bad.append(f"{path}:{node.lineno} imports eigsh from {node.module}")
+    return bad
+
+
+def batches_outside_runners(index):
+    """cli.run_ids, run_lifshitz and run_wegner are the one Monte-Carlo
+    driver per kind; no other displab module calls a batch function."""
+    batches = {"count_rows", "lifshitz_rows", "wegner_rows"}
+    bad = []
+    for path, tree in index.modules.items():
+        if PurePosixPath(path).name == "cli.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in batches:
+                    bad.append(f"{path}:{node.lineno} calls {name}")
+    return bad
+
+
+def unset_config_keys(index):
+    """A key that no preset and no perfbench config sets is a second way in
+    for a value, or a knob that no run turns.  The keys in UNSHIPPED_KEYS
+    are ones a kind of support or law needs."""
+    return [
+        f"{key}: no shipped config sets it"
+        for key in index.schema
+        if key not in index.config_keys | set(UNSHIPPED_KEYS)
+    ]
+
+
+RULES = [
+    private_imports,
+    thread_imports,
+    unused_imports,
+    unread_members,
+    dense_spectra_outside_eigensolve,
+    idle_defaults,
+    arpack_outside_smallest_eigenpairs,
+    batches_outside_runners,
+    unset_config_keys,
+]
+
+
+def test_the_index_holds_every_module_and_shipped_config(index):
+    package = Path(displab.__file__).parent
+    assert {PurePosixPath(p).name for p in index.modules} == {p.name for p in package.glob("*.py")}
+    shipped = list((package / "presets").glob("*.ini")) + list(ROOT.glob("perfbench/configs/*.ini"))
+    assert index.n_configs == len(shipped) > 0
+
+
+@pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.__name__)
+def test_the_code_keeps_the_rule(index, rule):
+    bad = rule(index)
+    assert bad == [], "\n".join(bad)
+
+
+# -- each rule names a planted violation --------------------------------------
+
+# A tree that keeps every rule: eigensolve with its dense and ARPACK
+# solvers, a runner that calls a batch function, the members that only tests
+# read, a perfbench script that calls the runner with and without its
+# default, and one shipped config that sets every key but the unshipped ones.
+CLEAN_SOURCES = {
+    "src/displab/eigensolve.py": """\
+import numpy as np
+import scipy.sparse.linalg as spla
+
+
+def dense_levels(a):
+    return np.linalg.eigh(a)[0]
+
+
+def smallest_eigenpairs(a, k):
+    return spla.eigsh(a, k)
+""",
+    "src/displab/spectral_stats.py": """\
+def count_rows(family, seed):
+    return family, seed
+""",
+    "src/displab/cli.py": """\
+from .eigensolve import dense_levels
+from .spectral_stats import count_rows
+
+
+def run_ids(cfg, seed=0):
+    return dense_levels(count_rows(cfg, seed))
+""",
+    "src/displab/checked.py": """\
+class SupportSet:
+    def contains(self, x, tol):
+        return x <= tol
+
+
+class FieldScanReport:
+    argmin_config: tuple
+
+
+class BandBottom:
+    phi0: tuple
+
+
+class GradientLimitTable:
+    @property
+    def decreasing(self):
+        return True
+""",
+    "perfbench/run.py": """\
+from displab.cli import run_ids
+
+run_ids({}, seed=1)
+run_ids({})
+""",
+}
+CLEAN_CONFIGS = {"src/displab/presets/a.ini": "[run]\nkind = ids\nseed = 0\n"}
+CLEAN_SCHEMA = ("run.kind", "run.seed", *UNSHIPPED_KEYS)
+
+# (rule, files replaced or added, schema keys added, the one line the rule gives)
+PLANTED = [
+    (
+        private_imports,
+        {"src/displab/twin.py": "from .cli import _helper\n\n_helper()\n"},
+        (),
+        "src/displab/twin.py:1 imports _helper from a sibling module",
+    ),
+    (
+        thread_imports,
+        {"src/displab/pool.py": "from concurrent.futures import ThreadPoolExecutor\n\nThreadPoolExecutor()\n"},
+        (),
+        "src/displab/pool.py:1 imports concurrent.futures",
+    ),
+    (
+        unused_imports,
+        {"src/displab/__init__.py": "from .cli import run_ids\n"},
+        (),
+        "src/displab/__init__.py:1 imports run_ids, which the module never uses",
+    ),
+    (
+        unused_imports,
+        {"src/displab/__init__.py": '__all__ = ["x"]\n'},
+        (),
+        "src/displab/__init__.py:1 binds __all__",
+    ),
+    (
+        unread_members,
+        {"src/displab/report.py": "class Report:\n    energy: float\n"},
+        (),
+        "src/displab/report.py:2 Report.energy (field) is never read",
+    ),
+    (
+        unread_members,
+        {"perfbench/tracer.py": "def zeta(b):\n    return b.phi0\n"},
+        (),
+        "BandBottom.phi0 is in ONLY_CHECKED but is read in src/ or perfbench/, or gone",
+    ),
+    (
+        dense_spectra_outside_eigensolve,
+        {"src/displab/floquet.py": "import scipy.linalg\n\n\ndef levels(a):\n    return scipy.linalg.eigh(a)\n"},
+        (),
+        "src/displab/floquet.py:5 calls scipy.linalg.eigh",
+    ),
+    (
+        idle_defaults,
+        {"perfbench/run.py": "from displab.cli import run_ids\n\nrun_ids({})\n"},
+        (),
+        "src/displab/cli.py:5 run_ids: no call sets seed",
+    ),
+    (
+        idle_defaults,
+        {"perfbench/run.py": "from displab.cli import run_ids\n\nrun_ids({}, 1)\n"},
+        (),
+        "src/displab/cli.py:5 run_ids: every call sets seed",
+    ),
+    (
+        arpack_outside_smallest_eigenpairs,
+        {
+            "src/displab/eigensolve.py": CLEAN_SOURCES["src/displab/eigensolve.py"]
+            + "\n\ndef ritz(a):\n    return spla.eigsh(a, 1)\n"
+        },
+        (),
+        "src/displab/eigensolve.py:14 uses spla.eigsh",
+    ),
+    (
+        batches_outside_runners,
+        {"src/displab/assumptions.py": "from .spectral_stats import count_rows\n\ncount_rows(None, 0)\n"},
+        (),
+        "src/displab/assumptions.py:3 calls count_rows",
+    ),
+    (
+        unset_config_keys,
+        {},
+        ("ids.n_samples",),
+        "ids.n_samples: no shipped config sets it",
+    ),
+]
+
+
+@pytest.mark.parametrize("rule, planted, keys, line", PLANTED, ids=[case[-1] for case in PLANTED])
+def test_each_rule_names_a_planted_violation(rule, planted, keys, line):
+    tree = index_of({**CLEAN_SOURCES, **planted}, CLEAN_CONFIGS, CLEAN_SCHEMA + keys)
+    assert rule(tree) == [line]
+
+
+def test_every_rule_has_a_planted_violation():
+    assert {case[0] for case in PLANTED} == set(RULES)
