@@ -330,6 +330,14 @@ def build_model(cfg):
     return p, q, model["lam"], n, m
 
 
+def _size_guard(base, power, what):
+    """A ConfigError when a run would build ``base ** power`` ``what`` (rows,
+    sites or scan configurations), more than SIZE_GUARD.  The power takes at
+    most SIZE_GUARD.bit_length() factors, past which any base >= 2 is over."""
+    if base ** min(power, SIZE_GUARD.bit_length()) > SIZE_GUARD:
+        raise ConfigError(f"size guard: {what}: {base}^{power} > {SIZE_GUARD}")
+
+
 def _need_torus(n, run):
     """A ConfigError unless model.n makes a torus of side 2n + 1 >= 3, which
     the sandwich operators of an ``ids`` or ``sandwich`` run need."""
@@ -639,6 +647,7 @@ def run_minimize(cfg, rd, restarts, gap_lams):
 
 def run_theorem1(cfg, rd, restarts, site_tol, energy_tol, grid_points):
     p, q, lam, n, m = build_model(cfg)
+    _size_guard(grid_points, (2 * n + 1) ** q.d, "configurations theorem1.grid_points^((2n+1)^d)")
     support = build_support(cfg, q.d)
     seed = cfg["run"]["seed"]
     rep = minimize_over_field(
@@ -699,7 +708,7 @@ def run_ids(cfg, rd, c0, alpha, zeta, n_samples, n_offsets):
             mine = tuple(s for j, s in batch if j == k)
             if mine:
                 shared = fields.take(samples.index(s) for s in mine)
-                counts = count_rows(fam, seed, mine, energies, shared)
+                counts = count_rows(fam, energies, shared)
                 rows.update(
                     ((k, s), [_IDS_FAMILIES[k], s] + c.tolist()) for s, c in zip(mine, counts)
                 )
@@ -747,6 +756,7 @@ def run_lifshitz(
     cfg, rd, n, n_samples, sign, c0, alpha, zeta, v, e_min, e_max, n_energies, ground_hi
 ):
     p, q, lam, n_model, m = build_model(cfg)
+    _size_guard(2 * n + 1, q.d, "sites (2 lifshitz.n + 1)^d")
     support = build_support(cfg, q.d)
     dist = build_distribution(cfg, support)
     seed = cfg["run"]["seed"]
@@ -817,6 +827,8 @@ def run_wegner(
     e_center, n_eps, eps_frac,
 ):
     p, q, lam, n_model, m = build_model(cfg)
+    for n in n_list:
+        _size_guard((2 * n + 1) * m, q.d, f"rows ((2n+1) m)^d of wegner.n_list n = {n}")
     support = build_support(cfg, q.d)
     dist = build_distribution(cfg, support)
     seed = cfg["run"]["seed"]
@@ -904,6 +916,7 @@ def run_wegner(
 
 def run_reduce(cfg, rd, zeta, c0, alpha, n, grid_points):
     p, q, lam, n_model, m = build_model(cfg)
+    _size_guard(grid_points, 2 * n + 1, "configurations reduce.grid_points^(2 reduce.n + 1)")
     zeta = np.asarray(zeta)
     v = v_vector(p, q, lam, zeta, m)
     support = build_support(cfg, q.d)

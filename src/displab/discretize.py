@@ -134,14 +134,16 @@ def periodic_laplacian(d, npts, h):
 
 
 def diagonal_slots(mat):
-    """Where a canonical CSR matrix stores (i, i) in its data, row by row;
-    None unless every row stores its diagonal."""
+    """Where a canonical CSR matrix stores (i, i) in its data, row by row; a
+    ``ValueError`` unless it is canonical and stores its whole diagonal."""
     if not mat.has_canonical_format:
-        return None
+        raise ValueError("diagonal_slots takes a canonical CSR matrix")
     n = mat.shape[0]
     lines = np.repeat(np.arange(n), np.diff(mat.indptr))
     where = np.flatnonzero(mat.indices == lines)
-    return where if where.size == n else None
+    if where.size != n:
+        raise ValueError(f"the matrix stores {where.size} of its {n} diagonal entries")
+    return where
 
 
 def plus_diagonal(mat, where, diag, scale=1.0):
@@ -149,12 +151,8 @@ def plus_diagonal(mat, where, diag, scale=1.0):
 
     ``where`` is ``diagonal_slots(mat)`` and ``diag`` an array or a scalar.
     The diagonal is written into a copy of mat's data on copies of its index
-    arrays, so an entry that comes out exactly 0.0 stays stored.  Where mat
-    does not store its whole diagonal (``where`` is None) the sparse sum is
-    formed.
+    arrays, so an entry that comes out exactly 0.0 stays stored.
     """
-    if where is None:
-        return (scale * mat + sp.diags([diag], [0], shape=mat.shape, format="csr")).tocsr()
     data = scale * mat.data
     data[where] += diag
     return sp.csr_matrix((data, mat.indices.copy(), mat.indptr.copy()), shape=mat.shape)
@@ -164,12 +162,13 @@ def plus_diagonal(mat, where, diag, scale=1.0):
 class DiagonalStack:
     """The operators ``scale * stencil + diag(diags[k])``, one per row of ``diags``.
 
-    ``stencil`` is a canonical CSR matrix shared read-only (a
-    ``periodic_laplacian``) and ``slots`` its ``diagonal_slots``.  ``stack[k]``
-    builds operator k with ``plus_diagonal``, on the stencil's pattern;
-    ``data()`` writes every diagonal into one stacked copy of the stencil's
-    data, so what is read off the operators' entries can be read off all of
-    them in one pass.
+    ``stencil`` is a ``periodic_laplacian`` shared read-only, so exactly
+    symmetric and canonical with every diagonal entry stored, and so is each
+    operator: counting trusts this and never tests for it.  ``slots`` is its
+    ``diagonal_slots``.  ``stack[k]`` builds operator k with ``plus_diagonal``,
+    on the stencil's pattern; ``data()`` writes every diagonal into one
+    stacked copy of the stencil's data, so what is read off the operators'
+    entries can be read off all of them in one pass.
     """
 
     stencil: sp.csr_matrix

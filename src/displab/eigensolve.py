@@ -29,7 +29,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dpttrf, dstevd, dsytrd, dsytrd_lwork, dsytrf, dsytrf_lwork
 
-from .discretize import diagonal_slots, plus_diagonal
+from .discretize import diagonal_slots
 
 DENSE_CUTOFF = 2000
 COUNT_DENSE_CUTOFF = 600
@@ -218,7 +218,8 @@ class SymmetricOperator:
     ``count_below_stack`` and ``ground_bisect`` take only these, so an
     operator that is both bisected and counted is prepared once.  The matrix
     must not change afterwards.  ``SymmetricOperator.chunk`` is the one
-    constructor: it prepares the operators of a chunk together.
+    constructor: it prepares the operators of a ``DiagonalStack``, each exactly
+    symmetric and canonical with its whole diagonal stored, as its stencil is.
     """
 
     @classmethod
@@ -240,11 +241,12 @@ class SymmetricOperator:
         one operator at a time, so a chunk of large operators is never held
         at once (``_stack_unchained``).
         """
-        if _chain_pattern(stack.stencil) is None:
+        pattern = _chain_pattern(stack.stencil)
+        if pattern is None:
             return cls._stack_unchained(stack)
         data = stack.data()
         norms = _stack_norms(stack.stencil.indptr, data)
-        chains = _stack_chains(stack.stencil, data)
+        chains = _stack_chains(pattern, data)
         return [
             cls._of(stack[k], float(norm), chain)
             for k, (norm, chain) in enumerate(zip(norms, chains))
@@ -252,38 +254,15 @@ class SymmetricOperator:
 
     @classmethod
     def _stack_unchained(cls, stack):
-        """``chunk`` of a stack whose stencil is not a periodic chain.
-
-        An operator on the stencil's own pattern is not a chain either, and
-        its entries off the diagonal are the stencil's, the same in every
-        operator of the stack: adding a diagonal neither makes nor breaks
-        exact symmetry.  So the first such operator decides
-        ``exactly_symmetric`` for all of them, and only its norm is read off
-        each.
-        """
-        symmetric = None
+        """``chunk`` of a stack whose stencil is not a periodic chain: each
+        operator with its norm, and no chain form."""
         for k in range(len(stack)):
             mat = stack[k]
-            op = cls._of(mat, float(_stack_norms(mat.indptr, mat.data[None])[0]), None)
-            if symmetric is None:
-                symmetric = op.exactly_symmetric
-            op.exactly_symmetric = symmetric
-            yield op
+            yield cls._of(mat, float(_stack_norms(mat.indptr, mat.data[None])[0]), None)
 
     @property
     def shape(self):
         return self.matrix.shape
-
-    @functools.cached_property
-    def exactly_symmetric(self):
-        """Whether the matrix equals its transpose entry for entry."""
-        if self.chain is not None:
-            return True
-        return _exactly_symmetric(self.matrix)
-
-
-def _exactly_symmetric(mat):
-    return (mat != mat.T).nnz == 0
 
 
 def _checked(op):
@@ -320,9 +299,9 @@ def count_below_stack(ops, energies):
     LDL^T takes over up to COUNT_DENSE_FALLBACK rows; past that, or if
     dense LDL^T refuses too, ``CountBreakdownError`` names every path tried.
 
-    Where an exactly symmetric sparse operator would send two or more
-    thresholds to SuperLU, it is factored once at the largest, E_top, with
-    the nudges as above; that gives K and the shift E' it factored at.  For
+    Where a sparse operator would send two or more thresholds to SuperLU,
+    it is factored once at the largest, E_top, with the nudges as above;
+    that gives K and the shift E' it factored at.  For
     K <= RITZ_CAP, a Lanczos run on (A - E')^-1, one ``lu.solve`` of that
     same factor per step, starts from the constant vector (plus a small
     fixed random part for K > 1) and after each step gives K Ritz pairs
@@ -384,7 +363,7 @@ def _count_rest(op, row, energies):
     todo = np.flatnonzero(row < 0)
     if todo.size:
         count_one = _threshold_counter(op)
-        if todo.size > 1 and op.shape[0] > COUNT_DENSE_CUTOFF and op.exactly_symmetric:
+        if todo.size > 1 and op.shape[0] > COUNT_DENSE_CUTOFF:
             row[todo] = _ritz_counts(op, count_one, energies[todo])
             _trim_heap()
         for k in np.flatnonzero(row < 0):
@@ -403,8 +382,7 @@ def _threshold_counter(op):
     """
     paths = []
     if op.shape[0] > COUNT_DENSE_CUTOFF:
-        shift = _sparse_shift(op.matrix, op.exactly_symmetric)
-        paths.append(("SuperLU", shift, _sparse_inertia))
+        paths.append(("SuperLU", _sparse_shift(op.matrix), _sparse_inertia))
     if not paths or op.shape[0] <= COUNT_DENSE_FALLBACK:
         paths.append(("dense LDL^T", _dense_shift(op.matrix), _dense_inertia))
     return lambda e: _inertia_count(paths, e, max(1.0, op.norm, abs(e)))
@@ -591,19 +569,17 @@ def _dense_shift(mat):
     return lambda e: base() - e * np.eye(mat.shape[0])
 
 
-def _sparse_shift(mat, symmetric):
+def _sparse_shift(mat):
     """E -> A - E I in CSC form, for SuperLU.
 
     Read as CSC, the CSR arrays of a matrix give its transpose, which is the
-    matrix itself for an A known to be exactly symmetric (``symmetric``).  So
-    where such an A stores its whole diagonal, A - E I is written into a copy
-    of A's data and handed over as one CSC matrix on A's own index arrays; an
-    entry that comes out exactly 0.0 stays stored, as in ``plus_diagonal``.
-    Any other A - E I is ``plus_diagonal``'s, converted.
+    matrix itself for a prepared operator (exactly symmetric, and storing
+    its whole diagonal, by the ``DiagonalStack`` it came from).  So A - E I
+    is written into a copy of A's data and handed over as one CSC matrix on
+    A's own index arrays; an entry that comes out exactly 0.0 stays stored,
+    as in ``plus_diagonal``.
     """
     where = diagonal_slots(mat)
-    if not symmetric or where is None:
-        return lambda energy: plus_diagonal(mat, where, -energy).tocsc()
 
     def shifted(energy):
         data = mat.data.copy()
@@ -615,10 +591,10 @@ def _sparse_shift(mat, symmetric):
 
 def _chain_pattern(mat):
     """``(rows, offsets)`` of the stored entries, offsets ``(j - i) mod N``, if
-    the sparse ``mat`` is N x N with N >= 3 and stores entries only at
-    (i, i) and (i, i +- 1 mod N); else None."""
+    the N x N sparse ``mat`` has N >= 3 and stores entries only at (i, i)
+    and (i, i +- 1 mod N); else None."""
     n = mat.shape[0]
-    if n < 3 or mat.shape != (n, n):
+    if n < 3:
         return None
     rows = np.repeat(np.arange(n), np.diff(mat.indptr))
     offset = (mat.indices - rows) % n
@@ -627,31 +603,29 @@ def _chain_pattern(mat):
     return rows, offset
 
 
-def _stack_chains(mat, data):
-    """The periodic-chain form of each matrix with ``mat``'s pattern and a row
-    of ``data`` (K, nnz) for its entries: a list of K ``(a, b)`` or None.
+def _stack_chains(pattern, data):
+    """The periodic-chain form of each matrix with the chain pattern
+    ``pattern`` (``_chain_pattern``) and a row of ``data`` (K, nnz) for its
+    entries: a list of K ``(a, b)`` or None.
 
-    A periodic chain is N x N with N >= 3, has finite entries only at (i, i)
-    and (i, i +- 1 mod N), and is exactly symmetric.  ``a[i] = A[i, i]`` and
-    ``b[i] = A[i, i + 1 mod N]``, so ``b[N - 1]`` is the corner A[N - 1, 0].
-    Each entry of a, of b and of the subdiagonal is summed from the stored
-    entries at its place by one ``bincount`` over all K matrices, whose bins
-    see the additions of K separate ones.
+    The matrices are the operators of a ``DiagonalStack``, so they are
+    exactly symmetric; each is a periodic chain when its entries are all
+    finite.  ``a[i] = A[i, i]`` and ``b[i] = A[i, i + 1 mod N]``, so
+    ``b[N - 1]`` is the corner A[N - 1, 0].  Each entry of a and of b is
+    summed from the stored entries at its place by one ``bincount`` over all
+    K matrices, whose bins see the additions of K separate ones.
     """
-    pattern = _chain_pattern(mat)
-    if pattern is None:
-        return [None] * len(data)
     rows, offset = pattern
-    n = mat.shape[0]
+    n = rows[-1] + 1  # every row stores its diagonal
     bins = rows + n * np.arange(len(data))[:, None]
-    diag, up, down = (
+    diag, up = (
         np.bincount(
             bins[:, offset == k].ravel(), weights=data[:, offset == k].ravel(),
             minlength=n * len(data),
         ).reshape(-1, n)
-        for k in (0, 1, n - 1)
+        for k in (0, 1)
     )
-    chain = np.all(np.isfinite(data), axis=1) & np.all(up == np.roll(down, -1, axis=1), axis=1)
+    chain = np.all(np.isfinite(data), axis=1)
     return [(a, b) if ok else None for a, b, ok in zip(diag, up, chain)]
 
 

@@ -5,8 +5,8 @@ All sampling is indexed by (master_seed, sample_index) through the
 counter-based field sampler, so curves are reproducible sample-by-sample.
 Each statistic has one batch function -- ``count_rows``, ``lifshitz_rows``,
 ``wegner_rows`` -- that draws a tuple of samples' fields in one
-``sample_fields`` call (or takes fields the caller drew for several
-families), assembles them in one pass and counts them in one
+``sample_fields`` call (``count_rows`` takes the fields its caller drew for
+several families), assembles them in one pass and counts them in one
 ``count_below_stack`` call.  A row never depends on the batch it was
 computed in.  The CLI runners (``displab.cli.run_ids``, ``run_lifshitz``,
 ``run_wegner``) are the Monte-Carlo drivers: they call the batch functions
@@ -38,14 +38,9 @@ class _SampledFamily:
     """Sampling and preparation shared by the families; each has ``dist``,
     ``n`` and ``stack(fields)``."""
 
-    def operators(self, master_seed, samples, fields=None):
-        """The samples' operators, prepared (``SymmetricOperator.chunk``).
-
-        ``fields`` is ``sample_fields(self.dist, self.n, master_seed,
-        samples)`` when the caller has drawn it already.
-        """
-        if fields is None:
-            fields = sample_fields(self.dist, self.n, master_seed, samples)
+    def operators(self, master_seed, samples):
+        """The samples' operators, prepared (``SymmetricOperator.chunk``)."""
+        fields = sample_fields(self.dist, self.n, master_seed, samples)
         return SymmetricOperator.chunk(self.stack(fields))
 
 
@@ -120,15 +115,15 @@ class IDSCurve:
         return self.counts.std(axis=0, ddof=1) / np.sqrt(self.n_samples) / self.n_cells
 
 
-def count_rows(family, master_seed, samples, energies, fields):
-    """Counts below ``energies`` of each sample's operator: a (K, T) int array.
+def count_rows(family, energies, fields):
+    """Counts below ``energies`` of the operator of each field of the
+    ``FieldChunk`` ``fields``: a (K, T) int array.
 
-    ``fields`` are the samples' fields when the caller drew them for several
-    families, or None (see ``_SampledFamily.operators``).  Operators that
-    are not chains are assembled as the stacked count takes them, so a
-    batch of them holds one at a time.
+    The caller draws the fields, once for all the families that share them.
+    Operators that are not chains are assembled as the stacked count takes
+    them, so a batch of them holds one at a time.
     """
-    return count_below_stack(family.operators(master_seed, samples, fields), energies)
+    return count_below_stack(SymmetricOperator.chunk(family.stack(fields)), energies)
 
 
 @dataclass(frozen=True)

@@ -24,19 +24,18 @@ else:
 
 def prepared(mat):
     """The operator of a chunk of one (``SymmetricOperator.chunk``) whose
-    matrix has the data, indices and indptr of the canonical real CSR
-    ``mat``, bit for bit.
+    matrix has the data, indices and indptr of ``mat``, bit for bit.
 
-    ``mat`` is the stack's stencil, and the stack's diagonal is -0.0 at
-    every slot, which adds nothing (x + -0.0 is x, sign of a zero included);
-    a matrix that does not store its whole diagonal gets no slots.
+    ``mat`` is the stack's stencil, so it must keep a stencil's contract:
+    a real canonical CSR matrix, exactly symmetric, that stores every
+    diagonal entry; any other is a ``ValueError``.  The stack's diagonal is
+    -0.0 at every slot, which adds nothing (x + -0.0 is x, sign of a zero
+    included).
     """
     mat = mat.tocsr()
-    if not mat.has_canonical_format:
-        raise ValueError("prepared takes a canonical CSR matrix")
-    slots = diagonal_slots(mat)
-    if slots is None:
-        slots = np.empty(0, dtype=int)
+    if not mat.has_canonical_format or np.iscomplexobj(mat) or (mat != mat.T).nnz:
+        raise ValueError("prepared takes a real, canonical, exactly symmetric CSR matrix")
+    slots = diagonal_slots(mat)  # a ValueError unless every diagonal entry is stored
     (op,) = SymmetricOperator.chunk(DiagonalStack(mat, slots, np.full((1, slots.size), -0.0)))
     return op
 

@@ -73,17 +73,22 @@ _CONTINUUM_ENERGIES = np.array([-0.3, 0.0, 0.3, 1.0])
 _EPS = np.array([1e-2, 1e-1, 1.0])
 
 
+def _own_rows(family, energies, samples):
+    """A family's counts on a draw of its own samples' fields."""
+    return count_rows(family, energies, sample_fields(family.dist, family.n, 4, samples))
+
+
 def _ids_rows(samples):
     """Both ring families counted on one draw of the samples' fields."""
     fields = sample_fields(DIST, RING.n, 4, samples)
     return (
-        count_rows(RING, 4, samples, _RING_ENERGIES, fields),
-        count_rows(CONTINUUM_RING, 4, samples, _CONTINUUM_ENERGIES, fields),
+        count_rows(RING, _RING_ENERGIES, fields),
+        count_rows(CONTINUUM_RING, _CONTINUUM_ENERGIES, fields),
     )
 
 
 _BATCHES = {
-    "count_rows": lambda samples: count_rows(RING, 4, samples, _RING_ENERGIES, None),
+    "count_rows": lambda samples: _own_rows(RING, _RING_ENERGIES, samples),
     "lifshitz_rows": lambda samples: lifshitz_rows(RING, 4, samples, _RING_ENERGIES, 4.0),
     "wegner_rows": lambda samples: wegner_rows(
         CONTINUUM_RING, 4, samples, 0.0, _EPS, ground_samples=6, audit_per_n=3
@@ -111,8 +116,6 @@ def test_rows_do_not_depend_on_the_chunking(name, cuts):
 def test_shared_fields_give_each_familys_own_rows():
     shared = _one_shot("ids-shared-fields")
     every = tuple(range(_CUT_SAMPLES))
-    assert np.array_equal(shared[0], count_rows(RING, 4, every, _RING_ENERGIES, None))
-    assert np.array_equal(
-        shared[1], count_rows(CONTINUUM_RING, 4, every, _CONTINUUM_ENERGIES, None)
-    )
+    assert np.array_equal(shared[0], _own_rows(RING, _RING_ENERGIES, every))
+    assert np.array_equal(shared[1], _own_rows(CONTINUUM_RING, _CONTINUUM_ENERGIES, every))
     assert len(np.unique(shared[1])) > 2

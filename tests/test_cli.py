@@ -573,18 +573,26 @@ def test_zero_sample_count_is_config_error(tmp_path, capsys, kind, key):
         ("sandwich", _preset_text("sandwich-1d").replace("\nn = 1\n", "\nn = 0\n"), "model.n"),
         ("verify-all", _preset_text("asym-1d").replace("lam = 0.1", "lam = 0.0"), "model.lam"),
         ("sandwich", _preset_text("sandwich-1d").replace("lam = 0.1", "lam = 0.0"), "model.lam"),
+        ("wegner", _preset_text("wegner-1d").replace("n_list = 1 2 3", "n_list = 1 4000"), "wegner.n_list"),
+        ("lifshitz", _preset_text("lifshitz-reduced-1d").replace("\nn = 1000\n", "\nn = 150000\n"), "lifshitz.n"),
+        ("reduce", _preset_text("reduce-1d").replace("n = 1\ngrid_points = 9", "n = 3\ngrid_points = 9"), "reduce.n"),
+        ("theorem1", _preset_text("theorem1-1d").replace("grid_points = 11", "grid_points = 60"), "theorem1.grid_points"),
     ],
     ids=[
         "nbands-above-fiber-size", "one-window", "one-size", "ids-one-cell-torus",
         "sandwich-one-cell-torus", "verify-all-zero-lam", "sandwich-auto-alpha0-zero-lam",
+        "wegner-size-above-guard", "lifshitz-chain-above-guard", "reduce-scan-above-guard",
+        "theorem1-scan-above-guard",
     ],
 )
 def test_cross_key_bounds_are_config_errors(tmp_path, capsys, kind, text, key):
     """Bounds that join keys (a fiber of m ** d levels; a joint fit over
     windows and sizes; a torus of side 2n + 1 >= 3 for the sandwich
     operators of ids and sandwich; lam > 0 where the growth constant
-    alpha0, a ratio over lam, is measured) are config errors before any
-    sample: one line, and only the manifest is left."""
+    alpha0, a ratio over lam, is measured; the size guard on every
+    wegner.n_list size, the lifshitz chain of 2 lifshitz.n + 1 sites and
+    the configurations of the reduce and theorem1 scans) are config errors
+    before any sample: one line, and only the manifest is left."""
     cfg_path = _write(tmp_path, f"{kind}.ini", text)
     assert main([kind, "--config", cfg_path, "--out", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err
@@ -623,6 +631,30 @@ def test_wegner_scan_without_a_fit_writes_its_records_and_fails(tmp_path, capsys
     assert summary[-1] == "status: failed" and summary[-2].startswith("no fit:")
 
 
+def _before_each_ids_count(monkeypatch, hook):
+    """Call ``hook(family, samples)`` before each ``count_rows`` of an ids
+    run; return the list of the sample tuples whose fields the run drew.
+
+    ``samples`` are the last drawn: a fresh run's chunk draws its samples'
+    fields once and counts all of them for each family in turn."""
+    import displab.cli as cli
+
+    drawn = []
+    real_count_rows, real_sample_fields = cli.count_rows, cli.sample_fields
+
+    def sample_fields_logged(dist, n, master_seed, samples):
+        drawn.append(tuple(samples))
+        return real_sample_fields(dist, n, master_seed, samples)
+
+    def count_rows_hooked(family, energies, fields):
+        hook(family, drawn[-1])
+        return real_count_rows(family, energies, fields)
+
+    monkeypatch.setattr(cli, "sample_fields", sample_fields_logged)
+    monkeypatch.setattr(cli, "count_rows", count_rows_hooked)
+    return drawn
+
+
 def test_ctrl_c_keeps_finished_samples_for_resume(tmp_path, monkeypatch, capsys):
     """Ctrl-C mid-run exits 130 with the finished samples cached; resuming
     then gives the bytes of a one-shot run."""
@@ -632,17 +664,14 @@ def test_ctrl_c_keeps_finished_samples_for_resume(tmp_path, monkeypatch, capsys)
     full, cut = str(tmp_path / "full"), str(tmp_path / "cut")
     assert main(["ids", "--config", cfg_path, "--out", full]) == 0
 
-    real_operators = ReducedFamily.operators
-
-    def operators_then_interrupt(self, master_seed, samples, fields=None):
+    def interrupt(family, samples):
         # chunks of 4 samples: the first holds samples 0-3 of all three
         # families; minus sample 4 is in the second
-        if self.sign < 0 and 4 in samples:
+        if getattr(family, "sign", 0) < 0 and 4 in samples:
             raise KeyboardInterrupt
-        return real_operators(self, master_seed, samples, fields)
 
     monkeypatch.setattr(cli, "SAMPLE_CHUNK", 4)
-    monkeypatch.setattr(ReducedFamily, "operators", operators_then_interrupt)
+    _before_each_ids_count(monkeypatch, interrupt)
     try:
         code = main(["ids", "--config", cfg_path, "--out", cut])
     except KeyboardInterrupt:
@@ -687,18 +716,14 @@ def test_a_solver_failure_ends_the_run_and_keeps_finished_chunks(tmp_path, monke
     assert code in (0, 1)
     capsys.readouterr()
 
-    real_operators, real_inertia = ContinuumFamily.operators, es._sparse_inertia
+    real_inertia = es._sparse_inertia
     second = []
-
-    def operators_flagged(self, master_seed, samples, fields=None):
-        second.append(1 in samples)
-        return real_operators(self, master_seed, samples, fields)
 
     def inertia_refused(shifted, scale):
         return None if second[-1] else real_inertia(shifted, scale)
 
     monkeypatch.setattr(cli, "SAMPLE_CHUNK", 1)
-    monkeypatch.setattr(ContinuumFamily, "operators", operators_flagged)
+    _before_each_ids_count(monkeypatch, lambda family, samples: second.append(1 in samples))
     monkeypatch.setattr(es, "_sparse_inertia", inertia_refused)
     assert main(["ids", "--config", cfg_path, "--out", cut]) == 3
     monkeypatch.undo()
@@ -836,10 +861,10 @@ def test_lifshitz_ctrl_c_mid_chunk_keeps_whole_chunks_for_resume(tmp_path, monke
 
     real_operators = ReducedFamily.operators
 
-    def operators_then_interrupt(self, master_seed, samples, fields=None):
+    def operators_then_interrupt(self, master_seed, samples):
         if chunk + 2 in samples:
             raise KeyboardInterrupt
-        return real_operators(self, master_seed, samples, fields)
+        return real_operators(self, master_seed, samples)
 
     monkeypatch.setattr(ReducedFamily, "operators", operators_then_interrupt)
     assert main(["lifshitz", "--config", cfg_path, "--out", cut]) == 130
@@ -874,9 +899,9 @@ def test_a_solver_failure_ends_a_lifshitz_run_and_keeps_finished_chunks(
     real_operators = ReducedFamily.operators
     second, refused = [], []
 
-    def operators_flagged(self, master_seed, samples, fields=None):
+    def operators_flagged(self, master_seed, samples):
         second.append(chunk in samples)
-        return real_operators(self, master_seed, samples, fields)
+        return real_operators(self, master_seed, samples)
 
     def refusing(real):
         def inertia(shifted, scale):
@@ -982,10 +1007,10 @@ def test_wegner_ctrl_c_mid_chunk_keeps_whole_chunks_for_resume(tmp_path, monkeyp
 
     real_operators = ContinuumFamily.operators
 
-    def operators_then_interrupt(self, master_seed, samples, fields=None):
+    def operators_then_interrupt(self, master_seed, samples):
         if self.n == 2 and 3 in samples:
             raise KeyboardInterrupt
-        return real_operators(self, master_seed, samples, fields)
+        return real_operators(self, master_seed, samples)
 
     monkeypatch.setattr(ContinuumFamily, "operators", operators_then_interrupt)
     assert main(["wegner", "--config", cfg_path, "--out", cut]) == 130
@@ -1017,26 +1042,14 @@ def test_ids_ctrl_c_mid_chunk_keeps_whole_chunks_for_resume(tmp_path, monkeypatc
     full, cut, single = (str(tmp_path / name) for name in ("full", "cut", "single"))
     assert main(["ids", "--config", cfg_path, "--out", full]) == 0
 
-    real_operators = ReducedFamily.operators
-    stacked, drawn = [], []
-    real_count_rows, real_sample_fields = cli.count_rows, cli.sample_fields
+    stacked = []
 
-    def count_rows_logged(family, master_seed, samples, energies, fields):
-        stacked.append((getattr(family, "sign", 0), tuple(samples)))
-        return real_count_rows(family, master_seed, samples, energies, fields)
-
-    def sample_fields_logged(dist, n, master_seed, samples):
-        drawn.append(tuple(samples))
-        return real_sample_fields(dist, n, master_seed, samples)
-
-    def operators_then_interrupt(self, master_seed, samples, fields=None):
-        if self.sign < 0 and chunk + 1 in samples:
+    def log_then_interrupt(family, samples):
+        stacked.append((getattr(family, "sign", 0), samples))
+        if getattr(family, "sign", 0) < 0 and chunk + 1 in samples:
             raise KeyboardInterrupt
-        return real_operators(self, master_seed, samples, fields)
 
-    monkeypatch.setattr(cli, "count_rows", count_rows_logged)
-    monkeypatch.setattr(cli, "sample_fields", sample_fields_logged)
-    monkeypatch.setattr(ReducedFamily, "operators", operators_then_interrupt)
+    drawn = _before_each_ids_count(monkeypatch, log_then_interrupt)
     assert main(["ids", "--config", cfg_path, "--out", cut]) == 130
     monkeypatch.undo()
     assert f"interrupted; resume with --resume {cut}" in capsys.readouterr().err
@@ -1062,9 +1075,9 @@ def _counting_assembly(monkeypatch):
     made = collections.Counter()
     real_operators = ContinuumFamily.operators
 
-    def operators_counted(self, master_seed, samples, fields=None):
+    def operators_counted(self, master_seed, samples):
         made.update((self.n, s) for s in samples)
-        return real_operators(self, master_seed, samples, fields)
+        return real_operators(self, master_seed, samples)
 
     monkeypatch.setattr(ContinuumFamily, "operators", operators_counted)
     return made

@@ -322,11 +322,13 @@ dense_mats = st.builds(
 
 @given(dense_mats, st.integers(0, 2**32 - 1))
 def test_dense_counts_equal_eigvalsh_where_the_gap_is_clear(mat, seed):
-    """Dense LDL^T on the sparse form of a dense matrix (N = 3 is a periodic
-    chain, counted by the sweep): eigvalsh plus searchsorted wherever no
+    """Dense LDL^T on the sparse form of a dense matrix, every entry stored
+    (N = 3 is a periodic chain, counted by the sweep): eigvalsh plus searchsorted wherever no
     level is within 1e-8 * scale of the threshold, and a count inside the
     tie band everywhere else."""
-    sparse = sp.csr_matrix(mat)
+    n = mat.shape[0]
+    # every entry stored, zeros too: a stencil stores its whole diagonal
+    sparse = sp.csr_matrix((mat.ravel(), np.tile(np.arange(n), n), n * np.arange(n + 1)), shape=(n, n))
     energies = _thresholds([sparse], seed)
     levels = np.linalg.eigvalsh(mat)
     op = prepared(sparse)

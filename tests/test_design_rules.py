@@ -1,16 +1,17 @@
 """The design rules of the code, checked on one index of the tree.
 
-Nine rules keep the design in place: no private names shared between
+Ten rules keep the design in place: no private names shared between
 modules, no threads, no unused imports and no ``__all__``, no class member
 that nothing reads, dense spectra only through ``eigensolve``, no idle or
 always-overridden default, ARPACK only in ``smallest_eigenpairs``,
-Monte-Carlo batches only in the CLI runners, and no config key that no
-shipped config sets.  Each rule is a function of the index that returns
+Monte-Carlo batches only in the CLI runners, no config key that no
+shipped config sets, and no ``DiagonalStack`` on a stencil that is not a
+``periodic_laplacian``.  Each rule is a function of the index that returns
 its violation lines, and each test asserts that the list is empty.
 
 Readers and callers are counted from ``src/`` and ``perfbench/`` only:
 tests are not readers or callers.  A rule that parses nothing passes, so
-every rule is also run on a small synthetic tree that keeps all nine, with
+every rule is also run on a small synthetic tree that keeps all ten, with
 one violation planted, and must give that violation's line and no other.
 """
 
@@ -55,6 +56,10 @@ class Index:
     schema: tuple  # every "section.key" of the config schema
 
 
+def _callee(call):
+    return getattr(call.func, "id", getattr(call.func, "attr", None))
+
+
 def index_of(sources, configs, schema):
     """The index of ``sources`` (path -> text of every .py file under src/
     and perfbench/), ``configs`` (path -> text of every shipped config) and
@@ -67,7 +72,7 @@ def index_of(sources, configs, schema):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 reads.add(node.attr)
             elif isinstance(node, ast.Call):
-                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                name = _callee(node)
                 spread = any(k.arg is None for k in node.keywords) or any(
                     isinstance(a, ast.Starred) for a in node.args
                 )
@@ -296,7 +301,7 @@ def batches_outside_runners(index):
             continue
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
-                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                name = _callee(node)
                 if name in batches:
                     bad.append(f"{path}:{node.lineno} calls {name}")
     return bad
@@ -313,6 +318,56 @@ def unset_config_keys(index):
     ]
 
 
+def _own_nodes(scope):
+    """The nodes of a module or function, not those of the functions it defines."""
+    todo = list(ast.iter_child_nodes(scope))
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def stacks_off_the_laplacian(index):
+    """Counting trusts the stencil of a DiagonalStack to be exactly
+    symmetric and canonical and to store every diagonal entry, as a
+    periodic_laplacian is, and never tests for it.  So every DiagonalStack
+    call takes its stencil from a periodic_laplacian call in the same
+    function: as ``*periodic_laplacian(...)``, or as the first name that
+    ``lap, where = periodic_laplacian(...)`` binds."""
+
+    def laplacian(node):
+        return isinstance(node, ast.Call) and _callee(node) == "periodic_laplacian"
+
+    bad = []
+    for path, tree in index.modules.items():
+        functions = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for scope in [tree, *functions]:
+            nodes = list(_own_nodes(scope))
+            stencils = {
+                target.elts[0].id
+                for node in nodes
+                if isinstance(node, ast.Assign) and laplacian(node.value)
+                for target in node.targets
+                if isinstance(target, ast.Tuple) and isinstance(target.elts[0], ast.Name)
+            }
+            for node in nodes:
+                if not (isinstance(node, ast.Call) and _callee(node) == "DiagonalStack"):
+                    continue
+                given = [k.value for k in node.keywords if k.arg == "stencil"] + node.args[:1]
+                first = given[0] if given else None
+                if (isinstance(first, ast.Starred) and laplacian(first.value)) or (
+                    isinstance(first, ast.Name) and first.id in stencils
+                ):
+                    continue
+                stencil = "no stencil" if first is None else ast.unparse(first)
+                bad.append(
+                    f"{path}:{node.lineno} builds a DiagonalStack on {stencil}, "
+                    "not on a periodic_laplacian of the same function"
+                )
+    return bad
+
+
 RULES = [
     private_imports,
     thread_imports,
@@ -323,6 +378,7 @@ RULES = [
     arpack_outside_smallest_eigenpairs,
     batches_outside_runners,
     unset_config_keys,
+    stacks_off_the_laplacian,
 ]
 
 
@@ -343,8 +399,9 @@ def test_the_code_keeps_the_rule(index, rule):
 
 # A tree that keeps every rule: eigensolve with its dense and ARPACK
 # solvers, a runner that calls a batch function, the members that only tests
-# read, a perfbench script that calls the runner with and without its
-# default, and one shipped config that sets every key but the unshipped ones.
+# read, stacks on a periodic_laplacian in both forms, a perfbench script
+# that calls the runner with and without its default, and one shipped config
+# that sets every key but the unshipped ones.
 CLEAN_SOURCES = {
     "src/displab/eigensolve.py": """\
 import numpy as np
@@ -388,6 +445,18 @@ class GradientLimitTable:
     @property
     def decreasing(self):
         return True
+""",
+    "src/displab/reduced.py": """\
+from .discretize import DiagonalStack, periodic_laplacian
+
+
+def build_reduced(d, side, diags):
+    lap, where = periodic_laplacian(d, side, 1.0)
+    return DiagonalStack(lap, where, diags)
+
+
+def assemble(d, side, diags):
+    return DiagonalStack(*periodic_laplacian(d, side, 1.0), diags)
 """,
     "perfbench/run.py": """\
 from displab.cli import run_ids
@@ -475,6 +544,37 @@ PLANTED = [
         {},
         ("ids.n_samples",),
         "ids.n_samples: no shipped config sets it",
+    ),
+    (
+        stacks_off_the_laplacian,
+        {
+            "src/displab/reduced.py": (
+                "import scipy.sparse as sp\n\nfrom .discretize import DiagonalStack, periodic_laplacian\n"
+                "\n\ndef build_reduced(d, side, diags):\n"
+                "    where = periodic_laplacian(d, side, 1.0)[1]\n"
+                '    return DiagonalStack(sp.identity(side ** d, format="csr"), where, diags)\n'
+            )
+        },
+        (),
+        "src/displab/reduced.py:8 builds a DiagonalStack on sp.identity(side ** d, format='csr'), "
+        "not on a periodic_laplacian of the same function",
+    ),
+    (
+        stacks_off_the_laplacian,
+        {
+            "src/displab/reduced.py": (
+                "from .discretize import DiagonalStack, periodic_laplacian\n"
+                "\n\ndef stencil(d, side):\n"
+                "    lap, where = periodic_laplacian(d, side, 1.0)\n"
+                "    return lap, where\n"
+                "\n\ndef build_reduced(d, side, diags):\n"
+                "    lap, where = stencil(d, side)\n"
+                "    return DiagonalStack(lap, where, diags)\n"
+            )
+        },
+        (),
+        "src/displab/reduced.py:11 builds a DiagonalStack on lap, "
+        "not on a periodic_laplacian of the same function",
     ),
 ]
 

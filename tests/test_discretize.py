@@ -199,6 +199,40 @@ def test_torus_laplacian_is_roll_second_difference(grid):
         assert not arr.flags.writeable, "the shared matrix and slots are read-only"
 
 
+@pytest.mark.parametrize("d, npts", [(1, 3), (1, 4), (1, 2001), (2, 3), (2, 9), (2, 208)])
+def test_periodic_laplacian_keeps_the_stencil_contract(d, npts):
+    """Counting trusts a DiagonalStack's stencil to be exactly symmetric
+    and canonical and to store every diagonal entry.  Checked on the
+    smallest rings and tori, on the 2001-site ring of lifshitz-reduced-1d and
+    on the 208 x 208 torus (43,264 rows) of the ids-2d benchmark config, at
+    the reduced model's h = 1 and a continuum h = 1/16."""
+    n = npts**d
+    for h in (1.0, 1.0 / 16):
+        lap, where = periodic_laplacian(d, npts, h)
+        assert lap.format == "csr" and lap.shape == (n, n) and lap.has_canonical_format
+        rows = np.repeat(np.arange(n), np.diff(lap.indptr))
+        assert np.all(np.diff(lap.indices)[rows[1:] == rows[:-1]] > 0), "sorted, no duplicates"
+        mirror = sp.csr_matrix(lap.T)
+        assert np.array_equal(mirror.indptr, lap.indptr)
+        assert np.array_equal(mirror.indices, lap.indices)
+        assert np.array_equal(mirror.data.view(np.int64), lap.data.view(np.int64)), "bit for bit"
+        assert np.array_equal(rows[where], np.arange(n))
+        assert np.array_equal(lap.indices[where], np.arange(n))
+
+
+def test_diagonal_slots_refuses_a_matrix_that_breaks_the_stencil_contract():
+    """A matrix that does not store its whole diagonal, or is not canonical,
+    has no slots: ``plus_diagonal`` could not write its diagonal in place."""
+    missing = sp.csr_matrix(np.array([[2.0, -1.0, 0.0], [-1.0, 0.0, -1.0], [0.0, -1.0, 2.0]]))
+    with pytest.raises(ValueError, match="stores 2 of its 3 diagonal entries"):
+        diagonal_slots(missing)
+    unsorted = sp.csr_matrix(
+        (np.array([-1.0, 2.0, 2.0]), np.array([1, 0, 1]), np.array([0, 2, 3])), shape=(2, 2)
+    )
+    with pytest.raises(ValueError, match="canonical"):
+        diagonal_slots(unsorted)
+
+
 @pytest.mark.parametrize("d, n", [(1, 0), (1, 2), (2, 0), (2, 1)])
 def test_assemble_periodic_csr_equals_per_call_build(d, n):
     grid = GridSpec(d=d, n=n, m=8)

@@ -5,7 +5,6 @@ instances; the sparse paths are forced by patching the dense cutoffs
 ``DENSE_CUTOFF`` and ``COUNT_DENSE_CUTOFF`` lower.
 """
 
-import collections
 import weakref
 from unittest import mock
 
@@ -461,30 +460,34 @@ def _csc_arrays(mat):
 
 @pytest.mark.parametrize("n", [3, 17, 2001])
 def test_sparse_shift_gives_the_arrays_of_the_rebuilt_shift(n):
-    """Window steps write a_ii - E into a copy of the matrix's arrays;
-    SuperLU must see the arrays (A - E I).tocsc() has, both for a chain (the
-    CSR's transpose) and for an operator not known to be symmetric
-    (converted).  Where a_ii - E is exactly 0.0, which the sparse subtraction
-    drops, the entry stays stored as 0.0 on A's pattern, and the dense form
-    is the subtraction's, bit for bit."""
+    """Window steps write a_ii - E into a copy of the matrix's arrays and
+    hand them over as CSC (the CSR's transpose, the matrix itself); SuperLU
+    must see the arrays of ``plus_diagonal``'s A - E I converted to CSC, and
+    those (A - E I).tocsc() has.  Where a_ii - E is exactly 0.0, which the
+    sparse subtraction drops, the entry stays stored as 0.0 on A's pattern,
+    and the dense form is the subtraction's, bit for bit."""
+    from displab.discretize import diagonal_slots, plus_diagonal
+
     mat = _random_chain(n, "generic", seed=n)
-    diag = mat.diagonal()
-    transposed = es._sparse_shift(mat, symmetric=True)
-    converted = es._sparse_shift(mat, symmetric=False)
-    first = transposed(0.25)
+    diag, where = mat.diagonal(), diagonal_slots(mat)
+    shift = es._sparse_shift(mat)
+    first = shift(0.25)
     for e in (0.25, -1.5, float(diag[1]), 0.3, float(diag[-1])):
+        got = shift(e)
+        rebuilt = plus_diagonal(mat, where, -e).tocsc()
         want = (mat - e * sp.identity(n, format="csr")).tocsc()
-        for got in (transposed(e), converted(e)):
-            assert got.format == "csc"
-            assert np.array_equal(got.toarray().view(np.int64), want.toarray().view(np.int64))
-            if e in diag:
-                assert got.nnz == mat.nnz == want.nnz + 1, "the exact zero stays stored"
-                pairs = [(got.indices, mat.indices), (got.indptr, mat.indptr)]
-            else:
-                pairs = zip(_csc_arrays(got), _csc_arrays(want))
-            for a, b in pairs:
-                assert a.dtype == b.dtype and np.array_equal(a, b)
-        assert converted(e) is not converted(e)
+        assert got.format == "csc"
+        for a, b in zip(_csc_arrays(got), _csc_arrays(rebuilt)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert np.array_equal(got.toarray().view(np.int64), want.toarray().view(np.int64))
+        if e in diag:
+            assert got.nnz == mat.nnz == want.nnz + 1, "the exact zero stays stored"
+            pairs = [(got.indices, mat.indices), (got.indptr, mat.indptr)]
+        else:
+            pairs = zip(_csc_arrays(got), _csc_arrays(want))
+        for a, b in pairs:
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert shift(e) is not shift(e)
     assert not np.shares_memory(first.data, mat.data), "the operator itself is not written"
 
 
@@ -803,7 +806,7 @@ def test_a_run_cut_by_its_step_budget_hands_the_unsettled_thresholds_back(monkey
     mat = _generic_torus()
     levels, between = _levels_and_between(mat)
     op = prepared(mat)
-    count, lu = es._sparse_inertia(es._sparse_shift(op.matrix, True)(between[0]), 10.0)
+    count, lu = es._sparse_inertia(es._sparse_shift(op.matrix)(between[0]), 10.0)
     pairs = [es._certified_intervals(op, *p, between[0]) for p in es._lanczos_pairs(lu, between[0], 1)]
     (first_lo, _), (last_lo, _) = pairs[0], pairs[-1]
     assert count == 1 and first_lo[0] < last_lo[0] - 1e-6
@@ -818,7 +821,7 @@ def test_a_run_cut_by_its_step_budget_hands_the_unsettled_thresholds_back(monkey
 
 @pytest.mark.parametrize("kind", ["chain", "d = 2"])
 def test_superlu_gets_one_csc_matrix_with_the_old_shifts_arrays(monkeypatch, kind):
-    """An exactly symmetric operator's A - E reaches SuperLU as one CSC
+    """A prepared operator's A - E reaches SuperLU as one CSC
     matrix on A's index arrays, with the data, indices and indptr that
     ``plus_diagonal`` and a CSC conversion give, also where a diagonal
     entry cancels to exactly 0.0: that entry stays stored, and the dense
@@ -831,7 +834,7 @@ def test_superlu_gets_one_csc_matrix_with_the_old_shifts_arrays(monkeypatch, kin
     else:
         mat = _generic_torus()
     op = prepared(mat)
-    assert op.exactly_symmetric and (op.chain is None) == (kind != "chain")
+    assert (op.chain is None) == (kind != "chain")
     got, splu = [], es.spla.splu
     monkeypatch.setattr(es.spla, "splu", lambda a, **k: got.append(a) or splu(a, **k))
     where = diagonal_slots(op.matrix)
@@ -890,16 +893,6 @@ def test_superlu_refusal_above_the_dense_fallback_names_every_path(monkeypatch):
         count_below_stack([prepared(mat)], [1.0])[0, 0]
     assert "no dense LDL^T fallback above N = 100" in str(err.value)
     assert "1e-12, 1e-10, 1e-08" in str(err.value)
-
-
-def test_an_operator_not_exactly_symmetric_is_counted_threshold_by_threshold(monkeypatch):
-    mat = _generic_torus().tolil()
-    mat[0, 1] += 1e-15
-    mat = mat.tocsr()
-    levels, between = _levels_and_between(mat)
-    monkeypatch.setattr(es, "_lanczos_pairs", None)  # never called
-    got = _hands_back(monkeypatch, mat, between[[0, 2, 4]])
-    assert got.tolist() == [1, 3, 5]
 
 
 # -- a chunk's operators prepared together ----------------------------------
@@ -978,59 +971,70 @@ def test_chunk_preparation_equals_the_one_operator_reading(d, side, scale):
         assert np.array_equal(op.matrix.indptr, lap.indptr)
         _same_preparation(op, mat)
         assert (op.chain is not None) == (d == 1 and k != 3)
-        assert op.exactly_symmetric == ((mat != mat.T).nnz == 0)
 
 
-@pytest.mark.parametrize("symmetric", [True, False])
-def test_a_d2_chunk_examines_its_stencil_once(monkeypatch, symmetric):
+def test_a_d2_chunk_examines_its_stencil_once(monkeypatch):
     """On a d = 2 stencil the chunk decides once that no operator is a
-    chain and once whether they are exactly symmetric, and each prepared
-    operator holds ``stack[k]``, its reference norm, no chain form and the
-    symmetry ``stack[k]`` has, and nothing else, on a symmetric stencil and
-    on one with a single entry off its mirror."""
+    chain, and each prepared operator holds ``stack[k]``, its reference
+    norm and no chain form, and nothing else."""
     from displab.discretize import DiagonalStack, periodic_laplacian
 
     lap, where = periodic_laplacian(2, 9, 0.25)
-    if not symmetric:
-        lap = lap.copy()
-        lap.data[np.setdiff1d(np.arange(lap.nnz), where)[0]] *= 1.5
     diags = np.random.default_rng(9).uniform(-40.0, 40.0, (4, lap.shape[0]))
     stack = DiagonalStack(lap, where, diags, 0.5)
-    calls = collections.Counter()
-
-    def counted(fn):
-        def wrapper(*args):
-            calls[fn.__name__] += 1
-            return fn(*args)
-        return wrapper
-
-    for name in ("_chain_pattern", "_exactly_symmetric"):
-        monkeypatch.setattr(es, name, counted(getattr(es, name)))
+    calls = []
+    real_pattern = es._chain_pattern
+    monkeypatch.setattr(es, "_chain_pattern", lambda mat: calls.append(1) or real_pattern(mat))
     ops = list(es.SymmetricOperator.chunk(stack))
-    assert [op.exactly_symmetric for op in ops] == [symmetric] * 4
-    assert calls == {"_chain_pattern": 1, "_exactly_symmetric": 1}
+    assert len(ops) == 4 and calls == [1]
     monkeypatch.undo()
     for k, op in enumerate(ops):
         mat = stack[k]
-        assert ((mat != mat.T).nnz == 0) == symmetric
-        assert vars(op).keys() == {"matrix", "norm", "chain", "exactly_symmetric"}
+        assert vars(op).keys() == {"matrix", "norm", "chain"}
         _same_preparation(op, mat)
         for part in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(op.matrix, part), getattr(mat, part))
 
 
+@pytest.mark.parametrize(
+    "kind, message",
+    [
+        ("not-exactly-symmetric", "exactly symmetric"),
+        ("missing-diagonal", "stores 15 of its 16 diagonal entries"),
+        ("unsorted", "canonical"),
+    ],
+)
+def test_prepared_refuses_a_matrix_that_breaks_the_stencil_contract(kind, message):
+    """Tests reach counting through a chunk of one whose stencil is the
+    matrix, so the matrix must keep a stencil's contract: an entry 1e-15
+    off its mirror, an unstored diagonal entry or unsorted indices are
+    each a ``ValueError``."""
+    mat = _generic_torus(side=4).tolil()
+    if kind == "not-exactly-symmetric":
+        mat[0, 1] += 1e-15
+    elif kind == "missing-diagonal":
+        mat[2, 2] = 0.0  # a LIL matrix drops an assigned zero
+    mat = mat.tocsr()
+    if kind == "unsorted":
+        mat.indices[:2] = mat.indices[1::-1].copy()
+        mat.data[:2] = mat.data[1::-1].copy()
+        mat.has_sorted_indices = False
+    with pytest.raises(ValueError, match=message):
+        prepared(mat)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_one_operator_reading_equals_the_reference(seed):
-    """A chunk of one (``prepared``) on random canonical square sparse
-    matrices, chains with zero couplings, non-chain patterns and an empty
-    matrix: its operator has the matrix's arrays bit for bit, and the norm
-    and chain form of the reference reading."""
+    """A chunk of one (``prepared``) on random chains with zero couplings
+    and on random symmetric matrices with their whole diagonal stored,
+    mostly of non-chain patterns: its operator has the matrix's arrays bit
+    for bit, and the norm and chain form of the reference reading."""
     local = np.random.default_rng(seed)
     n = int(local.integers(3, 12))
+    upper = sp.random(n, n, density=0.4, random_state=seed, format="csr")
     mats = [
         _random_chain(n, ("generic", "zero-corner", "zero-offdiagonals")[seed % 3], seed),
-        sp.random(n, n, density=0.4, random_state=seed, format="csr"),
-        sp.csr_matrix((n, n)),
+        (upper + upper.T + sp.identity(n)).tocsr(),
     ]
     for mat in mats:
         op = prepared(mat)

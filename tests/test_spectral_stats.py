@@ -49,12 +49,17 @@ def _near_point_dist(center):
     )
 
 
+def _own_counts(family, seed, samples, energies):
+    """``count_rows`` on the family's own draw of the samples' fields."""
+    return count_rows(family, energies, sample_fields(family.dist, family.n, seed, samples))
+
+
 def test_ids_curve_deterministic_operator_zero_variance():
     """With q = 0 the operator ignores the displacement field entirely, so
     every sample counts the same free spectrum: zero standard error."""
     fam = ContinuumFamily(p=P0, q=Q0, lam=0.1, dist=DIST, n=1, m=4)
     energies = np.array([1.0, 10.0, 50.0, 130.0])
-    curve = IDSCurve(count_rows(fam, 3, range(5), energies, None), fam.n_cells)
+    curve = IDSCurve(_own_counts(fam, 3, range(5), energies), fam.n_cells)
     assert np.all(curve.stderr() == 0.0)
     free = np.sort(32.0 * (1.0 - np.cos(np.pi * np.arange(12) / 6.0)))
     expected = np.array([np.sum(free < e) for e in energies]) / 3.0
@@ -81,7 +86,7 @@ def test_reduced_family_jump_positions():
     fam = ReducedFamily(sign=-1, v=np.array([0.016]), lam=0.1, zeta=zeta,
                         dist=_near_point_dist(zeta), n=1, c0=2.0, alpha=0.001)
     energies = np.array([0.01, 0.5, 0.8])
-    curve = IDSCurve(count_rows(fam, 0, range(4), energies, None), fam.n_cells)
+    curve = IDSCurve(_own_counts(fam, 0, range(4), energies), fam.n_cells)
     assert np.allclose(curve.values(), [1.0 / 3.0, 1.0 / 3.0, 1.0])
     assert np.all(curve.stderr() == 0.0)
 
@@ -258,7 +263,7 @@ def test_ids_sandwich_chain_small():
     )
     # each family draws the fields of (seed 5, sample s) itself: the same ones
     curves = [
-        IDSCurve(count_rows(fam, 5, range(25), thresholds, None), fam.n_cells)
+        IDSCurve(_own_counts(fam, 5, range(25), thresholds), fam.n_cells)
         for fam, thresholds in families
     ]
     rep = IDSSandwichReport.from_curves(*curves)
@@ -288,10 +293,10 @@ RING = ReducedFamily(
 def test_count_rows_equal_one_count_below_per_sample(family):
     levels = np.linalg.eigvalsh(_one_matrix(family, 7, 0).toarray())
     energies = 0.5 * (levels[[0, 2, 4, 8]] + levels[[1, 3, 5, 9]])
-    rows = count_rows(family, 7, range(4), energies, None)
+    rows = _own_counts(family, 7, range(4), energies)
     assert rows.shape == (4, 4) and len(np.unique(rows)) > 4
     for s in range(4):
-        assert np.array_equal(count_rows(family, 7, (s,), energies, None), rows[s : s + 1])
+        assert np.array_equal(_own_counts(family, 7, (s,), energies), rows[s : s + 1])
         op = prepared(_one_matrix(family, 7, s))
         assert np.array_equal(count_below_stack([op], energies)[0], rows[s])
 
