@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretize import GridSpec, assemble_periodic
-from .eigensolve import SymmetricOperator, count_below_stack, dense_levels, smallest_eigenpairs
+from .eigensolve import count_below_stack, dense_levels, smallest_eigenpairs
 from .floquet import band_bottom, v_vector
 from .potentials import FieldChunk, site_lattice, wrap_nearest
 
@@ -393,9 +393,8 @@ def exhaustive_field_scan(p, q, lam, support, n, m, grid_points):
     survivors = range(len(cfgs))
     if len(constant) >= 2:
         bound = sorted(dense_levels(stack[k])[0] for k in constant)[1]
-        ops = SymmetricOperator.chunk(stack)
-        delta = 1e-9 * max(1.0, max(op.norm for op in ops))
-        survivors = np.flatnonzero(count_below_stack(ops, [bound + delta])[:, 0] > 0)
+        delta = 1e-9 * max(1.0, stack.norms().max())
+        survivors = np.flatnonzero(count_below_stack(stack, [bound + delta])[:, 0] > 0)
     best_e, best_cfg, second = np.inf, None, np.inf
     for k in survivors:
         e = dense_levels(stack[k])[0]

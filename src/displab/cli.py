@@ -648,6 +648,8 @@ def run_minimize(cfg, rd, restarts, gap_lams):
 def run_theorem1(cfg, rd, restarts, site_tol, energy_tol, grid_points):
     p, q, lam, n, m = build_model(cfg)
     _size_guard(grid_points, (2 * n + 1) ** q.d, "configurations theorem1.grid_points^((2n+1)^d)")
+    if grid_points >= 2 and q.d != 1:
+        raise ConfigError("theorem1 scan (theorem1.grid_points >= 2) is d = 1 only")
     support = build_support(cfg, q.d)
     seed = cfg["run"]["seed"]
     rep = minimize_over_field(
@@ -917,6 +919,7 @@ def run_wegner(
 def run_reduce(cfg, rd, zeta, c0, alpha, n, grid_points):
     p, q, lam, n_model, m = build_model(cfg)
     _size_guard(grid_points, 2 * n + 1, "configurations reduce.grid_points^(2 reduce.n + 1)")
+    _size_guard(2 * n + 1, 2, "dense entries (2 reduce.n + 1)^2 of each scanned operator")
     zeta = np.asarray(zeta)
     v = v_vector(p, q, lam, zeta, m)
     support = build_support(cfg, q.d)

@@ -119,18 +119,26 @@ def _kron_sum(axis_mats):
 
 @lru_cache(maxsize=16)
 def periodic_laplacian(d, npts, h):
-    """-Delta_h on the torus (Z / npts)^d with spacing h, and its diagonal slots.
+    """-Delta_h on the torus (Z / npts)^d with spacing h, and where it stores
+    its diagonal and, on a ring, its couplings.
 
-    Returns ``(lap, diagonal_slots(lap))``, built once per (d, npts, h) and
-    shared read-only: callers add their diagonal with ``plus_diagonal``.
+    Returns ``(lap, slots, up)``, built once per (d, npts, h) and shared
+    read-only.  ``slots`` is ``diagonal_slots(lap)``: callers add their
+    diagonal there with ``plus_diagonal``.  On a ring (d = 1) ``up[i]`` is
+    where lap stores A[i, i + 1 mod N]; on a torus of d >= 2 ``up`` is None.
     """
     if npts < 3:
         raise ValueError("torus side must be >= 3 for unambiguous neighbors")
     lap = _kron_sum([_ring(npts, h)] * d)
     where = diagonal_slots(lap)
+    up = None
+    if d == 1:
+        rows = np.repeat(np.arange(npts), np.diff(lap.indptr))
+        up = np.flatnonzero(lap.indices == (rows + 1) % npts)
+        up.flags.writeable = False
     for arr in (lap.data, lap.indices, lap.indptr, where):
         arr.flags.writeable = False
-    return lap, where
+    return lap, where, up
 
 
 def diagonal_slots(mat):
@@ -162,17 +170,19 @@ def plus_diagonal(mat, where, diag, scale=1.0):
 class DiagonalStack:
     """The operators ``scale * stencil + diag(diags[k])``, one per row of ``diags``.
 
-    ``stencil`` is a ``periodic_laplacian`` shared read-only, so exactly
-    symmetric and canonical with every diagonal entry stored, and so is each
-    operator: counting trusts this and never tests for it.  ``slots`` is its
-    ``diagonal_slots``.  ``stack[k]`` builds operator k with ``plus_diagonal``,
-    on the stencil's pattern; ``data()`` writes every diagonal into one
-    stacked copy of the stencil's data, so what is read off the operators'
-    entries can be read off all of them in one pass.
+    ``stencil``, ``slots`` and ``up`` are a ``periodic_laplacian`` shared
+    read-only, so the stencil is exactly symmetric and canonical with every
+    diagonal entry stored, and so is each operator: counting trusts this and
+    never tests for it.  ``stack[k]`` builds operator k with
+    ``plus_diagonal``, on the stencil's pattern.  ``data()`` writes every
+    diagonal into one stacked copy of the stencil's data; ``norms()`` and
+    ``chains()`` read what counting needs off the operators' data without
+    building any operator.
     """
 
     stencil: sp.csr_matrix
     slots: np.ndarray
+    up: np.ndarray | None
     diags: np.ndarray
     scale: float = 1.0
 
@@ -197,6 +207,41 @@ class DiagonalStack:
         data[:] = self.scale * self.stencil.data
         data[:, self.slots] += self.diags
         return data
+
+    def norms(self):
+        """The largest absolute row sum, ``abs(self[k]).sum(axis=1).max()``,
+        of each operator: K norms.
+
+        SciPy sums a sparse matrix's rows with ``np.add.reduceat`` over each
+        nonempty row's entries, and so does this over each operator's data,
+        written one operator at a time: every norm has the bits of its own
+        matrix's, and a stack of large operators never has all its data
+        written at once.
+        """
+        indptr = self.stencil.indptr
+        starts = indptr[np.flatnonzero(np.diff(indptr))]
+        base = self.scale * self.stencil.data
+        norms = np.empty(len(self))
+        for k, diag in enumerate(self.diags):
+            data = base.copy()
+            data[self.slots] += diag
+            norms[k] = np.add.reduceat(np.abs(data), starts).max()
+        return norms
+
+    def chains(self):
+        """The periodic-chain form ``(a, b)`` of each operator, or None: a
+        list of K.
+
+        ``a[i] = A[i, i]`` and ``b[i] = A[i, i + 1 mod N]``, so ``b[N - 1]``
+        is the corner A[N - 1, 0]; both are read off ``data()`` at ``slots``
+        and ``up``.  Every operator on a torus of d >= 2, and one with a
+        non-finite entry, has None.
+        """
+        if self.up is None:
+            return [None] * len(self)
+        data = self.data()
+        finite = np.all(np.isfinite(data), axis=1)
+        return [(row[self.slots], row[self.up]) if ok else None for row, ok in zip(data, finite)]
 
 
 def assemble_periodic(p, q, lam, field, grid):

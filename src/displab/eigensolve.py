@@ -1,17 +1,20 @@
 """Extremal eigenpairs and inertia-based spectral counting.
 
 ``smallest_eigenpairs`` and ``dense_levels`` take a sparse matrix.  The
-counting entries (``count_below_stack``, ``ground_bisect``) take only
-operators prepared by ``SymmetricOperator.chunk``, and ``count_below_stack``
-a 1-d array of thresholds; any other operator type is a ``TypeError``.
-Small problems go through dense LAPACK; large ones through ARPACK (smallest
-pairs) or a symmetric-mode sparse LDL^T factorization (counting).
-Periodic chains (every d = 1 torus operator) are counted by a cyclic LDL^T
-sweep over all thresholds, and over a whole stack of chains at once.  Other
-large sparse operators (d = 2) are factored once, at their largest
-threshold, and the thresholds below it are settled from certified Ritz
-values of a Lanczos run on that same factor's inverse, which starts from
-the constant vector and stops as soon as its certificate settles them.
+counting entries (``count_below_stack``, ``ground_bisect``) take the
+``discretize.DiagonalStack`` a run builds, and ``count_below_stack`` a 1-d
+array of thresholds; any other operator type is a ``TypeError``.  The stack
+gives the norms and, on a ring, the periodic-chain forms counting reads,
+and an operator's CSR matrix is built only where a path factors,
+certifies or diagonalizes it.  Small problems go through dense LAPACK;
+large ones through ARPACK (smallest pairs) or a symmetric-mode sparse
+LDL^T factorization (counting).  Periodic chains (every d = 1 operator) are
+counted by a cyclic LDL^T sweep over all thresholds, and over a whole
+stack of chains at once.  Other large sparse operators (d = 2) are factored
+once, at their largest threshold, and the thresholds below it are settled
+from certified Ritz values of a Lanczos run on that same factor's inverse,
+which starts from the constant vector and stops as soon as its certificate
+settles them.
 Every returned eigenpair carries an explicitly computed residual so callers
 never have to trust solver-internal convergence flags.
 """
@@ -21,7 +24,7 @@ from __future__ import annotations
 import ctypes
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -29,7 +32,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dpttrf, dstevd, dsytrd, dsytrd_lwork, dsytrf, dsytrf_lwork
 
-from .discretize import diagonal_slots
+from .discretize import DiagonalStack
 
 DENSE_CUTOFF = 2000
 COUNT_DENSE_CUTOFF = 600
@@ -210,94 +213,61 @@ def _sparse_inertia(shifted, scale):
     return int(np.sum(diag < 0.0)), lu
 
 
-class SymmetricOperator:
-    """A real symmetric operator with what counting reads taken out once.
+class _Operator(NamedTuple):
+    """One operator as the per-operator counting paths read it.
 
-    ``matrix`` is the canonical CSR matrix, ``norm`` its largest absolute
-    row sum and ``chain`` its periodic-chain form ``(a, b)`` or None.
-    ``count_below_stack`` and ``ground_bisect`` take only these, so an
-    operator that is both bisected and counted is prepared once.  The matrix
-    must not change afterwards.  ``SymmetricOperator.chunk`` is the one
-    constructor: it prepares the operators of a ``DiagonalStack``, each exactly
-    symmetric and canonical with its whole diagonal stored, as its stencil is.
+    ``matrix()`` builds its CSR matrix, which a path asks for only where it
+    factors, certifies or diagonalizes; ``slots`` are where that matrix
+    stores its diagonal, ``norm`` is its largest absolute row sum and
+    ``chain`` its periodic-chain form ``(a, b)``, or None.
     """
 
-    @classmethod
-    def _of(cls, matrix, norm, chain):
-        op = cls.__new__(cls)
-        op.matrix, op.norm, op.chain = matrix, norm, chain
-        return op
-
-    @classmethod
-    def chunk(cls, stack):
-        """One prepared operator per operator of a ``discretize.DiagonalStack``.
-
-        On a periodic-chain stencil (every d = 1 torus) the norms and chain
-        forms of all the operators are read off the stack's data in one pass
-        each, by the functions that read one operator's (``_stack_norms``,
-        ``_stack_chains``), so they are bitwise the ones its own matrix gives:
-        every operator has the stencil's pattern.  The result is a list.  On
-        any other stencil (d >= 2) it is a generator that builds and prepares
-        one operator at a time, so a chunk of large operators is never held
-        at once (``_stack_unchained``).
-        """
-        pattern = _chain_pattern(stack.stencil)
-        if pattern is None:
-            return cls._stack_unchained(stack)
-        data = stack.data()
-        norms = _stack_norms(stack.stencil.indptr, data)
-        chains = _stack_chains(pattern, data)
-        return [
-            cls._of(stack[k], float(norm), chain)
-            for k, (norm, chain) in enumerate(zip(norms, chains))
-        ]
-
-    @classmethod
-    def _stack_unchained(cls, stack):
-        """``chunk`` of a stack whose stencil is not a periodic chain: each
-        operator with its norm, and no chain form."""
-        for k in range(len(stack)):
-            mat = stack[k]
-            yield cls._of(mat, float(_stack_norms(mat.indptr, mat.data[None])[0]), None)
-
-    @property
-    def shape(self):
-        return self.matrix.shape
+    matrix: Callable[[], sp.csr_matrix]
+    slots: np.ndarray
+    norm: float
+    chain: tuple | None
 
 
-def _checked(op):
-    """``op`` if ``SymmetricOperator.chunk`` prepared it; any other type is a
-    ``TypeError`` that names it."""
-    if not isinstance(op, SymmetricOperator):
-        raise TypeError(f"counting takes a SymmetricOperator.chunk operator, not {type(op).__name__}")
-    return op
+def _operators(stack):
+    """The ``_Operator`` of each operator of a ``discretize.DiagonalStack``,
+    with the norms and chain forms the stack reads off its data; any other
+    type is a ``TypeError`` that names it.  No CSR matrix is built here."""
+    if not isinstance(stack, DiagonalStack):
+        raise TypeError(f"counting takes a discretize.DiagonalStack, not {type(stack).__name__}")
+    return [
+        _Operator(functools.partial(stack.__getitem__, k), stack.slots, float(norm), chain)
+        for k, (norm, chain) in enumerate(zip(stack.norms(), stack.chains()))
+    ]
 
 
-def count_below_stack(ops, energies):
-    """Counts below each threshold for several operators: a (K, T) int array.
+def count_below_stack(stack, energies):
+    """Counts below each threshold for every operator of a stack: a (K, T) int array.
 
-    Entry (k, t) is the number of eigenvalues of the prepared operator
-    ``ops[k]`` (``SymmetricOperator.chunk``) strictly below ``energies[t]``.
-    Any other operator type is a ``TypeError``; ``energies`` must be a 1-d
-    array, and a 0-d or 2-d one, like a non-finite threshold, raises
-    ``ValueError`` before any factorization.  Counts are exact integers by
-    Sylvester inertia.
+    Entry (k, t) is the number of eigenvalues of ``stack[k]`` strictly below
+    ``energies[t]``, for a ``discretize.DiagonalStack`` ``stack``; any other
+    type is a ``TypeError``.  ``energies`` must be a 1-d array, and a 0-d or
+    2-d one, like a non-finite threshold, raises ``ValueError`` before any
+    factorization.  Counts are exact integers by Sylvester inertia.
 
-    A sparse real symmetric periodic chain (N >= 3, entries only at i and
-    i +- 1 mod N: every d = 1 torus operator) counts all thresholds in one
-    cyclic LDL^T sweep vectorized over the thresholds (``_chain_counts``).
-    The sweep settles a threshold only when it counts the same 1e-13 * scale
+    An operator on a ring (every d = 1 stack) is a periodic chain, read off
+    the stack without building its matrix (``DiagonalStack.chains``); all
+    thresholds of all its chains are counted in one cyclic LDL^T sweep
+    vectorized over (operator, threshold) pairs (``_chain_counts``).  The
+    sweep settles a threshold only when it counts the same 1e-13 * scale
     below it and 2e-8 * scale above it, with no pivot within 1e-13 * scale
     of zero, every value finite and each last pivot clear of the rounding
-    bound of the sum that forms it.
+    bound of the sum that forms it.  Each column sees the operations of a
+    sweep of its own, so the stack changes no count.
 
-    Every other threshold takes the per-threshold factorization: dense
-    LDL^T up to COUNT_DENSE_CUTOFF rows (read at call time), sparse
-    symmetric-mode LU (SuperLU) above.  If a threshold ties an eigenvalue
-    (zero pivot) that factorization nudges it upward by tiny shifts (1e-12,
-    1e-10, 1e-8 times scale).  If SuperLU refuses E and every nudge, dense
-    LDL^T takes over up to COUNT_DENSE_FALLBACK rows; past that, or if
-    dense LDL^T refuses too, ``CountBreakdownError`` names every path tried.
+    Every other threshold takes the per-threshold factorization of
+    ``stack[k]``, built then and dropped after: dense LDL^T up to
+    COUNT_DENSE_CUTOFF rows (read at call time), sparse symmetric-mode LU
+    (SuperLU) above.  If a threshold ties an eigenvalue (zero pivot) that
+    factorization nudges it upward by tiny shifts (1e-12, 1e-10, 1e-8 times
+    scale).  If SuperLU refuses E and every nudge, dense LDL^T takes over up
+    to COUNT_DENSE_FALLBACK rows; past that, or if dense LDL^T refuses too,
+    ``CountBreakdownError`` names every path tried.  So a stack of d = 2
+    operators is counted one operator at a time.
 
     Where a sparse operator would send two or more thresholds to SuperLU,
     it is factored once at the largest, E_top, with the nudges as above;
@@ -322,14 +292,6 @@ def count_below_stack(ops, energies):
     Both the sweep's and the Ritz route's bracket span the nudges, so the
     array form gives the same integers as one call per threshold.
     Here scale = max(1, ||A||_inf, |E|).
-
-    Periodic chains of equal N share one cyclic LDL^T sweep whose columns
-    are every (operator, bracket threshold) pair; each column sees the
-    operations of a sweep of its own, so the stack changes no count, and
-    row k is the row of a stack of ``ops[k]`` alone.  ``ops`` may be a
-    generator: an operator that is not a chain is counted as it arrives and
-    not held after that, so a stack of large d >= 2 operators holds one at
-    a time.
     """
     thresholds = np.asarray(energies, dtype=float)
     if thresholds.ndim != 1:
@@ -338,15 +300,16 @@ def count_below_stack(ops, energies):
         )
     if not np.all(np.isfinite(thresholds)):
         raise ValueError(f"count_below_stack threshold must be finite, got {energies!r}")
-    return _count_stack((_checked(op) for op in ops), thresholds)
+    return _count(_operators(stack), thresholds)
 
 
-def _count_stack(ops, energies):
+def _count(ops, energies):
+    """``count_below_stack`` of the ``_Operator`` records ``ops``."""
     rows, chains = [], {}
     for op in ops:
         rows.append(np.full(energies.size, -1))
         if op.chain is not None and energies.size:
-            chains.setdefault(op.shape[0], []).append((op, rows[-1]))
+            chains.setdefault(op.chain[0].size, []).append((op, rows[-1]))
         else:
             _count_rest(op, rows[-1], energies)
     for group in chains.values():
@@ -359,19 +322,21 @@ def _count_stack(ops, energies):
 
 def _count_rest(op, row, energies):
     """Fill the entries of ``row`` still -1: by the Ritz route, else one
-    factorization per threshold."""
+    factorization per threshold; the operator's matrix is built only here."""
     todo = np.flatnonzero(row < 0)
     if todo.size:
-        count_one = _threshold_counter(op)
-        if todo.size > 1 and op.shape[0] > COUNT_DENSE_CUTOFF:
-            row[todo] = _ritz_counts(op, count_one, energies[todo])
+        mat = op.matrix()
+        count_one = _threshold_counter(mat, op.slots, op.norm)
+        if todo.size > 1 and mat.shape[0] > COUNT_DENSE_CUTOFF:
+            row[todo] = _ritz_counts(mat, op.norm, count_one, energies[todo])
             _trim_heap()
         for k in np.flatnonzero(row < 0):
             row[k] = count_one(float(energies[k]))[0]
 
 
-def _threshold_counter(op):
-    """The per-threshold count as a function of E: one factorization per call.
+def _threshold_counter(mat, slots, norm):
+    """The per-threshold count of the CSR matrix ``mat``, with its diagonal at
+    ``slots`` and norm ``norm``, as a function of E: one factorization per call.
 
     The function returns ``(count, E', factor)``: E' is the threshold the
     count holds at, E or E nudged up after a tie, and ``factor`` is
@@ -381,11 +346,11 @@ def _threshold_counter(op):
     COUNT_DENSE_FALLBACK rows.
     """
     paths = []
-    if op.shape[0] > COUNT_DENSE_CUTOFF:
-        paths.append(("SuperLU", _sparse_shift(op.matrix), _sparse_inertia))
-    if not paths or op.shape[0] <= COUNT_DENSE_FALLBACK:
-        paths.append(("dense LDL^T", _dense_shift(op.matrix), _dense_inertia))
-    return lambda e: _inertia_count(paths, e, max(1.0, op.norm, abs(e)))
+    if mat.shape[0] > COUNT_DENSE_CUTOFF:
+        paths.append(("SuperLU", _sparse_shift(mat, slots), _sparse_inertia))
+    if not paths or mat.shape[0] <= COUNT_DENSE_FALLBACK:
+        paths.append(("dense LDL^T", _dense_shift(mat), _dense_inertia))
+    return lambda e: _inertia_count(paths, e, max(1.0, norm, abs(e)))
 
 
 def _inertia_count(paths, energy, scale):
@@ -410,7 +375,7 @@ def _inertia_count(paths, energy, scale):
     )
 
 
-def _ritz_counts(op, count_one, energies):
+def _ritz_counts(mat, norm, count_one, energies):
     """Counts below ``energies`` from one factorization at the largest; -1 where undecided.
 
     The largest threshold is counted by the per-threshold path, which
@@ -433,7 +398,7 @@ def _ritz_counts(op, count_one, energies):
     counts[energies == top] = count
     if lu is None or count > RITZ_CAP:
         return counts
-    scale = np.maximum(max(1.0, op.norm), np.abs(energies))
+    scale = np.maximum(max(1.0, norm), np.abs(energies))
     lo = energies - _ZERO_PIVOT * scale
     hi = energies + 2.0 * _TIE_NUDGES[-1] * scale
     pending = (counts < 0) & (hi < shift)
@@ -441,7 +406,7 @@ def _ritz_counts(op, count_one, energies):
         counts[pending] = 0
         return counts
     for vals, vecs in _lanczos_pairs(lu, shift, count):
-        intervals = _certified_intervals(op, vals, vecs, shift)
+        intervals = _certified_intervals(mat, norm, vals, vecs, shift)
         if intervals is None:
             continue
         lower, upper = (bound[:, None] for bound in intervals)
@@ -524,17 +489,17 @@ def _lanczos_pairs(lu, shift, k):
         basis[j + 1] = w / beta[j]
 
 
-def _certified_intervals(op, vals, vecs, shift):
+def _certified_intervals(mat, norm, vals, vecs, shift):
     """``(lower, upper)``, ascending: one interval per pair ``(vals[i],
-    vecs[:, i])``, each holding an eigenvalue, if the intervals are pairwise
-    disjoint and lie below ``shift``; else None.
+    vecs[:, i])`` of ``mat``, whose norm is ``norm``, each holding an
+    eigenvalue, if the intervals are pairwise disjoint and lie below
+    ``shift``; else None.
 
     Any pair (theta, v) of a symmetric A has an eigenvalue within
     ||A v - theta v|| / ||v|| of theta, so k pairwise disjoint such
     intervals below the shift hold k distinct eigenvalues; where the inertia
     of A - shift says k lie below it, they are all there are.
     """
-    mat = op.matrix
     n = mat.shape[0]
     width = np.linalg.norm(mat @ vecs - vecs * vals, axis=0) / np.linalg.norm(vecs, axis=0)
     # Rounding of the computed residual r = A v - theta v.  Row i of A v, a
@@ -547,7 +512,7 @@ def _certified_intervals(op, vals, vecs, shift):
     # twice the sum, which also covers the rounding of theta +- radius, of
     # ||A||_inf and of the bracket ends.
     rows = int(np.diff(mat.indptr).max())
-    radius = width + 2.0 * _EPS * ((2 * n + 6) * width + rows * op.norm + np.abs(vals))
+    radius = width + 2.0 * _EPS * ((2 * n + 6) * width + rows * norm + np.abs(vals))
     order = np.argsort(vals)
     lower, upper = (vals - radius)[order], (vals + radius)[order]
     if not (
@@ -569,64 +534,22 @@ def _dense_shift(mat):
     return lambda e: base() - e * np.eye(mat.shape[0])
 
 
-def _sparse_shift(mat):
-    """E -> A - E I in CSC form, for SuperLU.
+def _sparse_shift(mat, slots):
+    """E -> A - E I in CSC form, for SuperLU; A stores its diagonal at ``slots``.
 
     Read as CSC, the CSR arrays of a matrix give its transpose, which is the
-    matrix itself for a prepared operator (exactly symmetric, and storing
-    its whole diagonal, by the ``DiagonalStack`` it came from).  So A - E I
-    is written into a copy of A's data and handed over as one CSC matrix on
-    A's own index arrays; an entry that comes out exactly 0.0 stays stored,
-    as in ``plus_diagonal``.
+    matrix itself for an operator of a ``DiagonalStack`` (exactly symmetric,
+    as its stencil is).  So A - E I is written into a copy of A's data and
+    handed over as one CSC matrix on A's own index arrays; an entry that
+    comes out exactly 0.0 stays stored, as in ``plus_diagonal``.
     """
-    where = diagonal_slots(mat)
 
     def shifted(energy):
         data = mat.data.copy()
-        data[where] -= energy
+        data[slots] -= energy
         return sp.csc_matrix((data, mat.indices, mat.indptr), shape=mat.shape)
 
     return shifted
-
-
-def _chain_pattern(mat):
-    """``(rows, offsets)`` of the stored entries, offsets ``(j - i) mod N``, if
-    the N x N sparse ``mat`` has N >= 3 and stores entries only at (i, i)
-    and (i, i +- 1 mod N); else None."""
-    n = mat.shape[0]
-    if n < 3:
-        return None
-    rows = np.repeat(np.arange(n), np.diff(mat.indptr))
-    offset = (mat.indices - rows) % n
-    if not np.all((offset == 0) | (offset == 1) | (offset == n - 1)):
-        return None
-    return rows, offset
-
-
-def _stack_chains(pattern, data):
-    """The periodic-chain form of each matrix with the chain pattern
-    ``pattern`` (``_chain_pattern``) and a row of ``data`` (K, nnz) for its
-    entries: a list of K ``(a, b)`` or None.
-
-    The matrices are the operators of a ``DiagonalStack``, so they are
-    exactly symmetric; each is a periodic chain when its entries are all
-    finite.  ``a[i] = A[i, i]`` and ``b[i] = A[i, i + 1 mod N]``, so
-    ``b[N - 1]`` is the corner A[N - 1, 0].  Each entry of a and of b is
-    summed from the stored entries at its place by one ``bincount`` over all
-    K matrices, whose bins see the additions of K separate ones.
-    """
-    rows, offset = pattern
-    n = rows[-1] + 1  # every row stores its diagonal
-    bins = rows + n * np.arange(len(data))[:, None]
-    diag, up = (
-        np.bincount(
-            bins[:, offset == k].ravel(), weights=data[:, offset == k].ravel(),
-            minlength=n * len(data),
-        ).reshape(-1, n)
-        for k in (0, 1)
-    )
-    chain = np.all(np.isfinite(data), axis=1)
-    return [(a, b) if ok else None for a, b, ok in zip(diag, up, chain)]
 
 
 def _chain_counts(ops, energies):
@@ -753,18 +676,25 @@ def _chain_sweep(diag, off, energies, norms):
     return np.where(ok, neg, -1).reshape(energies.shape)
 
 
-def ground_bisect(op, hi):
-    """Smallest eigenvalue of a prepared PSD operator by 48 bisection steps on [0, hi].
+def ground_bisect(stack, hi):
+    """The smallest eigenvalue of each PSD operator of a
+    ``discretize.DiagonalStack``, by 48 bisection steps on [0, hi]: a list
+    of K floats.  Any other type is a ``TypeError``.
 
-    Returns ``hi`` when no eigenvalue lies below it.  Each step asks whether
-    some eigenvalue lies strictly below the midpoint, which the
+    An operator with no eigenvalue below ``hi`` gives ``hi``.  Each step
+    asks whether some eigenvalue lies strictly below the midpoint, which the
     per-threshold count answers; on a periodic chain tests for positive
     definiteness of A - E at E just above and below the midpoint
     (``_chain_has_level_below``) answer first, and the count takes the
-    steps those leave open.
+    steps those leave open.  An operator's matrix is built at the first
+    step the count takes, if any.
     """
-    op = _checked(op)
-    count_one = _threshold_counter(op)
+    return [_ground(op, hi) for op in _operators(stack)]
+
+
+def _ground(op, hi):
+    """``ground_bisect`` of the ``_Operator`` record ``op``."""
+    count_one = functools.cache(lambda: _threshold_counter(op.matrix(), op.slots, op.norm))
     heads = None if op.chain is None else _ChainHeads.of(*op.chain)
 
     def below(e):
@@ -772,7 +702,7 @@ def ground_bisect(op, hi):
             found = _chain_has_level_below(heads, e, max(1.0, op.norm, abs(e)))
             if found is not None:
                 return found
-        return count_one(e)[0] > 0
+        return count_one()(e)[0] > 0
 
     if not below(hi):
         return hi
@@ -882,20 +812,3 @@ def _last_pivot(heads, shifted_last, piv):
         # 4.4e-12 * total, so the pivot rule's 1e-13 alone is too tight.)
         cancel = 10.0 * n * _EPS * total
     return last, cancel
-
-
-def _stack_norms(indptr, data):
-    """The largest absolute row sum, ``abs(A).sum(axis=1).max()``, of each
-    canonical sparse matrix with row pointers ``indptr`` and a row of
-    ``data`` (K, nnz) for its entries: K norms.
-
-    SciPy sums a sparse matrix's rows with ``np.add.reduceat`` over each
-    nonempty row's entries; one ``reduceat`` over all K data rows makes the
-    same reductions, so every norm has the bits of its own matrix's.
-    """
-    k, nnz = data.shape
-    if not nnz:
-        return np.zeros(k)
-    starts = indptr[np.flatnonzero(np.diff(indptr))] + nnz * np.arange(k)[:, None]
-    sums = np.add.reduceat(np.abs(data).ravel(), starts.ravel())
-    return sums.reshape(k, -1).max(axis=1)

@@ -73,10 +73,11 @@ def build_reduced(sign, v, lam, zeta, field, c0, alpha):
     diags = lam * (dz @ v + sign * c0 * alpha * np.sum(dz**2, axis=-1))
     # 0.5 * kin_scale times the h = 1 stencil is kin_scale * symbol_kinetic bit
     # for bit: halving is exact.
-    lap, where = periodic_laplacian(field.d, 2 * field.n + 1, 1.0)
     return ReducedModel(
         sign=sign, lam=lam, zeta=zeta, c0=c0, alpha=alpha, field=field,
-        matrix=DiagonalStack(lap, where, diags, 0.5 * kin_scale),
+        matrix=DiagonalStack(
+            *periodic_laplacian(field.d, 2 * field.n + 1, 1.0), diags, 0.5 * kin_scale
+        ),
     )
 
 

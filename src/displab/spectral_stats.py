@@ -23,9 +23,7 @@ import numpy as np
 
 from . import eigensolve
 from .discretize import GridSpec, assemble_periodic
-from .eigensolve import (
-    SymmetricOperator, count_below_stack, dense_levels, ground_bisect, smallest_eigenpairs,
-)
+from .eigensolve import count_below_stack, dense_levels, ground_bisect, smallest_eigenpairs
 from .floquet import band_bottom
 from .randomfields import sample_fields
 from .reduced import build_reduced
@@ -35,13 +33,12 @@ from .reduced import build_reduced
 
 
 class _SampledFamily:
-    """Sampling and preparation shared by the families; each has ``dist``,
-    ``n`` and ``stack(fields)``."""
+    """Sampling shared by the families; each has ``dist``, ``n`` and
+    ``stack(fields)``."""
 
     def operators(self, master_seed, samples):
-        """The samples' operators, prepared (``SymmetricOperator.chunk``)."""
-        fields = sample_fields(self.dist, self.n, master_seed, samples)
-        return SymmetricOperator.chunk(self.stack(fields))
+        """The samples' operators, as a ``DiagonalStack``."""
+        return self.stack(sample_fields(self.dist, self.n, master_seed, samples))
 
 
 @dataclass(frozen=True)
@@ -120,10 +117,8 @@ def count_rows(family, energies, fields):
     ``FieldChunk`` ``fields``: a (K, T) int array.
 
     The caller draws the fields, once for all the families that share them.
-    Operators that are not chains are assembled as the stacked count takes
-    them, so a batch of them holds one at a time.
     """
-    return count_below_stack(SymmetricOperator.chunk(family.stack(fields)), energies)
+    return count_below_stack(family.stack(fields), energies)
 
 
 @dataclass(frozen=True)
@@ -188,8 +183,8 @@ def sandwich_families(p, q, lam, dist, zeta, n, m, c0, alpha, energies):
 def lifshitz_rows(family, master_seed, samples, energies, ground_hi):
     """Each sample's ``ground_bisect`` level below ``ground_hi`` and its
     counts below ``energies``: a list of K floats and a (K, T) int array."""
-    ops = list(family.operators(master_seed, samples))
-    return [ground_bisect(op, ground_hi) for op in ops], count_below_stack(ops, energies)
+    stack = family.operators(master_seed, samples)
+    return ground_bisect(stack, ground_hi), count_below_stack(stack, energies)
 
 
 @dataclass(frozen=True)
@@ -338,18 +333,18 @@ def wegner_rows(family, master_seed, samples, e_center, eps_list, ground_samples
     ``smallest_eigenpairs`` reads it) the ground comes from
     ``smallest_eigenpairs`` (ARPACK) instead.
     """
-    ops = list(family.operators(master_seed, samples))
+    stack = family.operators(master_seed, samples)
     eps = np.asarray(eps_list, dtype=float)
-    counts = count_below_stack(ops, np.concatenate([e_center + eps, e_center - eps]))
+    counts = count_below_stack(stack, np.concatenate([e_center + eps, e_center - eps]))
     upper, lower = np.hsplit(counts, 2)
     grounds, audits = [], []
-    for s, op in zip(samples, ops):
-        dense_ground = s < ground_samples and op.shape[0] <= eigensolve.DENSE_CUTOFF
-        levels = dense_levels(op.matrix) if dense_ground or s < audit_per_n else None
+    for i, s in enumerate(samples):
+        dense_ground = s < ground_samples and stack.shape[0] <= eigensolve.DENSE_CUTOFF
+        levels = dense_levels(stack[i]) if dense_ground or s < audit_per_n else None
         if dense_ground:
             grounds.append(float(levels[0]))
         elif s < ground_samples:
-            grounds.append(smallest_eigenpairs(op.matrix, k=1).ground_energy)
+            grounds.append(smallest_eigenpairs(stack[i], k=1).ground_energy)
         else:
             grounds.append(None)
         audits.append(_level_hits(levels, e_center, eps) if s < audit_per_n else None)
@@ -386,8 +381,9 @@ def wegner_report(families, e_center, eps_list, master_seed, audit_per_n, result
         audits = list(audits[: min(audit_per_n, samples)])
         replayed = [s for s, dense_hits in enumerate(audits) if dense_hits is None]
         if replayed:
-            for s, op in zip(replayed, families[n].operators(master_seed, replayed)):
-                audits[s] = _level_hits(dense_levels(op.matrix), e_center, eps)
+            stack = families[n].operators(master_seed, replayed)
+            for i, s in enumerate(replayed):
+                audits[s] = _level_hits(dense_levels(stack[i]), e_center, eps)
         for s, dense_hits in enumerate(audits):
             audits_total += len(eps_list)
             audits_agree += int(np.sum(dense_hits == hits[s]))

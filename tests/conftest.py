@@ -1,13 +1,15 @@
 """Terminal reporting for the acceptance gate: one verdict line per criterion,
-the one Hypothesis profile of the property tests, and ``prepared``, the
-tests' way from a sparse matrix to a counting operator."""
+the one Hypothesis profile of the property tests, and ``prepared`` and
+``prepared_counts``, the tests' way from a sparse matrix that no stencil
+gives to the per-operator counting paths that ``count_below_stack`` and
+``ground_bisect`` drive."""
 
 import re
 
 import numpy as np
 
-from displab.discretize import DiagonalStack, diagonal_slots
-from displab.eigensolve import SymmetricOperator
+import displab.eigensolve as es
+from displab.discretize import diagonal_slots
 
 try:
     from hypothesis import settings
@@ -22,22 +24,37 @@ else:
     settings.load_profile("tier1")
 
 
-def prepared(mat):
-    """The operator of a chunk of one (``SymmetricOperator.chunk``) whose
-    matrix has the data, indices and indptr of ``mat``, bit for bit.
+def prepared(mat, chain=True):
+    """The record the per-operator counting paths read (``eigensolve._Operator``)
+    for a sparse matrix: its arrays are those of ``mat``, bit for bit.
 
-    ``mat`` is the stack's stencil, so it must keep a stencil's contract:
-    a real canonical CSR matrix, exactly symmetric, that stores every
-    diagonal entry; any other is a ``ValueError``.  The stack's diagonal is
-    -0.0 at every slot, which adds nothing (x + -0.0 is x, sign of a zero
-    included).
+    Counting trusts a stencil's contract, so ``mat`` must keep it: a real
+    canonical CSR matrix, exactly symmetric, that stores every diagonal
+    entry; any other is a ``ValueError``.  The norm is SciPy's
+    ``abs(mat).sum(axis=1).max()``.  The chain form is what SciPy reads off
+    ``mat`` -- ``mat.diagonal()`` and the (i, i + 1 mod N) entries -- when
+    ``chain`` is true, the entries are finite and ``mat`` is a periodic chain
+    (N >= 3, entries only at (i, i) and (i, i +- 1 mod N)); else None, which
+    sends every threshold to the per-threshold factorization.
     """
     mat = mat.tocsr()
     if not mat.has_canonical_format or np.iscomplexobj(mat) or (mat != mat.T).nnz:
         raise ValueError("prepared takes a real, canonical, exactly symmetric CSR matrix")
     slots = diagonal_slots(mat)  # a ValueError unless every diagonal entry is stored
-    (op,) = SymmetricOperator.chunk(DiagonalStack(mat, slots, np.full((1, slots.size), -0.0)))
-    return op
+    n = mat.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(mat.indptr))
+    ring = n >= 3 and np.all(np.isin((mat.indices - rows) % n, (0, 1, n - 1)))
+    form = None
+    if chain and ring and np.all(np.isfinite(mat.data)):
+        up = np.asarray(mat[np.arange(n), (np.arange(n) + 1) % n]).ravel()
+        form = (mat.diagonal(), up)
+    return es._Operator(lambda: mat, slots, float(abs(mat).sum(axis=1).max()), form)
+
+
+def prepared_counts(ops, energies):
+    """Counts of the ``prepared`` operators ``ops`` below ``energies``: a (K, T)
+    int array from the layer ``count_below_stack`` drives."""
+    return es._count(ops, np.asarray(energies, dtype=float))
 
 
 _results = {}

@@ -511,6 +511,19 @@ def _preset_text(name):
     return (files("displab") / "presets" / f"{name}.ini").read_text()
 
 
+# The theorem1-1d preset on a d = 2 model with a 2-point scan: its 2^9
+# configurations pass the size guard, but the exhaustive scan is d = 1 only.
+THEOREM1_2D = (
+    _preset_text("theorem1-1d")
+    .replace("d = 1", "d = 2")
+    .replace("coefficients = -1.0", "coefficients = -1.0 -1.0")
+    .replace("kind = interval\nlo = -1.0\nhi = 1.0", "kind = ball\ncenter = 0.0 0.0\nradius = 1.0")
+    .replace("m = 64", "m = 8")
+    .replace("restarts = 16", "restarts = 2")
+    .replace("grid_points = 11", "grid_points = 2")
+)
+
+
 @pytest.mark.parametrize(
     "kind, text",
     [
@@ -577,12 +590,14 @@ def test_zero_sample_count_is_config_error(tmp_path, capsys, kind, key):
         ("lifshitz", _preset_text("lifshitz-reduced-1d").replace("\nn = 1000\n", "\nn = 150000\n"), "lifshitz.n"),
         ("reduce", _preset_text("reduce-1d").replace("n = 1\ngrid_points = 9", "n = 3\ngrid_points = 9"), "reduce.n"),
         ("theorem1", _preset_text("theorem1-1d").replace("grid_points = 11", "grid_points = 60"), "theorem1.grid_points"),
+        ("reduce", _preset_text("reduce-1d").replace("n = 1\ngrid_points = 9", "n = 1000\ngrid_points = 1"), "reduce.n"),
+        ("theorem1", THEOREM1_2D, "theorem1.grid_points"),
     ],
     ids=[
         "nbands-above-fiber-size", "one-window", "one-size", "ids-one-cell-torus",
         "sandwich-one-cell-torus", "verify-all-zero-lam", "sandwich-auto-alpha0-zero-lam",
         "wegner-size-above-guard", "lifshitz-chain-above-guard", "reduce-scan-above-guard",
-        "theorem1-scan-above-guard",
+        "theorem1-scan-above-guard", "reduce-dense-size-above-guard", "theorem1-scan-on-d2",
     ],
 )
 def test_cross_key_bounds_are_config_errors(tmp_path, capsys, kind, text, key):
@@ -590,9 +605,11 @@ def test_cross_key_bounds_are_config_errors(tmp_path, capsys, kind, text, key):
     windows and sizes; a torus of side 2n + 1 >= 3 for the sandwich
     operators of ids and sandwich; lam > 0 where the growth constant
     alpha0, a ratio over lam, is measured; the size guard on every
-    wegner.n_list size, the lifshitz chain of 2 lifshitz.n + 1 sites and
-    the configurations of the reduce and theorem1 scans) are config errors
-    before any sample: one line, and only the manifest is left."""
+    wegner.n_list size, the lifshitz chain of 2 lifshitz.n + 1 sites, the
+    configurations of the reduce and theorem1 scans and the dense operator
+    of 2 reduce.n + 1 rows each reduce configuration is diagonalized as;
+    the theorem1 scan, which is d = 1 only, on a d = 2 model) are config
+    errors before any sample: one line, and only the manifest is left."""
     cfg_path = _write(tmp_path, f"{kind}.ini", text)
     assert main([kind, "--config", cfg_path, "--out", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err

@@ -1,7 +1,9 @@
 """Differential property tests for eigenvalue counting.
 
-Hypothesis draws stacks of random symmetric periodic chains (generic, zero
-corner, zero or tiny couplings; N from 3 to 60, mixed within a stack) and
+Hypothesis draws lists of random symmetric periodic chains (generic, zero
+corner, zero or tiny couplings; N from 3 to 60, mixed within a list), which
+no stencil gives, so they reach the per-operator layer that
+``count_below_stack`` and ``ground_bisect`` drive as ``prepared`` records, and
 thresholds far from, between and exactly on the ``eigvalsh`` levels.  The
 stacked count must equal the one-operator count, the per-threshold
 factorization and, where the gap to every level is clear, ``eigvalsh`` plus
@@ -29,8 +31,7 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dsyevd
 
 import displab.eigensolve as es
-from displab.eigensolve import count_below_stack, ground_bisect
-from conftest import prepared
+from conftest import prepared, prepared_counts
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -81,11 +82,8 @@ def _thresholds(mats, seed):
 
 def _per_threshold(mat, energies):
     """One count per threshold, with the chain sweep switched off."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(es, "_chain_pattern", lambda mat: None)
-        op = prepared(mat)
-        assert op.chain is None
-        return np.array([count_below_stack([op], [float(e)])[0, 0] for e in energies])
+    op = prepared(mat, chain=False)
+    return np.array([prepared_counts([op], [float(e)])[0, 0] for e in energies])
 
 
 def _reference_chain_sweep(diag, off, energies, norm):
@@ -131,10 +129,10 @@ def _reference_chain_sweep(diag, off, energies, norm):
 def test_stacked_counts_equal_every_other_path(mats, seed):
     energies = _thresholds(mats, seed)
     ops = [prepared(mat) for mat in mats]
-    got = count_below_stack(ops, energies)
+    got = prepared_counts(ops, energies)
     assert got.shape == (len(mats), energies.size) and got.dtype.kind == "i"
     for mat, op, row in zip(mats, ops, got):
-        assert np.array_equal(row, count_below_stack([op], energies)[0])
+        assert np.array_equal(row, prepared_counts([op], energies)[0])
         assert np.array_equal(row, _per_threshold(mat, energies))
         levels = np.linalg.eigvalsh(mat.toarray())
         gap = np.min(np.abs(energies[:, None] - levels[None, :]), axis=1)
@@ -167,20 +165,17 @@ def test_blocked_stacked_sweep_equals_the_one_chain_sweep(mats, seed, cells):
 
 def _reference_ground(mat, hi):
     """The ground bisection as it was: one per-threshold count per step."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(es, "_chain_pattern", lambda mat: None)
-        op = prepared(mat)
-        assert op.chain is None
-        if count_below_stack([op], [hi])[0, 0] == 0:
-            return hi
-        lo = 0.0
-        for _ in range(48):
-            mid = 0.5 * (lo + hi)
-            if count_below_stack([op], [mid])[0, 0] > 0:
-                hi = mid
-            else:
-                lo = mid
-        return 0.5 * (lo + hi)
+    op = prepared(mat, chain=False)
+    if prepared_counts([op], [hi])[0, 0] == 0:
+        return hi
+    lo = 0.0
+    for _ in range(48):
+        mid = 0.5 * (lo + hi)
+        if prepared_counts([op], [mid])[0, 0] > 0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 @given(chains, st.floats(0.0, 2.0), st.floats(0.5, 10.0))
@@ -188,7 +183,7 @@ def test_ground_bisect_equals_reference_bisection_bitwise(mat, bottom, hi):
     n = mat.shape[0]
     lowest = np.linalg.eigvalsh(mat.toarray())[0]
     mat = (mat + (bottom - lowest) * sp.identity(n, format="csr")).tocsr()
-    assert ground_bisect(prepared(mat), hi) == _reference_ground(mat, hi)
+    assert es._ground(prepared(mat), hi) == _reference_ground(mat, hi)
 
 
 TORUS_VARIANTS = ("generic", "pairs", "near-pairs", "constant")
@@ -240,10 +235,10 @@ def test_torus_counts_from_the_top_factor_equal_the_per_threshold_path(mat, seed
     op = prepared(mat)
     assert op.chain is None
     with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 10):
-        got = count_below_stack([op], energies)[0]
+        got = prepared_counts([op], energies)[0]
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(es, "_ritz_counts", lambda op, count_one, e: np.full(e.size, -1))
-            assert np.array_equal(got, count_below_stack([op], energies)[0])
+            mp.setattr(es, "_ritz_counts", lambda mat, norm, count_one, e: np.full(e.size, -1))
+            assert np.array_equal(got, prepared_counts([op], energies)[0])
     gap = np.min(np.abs(energies[:, None] - levels[None, :]), axis=1)
     clear = gap > 1e-8 * max(1.0, op.norm, np.max(np.abs(energies)))
     want = np.searchsorted(levels, energies, side="left")
@@ -274,9 +269,9 @@ def test_lanczos_counts_equal_the_per_threshold_path(mat, below, cut, seed):
     with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 10), pytest.MonkeyPatch.context() as mp:
         if cut:
             mp.setattr(es, "_RITZ_EXTRA", 1 - 2 * below)
-        got = count_below_stack([op], energies)[0]
-        mp.setattr(es, "_ritz_counts", lambda op, count_one, e: np.full(e.size, -1))
-        assert np.array_equal(got, count_below_stack([op], energies)[0])
+        got = prepared_counts([op], energies)[0]
+        mp.setattr(es, "_ritz_counts", lambda mat, norm, count_one, e: np.full(e.size, -1))
+        assert np.array_equal(got, prepared_counts([op], energies)[0])
     assert _clear_counts(got, levels, energies, max(scale, np.max(np.abs(energies))))
 
 
@@ -333,7 +328,7 @@ def test_dense_counts_equal_eigvalsh_where_the_gap_is_clear(mat, seed):
     levels = np.linalg.eigvalsh(mat)
     op = prepared(sparse)
     scale = max(1.0, op.norm, np.max(np.abs(energies)))
-    got = count_below_stack([op], energies)[0]
+    got = prepared_counts([op], energies)[0]
     assert got.dtype.kind == "i"
     assert _clear_counts(got, levels, energies, scale)
     assert _in_band(got, levels, energies, scale)
@@ -360,16 +355,14 @@ def test_superlu_and_dense_ldlt_count_the_same_sparse_operator(mat, seed):
     energies = _thresholds([mat], seed)
     levels = np.linalg.eigvalsh(mat.toarray())
     n = mat.shape[0]
+    op = prepared(mat, chain=False)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(es, "_chain_pattern", lambda mat: None)
-        op = prepared(mat)
-        assert op.chain is None
         with mock.patch.object(es, "COUNT_DENSE_CUTOFF", n):
-            dense = count_below_stack([op], energies)[0]
+            dense = prepared_counts([op], energies)[0]
         with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 0):
-            ritz = count_below_stack([op], energies)[0]
-            mp.setattr(es, "_ritz_counts", lambda op, count_one, e: np.full(e.size, -1))
-            superlu = count_below_stack([op], energies)[0]
+            ritz = prepared_counts([op], energies)[0]
+            mp.setattr(es, "_ritz_counts", lambda mat, norm, count_one, e: np.full(e.size, -1))
+            superlu = prepared_counts([op], energies)[0]
     scale = max(1.0, op.norm, np.max(np.abs(energies)))
     for got in (dense, superlu, ritz):
         assert _clear_counts(got, levels, energies, scale)

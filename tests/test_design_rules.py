@@ -334,7 +334,7 @@ def stacks_off_the_laplacian(index):
     periodic_laplacian is, and never tests for it.  So every DiagonalStack
     call takes its stencil from a periodic_laplacian call in the same
     function: as ``*periodic_laplacian(...)``, or as the first name that
-    ``lap, where = periodic_laplacian(...)`` binds."""
+    ``lap, where, up = periodic_laplacian(...)`` binds."""
 
     def laplacian(node):
         return isinstance(node, ast.Call) and _callee(node) == "periodic_laplacian"

@@ -191,24 +191,26 @@ def test_torus_laplacian_is_roll_second_difference(grid):
         lap_u = sum(2 * u - np.roll(u, 1, axis=j) - np.roll(u, -1, axis=j) for j in range(grid.d))
         cols.append((lap_u / grid.h**2).ravel())
     built = periodic_laplacian(grid.d, grid.side_points, grid.h)
-    lap, where = built
+    lap, where, up = built
     assert np.array_equal(lap.toarray(), np.column_stack(cols))
     assert np.array_equal(where, diagonal_slots(lap))
+    assert (up is None) == (grid.d > 1)
     assert periodic_laplacian(grid.d, grid.side_points, grid.h) is built, "built once"
-    for arr in (lap.data, lap.indices, lap.indptr, where):
-        assert not arr.flags.writeable, "the shared matrix and slots are read-only"
+    for arr in (lap.data, lap.indices, lap.indptr, where, up):
+        assert arr is None or not arr.flags.writeable, "the shared matrix and slots are read-only"
 
 
 @pytest.mark.parametrize("d, npts", [(1, 3), (1, 4), (1, 2001), (2, 3), (2, 9), (2, 208)])
 def test_periodic_laplacian_keeps_the_stencil_contract(d, npts):
     """Counting trusts a DiagonalStack's stencil to be exactly symmetric
-    and canonical and to store every diagonal entry.  Checked on the
-    smallest rings and tori, on the 2001-site ring of lifshitz-reduced-1d and
-    on the 208 x 208 torus (43,264 rows) of the ids-2d benchmark config, at
-    the reduced model's h = 1 and a continuum h = 1/16."""
+    and canonical and to store every diagonal entry, and on a ring reads
+    A[i, i + 1 mod N] at ``up[i]``.  Checked on the smallest rings and tori,
+    on the 2001-site ring of lifshitz-reduced-1d and on the 208 x 208 torus
+    (43,264 rows) of the ids-2d benchmark config, at the reduced model's
+    h = 1 and a continuum h = 1/16."""
     n = npts**d
     for h in (1.0, 1.0 / 16):
-        lap, where = periodic_laplacian(d, npts, h)
+        lap, where, up = periodic_laplacian(d, npts, h)
         assert lap.format == "csr" and lap.shape == (n, n) and lap.has_canonical_format
         rows = np.repeat(np.arange(n), np.diff(lap.indptr))
         assert np.all(np.diff(lap.indices)[rows[1:] == rows[:-1]] > 0), "sorted, no duplicates"
@@ -218,6 +220,11 @@ def test_periodic_laplacian_keeps_the_stencil_contract(d, npts):
         assert np.array_equal(mirror.data.view(np.int64), lap.data.view(np.int64)), "bit for bit"
         assert np.array_equal(rows[where], np.arange(n))
         assert np.array_equal(lap.indices[where], np.arange(n))
+        if d == 1:
+            assert np.array_equal(rows[up], np.arange(n))
+            assert np.array_equal(lap.indices[up], (np.arange(n) + 1) % n)
+        else:
+            assert up is None
 
 
 def test_diagonal_slots_refuses_a_matrix_that_breaks_the_stencil_contract():
@@ -284,12 +291,12 @@ def test_potential_written_into_laplacian_copy_equals_sparse_sum(grid):
     stays stored as 0.0: the operator keeps the Laplacian's pattern and its
     dense form is the sum's, bit for bit.  So does every operator of a
     DiagonalStack on the Laplacian."""
-    lap, where = periodic_laplacian(grid.d, grid.side_points, grid.h)
+    lap, where, up = periodic_laplacian(grid.d, grid.side_points, grid.h)
     npts = grid.side_points**grid.d
     v = np.random.default_rng(npts).uniform(-3.0, 3.0, npts)
     zeroed = v.copy()
     zeroed[3] = -lap[3, 3]
-    stack = DiagonalStack(lap, where, np.stack([v, zeroed]))
+    stack = DiagonalStack(lap, where, up, np.stack([v, zeroed]))
     for k, pot in enumerate((v, zeroed)):
         got = plus_diagonal(lap, where, pot)
         want = (lap + sp.diags(pot, format="csr")).tocsr()

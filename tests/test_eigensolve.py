@@ -13,12 +13,13 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from displab.discretize import assemble_fiber
+from displab.discretize import (
+    DiagonalStack, assemble_fiber, diagonal_slots, periodic_laplacian, plus_diagonal,
+)
 import displab.eigensolve as es
 from displab.eigensolve import count_below_stack, ground_bisect, smallest_eigenpairs
 from displab.potentials import periodic_family, single_site_family
-from conftest import prepared
-from test_spectral_stats import _one_matrix
+from conftest import prepared, prepared_counts
 
 rng = np.random.default_rng(12345)
 
@@ -94,12 +95,19 @@ def test_smallest_eigenpairs_input_checks():
         smallest_eigenpairs(b, k=1)
 
 
+def _ring_stack(diags):
+    """The operators -Delta_1 + diag(diags[k]) on the ring of
+    ``diags.shape[-1]`` points, as a run builds them: a ``DiagonalStack``."""
+    diags = np.atleast_2d(diags)
+    return DiagonalStack(*periodic_laplacian(1, diags.shape[1], 1.0), diags)
+
+
 def test_a_dense_array_is_refused():
     """``smallest_eigenpairs`` takes a sparse matrix and the counting entries
-    a prepared operator: a dense array is a TypeError that names its type."""
+    a ``DiagonalStack``: a dense array is a TypeError that names its type."""
     a = _random_sym(5)
     calls = (
-        lambda: count_below_stack([a], [0.0]),
+        lambda: count_below_stack(a, [0.0]),
         lambda: ground_bisect(a, 1.0),
         lambda: smallest_eigenpairs(a, k=1),
     )
@@ -118,31 +126,46 @@ def test_accepts_lattice_operator():
 
 
 def test_smallest_eigenpairs_takes_only_a_sparse_matrix():
-    """A SymmetricOperator is a TypeError that names its type; its matrix
+    """A DiagonalStack is a TypeError that names its type; its operator
     gives the pairs."""
-    op = prepared(_random_chain(60, "generic", 5))
-    with pytest.raises(TypeError, match="SymmetricOperator"):
-        smallest_eigenpairs(op, k=1)
-    assert smallest_eigenpairs(op.matrix, k=1).method == "dense"
+    stack = _ring_stack(np.random.default_rng(5).uniform(-1.0, 3.0, 60))
+    with pytest.raises(TypeError, match="DiagonalStack"):
+        smallest_eigenpairs(stack, k=1)
+    assert smallest_eigenpairs(stack[0], k=1).method == "dense"
 
 
-def test_counting_takes_only_prepared_operators_and_1d_thresholds():
-    """A raw CSR matrix is a TypeError that names its type, in both counting
-    entries; a 0-d or 2-d threshold array is a ValueError.  A 1-d array of T
-    thresholds gives T integer columns, also for T = 1 and T = 0."""
-    mat = _cyclic(np.full(6, 2.0), np.full(6, -1.0))  # levels 0, 1, 1, 3, 3, 4
-    pair = sp.csr_matrix([[2.0, -1.0], [-1.0, 2.0]])  # levels 1, 3
-    with pytest.raises(TypeError, match="csr_matrix"):
-        count_below_stack([mat], [2.0])
-    with pytest.raises(TypeError, match="csr_matrix"):
-        ground_bisect(mat, 4.0)
-    ops = [prepared(mat), prepared(pair)]
-    for energies in (2.0, np.float64(2.0), np.ones((2, 2)), [[2.0]]):
-        with pytest.raises(ValueError, match="1-d"):
-            count_below_stack(ops, energies)
-    got = count_below_stack(ops, [2.0])
-    assert got.dtype.kind == "i" and got.tolist() == [[3], [1]]
-    assert count_below_stack(ops, np.array([])).shape == (2, 0)
+def _no_factorization(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("factorized before the input was checked")
+
+    for name in ("_dense_inertia", "_sparse_inertia", "_chain_sweep", "_chain_positive_definite"):
+        monkeypatch.setattr(es, name, refuse)
+
+
+def test_counting_takes_only_a_stack_and_1d_thresholds(monkeypatch):
+    """On a ring and on a torus stack: a raw CSR matrix or a list of
+    matrices is a TypeError that names its type, in both counting entries,
+    and a 0-d or 2-d threshold array is a ValueError, each before any
+    factorization.  A 1-d array of T thresholds gives T integer columns,
+    also for T = 1 and T = 0."""
+    # levels 0, 1, 1, 3, 3, 4 on the ring and 0, 1 (four times), 2, ... on
+    # the torus, and those levels plus 1.25
+    for d, energy, want in ((1, 2.0, [[3], [1]]), (2, 1.5, [[5], [1]])):
+        diags = np.array([np.zeros(6**d), np.full(6**d, 1.25)])
+        stack = DiagonalStack(*periodic_laplacian(d, 6, 1.0), diags)
+        with monkeypatch.context() as mp:
+            _no_factorization(mp)
+            for bad, name in ((stack[0], "csr_matrix"), ([stack[0], stack[1]], "list")):
+                with pytest.raises(TypeError, match=name):
+                    count_below_stack(bad, [energy])
+                with pytest.raises(TypeError, match=name):
+                    ground_bisect(bad, 4.0)
+            for energies in (energy, np.float64(energy), np.ones((2, 2)), [[energy]]):
+                with pytest.raises(ValueError, match="1-d"):
+                    count_below_stack(stack, energies)
+        got = count_below_stack(stack, [energy])
+        assert got.dtype.kind == "i" and got.tolist() == want
+        assert count_below_stack(stack, np.array([])).shape == (2, 0)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -152,31 +175,29 @@ def test_count_below_matches_eigvalsh(seed):
     a = 0.5 * (a + a.T)
     eigs = np.linalg.eigvalsh(a)
     for e in (-5.0, eigs[10] + 1e-6, 0.0, eigs[-1] + 1.0):
-        assert count_below_stack([prepared(sp.csr_matrix(a))], [e])[0, 0] == int(np.sum(eigs < e))
+        assert prepared_counts([prepared(sp.csr_matrix(a))], [e])[0, 0] == int(np.sum(eigs < e))
 
 
 def test_count_below_sparse_ring_closed_form():
     """2001-point free ring: eigenvalues 2(1 - cos(2 pi k / 2001)) with known
     multiplicities, so the counts below a few thresholds are exact integers."""
     n = 2001
-    mat = sp.diags([np.full(n - 1, -1.0), np.full(n, 2.0), np.full(n - 1, -1.0)], [-1, 0, 1]).tolil()
-    mat[0, n - 1] = mat[n - 1, 0] = -1.0
-    op = prepared(mat)
+    stack = _ring_stack(np.zeros(n))
     eigs = 2.0 * (1.0 - np.cos(2.0 * np.pi * np.arange(n) / n))
     for e in (0.5, 1.0, 3.9):
-        assert count_below_stack([op], [e])[0, 0] == int(np.sum(eigs < e))
-    assert count_below_stack([op], [4.1])[0, 0] == n
+        assert count_below_stack(stack, [e])[0, 0] == int(np.sum(eigs < e))
+    assert count_below_stack(stack, [4.1])[0, 0] == n
     # E = 0 ties the ground state exactly; the documented upward nudge counts it
-    assert count_below_stack([op], [0.0])[0, 0] == 1
-    assert count_below_stack([op], [-1e-9])[0, 0] == 0
+    assert count_below_stack(stack, [0.0])[0, 0] == 1
+    assert count_below_stack(stack, [-1e-9])[0, 0] == 0
 
 
 def test_count_below_tied_threshold_retries_upward():
     # threshold exactly on an eigenvalue: the tiny upward nudges must count it
     op = prepared(sp.diags([1.0, 2.0, 2.0, 3.0], format="csr"))
-    assert count_below_stack([op], [2.0])[0, 0] == 3  # nudge resolves the tie upward
-    assert count_below_stack([op], [2.0 + 1e-6])[0, 0] == 3
-    assert count_below_stack([op], [1.0 - 1e-12])[0, 0] == 0
+    assert prepared_counts([op], [2.0])[0, 0] == 3  # nudge resolves the tie upward
+    assert prepared_counts([op], [2.0 + 1e-6])[0, 0] == 3
+    assert prepared_counts([op], [1.0 - 1e-12])[0, 0] == 0
 
 
 def _ldl_walk_inertia(shifted, scale):
@@ -232,36 +253,27 @@ def test_dense_inertia_equals_the_ldl_walk(seed):
     assert paired > 100 and refused > 0
 
 
-def test_count_agrees_between_dense_and_sparse_paths(monkeypatch):
-    import displab.eigensolve as es
-
-    monkeypatch.setattr(es, "_chain_pattern", lambda mat: None)  # a chain skips both
+def test_count_agrees_between_dense_and_sparse_paths():
     n = 700
     diag = np.random.default_rng(9).uniform(0, 4, n)
     mat = sp.diags([np.full(n - 1, -1.0), diag, np.full(n - 1, -1.0)], [-1, 0, 1]).tocsr()
+    op = prepared(mat, chain=False)  # a chain skips both
     for e in (0.5, 2.0):
         with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 10):
-            sparse = count_below_stack([prepared(mat)], [e])[0, 0]
+            sparse = prepared_counts([op], [e])[0, 0]
         with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 5000):
-            dense = count_below_stack([prepared(mat)], [e])[0, 0]
+            dense = prepared_counts([op], [e])[0, 0]
         assert sparse == dense
 
 
 @pytest.mark.parametrize("energy", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("path", ["dense", "sparse"])
 def test_count_below_rejects_non_finite_threshold(monkeypatch, energy, path):
-    import displab.eigensolve as es
-
-    def no_factorization(*args):
-        raise AssertionError("factorized a non-finite threshold")
-
-    monkeypatch.setattr(es, "_dense_inertia", no_factorization)
-    monkeypatch.setattr(es, "_sparse_inertia", no_factorization)
-    n = 50
-    mat = sp.diags([np.full(n - 1, -1.0), np.full(n, 2.0), np.full(n - 1, -1.0)], [-1, 0, 1])
+    _no_factorization(monkeypatch)
+    stack = DiagonalStack(*periodic_laplacian(2, 7, 1.0), np.zeros((2, 49)))
     cutoff = 600 if path == "dense" else 10
     with mock.patch.object(es, "COUNT_DENSE_CUTOFF", cutoff), pytest.raises(ValueError, match="finite"):
-        count_below_stack([prepared(mat.tocsr())], [energy])
+        count_below_stack(stack, [1.0, energy])
 
 
 # -- periodic chains: one sweep for all thresholds, and the ground bisection --
@@ -290,11 +302,8 @@ def _random_chain(n, variant, seed):
 
 def _per_threshold(mat, energies):
     """One count per threshold, with the chain sweep switched off."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(es, "_chain_pattern", lambda mat: None)
-        op = prepared(mat)
-        assert op.chain is None
-        return np.array([count_below_stack([op], [float(e)])[0, 0] for e in energies])
+    op = prepared(mat, chain=False)
+    return np.array([prepared_counts([op], [float(e)])[0, 0] for e in energies])
 
 
 @pytest.mark.parametrize("variant", ["generic", "zero-corner", "zero-offdiagonals"])
@@ -307,7 +316,7 @@ def test_chain_counts_equal_per_threshold_path(n, variant):
     energies = np.concatenate(
         [[eigs[0] - 1.0, eigs[-1] + 1.0], mids[:: max(1, n // 25)], [0.0, 1.5]]
     )
-    got = count_below_stack([prepared(mat)], energies)[0]
+    got = prepared_counts([prepared(mat)], energies)[0]
     assert got.dtype.kind == "i" and got.shape == energies.shape
     assert np.array_equal(got, _per_threshold(mat, energies))
     assert np.array_equal(got, np.searchsorted(eigs, energies, side="left"))
@@ -321,7 +330,7 @@ def test_chain_counts_on_ring_eigenvalues_equal_per_threshold_path(n):
     mat = _cyclic(np.full(n, 1.5), np.full(n, 0.7))
     levels = np.unique(1.5 - 1.4 * np.cos(2.0 * np.pi * np.arange(n) / n))
     energies = np.concatenate([levels[:: max(1, len(levels) // 20)], [levels[-1]]])
-    got = count_below_stack([prepared(mat)], energies)[0]
+    got = prepared_counts([prepared(mat)], energies)[0]
     assert np.array_equal(got, _per_threshold(mat, energies))
 
 
@@ -335,7 +344,7 @@ def test_chain_counts_at_computed_levels_equal_per_threshold_path(n):
         off = 10.0 ** local.uniform(-6.0, 0.5, n) * local.choice([-1.0, 1.0], n)
         mat = _cyclic(local.uniform(-1.0, 1.0, n), off)
         levels = np.linalg.eigvalsh(mat.toarray())
-        got = count_below_stack([prepared(mat)], levels)[0]
+        got = prepared_counts([prepared(mat)], levels)[0]
         assert np.array_equal(got, _per_threshold(mat, levels))
 
 
@@ -359,7 +368,7 @@ def test_chain_sweep_flags_a_cancelling_last_pivot():
     diag, off = prepared(mat).chain
     sweep = es._chain_sweep(diag[:, None], off[:, None], np.array([[e]]), np.array([2.0]))
     assert sweep.tolist() == [[-1]]
-    assert count_below_stack([prepared(mat)], [e])[0, 0] == int(np.searchsorted(eigs, e))
+    assert prepared_counts([prepared(mat)], [e])[0, 0] == int(np.searchsorted(eigs, e))
 
 
 @pytest.mark.parametrize("path", ["dense", "sparse"])
@@ -369,42 +378,32 @@ def test_non_chain_counts_equal_with_and_without_array(path):
     levels below it, more than RITZ_CAP, so after the factorization there
     the others go threshold by threshold."""
     side = 9
-    ring = _cyclic(np.full(side, 2.0), np.full(side, -1.0))
-    eye = sp.identity(side, format="csr")
     diag = np.random.default_rng(4).uniform(0.0, 1.0, side * side)
-    mat = (sp.kron(ring, eye) + sp.kron(eye, ring) + sp.diags(diag)).tocsr()
-    op = prepared(mat)
-    assert op.chain is None
+    stack = DiagonalStack(*periodic_laplacian(2, side, 1.0), diag[None])
+    assert stack.chains() == [None]
     cutoff = 10 if path == "sparse" else 600
-    eigs = np.linalg.eigvalsh(mat.toarray())
+    eigs = np.linalg.eigvalsh(stack[0].toarray())
     energies = np.concatenate([[eigs[0] - 0.5], 0.5 * (eigs[1:] + eigs[:-1])[::7], [9.0]])
     with mock.patch.object(es, "COUNT_DENSE_CUTOFF", cutoff):
-        got = count_below_stack([op], energies)[0]
-        want = [count_below_stack([op], [float(e)])[0, 0] for e in energies]
+        got = count_below_stack(stack, energies)[0]
+        want = [count_below_stack(stack, [float(e)])[0, 0] for e in energies]
     assert np.array_equal(got, want)
     assert np.array_equal(got, np.searchsorted(eigs, energies, side="left"))
 
 
-def _ground_bisect(op, hi, iters=48):
-    """The ground bisection as it was: one count per step."""
-    if count_below_stack([op], [hi])[0, 0] == 0:
+def _reference_ground(mat, hi):
+    """The ground bisection as it was: one per-threshold count per step."""
+    op = prepared(mat, chain=False)
+    if prepared_counts([op], [hi])[0, 0] == 0:
         return hi
     lo = 0.0
-    for _ in range(iters):
+    for _ in range(48):
         mid = 0.5 * (lo + hi)
-        if count_below_stack([op], [mid])[0, 0] > 0:
+        if prepared_counts([op], [mid])[0, 0] > 0:
             hi = mid
         else:
             lo = mid
     return 0.5 * (lo + hi)
-
-
-def _reference_ground(mat, hi):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(es, "_chain_pattern", lambda mat: None)
-        op = prepared(mat)
-    assert op.chain is None
-    return _ground_bisect(op, hi)
 
 
 @pytest.mark.parametrize("variant", ["generic", "zero-corner", "zero-offdiagonals"])
@@ -413,8 +412,8 @@ def test_ground_bisect_equals_count_bisection_bitwise(n, variant):
     mat = _random_chain(n, variant, seed=7 * n + len(variant))
     lowest = np.linalg.eigvalsh(mat.toarray())[0]
     mat = (mat + (1.7 - lowest) * sp.identity(n, format="csr")).tocsr()
-    assert ground_bisect(prepared(mat), 10.0) == _reference_ground(mat, 10.0)
-    assert ground_bisect(prepared(mat), 1.0) == _reference_ground(mat, 1.0) == 1.0
+    assert es._ground(prepared(mat), 10.0) == _reference_ground(mat, 10.0)
+    assert es._ground(prepared(mat), 1.0) == _reference_ground(mat, 1.0) == 1.0
 
 
 def test_ground_bisect_equals_count_bisection_on_lifshitz_preset():
@@ -433,9 +432,8 @@ def test_ground_bisect_equals_count_bisection_on_lifshitz_preset():
         float(sec["alpha"]),
     )
     hi = float(sec["ground_hi"])
-    for s in range(3):
-        mat = _one_matrix(fam, int(cfg["run"]["seed"]), s)
-        assert ground_bisect(prepared(mat), hi) == _reference_ground(mat, hi)
+    stack = fam.operators(int(cfg["run"]["seed"]), range(3))
+    assert ground_bisect(stack, hi) == [_reference_ground(stack[s], hi) for s in range(3)]
 
 
 def test_ground_bisect_leaves_a_tied_midpoint_to_the_count(monkeypatch):
@@ -443,14 +441,14 @@ def test_ground_bisect_leaves_a_tied_midpoint_to_the_count(monkeypatch):
     [0, 4]: the Cholesky decision cannot settle that step, so the
     per-threshold count (with its upward nudge) does."""
     n = 2001
-    mat = _cyclic(np.full(n, 4.0), np.full(n, -1.0))
+    stack = _ring_stack(np.full(n, 2.0))
     calls = []
     count = es._inertia_count
     monkeypatch.setattr(es, "_inertia_count", lambda *a: calls.append(a[1]) or count(*a))
-    got = ground_bisect(prepared(mat), 4.0)
+    (got,) = ground_bisect(stack, 4.0)
     assert 2.0 in calls
     monkeypatch.setattr(es, "_inertia_count", count)
-    assert got == _reference_ground(mat, 4.0)
+    assert got == _reference_ground(stack[0], 4.0)
     assert abs(got - 2.0) < 1e-12
 
 
@@ -466,11 +464,9 @@ def test_sparse_shift_gives_the_arrays_of_the_rebuilt_shift(n):
     those (A - E I).tocsc() has.  Where a_ii - E is exactly 0.0, which the
     sparse subtraction drops, the entry stays stored as 0.0 on A's pattern,
     and the dense form is the subtraction's, bit for bit."""
-    from displab.discretize import diagonal_slots, plus_diagonal
-
     mat = _random_chain(n, "generic", seed=n)
     diag, where = mat.diagonal(), diagonal_slots(mat)
-    shift = es._sparse_shift(mat)
+    shift = es._sparse_shift(mat, where)
     first = shift(0.25)
     for e in (0.25, -1.5, float(diag[1]), 0.3, float(diag[-1])):
         got = shift(e)
@@ -492,6 +488,8 @@ def test_sparse_shift_gives_the_arrays_of_the_rebuilt_shift(n):
 
 
 def test_count_below_stack_mixes_sizes_and_non_chains():
+    """The per-operator layer groups the chains it is given by size and
+    counts the rest one by one: every row is that of its operator alone."""
     side = 5
     ring = _cyclic(np.full(side, 2.0), np.full(side, -1.0))
     eye = sp.identity(side, format="csr")
@@ -506,74 +504,81 @@ def test_count_below_stack_mixes_sizes_and_non_chains():
     ]
     ops = [prepared(mat) for mat in mats]
     energies = np.array([-1.0, 0.3, 1.1, 2.5, 9.0])
-    got = es.count_below_stack(ops, energies)
+    got = prepared_counts(ops, energies)
     assert got.shape == (len(ops), energies.size)
     for op, row in zip(ops, got):
-        assert np.array_equal(row, count_below_stack([op], energies)[0])
-    assert es.count_below_stack(ops, np.array([])).shape == (len(ops), 0)
-    assert es.count_below_stack([], energies).shape == (0, energies.size)
+        assert np.array_equal(row, prepared_counts([op], energies)[0])
+    assert prepared_counts(ops, np.array([])).shape == (len(ops), 0)
+    assert prepared_counts([], energies).shape == (0, energies.size)
     with pytest.raises(ValueError, match="finite"):
-        es.count_below_stack(ops, [np.nan])
+        es.count_below_stack(_torus(side, np.linspace(0, 1, 25)), [np.nan])
 
 
-def test_count_below_stack_counts_a_generator_holding_one_non_chain(monkeypatch):
-    """Operators that are not chains are counted as a generator yields them
-    and dropped after, so none is alive while another is counted; a chain
-    waits for the shared sweep.  The counts are those of one call each."""
+def _built_matrices(monkeypatch):
+    """Weak references to every operator matrix a ``DiagonalStack`` builds."""
+    made = []
+    build = DiagonalStack.__getitem__
+
+    def logged(self, k):
+        mat = build(self, k)
+        made.append(weakref.ref(mat))
+        return mat
+
+    monkeypatch.setattr(DiagonalStack, "__getitem__", logged)
+    return made
+
+
+def test_a_d2_stack_is_counted_one_operator_at_a_time(monkeypatch):
+    """A d = 2 stack builds each operator's matrix when its count starts and
+    drops it after, so no two are alive at once.  The counts are those of a
+    stack of each operator alone."""
     side = 5
-    ring = _cyclic(np.full(side, 2.0), np.full(side, -1.0))
-    eye = sp.identity(side, format="csr")
-    torus = (sp.kron(ring, eye) + sp.kron(eye, ring) + sp.diags(np.linspace(0, 1, 25))).tocsr()
-    mats = [(torus + k * sp.identity(25)).tocsr() for k in range(3)]
-    mats.insert(1, _random_chain(17, "generic", 1))
+    diags = np.linspace(0, 1, 25) + np.arange(3)[:, None]
+    stack = DiagonalStack(*periodic_laplacian(2, side, 1.0), diags)
     energies = np.array([-1.0, 0.3, 1.1, 2.5, 9.0])
-    made, alive = [], []
+    made, alive = _built_matrices(monkeypatch), []
+    real_counter = es._threshold_counter
 
-    def operators():
-        for mat in mats:
-            op = prepared(mat)
-            if op.chain is None:
-                made.append(weakref.ref(op))
-            yield op
+    def counter_logged(mat, slots, norm):
+        alive.append(sum(ref() is not None for ref in made))
+        return real_counter(mat, slots, norm)
 
-    real_count_rest = es._count_rest
-
-    def count_rest_logged(op, row, energies):
-        if op.chain is None:
-            alive.append(sum(ref() is not None for ref in made))
-        return real_count_rest(op, row, energies)
-
-    monkeypatch.setattr(es, "_count_rest", count_rest_logged)
-    got = es.count_below_stack(operators(), energies)
-    assert alive == [1, 1, 1]
-    for mat, row in zip(mats, got):
-        assert np.array_equal(row, count_below_stack([prepared(mat)], energies)[0])
+    monkeypatch.setattr(es, "_threshold_counter", counter_logged)
+    got = es.count_below_stack(stack, energies)
+    assert len(made) == 3 and alive == [1, 1, 1]
+    monkeypatch.undo()
+    for k, row in enumerate(got):
+        one = DiagonalStack(*periodic_laplacian(2, side, 1.0), diags[k : k + 1])
+        assert np.array_equal(row, count_below_stack(one, energies)[0])
 
 
-def test_symmetric_operator_is_prepared_once_and_gives_the_same_answers(monkeypatch):
-    """Counting and bisecting a prepared operator read its norm and chain
-    form, never its entries again, and give the answers of a fresh one."""
-    mat = _random_chain(60, "generic", 5)
-    mat = (mat + (1.0 - np.linalg.eigvalsh(mat.toarray())[0]) * sp.identity(60)).tocsr()
-    op = prepared(mat)
-    assert op.shape == mat.shape and op.chain is not None
+def test_a_ring_stack_is_counted_without_building_its_matrices(monkeypatch):
+    """Counting and bisecting a ring stack read its norms and chain forms:
+    where the sweep settles every threshold no operator's matrix is built,
+    and the bisection builds each at most once, for the steps next to the
+    ground that its positive-definiteness tests leave open.  The answers
+    are those of the per-threshold path on each matrix."""
+    diags = np.random.default_rng(5).uniform(-1.0, 3.0, (2, 60))
+    stack = _ring_stack(diags)
+    mats = [stack[k] for k in range(2)]
+    stack = _ring_stack(diags + 1.0 - np.array([np.linalg.eigvalsh(m.toarray())[0] for m in mats])[:, None])
     energies = np.array([0.5, 1.5, 2.5])
-    want = count_below_stack([prepared(mat)], energies)[0], ground_bisect(prepared(mat), 4.0)
-    for name in ("_chain_pattern", "_stack_chains", "_stack_norms"):
-        monkeypatch.setattr(es, name, lambda *a: pytest.fail("operator prepared again"))
-    assert np.array_equal(count_below_stack([op], energies)[0], want[0])
-    assert np.array_equal(es.count_below_stack([op, op], energies), [want[0], want[0]])
-    assert ground_bisect(op, 4.0) == want[1]
+    want = [_per_threshold(stack[k], energies) for k in range(2)]
+    grounds = [_reference_ground(stack[k], 4.0) for k in range(2)]
+    made = _built_matrices(monkeypatch)
+    assert np.array_equal(count_below_stack(stack, energies), want)
+    assert made == []
+    assert ground_bisect(stack, 4.0) == grounds
+    assert len(made) <= 2
 
 
 # -- d = 2: Ritz values from the top threshold's factor, and the fallbacks --
 
 
 def _torus(side, diag):
-    """2-d periodic lattice operator: ``diag`` on the sites, -1 between neighbours."""
-    ring = _cyclic(np.zeros(side), np.full(side, -1.0))
-    eye = sp.identity(side, format="csr")
-    return (sp.kron(ring, eye) + sp.kron(eye, ring) + sp.diags(diag)).tocsr()
+    """The 2-d periodic lattice operator with ``diag`` on the sites and -1
+    between neighbours, as a stack of one on the h = 1 stencil."""
+    return DiagonalStack(*periodic_laplacian(2, side, 1.0), (np.asarray(diag) - 4.0)[None])
 
 
 def _generic_torus(side=12, seed=3):
@@ -587,41 +592,40 @@ def _splu_calls(monkeypatch):
     return calls
 
 
-def _levels_and_between(mat):
-    levels = np.linalg.eigvalsh(mat.toarray())
+def _levels_and_between(stack):
+    levels = np.linalg.eigvalsh(stack[0].toarray())
     return levels, 0.5 * (levels[1:] + levels[:-1])
 
 
 def test_top_threshold_factor_settles_the_thresholds_below(monkeypatch):
-    mat = _generic_torus()
-    levels, between = _levels_and_between(mat)
+    stack = _generic_torus()
+    levels, between = _levels_and_between(stack)
     energies = np.array([between[4], levels[0] - 1.0, between[0], between[2]])
     calls = _splu_calls(monkeypatch)
     with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 10):
-        got = count_below_stack([prepared(mat)], energies)[0]
+        got = count_below_stack(stack, energies)[0]
     assert len(calls) == 1, "one factorization, at the top threshold"
     assert got.tolist() == [5, 0, 1, 3]
 
 
 def test_no_level_below_the_top_settles_the_rest_without_lanczos(monkeypatch):
-    mat = _generic_torus()
-    levels, _ = _levels_and_between(mat)
+    stack = _generic_torus()
+    levels, _ = _levels_and_between(stack)
     monkeypatch.setattr(es, "_lanczos_pairs", None)  # never called
     calls = _splu_calls(monkeypatch)
     with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 10):
-        got = count_below_stack([prepared(mat)], levels[0] - np.array([0.5, 1.0, 2.0]))[0]
+        got = count_below_stack(stack, levels[0] - np.array([0.5, 1.0, 2.0]))[0]
     assert len(calls) == 1 and got.tolist() == [0, 0, 0]
 
 
-def _hands_back(monkeypatch, mat, energies):
+def _hands_back(monkeypatch, stack, energies):
     """Counts with the route and threshold by threshold; every threshold
     must have had its own factorization."""
-    op = prepared(mat)
     calls = _splu_calls(monkeypatch)
     with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 10):
-        got = count_below_stack([op], energies)[0]
+        got = count_below_stack(stack, energies)[0]
         assert len(calls) == energies.size
-        want = [count_below_stack([op], [float(e)])[0, 0] for e in energies]
+        want = [count_below_stack(stack, [float(e)])[0, 0] for e in energies]
     assert np.array_equal(got, want)
     return got
 
@@ -629,20 +633,20 @@ def _hands_back(monkeypatch, mat, energies):
 def test_a_lanczos_run_without_pairs_hands_every_lower_threshold_back(monkeypatch):
     """A Lanczos run that ends before its T has K negative Ritz values
     yields no pairs: nothing is certified."""
-    mat = _generic_torus()
-    levels, between = _levels_and_between(mat)
+    stack = _generic_torus()
+    levels, between = _levels_and_between(stack)
     monkeypatch.setattr(es, "_lanczos_pairs", lambda lu, shift, k: iter(()))
     energies = between[[0, 2, 4]]
-    got = _hands_back(monkeypatch, mat, energies)
+    got = _hands_back(monkeypatch, stack, energies)
     assert got.tolist() == [1, 3, 5]
 
 
 def test_more_levels_below_the_top_than_the_cap_hand_back(monkeypatch):
-    mat = _generic_torus()
-    levels, between = _levels_and_between(mat)
+    stack = _generic_torus()
+    levels, between = _levels_and_between(stack)
     monkeypatch.setattr(es, "_lanczos_pairs", None)  # never called
     energies = between[[0, es.RITZ_CAP]]
-    got = _hands_back(monkeypatch, mat, energies)
+    got = _hands_back(monkeypatch, stack, energies)
     assert got.tolist() == [1, es.RITZ_CAP + 1]
 
 
@@ -652,12 +656,12 @@ def test_overlapping_intervals_of_a_degenerate_level_hand_back(monkeypatch):
     intervals: nothing is certified.  A Lanczos run from one start vector
     finds one vector of the fourfold level, so it certifies nothing either,
     and every threshold goes back."""
-    mat = _torus(6, np.full(36, 4.0))
-    levels, between = _levels_and_between(mat)
+    stack = _torus(6, np.full(36, 4.0))
+    levels, between = _levels_and_between(stack)
     assert np.ptp(levels[1:5]) < 1e-12 < levels[5] - levels[4]
-    vals, vecs = np.linalg.eigh(mat.toarray())
-    op = prepared(mat)
-    assert es._certified_intervals(op, vals[:5], vecs[:, :5], between[4]) is None
+    vals, vecs = np.linalg.eigh(stack[0].toarray())
+    norm = stack.norms()[0]
+    assert es._certified_intervals(stack[0], norm, vals[:5], vecs[:, :5], between[4]) is None
     ritz, certified = [], []
     pairs, intervals = es._lanczos_pairs, es._certified_intervals
     monkeypatch.setattr(
@@ -666,7 +670,7 @@ def test_overlapping_intervals_of_a_degenerate_level_hand_back(monkeypatch):
     monkeypatch.setattr(
         es, "_certified_intervals", lambda *a: certified.append(intervals(*a)) or certified[-1]
     )
-    got = _hands_back(monkeypatch, mat, np.array([between[0], between[4]]))
+    got = _hands_back(monkeypatch, stack, np.array([between[0], between[4]]))
     assert certified == [None] * len(ritz) and got.tolist() == [1, 5]
 
 
@@ -674,14 +678,13 @@ def test_an_interval_in_a_threshold_bracket_hands_that_threshold_back(monkeypatc
     """A level 1e-8 * scale above a threshold lies in its bracket: the
     per-threshold count could nudge past it, so that threshold is handed
     back while the one clear of every interval is settled."""
-    mat = _generic_torus()
-    levels, between = _levels_and_between(mat)
-    op = prepared(mat)
-    scale = max(1.0, op.norm)
+    stack = _generic_torus()
+    levels, between = _levels_and_between(stack)
+    scale = max(1.0, stack.norms()[0])
     energies = np.array([levels[1] - 1e-8 * scale, between[2], between[4]])
     calls = _splu_calls(monkeypatch)
     with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 10):
-        got = count_below_stack([op], energies)[0]
+        got = count_below_stack(stack, energies)[0]
     assert len(calls) == 2
     assert got.tolist() == [1, 3, 5]
 
@@ -690,14 +693,13 @@ def test_a_bracket_reaching_the_top_shift_is_handed_back(monkeypatch):
     """Above the shift E' of the top factorization nothing is known, and a
     nudged per-threshold count could reach 1e-8 * scale past its threshold:
     a threshold 1e-9 * scale below the top one is handed back."""
-    mat = _generic_torus()
-    levels, between = _levels_and_between(mat)
-    op = prepared(mat)
-    scale = max(1.0, op.norm)
+    stack = _generic_torus()
+    levels, between = _levels_and_between(stack)
+    scale = max(1.0, stack.norms()[0])
     energies = np.array([between[2], between[2] - 1e-9 * scale, between[0]])
     calls = _splu_calls(monkeypatch)
     with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 10):
-        got = count_below_stack([op], energies)[0]
+        got = count_below_stack(stack, energies)[0]
     assert len(calls) == 2
     assert got.tolist() == [3, 3, 1]
 
@@ -705,9 +707,9 @@ def test_a_bracket_reaching_the_top_shift_is_handed_back(monkeypatch):
 def test_an_interval_above_the_top_shift_is_not_certified(monkeypatch):
     """Ritz pairs are only trusted below E': a pair of the first level above
     it, in place of the last one below, certifies nothing."""
-    mat = _generic_torus()
-    levels, between = _levels_and_between(mat)
-    vals, vecs = np.linalg.eigh(mat.toarray())
+    stack = _generic_torus()
+    levels, between = _levels_and_between(stack)
+    vals, vecs = np.linalg.eigh(stack[0].toarray())
     wrong = [0, 1, 3]  # the levels below between[2] are 0, 1 and 2
 
     def lanczos_pairs(lu, shift, k):
@@ -715,7 +717,7 @@ def test_an_interval_above_the_top_shift_is_not_certified(monkeypatch):
         yield vals[wrong], vecs[:, wrong]
 
     monkeypatch.setattr(es, "_lanczos_pairs", lanczos_pairs)
-    got = _hands_back(monkeypatch, mat, np.array([between[2], between[1], between[0]]))
+    got = _hands_back(monkeypatch, stack, np.array([between[2], between[1], between[0]]))
     assert got.tolist() == [3, 2, 1]
 
 
@@ -723,10 +725,10 @@ def test_an_interval_above_the_top_shift_is_not_certified(monkeypatch):
 def test_the_heap_is_trimmed_once_after_the_route_where_glibc_is(monkeypatch, glibc):
     trims = []
     monkeypatch.setattr(es, "_MALLOC_TRIM", trims.append if glibc else None)
-    mat = _generic_torus()
-    _, between = _levels_and_between(mat)
+    stack = _generic_torus()
+    _, between = _levels_and_between(stack)
     with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 10):
-        assert count_below_stack([prepared(mat)], between[[0, 2, 4]])[0].tolist() == [1, 3, 5]
+        assert count_below_stack(stack, between[[0, 2, 4]])[0].tolist() == [1, 3, 5]
     assert trims == ([0] if glibc else [])
 
 
@@ -757,14 +759,14 @@ def test_first_ids_2d_continuum_sample_takes_one_factorization(monkeypatch):
     """The benchmark's d = 2 ids config, continuum sample 0: the counts of
     the per-threshold path from one SuperLU factorization instead of three."""
     family, energies, seed, _ = _ids_2d_continuum()
-    op = prepared(_one_matrix(family, seed, 0))
-    assert op.shape == (43264, 43264) and op.chain is None
+    stack = family.operators(seed, (0,))
+    assert stack.shape == (43264, 43264) and stack.chains() == [None]
     calls = _splu_calls(monkeypatch)
-    got = count_below_stack([op], energies)[0]
+    got = count_below_stack(stack, energies)[0]
     assert len(calls) == 1
     with monkeypatch.context() as mp:
-        mp.setattr(es, "_ritz_counts", lambda op, count_one, e: np.full(e.size, -1))
-        want = count_below_stack([op], energies)[0]
+        mp.setattr(es, "_ritz_counts", lambda mat, norm, count_one, e: np.full(e.size, -1))
+        want = count_below_stack(stack, energies)[0]
     assert len(calls) == 4
     assert got.tolist() == want.tolist() == [0, 1, 1]
 
@@ -794,20 +796,20 @@ def test_each_ids_2d_continuum_count_takes_one_factorization_and_two_solves(monk
     )
     monkeypatch.setattr(es.spla, "eigsh", None)
     for sample in range(n_samples):
-        op = prepared(_one_matrix(family, seed, sample))
+        stack = family.operators(seed, (sample,))
         factors.clear(), solves.clear()
-        assert count_below_stack([op], energies)[0].tolist() == [0, 1, 1]
+        assert count_below_stack(stack, energies)[0].tolist() == [0, 1, 1]
         assert len(factors) == 1 and 1 <= len(solves) <= 3
 
 
 def test_a_run_cut_by_its_step_budget_hands_the_unsettled_thresholds_back(monkeypatch):
     """A threshold inside the first step's interval but clear of the last
     one's: a full run settles it, a run cut to one step hands it back."""
-    mat = _generic_torus()
-    levels, between = _levels_and_between(mat)
-    op = prepared(mat)
-    count, lu = es._sparse_inertia(es._sparse_shift(op.matrix)(between[0]), 10.0)
-    pairs = [es._certified_intervals(op, *p, between[0]) for p in es._lanczos_pairs(lu, between[0], 1)]
+    stack = _generic_torus()
+    levels, between = _levels_and_between(stack)
+    mat, norm = stack[0], stack.norms()[0]
+    count, lu = es._sparse_inertia(es._sparse_shift(mat, stack.slots)(between[0]), 10.0)
+    pairs = [es._certified_intervals(mat, norm, *p, between[0]) for p in es._lanczos_pairs(lu, between[0], 1)]
     (first_lo, _), (last_lo, _) = pairs[0], pairs[-1]
     assert count == 1 and first_lo[0] < last_lo[0] - 1e-6
     energies = np.array([between[0], 0.5 * (first_lo[0] + last_lo[0])])
@@ -815,46 +817,43 @@ def test_a_run_cut_by_its_step_budget_hands_the_unsettled_thresholds_back(monkey
         monkeypatch.setattr(es, "_RITZ_EXTRA", extra)
         calls = _splu_calls(monkeypatch)
         with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 10):
-            assert count_below_stack([op], energies)[0].tolist() == [1, 0]
+            assert count_below_stack(stack, energies)[0].tolist() == [1, 0]
         assert len(calls) == factorizations
 
 
 @pytest.mark.parametrize("kind", ["chain", "d = 2"])
 def test_superlu_gets_one_csc_matrix_with_the_old_shifts_arrays(monkeypatch, kind):
-    """A prepared operator's A - E reaches SuperLU as one CSC
-    matrix on A's index arrays, with the data, indices and indptr that
-    ``plus_diagonal`` and a CSC conversion give, also where a diagonal
-    entry cancels to exactly 0.0: that entry stays stored, and the dense
-    form is the sparse subtraction's, bit for bit."""
-    from displab.discretize import diagonal_slots, plus_diagonal
-
+    """An operator's A - E reaches SuperLU as one CSC matrix on A's index
+    arrays, with the data, indices and indptr that ``plus_diagonal`` and a
+    CSC conversion give, also where a diagonal entry cancels to exactly
+    0.0: that entry stays stored, and the dense form is the sparse
+    subtraction's, bit for bit."""
     if kind == "chain":
-        local = np.random.default_rng(5)
-        mat = _cyclic(local.uniform(0.0, 4.0, 40), local.uniform(-1.0, 1.0, 40))
+        stack = _ring_stack(np.random.default_rng(5).uniform(-2.0, 2.0, 40))
     else:
-        mat = _generic_torus()
-    op = prepared(mat)
-    assert (op.chain is None) == (kind != "chain")
+        stack = _generic_torus()
+    mat = stack[0]
+    assert (stack.chains()[0] is None) == (kind != "chain")
     got, splu = [], es.spla.splu
     monkeypatch.setattr(es.spla, "splu", lambda a, **k: got.append(a) or splu(a, **k))
-    where = diagonal_slots(op.matrix)
+    where = diagonal_slots(mat)
     first = []
     with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 10):
-        counter = es._threshold_counter(op)
-        for energy in (0.7, float(op.matrix.diagonal()[3])):
+        counter = es._threshold_counter(mat, stack.slots, stack.norms()[0])
+        for energy in (0.7, float(mat.diagonal()[3])):
             first.append(len(got))
             counter(energy)  # a tie at the second nudges E up: its first try is at E
-            shifted = plus_diagonal(op.matrix, where, -energy)
+            shifted = plus_diagonal(mat, where, -energy)
             want = shifted.T if kind == "chain" else shifted.tocsc()  # as before
             for name in ("data", "indices", "indptr"):
                 assert np.array_equal(getattr(got[first[-1]], name), getattr(want, name)), name
             assert got[first[-1]].format == "csc"
     shared = got[first[0]]
-    assert all(np.shares_memory(getattr(shared, a), getattr(op.matrix, a)) for a in ("indices", "indptr"))
-    cancelled, energy = got[first[1]], float(op.matrix.diagonal()[3])
-    assert cancelled.nnz == op.matrix.nnz  # the cancelled diagonal entry stays stored
-    want = op.matrix - energy * sp.identity(op.shape[0], format="csr")
-    assert want.nnz == op.matrix.nnz - 1
+    assert all(np.shares_memory(getattr(shared, a), getattr(mat, a)) for a in ("indices", "indptr"))
+    cancelled, energy = got[first[1]], float(mat.diagonal()[3])
+    assert cancelled.nnz == mat.nnz  # the cancelled diagonal entry stays stored
+    want = mat - energy * sp.identity(mat.shape[0], format="csr")
+    assert want.nnz == mat.nnz - 1
     assert np.array_equal(cancelled.toarray().view(np.int64), want.toarray().view(np.int64))
 
 
@@ -875,37 +874,36 @@ def _refusing_splu(monkeypatch, how):
 
 @pytest.mark.parametrize("how", ["raises", "unsymmetric-order"])
 def test_superlu_refusal_falls_back_to_dense_ldl(monkeypatch, how):
-    mat = _torus(9, np.random.default_rng(4).uniform(0.0, 1.0, 81))
-    levels, between = _levels_and_between(mat)
+    stack = _torus(9, np.random.default_rng(4).uniform(0.0, 1.0, 81))
+    levels, between = _levels_and_between(stack)
     energies = np.concatenate([[levels[0] - 0.5], between[::9], [levels[-1] + 0.5]])
     _refusing_splu(monkeypatch, how)
     with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 10):
-        got = count_below_stack([prepared(mat)], energies)[0]
+        got = count_below_stack(stack, energies)[0]
         assert np.array_equal(got, np.searchsorted(levels, energies))
-        assert count_below_stack([prepared(mat)], [float(between[3])])[0, 0] == 4
+        assert count_below_stack(stack, [float(between[3])])[0, 0] == 4
 
 
 def test_superlu_refusal_above_the_dense_fallback_names_every_path(monkeypatch):
-    mat = _generic_torus()
+    stack = _generic_torus()
     _refusing_splu(monkeypatch, "raises")
     monkeypatch.setattr(es, "COUNT_DENSE_FALLBACK", 100)
     with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 10), pytest.raises(es.CountBreakdownError, match="SuperLU") as err:
-        count_below_stack([prepared(mat)], [1.0])[0, 0]
+        count_below_stack(stack, [1.0])
     assert "no dense LDL^T fallback above N = 100" in str(err.value)
     assert "1e-12, 1e-10, 1e-08" in str(err.value)
 
 
-# -- a chunk's operators prepared together ----------------------------------
+# -- what a stack reads off its data, and the records tests prepare --------
 
 
 def _reference_norm_estimate(mat):
-    """The norm as it was read before chunks: SciPy's row sums of |A|."""
+    """The norm as SciPy reads it: the row sums of |A|."""
     return float(np.abs(mat).sum(axis=1).max()) if mat.nnz else 0.0
 
 
 def _reference_periodic_chain(mat):
-    """The chain form as it was read before chunks: one operator's masked
-    ``bincount``s."""
+    """The chain form as one operator's masked ``bincount``s read it."""
     n = mat.shape[0]
     if n < 3 or mat.shape != (n, n) or not np.all(np.isfinite(mat.data)):
         return None
@@ -936,64 +934,87 @@ def _same_preparation(op, mat):
             assert np.array_equal(got_part.view(np.int64), want_part.view(np.int64))
 
 
+def _reads_what_scipy_reads(stack, chained):
+    """Each norm and chain form ``stack`` reads off its data has the bits of
+    what SciPy reads off its operator ``stack[k]``: ``abs(stack[k]).sum(axis=1).max()``,
+    ``diagonal()`` and the (i, i + 1 mod N) entries.  Operator k has a chain form
+    iff ``chained[k]``."""
+    norms, chains = stack.norms(), stack.chains()
+    assert len(norms) == len(chains) == len(stack)
+    n = stack.shape[0]
+    for k in range(len(stack)):
+        mat = stack[k]
+        assert _same_bits(norms[k], abs(mat).sum(axis=1).max())
+        if not chained[k]:
+            assert chains[k] is None
+            continue
+        up = np.asarray(mat[np.arange(n), (np.arange(n) + 1) % n]).ravel()
+        for got, want in zip(chains[k], (mat.diagonal(), up)):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 @pytest.mark.parametrize(
     "d, side, scale",
     [(1, 3, 1.0), (1, 4, 0.5), (1, 40, 2.0), (1, 97, 0.0625), (1, 2001, 1 / 3), (2, 9, 1.0)],
 )
 def test_chunk_preparation_equals_the_one_operator_reading(d, side, scale):
-    """Norms and chain forms read off a DiagonalStack in one pass equal, bit
-    for bit, the one-operator readings SciPy's row sums and masked
-    ``bincount``s give (``_reference_norm_estimate``,
-    ``_reference_periodic_chain``): on chains of N = 3, 4, 40, 97 and 2001,
-    with a diagonal that cancels to exactly 0.0 (stored as 0.0 on the
-    stencil's pattern, which every operator keeps), a non-finite diagonal,
-    and on a d = 2 stencil, which is no chain and is prepared one operator
-    at a time."""
-    from displab.discretize import DiagonalStack, periodic_laplacian
-
-    lap, where = periodic_laplacian(d, side, 0.25)
+    """The norms and chain forms a DiagonalStack reads off its data equal,
+    bit for bit, what SciPy reads off each operator: on rings of N = 3, 4,
+    40, 97 and 2001, with a diagonal that cancels to exactly 0.0 (stored as
+    0.0 on the stencil's pattern, which every operator keeps) and a
+    non-finite diagonal, which has no chain form; a d = 2 stack has none."""
+    lap, where, up = periodic_laplacian(d, side, 0.25)
     n = lap.shape[0]
     diags = np.random.default_rng(side).uniform(-40.0, 40.0, (5, n))
     diags[1, n // 2] = -scale * lap[n // 2, n // 2]  # cancels to exactly 0.0
     diags[3, 0] = np.inf
-    stack = DiagonalStack(lap, where, diags, scale)
-    ops = es.SymmetricOperator.chunk(stack)
-    assert isinstance(ops, list) == (d == 1)
-    ops = list(ops)
-    assert len(ops) == 5 and stack[1].nnz == lap.nnz
+    stack = DiagonalStack(lap, where, up, diags, scale)
+    assert len(stack) == 5 and stack[1].nnz == lap.nnz
     summed = (scale * lap + sp.diags(diags[1], format="csr")).tocsr()
     assert summed.nnz == lap.nnz - 1
     assert np.array_equal(stack[1].toarray().view(np.int64), summed.toarray().view(np.int64))
-    for k, op in enumerate(ops):
+    for k in range(5):
         mat = stack[k]
-        assert np.array_equal(op.matrix.data.view(np.int64), mat.data.view(np.int64))
-        assert np.array_equal(op.matrix.indices, lap.indices)
-        assert np.array_equal(op.matrix.indptr, lap.indptr)
-        _same_preparation(op, mat)
-        assert (op.chain is not None) == (d == 1 and k != 3)
+        assert np.array_equal(stack.data()[k].view(np.int64), mat.data.view(np.int64))
+        assert np.array_equal(mat.indices, lap.indices) and np.array_equal(mat.indptr, lap.indptr)
+    _reads_what_scipy_reads(stack, [d == 1 and k != 3 for k in range(5)])
+
+
+@pytest.mark.parametrize("c0", [1.0, 3.0, 8.0])
+def test_a_reduced_stack_reads_what_scipy_reads(c0):
+    """The lower reduced model of a chunk of fields is a ring stack with
+    scale 0.5 / c0: its norms and chain forms are SciPy's readings too."""
+    from displab.potentials import FieldChunk
+    from displab.reduced import build_reduced
+
+    values = np.random.default_rng(int(c0)).uniform(-1.0, 1.0, (4, 61, 1))
+    stack = build_reduced(
+        -1, np.array([5.0]), 0.1, np.array([-1.0]), FieldChunk(n=30, d=1, values=values), c0, 0.05
+    ).matrix
+    assert stack.scale == 0.5 / c0 and stack.shape == (61, 61)
+    _reads_what_scipy_reads(stack, [True] * 4)
 
 
 def test_a_d2_chunk_examines_its_stencil_once(monkeypatch):
-    """On a d = 2 stencil the chunk decides once that no operator is a
-    chain, and each prepared operator holds ``stack[k]``, its reference
-    norm and no chain form, and nothing else."""
-    from displab.discretize import DiagonalStack, periodic_laplacian
-
-    lap, where = periodic_laplacian(2, 9, 0.25)
+    """A d = 2 stencil has no coupling slots, so its stack has no chain
+    form without writing its data, and each of its counting records holds
+    the reference norm of ``stack[k]``, no chain form, the stencil's slots
+    and a way to build ``stack[k]``."""
+    lap, where, up = periodic_laplacian(2, 9, 0.25)
+    assert up is None
     diags = np.random.default_rng(9).uniform(-40.0, 40.0, (4, lap.shape[0]))
-    stack = DiagonalStack(lap, where, diags, 0.5)
-    calls = []
-    real_pattern = es._chain_pattern
-    monkeypatch.setattr(es, "_chain_pattern", lambda mat: calls.append(1) or real_pattern(mat))
-    ops = list(es.SymmetricOperator.chunk(stack))
-    assert len(ops) == 4 and calls == [1]
-    monkeypatch.undo()
+    stack = DiagonalStack(lap, where, up, diags, 0.5)
+    with monkeypatch.context() as mp:
+        mp.setattr(DiagonalStack, "data", lambda self: pytest.fail("data written"))
+        assert stack.chains() == [None] * 4
+    ops = es._operators(stack)
+    assert len(ops) == 4
     for k, op in enumerate(ops):
         mat = stack[k]
-        assert vars(op).keys() == {"matrix", "norm", "chain"}
+        assert op.slots is where
         _same_preparation(op, mat)
         for part in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(op.matrix, part), getattr(mat, part))
+            assert np.array_equal(getattr(op.matrix(), part), getattr(mat, part))
 
 
 @pytest.mark.parametrize(
@@ -1005,11 +1026,10 @@ def test_a_d2_chunk_examines_its_stencil_once(monkeypatch):
     ],
 )
 def test_prepared_refuses_a_matrix_that_breaks_the_stencil_contract(kind, message):
-    """Tests reach counting through a chunk of one whose stencil is the
-    matrix, so the matrix must keep a stencil's contract: an entry 1e-15
-    off its mirror, an unstored diagonal entry or unsorted indices are
-    each a ``ValueError``."""
-    mat = _generic_torus(side=4).tolil()
+    """Counting trusts a stencil's contract, so a matrix that tests prepare
+    must keep it: an entry 1e-15 off its mirror, an unstored diagonal entry
+    or unsorted indices are each a ``ValueError``."""
+    mat = _generic_torus(side=4)[0].tolil()
     if kind == "not-exactly-symmetric":
         mat[0, 1] += 1e-15
     elif kind == "missing-diagonal":
@@ -1025,10 +1045,10 @@ def test_prepared_refuses_a_matrix_that_breaks_the_stencil_contract(kind, messag
 
 @pytest.mark.parametrize("seed", range(6))
 def test_one_operator_reading_equals_the_reference(seed):
-    """A chunk of one (``prepared``) on random chains with zero couplings
-    and on random symmetric matrices with their whole diagonal stored,
-    mostly of non-chain patterns: its operator has the matrix's arrays bit
-    for bit, and the norm and chain form of the reference reading."""
+    """A ``prepared`` record of random chains with zero couplings and of
+    random symmetric matrices with their whole diagonal stored, mostly of
+    non-chain patterns: its matrix has the matrix's arrays bit for bit, and
+    it has the norm and chain form of the reference reading."""
     local = np.random.default_rng(seed)
     n = int(local.integers(3, 12))
     upper = sp.random(n, n, density=0.4, random_state=seed, format="csr")
@@ -1038,20 +1058,20 @@ def test_one_operator_reading_equals_the_reference(seed):
     ]
     for mat in mats:
         op = prepared(mat)
-        assert np.array_equal(op.matrix.data.view(np.int64), mat.data.view(np.int64))
-        assert np.array_equal(op.matrix.indices, mat.indices)
-        assert np.array_equal(op.matrix.indptr, mat.indptr)
+        assert np.array_equal(op.matrix().data.view(np.int64), mat.data.view(np.int64))
+        assert np.array_equal(op.matrix().indices, mat.indices)
+        assert np.array_equal(op.matrix().indptr, mat.indptr)
         _same_preparation(op, mat)
 
 
 def test_superlu_copies_are_released_and_the_factor_still_solves():
     """After a count, the factor's cached L and U copies hold no entries, and
     ``lu.solve`` and the Ritz intervals are those of an untouched factor."""
-    mat = _generic_torus()
-    levels, between = _levels_and_between(mat)
+    stack = _generic_torus()
+    levels, between = _levels_and_between(stack)
+    mat, norm = stack[0], stack.norms()[0]
     shifted = (mat - between[4] * sp.identity(mat.shape[0], format="csr")).tocsr()
-    op = prepared(mat)
-    scale = max(1.0, op.norm, abs(between[4]))
+    scale = max(1.0, norm, abs(between[4]))
     count, lu = es._sparse_inertia(shifted, scale)
     kept = es.spla.splu(
         shifted.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
@@ -1064,4 +1084,4 @@ def test_superlu_copies_are_released_and_the_factor_still_solves():
     assert len(got) == len(want) > 0
     for g, w in zip(got, want):
         assert all(np.array_equal(a, b) for a, b in zip(g, w))
-    assert es._certified_intervals(op, *got[-1], between[4]) is not None
+    assert es._certified_intervals(mat, norm, *got[-1], between[4]) is not None

@@ -28,7 +28,6 @@ from displab.spectral_stats import (
     wegner_report,
     wegner_rows,
 )
-from conftest import prepared
 from displab.supports import ball
 
 P0 = periodic_family("zero", 1)
@@ -297,8 +296,8 @@ def test_count_rows_equal_one_count_below_per_sample(family):
     assert rows.shape == (4, 4) and len(np.unique(rows)) > 4
     for s in range(4):
         assert np.array_equal(_own_counts(family, 7, (s,), energies), rows[s : s + 1])
-        op = prepared(_one_matrix(family, 7, s))
-        assert np.array_equal(count_below_stack([op], energies)[0], rows[s])
+        one = family.operators(7, (s,))
+        assert np.array_equal(count_below_stack(one, energies)[0], rows[s])
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -318,13 +317,12 @@ def test_wegner_rows_equal_one_sample_at_a_time(n):
         )
         assert np.array_equal(one_hits, hits[s : s + 1]) and one_grounds == [grounds[s]]
         assert len(one_audits) == 1 and np.array_equal(one_audits[0], audits[s])
-        mat = _one_matrix(family, 5, s)
-        op = prepared(mat)
-        upper = count_below_stack([op], e_center + eps)[0]
-        lower = count_below_stack([op], e_center - eps)[0]
+        one = family.operators(5, (s,))
+        upper = count_below_stack(one, e_center + eps)[0]
+        lower = count_below_stack(one, e_center - eps)[0]
         assert np.array_equal(hits[s], upper > lower)
         if s < 3:
-            assert grounds[s] == smallest_eigenpairs(mat, k=1).ground_energy
+            assert grounds[s] == smallest_eigenpairs(one[0], k=1).ground_energy
 
 
 def test_lifshitz_rows_equal_one_sample_at_a_time():
@@ -334,6 +332,6 @@ def test_lifshitz_rows_equal_one_sample_at_a_time():
     for s in range(5):
         one_grounds, one_counts = lifshitz_rows(RING, 0, (s,), energies, 4.0)
         assert one_grounds == [grounds[s]] and np.array_equal(one_counts, counts[s : s + 1])
-        op = prepared(_one_matrix(RING, 0, s))
-        assert grounds[s] == ground_bisect(op, 4.0)
-        assert np.array_equal(counts[s], count_below_stack([op], energies)[0])
+        one = RING.operators(0, (s,))
+        assert [grounds[s]] == ground_bisect(one, 4.0)
+        assert np.array_equal(counts[s], count_below_stack(one, energies)[0])
