@@ -365,10 +365,10 @@ def exhaustive_field_scan(p, q, lam, support, n, m, grid_points):
 
     Enumerates all grid_points^(2n+1) displacement configurations, assembled
     as one chunk; reports the global argmin, the runner-up energy and whether
-    the argmin is a constant configuration.  Each ground is the first of
-    ``dense_levels``, ``eigh``'s eigenvalues without its eigenvectors, so up
-    to ``DENSE_CUTOFF`` rows it is the ``smallest_eigenpairs`` ground to the
-    bit.
+    the argmin is a constant configuration.  Each ground is ``dense_levels``
+    with the empty window, ``eigh``'s lowest eigenvalue without the others
+    or the eigenvectors, so up to ``DENSE_CUTOFF`` rows it is the
+    ``smallest_eigenpairs`` ground to the bit.
 
     Only configurations that can hold one of the two smallest grounds are
     diagonalized.  The second-smallest ground U of the constant
@@ -392,12 +392,12 @@ def exhaustive_field_scan(p, q, lam, support, n, m, grid_points):
     constant = [k for k, cfg in enumerate(cfgs) if len(set(cfg)) == 1]
     survivors = range(len(cfgs))
     if len(constant) >= 2:
-        bound = sorted(dense_levels(stack[k])[0] for k in constant)[1]
+        bound = sorted(dense_levels(stack[k], -np.inf, -np.inf)[0] for k in constant)[1]
         delta = 1e-9 * max(1.0, stack.norms().max())
         survivors = np.flatnonzero(count_below_stack(stack, [bound + delta])[:, 0] > 0)
     best_e, best_cfg, second = np.inf, None, np.inf
     for k in survivors:
-        e = dense_levels(stack[k])[0]
+        e = dense_levels(stack[k], -np.inf, -np.inf)[0]
         if e < best_e:
             second = best_e
             best_e, best_cfg = e, np.array(cfgs[k])

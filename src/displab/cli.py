@@ -46,7 +46,7 @@ from .discretize import (
     assemble_periodic,
     free_fiber_eigenvalues,
 )
-from .eigensolve import CountBreakdownError
+from .eigensolve import DENSE_CUTOFF, CountBreakdownError
 from .floquet import (
     band_bottom,
     band_table,
@@ -831,6 +831,12 @@ def run_wegner(
     p, q, lam, n_model, m = build_model(cfg)
     for n in n_list:
         _size_guard((2 * n + 1) * m, q.d, f"rows ((2n+1) m)^d of wegner.n_list n = {n}")
+        rows = ((2 * n + 1) * m) ** q.d
+        if audit_per_n > 0 and rows > DENSE_CUTOFF:
+            raise ConfigError(
+                f"wegner.audit_per_n = {audit_per_n} audits dense spectra, of at most "
+                f"{DENSE_CUTOFF} rows, but wegner.n_list n = {n} has ((2n+1) m)^d = {rows}"
+            )
     support = build_support(cfg, q.d)
     dist = build_distribution(cfg, support)
     seed = cfg["run"]["seed"]

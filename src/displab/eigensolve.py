@@ -30,6 +30,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import cython_lapack
 from scipy.linalg.lapack import dpttrf, dstevd, dsytrd, dsytrd_lwork, dsytrf, dsytrf_lwork
 
 from .discretize import DiagonalStack
@@ -111,30 +112,171 @@ def smallest_eigenpairs(op, k):
     return EigenResult(values=vals, vectors=vecs, residuals=res, method=method)
 
 
-def dense_levels(matrix):
-    """Every eigenvalue of the real symmetric sparse ``matrix``, ascending.
+def dense_levels(matrix, lo, hi):
+    """``eigh``'s lowest eigenvalue of the real symmetric sparse ``matrix``
+    and every other one in [lo, hi], ascending and to the bit.
 
-    ``np.linalg.eigh`` is LAPACK ``dsyevd``, which reduces the lower triangle
-    to tridiagonal form (``dsytrd``), solves the tridiagonal problem by
-    divide and conquer (``dstedc``) and back-transforms the vectors.  The
-    eigenvalues are final after the second stage, so this runs only the
-    first two -- ``dsytrd`` with its optimal (blocked) workspace, then
-    ``dstevd`` with vectors, the entry that calls ``dstedc`` as ``dsyevd``
-    does -- and returns ``eigh``'s eigenvalues to the bit.  ``eigvalsh``,
-    ``subset_by_index``, an unblocked ``dsytrd`` and ``dstevd`` without
-    vectors (``dsterf``) all give other bits.  Raises ``np.linalg.LinAlgError``
-    when LAPACK reports a failure, as ``eigh`` does.
+    ``np.linalg.eigh`` is LAPACK ``dsyevd``: ``dsytrd`` reduces the lower
+    triangle to a tridiagonal T, ``dstedc`` solves T by divide and conquer
+    and the vectors are transformed back.  The eigenvalues are final after
+    the second stage, so this runs ``dsytrd`` with its optimal (blocked)
+    workspace and then solves T one of two ways:
+
+    - where ``dstedc`` would cut T once into two halves that it divides
+      alike (``_short_merge_norm``), ``_top_merge_levels`` runs ``dstedc``'s own
+      steps with the top merge cut short: no eigenvectors, and secular
+      roots only for the lowest level and those that may lie in the window;
+    - otherwise ``dstevd`` with vectors, the entry that calls ``dstedc`` as
+      ``dsyevd`` does.
+
+    ``eigvalsh``, ``subset_by_index``, an unblocked ``dsytrd`` and
+    ``dstevd`` without vectors (``dsterf``) all give other bits.  Pass
+    ``lo = hi = -inf`` for the lowest level alone.  Raises
+    ``np.linalg.LinAlgError`` naming the LAPACK routine that reports a
+    failure, as ``eigh`` raises.
     """
     if np.iscomplexobj(matrix):
         raise ValueError("dense_levels expects a real symmetric matrix")
     a = matrix.toarray(order="F")  # the layout dsytrd overwrites without a copy
     n = a.shape[0]
     _, d, e, _, info = dsytrd(a, lower=1, lwork=_lwork(dsytrd_lwork, n), overwrite_a=1)
-    if info == 0 and n > 1:  # the dstevd wrapper refuses an empty off-diagonal
-        d, _, info = dstevd(d, e, compute_v=1, overwrite_d=1)
+    _lapack_ok("dsytrd", info)
+    norm = _short_merge_norm(d, e)
+    if norm is not None:
+        levels = _top_merge_levels(d, e, norm, lo, hi)
+    elif n > 1:  # the dstevd wrapper refuses an empty off-diagonal
+        levels, _, info = dstevd(d, e, compute_v=1, overwrite_d=1)
+        _lapack_ok("dstevd", info)
+    else:
+        levels = d
+    keep = (levels >= lo) & (levels <= hi)
+    keep[:1] = True
+    return levels[keep]
+
+
+def _lapack_ok(routine, info):
     if info != 0:
-        raise np.linalg.LinAlgError(f"dense_levels: LAPACK info {info}")
-    return d
+        raise np.linalg.LinAlgError(f"dense_levels: {routine} reports LAPACK info {info}")
+
+
+_SMLSIZ = 25  # ILAENV(9, 'DSTEDC'): dstedc and dlaed0 hand at most this many rows to dsteqr
+_SPLIT_EPS = 0.5 * _EPS  # dlamch('E'), the relative off-diagonal below which dstedc splits T
+_SMLNUM = np.finfo(float).tiny / _EPS  # dstevd's SMLNUM = dlamch('S') / dlamch('P')
+_RMIN, _RMAX = np.sqrt(_SMLNUM), np.sqrt(1.0 / _SMLNUM)  # dstevd leaves ||T|| here unscaled
+_ROOT_SLACK = 1e-9  # in units of ||T||: a root whose interval misses the window by less is solved
+
+
+def _halvings(n):
+    """How often ``dlaed0`` halves n rows: until its largest piece,
+    ceil(n / 2^k) rows, has at most _SMLSIZ."""
+    k = 0
+    while n > _SMLSIZ:
+        n, k = (n + 1) // 2, k + 1
+    return k
+
+
+def _short_merge_norm(d, e):
+    """||T|| (``dlanst``'s max norm) if ``dsytrd``'s tridiagonal T, diagonal
+    ``d`` and off-diagonal ``e``, takes ``_top_merge_levels``, else None.
+
+    That needs what makes ``dstedc`` and ``dlaed0`` cut T once at the top
+    into two halves of the same tree: more than _SMLSIZ rows, a norm that
+    ``dstevd`` does not scale, no off-diagonal |e_i| at or below
+    eps sqrt|d_i| sqrt|d_i+1|, where ``dstedc`` splits T (with a factor 2
+    to spare), and the same number of halvings in both halves, which holds
+    for every even size.
+    """
+    n = d.size
+    if n <= _SMLSIZ or _halvings(n // 2) != _halvings(n - n // 2):
+        return None
+    norm = max(np.max(np.abs(d)), np.max(np.abs(e)))
+    if not _RMIN <= norm <= _RMAX:  # a NaN norm fails too
+        return None
+    tiny = _SPLIT_EPS * np.sqrt(np.abs(d[:-1])) * np.sqrt(np.abs(d[1:]))
+    return norm if np.all(np.abs(e) > 2.0 * tiny) else None
+
+
+@functools.cache
+def _merge_routines():
+    """``dlaed0``, ``dlaed2`` and ``dlaed4`` of SciPy's LAPACK, by their
+    pointers in ``scipy.linalg.cython_lapack``: every argument a pointer,
+    every integer 32-bit."""
+    pyapi = ctypes.pythonapi
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", pyapi))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", pyapi)
+    )
+
+    def bind(name, n_args):
+        capsule = cython_lapack.__pyx_capi__[name]
+        address = get_pointer(capsule, get_name(capsule))
+        return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * n_args)(address)
+
+    return bind("dlaed0", 12), bind("dlaed2", 17), bind("dlaed4", 8)
+
+
+def _top_merge_levels(d, e, norm, lo, hi):
+    """The lowest level of T and all in [lo, hi], among others, ascending:
+    ``dstedc``'s bits without the top merge's eigenvectors.  Overwrites
+    ``d`` and ``e``.
+
+    The steps are ``dstedc``'s and ``dlaed0``'s (icompq = 2) for one block:
+    scale T by 1 / ||T|| as ``dlascl`` does, subtract |e| at the cut
+    n1 = n // 2 from the two rows beside it and solve each half with
+    LAPACK's own ``dlaed0``, which returns it sorted.  The top merge then
+    starts as ``dlaed1`` does, in ``dlaed1``'s workspace: z from the halves'
+    boundary rows, and ``dlaed2`` to deflate.  Of its K secular roots,
+    ``dlaed4`` solves root 1 and each one whose interlacing interval
+    (dlamda_j, dlamda_j+1) meets the scaled window, as ``dlaed3`` would;
+    the deflated levels come from ``dlaed2``.  Scaled back by ||T|| they
+    are ``dstedc``'s levels.  The routines hold bare pointers, so every
+    array stays bound to a name until the last call.
+    """
+    laed0, laed2, laed4 = _merge_routines()
+    byref, c_int = ctypes.byref, ctypes.c_int
+    n, n1 = d.size, d.size // 2
+    d *= 1.0 / norm
+    e *= 1.0 / norm
+    d[n1 - 1 : n1 + 1] -= abs(e[n1 - 1])
+    q = np.zeros((n, n), order="F")  # zero outside the halves' blocks, as dstedc's Z
+    work = np.empty(n * n + 4 * n)  # z, dlamda, w, then dlaed2's Q2 (n^2 + n, not N1^2 + N2^2)
+    iwork = np.empty(5 * n + 3, dtype=np.int32)
+    at_d, at_e, at_q, at_work, at_iwork = map(_address, (d, e, q, work, iwork))
+    at_rho = at_e + 8 * (n1 - 1)  # dlaed2 doubles |rho| in place, as in dlaed1
+    info, k, order = c_int(), c_int(), c_int(n)
+    for start, size in ((0, n1), (n1, n - n1)):
+        laed0(
+            byref(c_int(2)), byref(order), byref(c_int(size)), at_d + 8 * start,
+            at_e + 8 * start, at_q + 8 * (n + 1) * start, byref(order), at_work, byref(order),
+            at_work, at_iwork, byref(info),
+        )
+        _lapack_ok("dlaed0", info.value)
+    work[:n1], work[n1:n] = q[n1 - 1, :n1], q[n1, n1:]
+    iwork[4 * n : 4 * n + n1] = np.arange(1, n1 + 1)  # INDXQ: each half comes back sorted
+    iwork[4 * n + n1 : 5 * n] = np.arange(1, n - n1 + 1)
+    laed2(
+        byref(k), byref(order), byref(c_int(n1)), at_d, at_q, byref(order),
+        at_iwork + 16 * n, at_rho, at_work, at_work + 8 * n, at_work + 16 * n, at_work + 24 * n,
+        at_iwork, at_iwork + 4 * n, at_iwork + 12 * n, at_iwork + 8 * n, byref(info),
+    )
+    _lapack_ok("dlaed2", info.value)
+    poles = work[n : n + k.value]  # dlamda; root j lies between poles j and j + 1
+    tops = np.append(poles[1:], np.inf)[: k.value]
+    near = (tops >= lo / norm - _ROOT_SLACK) & (poles <= hi / norm + _ROOT_SLACK)
+    near[:1] = True
+    for j in np.flatnonzero(near).tolist():  # root j + 1 into D(j + 1), its DELTA into Q2
+        laed4(
+            byref(k), byref(c_int(j + 1)), at_work + 8 * n, at_work + 16 * n,
+            at_work + 24 * n, at_rho, at_d + 8 * j, byref(info),
+        )
+        _lapack_ok("dlaed4", info.value)
+    kept = np.concatenate([d[: k.value][near], d[k.value :]])
+    return np.sort(kept * norm)
+
+
+def _address(array):
+    """Where ``array``'s data starts."""
+    return array.__array_interface__["data"][0]
 
 
 @functools.cache

@@ -317,6 +317,12 @@ def _level_hits(levels, e_center, eps):
     return upper > lower
 
 
+def _audit_window(e_center, eps):
+    """The levels ``_level_hits`` reads for every one of the windows ``eps``:
+    [e_center - max eps, e_center + max eps]."""
+    return e_center - eps.max(), e_center + eps.max()
+
+
 def wegner_rows(family, master_seed, samples, e_center, eps_list, ground_samples, audit_per_n):
     """Each sample's hit decisions, one per window, its ground energy and
     the dense audit of its hit decisions.
@@ -326,9 +332,12 @@ def wegner_rows(family, master_seed, samples, e_center, eps_list, ground_samples
     The grounds and the audits are lists of K entries, None for samples at
     or above ``ground_samples`` and ``audit_per_n`` respectively.  A sample
     below either gets one dense spectrum (``eigensolve.dense_levels``:
-    ``eigh``'s eigenvalues, bit for bit, without its eigenvectors): its
-    first level is the ground ``smallest_eigenpairs`` would give, and the
-    audit is a bool array of hit decisions read off it.  Above
+    ``eigh``'s lowest eigenvalue and those in a window, bit for bit,
+    without the eigenvectors): its first level is the ground
+    ``smallest_eigenpairs`` would give, and the audit is a bool array of hit
+    decisions read off the levels in the widest window, ``e_center`` plus or
+    minus the largest eps, which are all that any window's decision reads.
+    A sample that is not audited asks for the lowest level alone.  Above
     ``eigensolve.DENSE_CUTOFF`` rows (read at call time, as
     ``smallest_eigenpairs`` reads it) the ground comes from
     ``smallest_eigenpairs`` (ARPACK) instead.
@@ -340,7 +349,8 @@ def wegner_rows(family, master_seed, samples, e_center, eps_list, ground_samples
     grounds, audits = [], []
     for i, s in enumerate(samples):
         dense_ground = s < ground_samples and stack.shape[0] <= eigensolve.DENSE_CUTOFF
-        levels = dense_levels(stack[i]) if dense_ground or s < audit_per_n else None
+        window = _audit_window(e_center, eps) if s < audit_per_n else (-np.inf, -np.inf)
+        levels = dense_levels(stack[i], *window) if dense_ground or s < audit_per_n else None
         if dense_ground:
             grounds.append(float(levels[0]))
         elif s < ground_samples:
@@ -383,7 +393,8 @@ def wegner_report(families, e_center, eps_list, master_seed, audit_per_n, result
         if replayed:
             stack = families[n].operators(master_seed, replayed)
             for i, s in enumerate(replayed):
-                audits[s] = _level_hits(dense_levels(stack[i]), e_center, eps)
+                levels = dense_levels(stack[i], *_audit_window(e_center, eps))
+                audits[s] = _level_hits(levels, e_center, eps)
         for s, dense_hits in enumerate(audits):
             audits_total += len(eps_list)
             audits_agree += int(np.sum(dense_hits == hits[s]))

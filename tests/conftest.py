@@ -1,8 +1,9 @@
 """Terminal reporting for the acceptance gate: one verdict line per criterion,
-the one Hypothesis profile of the property tests, and ``prepared`` and
+the one Hypothesis profile of the property tests, ``prepared`` and
 ``prepared_counts``, the tests' way from a sparse matrix that no stencil
 gives to the per-operator counting paths that ``count_below_stack`` and
-``ground_bisect`` drive."""
+``ground_bisect`` drive, and ``failing_merge``, which makes one LAPACK
+routine of ``dense_levels``' top-merge path report a failure."""
 
 import re
 
@@ -55,6 +56,19 @@ def prepared_counts(ops, energies):
     """Counts of the ``prepared`` operators ``ops`` below ``energies``: a (K, T)
     int array from the layer ``count_below_stack`` drives."""
     return es._count(ops, np.asarray(energies, dtype=float))
+
+
+def failing_merge(routine):
+    """A stand-in for ``eigensolve._merge_routines`` whose ``routine``
+    (``dlaed0``, ``dlaed2`` or ``dlaed4``) runs and then reports LAPACK info
+    1 through its last argument, as LAPACK reports a failure."""
+    real = dict(zip(("dlaed0", "dlaed2", "dlaed4"), es._merge_routines()))
+
+    def failed(*args):
+        real[routine](*args)
+        args[-1]._obj.value = 1  # the c_int that byref(info) points at
+
+    return lambda: tuple(failed if name == routine else call for name, call in real.items())
 
 
 _results = {}

@@ -207,7 +207,7 @@ def test_exhaustive_scan_equals_the_smallest_eigenpairs_loop(monkeypatch, site, 
     q = single_site_family(site, 1)
     levels = []
     real = assumptions.dense_levels
-    monkeypatch.setattr(assumptions, "dense_levels", lambda m: levels.append(1) or real(m))
+    monkeypatch.setattr(assumptions, "dense_levels", lambda m, lo, hi: levels.append(1) or real(m, lo, hi))
     scan = exhaustive_field_scan(P1, q, 0.1, K, 1, 16, grid_points=grid_points)
     monkeypatch.undo()
     configs = grid_points**3

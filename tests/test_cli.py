@@ -34,6 +34,7 @@ from displab.cli import (
     write_csv,
 )
 from displab.spectral_stats import ContinuumFamily, ReducedFamily
+from conftest import failing_merge
 from preset_pins import pinned_differences
 
 
@@ -592,12 +593,14 @@ def test_zero_sample_count_is_config_error(tmp_path, capsys, kind, key):
         ("theorem1", _preset_text("theorem1-1d").replace("grid_points = 11", "grid_points = 60"), "theorem1.grid_points"),
         ("reduce", _preset_text("reduce-1d").replace("n = 1\ngrid_points = 9", "n = 1000\ngrid_points = 1"), "reduce.n"),
         ("theorem1", THEOREM1_2D, "theorem1.grid_points"),
+        ("wegner", _preset_text("wegner-1d").replace("n_list = 1 2 3", "n_list = 1 33"), "wegner.audit_per_n"),
     ],
     ids=[
         "nbands-above-fiber-size", "one-window", "one-size", "ids-one-cell-torus",
         "sandwich-one-cell-torus", "verify-all-zero-lam", "sandwich-auto-alpha0-zero-lam",
         "wegner-size-above-guard", "lifshitz-chain-above-guard", "reduce-scan-above-guard",
         "theorem1-scan-above-guard", "reduce-dense-size-above-guard", "theorem1-scan-on-d2",
+        "wegner-dense-audit-above-cutoff",
     ],
 )
 def test_cross_key_bounds_are_config_errors(tmp_path, capsys, kind, text, key):
@@ -608,7 +611,8 @@ def test_cross_key_bounds_are_config_errors(tmp_path, capsys, kind, text, key):
     wegner.n_list size, the lifshitz chain of 2 lifshitz.n + 1 sites, the
     configurations of the reduce and theorem1 scans and the dense operator
     of 2 reduce.n + 1 rows each reduce configuration is diagonalized as;
-    the theorem1 scan, which is d = 1 only, on a d = 2 model) are config
+    the theorem1 scan, which is d = 1 only, on a d = 2 model; a wegner size
+    above eigensolve.DENSE_CUTOFF rows when samples are audited dense) are config
     errors before any sample: one line, and only the manifest is left."""
     cfg_path = _write(tmp_path, f"{kind}.ini", text)
     assert main([kind, "--config", cfg_path, "--out", str(tmp_path / "run")]) == 2
@@ -817,19 +821,17 @@ def test_a_superlu_refusal_without_fallback_ends_the_run(tmp_path, monkeypatch, 
 
 
 def test_a_dense_spectrum_failure_ends_a_wegner_run(tmp_path, monkeypatch, capsys):
-    """A LAPACK failure in ``dense_levels`` ends a wegner run with exit 3 and
-    one stderr line naming the run and the chunk of the first sample."""
-    import displab.spectral_stats as ss
+    """A LAPACK failure in ``dense_levels`` (here the top merge's secular
+    root solver, on the first sample's 96 rows) ends a wegner run with exit 3
+    and one stderr line naming the run and the chunk of the first sample."""
+    import displab.eigensolve as es
 
-    def failed(matrix):
-        raise np.linalg.LinAlgError("dense_levels: LAPACK info 1")
-
-    monkeypatch.setattr(ss, "dense_levels", failed)
+    monkeypatch.setattr(es, "_merge_routines", failing_merge("dlaed4"))
     cfg_path = _write(tmp_path, "wegner.ini", WEGNER_TMPL)
     out = str(tmp_path / "run")
     assert main(["wegner", "--config", cfg_path, "--out", out]) == 3
     assert capsys.readouterr().err == (
-        "solver error in the wegner run: dense_levels: LAPACK info 1 "
+        "solver error in the wegner run: dense_levels: dlaed4 reports LAPACK info 1 "
         f"(in the chunk from n 1, sample 0 to n 1, sample 15); resume with --resume {out}\n"
     )
 

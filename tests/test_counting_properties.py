@@ -369,25 +369,85 @@ def test_superlu_and_dense_ldlt_count_the_same_sparse_operator(mat, seed):
         assert _in_band(got, levels, energies, scale)
 
 
+def _split_tridiagonal(n, seed):
+    """A random tridiagonal matrix with one or more exact zeros on its
+    off-diagonal: ``dsytrd`` keeps it, and ``dstedc`` splits it there."""
+    rng = np.random.default_rng(seed)
+    off = rng.uniform(-1.0, 1.0, n - 1)
+    off[rng.choice(n - 1, size=rng.integers(1, min(n, 4)), replace=False)] = 0.0
+    return sp.diags([off, rng.uniform(-1.0, 3.0, n), off], [-1, 0, 1], format="csr")
+
+
+# Sizes past dstedc's 25-row blocks: all but 50 2^k + 1 take dense_levels'
+# top-merge path; 51, 101 and 201, whose two halves dlaed0 halves a
+# different number of times, take dstevd.
+MERGE_SIZES = st.one_of(
+    st.sampled_from([26, 50, 51, 96, 101, 103, 160, 201, 205, 224, 260]), st.integers(26, 260)
+)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
 @given(
     st.one_of(
-        st.builds(
-            _dense, st.integers(1, 64), st.sampled_from(DENSE_VARIANTS),
-            st.integers(0, 2**32 - 1),
-        ),
+        st.builds(_dense, st.integers(1, 64), st.sampled_from(DENSE_VARIANTS), SEEDS),
+        st.builds(_dense, MERGE_SIZES, st.sampled_from(DENSE_VARIANTS), SEEDS),
         chains,
-    )
+        st.builds(_chain, MERGE_SIZES, st.sampled_from(VARIANTS), SEEDS),
+        st.builds(_split_tridiagonal, st.integers(2, 120), SEEDS),
+    ),
+    SEEDS,
 )
-def test_dense_levels_are_dsyevds_eigenvalues_bit_for_bit(mat):
-    """``dense_levels`` runs the first two of ``dsyevd``'s three stages, so
+def test_dense_levels_are_dsyevds_eigenvalues_bit_for_bit(mat, seed):
+    """``dense_levels`` runs ``dsyevd``'s own first two stages, the second
+    with the top merge cut short where it can be, so over the whole line
     its levels are those of ``dsyevd`` from the same LAPACK to the bit, and
     within 1e-12 relative of ``np.linalg.eigh``'s, which may link another
-    BLAS build."""
+    BLAS build.  Over a window [lo, hi] it gives the lowest level and then
+    exactly the others inside, closed ends included: random windows, one
+    whose ends are levels, one around a single level and the empty window
+    (-inf, -inf), which gives the lowest level alone."""
     a = mat.toarray() if sp.issparse(mat) else mat
     want, _, info = dsyevd(a, compute_v=1, lower=1)
     assert info == 0
-    got = es.dense_levels(sp.csr_matrix(mat))
+    csr = sp.csr_matrix(mat)
+    got = es.dense_levels(csr, -np.inf, np.inf)
     assert np.array_equal(got, want)
     np.testing.assert_allclose(
         got, np.linalg.eigh(a)[0], rtol=0.0, atol=1e-12 * np.max(np.abs(want))
     )
+    rng = np.random.default_rng(seed)
+    span = want[-1] - want[0] + 1.0
+    windows = [tuple(np.sort(rng.uniform(want[0] - 0.1 * span, want[-1] + 0.1 * span, 2))) for _ in range(3)]
+    windows.append(tuple(np.sort(rng.choice(want, 2))))
+    level = rng.choice(want)
+    windows += [(level - 1e-9 * span, level + 1e-9 * span), (-np.inf, -np.inf)]
+    for lo, hi in windows:
+        inside = (want >= lo) & (want <= hi)
+        inside[0] = True
+        assert np.array_equal(es.dense_levels(csr, lo, hi), want[inside]), (lo, hi)
+
+
+def test_dense_levels_cut_the_top_merge_short_where_dstedc_cuts_once(monkeypatch):
+    """The top-merge path serves exactly the tridiagonals that ``dstedc``
+    cuts once at the top into two halves of the same tree: more than 25
+    rows, no split and halves that ``dlaed0`` halves alike.  Every even size
+    has them, and so do the odd 103 and 205 (halves of 51 and 52 rows, 102
+    and 103, halved twice and three times); 51, 101 and 201 (25 and 26
+    rows, 50 and 51, 100 and 101) have not.  The rest go through ``dstevd``;
+    both give ``dsyevd``'s levels."""
+    calls = []
+    real = es._top_merge_levels
+    monkeypatch.setattr(es, "_top_merge_levels", lambda d, *a: calls.append(d.size) or real(d, *a))
+    cases = {n: _dense(n, "generic", n) for n in (25, 26, 51, 96, 101, 103, 160, 201, 205, 224)}
+    cases["split"] = _split_tridiagonal(96, 0)
+    # a tridiagonal whose coupling at the cut is just above dstedc's split
+    # and so weak that dlaed2 deflates every level of the top merge
+    rng = np.random.default_rng(1)
+    off, diag = rng.uniform(0.5, 1.0, 25), rng.uniform(1.0, 3.0, 26)
+    off[12], diag[12:14] = 5e-16, 1.0
+    cases["weak cut"] = sp.diags([off, diag, off], [-1, 0, 1], format="csr")
+    for mat in cases.values():
+        a = mat.toarray() if sp.issparse(mat) else mat
+        want = dsyevd(a, compute_v=1, lower=1)[0]
+        assert np.array_equal(es.dense_levels(sp.csr_matrix(mat), -np.inf, np.inf), want)
+    assert calls == [26, 96, 103, 160, 205, 224, 26]

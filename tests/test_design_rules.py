@@ -1,18 +1,21 @@
 """The design rules of the code, checked on one index of the tree.
 
-Ten rules keep the design in place: no private names shared between
+Eleven rules keep the design in place: no private names shared between
 modules, no threads, no unused imports and no ``__all__``, no class member
-that nothing reads, dense spectra only through ``eigensolve``, no idle or
-always-overridden default, ARPACK only in ``smallest_eigenpairs``,
-Monte-Carlo batches only in the CLI runners, no config key that no
-shipped config sets, and no ``DiagonalStack`` on a stencil that is not a
-``periodic_laplacian``.  Each rule is a function of the index that returns
-its violation lines, and each test asserts that the list is empty.
+that nothing reads, dense spectra only through ``eigensolve`` (but for the
+``eigvalsh`` calls named in KEPT_EIGVALSH), no idle or always-overridden
+default, ARPACK only in ``smallest_eigenpairs``, Monte-Carlo batches only
+in the CLI runners, no config key that no shipped config sets, no
+``DiagonalStack`` on a stencil that is not a ``periodic_laplacian``, and
+LAPACK by pointer only in ``eigensolve``.  Each rule is a function of the
+index that returns its violation lines, and each test asserts that the
+list is empty.
 
 Readers and callers are counted from ``src/`` and ``perfbench/`` only:
 tests are not readers or callers.  A rule that parses nothing passes, so
-every rule is also run on a small synthetic tree that keeps all ten, with
-one violation planted, and must give that violation's line and no other.
+every rule is also run on a small synthetic tree that keeps all eleven,
+with one violation planted, and must give that violation's line and no
+other.
 """
 
 import ast
@@ -33,6 +36,14 @@ ONLY_CHECKED = {
     "FieldScanReport.argmin_config": "the reference test compares the scan's minimizer with a full loop",
     "BandBottom.phi0": "the fiber ground state whose positivity and norm the Floquet tests check",
     "GradientLimitTable.decreasing": "the monotone gradient limit that acceptance criterion 5 asserts",
+}
+
+# The functions outside eigensolve that call eigvalsh, and the output whose
+# bits each call keeps: eigensolve's levels could differ in the last bits.
+KEPT_EIGVALSH = {
+    "reduced.ground_zero_iff_constant": "the reduced ground of each reduce-1d configuration in its CSV",
+    "reduced.sandwich_check": "the two gap eigenvalues that sandwich-1d writes",
+    "cli.run_verify_all": "the free-fiber exactness defect that verify-all writes",
 }
 
 # Config keys that no shipped config sets, and the kind of support or law
@@ -211,17 +222,35 @@ def unread_members(index):
 
 def dense_spectra_outside_eigensolve(index):
     """eigensolve.dense_levels gives eigh's eigenvalues without the vectors
-    and smallest_eigenpairs gives the pairs; no other module calls eigh."""
-    bad = []
+    and smallest_eigenpairs gives the pairs; no other module calls eigh or
+    eigvalsh, but for the functions in KEPT_EIGVALSH, whose eigvalsh bits a
+    run writes.  An entry whose function calls no eigvalsh is stale."""
+    bad, kept = [], set()
     for path, tree in index.modules.items():
-        if PurePosixPath(path).name == "eigensolve.py":
+        module = PurePosixPath(path).stem
+        if module == "eigensolve":
             continue
+        owner = {}  # node -> the innermost function that holds it
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(node), f"{module}.{fn.name}") for node in ast.walk(fn))
         for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and node.attr == "eigh":
-                bad.append(f"{path}:{node.lineno} calls {ast.unparse(node)}")
-            elif isinstance(node, ast.ImportFrom) and any(a.name == "eigh" for a in node.names):
-                bad.append(f"{path}:{node.lineno} imports eigh from {node.module}")
-    return bad
+            if isinstance(node, ast.Attribute) and node.attr in ("eigh", "eigvalsh"):
+                where = owner.get(id(node))
+                if node.attr == "eigvalsh" and where in KEPT_EIGVALSH:
+                    kept.add(where)
+                else:
+                    bad.append(f"{path}:{node.lineno} calls {ast.unparse(node)}")
+            elif isinstance(node, ast.ImportFrom):
+                bad += [
+                    f"{path}:{node.lineno} imports {a.name} from {node.module}"
+                    for a in node.names
+                    if a.name in ("eigh", "eigvalsh")
+                ]
+    return bad + [
+        f"{where} is in KEPT_EIGVALSH but calls no eigvalsh, or is gone"
+        for where in sorted(set(KEPT_EIGVALSH) - kept)
+    ]
 
 
 def idle_defaults(index):
@@ -368,6 +397,34 @@ def stacks_off_the_laplacian(index):
     return bad
 
 
+def lapack_pointers_outside_eigensolve(index):
+    """LAPACK routines that SciPy exports only by pointer (the capsules of
+    scipy.linalg.cython_lapack's __pyx_capi__, opened with ctypes'
+    PyCapsule_* calls) are bound in eigensolve alone, where the bit-for-bit
+    tests of dense_levels cover them, as ARPACK serves smallest_eigenpairs
+    alone.  One line per source line that names any of them."""
+    bad = {}
+    for path, tree in index.modules.items():
+        if PurePosixPath(path).name == "eigensolve.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names = [node.value]
+            else:
+                continue
+            for name in names:
+                parts = name.split(".")
+                if "cython_lapack" in parts or "__pyx_capi__" in parts or name.startswith("PyCapsule_"):
+                    bad.setdefault((path, node.lineno), f"{path}:{node.lineno} reaches LAPACK by pointer ({name})")
+    return [bad[key] for key in sorted(bad)]
+
+
 RULES = [
     private_imports,
     thread_imports,
@@ -379,6 +436,7 @@ RULES = [
     batches_outside_runners,
     unset_config_keys,
     stacks_off_the_laplacian,
+    lapack_pointers_outside_eigensolve,
 ]
 
 
@@ -398,12 +456,12 @@ def test_the_code_keeps_the_rule(index, rule):
 # -- each rule names a planted violation --------------------------------------
 
 # A tree that keeps every rule: eigensolve with its dense and ARPACK
-# solvers, a runner that calls a batch function, the members that only tests
-# read, stacks on a periodic_laplacian in both forms, a perfbench script
-# that calls the runner with and without its default, and one shipped config
-# that sets every key but the unshipped ones.
-CLEAN_SOURCES = {
-    "src/displab/eigensolve.py": """\
+# solvers and a LAPACK routine bound by pointer, a runner that calls a batch
+# function, the members that only tests read, the eigvalsh calls of
+# KEPT_EIGVALSH, stacks on a periodic_laplacian in both forms, a perfbench
+# script that calls the runner with and without its default, and one
+# shipped config that sets every key but the unshipped ones.
+SOLVERS = """\
 import numpy as np
 import scipy.sparse.linalg as spla
 
@@ -414,6 +472,18 @@ def dense_levels(a):
 
 def smallest_eigenpairs(a, k):
     return spla.eigsh(a, k)
+"""
+CLEAN_SOURCES = {
+    "src/displab/eigensolve.py": SOLVERS + """
+
+def routine(name):
+    import ctypes
+
+    from scipy.linalg import cython_lapack
+
+    capsule = cython_lapack.__pyx_capi__[name]
+    get = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object)(("PyCapsule_GetPointer", ctypes.pythonapi))
+    return get(capsule)
 """,
     "src/displab/spectral_stats.py": """\
 def count_rows(family, seed):
@@ -426,6 +496,12 @@ from .spectral_stats import count_rows
 
 def run_ids(cfg, seed=0):
     return dense_levels(count_rows(cfg, seed))
+
+
+def run_verify_all(cfg):
+    import numpy as np
+
+    return np.linalg.eigvalsh(cfg)
 """,
     "src/displab/checked.py": """\
 class SupportSet:
@@ -447,6 +523,8 @@ class GradientLimitTable:
         return True
 """,
     "src/displab/reduced.py": """\
+import numpy as np
+
 from .discretize import DiagonalStack, periodic_laplacian
 
 
@@ -457,6 +535,14 @@ def build_reduced(d, side, diags):
 
 def assemble(d, side, diags):
     return DiagonalStack(*periodic_laplacian(d, side, 1.0), diags)
+
+
+def ground_zero_iff_constant(model):
+    return np.linalg.eigvalsh(model)[0]
+
+
+def sandwich_check(low, up):
+    return np.linalg.eigvalsh(low)[0], np.linalg.eigvalsh(up)[0]
 """,
     "perfbench/run.py": """\
 from displab.cli import run_ids
@@ -513,6 +599,22 @@ PLANTED = [
         "src/displab/floquet.py:5 calls scipy.linalg.eigh",
     ),
     (
+        dense_spectra_outside_eigensolve,
+        {"src/displab/floquet.py": "import numpy as np\n\n\ndef levels(a):\n    return np.linalg.eigvalsh(a)\n"},
+        (),
+        "src/displab/floquet.py:5 calls np.linalg.eigvalsh",
+    ),
+    (
+        dense_spectra_outside_eigensolve,
+        {
+            "src/displab/cli.py": CLEAN_SOURCES["src/displab/cli.py"].replace(
+                "np.linalg.eigvalsh(cfg)", "np.sort(cfg)"
+            )
+        },
+        (),
+        "cli.run_verify_all is in KEPT_EIGVALSH but calls no eigvalsh, or is gone",
+    ),
+    (
         idle_defaults,
         {"perfbench/run.py": "from displab.cli import run_ids\n\nrun_ids({})\n"},
         (),
@@ -527,8 +629,7 @@ PLANTED = [
     (
         arpack_outside_smallest_eigenpairs,
         {
-            "src/displab/eigensolve.py": CLEAN_SOURCES["src/displab/eigensolve.py"]
-            + "\n\ndef ritz(a):\n    return spla.eigsh(a, 1)\n"
+            "src/displab/eigensolve.py": SOLVERS + "\n\ndef ritz(a):\n    return spla.eigsh(a, 1)\n"
         },
         (),
         "src/displab/eigensolve.py:14 uses spla.eigsh",
@@ -575,6 +676,12 @@ PLANTED = [
         (),
         "src/displab/reduced.py:11 builds a DiagonalStack on lap, "
         "not on a periodic_laplacian of the same function",
+    ),
+    (
+        lapack_pointers_outside_eigensolve,
+        {"src/displab/floquet.py": "import ctypes\n\nGET = ctypes.pythonapi.PyCapsule_GetPointer\n"},
+        (),
+        "src/displab/floquet.py:3 reaches LAPACK by pointer (PyCapsule_GetPointer)",
     ),
 ]
 

@@ -19,7 +19,7 @@ from displab.discretize import (
 import displab.eigensolve as es
 from displab.eigensolve import count_below_stack, ground_bisect, smallest_eigenpairs
 from displab.potentials import periodic_family, single_site_family
-from conftest import prepared, prepared_counts
+from conftest import failing_merge, prepared, prepared_counts
 
 rng = np.random.default_rng(12345)
 
@@ -41,22 +41,41 @@ def test_dense_smallest_matches_eigh():
 def test_dense_levels_of_one_and_two_rows():
     """N = 1 skips the tridiagonal solver, whose wrapper refuses an empty
     off-diagonal."""
-    assert es.dense_levels(sp.csr_matrix([[3.0]])).tolist() == [3.0]
+    inf = np.inf
+    assert es.dense_levels(sp.csr_matrix([[3.0]]), -inf, inf).tolist() == [3.0]
+    assert es.dense_levels(sp.csr_matrix([[3.0]]), -inf, -inf).tolist() == [3.0]
     two = sp.csr_matrix([[2.0, 1.0], [1.0, 2.0]])
-    assert np.allclose(es.dense_levels(two), [1.0, 3.0], rtol=0.0, atol=4 * es._EPS)
+    assert np.allclose(es.dense_levels(two, -inf, inf), [1.0, 3.0], rtol=0.0, atol=4 * es._EPS)
+    assert np.allclose(es.dense_levels(two, 2.0, 4.0), [1.0, 3.0], rtol=0.0, atol=4 * es._EPS)
+    assert np.allclose(es.dense_levels(two, -inf, -inf), [1.0], rtol=0.0, atol=4 * es._EPS)
 
 
 @pytest.mark.parametrize("stage", ["dsytrd", "dstevd"])
 def test_dense_levels_raises_when_lapack_reports_a_failure(monkeypatch, stage):
     real = getattr(es, stage)
     monkeypatch.setattr(es, stage, lambda *a, **k: (*real(*a, **k)[:-1], 1))
-    with pytest.raises(np.linalg.LinAlgError, match="LAPACK info 1"):
-        es.dense_levels(sp.csr_matrix(_random_sym(5)))
+    with pytest.raises(np.linalg.LinAlgError, match=f"{stage} reports LAPACK info 1"):
+        es.dense_levels(sp.csr_matrix(_random_sym(5)), -np.inf, np.inf)
+
+
+@pytest.mark.parametrize("routine", ["dlaed0", "dlaed2", "dlaed4"])
+def test_the_top_merge_raises_when_lapack_reports_a_failure(monkeypatch, routine):
+    """A failure that ``dlaed0`` (either half), ``dlaed2`` or ``dlaed4``
+    reports on the top-merge path (96 rows) is a ``LinAlgError`` naming the
+    routine, as ``dstevd``'s is."""
+    mat = sp.csr_matrix(_random_sym(96))
+    calls = []
+    real = es._top_merge_levels
+    monkeypatch.setattr(es, "_top_merge_levels", lambda *a: calls.append(1) or real(*a))
+    monkeypatch.setattr(es, "_merge_routines", failing_merge(routine))
+    with pytest.raises(np.linalg.LinAlgError, match=f"dense_levels: {routine} reports LAPACK info 1"):
+        es.dense_levels(mat, -np.inf, np.inf)
+    assert calls == [1]
 
 
 def test_dense_levels_refuses_complex_input():
     with pytest.raises(ValueError, match="real symmetric"):
-        es.dense_levels(sp.csr_matrix([[1.0, 1j], [-1j, 1.0]]))
+        es.dense_levels(sp.csr_matrix([[1.0, 1j], [-1j, 1.0]]), -np.inf, np.inf)
 
 
 def test_arpack_agrees_with_dense():
