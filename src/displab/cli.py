@@ -65,6 +65,7 @@ from .reduced import (
 )
 from .spectral_stats import (
     ContinuumFamily,
+    FitError,
     IDSCurve,
     IDSSandwichReport,
     ReducedFamily,
@@ -798,30 +799,39 @@ def run_lifshitz(
     )
     # ground_bisect returns ground_hi itself for a sample with no level below it.
     missed = int(np.sum(grounds >= ground_hi))
-    fit = lifshitz_fit(energies, vals, e_bottom=e_hat)
+    lines = [
+        f"finite-volume bottom estimate: {fmt(e_hat)} (deterministic bottom: 0.0)",
+        f"sampled ground levels: min {fmt(float(grounds.min()))} se {fmt(ground_se)}",
+    ]
+    try:
+        fit = lifshitz_fit(energies, vals, e_bottom=e_hat)
+    except FitError as err:  # no fit: its columns are NaN and the run fails
+        fitted, tail = [math.nan] * 6, False
+        lines.append(f"no fit: {err}")
+    else:
+        fitted = [
+            fit.slope, fit.intercept, fit.rms_residual, fit.half_window_slope,
+            fit.n_points, fit.no_tail,
+        ]
+        tail = not fit.no_tail
+        lines[:0] = [
+            f"tail fit over {fit.n_points} points: slope {fmt(fit.slope)}",
+            f"half-window slope: {fmt(fit.half_window_slope)}",
+        ]
+        lines.append(f"doubly-log tail visible: {fmt(tail)}")
     write_csv(
         rd.file("fit.csv"),
         [
             "slope", "intercept", "rms_residual", "half_window_slope", "n_points",
             "no_tail", "e_bottom_used", "e_bottom_deterministic", "ground_min", "ground_se",
         ],
-        [[
-            fit.slope, fit.intercept, fit.rms_residual, fit.half_window_slope,
-            fit.n_points, fit.no_tail, e_hat, 0.0, float(grounds.min()), ground_se,
-        ]],
+        [fitted + [e_hat, 0.0, float(grounds.min()), ground_se]],
     )
-    lines = [
-        f"tail fit over {fit.n_points} points: slope {fmt(fit.slope)}",
-        f"half-window slope: {fmt(fit.half_window_slope)}",
-        f"finite-volume bottom estimate: {fmt(e_hat)} (deterministic bottom: 0.0)",
-        f"sampled ground levels: min {fmt(float(grounds.min()))} se {fmt(ground_se)}",
-        f"doubly-log tail visible: {fmt(not fit.no_tail)}",
-    ]
     if missed:
         lines.append(
             f"no level below lifshitz.ground_hi = {fmt(ground_hi)} in {missed} of {n_samples} samples"
         )
-    return rd.finish(lines, ok=not fit.no_tail and not missed)
+    return rd.finish(lines, ok=tail and not missed)
 
 
 def run_wegner(

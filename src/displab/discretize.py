@@ -171,13 +171,12 @@ class DiagonalStack:
     """The operators ``scale * stencil + diag(diags[k])``, one per row of ``diags``.
 
     ``stencil``, ``slots`` and ``up`` are a ``periodic_laplacian`` shared
-    read-only, so the stencil is exactly symmetric and canonical with every
-    diagonal entry stored, and so is each operator: counting trusts this and
-    never tests for it.  ``stack[k]`` builds operator k with
-    ``plus_diagonal``, on the stencil's pattern.  ``data()`` writes every
-    diagonal into one stacked copy of the stencil's data; ``norms()`` and
-    ``chains()`` read what counting needs off the operators' data without
-    building any operator.
+    read-only, so the stencil is exactly symmetric, canonical and finite with
+    every diagonal entry stored, and so is each operator: counting trusts
+    this and never tests for it.  A non-finite diagonal or ``scale`` is a
+    ``ValueError`` that names the operator.  ``stack[k]`` builds operator k
+    with ``plus_diagonal``, on the stencil's pattern; ``norms()`` and
+    ``chains()`` read what counting needs without building any operator.
     """
 
     stencil: sp.csr_matrix
@@ -185,6 +184,16 @@ class DiagonalStack:
     up: np.ndarray | None
     diags: np.ndarray
     scale: float = 1.0
+
+    def __post_init__(self):
+        if not np.isfinite(self.scale):
+            raise ValueError(f"DiagonalStack scale must be finite, got {float(self.scale)}")
+        if not np.all(np.isfinite(self.diags)):
+            k, i = np.argwhere(~np.isfinite(self.diags))[0]
+            raise ValueError(
+                f"DiagonalStack operator {k} has a non-finite diagonal entry "
+                f"{float(self.diags[k, i])} at site {i}"
+            )
 
     @property
     def shape(self):
@@ -200,13 +209,6 @@ class DiagonalStack:
 
     def __getitem__(self, k):
         return plus_diagonal(self.stencil, self.slots, self.diags[k], self.scale)
-
-    def data(self):
-        """(K, nnz): row k is the CSR data of ``self[k]``."""
-        data = np.empty((len(self), self.stencil.nnz))
-        data[:] = self.scale * self.stencil.data
-        data[:, self.slots] += self.diags
-        return data
 
     def norms(self):
         """The largest absolute row sum, ``abs(self[k]).sum(axis=1).max()``,
@@ -229,19 +231,17 @@ class DiagonalStack:
         return norms
 
     def chains(self):
-        """The periodic-chain form ``(a, b)`` of each operator, or None: a
-        list of K.
+        """The periodic-chain form ``(a, b)`` of the stack on a ring, else None.
 
-        ``a[i] = A[i, i]`` and ``b[i] = A[i, i + 1 mod N]``, so ``b[N - 1]``
-        is the corner A[N - 1, 0]; both are read off ``data()`` at ``slots``
-        and ``up``.  Every operator on a torus of d >= 2, and one with a
-        non-finite entry, has None.
+        ``a`` is (K, N), ``a[k, i] = A_k[i, i]``, and ``b`` is the (N,)
+        coupling vector every operator shares, ``b[i] = A[i, i + 1 mod N]``,
+        so ``b[N - 1]`` is the corner A[N - 1, 0]; both have the bits of the
+        operators' data at ``slots`` and ``up``.  A torus of d >= 2 has None.
         """
         if self.up is None:
-            return [None] * len(self)
-        data = self.data()
-        finite = np.all(np.isfinite(data), axis=1)
-        return [(row[self.slots], row[self.up]) if ok else None for row, ok in zip(data, finite)]
+            return None
+        base = self.scale * self.stencil.data
+        return base[self.slots] + self.diags, base[self.up]
 
 
 def assemble_periodic(p, q, lam, field, grid):

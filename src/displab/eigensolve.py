@@ -24,7 +24,7 @@ from __future__ import annotations
 import ctypes
 import functools
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -355,31 +355,10 @@ def _sparse_inertia(shifted, scale):
     return int(np.sum(diag < 0.0)), lu
 
 
-class _Operator(NamedTuple):
-    """One operator as the per-operator counting paths read it.
-
-    ``matrix()`` builds its CSR matrix, which a path asks for only where it
-    factors, certifies or diagonalizes; ``slots`` are where that matrix
-    stores its diagonal, ``norm`` is its largest absolute row sum and
-    ``chain`` its periodic-chain form ``(a, b)``, or None.
-    """
-
-    matrix: Callable[[], sp.csr_matrix]
-    slots: np.ndarray
-    norm: float
-    chain: tuple | None
-
-
-def _operators(stack):
-    """The ``_Operator`` of each operator of a ``discretize.DiagonalStack``,
-    with the norms and chain forms the stack reads off its data; any other
-    type is a ``TypeError`` that names it.  No CSR matrix is built here."""
+def _require_stack(stack):
+    """A ``TypeError`` that names the type of anything but a ``DiagonalStack``."""
     if not isinstance(stack, DiagonalStack):
         raise TypeError(f"counting takes a discretize.DiagonalStack, not {type(stack).__name__}")
-    return [
-        _Operator(functools.partial(stack.__getitem__, k), stack.slots, float(norm), chain)
-        for k, (norm, chain) in enumerate(zip(stack.norms(), stack.chains()))
-    ]
 
 
 def count_below_stack(stack, energies):
@@ -391,9 +370,10 @@ def count_below_stack(stack, energies):
     2-d one, like a non-finite threshold, raises ``ValueError`` before any
     factorization.  Counts are exact integers by Sylvester inertia.
 
-    An operator on a ring (every d = 1 stack) is a periodic chain, read off
-    the stack without building its matrix (``DiagonalStack.chains``); all
-    thresholds of all its chains are counted in one cyclic LDL^T sweep
+    The operators of a ring stack (every d = 1 stack) are periodic chains
+    that share their couplings and differ only in their diagonal, read off
+    the stack without building any matrix (``DiagonalStack.chains``); all
+    thresholds of all K chains are counted in one cyclic LDL^T sweep
     vectorized over (operator, threshold) pairs (``_chain_counts``).  The
     sweep settles a threshold only when it counts the same 1e-13 * scale
     below it and 2e-8 * scale above it, with no pivot within 1e-13 * scale
@@ -442,38 +422,41 @@ def count_below_stack(stack, energies):
         )
     if not np.all(np.isfinite(thresholds)):
         raise ValueError(f"count_below_stack threshold must be finite, got {energies!r}")
-    return _count(_operators(stack), thresholds)
+    _require_stack(stack)
+    norms, chains = stack.norms(), stack.chains()
+    counts = np.full((len(stack), thresholds.size), -1)
+    if chains is not None and counts.size:
+        counts[:] = _chain_counts(*chains, norms, thresholds)
+    for k, row in enumerate(counts):
+        _count_rest(stack, k, float(norms[k]), row, thresholds)
+    return counts
 
 
-def _count(ops, energies):
-    """``count_below_stack`` of the ``_Operator`` records ``ops``."""
-    rows, chains = [], {}
-    for op in ops:
-        rows.append(np.full(energies.size, -1))
-        if op.chain is not None and energies.size:
-            chains.setdefault(op.chain[0].size, []).append((op, rows[-1]))
-        else:
-            _count_rest(op, rows[-1], energies)
-    for group in chains.values():
-        swept = _chain_counts([op for op, _ in group], energies)
-        for (op, row), counts in zip(group, swept):
-            row[:] = counts
-            _count_rest(op, row, energies)
-    return np.array(rows, dtype=int).reshape(len(rows), energies.size)
-
-
-def _count_rest(op, row, energies):
-    """Fill the entries of ``row`` still -1: by the Ritz route, else one
-    factorization per threshold; the operator's matrix is built only here."""
+def _count_rest(stack, k, norm, row, energies):
+    """Fill the entries of ``row`` still -1 with operator k's counts: by the
+    Ritz route, else one factorization per threshold.  ``norm`` is the
+    operator's; its matrix is built only here, and dropped after."""
     todo = np.flatnonzero(row < 0)
     if todo.size:
-        mat = op.matrix()
-        count_one = _threshold_counter(mat, op.slots, op.norm)
+        mat = stack[k]
+        count_one = _threshold_counter(mat, stack.slots, norm)
         if todo.size > 1 and mat.shape[0] > COUNT_DENSE_CUTOFF:
-            row[todo] = _ritz_counts(mat, op.norm, count_one, energies[todo])
+            row[todo] = _ritz_counts(mat, norm, count_one, energies[todo])
             _trim_heap()
-        for k in np.flatnonzero(row < 0):
-            row[k] = count_one(float(energies[k]))[0]
+        for t in np.flatnonzero(row < 0):
+            row[t] = count_one(float(energies[t]))[0]
+
+
+def _settle_bracket(energies, norm):
+    """``(lower, upper)``: the bracket [E - 1e-13 * scale, E + 2e-8 * scale]
+    of each threshold E, scale = max(1, norm, |E|).
+
+    The per-threshold count gives the count at E, or after a zero pivot the
+    count at E nudged up by at most 1e-8 * scale; a count that holds all
+    through the bracket is therefore every answer that count could give.
+    """
+    scale = np.maximum(np.maximum(1.0, norm), np.abs(energies))
+    return energies - _ZERO_PIVOT * scale, energies + 2.0 * _TIE_NUDGES[-1] * scale
 
 
 def _threshold_counter(mat, slots, norm):
@@ -540,9 +523,7 @@ def _ritz_counts(mat, norm, count_one, energies):
     counts[energies == top] = count
     if lu is None or count > RITZ_CAP:
         return counts
-    scale = np.maximum(max(1.0, norm), np.abs(energies))
-    lo = energies - _ZERO_PIVOT * scale
-    hi = energies + 2.0 * _TIE_NUDGES[-1] * scale
+    lo, hi = _settle_bracket(energies, norm)
     pending = (counts < 0) & (hi < shift)
     if count == 0:  # nothing below E': no interval to meet
         counts[pending] = 0
@@ -694,30 +675,18 @@ def _sparse_shift(mat, slots):
     return shifted
 
 
-def _chain_counts(ops, energies):
-    """Counts below every E for chains of one size; -1 where the per-threshold path decides.
+def _chain_counts(diags, couplings, norms, energies):
+    """Counts below every E for each chain of a ring stack; -1 where the
+    per-threshold path decides.
 
-    The per-threshold count gives the count at E, or after a zero pivot the
-    count at E nudged up by at most 1e-8 * scale.  The sweep therefore
-    settles E only when it counts the same at E - 1e-13 * scale and at
-    E + 2e-8 * scale: no eigenvalue lies between, and every answer the
-    per-threshold count could give is that count.
+    ``diags`` (K, N), ``couplings`` (N,) and ``norms`` (K,) are the stack's.
+    The sweep settles E only when it counts the same at both ends of E's
+    bracket (``_settle_bracket``): no eigenvalue lies between, and every
+    answer the per-threshold count could give is that count.
     """
-    brackets = []
-    for op in ops:
-        scale = np.maximum(max(1.0, op.norm), np.abs(energies))
-        brackets.append(
-            np.concatenate(
-                [energies - _ZERO_PIVOT * scale, energies + 2.0 * _TIE_NUDGES[-1] * scale]
-            )
-        )
-    neg = _chain_sweep(
-        np.column_stack([op.chain[0] for op in ops]),
-        np.column_stack([op.chain[1] for op in ops]),
-        np.array(brackets),
-        np.array([op.norm for op in ops]),
-    )
-    lower, upper = neg.reshape(len(ops), 2, -1).transpose(1, 0, 2)
+    lower, upper = _settle_bracket(energies, norms[:, None])
+    neg = _chain_sweep(diags.T, couplings, np.concatenate([lower, upper], axis=1), norms)
+    lower, upper = neg.reshape(len(norms), 2, -1).transpose(1, 0, 2)
     return np.where((lower >= 0) & (lower == upper), lower, -1)
 
 
@@ -727,13 +696,15 @@ _SWEEP_CELLS = 1 << 15  # float64 entries per working array of one sweep block
 def _chain_sweep(diag, off, energies, norms):
     """Negative pivots of the cyclic LDL^T of A_p - E for every column; -1 where flagged.
 
-    ``diag`` and ``off`` are (N, P): column p holds the ``(a, b)`` of chain
-    p.  ``energies`` is (P, C), chain p's thresholds, and ``norms`` (P,);
-    the result is (P, C).  Rows 0..N-2 form a tridiagonal block with pivots
-    d_i = (a_i - E) - b_{i-1}^2 / d_{i-1}.  The corner c = b_{N-1} fills the
-    last column: u_0 = c, u_i = c * prod_{j<i} (-b_j / d_j), and u_{N-2}
-    also holds b_{N-2}.  The last pivot is (a_{N-1} - E) - sum_i u_i^2 / d_i,
-    with the rounding bound derived in ``_last_pivot``.
+    ``diag`` is (N, P), column p the diagonal a of chain p, and ``off`` the
+    (N,) couplings b that every chain shares.  ``energies`` is (P, C), chain
+    p's thresholds, and ``norms`` (P,); the result is (P, C).  Rows 0..N-2
+    form a tridiagonal block with pivots
+    d_i = (a_i - E) - b_{i-1}^2 / d_{i-1}.  The corner c = b_{N-1} fills
+    the last column: u_0 = c, u_i = c * prod_{j<i} (-b_j / d_j), and
+    u_{N-2} also holds b_{N-2}.  The last pivot is
+    (a_{N-1} - E) - sum_i u_i^2 / d_i, with the rounding bound derived in
+    ``_last_pivot``.
 
     The rows go in blocks of about _SWEEP_CELLS / (P C), carrying the last
     pivot, the running product and the two running sums from block to block,
@@ -749,13 +720,10 @@ def _chain_sweep(diag, off, energies, norms):
     zero = _ZERO_PIVOT * np.maximum(np.maximum(1.0, norms)[:, None], np.abs(energies))
     zero = zero.reshape(width)
 
-    def per_column(values):
-        return np.repeat(values, energies.shape[1])
-
     # c**2 as a NumPy scalar power, as _last_pivot takes it: the array
     # square can differ in the last bit.
-    corner2 = per_column(np.array([c**2 for c in off[n - 1]]))
-    corner, tail = per_column(off[n - 1]), per_column(off[n - 2])
+    corner, tail = off[n - 1], off[n - 2]
+    corner2 = corner**2
     b2, neg_off = off**2, -off
     piv, coupling, prod, term, size = (np.empty((rows + 1, width)) for _ in range(5))
     piv_rows, coupling_rows, quotient = list(piv), list(coupling), np.empty(width)
@@ -768,9 +736,7 @@ def _chain_sweep(diag, off, energies, norms):
                 piv[0] = piv[rows]
             block = piv[1 : m + 1]
             np.subtract(diag[lo:hi, :, None], energies, out=block.reshape(m, n_ops, -1))
-            np.copyto(
-                coupling[skip:m].reshape(m - skip, n_ops, -1), b2[lo + skip - 1 : hi - 1, :, None]
-            )
+            np.copyto(coupling[skip:m], b2[lo + skip - 1 : hi - 1, None])
             for j in range(skip, m):
                 np.divide(coupling_rows[j], piv_rows[j], out=quotient)
                 np.subtract(piv_rows[j + 1], quotient, out=piv_rows[j + 1])
@@ -782,11 +748,7 @@ def _chain_sweep(diag, off, energies, norms):
             # fill rows r < N - 2: prod[k] = prod_{j < lo + k} (-b_j / d_j)
             mf = min(hi, n - 2) - lo
             if mf > 0:
-                np.divide(
-                    neg_off[lo : lo + mf, :, None],
-                    block[:mf].reshape(mf, n_ops, -1),
-                    out=prod[1 : mf + 1].reshape(mf, n_ops, -1),
-                )
+                np.divide(neg_off[lo : lo + mf, None], block[:mf], out=prod[1 : mf + 1])
                 running = prod[skip : mf + 1]
                 np.multiply.accumulate(running, axis=0, out=running)
                 # terms u_r^2 / d_r for 1 <= r < N - 2, u_r = c * prod[r - lo]
@@ -803,7 +765,7 @@ def _chain_sweep(diag, off, energies, norms):
         last_piv = piv[m]
         fill_last = prod[0] * corner
         u_tail = fill_last + tail
-        size_tail = np.abs(fill_last) + np.abs(tail)
+        size_tail = np.abs(fill_last) + abs(tail)
         signed, absolute = (term[0], size[0]) if n > 3 else (np.zeros(width),) * 2
         shifted_last = (diag[n - 1, :, None] - energies).reshape(width)
         signed = corner2 / first + signed + u_tail**2 / last_piv
@@ -831,17 +793,20 @@ def ground_bisect(stack, hi):
     steps those leave open.  An operator's matrix is built at the first
     step the count takes, if any.
     """
-    return [_ground(op, hi) for op in _operators(stack)]
+    _require_stack(stack)
+    chains = stack.chains()
+    return [_ground(stack, k, norm, chains, hi) for k, norm in enumerate(stack.norms().tolist())]
 
 
-def _ground(op, hi):
-    """``ground_bisect`` of the ``_Operator`` record ``op``."""
-    count_one = functools.cache(lambda: _threshold_counter(op.matrix(), op.slots, op.norm))
-    heads = None if op.chain is None else _ChainHeads.of(*op.chain)
+def _ground(stack, k, norm, chains, hi):
+    """``ground_bisect`` of operator k, whose norm is ``norm``; ``chains`` is
+    the stack's chain form, or None."""
+    heads = None if chains is None else _ChainHeads.of(chains[0][k], chains[1])
+    count_one = functools.cache(lambda: _threshold_counter(stack[k], stack.slots, norm))
 
     def below(e):
         if heads is not None:
-            found = _chain_has_level_below(heads, e, max(1.0, op.norm, abs(e)))
+            found = _chain_has_level_below(heads, e, max(1.0, norm, abs(e)))
             if found is not None:
                 return found
         return count_one()(e)[0] > 0

@@ -187,6 +187,11 @@ def lifshitz_rows(family, master_seed, samples, energies, ground_hi):
     return ground_bisect(stack, ground_hi), count_below_stack(stack, energies)
 
 
+class FitError(ValueError):
+    """The data cannot fix a fit: too few usable points for the tail fit, or
+    proximity cells that do not fix the three coefficients of the joint fit."""
+
+
 @dataclass(frozen=True)
 class LifshitzFit:
     """Least-squares line through log|log(N - N0)| vs log(E - E0).
@@ -205,12 +210,18 @@ class LifshitzFit:
 
 
 def lifshitz_fit(energies, values, e_bottom):
+    """The ``LifshitzFit`` through the usable points: E above ``e_bottom``
+    with 0 < N(E) < 1.  Fewer than 3 of them is a ``FitError`` that says how
+    many there are."""
     energies = np.asarray(energies, dtype=float)
     values = np.asarray(values, dtype=float)
     rel = energies - e_bottom
     mask = (rel > 0) & (values > 0) & (values < 1.0)
     if int(mask.sum()) < 3:
-        raise ValueError("fewer than 3 usable points for the tail fit")
+        raise FitError(
+            f"{int(mask.sum())} of {energies.size} energies lie above the bottom estimate "
+            "with 0 < N(E) < 1; the tail fit needs 3"
+        )
     x = np.log(rel[mask])
     y = np.log(-np.log(values[mask]))
     slope, intercept = np.polyfit(x, y, 1)
@@ -279,10 +290,6 @@ class WegnerReport:
     def fitted(self):
         """Whether the informative cells gave the exponents (see ``_fit_loglog``)."""
         return bool(np.isfinite(self.nu_hat))
-
-
-class FitError(ValueError):
-    """The proximity cells cannot fix the three coefficients of the joint fit."""
 
 
 def _informative(records):

@@ -1,16 +1,17 @@
 """Terminal reporting for the acceptance gate: one verdict line per criterion,
 the one Hypothesis profile of the property tests, ``prepared`` and
 ``prepared_counts``, the tests' way from a sparse matrix that no stencil
-gives to the per-operator counting paths that ``count_below_stack`` and
-``ground_bisect`` drive, and ``failing_merge``, which makes one LAPACK
-routine of ``dense_levels``' top-merge path report a failure."""
+gives to ``count_below_stack`` and ``ground_bisect``, and ``failing_merge``,
+which makes one LAPACK routine of ``dense_levels``' top-merge path report a
+failure."""
 
 import re
 
 import numpy as np
 
 import displab.eigensolve as es
-from displab.discretize import diagonal_slots
+from displab.discretize import DiagonalStack, diagonal_slots
+from displab.eigensolve import count_below_stack
 
 try:
     from hypothesis import settings
@@ -26,17 +27,16 @@ else:
 
 
 def prepared(mat, chain=True):
-    """The record the per-operator counting paths read (``eigensolve._Operator``)
-    for a sparse matrix: its arrays are those of ``mat``, bit for bit.
+    """The one-operator ``DiagonalStack`` whose stencil is the sparse matrix
+    ``mat``: its operator has the arrays of ``mat``, bit for bit.
 
     Counting trusts a stencil's contract, so ``mat`` must keep it: a real
     canonical CSR matrix, exactly symmetric, that stores every diagonal
-    entry; any other is a ``ValueError``.  The norm is SciPy's
-    ``abs(mat).sum(axis=1).max()``.  The chain form is what SciPy reads off
-    ``mat`` -- ``mat.diagonal()`` and the (i, i + 1 mod N) entries -- when
-    ``chain`` is true, the entries are finite and ``mat`` is a periodic chain
-    (N >= 3, entries only at (i, i) and (i, i +- 1 mod N)); else None, which
-    sends every threshold to the per-threshold factorization.
+    entry; any other is a ``ValueError``.  The stack is on a ring -- counted
+    by the chain paths -- when ``chain`` is true and ``mat`` is a periodic
+    chain (N >= 3, entries only at (i, i) and (i, i +- 1 mod N)) that stores
+    every (i, i + 1 mod N) entry; otherwise every threshold takes the
+    per-threshold factorization.
     """
     mat = mat.tocsr()
     if not mat.has_canonical_format or np.iscomplexobj(mat) or (mat != mat.T).nnz:
@@ -44,18 +44,15 @@ def prepared(mat, chain=True):
     slots = diagonal_slots(mat)  # a ValueError unless every diagonal entry is stored
     n = mat.shape[0]
     rows = np.repeat(np.arange(n), np.diff(mat.indptr))
-    ring = n >= 3 and np.all(np.isin((mat.indices - rows) % n, (0, 1, n - 1)))
-    form = None
-    if chain and ring and np.all(np.isfinite(mat.data)):
-        up = np.asarray(mat[np.arange(n), (np.arange(n) + 1) % n]).ravel()
-        form = (mat.diagonal(), up)
-    return es._Operator(lambda: mat, slots, float(abs(mat).sum(axis=1).max()), form)
+    up = np.flatnonzero(mat.indices == (rows + 1) % n)
+    ring = n >= 3 and up.size == n and np.all(np.isin((mat.indices - rows) % n, (0, 1, n - 1)))
+    return DiagonalStack(mat, slots, up if chain and ring else None, np.zeros((1, n)))
 
 
-def prepared_counts(ops, energies):
-    """Counts of the ``prepared`` operators ``ops`` below ``energies``: a (K, T)
-    int array from the layer ``count_below_stack`` drives."""
-    return es._count(ops, np.asarray(energies, dtype=float))
+def prepared_counts(mat, energies, chain=True):
+    """The counts of ``prepared(mat, chain)`` below ``energies``: one row of
+    ``count_below_stack``."""
+    return count_below_stack(prepared(mat, chain), energies)[0]
 
 
 def failing_merge(routine):

@@ -634,6 +634,30 @@ def test_a_ground_hi_below_the_ground_fails_the_run(tmp_path):
     assert summary[-2] == "no level below lifshitz.ground_hi = 0.05 in 8 of 8 samples"
 
 
+def test_a_lifshitz_run_without_a_fit_writes_its_curve_and_fails(tmp_path):
+    """An energy window below every sampled level leaves no usable point for
+    the tail fit: the run keeps its curve, writes fit.csv with NaN fit
+    columns and ends failed, exit 1, with a line that says how many points
+    the fit could use."""
+    text = _preset_text("lifshitz-reduced-1d").replace("n_samples = 200", "n_samples = 4")
+    text = text.replace("e_min = 0.1", "e_min = 0.0001").replace("e_max = 0.8", "e_max = 0.0002")
+    out = tmp_path / "run"
+    assert main(["lifshitz", "--config", _write(tmp_path, "l.ini", text), "--out", str(out)]) == 1
+    _, curve = read_csv_rows(out / "curve.csv")
+    assert len(curve) == 22
+    fit_header, [fit_row] = read_csv_rows(out / "fit.csv")
+    fit = dict(zip(fit_header, fit_row))
+    fit_columns = ("slope", "intercept", "rms_residual", "half_window_slope", "n_points", "no_tail")
+    assert [fit[c] for c in fit_columns] == ["nan"] * 6
+    assert float(fit["ground_min"]) > 0.0002
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert summary[-1] == "status: failed"
+    assert summary[-2] == (
+        "no fit: 0 of 22 energies lie above the bottom estimate with 0 < N(E) < 1; "
+        "the tail fit needs 3"
+    )
+
+
 def test_wegner_scan_without_a_fit_writes_its_records_and_fails(tmp_path, capsys):
     """Three samples per cell leave too few cells with 0 < hits < samples for
     the joint fit: the run keeps its records and ends failed, exit 1."""

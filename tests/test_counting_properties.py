@@ -1,9 +1,9 @@
 """Differential property tests for eigenvalue counting.
 
-Hypothesis draws lists of random symmetric periodic chains (generic, zero
-corner, zero or tiny couplings; N from 3 to 60, mixed within a list), which
-no stencil gives, so they reach the per-operator layer that
-``count_below_stack`` and ``ground_bisect`` drive as ``prepared`` records, and
+Hypothesis draws random symmetric periodic chains (generic, zero corner,
+zero or tiny couplings; N from 3 to 60), which no stencil gives, so they
+reach ``count_below_stack`` and ``ground_bisect`` as ``prepared`` stacks,
+stacks of up to 5 random diagonals on one chain's couplings, and
 thresholds far from, between and exactly on the ``eigvalsh`` levels.  The
 stacked count must equal the one-operator count, the per-threshold
 factorization and, where the gap to every level is clear, ``eigvalsh`` plus
@@ -23,6 +23,7 @@ chains also go through ``dense_levels``, whose levels must be LAPACK
 draw the same examples.
 """
 
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -32,6 +33,8 @@ from scipy.linalg.lapack import dsyevd
 
 import displab.eigensolve as es
 from conftest import prepared, prepared_counts
+from displab.discretize import diagonal_slots, plus_diagonal
+from displab.eigensolve import count_below_stack, ground_bisect
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -41,13 +44,12 @@ VARIANTS = ("generic", "zero-corner", "zero-couplings", "tiny-couplings")
 
 
 def _cyclic(diag, off):
-    """Sparse periodic chain with A[i, i + 1 mod N] = off[i]; zeros stay unstored."""
+    """Sparse periodic chain with A[i, i + 1 mod N] = off[i]; zeros stay
+    stored, so a zero coupling still takes the chain paths."""
     n = len(diag)
     rows = np.concatenate([np.arange(n), np.arange(n), (np.arange(n) + 1) % n])
     cols = np.concatenate([np.arange(n), (np.arange(n) + 1) % n, np.arange(n)])
-    mat = sp.csr_matrix((np.concatenate([diag, off, off]), (rows, cols)), shape=(n, n))
-    mat.eliminate_zeros()
-    return mat
+    return sp.csr_matrix((np.concatenate([diag, off, off]), (rows, cols)), shape=(n, n))
 
 
 def _chain(n, variant, seed):
@@ -82,8 +84,8 @@ def _thresholds(mats, seed):
 
 def _per_threshold(mat, energies):
     """One count per threshold, with the chain sweep switched off."""
-    op = prepared(mat, chain=False)
-    return np.array([prepared_counts([op], [float(e)])[0, 0] for e in energies])
+    stack = prepared(mat, chain=False)
+    return np.array([count_below_stack(stack, [float(e)])[0, 0] for e in energies])
 
 
 def _reference_chain_sweep(diag, off, energies, norm):
@@ -125,53 +127,59 @@ def _reference_chain_sweep(diag, off, energies, norm):
     return np.where(ok, neg, -1)
 
 
-@given(st.lists(chains, min_size=1, max_size=5), st.integers(0, 2**32 - 1))
-def test_stacked_counts_equal_every_other_path(mats, seed):
+def _stack_on(mat, n_ops, seed):
+    """The stack of ``n_ops`` operators on the couplings of the chain
+    ``mat``: the first has mat's own diagonal, the others random ones."""
+    stack = prepared(mat)
+    diags = np.random.default_rng(seed).uniform(-2.0, 4.0, (n_ops, mat.shape[0]))
+    diags[0] = 0.0
+    return replace(stack, diags=diags)
+
+
+@given(chains, st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_stacked_counts_equal_every_other_path(mat, n_ops, seed):
+    stack = _stack_on(mat, n_ops, seed)
+    mats = [stack[k] for k in range(n_ops)]
     energies = _thresholds(mats, seed)
-    ops = [prepared(mat) for mat in mats]
-    got = prepared_counts(ops, energies)
-    assert got.shape == (len(mats), energies.size) and got.dtype.kind == "i"
-    for mat, op, row in zip(mats, ops, got):
-        assert np.array_equal(row, prepared_counts([op], energies)[0])
-        assert np.array_equal(row, _per_threshold(mat, energies))
-        levels = np.linalg.eigvalsh(mat.toarray())
+    got = count_below_stack(stack, energies)
+    assert got.shape == (n_ops, energies.size) and got.dtype.kind == "i"
+    for one, norm, row in zip(mats, stack.norms(), got):
+        assert np.array_equal(row, prepared_counts(one, energies))
+        assert np.array_equal(row, _per_threshold(one, energies))
+        levels = np.linalg.eigvalsh(one.toarray())
         gap = np.min(np.abs(energies[:, None] - levels[None, :]), axis=1)
-        clear = gap > 1e-8 * max(1.0, op.norm, np.max(np.abs(energies)))
+        clear = gap > 1e-8 * max(1.0, norm, np.max(np.abs(energies)))
         want = np.searchsorted(levels, energies, side="left")
         assert np.array_equal(row[clear], want[clear])
 
 
-@given(st.lists(chains, min_size=1, max_size=5), st.integers(0, 2**32 - 1), st.integers(4, 400))
-def test_blocked_stacked_sweep_equals_the_one_chain_sweep(mats, seed, cells):
-    """Same-size chains in one sweep, forced into blocks of a few rows, give
-    every column the counts and flags of the unblocked one-chain sweep."""
-    n = mats[0].shape[0]
-    mats = [m for m in mats if m.shape[0] == n] + [_chain(n, "generic", seed)]
-    ops = [prepared(m) for m in mats]
+@given(chains, st.integers(1, 5), st.integers(0, 2**32 - 1), st.integers(4, 400))
+def test_blocked_stacked_sweep_equals_the_one_chain_sweep(mat, n_ops, seed, cells):
+    """Chains on one set of couplings in one sweep, forced into blocks of a
+    few rows, give every column the counts and flags of the unblocked
+    one-chain sweep."""
+    stack = _stack_on(mat, n_ops, seed)
+    diags, off = stack.chains()
+    norms = stack.norms()
     rng = np.random.default_rng(seed)
-    energies = np.sort(rng.uniform(-2.0, 4.0, (len(ops), 6)), axis=1)
-    energies[:, 0] = np.linalg.eigvalsh(mats[0].toarray())[0]
+    energies = np.sort(rng.uniform(-2.0, 4.0, (n_ops, 6)), axis=1)
+    energies[:, 0] = np.linalg.eigvalsh(mat.toarray())[0]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(es, "_SWEEP_CELLS", cells)
-        got = es._chain_sweep(
-            np.column_stack([op.chain[0] for op in ops]),
-            np.column_stack([op.chain[1] for op in ops]),
-            energies,
-            np.array([op.norm for op in ops]),
-        )
-    for op, e, row in zip(ops, energies, got):
-        assert np.array_equal(row, _reference_chain_sweep(*op.chain, e, op.norm))
+        got = es._chain_sweep(diags.T, off, energies, norms)
+    for diag, norm, e, row in zip(diags, norms, energies, got):
+        assert np.array_equal(row, _reference_chain_sweep(diag, off, e, norm))
 
 
 def _reference_ground(mat, hi):
     """The ground bisection as it was: one per-threshold count per step."""
-    op = prepared(mat, chain=False)
-    if prepared_counts([op], [hi])[0, 0] == 0:
+    stack = prepared(mat, chain=False)
+    if count_below_stack(stack, [hi])[0, 0] == 0:
         return hi
     lo = 0.0
     for _ in range(48):
         mid = 0.5 * (lo + hi)
-        if prepared_counts([op], [mid])[0, 0] > 0:
+        if count_below_stack(stack, [mid])[0, 0] > 0:
             hi = mid
         else:
             lo = mid
@@ -180,10 +188,9 @@ def _reference_ground(mat, hi):
 
 @given(chains, st.floats(0.0, 2.0), st.floats(0.5, 10.0))
 def test_ground_bisect_equals_reference_bisection_bitwise(mat, bottom, hi):
-    n = mat.shape[0]
     lowest = np.linalg.eigvalsh(mat.toarray())[0]
-    mat = (mat + (bottom - lowest) * sp.identity(n, format="csr")).tocsr()
-    assert es._ground(prepared(mat), hi) == _reference_ground(mat, hi)
+    mat = plus_diagonal(mat, diagonal_slots(mat), bottom - lowest)  # zero couplings stay stored
+    assert ground_bisect(prepared(mat), hi) == [_reference_ground(mat, hi)]
 
 
 TORUS_VARIANTS = ("generic", "pairs", "near-pairs", "constant")
@@ -232,15 +239,15 @@ def test_torus_counts_from_the_top_factor_equal_the_per_threshold_path(mat, seed
     if rng.random() < 0.25:
         picks.append(levels[-1] + 1.0)
     energies = rng.permutation(np.array(picks))
-    op = prepared(mat)
-    assert op.chain is None
+    stack = prepared(mat)
+    assert stack.chains() is None
     with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 10):
-        got = prepared_counts([op], energies)[0]
+        got = count_below_stack(stack, energies)[0]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(es, "_ritz_counts", lambda mat, norm, count_one, e: np.full(e.size, -1))
-            assert np.array_equal(got, prepared_counts([op], energies)[0])
+            assert np.array_equal(got, count_below_stack(stack, energies)[0])
     gap = np.min(np.abs(energies[:, None] - levels[None, :]), axis=1)
-    clear = gap > 1e-8 * max(1.0, op.norm, np.max(np.abs(energies)))
+    clear = gap > 1e-8 * max(1.0, stack.norms()[0], np.max(np.abs(energies)))
     want = np.searchsorted(levels, energies, side="left")
     assert np.array_equal(got[clear], want[clear])
 
@@ -255,8 +262,8 @@ def test_lanczos_counts_equal_the_per_threshold_path(mat, below, cut, seed):
     per-threshold path.  Every count equals that path's."""
     rng = np.random.default_rng(seed)
     levels = np.linalg.eigvalsh(mat.toarray())
-    op = prepared(mat)
-    scale = max(1.0, op.norm)
+    stack = prepared(mat)
+    scale = max(1.0, stack.norms()[0])
     top = levels[0] - 0.5 if below == 0 else 0.5 * (levels[below - 1] + levels[below])
     near = 10.0 ** rng.uniform(-9.0, -5.0) * scale
     picks = [top, levels[0] - 1.0, top - near]
@@ -268,10 +275,18 @@ def test_lanczos_counts_equal_the_per_threshold_path(mat, below, cut, seed):
     energies = rng.permutation(np.minimum(np.array(picks), top))
     with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 10), pytest.MonkeyPatch.context() as mp:
         if cut:
-            mp.setattr(es, "_RITZ_EXTRA", 1 - 2 * below)
-        got = prepared_counts([op], energies)[0]
+            # 2 K + _RITZ_EXTRA = 1 step for the K of the top count, which is
+            # not ``below`` where the top threshold ties a paired level
+            pairs = es._lanczos_pairs
+
+            def one_step(lu, shift, k):
+                mp.setattr(es, "_RITZ_EXTRA", 1 - 2 * k)
+                return pairs(lu, shift, k)
+
+            mp.setattr(es, "_lanczos_pairs", one_step)
+        got = count_below_stack(stack, energies)[0]
         mp.setattr(es, "_ritz_counts", lambda mat, norm, count_one, e: np.full(e.size, -1))
-        assert np.array_equal(got, prepared_counts([op], energies)[0])
+        assert np.array_equal(got, count_below_stack(stack, energies)[0])
     assert _clear_counts(got, levels, energies, max(scale, np.max(np.abs(energies))))
 
 
@@ -326,9 +341,9 @@ def test_dense_counts_equal_eigvalsh_where_the_gap_is_clear(mat, seed):
     sparse = sp.csr_matrix((mat.ravel(), np.tile(np.arange(n), n), n * np.arange(n + 1)), shape=(n, n))
     energies = _thresholds([sparse], seed)
     levels = np.linalg.eigvalsh(mat)
-    op = prepared(sparse)
-    scale = max(1.0, op.norm, np.max(np.abs(energies)))
-    got = prepared_counts([op], energies)[0]
+    stack = prepared(sparse)
+    scale = max(1.0, stack.norms()[0], np.max(np.abs(energies)))
+    got = count_below_stack(stack, energies)[0]
     assert got.dtype.kind == "i"
     assert _clear_counts(got, levels, energies, scale)
     assert _in_band(got, levels, energies, scale)
@@ -355,15 +370,15 @@ def test_superlu_and_dense_ldlt_count_the_same_sparse_operator(mat, seed):
     energies = _thresholds([mat], seed)
     levels = np.linalg.eigvalsh(mat.toarray())
     n = mat.shape[0]
-    op = prepared(mat, chain=False)
+    stack = prepared(mat, chain=False)
     with pytest.MonkeyPatch.context() as mp:
         with mock.patch.object(es, "COUNT_DENSE_CUTOFF", n):
-            dense = prepared_counts([op], energies)[0]
+            dense = count_below_stack(stack, energies)[0]
         with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 0):
-            ritz = prepared_counts([op], energies)[0]
+            ritz = count_below_stack(stack, energies)[0]
             mp.setattr(es, "_ritz_counts", lambda mat, norm, count_one, e: np.full(e.size, -1))
-            superlu = prepared_counts([op], energies)[0]
-    scale = max(1.0, op.norm, np.max(np.abs(energies)))
+            superlu = count_below_stack(stack, energies)[0]
+    scale = max(1.0, stack.norms()[0], np.max(np.abs(energies)))
     for got in (dense, superlu, ritz):
         assert _clear_counts(got, levels, energies, scale)
         assert _in_band(got, levels, energies, scale)

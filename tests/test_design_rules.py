@@ -1,19 +1,20 @@
 """The design rules of the code, checked on one index of the tree.
 
-Eleven rules keep the design in place: no private names shared between
+Twelve rules keep the design in place: no private names shared between
 modules, no threads, no unused imports and no ``__all__``, no class member
 that nothing reads, dense spectra only through ``eigensolve`` (but for the
 ``eigvalsh`` calls named in KEPT_EIGVALSH), no idle or always-overridden
 default, ARPACK only in ``smallest_eigenpairs``, Monte-Carlo batches only
 in the CLI runners, no config key that no shipped config sets, no
-``DiagonalStack`` on a stencil that is not a ``periodic_laplacian``, and
-LAPACK by pointer only in ``eigensolve``.  Each rule is a function of the
+``DiagonalStack`` on a stencil that is not a ``periodic_laplacian``,
+LAPACK by pointer only in ``eigensolve``, and a ``DiagonalStack``'s
+storage read only in ``discretize``.  Each rule is a function of the
 index that returns its violation lines, and each test asserts that the
 list is empty.
 
 Readers and callers are counted from ``src/`` and ``perfbench/`` only:
 tests are not readers or callers.  A rule that parses nothing passes, so
-every rule is also run on a small synthetic tree that keeps all eleven,
+every rule is also run on a small synthetic tree that keeps all twelve,
 with one violation planted, and must give that violation's line and no
 other.
 """
@@ -59,7 +60,8 @@ UNSHIPPED_KEYS = {
 class Index:
     """The parsed tree the rules read."""
 
-    modules: dict  # path of each src/displab module -> its parsed module
+    trees: dict  # path of each .py file under src/ and perfbench/ -> its parsed module
+    modules: dict  # the same for the src/displab modules alone
     reads: frozenset  # attributes read, and names getattr reads, in src/ and perfbench/
     calls: dict  # callee name -> [(keywords, positional count, spread)] in src/ and perfbench/
     config_keys: frozenset  # "section.key" that some shipped config sets
@@ -102,6 +104,7 @@ def index_of(sources, configs, schema):
         parser.read_string(text)
         keys |= {f"{section}.{key}" for section in parser.sections() for key in parser[section]}
     return Index(
+        trees=trees,
         modules={
             path: tree
             for path, tree in trees.items()
@@ -188,6 +191,19 @@ def unused_imports(index):
     return bad
 
 
+def _members(cls):
+    """``(node, name, what)`` for each annotated field, property and method
+    of the class ``cls``."""
+    for node in cls.body:
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node, node.target.id, "field"
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            what = "property" if any(
+                getattr(d, "id", None) == "property" for d in node.decorator_list
+            ) else "method"
+            yield node, node.name, what
+
+
 def unread_members(index):
     """Every annotated field, property and public method of a displab class
     is read somewhere in src/ or perfbench/: as an attribute, or by getattr
@@ -199,16 +215,7 @@ def unread_members(index):
         for cls in ast.walk(tree):
             if not isinstance(cls, ast.ClassDef):
                 continue
-            for node in cls.body:
-                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-                    name, what = node.target.id, "field"
-                elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    name = node.name
-                    what = "property" if any(
-                        getattr(d, "id", None) == "property" for d in node.decorator_list
-                    ) else "method"
-                else:
-                    continue
+            for node, name, what in _members(cls):
                 if not name.startswith("_") and name not in index.reads:
                     if f"{cls.name}.{name}" in ONLY_CHECKED:
                         kept.append(f"{cls.name}.{name}")
@@ -425,6 +432,48 @@ def lapack_pointers_outside_eigensolve(index):
     return [bad[key] for key in sorted(bad)]
 
 
+# The DiagonalStack fields that hold its storage: what the stencil is, where
+# the couplings are, the diagonals and the stencil's scale.
+STACK_STORAGE = ("stencil", "up", "diags", "scale")
+
+
+def stack_fields_outside_discretize(index):
+    """Outside discretize.py, code in src/ and perfbench/ reads a
+    DiagonalStack only through len, shape, nnz, slots, indexing, norms() and
+    chains(), so the stack's storage layout is known to one module.  One
+    line per read of a STACK_STORAGE name outside discretize.py.  Reads
+    match by name, so a member of another class with such a name is a line
+    too, as is a STACK_STORAGE name that DiagonalStack no longer has."""
+    bad, fields = [], set()
+    owner = "src/displab/discretize.py"
+    for path, tree in index.modules.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node, name, what in _members(cls):
+                if (path, cls.name) == (owner, "DiagonalStack"):
+                    fields.add(name)
+                elif name in STACK_STORAGE:
+                    bad.append(
+                        f"{path}:{node.lineno} {cls.name}.{name} ({what}) "
+                        "has the name of a DiagonalStack field"
+                    )
+    for path, tree in index.trees.items():
+        if path != owner:
+            bad += [
+                f"{path}:{node.lineno} reads DiagonalStack.{node.attr} outside discretize"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Load)
+                and node.attr in STACK_STORAGE
+            ]
+    return bad + [
+        f"{name} is in STACK_STORAGE but is no DiagonalStack field"
+        for name in STACK_STORAGE
+        if name not in fields
+    ]
+
+
 RULES = [
     private_imports,
     thread_imports,
@@ -437,6 +486,7 @@ RULES = [
     unset_config_keys,
     stacks_off_the_laplacian,
     lapack_pointers_outside_eigensolve,
+    stack_fields_outside_discretize,
 ]
 
 
@@ -456,11 +506,13 @@ def test_the_code_keeps_the_rule(index, rule):
 # -- each rule names a planted violation --------------------------------------
 
 # A tree that keeps every rule: eigensolve with its dense and ARPACK
-# solvers and a LAPACK routine bound by pointer, a runner that calls a batch
-# function, the members that only tests read, the eigvalsh calls of
-# KEPT_EIGVALSH, stacks on a periodic_laplacian in both forms, a perfbench
-# script that calls the runner with and without its default, and one
-# shipped config that sets every key but the unshipped ones.
+# solvers, a LAPACK routine bound by pointer and a count that reads a stack
+# through its public members, a runner that calls a batch function, the
+# members that only tests read, the eigvalsh calls of KEPT_EIGVALSH, a
+# DiagonalStack that alone reads its storage, stacks on a periodic_laplacian
+# in both forms, a perfbench script that calls the runner with and without
+# its default, and one shipped config that sets every key but the unshipped
+# ones.
 SOLVERS = """\
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -484,6 +536,24 @@ def routine(name):
     capsule = cython_lapack.__pyx_capi__[name]
     get = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object)(("PyCapsule_GetPointer", ctypes.pythonapi))
     return get(capsule)
+
+
+def count_below_stack(stack):
+    return stack.slots, stack.chains(), stack[0]
+""",
+    "src/displab/discretize.py": """\
+class DiagonalStack:
+    stencil: object
+    slots: object
+    up: object
+    diags: object
+    scale: float
+
+    def __getitem__(self, k):
+        return self.scale * self.stencil + self.diags[k]
+
+    def chains(self):
+        return None if self.up is None else self.diags
 """,
     "src/displab/spectral_stats.py": """\
 def count_rows(family, seed):
@@ -676,6 +746,31 @@ PLANTED = [
         (),
         "src/displab/reduced.py:11 builds a DiagonalStack on lap, "
         "not on a periodic_laplacian of the same function",
+    ),
+    (
+        stack_fields_outside_discretize,
+        {
+            "src/displab/spectral_stats.py": CLEAN_SOURCES["src/displab/spectral_stats.py"]
+            + "\n\ndef diagonals(stack):\n    return stack.diags\n"
+        },
+        (),
+        "src/displab/spectral_stats.py:6 reads DiagonalStack.diags outside discretize",
+    ),
+    (
+        stack_fields_outside_discretize,
+        {"src/displab/report.py": "class Plot:\n    scale: float\n"},
+        (),
+        "src/displab/report.py:2 Plot.scale (field) has the name of a DiagonalStack field",
+    ),
+    (
+        stack_fields_outside_discretize,
+        {
+            "src/displab/discretize.py": CLEAN_SOURCES["src/displab/discretize.py"].replace(
+                "self.up", "self.slots"
+            ).replace("    up: object\n", "")
+        },
+        (),
+        "up is in STACK_STORAGE but is no DiagonalStack field",
     ),
     (
         lapack_pointers_outside_eigensolve,

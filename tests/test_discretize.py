@@ -263,7 +263,7 @@ def test_assemble_periodic_csr_equals_per_call_build(d, n):
 @pytest.mark.parametrize("d, n", [(1, 0), (1, 2), (2, 1)])
 def test_assemble_periodic_chunk_equals_one_field_at_a_time(d, n):
     """A FieldChunk gives the DiagonalStack of the operators of its fields'
-    chunks of one, bit for bit, with ``data()`` their stacked data arrays."""
+    chunks of one, bit for bit, and their norms."""
     grid = GridSpec(d=d, n=n, m=8)
     p = periodic_family("cosine", d, coefficients=[-1.0] * d)
     q = single_site_family("asym-bump", d)
@@ -273,12 +273,12 @@ def test_assemble_periodic_chunk_equals_one_field_at_a_time(d, n):
     assert len(stack) == 3 and stack.shape == (grid.side_points**grid.d,) * 2
     assert stack.nnz == 3 * stack.stencil.nnz
     for k in range(3):
-        want = assemble_periodic(p, q, 0.5, chunk.take([k]), grid).matrix[0]
-        got = stack[k]
+        one = assemble_periodic(p, q, 0.5, chunk.take([k]), grid).matrix
+        got, want = stack[k], one[0]
         assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64))
         assert np.array_equal(got.indices, want.indices)
         assert np.array_equal(got.indptr, want.indptr)
-        assert np.array_equal(stack.data()[k].view(np.int64), want.data.view(np.int64))
+        assert stack.norms()[k].view(np.int64) == one.norms()[0].view(np.int64)
 
 
 @pytest.mark.parametrize(
@@ -314,7 +314,6 @@ def test_potential_written_into_laplacian_copy_equals_sparse_sum(grid):
             a, b = getattr(stack[k], name), getattr(got, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
             assert not np.shares_memory(getattr(got, name), getattr(lap, name))
-        assert np.array_equal(stack.data()[k].view(np.int64), got.data.view(np.int64))
     assert not lap.data.flags.writeable
 
 

@@ -166,7 +166,7 @@ def test_counting_takes_only_a_stack_and_1d_thresholds(monkeypatch):
     matrices is a TypeError that names its type, in both counting entries,
     and a 0-d or 2-d threshold array is a ValueError, each before any
     factorization.  A 1-d array of T thresholds gives T integer columns,
-    also for T = 1 and T = 0."""
+    also for T = 1 and T = 0, and a stack of K = 0 operators no rows."""
     # levels 0, 1, 1, 3, 3, 4 on the ring and 0, 1 (four times), 2, ... on
     # the torus, and those levels plus 1.25
     for d, energy, want in ((1, 2.0, [[3], [1]]), (2, 1.5, [[5], [1]])):
@@ -185,6 +185,8 @@ def test_counting_takes_only_a_stack_and_1d_thresholds(monkeypatch):
         got = count_below_stack(stack, [energy])
         assert got.dtype.kind == "i" and got.tolist() == want
         assert count_below_stack(stack, np.array([])).shape == (2, 0)
+        empty = DiagonalStack(*periodic_laplacian(d, 6, 1.0), diags[:0])
+        assert count_below_stack(empty, [energy]).shape == (0, 1) and ground_bisect(empty, 4.0) == []
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -194,7 +196,7 @@ def test_count_below_matches_eigvalsh(seed):
     a = 0.5 * (a + a.T)
     eigs = np.linalg.eigvalsh(a)
     for e in (-5.0, eigs[10] + 1e-6, 0.0, eigs[-1] + 1.0):
-        assert prepared_counts([prepared(sp.csr_matrix(a))], [e])[0, 0] == int(np.sum(eigs < e))
+        assert prepared_counts(sp.csr_matrix(a), [e])[0] == int(np.sum(eigs < e))
 
 
 def test_count_below_sparse_ring_closed_form():
@@ -213,10 +215,10 @@ def test_count_below_sparse_ring_closed_form():
 
 def test_count_below_tied_threshold_retries_upward():
     # threshold exactly on an eigenvalue: the tiny upward nudges must count it
-    op = prepared(sp.diags([1.0, 2.0, 2.0, 3.0], format="csr"))
-    assert prepared_counts([op], [2.0])[0, 0] == 3  # nudge resolves the tie upward
-    assert prepared_counts([op], [2.0 + 1e-6])[0, 0] == 3
-    assert prepared_counts([op], [1.0 - 1e-12])[0, 0] == 0
+    stack = prepared(sp.diags([1.0, 2.0, 2.0, 3.0], format="csr"))
+    assert count_below_stack(stack, [2.0])[0, 0] == 3  # nudge resolves the tie upward
+    assert count_below_stack(stack, [2.0 + 1e-6])[0, 0] == 3
+    assert count_below_stack(stack, [1.0 - 1e-12])[0, 0] == 0
 
 
 def _ldl_walk_inertia(shifted, scale):
@@ -276,12 +278,12 @@ def test_count_agrees_between_dense_and_sparse_paths():
     n = 700
     diag = np.random.default_rng(9).uniform(0, 4, n)
     mat = sp.diags([np.full(n - 1, -1.0), diag, np.full(n - 1, -1.0)], [-1, 0, 1]).tocsr()
-    op = prepared(mat, chain=False)  # a chain skips both
+    stack = prepared(mat, chain=False)  # a chain skips both
     for e in (0.5, 2.0):
         with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 10):
-            sparse = prepared_counts([op], [e])[0, 0]
+            sparse = count_below_stack(stack, [e])[0, 0]
         with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 5000):
-            dense = prepared_counts([op], [e])[0, 0]
+            dense = count_below_stack(stack, [e])[0, 0]
         assert sparse == dense
 
 
@@ -299,14 +301,13 @@ def test_count_below_rejects_non_finite_threshold(monkeypatch, energy, path):
 
 
 def _cyclic(diag, off):
-    """Sparse periodic chain with A[i, i + 1 mod N] = off[i]; zeros stay unstored."""
+    """Sparse periodic chain with A[i, i + 1 mod N] = off[i]; zeros stay
+    stored, so a zero coupling still takes the chain paths."""
     n = len(diag)
     rows = np.concatenate([np.arange(n), np.arange(n), (np.arange(n) + 1) % n])
     cols = np.concatenate([np.arange(n), (np.arange(n) + 1) % n, np.arange(n)])
     vals = np.concatenate([diag, off, off])
-    mat = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    mat.eliminate_zeros()
-    return mat
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
 def _random_chain(n, variant, seed):
@@ -321,21 +322,21 @@ def _random_chain(n, variant, seed):
 
 def _per_threshold(mat, energies):
     """One count per threshold, with the chain sweep switched off."""
-    op = prepared(mat, chain=False)
-    return np.array([prepared_counts([op], [float(e)])[0, 0] for e in energies])
+    stack = prepared(mat, chain=False)
+    return np.array([count_below_stack(stack, [float(e)])[0, 0] for e in energies])
 
 
 @pytest.mark.parametrize("variant", ["generic", "zero-corner", "zero-offdiagonals"])
 @pytest.mark.parametrize("n", [3, 4, 5, 17, 2001])
 def test_chain_counts_equal_per_threshold_path(n, variant):
     mat = _random_chain(n, variant, seed=1000 * n + len(variant))
-    assert prepared(mat).chain is not None
+    assert prepared(mat).chains() is not None
     eigs = np.linalg.eigvalsh(mat.toarray())
     mids = 0.5 * (eigs[1:] + eigs[:-1])
     energies = np.concatenate(
         [[eigs[0] - 1.0, eigs[-1] + 1.0], mids[:: max(1, n // 25)], [0.0, 1.5]]
     )
-    got = prepared_counts([prepared(mat)], energies)[0]
+    got = prepared_counts(mat, energies)
     assert got.dtype.kind == "i" and got.shape == energies.shape
     assert np.array_equal(got, _per_threshold(mat, energies))
     assert np.array_equal(got, np.searchsorted(eigs, energies, side="left"))
@@ -349,7 +350,7 @@ def test_chain_counts_on_ring_eigenvalues_equal_per_threshold_path(n):
     mat = _cyclic(np.full(n, 1.5), np.full(n, 0.7))
     levels = np.unique(1.5 - 1.4 * np.cos(2.0 * np.pi * np.arange(n) / n))
     energies = np.concatenate([levels[:: max(1, len(levels) // 20)], [levels[-1]]])
-    got = prepared_counts([prepared(mat)], energies)[0]
+    got = prepared_counts(mat, energies)
     assert np.array_equal(got, _per_threshold(mat, energies))
 
 
@@ -363,7 +364,7 @@ def test_chain_counts_at_computed_levels_equal_per_threshold_path(n):
         off = 10.0 ** local.uniform(-6.0, 0.5, n) * local.choice([-1.0, 1.0], n)
         mat = _cyclic(local.uniform(-1.0, 1.0, n), off)
         levels = np.linalg.eigvalsh(mat.toarray())
-        got = prepared_counts([prepared(mat)], levels)[0]
+        got = prepared_counts(mat, levels)
         assert np.array_equal(got, _per_threshold(mat, levels))
 
 
@@ -384,10 +385,10 @@ def test_chain_sweep_flags_a_cancelling_last_pivot():
     mat = _cyclic(np.array([a0, a1, a2]), np.array([b0, b1, c]))
     eigs = np.linalg.eigvalsh(mat.toarray())
     assert 0 < np.min(np.abs(eigs - e)) < 2e-6
-    diag, off = prepared(mat).chain
-    sweep = es._chain_sweep(diag[:, None], off[:, None], np.array([[e]]), np.array([2.0]))
+    diags, off = prepared(mat).chains()
+    sweep = es._chain_sweep(diags.T, off, np.array([[e]]), np.array([2.0]))
     assert sweep.tolist() == [[-1]]
-    assert prepared_counts([prepared(mat)], [e])[0, 0] == int(np.searchsorted(eigs, e))
+    assert prepared_counts(mat, [e])[0] == int(np.searchsorted(eigs, e))
 
 
 @pytest.mark.parametrize("path", ["dense", "sparse"])
@@ -399,7 +400,7 @@ def test_non_chain_counts_equal_with_and_without_array(path):
     side = 9
     diag = np.random.default_rng(4).uniform(0.0, 1.0, side * side)
     stack = DiagonalStack(*periodic_laplacian(2, side, 1.0), diag[None])
-    assert stack.chains() == [None]
+    assert stack.chains() is None
     cutoff = 10 if path == "sparse" else 600
     eigs = np.linalg.eigvalsh(stack[0].toarray())
     energies = np.concatenate([[eigs[0] - 0.5], 0.5 * (eigs[1:] + eigs[:-1])[::7], [9.0]])
@@ -412,13 +413,13 @@ def test_non_chain_counts_equal_with_and_without_array(path):
 
 def _reference_ground(mat, hi):
     """The ground bisection as it was: one per-threshold count per step."""
-    op = prepared(mat, chain=False)
-    if prepared_counts([op], [hi])[0, 0] == 0:
+    stack = prepared(mat, chain=False)
+    if count_below_stack(stack, [hi])[0, 0] == 0:
         return hi
     lo = 0.0
     for _ in range(48):
         mid = 0.5 * (lo + hi)
-        if prepared_counts([op], [mid])[0, 0] > 0:
+        if count_below_stack(stack, [mid])[0, 0] > 0:
             hi = mid
         else:
             lo = mid
@@ -430,9 +431,9 @@ def _reference_ground(mat, hi):
 def test_ground_bisect_equals_count_bisection_bitwise(n, variant):
     mat = _random_chain(n, variant, seed=7 * n + len(variant))
     lowest = np.linalg.eigvalsh(mat.toarray())[0]
-    mat = (mat + (1.7 - lowest) * sp.identity(n, format="csr")).tocsr()
-    assert es._ground(prepared(mat), 10.0) == _reference_ground(mat, 10.0)
-    assert es._ground(prepared(mat), 1.0) == _reference_ground(mat, 1.0) == 1.0
+    mat = plus_diagonal(mat, diagonal_slots(mat), 1.7 - lowest)  # zero couplings stay stored
+    assert ground_bisect(prepared(mat), 10.0) == [_reference_ground(mat, 10.0)]
+    assert ground_bisect(prepared(mat), 1.0) == [_reference_ground(mat, 1.0)] == [1.0]
 
 
 def test_ground_bisect_equals_count_bisection_on_lifshitz_preset():
@@ -504,33 +505,6 @@ def test_sparse_shift_gives_the_arrays_of_the_rebuilt_shift(n):
             assert a.dtype == b.dtype and np.array_equal(a, b)
         assert shift(e) is not shift(e)
     assert not np.shares_memory(first.data, mat.data), "the operator itself is not written"
-
-
-def test_count_below_stack_mixes_sizes_and_non_chains():
-    """The per-operator layer groups the chains it is given by size and
-    counts the rest one by one: every row is that of its operator alone."""
-    side = 5
-    ring = _cyclic(np.full(side, 2.0), np.full(side, -1.0))
-    eye = sp.identity(side, format="csr")
-    torus = (sp.kron(ring, eye) + sp.kron(eye, ring) + sp.diags(np.linspace(0, 1, 25))).tocsr()
-    mats = [
-        _random_chain(17, "generic", 1),
-        torus,
-        _random_chain(4, "zero-corner", 2),
-        _random_chain(17, "zero-offdiagonals", 3),
-        sp.csr_matrix(_random_sym(9)),
-        _random_chain(4, "generic", 4),
-    ]
-    ops = [prepared(mat) for mat in mats]
-    energies = np.array([-1.0, 0.3, 1.1, 2.5, 9.0])
-    got = prepared_counts(ops, energies)
-    assert got.shape == (len(ops), energies.size)
-    for op, row in zip(ops, got):
-        assert np.array_equal(row, prepared_counts([op], energies)[0])
-    assert prepared_counts(ops, np.array([])).shape == (len(ops), 0)
-    assert prepared_counts([], energies).shape == (0, energies.size)
-    with pytest.raises(ValueError, match="finite"):
-        es.count_below_stack(_torus(side, np.linspace(0, 1, 25)), [np.nan])
 
 
 def _built_matrices(monkeypatch):
@@ -779,7 +753,7 @@ def test_first_ids_2d_continuum_sample_takes_one_factorization(monkeypatch):
     the per-threshold path from one SuperLU factorization instead of three."""
     family, energies, seed, _ = _ids_2d_continuum()
     stack = family.operators(seed, (0,))
-    assert stack.shape == (43264, 43264) and stack.chains() == [None]
+    assert stack.shape == (43264, 43264) and stack.chains() is None
     calls = _splu_calls(monkeypatch)
     got = count_below_stack(stack, energies)[0]
     assert len(calls) == 1
@@ -852,7 +826,7 @@ def test_superlu_gets_one_csc_matrix_with_the_old_shifts_arrays(monkeypatch, kin
     else:
         stack = _generic_torus()
     mat = stack[0]
-    assert (stack.chains()[0] is None) == (kind != "chain")
+    assert (stack.chains() is None) == (kind != "chain")
     got, splu = [], es.spla.splu
     monkeypatch.setattr(es.spla, "splu", lambda a, **k: got.append(a) or splu(a, **k))
     where = diagonal_slots(mat)
@@ -913,7 +887,7 @@ def test_superlu_refusal_above_the_dense_fallback_names_every_path(monkeypatch):
     assert "1e-12, 1e-10, 1e-08" in str(err.value)
 
 
-# -- what a stack reads off its data, and the records tests prepare --------
+# -- what a stack reads off its data, and the stacks tests prepare ---------
 
 
 def _reference_norm_estimate(mat):
@@ -922,13 +896,16 @@ def _reference_norm_estimate(mat):
 
 
 def _reference_periodic_chain(mat):
-    """The chain form as one operator's masked ``bincount``s read it."""
+    """The chain form as one operator's masked ``bincount``s read it; None
+    unless ``mat`` is a ring that stores every (i, i + 1 mod N) entry."""
     n = mat.shape[0]
-    if n < 3 or mat.shape != (n, n) or not np.all(np.isfinite(mat.data)):
+    if n < 3 or mat.shape != (n, n):
         return None
     rows = np.repeat(np.arange(n), np.diff(mat.indptr))
     offset = (mat.indices - rows) % n
     if not np.all((offset == 0) | (offset == 1) | (offset == n - 1)):
+        return None
+    if np.count_nonzero(offset == 1) != n:
         return None
     diag, up, down = (
         np.bincount(rows[offset == k], weights=mat.data[offset == k], minlength=n)
@@ -943,33 +920,34 @@ def _same_bits(a, b):
     return np.float64(a).view(np.int64) == np.float64(b).view(np.int64)
 
 
-def _same_preparation(op, mat):
-    assert _same_bits(op.norm, _reference_norm_estimate(mat))
-    want = _reference_periodic_chain(mat)
+def _same_reading(stack, mat):
+    """The one-operator ``stack`` reads the norm and chain form that the
+    reference reads off ``mat``."""
+    assert _same_bits(stack.norms()[0], _reference_norm_estimate(mat))
+    want, chains = _reference_periodic_chain(mat), stack.chains()
     if want is None:
-        assert op.chain is None
+        assert chains is None
     else:
-        for got_part, want_part in zip(op.chain, want):
-            assert np.array_equal(got_part.view(np.int64), want_part.view(np.int64))
+        for got, want_part in zip((chains[0][0], chains[1]), want):
+            assert np.array_equal(got.view(np.int64), want_part.view(np.int64))
 
 
 def _reads_what_scipy_reads(stack, chained):
-    """Each norm and chain form ``stack`` reads off its data has the bits of
-    what SciPy reads off its operator ``stack[k]``: ``abs(stack[k]).sum(axis=1).max()``,
-    ``diagonal()`` and the (i, i + 1 mod N) entries.  Operator k has a chain form
-    iff ``chained[k]``."""
+    """Each norm and the chain form ``stack`` reads off its data have the
+    bits of what SciPy reads off its operators ``stack[k]``:
+    ``abs(stack[k]).sum(axis=1).max()``, ``diagonal()`` and the (i, i + 1
+    mod N) entries, which every operator shares.  The stack has a chain
+    form iff ``chained``."""
     norms, chains = stack.norms(), stack.chains()
-    assert len(norms) == len(chains) == len(stack)
+    assert len(norms) == len(stack) and (chains is not None) == chained
     n = stack.shape[0]
     for k in range(len(stack)):
         mat = stack[k]
         assert _same_bits(norms[k], abs(mat).sum(axis=1).max())
-        if not chained[k]:
-            assert chains[k] is None
-            continue
-        up = np.asarray(mat[np.arange(n), (np.arange(n) + 1) % n]).ravel()
-        for got, want in zip(chains[k], (mat.diagonal(), up)):
-            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        if chained:
+            up = np.asarray(mat[np.arange(n), (np.arange(n) + 1) % n]).ravel()
+            for got, want in zip((chains[0][k], chains[1]), (mat.diagonal(), up)):
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @pytest.mark.parametrize(
@@ -977,16 +955,15 @@ def _reads_what_scipy_reads(stack, chained):
     [(1, 3, 1.0), (1, 4, 0.5), (1, 40, 2.0), (1, 97, 0.0625), (1, 2001, 1 / 3), (2, 9, 1.0)],
 )
 def test_chunk_preparation_equals_the_one_operator_reading(d, side, scale):
-    """The norms and chain forms a DiagonalStack reads off its data equal,
+    """The norms and chain form a DiagonalStack reads off its data equal,
     bit for bit, what SciPy reads off each operator: on rings of N = 3, 4,
     40, 97 and 2001, with a diagonal that cancels to exactly 0.0 (stored as
-    0.0 on the stencil's pattern, which every operator keeps) and a
-    non-finite diagonal, which has no chain form; a d = 2 stack has none."""
+    0.0 on the stencil's pattern, which every operator keeps); a d = 2
+    stack has no chain form."""
     lap, where, up = periodic_laplacian(d, side, 0.25)
     n = lap.shape[0]
     diags = np.random.default_rng(side).uniform(-40.0, 40.0, (5, n))
     diags[1, n // 2] = -scale * lap[n // 2, n // 2]  # cancels to exactly 0.0
-    diags[3, 0] = np.inf
     stack = DiagonalStack(lap, where, up, diags, scale)
     assert len(stack) == 5 and stack[1].nnz == lap.nnz
     summed = (scale * lap + sp.diags(diags[1], format="csr")).tocsr()
@@ -994,15 +971,30 @@ def test_chunk_preparation_equals_the_one_operator_reading(d, side, scale):
     assert np.array_equal(stack[1].toarray().view(np.int64), summed.toarray().view(np.int64))
     for k in range(5):
         mat = stack[k]
-        assert np.array_equal(stack.data()[k].view(np.int64), mat.data.view(np.int64))
         assert np.array_equal(mat.indices, lap.indices) and np.array_equal(mat.indptr, lap.indptr)
-    _reads_what_scipy_reads(stack, [d == 1 and k != 3 for k in range(5)])
+    _reads_what_scipy_reads(stack, d == 1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_stack_refuses_a_non_finite_diagonal_or_scale(bad):
+    """Every operator of a stack is finite: a non-finite entry in one
+    diagonal of a K = 4 ring stack or of a d = 2 stack is a ``ValueError``
+    that names the operator, and a non-finite scale is one too, when the
+    stack is built."""
+    for d, side in ((1, 40), (2, 9)):
+        lap, where, up = periodic_laplacian(d, side, 0.25)
+        diags = np.random.default_rng(side).uniform(-40.0, 40.0, (4, lap.shape[0]))
+        with pytest.raises(ValueError, match="scale must be finite"):
+            DiagonalStack(lap, where, up, diags, bad)
+        diags[2, 5] = bad
+        with pytest.raises(ValueError, match="operator 2 has a non-finite diagonal entry"):
+            DiagonalStack(lap, where, up, diags)
 
 
 @pytest.mark.parametrize("c0", [1.0, 3.0, 8.0])
 def test_a_reduced_stack_reads_what_scipy_reads(c0):
     """The lower reduced model of a chunk of fields is a ring stack with
-    scale 0.5 / c0: its norms and chain forms are SciPy's readings too."""
+    scale 0.5 / c0: its norms and chain form are SciPy's readings too."""
     from displab.potentials import FieldChunk
     from displab.reduced import build_reduced
 
@@ -1011,29 +1003,26 @@ def test_a_reduced_stack_reads_what_scipy_reads(c0):
         -1, np.array([5.0]), 0.1, np.array([-1.0]), FieldChunk(n=30, d=1, values=values), c0, 0.05
     ).matrix
     assert stack.scale == 0.5 / c0 and stack.shape == (61, 61)
-    _reads_what_scipy_reads(stack, [True] * 4)
+    _reads_what_scipy_reads(stack, True)
 
 
 def test_a_d2_chunk_examines_its_stencil_once(monkeypatch):
     """A d = 2 stencil has no coupling slots, so its stack has no chain
-    form without writing its data, and each of its counting records holds
-    the reference norm of ``stack[k]``, no chain form, the stencil's slots
-    and a way to build ``stack[k]``."""
+    form: neither counting entry tests a chain, and every count and ground
+    is that of the per-threshold path on ``stack[k]``."""
     lap, where, up = periodic_laplacian(2, 9, 0.25)
     assert up is None
-    diags = np.random.default_rng(9).uniform(-40.0, 40.0, (4, lap.shape[0]))
+    diags = np.random.default_rng(9).uniform(0.0, 40.0, (4, lap.shape[0]))
     stack = DiagonalStack(lap, where, up, diags, 0.5)
+    assert stack.chains() is None
+    energies = np.array([10.0, 30.0, 60.0])
+    want = [_per_threshold(stack[k], energies) for k in range(4)]
+    grounds = [_reference_ground(stack[k], 80.0) for k in range(4)]
     with monkeypatch.context() as mp:
-        mp.setattr(DiagonalStack, "data", lambda self: pytest.fail("data written"))
-        assert stack.chains() == [None] * 4
-    ops = es._operators(stack)
-    assert len(ops) == 4
-    for k, op in enumerate(ops):
-        mat = stack[k]
-        assert op.slots is where
-        _same_preparation(op, mat)
-        for part in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(op.matrix(), part), getattr(mat, part))
+        for name in ("_chain_sweep", "_chain_positive_definite"):
+            mp.setattr(es, name, lambda *a: pytest.fail("a chain path ran"))
+        assert np.array_equal(count_below_stack(stack, energies), want)
+        assert ground_bisect(stack, 80.0) == grounds
 
 
 @pytest.mark.parametrize(
@@ -1064,10 +1053,10 @@ def test_prepared_refuses_a_matrix_that_breaks_the_stencil_contract(kind, messag
 
 @pytest.mark.parametrize("seed", range(6))
 def test_one_operator_reading_equals_the_reference(seed):
-    """A ``prepared`` record of random chains with zero couplings and of
+    """The ``prepared`` stack of random chains with zero couplings and of
     random symmetric matrices with their whole diagonal stored, mostly of
-    non-chain patterns: its matrix has the matrix's arrays bit for bit, and
-    it has the norm and chain form of the reference reading."""
+    non-chain patterns: its operator has the matrix's arrays bit for bit,
+    and it reads the norm and chain form of the reference reading."""
     local = np.random.default_rng(seed)
     n = int(local.integers(3, 12))
     upper = sp.random(n, n, density=0.4, random_state=seed, format="csr")
@@ -1076,11 +1065,12 @@ def test_one_operator_reading_equals_the_reference(seed):
         (upper + upper.T + sp.identity(n)).tocsr(),
     ]
     for mat in mats:
-        op = prepared(mat)
-        assert np.array_equal(op.matrix().data.view(np.int64), mat.data.view(np.int64))
-        assert np.array_equal(op.matrix().indices, mat.indices)
-        assert np.array_equal(op.matrix().indptr, mat.indptr)
-        _same_preparation(op, mat)
+        stack = prepared(mat)
+        assert np.array_equal(stack[0].data.view(np.int64), mat.data.view(np.int64))
+        assert np.array_equal(stack[0].indices, mat.indices)
+        assert np.array_equal(stack[0].indptr, mat.indptr)
+        _same_reading(stack, mat)
+    assert prepared(mats[0]).chains() is not None, "zero couplings stay stored"
 
 
 def test_superlu_copies_are_released_and_the_factor_still_solves():
