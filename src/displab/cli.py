@@ -1177,6 +1177,37 @@ def _one_blas_thread():
     return done
 
 
+# glibc's mallopt parameters (malloc.h) and the values the heap policy gives
+# them.
+_HEAP_POLICY = (("M_MMAP_THRESHOLD", -3, 2 << 20), ("M_TRIM_THRESHOLD", -1, 16 << 20))
+
+
+def _heap_policy():
+    """Fix glibc's mmap and trim thresholds at the values of _HEAP_POLICY.
+
+    Left alone, glibc raises both with each mapped block freed, so a run's
+    thresholds would hang on what the imports happened to free.  Fixed:
+    - a block below 2 MiB (a dense matrix up to N = 500, the pieces of a
+      ground step's SuperLU factor) reuses heap pages; a larger one (a
+      d = 2 factor or Lanczos basis) is mapped on its own and unmapped
+      when freed, so the heap does not grow with it;
+    - the top of the heap goes back to the OS only once 16 MiB of it is
+      free, so the ~5 MB that each ground-step factorization at N = 2001
+      frees is reused by the next step, not faulted in again (a perfbench
+      lifshitz-1d run: 730 page faults instead of 11,000).
+    Where the C library is not glibc (it alone has
+    ``gnu_get_libc_version``) this does nothing.  Returns the (name,
+    value) pairs set.
+    """
+    try:
+        libc = ctypes.CDLL(None)
+        libc.gnu_get_libc_version
+    except (AttributeError, OSError, TypeError):
+        return []
+    libc.mallopt.argtypes, libc.mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    return [(name, value) for name, param, value in _HEAP_POLICY if libc.mallopt(param, value) == 1]
+
+
 def main(argv=None):
     # Move the objects NumPy and SciPy made at import out of the cyclic
     # collector's reach: they live until exit anyway, and the interpreter's
@@ -1186,13 +1217,7 @@ def main(argv=None):
     # again and again does not pin the cyclic garbage of its earlier runs.
     if gc.get_freeze_count() == 0:
         gc.freeze()
-    # glibc serves a block above its mmap threshold (128 KiB at start) from a
-    # fresh mapping, faulted in page by page, and raises the threshold to the
-    # size of each mapped block freed.  Freeing one 1 MiB block here lets a
-    # run's dense arrays (392 KiB at N = 224) reuse heap pages from the first
-    # sample on, whatever blocks the imports happened to free: without it a
-    # perfbench wegner-1d run takes about 16,600 page faults instead of 470.
-    bytearray(1 << 20)
+    _heap_policy()
     _one_blas_thread()
     args = _build_parser().parse_args(argv)
     try:

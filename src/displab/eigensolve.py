@@ -442,7 +442,6 @@ def _count_rest(stack, k, norm, row, energies):
         count_one = _threshold_counter(mat, stack.slots, norm)
         if todo.size > 1 and mat.shape[0] > COUNT_DENSE_CUTOFF:
             row[todo] = _ritz_counts(mat, norm, count_one, energies[todo])
-            _trim_heap()
         for t in np.flatnonzero(row < 0):
             row[t] = count_one(float(energies[t]))[0]
 
@@ -540,25 +539,6 @@ def _ritz_counts(mat, norm, count_one, energies):
         if not pending.any():
             break
     return counts
-
-
-try:
-    _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
-except (AttributeError, OSError, TypeError):  # not glibc
-    _MALLOC_TRIM = None
-
-
-def _trim_heap():
-    """Hand the heap's free pages back to the OS where the C library is glibc.
-
-    A SuperLU factor kept through the Ritz step leaves tens of MB free at
-    the top of the heap when it goes, and glibc, whose trim threshold rises
-    with every large block it has unmapped, keeps them; the next operator's
-    factorization then starts that much higher.  ``malloc_trim(0)`` frees
-    only unused pages.  Elsewhere this does nothing.
-    """
-    if _MALLOC_TRIM is not None:
-        _MALLOC_TRIM(0)
 
 
 def _lanczos_pairs(lu, shift, k):

@@ -1,7 +1,7 @@
 """Paired benchmark runs of two checkouts, and the gain rule applied to them.
 
     python tests/bench_pairs.py PARENT CHANGE --workload W --pairs N \
-        [--seed S] [--seconds T]
+        [--seed S] [--seconds T] [--record PATH]
 
 Pair i runs ``perfbench/run.py --workload W --seed S+i --seconds T`` once in
 the PARENT checkout and once in the CHANGE checkout, the parent first in even
@@ -16,8 +16,11 @@ change won (ties count for neither side), and whether the gain rule holds:
 the change wins at least nine tenths of the pairs, and its median is better
 than the parent's by more than the distance between the parent's quartiles.
 Any pair in which a side's run was not ``correct`` is reported and counted
-as lost.  The script writes no file; run.py removes its run directories
-under each checkout's ``.perfbench/`` when the runs pass.
+as lost.  ``--record PATH`` also writes all of that as JSON under the
+workload's name in PATH, keeping the other workloads a record there already
+holds, so one ``BENCH_*.json`` file can hold a change's pairs on every
+workload.  run.py removes its run directories under each checkout's
+``.perfbench/`` when the runs pass.
 """
 
 from __future__ import annotations
@@ -70,6 +73,7 @@ def main(argv=None):
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=100, help="seed of the first pair")
     ap.add_argument("--seconds", type=float, help="default: BENCHMARK.json run_seconds")
+    ap.add_argument("--record", help="JSON file to write this workload's pairs and verdicts into")
     args = ap.parse_args(argv)
     with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
@@ -91,6 +95,7 @@ def main(argv=None):
         ), flush=True)
     print(f"\n{args.workload}: {args.pairs} pairs, {seconds:g} s per run")
     print(f"{'metric':<16}{'parent q1/med/q3':>36}{'change q1/med/q3':>36}  won  rule")
+    metrics = {}
     for m in spec["end_to_end"]:
         parent, change = values["parent"][m["name"]], values["change"][m["name"]]
         won, holds = verdict(parent, change, m["better"])
@@ -99,6 +104,26 @@ def main(argv=None):
             f"{m['name']:<16}{fmt(parent):>36}{fmt(change):>36}  "
             f"{won:>2}/{len(parent)}  {'holds' if holds else 'not met'}"
         )
+        metrics[m["name"]] = {
+            "better": m["better"],
+            "parent": parent,
+            "change": change,
+            "parent_q1_median_q3": list(quartiles(parent)),
+            "change_q1_median_q3": list(quartiles(change)),
+            "won": won,
+            "gain_rule_holds": holds,
+        }
+    if args.record:
+        record = {}
+        if os.path.exists(args.record):
+            with open(args.record, encoding="utf-8") as fh:
+                record = json.load(fh)
+        record[args.workload] = {
+            "pairs": args.pairs, "first_seed": args.seed, "seconds": seconds, "metrics": metrics,
+        }
+        with open(args.record, "w", encoding="utf-8") as fh:
+            json.dump(record, fh, indent=1, sort_keys=True)
+            fh.write("\n")
     return 0
 
 

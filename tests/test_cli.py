@@ -471,6 +471,109 @@ def test_main_freezes_the_import_time_objects_once(capsys):
     assert capsys.readouterr().err.count("config error: ") == 2
 
 
+def _on_glibc():
+    import ctypes
+
+    try:
+        return hasattr(ctypes.CDLL(None), "gnu_get_libc_version")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not _on_glibc(), reason="the C library is not glibc")
+def test_the_heap_policy_fixes_both_glibc_thresholds():
+    import displab.cli as cli
+
+    assert cli._heap_policy() == [("M_MMAP_THRESHOLD", 2 << 20), ("M_TRIM_THRESHOLD", 16 << 20)]
+
+
+def test_the_heap_policy_returns_only_what_it_set(monkeypatch):
+    """A glibc whose mallopt accepts the trim threshold (-1) alone."""
+    import types
+
+    import displab.cli as cli
+
+    asked = []
+    libc = types.SimpleNamespace(
+        gnu_get_libc_version=None, mallopt=lambda param, value: asked.append((param, value)) or param == -1
+    )
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+    assert cli._heap_policy() == [("M_TRIM_THRESHOLD", 16 << 20)]
+    assert asked == [(-3, 2 << 20), (-1, 16 << 20)]
+
+
+@pytest.mark.parametrize("failure", [OSError, TypeError, AttributeError])
+def test_the_heap_policy_does_nothing_without_glibc(monkeypatch, failure):
+    """No C library by that name, or one without gnu_get_libc_version: no
+    setting, and nothing raised."""
+    import displab.cli as cli
+
+    def cdll(name):
+        if failure is AttributeError:
+            return object()
+        raise failure(name)
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    assert cli._heap_policy() == []
+
+
+def test_main_sets_the_heap_policy_before_the_runner_starts(monkeypatch, tmp_path):
+    import displab.cli as cli
+
+    order = []
+    monkeypatch.setattr(cli, "_heap_policy", lambda: order.append("policy") or [])
+    monkeypatch.setitem(cli._RUNNERS, "band", lambda cfg, rd, **section: order.append("runner") or 0)
+    out = str(tmp_path / "free")
+    assert main(["band", "--config", _preset_path("free-1d"), "--out", out]) == 0
+    assert order == ["policy", "runner"]
+
+
+# Ground steps of the lifshitz-reduced-1d preset (N = 2001), each a SuperLU
+# factorization, after one operator's ground has grown the heap; prints the
+# steps taken and the page faults they took.
+GROUND_STEPS = """\
+import resource, sys
+import numpy as np
+from displab import cli, eigensolve
+from displab.eigensolve import ground_bisect
+from displab.randomfields import DisplacementDistribution
+from displab.spectral_stats import ReducedFamily
+from displab.supports import ball
+
+if sys.argv[1] == "policy":
+    cli._heap_policy()
+family = ReducedFamily(
+    sign=1, v=np.array([5.0]), lam=0.1, zeta=np.array([-1.0]), n=1000, c0=1.0, alpha=0.05,
+    dist=DisplacementDistribution(kind="uniform-ball", support=ball(np.zeros(1), 1.0)),
+)
+ground_bisect(family.operators(0, (0,)), 4.0)
+splu, steps = eigensolve.spla.splu, []
+eigensolve.spla.splu = lambda *a, **k: steps.append(1) or splu(*a, **k)
+stack = family.operators(0, range(1, 6))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+ground_bisect(stack, 4.0)
+print(len(steps), resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not _on_glibc(), reason="the C library is not glibc")
+def test_the_heap_policy_keeps_ground_steps_from_faulting_the_heap_in_again():
+    """On glibc a ground step frees ~5 MB at the top of the heap.  Under the
+    policy the next step reuses it: 20 or more back-to-back steps take
+    fewer than half the page faults they take in a process without it."""
+    src_dir = os.path.dirname(os.path.dirname(displab.__file__))
+    path = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
+    got = {}
+    for mode in ("policy", "none"):
+        done = subprocess.run(
+            [sys.executable, "-c", GROUND_STEPS, mode], env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True, check=True, timeout=120,
+        )
+        got[mode] = [int(x) for x in done.stdout.split()]
+    assert got["policy"][0] == got["none"][0] >= 20
+    assert got["policy"][1] < got["none"][1] / 2, got
+
+
 WEGNER_TMPL = """\
 [run]
 kind = wegner

@@ -1,20 +1,20 @@
 """The design rules of the code, checked on one index of the tree.
 
-Twelve rules keep the design in place: no private names shared between
+Thirteen rules keep the design in place: no private names shared between
 modules, no threads, no unused imports and no ``__all__``, no class member
 that nothing reads, dense spectra only through ``eigensolve`` (but for the
 ``eigvalsh`` calls named in KEPT_EIGVALSH), no idle or always-overridden
 default, ARPACK only in ``smallest_eigenpairs``, Monte-Carlo batches only
 in the CLI runners, no config key that no shipped config sets, no
 ``DiagonalStack`` on a stencil that is not a ``periodic_laplacian``,
-LAPACK by pointer only in ``eigensolve``, and a ``DiagonalStack``'s
-storage read only in ``discretize``.  Each rule is a function of the
-index that returns its violation lines, and each test asserts that the
-list is empty.
+LAPACK by pointer only in ``eigensolve``, a ``DiagonalStack``'s storage
+read only in ``discretize``, and glibc's allocator steered only by the heap
+policy in ``cli``.  Each rule is a function of the index that returns its
+violation lines, and each test asserts that the list is empty.
 
 Readers and callers are counted from ``src/`` and ``perfbench/`` only:
 tests are not readers or callers.  A rule that parses nothing passes, so
-every rule is also run on a small synthetic tree that keeps all twelve,
+every rule is also run on a small synthetic tree that keeps all thirteen,
 with one violation planted, and must give that violation's line and no
 other.
 """
@@ -474,6 +474,44 @@ def stack_fields_outside_discretize(index):
     ]
 
 
+# The module whose heap policy is the one place a run calls into glibc.
+HEAP_POLICY_MODULE = "src/displab/cli.py"
+GLIBC_CALLS = ("mallopt", "malloc_trim")
+
+
+def glibc_outside_the_heap_policy(index):
+    """cli._heap_policy fixes glibc's mmap and trim thresholds once per run.
+    Outside cli.py no code in src/ or perfbench/ opens the process's own C
+    library (``ctypes.CDLL(None)``) or names mallopt or malloc_trim, as an
+    attribute, a name or a string, so no second policy can undo the first.
+    One line per source line that does."""
+    bad = {}
+    for path, tree in index.trees.items():
+        if path == HEAP_POLICY_MODULE:
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _callee(node) == "CDLL":
+                first = node.args[0] if node.args else None
+                names = ["CDLL(None)"] if isinstance(first, ast.Constant) and first.value is None else []
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names = [node.value]
+            else:
+                continue
+            for name in names:
+                if name == "CDLL(None)" or name in GLIBC_CALLS:
+                    bad.setdefault(
+                        (path, node.lineno),
+                        f"{path}:{node.lineno} calls into glibc outside {HEAP_POLICY_MODULE} ({name})",
+                    )
+    return [bad[key] for key in sorted(bad)]
+
+
 RULES = [
     private_imports,
     thread_imports,
@@ -487,6 +525,7 @@ RULES = [
     stacks_off_the_laplacian,
     lapack_pointers_outside_eigensolve,
     stack_fields_outside_discretize,
+    glibc_outside_the_heap_policy,
 ]
 
 
@@ -507,7 +546,8 @@ def test_the_code_keeps_the_rule(index, rule):
 
 # A tree that keeps every rule: eigensolve with its dense and ARPACK
 # solvers, a LAPACK routine bound by pointer and a count that reads a stack
-# through its public members, a runner that calls a batch function, the
+# through its public members, a runner that calls a batch function and a
+# heap policy that calls mallopt, the
 # members that only tests read, the eigvalsh calls of KEPT_EIGVALSH, a
 # DiagonalStack that alone reads its storage, stacks on a periodic_laplacian
 # in both forms, a perfbench script that calls the runner with and without
@@ -572,6 +612,12 @@ def run_verify_all(cfg):
     import numpy as np
 
     return np.linalg.eigvalsh(cfg)
+
+
+def heap_policy():
+    import ctypes
+
+    return ctypes.CDLL(None).mallopt(-1, 16 << 20)
 """,
     "src/displab/checked.py": """\
 class SupportSet:
@@ -777,6 +823,12 @@ PLANTED = [
         {"src/displab/floquet.py": "import ctypes\n\nGET = ctypes.pythonapi.PyCapsule_GetPointer\n"},
         (),
         "src/displab/floquet.py:3 reaches LAPACK by pointer (PyCapsule_GetPointer)",
+    ),
+    (
+        glibc_outside_the_heap_policy,
+        {"perfbench/child.py": "import ctypes\n\nctypes.CDLL(None).malloc_trim(0)\n"},
+        (),
+        "perfbench/child.py:3 calls into glibc outside src/displab/cli.py (malloc_trim)",
     ),
 ]
 

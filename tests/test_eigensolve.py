@@ -714,17 +714,6 @@ def test_an_interval_above_the_top_shift_is_not_certified(monkeypatch):
     assert got.tolist() == [3, 2, 1]
 
 
-@pytest.mark.parametrize("glibc", [True, False])
-def test_the_heap_is_trimmed_once_after_the_route_where_glibc_is(monkeypatch, glibc):
-    trims = []
-    monkeypatch.setattr(es, "_MALLOC_TRIM", trims.append if glibc else None)
-    stack = _generic_torus()
-    _, between = _levels_and_between(stack)
-    with mock.patch.object(es, "COUNT_DENSE_CUTOFF", 10):
-        assert count_below_stack(stack, between[[0, 2, 4]])[0].tolist() == [1, 3, 5]
-    assert trims == ([0] if glibc else [])
-
-
 def _ids_2d_continuum():
     """The benchmark's d = 2 ids config: its continuum family, its three
     thresholds and its seed."""
